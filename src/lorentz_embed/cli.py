@@ -43,7 +43,6 @@ _FAMILIES = ("hyperbolic", "radial_pinched", "poincare", "poincare_perturbed")
 _AUDIT_DEFAULTS = {
     "r0_list": [1.0],
     "c_cal": 1.0,
-    "probe_fractions": [0.45, 0.6, 0.75],
     "holonomy_tol": 1e-5,
     "curvature_check_tol": 1e-2,
     "pullback_tol": 1e-2,
@@ -468,10 +467,6 @@ def cmd_embed(run_dir):
 
 
 def main(argv=None):
-    if os.environ.get("LORENTZ_EMBED_THREADS"):
-        cap = os.environ["LORENTZ_EMBED_THREADS"]
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
     p = argparse.ArgumentParser(prog="lorentz-embed",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

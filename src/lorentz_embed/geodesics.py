@@ -12,7 +12,20 @@ removed by the substitution r = rho + t^2, and each integral is split at
 2 rho so the near-pole boundary layer of almost-antipodal geodesics is
 resolved at any parameter value.  Simple connectivity plus strictly
 negative curvature guarantee a unique connecting geodesic, so the sweep is
-monotone in rho on each branch and bisection is safe.
+monotone in rho on each branch, and the geodesic grazing the smaller
+radius r_a (rho = r_a) closes both brackets [lo, r_a].  The root-find is the Illinois variant of
+regula falsi (Dowell & Jarratt, BIT 11, 1971) on that bracket.  It
+bisects whenever the secant point leaves the bracket, or when halving
+alone could only just collapse the bracket within the budget of 52
+iterations plus the 8 bracket expansions.  A target stops once its sweep
+is within 1e-13 max(1, target) of the target angle; the first variation
+gives dd/dtheta = c, so the distance is then off by about 1e-13 f(r_max).
+A target whose bracket is instead as narrow as 52 bisections would leave
+it takes the length interpolated linearly in the sweep between the
+bracket ends, which stays accurate where rho itself is only known to
+round-off (targets next to the grazing geodesic).  Polar grids are
+uniform and periodic in theta, so a distance field is solved for half of
+the columns and mirrored about the source column.
 
 Conformal charts integrate the geodesic flow in Cartesian chart coordinates
 (the conformal Christoffel symbols are smooth across the chart origin) and
@@ -65,9 +78,12 @@ def _sweep_and_length(metric, rho, R):
     f1 = f(r1)
     diff = f1 - c[..., None]
     # near the turning point the direct difference is roundoff-dominated;
-    # switch to f(rho + t^2) - f(rho) ~ t^2 f'(rho + t^2/2)
-    taylor = t * t * metric.f_prime(rho[..., None] + 0.5 * t * t)
-    diff = np.where(diff > 1e-11 * c[..., None], diff, taylor)
+    # switch to f(rho + t^2) - f(rho) ~ t^2 f'(rho + t^2/2) there only
+    near = ~(diff > 1e-11 * c[..., None])
+    if np.any(near):
+        tn = t[near]
+        rho_n = np.broadcast_to(rho[..., None], t.shape)[near]
+        diff[near] = tn * tn * metric.f_prime(rho_n + 0.5 * tn * tn)
     den1 = np.sqrt(np.maximum(diff * (f1 + c[..., None]), 1e-300))
     w1 = _GL_W * t_max[..., None] * 2.0 * t
     sweep = np.sum(w1 * c[..., None] / (f1 * den1), axis=-1)
@@ -86,7 +102,107 @@ def _sweep_and_length(metric, rho, R):
     return sweep, length
 
 
-def distance_polar(metric, source, r_t, th_t, bisect_iters=52):
+_SWEEP_RTOL = 1e-13  # angle residual, relative to max(1, target)
+_EXPANSIONS = 8  # lower-bracket expansions
+_EVALS = _EXPANSIONS + 52  # sweeps per target: the expansions plus 52 bisections
+
+
+def _branch_sweep(metric, rho, ra, rb, sign):
+    """Total angle sweep and length of the arc with turning radius rho."""
+    s_b, j_b = _sweep_and_length(metric, rho, rb)
+    s_a, j_a = _sweep_and_length(metric, rho, ra)
+    return s_b + sign * s_a, j_b + sign * j_a
+
+
+def _illinois(residual, a, b, ga, gb, va, vb, tol, budget):
+    """Safeguarded Illinois iteration on brackets with g(a) < 0 < g(b).
+
+    ``residual(k, x)`` returns g and a value v at the points x of brackets
+    k, where g increases on each bracket; ``va``/``vb`` are the values at
+    the ends.  A bracket stops with the value at its last point when
+    |g| <= tol.  It stops with v interpolated linearly in g between its
+    ends when it is as narrow as 52 bisections would leave it, or after
+    ``budget`` evaluations.
+    """
+    out = np.empty_like(a)
+    k = np.arange(a.size)
+    width = (b - a) * 2.0**-52
+    ta, tb = ga, gb  # residuals at the ends, before Illinois halving
+    moved = np.zeros(a.size)  # -1 / +1: the last step replaced a / b
+    for it in range(int(np.max(budget, initial=0))):
+        if k.size == 0:
+            break
+        w = b - a
+        x = a - ga * (w / (gb - ga))
+        # bisect off-bracket secant points, and whenever halving alone
+        # would only just collapse the bracket within the remaining budget
+        need = np.ceil(np.log2(np.maximum(w / width, 1.0)))
+        bisect = ~(np.isfinite(x) & (x > a) & (x < b)) | (need >= budget - it)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        g, v = residual(k, x)
+        left = g < 0.0
+        # Illinois: halve the kept end's residual when one end moves twice
+        ga = np.where(left, g, np.where(~bisect & (moved > 0.0), 0.5 * ga, ga))
+        gb = np.where(left, np.where(~bisect & (moved < 0.0), 0.5 * gb, gb), g)
+        a, ta, va = np.where(left, x, a), np.where(left, g, ta), np.where(left, v, va)
+        b, tb, vb = np.where(left, b, x), np.where(left, tb, g), np.where(left, vb, v)
+        moved = np.where(bisect, 0.0, np.where(left, -1.0, 1.0))
+        converged = np.abs(g) <= tol
+        # v is smooth in g, so a collapsed bracket interpolates past the
+        # round-off that limits x
+        out[k] = np.where(converged, v, va + (vb - va) * (ta / (ta - tb)))
+        keep = ~converged & (b - a > width) & (budget > it + 1)
+        k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved = (
+            q[keep] for q in (k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved))
+    return out
+
+
+def _clairaut_lengths(metric, ra, rb, target):
+    """Length of the geodesic between radii ra <= rb that sweeps angle target.
+
+    On each branch the residual g = orient (sweep - target) increases with
+    the turning radius, so [lo, ra] with g(lo) < 0 < g(ra) brackets the
+    root.  A lower end that does not straddle, even after expansion,
+    settles on lo, as bisection would.
+    """
+    # the grazing geodesic, turning at ra, ends both branches
+    sweep_star, len_star = _sweep_and_length(metric, ra, rb)
+    through = target > sweep_star  # geodesic dips inside r_a first
+    sign = np.where(through, 1.0, -1.0)
+    orient = -sign  # the sweep rises with rho directly, falls through r_a
+
+    g_hi = orient * (sweep_star - target)
+    lo = np.full_like(ra, 1e-10)
+    g_lo = np.empty_like(ra)
+    len_lo = np.empty_like(ra)
+    evals = np.zeros(ra.size, dtype=int)
+    # expand the lower bracket until the sweep straddles the target
+    todo = np.arange(ra.size)
+    for k in range(_EXPANSIONS):
+        tot, length = _branch_sweep(metric, lo[todo], ra[todo], rb[todo], sign[todo])
+        g_lo[todo] = orient[todo] * (tot - target[todo])
+        len_lo[todo] = length
+        evals[todo] += 1
+        todo = todo[through[todo] & (g_lo[todo] > 0.0)]
+        if todo.size == 0 or k == _EXPANSIONS - 1:
+            break
+        lo[todo] *= 1e-2
+
+    out = np.where(g_lo >= 0.0, len_lo, len_star)
+    act = np.nonzero((g_lo < 0.0) & (g_hi > 0.0))[0]
+
+    def residual(k, rho):
+        i = act[k]
+        tot, length = _branch_sweep(metric, rho, ra[i], rb[i], sign[i])
+        return orient[i] * (tot - target[i]), length
+
+    tol = _SWEEP_RTOL * np.maximum(1.0, target[act])
+    out[act] = _illinois(residual, lo[act], ra[act], g_lo[act], g_hi[act],
+                         len_lo[act], len_star[act], tol, _EVALS - evals[act])
+    return out
+
+
+def distance_polar(metric, source, r_t, th_t):
     """Geodesic distance from one point to arrays of points, warped polar chart."""
     r_s, th_s = float(source[0]), float(source[1])
     r_t = np.asarray(r_t, dtype=float)
@@ -105,44 +221,9 @@ def distance_polar(metric, source, r_t, th_t, bisect_iters=52):
     general = ~(radial | antipodal)
     out[radial] = (r_b - r_a)[radial]
     out[antipodal] = (r_b + r_a)[antipodal]  # ray through the pole
-
     if np.any(general):
-        ra = r_a[general]
-        rb = r_b[general]
-        target = dth[general]
-        # branch split: sweep of the grazing geodesic (turning radius -> r_a)
-        rho_star = ra * (1.0 - 1e-11)
-        t_star, _ = _sweep_and_length(metric, rho_star, rb)
-        ts_a, _ = _sweep_and_length(metric, rho_star, ra)
-        sweep_star = t_star - ts_a
-        through = target > sweep_star  # geodesic dips inside r_a first
-
-        sign = np.where(through, 1.0, -1.0)
-        lo = np.full_like(ra, 1e-10)
-        hi = rho_star.copy()
-        # expand the lower bracket until the sweep straddles the target
-        for _ in range(8):
-            s_b, _ = _sweep_and_length(metric, lo, rb)
-            s_a, _ = _sweep_and_length(metric, lo, ra)
-            tot = s_b + sign * s_a
-            bad = through & (tot < target)
-            if not np.any(bad):
-                break
-            lo = np.where(bad, lo * 1e-2, lo)
-        for _ in range(bisect_iters):
-            mid = 0.5 * (lo + hi)
-            s_b, _ = _sweep_and_length(metric, mid, rb)
-            s_a, _ = _sweep_and_length(metric, mid, ra)
-            tot = s_b + sign * s_a
-            # monotone: increasing in rho on the direct branch, decreasing
-            # on the through-branch
-            go_up = np.where(through, tot > target, tot < target)
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        rho = 0.5 * (lo + hi)
-        _, j_b = _sweep_and_length(metric, rho, rb)
-        _, j_a = _sweep_and_length(metric, rho, ra)
-        out[general] = j_b + sign * j_a
+        out[general] = _clairaut_lengths(metric, r_a[general], r_b[general],
+                                         dth[general])
 
     near = np.isclose(r_t, r_s, rtol=0.0, atol=1e-15) & radial
     out[near] = 0.0
@@ -150,11 +231,21 @@ def distance_polar(metric, source, r_t, th_t, bisect_iters=52):
 
 
 def distance_field_polar(metric, grid, node):
-    """Distance from grid node (i, j) to every node, as a grid-shaped array."""
+    """Distance from grid node (i, j) to every node, as a grid-shaped array.
+
+    The theta grid is uniform and periodic, so d(i, j + k) = d(i, j - k):
+    only the offsets k = 0..n/2 are solved, and the rest are mirrored.
+    """
     i, j = node
-    R, T = grid.mesh()
-    src = (grid.q1[i], grid.q2[j])
-    return distance_polar(metric, src, R, T)
+    n = grid.n2
+    k = np.arange(n // 2 + 1)
+    cols = (j + k) % n
+    half = distance_polar(metric, (grid.q1[i], grid.q2[j]),
+                          grid.q1[:, None], grid.q2[cols][None, :])
+    out = np.empty(grid.shape)
+    out[:, cols] = half
+    out[:, (j - k) % n] = half
+    return out
 
 
 def _conformal_rhs(metric, state):

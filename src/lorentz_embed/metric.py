@@ -117,10 +117,6 @@ class WarpedPolarMetric:
     def curvature_at(self, r, theta=None):
         return np.asarray(self.curvature(np.asarray(r, dtype=float)), dtype=float)
 
-    def distance_from_center(self, r, theta=None):
-        # geodesic distance from the pole is the radial coordinate itself
-        return np.asarray(r, dtype=float)
-
 
 def make_hyperbolic(scale: float, r_max: float = math.inf) -> WarpedPolarMetric:
     """Constant-curvature chart K = -scale, f(r) = sinh(sqrt(scale) r)/sqrt(scale).

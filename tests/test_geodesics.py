@@ -9,7 +9,10 @@ from test_metric import flat_metric
 
 from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid
+from lorentz_embed import geodesics
 from lorentz_embed.geodesics import (
+    _illinois,
+    _sweep_and_length,
     distance_conformal,
     distance_field,
     distance_field_polar,
@@ -82,6 +85,120 @@ class TestPolarDistance:
         d12 = distance_field_polar(pinched_metric, g, nodes[1])[nodes[2]]
         d02 = distance_field_polar(pinched_metric, g, nodes[0])[nodes[2]]
         assert d02 <= d01 + d12 + 1e-10
+
+
+def bisection_reference(metric, source, r_t, th_t, iters=200):
+    """Clairaut distances with a fixed-step bisection on the turning radius."""
+    r_s = float(source[0])
+    r_t, th_t = np.broadcast_arrays(np.asarray(r_t, float), np.asarray(th_t, float))
+    shape = r_t.shape
+    target = wrap_angle_difference(th_t.ravel() - source[1])
+    ra = np.minimum(r_t.ravel(), r_s)
+    rb = np.maximum(r_t.ravel(), r_s)
+    through = target > _sweep_and_length(metric, ra, rb)[0]
+    sign = np.where(through, 1.0, -1.0)
+    lo, hi = np.full_like(ra, 1e-10), ra
+
+    def total(rho):
+        s_b, j_b = _sweep_and_length(metric, rho, rb)
+        s_a, j_a = _sweep_and_length(metric, rho, ra)
+        return s_b + sign * s_a, j_b + sign * j_a
+
+    for _ in range(8):
+        short = through & (total(lo)[0] < target)
+        lo = np.where(short, lo * 1e-2, lo)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        tot = total(mid)[0]
+        go_up = np.where(through, tot > target, tot < target)
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    # the length is smooth in the sweep; interpolate between the ends
+    (s_lo, d_lo), (s_hi, d_hi) = total(lo), total(hi)
+    span = np.where(s_hi == s_lo, 1.0, s_hi - s_lo)
+    frac = np.clip((target - s_lo) / span, 0.0, 1.0)
+    return (d_lo + frac * (d_hi - d_lo)).reshape(shape)
+
+
+@pytest.fixture(params=["hyperbolic", "pinched"])
+def warped_metric(request, pinched_metric):
+    return make_hyperbolic(1.0) if request.param == "hyperbolic" else pinched_metric
+
+
+class TestTurningRadiusSolve:
+    """The safeguarded iteration against a 200-step bisection."""
+
+    @pytest.mark.parametrize("r_t", [0.35, 1.9])
+    def test_targets_around_branch_split(self, warped_metric, r_t):
+        r_s = 0.8
+        split = _sweep_and_length(warped_metric, min(r_s, r_t), max(r_s, r_t))[0]
+        th = split + np.array([-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6])
+        d = distance_polar(warped_metric, (r_s, 0.0), r_t, th)
+        d_ref = bisection_reference(warped_metric, (r_s, 0.0), r_t, th)
+        assert np.max(np.abs(d - d_ref)) <= 1e-10
+
+    @pytest.mark.parametrize("r_t", [0.35, 0.8, 1.9])
+    def test_branch_split_matches_closed_form(self, r_t):
+        # targets just past the grazing geodesic turn just inside r_a
+        m = make_hyperbolic(1.0)
+        r_s = 0.8
+        split = _sweep_and_length(m, min(r_s, r_t), max(r_s, r_t))[0]
+        th = split + np.array([1e-9, 1e-7, 1e-6, 3e-6])
+        d = distance_polar(m, (r_s, 0.0), r_t, th)
+        assert np.max(np.abs(d - hyperbolic_distance(1.0, r_s, 0.0, r_t, th))) <= 1e-8
+
+    def test_near_antipodal_and_near_radial(self, warped_metric):
+        r = np.array([0.05, 0.7, 1.3, 2.6])
+        th = np.array([math.pi - 1e-9, 1e-12])[:, None]
+        for r_s in (0.1, 1.2):
+            d = distance_polar(warped_metric, (r_s, 0.0), r, th)
+            d_ref = bisection_reference(warped_metric, (r_s, 0.0), r, th)
+            assert np.max(np.abs(d - d_ref)) <= 1e-10
+
+    def test_source_on_innermost_ring(self, warped_metric):
+        g = PolarGrid(24, 32, 3.0)
+        R, T = g.mesh()
+        d = distance_field_polar(warped_metric, g, (0, 5))
+        d_ref = bisection_reference(warped_metric, (g.q1[0], g.q2[5]), R, T)
+        assert np.max(np.abs(d - d_ref)) <= 1e-10
+
+    def test_field_mirror_symmetric_about_source(self, warped_metric):
+        g = PolarGrid(12, 16, 3.0)
+        k = np.arange(g.n2)
+        for i, j in ((0, 0), (5, 3), (11, 15)):
+            d = distance_field_polar(warped_metric, g, (i, j))
+            assert np.array_equal(d[:, (j + k) % g.n2], d[:, (j - k) % g.n2])
+
+    def test_sweep_budget(self, warped_metric, monkeypatch):
+        calls = []
+
+        def counted(metric, rho, R):
+            calls.append(rho)
+            return _sweep_and_length(metric, rho, R)
+
+        monkeypatch.setattr(geodesics, "_sweep_and_length", counted)
+        for r_s, r_t, th in ((0.8, 0.35, 1e-12), (0.1, 2.6, math.pi - 1e-9),
+                             (0.03, 0.03, 2.0), (1.2, 2.9, 0.4)):
+            calls.clear()
+            distance_polar(warped_metric, (r_s, 0.0), r_t, th)
+            # the grazing geodesic, then two sweeps per bracket evaluation
+            assert len(calls) <= 1 + 2 * 60
+
+    def test_safeguard_keeps_bisection_accuracy(self):
+        # a ninth-order root stalls plain Illinois; the budget-aware
+        # bisection must still leave every bracket as narrow as 52 halvings
+        root = np.array([0.3, 0.123456789, 0.9, 1e-3])
+        evals = np.zeros(root.size, dtype=int)
+
+        def residual(k, x):
+            evals[k] += 1
+            return (x - root[k]) ** 9, x
+
+        a, b = np.zeros(root.size), np.ones(root.size)
+        x = _illinois(residual, a, b, (a - root) ** 9, (b - root) ** 9, a, b,
+                      np.zeros(root.size), np.full(root.size, 59))
+        assert np.all(evals <= 59)
+        assert np.max(np.abs(x - root)) <= 2.0**-52
 
 
 class TestConformalDistance:
