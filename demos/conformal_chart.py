@@ -10,7 +10,7 @@ import numpy as np
 
 from lorentz_embed import (
     DirichletProblem,
-    DiscGrid,
+    PolarGrid,
     make_poincare,
     make_poincare_perturbed,
     solve_dirichlet,
@@ -20,7 +20,7 @@ from lorentz_embed.geodesics import distance_conformal
 
 # --- Poincare chart: constant solution in any gauge -------------------------
 metric = make_poincare(1.0, domain_radius=0.9)
-grid = DiscGrid(48, 32, 0.7)
+grid = PolarGrid(48, 32, 0.7, kind="disc")
 problem = DirichletProblem(metric, grid)
 sub = verify_subsolution(problem)
 print(f"constant-start margin on the disc: {sub.margin:.3e} (equality case)")
@@ -39,7 +39,7 @@ pert = make_poincare_perturbed(1.0, domain_radius=0.9, eps=0.2)
 b = pert.bounds
 print(f"\nperturbed chart: curvature pinched in [-{b.c2:.4f}, -{b.c1:.4f}]")
 
-grid = DiscGrid(48, 32, 0.7)
+grid = PolarGrid(48, 32, 0.7, kind="disc")
 problem = DirichletProblem(pert, grid)
 print(f"boundary datum: {problem.boundary_value:.6f}")
 field = solve_dirichlet(problem)

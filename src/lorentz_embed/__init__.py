@@ -6,23 +6,20 @@ from .metric import (
     CurvatureBounds,
     WarpedPolarMetric,
     ConformalDiscMetric,
-    PoleError,
     make_hyperbolic,
     make_radial_from_curvature,
     make_poincare,
     make_poincare_perturbed,
-    christoffels_polar,
     jacobi_defect,
 )
 from .grid import (
     PolarGrid,
-    DiscGrid,
     ScalarField,
     HessianField,
+    ChartData,
     GridTooCoarseError,
-    InadmissibleNodeError,
+    chart_arrays,
     covariant_hessian,
-    ma_operator,
     write_field_csv,
 )
 from .solver import (
@@ -30,6 +27,7 @@ from .solver import (
     AdmissibleField,
     NonConvergenceError,
     solve_dirichlet,
+    certify,
     verify_subsolution,
 )
 from .exhaustion import (

@@ -30,9 +30,11 @@ from .metric import (
     make_poincare,
     make_poincare_perturbed,
 )
-from .grid import PolarGrid, DiscGrid, ScalarField, covariant_hessian, write_field_csv
-from .solver import DirichletProblem, AdmissibleField, NonConvergenceError, solve_dirichlet
-from .exhaustion import ExhaustionSchedule, run_exhaustion, DivergenceError
+from .grid import PolarGrid, write_field_csv
+# Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
+from .grid import covariant_hessian  # noqa: F401
+from .solver import DirichletProblem, NonConvergenceError, certify, solve_dirichlet
+from .exhaustion import ExhaustionSchedule, ExhaustionStep, run_exhaustion, DivergenceError
 from .estimates import run_estimate_suite
 from .embed import build_embedding, export_graph, write_obj
 
@@ -182,14 +184,12 @@ def build_metric(cfg: RunConfig):
 
 
 def _grid_for(cfg: RunConfig, metric, l):
-    n_theta = cfg.grid.get("n_theta", 64)
-    if metric.kind == "conformal_polar":
-        n_rho = cfg.grid.get("n_r", 64)
-        return DiscGrid(n_rho, n_theta, float(l))
+    kind = "disc" if metric.kind == "conformal_polar" else "polar"
     n_r = cfg.grid.get("n_r")
     if n_r is None:
-        n_r = max(int(math.ceil(l * cfg.grid.get("nodes_per_unit", 16))), 16)
-    return PolarGrid(n_r, n_theta, float(l))
+        n_r = 64 if kind == "disc" else max(
+            int(math.ceil(l * cfg.grid.get("nodes_per_unit", 16))), 16)
+    return PolarGrid(n_r, cfg.grid.get("n_theta", 64), float(l), kind=kind)
 
 
 @contextlib.contextmanager
@@ -251,8 +251,12 @@ def cmd_solve(config_path, out_dir, trace=False):
                 print(f"solver did not converge: {exc}", file=sys.stderr)
                 return 3
             fields = [sol]
-            steps = [_step_row(radii[0], math.nan, sol)]
-            converged = True
+            steps = [ExhaustionStep(
+                l=radii[0], delta=math.nan,
+                min_u=float(sol.u.values.min()), max_u=float(sol.u.values.max()),
+                max_grad=float(np.sqrt(sol.hessian.grad_sq).max()),
+                iterations=sol.iterations,
+            )]
         else:
             grids = [_grid_for(cfg, metric, l) for l in radii]
             schedule = ExhaustionSchedule(
@@ -274,8 +278,7 @@ def cmd_solve(config_path, out_dir, trace=False):
                 print(f"exhaustion diverged: {exc}", file=sys.stderr)
                 return 3
             fields = result.fields
-            steps = [_step_row(s.l, s.delta, None, s) for s in result.steps]
-            converged = True
+            steps = result.steps
 
         meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": []}
         for k, fld in enumerate(fields):
@@ -289,21 +292,14 @@ def cmd_solve(config_path, out_dir, trace=False):
             meta["iterations"].append(fld.iterations)
         _dump_json(meta, os.path.join(fields_dir, "meta.json"))
         _write_convergence(steps, os.path.join(out_dir, "convergence.csv"))
-        return 0 if converged else 3
+        return 0
 
 
-def _step_row(l, delta, fld, step=None):
-    if step is not None:
-        return (step.l, step.delta, step.min_u, step.max_u, step.max_grad)
-    u = fld.u.values
-    return (l, delta, float(u.min()), float(u.max()),
-            float(np.sqrt(fld.hessian.grad_sq).max()))
-
-
-def _write_convergence(rows, path):
+def _write_convergence(steps, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("l,delta,min_u,max_u,max_grad\n")
-        for row in rows:
+        for s in steps:
+            row = (s.l, s.delta, s.min_u, s.max_u, s.max_grad)
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
@@ -332,22 +328,10 @@ def _load_run(run_dir):
     for k, (l, b, ginfo, iters) in enumerate(zip(
             meta["radii"], meta["boundary_values"], meta["grids"],
             meta["iterations"])):
-        if ginfo["kind"] == "disc":
-            grid = DiscGrid(ginfo["n1"], ginfo["n2"], l)
-        else:
-            grid = PolarGrid(ginfo["n1"], ginfo["n2"], l)
+        grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo["kind"])
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
         values = _read_field_csv(path, grid.shape)
-        u = ScalarField(grid, values)
-        hess = covariant_hessian(u, metric, order=2)
-        s = hess.grad_sq + 2.0 * values
-        fields.append(AdmissibleField(
-            u=u, hessian=hess,
-            min_eigenvalue=float(hess.eig_min.min()),
-            rhs_min=float(s.min()),
-            metric=metric, boundary_value=b, ball_radius=l,
-            iterations=iters,
-        ))
+        fields.append(certify(metric, grid, values, b, iters))
     return cfg, metric, fields
 
 

@@ -27,12 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import resample as _fft_resample
 
-from .grid import (
-    chart_arrays,
-    radial_derivative,
-    theta_derivative_spectral,
-    _fd_weights,
-)
+from .grid import radial_derivative, theta_derivative_spectral, _fd_weights
+# Unused here (charts come with field.hessian); kept for span tracers that wrap it.
+from .grid import chart_arrays  # noqa: F401
 from .solver import AdmissibleField
 
 __all__ = [
@@ -113,21 +110,17 @@ class _CartesianCalc:
         self.cos = np.cos(q2[:rows])
         self.sin = np.sin(q2[:rows])
 
-    def dx(self, F):
+    def grad(self, F):
+        """(dF/dx, dF/dy) from one radial and one spectral derivative."""
         dr = radial_derivative(F, self.h1, deriv=1, order=self.order)
         dt = theta_derivative_spectral(F) / self.r
-        return self.cos * dr - self.sin * dt
+        return self.cos * dr - self.sin * dt, self.sin * dr + self.cos * dt
 
-    def dy(self, F):
-        dr = radial_derivative(F, self.h1, deriv=1, order=self.order)
-        dt = theta_derivative_spectral(F) / self.r
-        return self.sin * dr + self.cos * dt
-
-    def dx_vec(self, V):
-        return np.stack([self.dx(V[..., k]) for k in range(V.shape[-1])], axis=-1)
-
-    def dy_vec(self, V):
-        return np.stack([self.dy(V[..., k]) for k in range(V.shape[-1])], axis=-1)
+    def grad_vec(self, V):
+        """grad applied to each component of a vector field V[..., k]."""
+        parts = [self.grad(V[..., k]) for k in range(V.shape[-1])]
+        return (np.stack([p[0] for p in parts], axis=-1),
+                np.stack([p[1] for p in parts], axis=-1))
 
 
 def _polar_to_cartesian_metric(a11, a12, a22, r, cos, sin):
@@ -140,12 +133,12 @@ def _polar_to_cartesian_metric(a11, a12, a22, r, cos, sin):
 
 def _brioschi_curvature(E, F, G, calc):
     """Gauss curvature of a metric given by Cartesian components E, F, G."""
-    E_x, E_y = calc.dx(E), calc.dy(E)
-    F_x, F_y = calc.dx(F), calc.dy(F)
-    G_x, G_y = calc.dx(G), calc.dy(G)
-    E_yy = calc.dy(E_y)
-    G_xx = calc.dx(G_x)
-    F_xy = calc.dy(F_x)
+    E_x, E_y = calc.grad(E)
+    F_x, F_y = calc.grad(F)
+    G_x, G_y = calc.grad(G)
+    E_yy = calc.grad(E_y)[1]
+    G_xx = calc.grad(G_x)[0]
+    F_xy = calc.grad(F_x)[1]
 
     a = -0.5 * E_yy + F_xy - 0.5 * G_xx
     det1 = (
@@ -157,6 +150,33 @@ def _brioschi_curvature(E, F, G, calc):
         0.5 * E_y * F - 0.5 * G_x * E
     )
     return (det1 - det2) / (E * G - F * F) ** 2
+
+
+def _pullback_christoffels(G11, G12, G22, calc):
+    """Christoffel symbols of a metric in Cartesian components, as gamma[k][a][b].
+
+    gamma[k][a][b] is Gamma^k_ab, with indices 0 = x and 1 = y.
+    """
+    G11_x, G11_y = calc.grad(G11)
+    G12_x, G12_y = calc.grad(G12)
+    G22_x, G22_y = calc.grad(G22)
+    det_G = G11 * G22 - G12 * G12
+    i11, i12, i22 = G22 / det_G, -G12 / det_G, G11 / det_G
+    # symbols of the first kind, Gamma_{k,ab}
+    c111 = 0.5 * G11_x
+    c112 = 0.5 * G11_y
+    c122 = G12_y - 0.5 * G22_x
+    c211 = G12_x - 0.5 * G11_y
+    c212 = 0.5 * G22_x
+    c222 = 0.5 * G22_y
+    g1_11 = i11 * c111 + i12 * c211
+    g1_12 = i11 * c112 + i12 * c212
+    g1_22 = i11 * c122 + i12 * c222
+    g2_11 = i12 * c111 + i22 * c211
+    g2_12 = i12 * c112 + i22 * c212
+    g2_22 = i12 * c122 + i22 * c222
+    return (((g1_11, g1_12), (g1_12, g1_22)),
+            ((g2_11, g2_12), (g2_12, g2_22)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +222,7 @@ def conformal_metric(field: AdmissibleField, rows=None, check_tol=1e-2,
     if rows is None:
         rows = n1 - 4
     rows = min(rows, n1)
-    ch = chart_arrays(field.metric, grid)
+    ch = field.hessian.chart
 
     du1 = radial_derivative(u, grid.h1, deriv=1, order=radial_order)
     du2 = theta_derivative_spectral(u)
@@ -561,8 +581,7 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap,
     X = np.sqrt(2.0 * u)[..., None] * dev.points
 
     calc = _CartesianCalc(grid, rows, radial_order)
-    Xa = calc.dx_vec(X)
-    Xb = calc.dy_vec(X)
+    Xa, Xb = calc.grad_vec(X)
     G11 = minkowski_inner(Xa, Xa)
     G12 = minkowski_inner(Xa, Xb)
     G22 = minkowski_inner(Xb, Xb)
@@ -581,39 +600,16 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap,
     flip = n[..., 2] < 0.0
     n[flip] *= -1.0  # future-timelike: <n, (0,0,1)> < 0 in signature (+,+,-)
 
-    Xaa = calc.dx_vec(Xa)
-    Xbb = calc.dy_vec(Xb)
-    Xab = 0.5 * (calc.dy_vec(Xa) + calc.dx_vec(Xb))
+    Xaa, Xa_y = calc.grad_vec(Xa)
+    Xb_x, Xbb = calc.grad_vec(Xb)
+    Xab = 0.5 * (Xa_y + Xb_x)
 
-    # Christoffel symbols of the pullback metric
-    d = {
-        "G11_x": calc.dx(G11), "G11_y": calc.dy(G11),
-        "G12_x": calc.dx(G12), "G12_y": calc.dy(G12),
-        "G22_x": calc.dx(G22), "G22_y": calc.dy(G22),
-    }
-    i11, i12, i22 = G22 / det_G, -G12 / det_G, G11 / det_G
-    half = 0.5
-    c_low = {
-        "111": half * d["G11_x"],
-        "112": half * d["G11_y"],
-        "122": d["G12_y"] - half * d["G22_x"],
-        "211": d["G12_x"] - half * d["G11_y"],
-        "212": half * d["G22_x"],
-        "222": half * d["G22_y"],
-    }
-    gamma = {
-        "1_11": i11 * c_low["111"] + i12 * c_low["211"],
-        "1_12": i11 * c_low["112"] + i12 * c_low["212"],
-        "1_22": i11 * c_low["122"] + i12 * c_low["222"],
-        "2_11": i12 * c_low["111"] + i22 * c_low["211"],
-        "2_12": i12 * c_low["112"] + i22 * c_low["212"],
-        "2_22": i12 * c_low["122"] + i22 * c_low["222"],
-    }
+    gam = _pullback_christoffels(G11, G12, G22, calc)
     xa_n = minkowski_inner(Xa, n)
     xb_n = minkowski_inner(Xb, n)
-    h11 = gamma["1_11"] * xa_n + gamma["2_11"] * xb_n - minkowski_inner(Xaa, n)
-    h12 = gamma["1_12"] * xa_n + gamma["2_12"] * xb_n - minkowski_inner(Xab, n)
-    h22 = gamma["1_22"] * xa_n + gamma["2_22"] * xb_n - minkowski_inner(Xbb, n)
+    h11 = gam[0][0][0] * xa_n + gam[1][0][0] * xb_n - minkowski_inner(Xaa, n)
+    h12 = gam[0][0][1] * xa_n + gam[1][0][1] * xb_n - minkowski_inner(Xab, n)
+    h22 = gam[0][1][1] * xa_n + gam[1][1][1] * xb_n - minkowski_inner(Xbb, n)
 
     return EmbeddingMap(
         grid=grid,
@@ -705,8 +701,7 @@ def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
     X, n, u = emb.X, emb.normal, emb.u_values
     u_identity = float(np.abs(-0.5 * minkowski_inner(X, X) - u)[sl].max())
 
-    du_x = calc.dx(u)
-    du_y = calc.dy(u)
+    du_x, du_y = calc.grad(u)
     det_g = gxx * gyy - gxy * gxy
     grad_sq = (gyy * du_x * du_x - 2 * gxy * du_x * du_y + gxx * du_y * du_y) / det_g
     xn = minkowski_inner(X, n)
@@ -725,51 +720,28 @@ def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
 
     # covariant derivative symmetry of the shape form, invariant norm
     i11, i12, i22 = G22 / det_G, -G12 / det_G, G11 / det_G
-    dh = {
-        "11x": calc.dx(h11), "11y": calc.dy(h11),
-        "12x": calc.dx(h12), "12y": calc.dy(h12),
-        "22x": calc.dx(h22), "22y": calc.dy(h22),
-    }
-    dG = {
-        "11x": calc.dx(G11), "11y": calc.dy(G11),
-        "12x": calc.dx(G12), "12y": calc.dy(G12),
-        "22x": calc.dx(G22), "22y": calc.dy(G22),
-    }
-    c_low = {
-        "111": 0.5 * dG["11x"], "112": 0.5 * dG["11y"],
-        "122": dG["12y"] - 0.5 * dG["22x"],
-        "211": dG["12x"] - 0.5 * dG["11y"],
-        "212": 0.5 * dG["22x"], "222": 0.5 * dG["22y"],
-    }
-    gam = {
-        "1_11": i11 * c_low["111"] + i12 * c_low["211"],
-        "1_12": i11 * c_low["112"] + i12 * c_low["212"],
-        "1_22": i11 * c_low["122"] + i12 * c_low["222"],
-        "2_11": i12 * c_low["111"] + i22 * c_low["211"],
-        "2_12": i12 * c_low["112"] + i22 * c_low["212"],
-        "2_22": i12 * c_low["122"] + i22 * c_low["222"],
-    }
-    h = {("1", "1"): h11, ("1", "2"): h12, ("2", "1"): h12, ("2", "2"): h22}
+    gam = _pullback_christoffels(G11, G12, G22, calc)
+    h = ((h11, h12), (h12, h22))
+    dh11, dh12, dh22 = calc.grad(h11), calc.grad(h12), calc.grad(h22)
+    dh = ((dh11, dh12), (dh12, dh22))  # dh[b][c][a] = d_a h_bc
 
     def cov_dh(a, b, c):
-        key = f"{b}{c}" if b <= c else f"{c}{b}"
-        d_val = dh[key + ("x" if a == "1" else "y")]
-        out = d_val
-        for dd in ("1", "2"):
-            out = out - gam[f"{dd}_{min(a,b)}{max(a,b)}"] * h[(dd, c)]
-            out = out - gam[f"{dd}_{min(a,c)}{max(a,c)}"] * h[(b, dd)]
+        out = dh[b][c][a]
+        for d in (0, 1):
+            out = out - gam[d][a][b] * h[d][c]
+            out = out - gam[d][a][c] * h[b][d]
         return out
 
     # antisymmetric part in the first two slots: only (x, y) matters
-    T_c = {c: cov_dh("1", "2", c) - cov_dh("2", "1", c) for c in ("1", "2")}
-    inv = {("1", "1"): i11, ("1", "2"): i12, ("2", "1"): i12, ("2", "2"): i22}
+    T_c = [cov_dh(0, 1, c) - cov_dh(1, 0, c) for c in (0, 1)]
+    inv = ((i11, i12), (i12, i22))
     # |T|^2 = T_xyc T_xyf G^xx G^yy ... contract the antisymmetric pair with
     # 2 det(G^{-1}) and the last slot with G^{-1}
     pair_factor = (i11 * i22 - i12 * i12)
     codazzi_sq = np.zeros_like(G11)
-    for c in ("1", "2"):
-        for f in ("1", "2"):
-            codazzi_sq += T_c[c] * T_c[f] * inv[(c, f)]
+    for c in (0, 1):
+        for f in (0, 1):
+            codazzi_sq += T_c[c] * T_c[f] * inv[c][f]
     codazzi_sq = 2.0 * pair_factor * codazzi_sq
     codazzi = float(np.sqrt(np.maximum(codazzi_sq, 0.0))[sl].max())
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import ScalarField, covariant_hessian, chart_arrays, generalized_eig_range
+from .grid import ScalarField, covariant_hessian, generalized_eig_range
+# Unused here (charts come with field.hessian); kept for span tracers that wrap it.
+from .grid import chart_arrays  # noqa: F401
 from .geodesics import distance_field
 from .solver import AdmissibleField
 
@@ -379,8 +381,9 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
                "support_nodes": int(support.sum()), "core_nodes": int(core.sum())},
     ))
 
+    ch = field.hessian.chart
     phi_field = ScalarField(grid, phi)
-    hess_phi = covariant_hessian(phi_field, metric, order=2)
+    hess_phi = covariant_hessian(phi_field, ch, order=2)
     grad_phi = np.sqrt(hess_phi.grad_sq)
     gbound = 3.0 / math.sqrt(c1)
     gobs = float(grad_phi[support].max())
@@ -394,7 +397,6 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
         slack=slack_grad,
     ))
 
-    ch = chart_arrays(metric, grid)
     a11 = hess_phi.h11 + field.hessian.h11 + ch.g11
     a12 = hess_phi.h12 + field.hessian.h12 + ch.g12
     a22 = hess_phi.h22 + field.hessian.h22 + ch.g22

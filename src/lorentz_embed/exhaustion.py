@@ -69,7 +69,7 @@ class ExhaustionSchedule:
         if self.boundary_rule not in ("standard", "midpoint"):
             raise ValueError(f"unknown boundary rule {self.boundary_rule!r}")
         for l, g in zip(radii, self.grids):
-            if abs(g.ball_radius - l) > 1e-12:
+            if abs(g.radius - l) > 1e-12:
                 raise ValueError("grid ball radius does not match schedule radius")
 
 

@@ -1,14 +1,19 @@
-"""Tensor-product discretizations of geodesic balls and conformal discs.
+"""One pole-offset polar grid for both chart families, its stencils, and
+the covariant Hessian.
 
-Grids are pole-offset: radial nodes sit at r_i = (i + 1/2) h so no node lands
-on the coordinate singularity, and radial stencils reaching below the first
-ring couple across the pole to the antipodal column (the smooth continuation
-of a disc function satisfies F(-r, theta) = F(r, theta + pi), with a sign
-flip for each radial tensor index).  The outermost ring lies exactly on the
-ball boundary and carries the Dirichlet value.
+Radial nodes sit at q1_i = (i + 1/2) h1 so no node lands on the coordinate
+singularity, and radial stencils reaching below the first ring couple
+across the pole to the antipodal column (the smooth continuation of a disc
+function satisfies F(-r, theta) = F(r, theta + pi), with a sign flip for
+each radial tensor index).  The outermost ring lies exactly on the domain
+boundary and carries the Dirichlet value.  A grid of kind "polar" covers a
+geodesic ball (q1 is geodesic distance); a grid of kind "disc" covers a
+conformal chart disc (q1 is the chart radius).
 
-Second-order centered stencils feed the Monge-Ampere operator; audits may
-request higher radial orders and spectrally accurate angular derivatives.
+A metric is evaluated on a grid once, into ChartData; the covariant Hessian
+takes that chart.  Second-order centered stencils feed the Monge-Ampere
+residual (see solver); audits may request higher radial orders and
+spectrally accurate angular derivatives.
 """
 
 from __future__ import annotations
@@ -21,15 +26,12 @@ import numpy as np
 
 __all__ = [
     "GridTooCoarseError",
-    "InadmissibleNodeError",
     "PolarGrid",
-    "DiscGrid",
     "ScalarField",
     "HessianField",
     "ChartData",
     "chart_arrays",
     "covariant_hessian",
-    "ma_operator",
     "radial_derivative",
     "theta_derivative",
     "theta_derivative_spectral",
@@ -37,127 +39,57 @@ __all__ = [
     "write_field_csv",
 ]
 
-
 class GridTooCoarseError(ValueError):
     """Grid cannot support the second-order stencils."""
 
 
-class InadmissibleNodeError(ValueError):
-    """A node where Hess(u) + g or the equation's right side loses positivity."""
-
-    def __init__(self, i, j, eigenvalue, rhs):
-        self.node = (i, j)
-        self.eigenvalue = eigenvalue
-        self.rhs = rhs
-        super().__init__(
-            f"inadmissible state at node (i={i}, j={j}): "
-            f"min eigenvalue of g^-1(Hess u + g) = {eigenvalue:.6g}, "
-            f"|grad u|^2 + 2u = {rhs:.6g}"
-        )
-
-
 @dataclass(frozen=True)
 class PolarGrid:
-    """Geodesic polar grid on B(x0, ball_radius): r_i = (i+1/2) h_r, theta_j periodic."""
+    """Pole-offset grid: q1_i = (i+1/2) h1 up to ``radius``, q2_j periodic.
 
-    n_r: int
-    n_theta: int
-    ball_radius: float
-    theta0: float = 0.0
-
-    def __post_init__(self):
-        if self.n_theta % 2 != 0:
-            raise ValueError("n_theta must be even (across-pole coupling)")
-        if self.n_r < 2 or self.n_theta < 2:
-            raise ValueError("grid needs at least 2 radial and angular nodes")
-        if self.ball_radius <= 0.0:
-            raise ValueError("ball_radius must be positive")
-
-    kind = "polar"
-
-    @property
-    def n1(self):
-        return self.n_r
-
-    @property
-    def n2(self):
-        return self.n_theta
-
-    @property
-    def h1(self):
-        return self.ball_radius / (self.n_r - 0.5)
-
-    @property
-    def h2(self):
-        return 2.0 * math.pi / self.n_theta
-
-    @property
-    def q1(self):
-        return (np.arange(self.n_r) + 0.5) * self.h1
-
-    @property
-    def q2(self):
-        return self.theta0 + np.arange(self.n_theta) * self.h2
-
-    @property
-    def shape(self):
-        return (self.n_r, self.n_theta)
-
-    def mesh(self):
-        return np.meshgrid(self.q1, self.q2, indexing="ij")
-
-
-@dataclass(frozen=True)
-class DiscGrid:
-    """Chart-polar grid on a conformal disc of chart radius < 1.
-
-    Same pole-offset tensor structure as PolarGrid; the first coordinate is
-    the chart radius rho, not geodesic distance.  CSV dumps use Cartesian
+    ``kind="polar"`` is a geodesic ball B(x0, radius); ``kind="disc"`` is a
+    conformal chart disc of chart radius < 1, whose CSV dumps use Cartesian
     chart coordinates.
     """
 
-    n_rho: int
-    n_theta: int
-    chart_radius: float
+    n1: int
+    n2: int
+    radius: float
     theta0: float = 0.0
+    kind: str = "polar"
 
     def __post_init__(self):
-        if self.n_theta % 2 != 0:
+        if self.kind not in ("polar", "disc"):
+            raise ValueError(f"unknown grid kind {self.kind!r} (expected 'polar' or 'disc')")
+        if self.n2 % 2 != 0:
             raise ValueError("n_theta must be even (across-pole coupling)")
-        if self.n_rho < 2 or self.n_theta < 2:
+        if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid needs at least 2 radial and angular nodes")
-        if not (0.0 < self.chart_radius < 1.0):
-            raise ValueError("chart_radius must lie in (0, 1)")
-
-    kind = "disc"
-
-    @property
-    def n1(self):
-        return self.n_rho
-
-    @property
-    def n2(self):
-        return self.n_theta
+        if self.kind == "disc":
+            if not (0.0 < self.radius < 1.0):
+                raise ValueError("chart_radius must lie in (0, 1)")
+        elif self.radius <= 0.0:
+            raise ValueError("ball_radius must be positive")
 
     @property
     def h1(self):
-        return self.chart_radius / (self.n_rho - 0.5)
+        return self.radius / (self.n1 - 0.5)
 
     @property
     def h2(self):
-        return 2.0 * math.pi / self.n_theta
+        return 2.0 * math.pi / self.n2
 
     @property
     def q1(self):
-        return (np.arange(self.n_rho) + 0.5) * self.h1
+        return (np.arange(self.n1) + 0.5) * self.h1
 
     @property
     def q2(self):
-        return self.theta0 + np.arange(self.n_theta) * self.h2
+        return self.theta0 + np.arange(self.n2) * self.h2
 
     @property
     def shape(self):
-        return (self.n_rho, self.n_theta)
+        return (self.n1, self.n2)
 
     def mesh(self):
         return np.meshgrid(self.q1, self.q2, indexing="ij")
@@ -167,7 +99,7 @@ class DiscGrid:
 class ScalarField:
     """Grid function; construction rejects any non-finite value."""
 
-    grid: PolarGrid | DiscGrid
+    grid: PolarGrid
     values: np.ndarray
 
     def __post_init__(self):
@@ -180,25 +112,10 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class HessianField:
-    """Covariant Hessian, gradient, and derived pointwise invariants of u."""
-
-    grid: PolarGrid | DiscGrid
-    h11: np.ndarray
-    h12: np.ndarray
-    h22: np.ndarray
-    du1: np.ndarray
-    du2: np.ndarray
-    grad_sq: np.ndarray       # |grad u|^2 in the metric
-    det_ratio: np.ndarray     # det(Hess u + g) / det g
-    eig_min: np.ndarray       # eigenvalues of g^{-1}(Hess u + g)
-    eig_max: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChartData:
-    """Metric, Christoffel, and curvature arrays evaluated at grid nodes."""
+    """Metric, Christoffel, and curvature arrays evaluated at the nodes of ``grid``."""
 
+    grid: PolarGrid
     g11: np.ndarray
     g12: np.ndarray
     g22: np.ndarray
@@ -214,6 +131,22 @@ class ChartData:
     gamma2_22: np.ndarray
 
 
+@dataclass(frozen=True)
+class HessianField:
+    """Covariant Hessian, gradient, and derived pointwise invariants of u."""
+
+    chart: ChartData          # the chart the Hessian was taken in
+    h11: np.ndarray
+    h12: np.ndarray
+    h22: np.ndarray
+    du1: np.ndarray
+    du2: np.ndarray
+    grad_sq: np.ndarray       # |grad u|^2 in the metric
+    det_ratio: np.ndarray     # det(Hess u + g) / det g
+    eig_min: np.ndarray       # eigenvalues of g^{-1}(Hess u + g)
+    eig_max: np.ndarray
+
+
 def chart_arrays(metric, grid) -> ChartData:
     q1, q2 = grid.mesh()
     g11, g12, g22 = metric.metric_components(q1, q2)
@@ -221,7 +154,7 @@ def chart_arrays(metric, grid) -> ChartData:
     K = metric.curvature_at(q1, q2)
     det_g = g11 * g22 - g12 * g12
     return ChartData(
-        g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K,
+        grid, g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K,
         gam[0], gam[1], gam[2], gam[3], gam[4], gam[5],
     )
 
@@ -321,19 +254,21 @@ def generalized_eig_range(a11, a12, a22, g11, g22):
 # covariant operators
 
 
-def covariant_hessian(u: ScalarField, metric, order: int = 2) -> HessianField:
+def covariant_hessian(u: ScalarField, chart: ChartData, order: int = 2) -> HessianField:
     """Covariant Hessian Hess(u)_ij = d_i d_j u - Gamma^k_ij d_k u plus invariants.
 
-    Stencils are centered and second order by default; the top row of the
-    returned arrays is one-sided and should only be consumed by audits.
+    ``chart`` must be evaluated on the grid of ``u``.  Stencils are centered
+    and second order by default; the top row of the returned arrays is
+    one-sided and should only be consumed by audits.
     """
     grid = u.grid
+    if chart.grid != grid:
+        raise ValueError(f"chart was evaluated on {chart.grid}, not on the field's {grid}")
     if grid.n1 < 4 or grid.n2 < 8:
         raise GridTooCoarseError(
             f"grid {grid.shape} too coarse for the Hessian stencils "
             "(need n_r >= 4 and n_theta >= 8)"
         )
-    ch = chart_arrays(metric, grid)
     F = u.values
     h1, h2 = grid.h1, grid.h2
     du1 = radial_derivative(F, h1, deriv=1, order=order)
@@ -342,42 +277,15 @@ def covariant_hessian(u: ScalarField, metric, order: int = 2) -> HessianField:
     d22 = theta_derivative(F, h2, deriv=2, order=order)
     d12 = radial_derivative(theta_derivative(F, h2, deriv=1, order=order),
                             h1, deriv=1, order=order)
-    h11 = d11 - ch.gamma1_11 * du1 - ch.gamma2_11 * du2
-    h12 = d12 - ch.gamma1_12 * du1 - ch.gamma2_12 * du2
-    h22 = d22 - ch.gamma1_22 * du1 - ch.gamma2_22 * du2
-    grad_sq = ch.inv11 * du1 * du1 + ch.inv22 * du2 * du2
-    a11, a12, a22 = h11 + ch.g11, h12 + ch.g12, h22 + ch.g22
-    det_ratio = (a11 * a22 - a12 * a12) / ch.det_g
-    eig_min, eig_max = generalized_eig_range(a11, a12, a22, ch.g11, ch.g22)
-    return HessianField(grid, h11, h12, h22, du1, du2, grad_sq, det_ratio,
+    h11 = d11 - chart.gamma1_11 * du1 - chart.gamma2_11 * du2
+    h12 = d12 - chart.gamma1_12 * du1 - chart.gamma2_12 * du2
+    h22 = d22 - chart.gamma1_22 * du1 - chart.gamma2_22 * du2
+    grad_sq = chart.inv11 * du1 * du1 + chart.inv22 * du2 * du2
+    a11, a12, a22 = h11 + chart.g11, h12 + chart.g12, h22 + chart.g22
+    det_ratio = (a11 * a22 - a12 * a12) / chart.det_g
+    eig_min, eig_max = generalized_eig_range(a11, a12, a22, chart.g11, chart.g22)
+    return HessianField(chart, h11, h12, h22, du1, du2, grad_sq, det_ratio,
                         eig_min, eig_max)
-
-
-def ma_operator(u: ScalarField, metric, boundary_value: float) -> ScalarField:
-    """Log-form Monge-Ampere residual.
-
-    Interior nodes carry log[det(Hess u + g)/det g] - log[-K (|grad u|^2 + 2u)];
-    the boundary ring carries u - boundary_value.  The log form symmetrizes
-    the two positivity requirements; a node violating either raises
-    InadmissibleNodeError so the caller can damp its step.
-    """
-    hess = covariant_hessian(u, metric, order=2)
-    ch = chart_arrays(metric, u.grid)
-    s = hess.grad_sq + 2.0 * u.values
-    interior = slice(0, u.grid.n1 - 1)
-    eig_int = hess.eig_min[interior]
-    s_int = s[interior]
-    if np.any(eig_int <= 0.0) or np.any(s_int <= 0.0):
-        flat = np.argmin(np.where(s_int <= 0.0, s_int, eig_int))
-        i, j = np.unravel_index(flat, eig_int.shape)
-        raise InadmissibleNodeError(int(i), int(j), float(eig_int[i, j]),
-                                    float(s_int[i, j]))
-    res = np.empty_like(u.values)
-    res[interior] = np.log(hess.det_ratio[interior]) - np.log(
-        (-ch.K[interior]) * s_int
-    )
-    res[-1] = u.values[-1] - boundary_value
-    return ScalarField(u.grid, res)
 
 
 def write_field_csv(field: ScalarField, path):

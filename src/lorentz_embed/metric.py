@@ -23,22 +23,15 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 __all__ = [
-    "PoleError",
     "CurvatureBounds",
     "WarpedPolarMetric",
     "ConformalDiscMetric",
-    "PolarChristoffels",
     "make_hyperbolic",
     "make_radial_from_curvature",
     "make_poincare",
     "make_poincare_perturbed",
-    "christoffels_polar",
     "jacobi_defect",
 ]
-
-
-class PoleError(ValueError):
-    """Chart quantity requested at the coordinate pole r = 0."""
 
 
 @dataclass(frozen=True)
@@ -65,19 +58,6 @@ class CurvatureBounds:
             raise ValueError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
         if self.c3 < 0.0 or self.c4 < 0.0:
             raise ValueError("c3 and c4 must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PolarChristoffels:
-    """The nonzero Christoffel symbols of a warped polar chart.
-
-    ``gamma_r_tt`` is Gamma^r_{theta theta} = -f f' and ``gamma_t_rt`` is
-    Gamma^theta_{r theta} = Gamma^theta_{theta r} = f'/f; all other symbols
-    vanish for warped products.
-    """
-
-    gamma_r_tt: float
-    gamma_t_rt: float
 
 
 @dataclass(frozen=True)
@@ -277,20 +257,6 @@ def jacobi_defect(m: WarpedPolarMetric, radii: np.ndarray | None = None) -> floa
     ) / (12.0 * h * h)
     defect = np.abs(fpp + kv[2:-2] * fv[2:-2]) / np.maximum(1.0, fv[2:-2])
     return float(defect.max())
-
-
-def christoffels_polar(m: WarpedPolarMetric, r: float) -> PolarChristoffels:
-    """The three nonzero symbols of a warped polar chart at radius r.
-
-    These are exactly the corrections the covariant Hessian stencils apply:
-    Hess(u)_ij = d_i d_j u - Gamma^k_ij d_k u.
-    """
-    if np.any(np.asarray(r) == 0.0):
-        raise PoleError("Christoffel symbols are singular at the pole r = 0; "
-                        "grids keep nodes off the pole and couple across it")
-    fr = float(m.f(r))
-    fp = float(m.f_prime(r))
-    return PolarChristoffels(gamma_r_tt=-fr * fp, gamma_t_rt=fp / fr)
 
 
 @dataclass(frozen=True)

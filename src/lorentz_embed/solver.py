@@ -26,6 +26,7 @@ __all__ = [
     "SubsolutionReport",
     "NonConvergenceError",
     "solve_dirichlet",
+    "certify",
     "verify_subsolution",
 ]
 
@@ -74,8 +75,7 @@ class DirichletProblem:
 
     @property
     def ball_radius(self):
-        g = self.grid
-        return g.ball_radius if hasattr(g, "ball_radius") else g.chart_radius
+        return self.grid.radius
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,18 @@ class _State:
         return float(np.max(np.abs(self.residual)))
 
 
-def _probe(values, grid, metric, ch):
-    """Evaluate Hessian, margins, and (if admissible) the interior residual."""
+def _probe(values, chart):
+    """Evaluate Hessian, margins, and (if admissible) the discrete residual.
+
+    This is the one definition of the discrete equation.  Interior nodes
+    carry log[det(Hess u + g)/det g] - log[-K (|grad u|^2 + 2u)]; the log
+    form symmetrizes the two positivity requirements, and a state violating
+    either at an interior node has no residual.  The boundary ring is not
+    part of the residual: the solver pins it to the Dirichlet value.
+    """
+    grid = chart.grid
     u = ScalarField(grid, values)
-    hess = covariant_hessian(u, metric, order=2)
+    hess = covariant_hessian(u, chart, order=2)
     s = hess.grad_sq + 2.0 * values
     interior = slice(0, grid.n1 - 1)
     eig_margin = float(hess.eig_min[interior].min())
@@ -166,14 +174,14 @@ def _probe(values, grid, metric, ch):
     if eig_margin <= 0.0 or rhs_margin <= 0.0:
         return _State(values, hess, s, eig_margin, rhs_margin, None)
     residual = np.log(hess.det_ratio[interior]) - np.log(
-        (-ch.K[interior]) * s[interior]
+        (-chart.K[interior]) * s[interior]
     )
     return _State(values, hess, s, eig_margin, rhs_margin, residual)
 
 
-def _assemble_jacobian(state, grid, ch, stencil):
+def _assemble_jacobian(state, ch, stencil):
     """Exact Jacobian of the discrete log-residual; boundary rows are identity."""
-    n1, n2 = grid.shape
+    n1, n2 = ch.grid.shape
     ni = n1 - 1
     half = n2 // 2
     hess = state.hessian
@@ -251,7 +259,7 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
     grid = problem.grid
     metric = problem.metric
     b = problem.boundary_value
-    ch = chart_arrays(metric, grid)
+    chart = chart_arrays(metric, grid)
     stencil = _Stencil(grid.h1, grid.h2)
 
     values = np.full(grid.shape, b)
@@ -260,12 +268,12 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
         if cand.shape != grid.shape:
             raise ValueError("initial guess shape mismatch")
         cand[-1] = b
-        if _probe(cand, grid, metric, ch).admissible:
+        if _probe(cand, chart).admissible:
             values = cand
 
     trace = []
     step = np.nan
-    state = _probe(values, grid, metric, ch)
+    state = _probe(values, chart)
     if not state.admissible:  # constant start is admissible by construction
         raise NonConvergenceError("initial state inadmissible", trace)
 
@@ -274,10 +282,10 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
         if keep_trace:
             trace.append((it, res_norm, step, state.eig_margin))
         if res_norm <= problem.tol:
-            return _finalize(problem, state, it, trace)
+            return _finalize(ScalarField(grid, state.values), chart, metric, b, it, trace)
         rhs_full = np.zeros(grid.n1 * grid.n2)
         rhs_full[: (grid.n1 - 1) * grid.n2] = -state.residual.ravel()
-        J = _assemble_jacobian(state, grid, ch, stencil)
+        J = _assemble_jacobian(state, chart, stencil)
         delta = _linear_solve(J, rhs_full).reshape(grid.shape)
 
         t = 1.0
@@ -285,7 +293,7 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
         accepted = None
         while t >= problem.min_step:
             try:
-                cand = _probe(values + t * delta, grid, metric, ch)
+                cand = _probe(values + t * delta, chart)
             except ValueError:  # non-finite trial state: damp it away
                 t *= 0.5
                 continue
@@ -311,22 +319,30 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
     )
 
 
-def _finalize(problem, state, iterations, trace):
-    u = ScalarField(problem.grid, state.values)
+def _finalize(u, chart, metric, boundary_value, iterations, trace):
     # audit-grade Hessian: one-sided top row included in the certificate
-    hess = covariant_hessian(u, problem.metric, order=2)
-    s = hess.grad_sq + 2.0 * state.values
+    hess = covariant_hessian(u, chart, order=2)
+    s = hess.grad_sq + 2.0 * u.values
     return AdmissibleField(
         u=u,
         hessian=hess,
         min_eigenvalue=float(hess.eig_min.min()),
         rhs_min=float(s.min()),
-        metric=problem.metric,
-        boundary_value=problem.boundary_value,
-        ball_radius=problem.ball_radius,
+        metric=metric,
+        boundary_value=boundary_value,
+        ball_radius=u.grid.radius,
         iterations=iterations,
         trace=trace,
     )
+
+
+def certify(metric, grid, values, boundary_value, iterations=0) -> AdmissibleField:
+    """Rebuild the admissibility certificate of a stored solution.
+
+    Evaluates the chart once; the returned field's Hessian carries it.
+    """
+    u = ScalarField(grid, values)
+    return _finalize(u, chart_arrays(metric, grid), metric, boundary_value, iterations, [])
 
 
 def verify_subsolution(problem: DirichletProblem) -> SubsolutionReport:

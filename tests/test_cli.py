@@ -98,6 +98,21 @@ class TestPipeline:
         target.write_text("r,theta,value\n1,2,not_a_number\n")
         assert cmd_verify(out) == 2
 
+    def test_unknown_grid_kind_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "run")
+        assert cmd_solve(cfg_path, out) == 0
+        meta_path = Path(out) / "fields" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["grids"][0]["kind"] == "polar"
+        meta["grids"][0]["kind"] = "annulus"
+        meta_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cmd_verify(out) == 2
+        assert "'annulus'" in capsys.readouterr().err
+        assert cmd_embed(out) == 2
+        assert "'annulus'" in capsys.readouterr().err
+
     def test_missing_artifacts_exit_2(self, tmp_path):
         assert cmd_verify(str(tmp_path / "nowhere")) == 2
 

@@ -43,13 +43,13 @@ class TestConformalMetric:
     def test_rejects_nonsolution(self, pinched_metric):
         # the constant start is admissible but not a solution: its rescaled
         # metric is not hyperbolic and the certificate must catch that
-        from lorentz_embed.grid import ScalarField, covariant_hessian
+        from lorentz_embed.grid import ScalarField, chart_arrays, covariant_hessian
         from lorentz_embed.solver import AdmissibleField
 
         g = PolarGrid(48, 48, 3.0)
         b = 1.0 / (2.0 * pinched_metric.bounds.c2_of_radius(3.0))
         u = ScalarField(g, np.full(g.shape, b))
-        hess = covariant_hessian(u, pinched_metric)
+        hess = covariant_hessian(u, chart_arrays(pinched_metric, g))
         fake = AdmissibleField(
             u=u, hessian=hess, min_eigenvalue=1.0, rhs_min=2 * b,
             metric=pinched_metric, boundary_value=b, ball_radius=3.0,
@@ -59,7 +59,7 @@ class TestConformalMetric:
             conformal_metric(fake, check_tol=1e-2)
 
     def test_rejects_nonpositive_u(self, model_solve_128):
-        from lorentz_embed.grid import ScalarField, covariant_hessian
+        from lorentz_embed.grid import ScalarField
         from lorentz_embed.solver import AdmissibleField
 
         g = model_solve_128.u.grid
@@ -148,8 +148,7 @@ def audit_orthogonality(emb):
     from lorentz_embed.embed import _CartesianCalc
 
     calc = _CartesianCalc(emb.grid, emb.rows)
-    Xa = calc.dx_vec(emb.X)
-    Xb = calc.dy_vec(emb.X)
+    Xa, Xb = calc.grad_vec(emb.X)
     sl = slice(0, emb.rows - 4)
     return max(
         np.abs(minkowski_inner(Xa, emb.normal))[sl].max(),
@@ -202,10 +201,9 @@ class TestPerturbedConformal:
         # off-diagonal coframe, nonzero radial connection coefficient,
         # conformal-chart distances in the localized audits
         from lorentz_embed.metric import make_poincare_perturbed
-        from lorentz_embed.grid import DiscGrid
-
         metric = make_poincare_perturbed(1.0, 0.9, eps=0.2)
-        sol = solve_dirichlet(DirichletProblem(metric, DiscGrid(48, 48, 0.7)))
+        grid = PolarGrid(48, 48, 0.7, kind="disc")
+        sol = solve_dirichlet(DirichletProblem(metric, grid))
         osc = (sol.u.values.max(axis=1) - sol.u.values.min(axis=1)).max()
         assert osc > 1e-3  # genuinely non-radial
         gbar, dev, emb, audit = build_embedding(sol, l_obs=0.5)

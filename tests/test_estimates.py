@@ -157,8 +157,8 @@ class TestHessianComparison:
         # Hess(d^2) <= 2 sqrt(c2) d coth(sqrt(c2) d) g for d from the center
         g = model_solve.u.grid
         R, _ = g.mesh()
-        hess = covariant_hessian(ScalarField(g, R * R), make_hyperbolic(1.0))
         ch = chart_arrays(make_hyperbolic(1.0), g)
+        hess = covariant_hessian(ScalarField(g, R * R), ch)
         _, eig_max = generalized_eig_range(
             hess.h11, hess.h12, hess.h22, ch.g11, ch.g22)
         bound = 2.0 * R / np.tanh(R)
@@ -170,8 +170,8 @@ class TestHessianComparison:
         node = (20, 8)
         d = distance_field_polar(pinched_metric, g, node)
         c2 = max_neg_curvature_ball(pinched_metric, (g.q1[node[0]], g.q2[node[1]]), 1.0)
-        hess = covariant_hessian(ScalarField(g, d * d), pinched_metric)
         ch = chart_arrays(pinched_metric, g)
+        hess = covariant_hessian(ScalarField(g, d * d), ch)
         _, eig_max = generalized_eig_range(
             hess.h11, hess.h12, hess.h22, ch.g11, ch.g22)
         s = math.sqrt(c2)
@@ -220,21 +220,13 @@ class TestSuite:
     def test_recomputable_from_field(self, pinched_solve_64, pinched_metric):
         # audits depend only on (u, metric, boundary value): rebuilding the
         # field from its dumped values reproduces every record exactly
-        from lorentz_embed.solver import AdmissibleField
+        from lorentz_embed.solver import certify
 
         g = pinched_solve_64.u.grid
-        u = ScalarField(g, pinched_solve_64.u.values.copy())
-        hess = covariant_hessian(u, pinched_metric)
-        s = hess.grad_sq + 2.0 * u.values
-        rebuilt = AdmissibleField(
-            u=u, hessian=hess,
-            min_eigenvalue=float(hess.eig_min.min()),
-            rhs_min=float(s.min()),
-            metric=pinched_metric,
-            boundary_value=pinched_solve_64.boundary_value,
-            ball_radius=pinched_solve_64.ball_radius,
-            iterations=pinched_solve_64.iterations,
-        )
+        rebuilt = certify(pinched_metric, g, pinched_solve_64.u.values.copy(),
+                          pinched_solve_64.boundary_value,
+                          pinched_solve_64.iterations)
+        assert rebuilt.ball_radius == pinched_solve_64.ball_radius
         rec1 = check_lower_bound(pinched_solve_64, (10, 0), 1.0)
         rec2 = check_lower_bound(rebuilt, (10, 0), 1.0)
         assert rec1.bound == rec2.bound and rec1.observed == rec2.observed

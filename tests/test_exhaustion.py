@@ -32,8 +32,8 @@ class TestScheduleValidation:
     def test_make_schedule_scales_radially(self):
         sched = make_schedule(make_hyperbolic(1.0), (2.0, 4.0), l_obs=1.0,
                               nodes_per_unit=16)
-        assert sched.grids[0].n_r == 32
-        assert sched.grids[1].n_r == 64
+        assert sched.grids[0].n1 == 32
+        assert sched.grids[1].n1 == 64
         # radial spacing stays bounded as the ball grows
         assert sched.grids[1].h1 == pytest.approx(sched.grids[0].h1, rel=0.05)
 

@@ -234,10 +234,8 @@ class TestDispatch:
         assert d[3, 4] == pytest.approx(0.0, abs=1e-12)
 
     def test_poincare_uses_closed_form(self):
-        from lorentz_embed.grid import DiscGrid
-
         m = make_poincare(1.0, 0.9)
-        g = DiscGrid(8, 8, 0.6)
+        g = PolarGrid(8, 8, 0.6, kind="disc")
         d = distance_field(m, g, (2, 3))
         assert d.shape == g.shape
         assert d[2, 3] == pytest.approx(0.0, abs=1e-12)

@@ -8,16 +8,19 @@ from test_metric import flat_metric
 
 from lorentz_embed.metric import make_hyperbolic
 from lorentz_embed.grid import (
-    DiscGrid,
     GridTooCoarseError,
-    InadmissibleNodeError,
     PolarGrid,
     ScalarField,
+    chart_arrays,
     covariant_hessian,
-    ma_operator,
     theta_derivative_spectral,
     write_field_csv,
 )
+from lorentz_embed.solver import _probe
+
+
+def hessian(values, grid, metric):
+    return covariant_hessian(ScalarField(grid, values), chart_arrays(metric, grid))
 
 
 class TestGridLayout:
@@ -32,8 +35,13 @@ class TestGridLayout:
             PolarGrid(16, 15, 1.0)
 
     def test_disc_grid_range(self):
-        with pytest.raises(ValueError):
-            DiscGrid(16, 16, 1.2)
+        for radius in (1.2, 1.0):
+            with pytest.raises(ValueError):
+                PolarGrid(16, 16, radius, kind="disc")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'annulus'"):
+            PolarGrid(16, 16, 0.5, kind="annulus")
 
     def test_scalar_field_rejects_nonfinite(self):
         g = PolarGrid(8, 8, 1.0)
@@ -46,8 +54,7 @@ class TestGridLayout:
 class TestHessianStencils:
     def test_constant_annihilated_exactly(self):
         g = PolarGrid(16, 16, 2.0)
-        u = ScalarField(g, np.full(g.shape, 3.7))
-        H = covariant_hessian(u, make_hyperbolic(1.0))
+        H = hessian(np.full(g.shape, 3.7), g, make_hyperbolic(1.0))
         assert np.max(np.abs(H.h11)) == 0.0
         assert np.max(np.abs(H.h12)) == 0.0
         assert np.max(np.abs(H.h22)) == 0.0
@@ -56,7 +63,7 @@ class TestHessianStencils:
         # u = r^2/2 = |x|^2/2 has Hessian equal to the flat metric
         g = PolarGrid(24, 16, 2.0)
         R, _ = g.mesh()
-        H = covariant_hessian(ScalarField(g, R**2 / 2), flat_metric())
+        H = hessian(R**2 / 2, g, flat_metric())
         assert np.max(np.abs(H.h11 - 1.0)) <= 1e-12
         assert np.max(np.abs(H.h12)) <= 1e-12
         assert np.max(np.abs(H.h22 - R**2)) <= 1e-11
@@ -66,7 +73,7 @@ class TestHessianStencils:
         g = PolarGrid(24, 16, 2.0)
         R, _ = g.mesh()
         u = 0.3 - 0.2 * R + 0.7 * R**2
-        H = covariant_hessian(ScalarField(g, u), flat_metric())
+        H = hessian(u, g, flat_metric())
         assert np.max(np.abs(H.h11[1:-1] - 1.4)) <= 1e-11
         # Hess_tt = r u_r for the flat chart
         expect = R * (-0.2 + 1.4 * R)
@@ -80,7 +87,7 @@ class TestHessianStencils:
         def max_err(n):
             g = PolarGrid(n, 32, 2.0)
             R, _ = g.mesh()
-            H = covariant_hessian(ScalarField(g, np.cosh(R) - 1.0), m)
+            H = hessian(np.cosh(R) - 1.0, g, m)
             sl = slice(0, n - 1)
             e1 = np.abs(H.h11 - np.cosh(R))[sl].max()
             e2 = np.abs(H.h22 - np.sinh(R) ** 2 * np.cosh(R))[sl].max()
@@ -98,7 +105,7 @@ class TestHessianStencils:
         def pole_err(n):
             g = PolarGrid(n, 16, 2.0)
             R, _ = g.mesh()
-            H = covariant_hessian(ScalarField(g, np.cosh(R) - 1.0), m)
+            H = hessian(np.cosh(R) - 1.0, g, m)
             return abs(H.h11[0, 0] - math.cosh(g.q1[0]))
 
         ratio = pole_err(24) / pole_err(48)
@@ -106,20 +113,32 @@ class TestHessianStencils:
 
     def test_too_coarse_rejected(self):
         g = PolarGrid(3, 16, 1.0)
-        u = ScalarField(g, np.zeros(g.shape))
         with pytest.raises(GridTooCoarseError):
-            covariant_hessian(u, make_hyperbolic(1.0))
+            hessian(np.zeros(g.shape), g, make_hyperbolic(1.0))
         g2 = PolarGrid(16, 6, 1.0)
         with pytest.raises(GridTooCoarseError):
-            covariant_hessian(ScalarField(g2, np.zeros(g2.shape)), make_hyperbolic(1.0))
+            hessian(np.zeros(g2.shape), g2, make_hyperbolic(1.0))
+
+    def test_chart_of_another_grid_rejected(self):
+        m = make_hyperbolic(1.0)
+        g = PolarGrid(16, 16, 2.0)
+        u = ScalarField(g, np.full(g.shape, 0.5))
+        for other in (PolarGrid(16, 16, 2.5), PolarGrid(16, 16, 2.0, theta0=0.1),
+                      PolarGrid(24, 16, 2.0)):
+            with pytest.raises(ValueError, match="chart was evaluated on"):
+                covariant_hessian(u, chart_arrays(m, other))
+        # an equal grid built separately carries the same chart
+        H = covariant_hessian(u, chart_arrays(m, PolarGrid(16, 16, 2.0)))
+        assert H.chart.grid == g
 
 
 class TestMongeAmpereOperator:
+    # the solver's _probe is the discrete residual; it covers interior rows
+    # only, because the solver pins the boundary ring to the Dirichlet value
     def test_unit_model_residual_zero(self):
         g = PolarGrid(24, 16, 3.0)
-        res = ma_operator(ScalarField(g, np.full(g.shape, 0.5)),
-                          make_hyperbolic(1.0), 0.5)
-        assert np.max(np.abs(res.values)) == 0.0
+        state = _probe(np.full(g.shape, 0.5), chart_arrays(make_hyperbolic(1.0), g))
+        assert np.max(np.abs(state.residual)) == 0.0
 
     @given(scale=st.floats(min_value=1e-2, max_value=1e2))
     @settings(max_examples=40, deadline=None)
@@ -128,28 +147,25 @@ class TestMongeAmpereOperator:
         # det g / det g = 1 = scale * 2u, at any curvature strength
         g = PolarGrid(16, 16, 2.0)
         b = 1.0 / (2.0 * scale)
-        res = ma_operator(ScalarField(g, np.full(g.shape, b)),
-                          make_hyperbolic(scale), b)
-        assert np.max(np.abs(res.values)) <= 1e-13
+        state = _probe(np.full(g.shape, b), chart_arrays(make_hyperbolic(scale), g))
+        assert np.max(np.abs(state.residual)) <= 1e-13
 
     def test_interior_residual_small_on_oracle(self, pinched_metric,
                                                pinched_oracle_l3):
         g = PolarGrid(96, 32, 3.0)
         u = pinched_oracle_l3.sol(g.q1)[0][:, None] * np.ones((1, 32))
-        b = 1.0 / (2.0 * pinched_metric.bounds.c2_of_radius(3.0))
-        res = ma_operator(ScalarField(g, u), pinched_metric, b)
+        state = _probe(u, chart_arrays(pinched_metric, g))
         # truncation of the second-order stencils on the exact solution
-        assert np.max(np.abs(res.values[:-1])) <= 5e-4
-        assert np.max(np.abs(res.values[-1])) <= 1e-12
+        assert state.residual.shape == (g.n1 - 1, g.n2)
+        assert np.max(np.abs(state.residual)) <= 5e-4
 
     def test_rotation_relabeling_invariance(self, pinched_metric):
         g = PolarGrid(24, 16, 3.0)
         R, _ = g.mesh()
         u = 0.3 + 0.01 * R**2
-        b = 1.0 / (2.0 * pinched_metric.bounds.c2_of_radius(3.0))
-        res = ma_operator(ScalarField(g, u), pinched_metric, b).values
-        rolled = ma_operator(ScalarField(g, np.roll(u, 5, axis=1)),
-                             pinched_metric, b).values
+        ch = chart_arrays(pinched_metric, g)
+        res = _probe(u, ch).residual
+        rolled = _probe(np.roll(u, 5, axis=1), ch).residual
         assert np.array_equal(res, np.roll(rolled, -5, axis=1))
 
     def test_inadmissible_node_reported(self):
@@ -157,10 +173,13 @@ class TestMongeAmpereOperator:
         R, T = g.mesh()
         u = np.full(g.shape, 0.5)
         u[5, 3] += 0.5  # spike makes Hess u + g indefinite nearby
-        with pytest.raises(InadmissibleNodeError) as exc:
-            ma_operator(ScalarField(g, u), make_hyperbolic(1.0), 0.5)
-        assert exc.value.eigenvalue <= 0.0 or exc.value.rhs <= 0.0
-        assert 0 <= exc.value.node[0] < 16
+        state = _probe(u, chart_arrays(make_hyperbolic(1.0), g))
+        assert not state.admissible and state.residual is None
+        assert state.eig_margin <= 0.0 or state.rhs_margin <= 0.0
+        eig = state.hessian.eig_min[:-1]
+        node = np.unravel_index(np.argmin(eig), eig.shape)
+        assert 0 <= node[0] < 16
+        assert eig[node] == state.eig_margin
 
 
 class TestSpectralTheta:
@@ -187,7 +206,7 @@ class TestFieldDump:
         assert v0 == r0
 
     def test_disc_csv_uses_xy(self, tmp_path):
-        g = DiscGrid(4, 8, 0.8)
+        g = PolarGrid(4, 8, 0.8, kind="disc")
         path = tmp_path / "u.csv"
         write_field_csv(ScalarField(g, np.ones(g.shape)), path)
         assert path.read_text().splitlines()[0] == "x,y,value"

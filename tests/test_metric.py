@@ -8,9 +8,7 @@ from oracles import pinched_curvature
 
 from lorentz_embed.metric import (
     CurvatureBounds,
-    PoleError,
     WarpedPolarMetric,
-    christoffels_polar,
     jacobi_defect,
     make_hyperbolic,
     make_poincare,
@@ -138,21 +136,19 @@ class TestBoundsCertificate:
 
 
 class TestChristoffels:
+    # christoffel_components returns Gamma^1_11, Gamma^1_12, Gamma^1_22,
+    # Gamma^2_11, Gamma^2_12, Gamma^2_22; a warped chart has two nonzero:
+    # Gamma^r_tt = -f f' and Gamma^t_rt = f'/f.
     def test_hyperbolic_values(self):
-        m = make_hyperbolic(1.0)
-        sym = christoffels_polar(m, 1.0)
-        assert sym.gamma_t_rt == pytest.approx(1.3130352854993312, abs=1e-12)
-        assert sym.gamma_r_tt == pytest.approx(-math.sinh(1.0) * math.cosh(1.0), rel=1e-13)
+        gam = make_hyperbolic(1.0).christoffel_components(1.0, 0.0)
+        assert float(gam[4]) == pytest.approx(1.3130352854993312, abs=1e-12)
+        assert float(gam[2]) == pytest.approx(-math.sinh(1.0) * math.cosh(1.0), rel=1e-13)
+        assert all(float(gam[k]) == 0.0 for k in (0, 1, 3, 5))
 
     def test_flat_limit(self):
-        m = flat_metric()
-        sym = christoffels_polar(m, 0.7)
-        assert sym.gamma_t_rt == pytest.approx(1.0 / 0.7, rel=1e-14)
-        assert sym.gamma_r_tt == pytest.approx(-0.7, rel=1e-14)
-
-    def test_pole_flagged(self):
-        with pytest.raises(PoleError):
-            christoffels_polar(make_hyperbolic(1.0), 0.0)
+        gam = flat_metric().christoffel_components(0.7, 0.0)
+        assert float(gam[4]) == pytest.approx(1.0 / 0.7, rel=1e-14)
+        assert float(gam[2]) == pytest.approx(-0.7, rel=1e-14)
 
 
 class TestConformalCharts:
