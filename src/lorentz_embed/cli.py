@@ -68,65 +68,130 @@ def _err(errors, path, message):
     errors.append(f"{path}: {message}")
 
 
+# The widest radial stencil the pipeline applies: the sixth-order radial
+# derivatives of embed.conformal_metric span 2 * 3 + 1 = 7 rows.
+_WIDEST_RADIAL_STENCIL = 7
+
+
+def _check_number(errors, path, value, ok, what, integer=False):
+    """Record a field error unless ``value`` is a finite real (an int when
+    ``integer``; never a bool, string or null) for which ``ok`` holds."""
+    types = int if integer else (int, float)
+    try:
+        good = (isinstance(value, types) and not isinstance(value, bool)
+                and math.isfinite(value) and ok(value))
+    except OverflowError:  # an int beyond the float range
+        good = False
+    if not good:
+        _err(errors, path, f"must be {what}")
+    return good
+
+
+def _section(errors, cfg, name):
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        _err(errors, name, "must be a JSON object")
+        return {}
+    return sec
+
+
+def _positive(v):
+    return v > 0
+
+
+def _numbers(errors, path, values, ok, what):
+    """Check a non-empty list entry by entry; returns it, or None after an error."""
+    if not isinstance(values, list) or not values:
+        _err(errors, path, f"must be a non-empty list of {what}s")
+        return None
+    good = [_check_number(errors, f"{path}[{k}]", v, ok, f"a {what}")
+            for k, v in enumerate(values)]
+    return values if all(good) else None
+
+
 def validate_config(cfg: dict):
-    """Schema-check a config dict; returns (RunConfig or None, error list)."""
+    """Schema-check a config dict; returns (RunConfig or None, error list).
+
+    Never raises: every malformed value becomes an error naming its field.
+    """
     errors = []
     if not isinstance(cfg, dict):
         return None, ["config: must be a JSON object"]
-    if cfg.get("schema_version") != 1:
-        _err(errors, "schema_version", "must be 1")
+    _check_number(errors, "schema_version", cfg.get("schema_version"),
+                  lambda v: v == 1, "1", integer=True)
 
-    metric = cfg.get("metric", {})
+    metric = _section(errors, cfg, "metric")
     family = metric.get("family")
+    conformal = family in ("poincare", "poincare_perturbed")
     if family not in _FAMILIES:
         _err(errors, "metric.family", f"must be one of {_FAMILIES}")
     if family in ("hyperbolic", "poincare", "poincare_perturbed"):
-        if not metric.get("curvature_scale", 1.0) > 0:
-            _err(errors, "metric.curvature_scale", "must be positive")
-    if family in ("poincare", "poincare_perturbed"):
-        if not 0 < metric.get("domain_radius", 0.9) < 1:
-            _err(errors, "metric.domain_radius", "must lie in (0, 1)")
+        _check_number(errors, "metric.curvature_scale", metric.get("curvature_scale", 1.0),
+                      _positive, "a positive number")
+    domain = None
+    if conformal and _check_number(errors, "metric.domain_radius",
+                                   metric.get("domain_radius", 0.9),
+                                   lambda v: 0 < v < 1, "a number in (0, 1)"):
+        domain = metric.get("domain_radius", 0.9)
+    if family == "poincare_perturbed":
+        _check_number(errors, "metric.eps", metric.get("eps", 0.1), lambda v: True,
+                      "a finite number")
     if family == "radial_pinched":
-        if metric.get("base", 1.0) <= 0 or metric.get("amp", 1.0) < 0:
-            _err(errors, "metric.base/amp", "need base > 0 and amp >= 0")
+        _check_number(errors, "metric.base", metric.get("base", 1.0), _positive,
+                      "a positive number")
+        _check_number(errors, "metric.amp", metric.get("amp", 1.0), lambda v: v >= 0,
+                      "a number >= 0")
 
-    grid = cfg.get("grid", {})
-    n_theta = grid.get("n_theta", 64)
-    if not (isinstance(n_theta, int) and n_theta >= 8 and n_theta % 2 == 0):
-        _err(errors, "grid.n_theta", "must be an even integer >= 8")
-    if grid.get("nodes_per_unit", 16) <= 0:
-        _err(errors, "grid.nodes_per_unit", "must be positive")
+    grid = _section(errors, cfg, "grid")
+    _check_number(errors, "grid.n_theta", grid.get("n_theta", 64),
+                  lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8", integer=True)
+    _check_number(errors, "grid.nodes_per_unit", grid.get("nodes_per_unit", 16),
+                  _positive, "a positive number")
+    if "n_r" in grid:
+        _check_number(errors, "grid.n_r", grid["n_r"],
+                      lambda v: v >= _WIDEST_RADIAL_STENCIL,
+                      f"an integer >= {_WIDEST_RADIAL_STENCIL}", integer=True)
 
-    ex = cfg.get("exhaustion", {})
-    radii = ex.get("radii")
-    if not radii or any(r <= 0 for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
+    ex = _section(errors, cfg, "exhaustion")
+    radii = _numbers(errors, "exhaustion.radii", ex.get("radii"), _positive,
+                     "positive number")
+    if radii and any(b <= a for a, b in zip(radii, radii[1:])):
         _err(errors, "exhaustion.radii", "must be a strictly increasing positive list")
-    if family in ("poincare", "poincare_perturbed") and radii and len(radii) != 1:
-        _err(errors, "exhaustion.radii", "conformal charts support a single solve radius")
-    if ex.get("tol", 1e-5) <= 0:
-        _err(errors, "exhaustion.tol", "must be positive")
+    if conformal and radii:
+        if len(radii) != 1:
+            _err(errors, "exhaustion.radii", "conformal charts support a single solve radius")
+        elif domain is not None and radii[0] > domain:
+            _err(errors, "exhaustion.radii", "must not exceed metric.domain_radius")
+    _check_number(errors, "exhaustion.tol", ex.get("tol", 1e-5), _positive,
+                  "a positive number")
     if ex.get("boundary_rule", "standard") not in ("standard", "midpoint"):
         _err(errors, "exhaustion.boundary_rule", "must be 'standard' or 'midpoint'")
-    if radii and family not in ("poincare", "poincare_perturbed"):
+    l_obs_ok = "l_obs" not in ex or _check_number(
+        errors, "exhaustion.l_obs", ex["l_obs"], _positive, "a positive number")
+    if radii and not conformal and l_obs_ok:
         l_obs = ex.get("l_obs", max(radii[0] - 1.0, radii[0] / 2))
         if l_obs > radii[0] - 1.0 + 1e-12:
             _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
 
-    sv = cfg.get("solver", {})
-    if sv.get("tol", 1e-10) <= 0:
-        _err(errors, "solver.tol", "must be positive")
-    if sv.get("max_iter", 30) < 1:
-        _err(errors, "solver.max_iter", "must be >= 1")
+    sv = _section(errors, cfg, "solver")
+    _check_number(errors, "solver.tol", sv.get("tol", 1e-10), _positive,
+                  "a positive number")
+    _check_number(errors, "solver.max_iter", sv.get("max_iter", 30), lambda v: v >= 1,
+                  "an integer >= 1", integer=True)
 
-    audit = {**_AUDIT_DEFAULTS, **cfg.get("audit", {})}
+    audit = {**_AUDIT_DEFAULTS, **_section(errors, cfg, "audit")}
     for key in ("holonomy_tol", "curvature_check_tol", "pullback_tol",
                 "pinching_slack", "c_cal"):
-        if audit[key] <= 0:
-            _err(errors, f"audit.{key}", "must be positive")
-    if any(r0 <= 0 for r0 in audit["r0_list"]):
-        _err(errors, "audit.r0_list", "entries must be positive")
+        _check_number(errors, f"audit.{key}", audit[key], _positive, "a positive number")
+    _numbers(errors, "audit.r0_list", audit["r0_list"], _positive, "positive number")
+
+    if family == "radial_pinched" and metric.get("r_max") is not None:
+        # the second-order audit samples K on the ball of radius r0 + 1 about
+        # probes whose r0-ball fits in the solved ball: one unit past it
+        floor = max(radii) + 1.0 if radii else 0.0
+        _check_number(errors, "metric.r_max", metric["r_max"],
+                      lambda v: v >= floor and v > 0, f"a number >= max(radii) + 1 = {floor:g}")
+    output = _section(errors, cfg, "output")
 
     if errors:
         return None, errors
@@ -137,7 +202,7 @@ def validate_config(cfg: dict):
         exhaustion=dict(ex),
         solver=dict(sv),
         audit=audit,
-        output=dict(cfg.get("output", {})),
+        output=dict(output),
         raw=cfg,
     ), []
 

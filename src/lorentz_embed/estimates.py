@@ -147,6 +147,36 @@ def _hypothesis_cap(c2, r0):
     return r0 / (2.0 * s / math.tanh(s * r0))
 
 
+def _cutoff_denominator(c2, r0):
+    """A = 2 sqrt(c2) r0 coth(sqrt(c2) r0); the cutoff is cap - u - d^2/A."""
+    s = math.sqrt(c2)
+    return 2.0 * s * r0 / math.tanh(s * r0)
+
+
+def _core_radius(metric, cap, u_probe):
+    """Radius sqrt(c1) (cap - u(probe)) / 6 of the core ball about a probe."""
+    return math.sqrt(metric.bounds.c1) * (cap - u_probe) / 6.0
+
+
+def _audit_reach(field, node, r0, c2):
+    """Hypothesis cap, and how far from the probe the localized audits read d.
+
+    The reach is None when the smallness hypothesis u(probe) < cap fails:
+    the cutoff and second-order audits then read no distance.  Otherwise it
+    covers the cutoff support phi > 0, where d^2 < A (cap - u) <= A (cap -
+    min u), and the core ball, plus 3 radial rows for the order-2 Hessian
+    stencils of phi (centered +-1; the one-sided top row reaches 3 down).
+    """
+    cap = _hypothesis_cap(c2, r0)
+    u = field.u.values
+    u_probe = float(u[node[0], node[1]])
+    if not u_probe < cap:
+        return cap, None
+    support = math.sqrt(_cutoff_denominator(c2, r0) * (cap - float(u.min())))
+    core = _core_radius(field.metric, cap, u_probe)
+    return cap, max(support, core) + 3.0 * field.u.grid.h1
+
+
 def _probe_ball_fits(field, center, r0):
     """Whether the solve domain covers the whole probe ball (triangle bound)."""
     metric = field.metric
@@ -343,15 +373,13 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
     center = (grid.q1[i], grid.q2[j])
     _require_probe_ball_inside(field, center, r0)
     c2 = max_neg_curvature_ball(metric, center, r0)
-    cap = _hypothesis_cap(c2, r0)
-    u_probe = float(field.u.values[i, j])
-    if not u_probe < cap:
+    cap, reach = _audit_reach(field, node, r0, c2)
+    if reach is None:
         return CutoffFunction(node, r0, c2, cap, hypothesis_met=False)
 
-    d = distance_field(metric, grid, node) if distance is None else distance
-    s = math.sqrt(c2)
-    denom = 2.0 * s * r0 / math.tanh(s * r0)
-    phi = cap - field.u.values - d * d / denom
+    u_probe = float(field.u.values[i, j])
+    d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
+    phi = cap - field.u.values - d * d / _cutoff_denominator(c2, r0)
     support = phi > 0.0
 
     c1 = metric.bounds.c1
@@ -363,7 +391,7 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
     recs = []
     lo = float(phi[support].min())
     hi = float(phi[support].max())
-    core_radius = math.sqrt(c1) * (cap - u_probe) / 6.0
+    core_radius = _core_radius(metric, cap, u_probe)
     core = d <= core_radius
     core_min = float(phi[core].min()) if np.any(core) else math.inf
     core_floor = 0.5 * (cap - u_probe)
@@ -480,17 +508,17 @@ def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=Non
     center = (grid.q1[i], grid.q2[j])
     _require_probe_ball_inside(field, center, r0)
     k = second_order_constants(metric, center, r0, c_cal)
-    cap = _hypothesis_cap(k.c2, r0)
+    cap, reach = _audit_reach(field, node, r0, k.c2)
     u_probe = float(field.u.values[i, j])
-    if not u_probe < cap:
+    if reach is None:
         return EstimateRecord(
             id=f"second_order_r0_{r0:g}",
             locus="Hessian eigenvalue ceiling (hypothesis not met)",
             bound=math.inf, observed=0.0, margin=math.inf, passed=True,
             extra={"hypothesis_met": False, "cap": cap, "u_probe": u_probe},
         )
-    d = distance_field(metric, grid, node) if distance is None else distance
-    core_radius = math.sqrt(metric.bounds.c1) * (cap - u_probe) / 6.0
+    d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
+    core_radius = _core_radius(metric, cap, u_probe)
     core = d <= core_radius
     observed = float(field.hessian.eig_max[core].max())
     s2 = math.sqrt(k.c2)
@@ -522,6 +550,8 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     ``probes`` are (i, j) node indices for the localized audits (cutoff and
     second-order ceiling); the lower-bound audit runs at the innermost node
     on the first ray and at every probe, for each radius in ``r0_list``.
+    A node's distance field is solved only if the smallness hypothesis
+    holds there for some radius, and only as far as those audits read it.
     """
     report = EstimateReport(records=[])
     for rec in check_zero_order(field, slack=max(10.0 * tol, 1e-12)):
@@ -537,13 +567,16 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         if node in seen:
             continue
         seen.add(node)
-        dist = None
         center = (grid.q1[node[0]], grid.q2[node[1]])
-        for r0 in r0_list:
-            if not _probe_ball_fits(field, center, r0):
-                continue  # probe ball leaves the solved domain
-            if dist is None:
-                dist = distance_field(field.metric, grid, node)
+        # radii whose probe ball stays inside the solved domain
+        fit = [r0 for r0 in r0_list if _probe_ball_fits(field, center, r0)]
+        reaches = [_audit_reach(field, node, r0,
+                                max_neg_curvature_ball(field.metric, center, r0))[1]
+                   for r0 in fit]
+        reaches = [r for r in reaches if r is not None]
+        dist = (distance_field(field.metric, grid, node, reach=max(reaches))
+                if reaches else None)
+        for r0 in fit:
             report.add(check_lower_bound(field, node, r0))
             cut = build_cutoff(field, node, r0, distance=dist)
             if cut.hypothesis_met:

@@ -27,9 +27,20 @@ round-off (targets next to the grazing geodesic).  Polar grids are
 uniform and periodic in theta, so a distance field is solved for half of
 the columns and mirrored about the source column.
 
+``distance_field(metric, grid, node, reach)`` returns, at every node, the
+geodesic distance wherever it is <= ``reach``, and a lower bound greater
+than ``reach`` everywhere else.  On warped polar charts ds^2 >= dr^2, so
+d >= |r - r_s|: only the rows with |r_i - r_s| <= reach are solved, and
+the other rows hold |r_i - r_s|.  Callers that read d only on a ball (the
+localized audits in ``estimates``) pass its radius and skip the rest of
+the quadrature.  Conformal charts have no such cheap bound in chart
+coordinates and solve every node whatever ``reach`` is.
+
 Conformal charts integrate the geodesic flow in Cartesian chart coordinates
 (the conformal Christoffel symbols are smooth across the chart origin) and
-shoot with a Newton iteration on launch angle and arclength.
+shoot with a Newton iteration on launch angle and arclength.  A target
+leaves the iteration once its endpoint error meets the tolerance, so
+only the targets still above it are shot again.
 """
 
 from __future__ import annotations
@@ -230,9 +241,11 @@ def distance_polar(metric, source, r_t, th_t):
     return out.reshape(shape)
 
 
-def distance_field_polar(metric, grid, node):
+def distance_field_polar(metric, grid, node, reach=math.inf):
     """Distance from grid node (i, j) to every node, as a grid-shaped array.
 
+    Only the rows with |r_i - r_s| <= ``reach`` are solved; the others hold
+    |r_i - r_s|, a lower bound above ``reach`` (see the module docstring).
     The theta grid is uniform and periodic, so d(i, j + k) = d(i, j - k):
     only the offsets k = 0..n/2 are solved, and the rest are mirrored.
     """
@@ -240,8 +253,11 @@ def distance_field_polar(metric, grid, node):
     n = grid.n2
     k = np.arange(n // 2 + 1)
     cols = (j + k) % n
-    half = distance_polar(metric, (grid.q1[i], grid.q2[j]),
-                          grid.q1[:, None], grid.q2[cols][None, :])
+    gap = np.abs(grid.q1 - grid.q1[i])
+    rows = gap <= reach
+    half = np.repeat(gap[:, None], k.size, axis=1)
+    half[rows] = distance_polar(metric, (grid.q1[i], grid.q2[j]),
+                                grid.q1[rows, None], grid.q2[cols][None, :])
     out = np.empty(grid.shape)
     out[:, cols] = half
     out[:, (j - k) % n] = half
@@ -301,18 +317,20 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
     length = np.maximum(chord * np.sqrt(pm), 1e-12)
 
     dalpha = 1e-7
-    converged = False
-    err = np.zeros_like(chord)
+    scale = np.sqrt(metric.psi(x_t, y_t))
+    act = np.nonzero(~degenerate)[0]  # targets still above tol
+    err = np.zeros(0)
     for _ in range(max_newton):
-        st = _shoot_conformal(metric, (x0, y0), alpha, length, n_steps)
-        rx = st[0] - x_t
-        ry = st[1] - y_t
-        scale = np.sqrt(metric.psi(x_t, y_t))
-        err = np.hypot(rx, ry) * scale
-        if np.all(err[~degenerate] <= tol):
-            converged = True
+        st = _shoot_conformal(metric, (x0, y0), alpha[act], length[act], n_steps)
+        rx = st[0] - x_t[act]
+        ry = st[1] - y_t[act]
+        err = np.hypot(rx, ry) * scale[act]
+        keep = ~(err <= tol)  # a NaN error stays active
+        act, st, rx, ry, err = act[keep], st[:, keep], rx[keep], ry[keep], err[keep]
+        if act.size == 0:
             break
-        st_a = _shoot_conformal(metric, (x0, y0), alpha + dalpha, length, n_steps)
+        st_a = _shoot_conformal(metric, (x0, y0), alpha[act] + dalpha, length[act],
+                                n_steps)
         j11 = (st_a[0] - st[0]) / dalpha
         j21 = (st_a[1] - st[1]) / dalpha
         j12, j22 = st[2], st[3]
@@ -321,13 +339,13 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
         da = (-rx * j22 + ry * j12) / det
         dl = (-j11 * ry + j21 * rx) / det
         # damp large corrections; the initial guess is a chart-flat chord
-        lim = 0.5 * (1.0 + length)
+        lim = 0.5 * (1.0 + length[act])
         da = np.clip(da, -1.0, 1.0)
         dl = np.clip(dl, -lim, lim)
-        alpha = alpha + da
-        length = np.maximum(length + dl, 1e-12)
-    if not converged:
-        worst = float(np.max(err[~degenerate])) if np.any(~degenerate) else 0.0
+        alpha[act] = alpha[act] + da
+        length[act] = np.maximum(length[act] + dl, 1e-12)
+    if act.size:
+        worst = float(np.max(err, initial=0.0))
         raise RuntimeError(
             f"geodesic shooting did not converge (worst endpoint error {worst:.3e})"
         )
@@ -335,10 +353,14 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
     return out
 
 
-def distance_field(metric, grid, node):
-    """Distance from a grid node to all nodes, dispatched on the chart kind."""
+def distance_field(metric, grid, node, reach=math.inf):
+    """Distance from a grid node to all nodes, dispatched on the chart kind.
+
+    Exact wherever the distance is <= ``reach``; elsewhere a lower bound
+    above ``reach``.  Conformal charts solve every node.
+    """
     if metric.kind == "geodesic_polar":
-        return distance_field_polar(metric, grid, node)
+        return distance_field_polar(metric, grid, node, reach)
     i, j = node
     R, T = grid.mesh()
     X, Y = R * np.cos(T), R * np.sin(T)

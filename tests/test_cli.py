@@ -1,10 +1,13 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_embed.cli import (
+    RunConfig,
     _locked_dir,
     cmd_embed,
     cmd_solve,
@@ -12,6 +15,25 @@ from lorentz_embed.cli import (
     main,
     validate_config,
 )
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# (section, key) pairs of base_config; key None replaces the whole section
+FIELDS = [(s, None) for s in ("metric", "grid", "exhaustion", "solver", "audit",
+                              "output", "schema_version")] + [
+    ("metric", "family"), ("metric", "curvature_scale"), ("metric", "base"),
+    ("metric", "amp"), ("metric", "r_max"), ("metric", "eps"),
+    ("metric", "domain_radius"), ("grid", "n_theta"), ("grid", "nodes_per_unit"),
+    ("grid", "n_r"), ("exhaustion", "radii"), ("exhaustion", "l_obs"),
+    ("exhaustion", "tol"), ("exhaustion", "boundary_rule"), ("solver", "tol"),
+    ("solver", "max_iter"), ("audit", "r0_list"), ("audit", "c_cal"),
+    ("audit", "holonomy_tol"),
+]
 
 
 def base_config(**overrides):
@@ -62,6 +84,56 @@ class TestValidation:
             base_config(exhaustion={"radii": [2.0], "l_obs": 1.5}))
         assert any("exhaustion.l_obs" in e for e in errors)
 
+    @pytest.mark.parametrize("section, value, field", [
+        ("solver", {"tol": math.nan}, "solver.tol"),
+        ("solver", {"tol": math.inf}, "solver.tol"),
+        ("solver", {"max_iter": 30.5}, "solver.max_iter"),
+        ("solver", {"max_iter": True}, "solver.max_iter"),
+        ("metric", {"family": "radial_pinched", "base": "1"}, "metric.base"),
+        ("metric", {"family": "radial_pinched", "amp": None}, "metric.amp"),
+        ("metric", {"family": "radial_pinched", "r_max": 3.5}, "metric.r_max"),
+        ("metric", {"family": "hyperbolic", "curvature_scale": [1.0]},
+         "metric.curvature_scale"),
+        ("metric", {"family": "poincare", "domain_radius": "0.9"}, "metric.domain_radius"),
+        ("metric", ["hyperbolic"], "metric"),
+        ("grid", {"n_theta": 16, "nodes_per_unit": None}, "grid.nodes_per_unit"),
+        ("grid", {"n_theta": 16, "n_r": 6}, "grid.n_r"),
+        ("grid", {"n_theta": 16.0}, "grid.n_theta"),
+        ("exhaustion", {"radii": [2.0, "3"], "l_obs": 1.0}, "exhaustion.radii[1]"),
+        ("exhaustion", {"radii": 2.0}, "exhaustion.radii"),
+        ("exhaustion", {"radii": [2.0, 3.0], "l_obs": 0.0}, "exhaustion.l_obs"),
+        ("exhaustion", {"radii": [2.0, 3.0], "l_obs": -1.0}, "exhaustion.l_obs"),
+        ("audit", {"r0_list": []}, "audit.r0_list"),
+        ("audit", {"c_cal": math.nan}, "audit.c_cal"),
+        ("schema_version", True, "schema_version"),
+    ])
+    def test_malformed_field_named(self, section, value, field):
+        cfg, errors = validate_config(base_config(**{section: value}))
+        assert cfg is None
+        assert any(e.startswith(f"{field}:") for e in errors), errors
+
+    def test_smallest_radial_grid_accepted(self):
+        cfg, errors = validate_config(base_config(grid={"n_theta": 16, "n_r": 7}))
+        assert not errors and cfg is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON, st.tuples(st.sampled_from(FIELDS), JSON)))
+    def test_arbitrary_json_gives_config_or_errors(self, value):
+        if isinstance(value, tuple):  # one field of a valid config replaced
+            (section, key), new = value
+            cfg = base_config()
+            if key is None:
+                cfg[section] = new
+            else:
+                cfg[section] = {**cfg[section], key: new}
+        else:
+            cfg = value
+        out, errors = validate_config(cfg)
+        if out is None:
+            assert errors and all(isinstance(e, str) for e in errors)
+        else:
+            assert errors == [] and isinstance(out, RunConfig)
+
 
 class TestPipeline:
     def test_full_pipeline_exit_codes(self, tmp_path):
@@ -83,6 +155,15 @@ class TestPipeline:
         cfg_path = write_config(tmp_path, base_config(solver={"tol": -1.0}))
         assert cmd_solve(cfg_path, str(tmp_path / "run")) == 2
         assert "solver.tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, value, field", [
+        ("solver", {"tol": math.nan}, "solver.tol"),
+        ("metric", {"family": "radial_pinched", "base": "1"}, "metric.base"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, section, value, field):
+        cfg_path = write_config(tmp_path, base_config(**{section: value}))
+        assert cmd_solve(cfg_path, str(tmp_path / "run")) == 2
+        assert field in capsys.readouterr().err
 
     def test_embed_requires_verify(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

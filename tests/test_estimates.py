@@ -13,6 +13,7 @@ from lorentz_embed.grid import (
     generalized_eig_range,
 )
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
+from lorentz_embed import estimates, geodesics
 from lorentz_embed.geodesics import distance_field_polar
 from lorentz_embed.estimates import (
     build_cutoff,
@@ -230,3 +231,53 @@ class TestSuite:
         rec1 = check_lower_bound(pinched_solve_64, (10, 0), 1.0)
         rec2 = check_lower_bound(rebuilt, (10, 0), 1.0)
         assert rec1.bound == rec2.bound and rec1.observed == rec2.observed
+
+
+class TestDistanceOnDemand:
+    """The suite solves distances only where its audits read them."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, full=False):
+        calls = []
+
+        def counted(metric, grid, node, reach=math.inf):
+            calls.append((tuple(node), reach))
+            return geodesics.distance_field(metric, grid, node,
+                                            reach=math.inf if full else reach)
+
+        monkeypatch.setattr(estimates, "distance_field", counted)
+        return calls
+
+    def test_records_match_full_fields(self, pinched_solve_64, monkeypatch):
+        from lorentz_embed.cli import _default_probes
+
+        probes = _default_probes(pinched_solve_64, 1.0)
+        fast = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()
+        calls = self._count_calls(monkeypatch, full=True)
+        full = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()
+        assert json.dumps(fast, sort_keys=True) == json.dumps(full, sort_keys=True)
+        # the comparison covers banded fields and audited cutoffs
+        assert calls and all(reach < pinched_solve_64.ball_radius for _, reach in calls)
+        assert any(r["id"].startswith("cutoff_hessian") for r in fast["records"])
+
+    def test_failed_hypothesis_solves_no_distance(self, pinched_solve_64, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        rep = run_estimate_suite(pinched_solve_64, probes=[(0, 0)])
+        ids = [r.id for r in rep.records]
+        assert "cutoff_hypothesis_r0_1_node_0_0" in ids
+        assert build_cutoff(pinched_solve_64, (0, 0), 1.0).hypothesis_met is False
+        assert check_second_order(pinched_solve_64, (0, 0), 1.0).extra["hypothesis_met"] is False
+        assert calls == []
+
+    def test_one_field_per_probe_meeting_the_hypothesis(self, pinched_solve_64,
+                                                        monkeypatch):
+        g = pinched_solve_64.u.grid
+        probe = (int(np.searchsorted(g.q1, 1.8)), 0)
+        calls = self._count_calls(monkeypatch)
+        rep = run_estimate_suite(pinched_solve_64, probes=[probe, (0, 0)],
+                                 r0_list=(0.5, 1.0))
+        # r0 = 0.5 fails the hypothesis at the probe, r0 = 1 meets it
+        assert [node for node, _ in calls] == [probe]
+        ids = [r.id for r in rep.records]
+        assert f"cutoff_hypothesis_r0_0.5_node_{probe[0]}_0" in ids
+        assert f"cutoff_range_r0_1_node_{probe[0]}_0" in ids

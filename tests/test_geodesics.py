@@ -201,6 +201,33 @@ class TestTurningRadiusSolve:
         assert np.max(np.abs(x - root)) <= 2.0**-52
 
 
+class TestReach:
+    """distance_field(..., reach) against the full field on every row."""
+
+    @pytest.mark.parametrize("reach", [0.0, 0.45, 1.3])
+    def test_band_exact_and_bound_beyond(self, warped_metric, reach):
+        g = PolarGrid(20, 16, 3.0)
+        for node in ((0, 3), (9, 0), (19, 11)):
+            full = distance_field(warped_metric, g, node)
+            part = distance_field(warped_metric, g, node, reach=reach)
+            band = np.abs(g.q1 - g.q1[node[0]]) <= reach
+            assert np.any(band)
+            assert np.array_equal(part[band], full[band])
+            assert np.all(part[~band] > reach)
+            assert np.all(part[~band] <= full[~band])
+
+    def test_infinite_reach_is_the_full_field(self, pinched_metric):
+        g = PolarGrid(12, 16, 2.5)
+        assert np.array_equal(distance_field(pinched_metric, g, (4, 5), reach=math.inf),
+                              distance_field(pinched_metric, g, (4, 5)))
+
+    def test_conformal_charts_ignore_reach(self):
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.15)
+        g = PolarGrid(4, 8, 0.5, kind="disc")
+        assert np.array_equal(distance_field(m, g, (1, 2), reach=0.0),
+                              distance_field(m, g, (1, 2)))
+
+
 class TestConformalDistance:
     def test_shooting_matches_poincare_closed_form(self):
         m = make_poincare(1.0, 0.9)
@@ -224,6 +251,34 @@ class TestConformalDistance:
         d_ab = distance_conformal(m, (0.3, 0.1), np.array([-0.2]), np.array([-0.35]))
         d_ba = distance_conformal(m, (-0.2, -0.35), np.array([0.3]), np.array([0.1]))
         assert abs(float(d_ab[0]) - float(d_ba[0])) <= 1e-8
+
+    def test_converged_targets_are_not_reshot(self, monkeypatch):
+        # every target is shot until its own endpoint error meets tol, and
+        # no further: the shots per target equal 2 per Newton step plus 1
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        X = np.array([0.3, 0.31, -0.5, 0.0, 0.2])
+        Y = np.array([0.1, 0.1, 0.4, -0.6, 0.1])  # the last one is the source
+        shots = []
+
+        def counted(metric, source, alpha, length, n_steps):
+            shots.append(alpha.size)
+            return shoot(metric, source, alpha, length, n_steps)
+
+        shoot = geodesics._shoot_conformal
+        monkeypatch.setattr(geodesics, "_shoot_conformal", counted)
+        d = distance_conformal(m, (0.2, 0.1), X, Y)
+        assert d[-1] == 0.0
+        assert shots[0] == 4 and shots[-1] < 4
+        assert sum(shots) < 4 * len(shots)
+        for k in range(4):
+            d_one = distance_conformal(m, (0.2, 0.1), X[k:k + 1], Y[k:k + 1])
+            assert d_one[0] == d[k]  # a target's iterates ignore the others
+
+    def test_nonconvergence_reports_active_worst_error(self):
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        with pytest.raises(RuntimeError, match="worst endpoint error"):
+            distance_conformal(m, (0.2, 0.1), np.array([-0.5]), np.array([0.4]),
+                               max_newton=1)
 
 
 class TestDispatch:
