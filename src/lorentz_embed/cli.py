@@ -36,7 +36,7 @@ from .grid import covariant_hessian  # noqa: F401
 from .solver import DirichletProblem, NonConvergenceError, certify, solve_dirichlet
 from .exhaustion import ExhaustionSchedule, ExhaustionStep, run_exhaustion, DivergenceError
 from .estimates import run_estimate_suite
-from .embed import build_embedding, export_graph, write_obj
+from .embed import ObservationRegionError, build_embedding, export_graph, write_obj
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -375,8 +375,12 @@ def _write_trace(trace, path):
             fh.write(f"{it},{res:.17g},{step:.17g},{eig:.17g}\n")
 
 
-def _load_run(run_dir):
-    """Rebuild metric, grids, and admissible fields from run artifacts."""
+def _load_run(run_dir, last_only=False):
+    """Rebuild metric, grids, and admissible fields from run artifacts.
+
+    Every stored field is read and shape-checked; with ``last_only`` only
+    the last one is certified and returned.
+    """
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise FileNotFoundError("config.json missing from run directory")
@@ -389,15 +393,16 @@ def _load_run(run_dir):
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     metric = build_metric(cfg)
-    fields = []
+    stored = []
     for k, (l, b, ginfo, iters) in enumerate(zip(
             meta["radii"], meta["boundary_values"], meta["grids"],
             meta["iterations"])):
         grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo["kind"])
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
-        values = _read_field_csv(path, grid.shape)
-        fields.append(certify(metric, grid, values, b, iters))
-    return cfg, metric, fields
+        stored.append((grid, _read_field_csv(path, grid.shape), b, iters))
+    if last_only:
+        stored = stored[-1:]
+    return cfg, metric, [certify(metric, *args) for args in stored]
 
 
 def _read_field_csv(path, shape):
@@ -460,7 +465,7 @@ def cmd_verify(run_dir):
 
 def cmd_embed(run_dir):
     try:
-        cfg, metric, fields = _load_run(run_dir)
+        cfg, metric, (field,) = _load_run(run_dir, last_only=True)
     except (FileNotFoundError, ValueError) as exc:
         print(f"embed: {exc}", file=sys.stderr)
         return 2
@@ -474,18 +479,20 @@ def cmd_embed(run_dir):
         print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
         return 2
 
-    field = fields[-1]
-    grid = field.u.grid
     if metric.kind == "geodesic_polar":
         l_obs = cfg.exhaustion.get("l_obs", field.ball_radius - 1.0)
     else:
         l_obs = 0.75 * field.ball_radius
     audit_cfg = cfg.audit
-    gbar, dev, emb, audit = build_embedding(
-        field, l_obs,
-        check_tol=audit_cfg["curvature_check_tol"],
-        holonomy_tol=audit_cfg["holonomy_tol"],
-    )
+    try:
+        gbar, dev, emb, audit = build_embedding(
+            field, l_obs,
+            check_tol=audit_cfg["curvature_check_tol"],
+            holonomy_tol=audit_cfg["holonomy_tol"],
+        )
+    except ObservationRegionError as exc:  # conformal runs observe 0.75 radius: >= 5 rings
+        print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
+        return 2
     out = os.path.join(run_dir, "embed")
     os.makedirs(out, exist_ok=True)
     mesh = export_graph(emb, rows=audit.audit_rows)

@@ -33,6 +33,7 @@ from .grid import chart_arrays  # noqa: F401
 from .solver import AdmissibleField
 
 __all__ = [
+    "ObservationRegionError",
     "ConformalHyperbolicMetric",
     "DevelopingMap",
     "EmbeddingMap",
@@ -48,6 +49,10 @@ __all__ = [
 ]
 
 _ETA = np.array([1.0, 1.0, -1.0])
+
+
+class ObservationRegionError(ValueError):
+    """The observation radius covers fewer than 4 rings of the grid."""
 
 
 def minkowski_inner(a, b):
@@ -782,7 +787,10 @@ def build_embedding(field: AdmissibleField, l_obs, pad_rows=6, check_tol=1e-2,
     grid = field.u.grid
     obs_rows = int(np.searchsorted(grid.q1, l_obs + 1e-12))
     if obs_rows < 4:
-        raise ValueError("observation region too small: fewer than 4 rings")
+        raise ObservationRegionError(
+            f"observation region too small: l_obs = {l_obs:g} covers {obs_rows} "
+            f"rings of the grid (ring spacing {grid.h1:.4g}), fewer than 4"
+        )
     dev_rows = min(obs_rows + pad_rows, grid.n1 - 4)
     gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol,
                             radial_order=radial_order)

@@ -301,19 +301,21 @@ def admissibility_record(field: AdmissibleField):
     )
 
 
-def check_lower_bound(field: AdmissibleField, node, r0, slack=1e-9):
+def check_lower_bound(field: AdmissibleField, node, r0, slack=1e-9, c2=None):
     """Three-term interior lower bound for u at a probe node.
 
     With A = 2 sqrt(c2) coth(sqrt(c2) r0) and c2 the ball max of -K, the
     bound is min{ r0/(2A), 1/(32 c2), c1 r0^2 / (9 A^2) }.  Requires the
-    probe ball to sit inside the solved domain.
+    probe ball to sit inside the solved domain.  ``c2`` may be passed in
+    when the caller already holds the ball max.
     """
     grid = field.u.grid
     metric = field.metric
     i, j = node
     center = (grid.q1[i], grid.q2[j])
     _require_probe_ball_inside(field, center, r0)
-    c2 = max_neg_curvature_ball(metric, center, r0)
+    if c2 is None:
+        c2 = max_neg_curvature_ball(metric, center, r0)
     s = math.sqrt(c2)
     A = 2.0 * s / math.tanh(s * r0)
     c1 = metric.bounds.c1
@@ -357,7 +359,7 @@ class CutoffFunction:
 
 
 def build_cutoff(field: AdmissibleField, node, r0, distance=None,
-                 grad_slack_const=2.0, hess_slack_const=10.0):
+                 grad_slack_const=2.0, hess_slack_const=10.0, c2=None):
     """Construct the cutoff about a probe node and audit its three properties.
 
     i)  0 <= phi <= cap on the support, phi >= (cap - u(probe))/2 on the
@@ -366,13 +368,15 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
     iii) Hess phi >= -(Hess u + g), checked at eigenvalue level.
 
     Returns a hypothesis-failed marker (no audit) when u(probe) >= cap.
+    ``c2``, the max of -K over the probe ball, is computed when not given.
     """
     grid = field.u.grid
     metric = field.metric
     i, j = node
     center = (grid.q1[i], grid.q2[j])
     _require_probe_ball_inside(field, center, r0)
-    c2 = max_neg_curvature_ball(metric, center, r0)
+    if c2 is None:
+        c2 = max_neg_curvature_ball(metric, center, r0)
     cap, reach = _audit_reach(field, node, r0, c2)
     if reach is None:
         return CutoffFunction(node, r0, c2, cap, hypothesis_met=False)
@@ -459,14 +463,16 @@ class SecondOrderConstants:
             raise ValueError("curvature constants must be nonnegative (c2 positive)")
 
 
-def second_order_constants(metric, center, r0, c_cal=1.0, fd_step=1e-4):
+def second_order_constants(metric, center, r0, c_cal=1.0, fd_step=1e-4, c2=None):
     """c2 over B(center, r0), c2' over B(center, r0+1), and the log-curvature
     derivative bounds c3, c4 over B(center, r0).
 
     Radial charts sample closed-form derivatives of log(-K) when the metric
-    carries them, else centered differences with step ``fd_step``.
+    carries them, else centered differences with step ``fd_step``.  A given
+    ``c2`` is taken as the ball max over B(center, r0).
     """
-    c2 = max_neg_curvature_ball(metric, center, r0)
+    if c2 is None:
+        c2 = max_neg_curvature_ball(metric, center, r0)
     c2p = max_neg_curvature_ball(metric, center, r0 + 1.0)
     if metric.kind == "geodesic_polar":
         r_c = float(center[0])
@@ -493,7 +499,8 @@ def second_order_constants(metric, center, r0, c_cal=1.0, fd_step=1e-4):
     return SecondOrderConstants(c2, c2p, c3, c4, c_cal)
 
 
-def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=None):
+def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=None,
+                       c2=None):
     """Hessian eigenvalue ceiling on the core ball about a probe node.
 
     Reports the ratio of the observed max eigenvalue of g^{-1}(g + Hess u)
@@ -507,7 +514,7 @@ def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=Non
     i, j = node
     center = (grid.q1[i], grid.q2[j])
     _require_probe_ball_inside(field, center, r0)
-    k = second_order_constants(metric, center, r0, c_cal)
+    k = second_order_constants(metric, center, r0, c_cal, c2=c2)
     cap, reach = _audit_reach(field, node, r0, k.c2)
     u_probe = float(field.u.values[i, j])
     if reach is None:
@@ -552,6 +559,8 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     on the first ray and at every probe, for each radius in ``r0_list``.
     A node's distance field is solved only if the smallness hypothesis
     holds there for some radius, and only as far as those audits read it.
+    The max of -K over each probe ball is sampled once and shared by the
+    audits at that (node, r0); the second-order ceiling samples B(r0 + 1).
     """
     report = EstimateReport(records=[])
     for rec in check_zero_order(field, slack=max(10.0 * tol, 1e-12)):
@@ -570,15 +579,14 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         center = (grid.q1[node[0]], grid.q2[node[1]])
         # radii whose probe ball stays inside the solved domain
         fit = [r0 for r0 in r0_list if _probe_ball_fits(field, center, r0)]
-        reaches = [_audit_reach(field, node, r0,
-                                max_neg_curvature_ball(field.metric, center, r0))[1]
-                   for r0 in fit]
+        c2s = {r0: max_neg_curvature_ball(field.metric, center, r0) for r0 in fit}
+        reaches = [_audit_reach(field, node, r0, c2s[r0])[1] for r0 in fit]
         reaches = [r for r in reaches if r is not None]
         dist = (distance_field(field.metric, grid, node, reach=max(reaches))
                 if reaches else None)
         for r0 in fit:
-            report.add(check_lower_bound(field, node, r0))
-            cut = build_cutoff(field, node, r0, distance=dist)
+            report.add(check_lower_bound(field, node, r0, c2=c2s[r0]))
+            cut = build_cutoff(field, node, r0, distance=dist, c2=c2s[r0])
             if cut.hypothesis_met:
                 for rec in cut.records:
                     report.add(EstimateRecord(
@@ -596,5 +604,6 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                     passed=True,
                     extra={"hypothesis_met": False},
                 ))
-            report.add(check_second_order(field, node, r0, c_cal=c_cal, distance=dist))
+            report.add(check_second_order(field, node, r0, c_cal=c_cal, distance=dist,
+                                          c2=c2s[r0]))
     return report

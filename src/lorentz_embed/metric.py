@@ -166,22 +166,23 @@ def make_radial_from_curvature(
             f"{kvals[bad[0]]:.6g}"
         )
 
+    # K at the RK4 stage radii r_i, r_i + h/2 and r_i + h, once, vectorized;
+    # the loop itself runs on Python floats
+    k_mid = np.asarray(K(radii[:-1] + 0.5 * h), dtype=float).tolist()
+    k_end = np.asarray(K(radii[:-1] + h), dtype=float).tolist()
     fs = np.empty(n + 1)
     fps = np.empty(n + 1)
     fs[0], fps[0] = 0.0, 1.0
-    y = np.array([0.0, 1.0])
-
-    def rhs(r, y):
-        return np.array([y[1], -float(K(r)) * y[0]])
-
-    for i in range(n):
-        r = radii[i]
-        k1 = rhs(r, y)
-        k2 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(r + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(r + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        fs[i + 1], fps[i + 1] = y
+    y0, y1 = 0.0, 1.0
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    for i, (ka, kb, kc) in enumerate(zip(kvals[:-1].tolist(), k_mid, k_end)):
+        a0, a1 = y1, -ka * y0
+        b0, b1 = y1 + half_h * a1, -kb * (y0 + half_h * a0)
+        c0, c1 = y1 + half_h * b1, -kb * (y0 + half_h * b0)
+        d0, d1 = y1 + h * c1, -kc * (y0 + h * c0)
+        y0 = y0 + sixth_h * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        y1 = y1 + sixth_h * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        fs[i + 1], fps[i + 1] = y0, y1
 
     f_spline = CubicSpline(radii, fs)
     fp_spline = CubicSpline(radii, fps)

@@ -8,6 +8,16 @@ replaces the continuity method: failures here are damping issues, not
 modeling issues.  The line search halves the step until both admissibility
 margins (min eigenvalue of g^{-1}(Hess u + g) and min of |grad u|^2 + 2u)
 retain at least a fixed fraction of their previous values.
+
+Each Newton step differentiates the discrete residual exactly: nine
+stencil-coefficient arrays per iteration, one per (radial, angular)
+offset.  When every one of them is exactly constant along theta (radial
+metrics keep radial iterates radial), an rfft in theta splits the step
+into n_theta/2 + 1 independent complex tridiagonal radial systems, the
+pole coupling to the antipodal column becoming the factor (-1)^k in mode
+k (the separable FFT/tridiagonal scheme of Swarztrauber & Sweet, ACM
+TOMS Alg. 541).  Any other state assembles the sparse Jacobian and
+factors it with splu.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .grid import ScalarField, HessianField, chart_arrays, covariant_hessian
 
@@ -179,11 +190,14 @@ def _probe(values, chart):
     return _State(values, hess, s, eig_margin, rhs_margin, residual)
 
 
-def _assemble_jacobian(state, ch, stencil):
-    """Exact Jacobian of the discrete log-residual; boundary rows are identity."""
-    n1, n2 = ch.grid.shape
-    ni = n1 - 1
-    half = n2 // 2
+def _stencil_coefficients(state, ch, stencil):
+    """Jacobian coefficient of each stencil offset at each interior node.
+
+    Returns one (n1 - 1, n2) array per offset in ``_Stencil.RT`` order: the
+    derivative of the interior log-residual at (i, j) with respect to the
+    value at (i + di, j + dj), before any pole or periodic wrap.
+    """
+    ni = ch.grid.n1 - 1
     hess = state.hessian
     a11 = (hess.h11 + ch.g11)[:ni]
     a12 = (hess.h12 + ch.g12)[:ni]
@@ -197,12 +211,8 @@ def _assemble_jacobian(state, ch, stencil):
     g1_11, g1_12, g1_22 = ch.gamma1_11[:ni], ch.gamma1_12[:ni], ch.gamma1_22[:ni]
     g2_11, g2_12, g2_22 = ch.gamma2_11[:ni], ch.gamma2_12[:ni], ch.gamma2_22[:ni]
 
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(n2), indexing="ij")
-    rows_base = (ii * n2 + jj).ravel()
-
-    data, rows, cols = [], [], []
+    coefs = []
     for off in stencil.RT:
-        di, dj = off
         s_r, s_t, s_rr, s_tt, s_rt = stencil.coef[off]
         h11_c = s_rr - g1_11 * s_r - g2_11 * s_t
         h12_c = s_rt - g1_12 * s_r - g2_12 * s_t
@@ -211,6 +221,22 @@ def _assemble_jacobian(state, ch, stencil):
         coef = coef - (2.0 * inv11 * du1 * s_r + 2.0 * inv22 * du2 * s_t) / s
         if off == (0, 0):
             coef = coef - 2.0 / s
+        coefs.append(coef)
+    return coefs
+
+
+def _assemble_jacobian(state, ch, stencil, coefs=None):
+    """Exact Jacobian of the discrete log-residual; boundary rows are identity."""
+    if coefs is None:
+        coefs = _stencil_coefficients(state, ch, stencil)
+    n1, n2 = ch.grid.shape
+    ni = n1 - 1
+    half = n2 // 2
+    ii, jj = np.meshgrid(np.arange(ni), np.arange(n2), indexing="ij")
+    rows_base = (ii * n2 + jj).ravel()
+
+    data, rows, cols = [], [], []
+    for (di, dj), coef in zip(stencil.RT, coefs):
         ti = ii + di
         tj = (jj + dj) % n2
         mirror = ti < 0
@@ -231,6 +257,43 @@ def _assemble_jacobian(state, ch, stencil):
         shape=(n, n),
     )
     return J.tocsr()
+
+
+def _theta_invariant(coefs):
+    """Whether every coefficient array is exactly constant along theta."""
+    return all(np.all(c == c[:, :1]) for c in coefs)
+
+
+def _fourier_step(coefs, stencil, rhs):
+    """Newton step for theta-invariant coefficients, one radial solve per mode.
+
+    ``rhs`` has the grid's shape; its boundary row is the step there (the
+    boundary rows of the Jacobian are identity).  In Fourier mode k of an
+    rfft along theta, the shift by dj columns is the factor w^dj with
+    w = exp(2 pi i k / n2), and the pole mirror (a further shift by n2/2)
+    adds (-1)^k.  Each mode is then a complex tridiagonal system in the
+    radial index, solved by banded LU with partial pivoting.
+    """
+    n1, n2 = rhs.shape
+    ni = n1 - 1
+    k = np.arange(n2 // 2 + 1)
+    phase = {dj: np.exp(2j * np.pi * k * dj / n2) for dj in (-1, 0, 1)}
+    # per radial offset di: sum over dj of c_{di,dj}(r) w^dj, shape (ni, modes)
+    band = {di: 0.0 for di in (-1, 0, 1)}
+    for (di, dj), c in zip(stencil.RT, coefs):
+        band[di] = band[di] + c[:, :1] * phase[dj]
+    # ab[u + i - j, j] = A[i, j] for (l, u) = (1, 1); the boundary row is identity
+    ab = np.zeros((k.size, 3, n1), dtype=complex)
+    ab[:, 0, 1:] = band[1].T
+    ab[:, 1, :ni] = band[0].T
+    ab[:, 1, 0] += (-1.0) ** k * band[-1][0]
+    ab[:, 1, ni] = 1.0
+    ab[:, 2, : ni - 1] = band[-1][1:].T
+    rhs_hat = np.fft.rfft(rhs, axis=1)
+    out = np.empty_like(rhs_hat)
+    for m in range(k.size):
+        out[:, m] = solve_banded((1, 1), ab[m], rhs_hat[:, m], check_finite=False)
+    return np.fft.irfft(out, n=n2, axis=1)
 
 
 def _linear_solve(J, rhs):
@@ -283,10 +346,15 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
             trace.append((it, res_norm, step, state.eig_margin))
         if res_norm <= problem.tol:
             return _finalize(ScalarField(grid, state.values), chart, metric, b, it, trace)
-        rhs_full = np.zeros(grid.n1 * grid.n2)
-        rhs_full[: (grid.n1 - 1) * grid.n2] = -state.residual.ravel()
-        J = _assemble_jacobian(state, chart, stencil)
-        delta = _linear_solve(J, rhs_full).reshape(grid.shape)
+        rhs = np.zeros(grid.shape)
+        rhs[:-1] = -state.residual
+        coefs = _stencil_coefficients(state, chart, stencil)
+        if _theta_invariant(coefs):
+            delta = _fourier_step(coefs, stencil, rhs)
+        else:
+            J = _assemble_jacobian(state, chart, stencil, coefs)
+            del coefs  # released before splu, so they do not add to its peak memory
+            delta = _linear_solve(J, rhs.ravel()).reshape(grid.shape)
 
         t = 1.0
         keep = problem.margin_keep

@@ -194,6 +194,36 @@ class TestPipeline:
         assert cmd_embed(out) == 2
         assert "'annulus'" in capsys.readouterr().err
 
+    def test_observation_radius_below_four_rings_exit_2(self, tmp_path, capsys):
+        # only the rings at r = 0.23 and 0.69 of the radius-3 ball's 7 x 16
+        # grid lie within l_obs = 1: valid for solve and verify, too few to embed
+        cfg = base_config(grid={"n_theta": 16, "n_r": 7},
+                          exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+        cfg_path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "run")
+        assert cmd_solve(cfg_path, out) == 0
+        assert cmd_verify(out) == 0
+        capsys.readouterr()
+        assert cmd_embed(out) == 2
+        err = capsys.readouterr().err
+        assert "exhaustion.l_obs" in err and "Traceback" not in err
+        assert not (Path(out) / "embed").exists()
+
+    def test_embed_reads_every_field(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        out = str(tmp_path / "run")
+        assert cmd_solve(cfg_path, out) == 0
+        assert cmd_verify(out) == 0
+        target = Path(out) / "fields" / "u_000.csv"
+        text = target.read_text()
+        target.write_text(text[: text.rindex("\n", 0, -1) + 1])  # drop one row
+        capsys.readouterr()
+        assert cmd_embed(out) == 2
+        assert "u_000.csv" in capsys.readouterr().err
+        target.unlink()
+        assert cmd_embed(out) == 2
+        assert "u_000.csv missing" in capsys.readouterr().err
+
     def test_missing_artifacts_exit_2(self, tmp_path):
         assert cmd_verify(str(tmp_path / "nowhere")) == 2
 

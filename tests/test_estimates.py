@@ -233,6 +233,25 @@ class TestSuite:
         assert rec1.bound == rec2.bound and rec1.observed == rec2.observed
 
 
+    def test_ball_max_sampled_once_per_node_and_radius(self, pinched_solve_64,
+                                                       monkeypatch):
+        calls = []
+
+        def counted(metric, center, r0, samples=4096):
+            calls.append((float(center[0]), float(center[1]), r0))
+            return max_neg_curvature_ball(metric, center, r0, samples)
+
+        monkeypatch.setattr(estimates, "max_neg_curvature_ball", counted)
+        g = pinched_solve_64.u.grid
+        probe = (int(np.searchsorted(g.q1, 1.8)), 0)
+        run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0))
+        # one sample of B(r0) per (node, r0), one of B(r0 + 1) for the
+        # second-order ceiling: nodes (0, 0) and the probe, two radii each
+        expected = [(float(g.q1[i]), float(g.q2[j]), r)
+                    for i, j in [(0, 0), probe] for r in (0.5, 1.0, 1.5, 2.0)]
+        assert sorted(calls) == sorted(expected)
+
+
 class TestDistanceOnDemand:
     """The suite solves distances only where its audits read them."""
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from oracles import pinched_curvature
 
@@ -76,6 +77,36 @@ class TestRadialFromCurvature:
 
     def test_jacobi_consistency(self, pinched_metric):
         assert jacobi_defect(pinched_metric) <= 1e-7
+
+    @pytest.mark.parametrize("K, r_max", [
+        (pinched_curvature()[0], 6.5),
+        (lambda r: -(1.0 + 8.0 * np.exp(-2.0 * (np.asarray(r, float) - 1.5) ** 2)), 3.0),
+    ], ids=["pinched", "bump"])
+    def test_samples_match_array_rk4(self, K, r_max):
+        # the stage-by-stage RK4 on 2-vectors with K evaluated per stage,
+        # which the float loop over vectorized K samples must reproduce
+        m = make_radial_from_curvature(K, r_max)
+        n = max(int(math.ceil(r_max / 1e-3)), 8)
+        h = r_max / n
+        radii = np.linspace(0.0, r_max, n + 1)
+
+        def rhs(r, y):
+            return np.array([y[1], -float(K(r)) * y[0]])
+
+        fs, fps = np.empty(n + 1), np.empty(n + 1)
+        fs[0], fps[0] = 0.0, 1.0
+        y = np.array([0.0, 1.0])
+        for i in range(n):
+            r = radii[i]
+            k1 = rhs(r, y)
+            k2 = rhs(r + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(r + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(r + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            fs[i + 1], fps[i + 1] = y
+        assert np.array_equal(m.sample_radii, radii)
+        assert np.array_equal(m.sample_f, fs)
+        assert np.array_equal(m.f_prime(radii), CubicSpline(radii, fps)(radii))
 
     def test_curvature_round_trip(self, pinched_metric):
         # recover K = -f''/f from sampled f alone, five-point second difference

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare
+from lorentz_embed import solver
+from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.solver import (
     DirichletProblem,
@@ -10,6 +11,10 @@ from lorentz_embed.solver import (
     verify_subsolution,
     _probe,
     _assemble_jacobian,
+    _fourier_step,
+    _linear_solve,
+    _stencil_coefficients,
+    _theta_invariant,
     _Stencil,
 )
 
@@ -101,6 +106,76 @@ class TestJacobian:
             errs.append(np.abs(jv - fd).max())
         # quadratic decay of the difference identifies pure FD truncation
         assert errs[1] <= errs[0] / 50.0
+
+
+def _state(metric, g, angular=0.0):
+    """A probed state near the constant start, non-radial when ``angular``."""
+    b = 1.0 / (2.0 * metric.bounds.c2_of_radius(g.radius))
+    R, T = g.mesh()
+    vals = b + 0.04 * np.exp(-R) + angular * np.cos(T) * R**2 / (1 + R**2)
+    vals[-1] = b
+    return vals, _probe(vals, chart_arrays(metric, g))
+
+
+class TestFourierStep:
+    @pytest.mark.parametrize("n2", [8, 16, 64])
+    def test_matches_sparse_lu(self, pinched_metric, n2):
+        g = PolarGrid(20, n2, 3.0)
+        ch = chart_arrays(pinched_metric, g)
+        _, state = _state(pinched_metric, g)
+        stencil = _Stencil(g.h1, g.h2)
+        coefs = _stencil_coefficients(state, ch, stencil)
+        assert _theta_invariant(coefs)
+        # every Fourier mode, odd ones and Nyquist included, is excited
+        rhs = np.random.default_rng(n2).standard_normal(g.shape)
+        assert np.all(np.abs(np.fft.rfft(rhs, axis=1)) > 1e-3)
+        fast = _fourier_step(coefs, stencil, rhs)
+        ref = _linear_solve(_assemble_jacobian(state, ch, stencil), rhs.ravel())
+        ref = ref.reshape(g.shape)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_radial_state_is_not_theta_invariant(self, pinched_metric):
+        g = PolarGrid(20, 16, 3.0)
+        _, state = _state(pinched_metric, g, angular=0.01)
+        ch = chart_arrays(pinched_metric, g)
+        assert not _theta_invariant(_stencil_coefficients(state, ch, _Stencil(g.h1, g.h2)))
+
+    @staticmethod
+    def _count_splu(monkeypatch):
+        calls = []
+        real = solver.spla.splu
+
+        def counted(A, *args, **kwargs):
+            calls.append(A.shape)
+            return real(A, *args, **kwargs)
+
+        monkeypatch.setattr(solver.spla, "splu", counted)
+        return calls
+
+    def test_radial_solve_never_factors(self, pinched_metric, monkeypatch):
+        calls = self._count_splu(monkeypatch)
+        sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
+        assert sol.iterations >= 2
+        assert calls == []
+
+    def test_non_radial_chart_factors(self, monkeypatch):
+        calls = self._count_splu(monkeypatch)
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
+        assert len(calls) >= 1
+
+    def test_non_radial_state_factors(self, pinched_metric, monkeypatch):
+        g = PolarGrid(24, 16, 3.0)
+        vals, state = _state(pinched_metric, g, angular=0.01)
+        assert state.admissible
+        calls = self._count_splu(monkeypatch)
+        solve_dirichlet(DirichletProblem(pinched_metric, g), initial=vals)
+        assert len(calls) >= 1
+
+    def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
+        for sol in (pinched_solve_64, pinched_solve_l4):
+            u = sol.u.values
+            assert np.array_equal(u, np.broadcast_to(u[:, :1], u.shape))
 
 
 class TestWarmStart:
