@@ -42,7 +42,7 @@ print(f"pinching constants: c1 = {b.c1:.4f}, c2 = {b.c2:.4f}; "
       f"log-curvature derivative bounds c3 = {b.c3:.4f}, c4 = {b.c4:.4f}")
 
 # --- expanding-ball continuation -------------------------------------------
-schedule = make_schedule(metric, (2.0, 3.0, 4.0, 5.0, 6.0), l_obs=1.0,
+schedule = make_schedule((2.0, 3.0, 4.0, 5.0, 6.0), l_obs=1.0,
                          nodes_per_unit=16, n_theta=48, tol=1e-6)
 result = run_exhaustion(schedule, metric)
 print("\n  l    delta        u range                  max |grad u|")

@@ -3,8 +3,9 @@
 Runs are reproducible by construction: the canonical config is copied into
 the run directory, every CSV/JSON artifact is written with fixed ordering
 and 17 significant digits, and wall-clock data lives only in the isolated
-runmeta.json.  A lock file guards each output directory against concurrent
-writers.
+runmeta.json.  A lock file holding the writer's PID guards each output
+directory against concurrent writers; a lock whose PID names no running
+process is reclaimed.
 
 Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
 3 solver non-convergence (trace still written), 4 embedding audit failure.
@@ -40,8 +41,6 @@ from .embed import ObservationRegionError, build_embedding, export_graph, write_
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
-_FAMILIES = ("hyperbolic", "radial_pinched", "poincare", "poincare_perturbed")
-
 _AUDIT_DEFAULTS = {
     "r0_list": [1.0],
     "c_cal": 1.0,
@@ -49,6 +48,23 @@ _AUDIT_DEFAULTS = {
     "curvature_check_tol": 1e-2,
     "pullback_tol": 1e-2,
     "pinching_slack": 1e-6,
+}
+
+# the keys each metric family reads, besides "family"
+_METRIC_KEYS = {
+    "hyperbolic": ("curvature_scale",),
+    "radial_pinched": ("base", "amp", "r_max"),
+    "poincare": ("curvature_scale", "domain_radius"),
+    "poincare_perturbed": ("curvature_scale", "domain_radius", "eps"),
+}
+_FAMILIES = tuple(_METRIC_KEYS)
+# the keys every other section reads; "output" reads none
+_SECTION_KEYS = {
+    "grid": ("n_theta", "nodes_per_unit", "n_r"),
+    "exhaustion": ("radii", "l_obs", "tol", "boundary_rule"),
+    "solver": ("tol", "max_iter"),
+    "audit": tuple(_AUDIT_DEFAULTS),
+    "output": (),
 }
 
 
@@ -92,7 +108,15 @@ def _section(errors, cfg, name):
     if not isinstance(sec, dict):
         _err(errors, name, "must be a JSON object")
         return {}
+    if name in _SECTION_KEYS:
+        _unknown_keys(errors, f"{name}.", sec, _SECTION_KEYS[name])
     return sec
+
+
+def _unknown_keys(errors, prefix, obj, known):
+    """Record an error for each key of ``obj`` outside ``known``."""
+    for key in sorted(set(obj) - set(known), key=str):
+        _err(errors, f"{prefix}{key}", "unknown key")
 
 
 def _positive(v):
@@ -112,11 +136,13 @@ def _numbers(errors, path, values, ok, what):
 def validate_config(cfg: dict):
     """Schema-check a config dict; returns (RunConfig or None, error list).
 
-    Never raises: every malformed value becomes an error naming its field.
+    Never raises: every malformed value and every key the run would not
+    read becomes an error naming its field.
     """
     errors = []
     if not isinstance(cfg, dict):
         return None, ["config: must be a JSON object"]
+    _unknown_keys(errors, "", cfg, ("schema_version", "metric", *_SECTION_KEYS))
     _check_number(errors, "schema_version", cfg.get("schema_version"),
                   lambda v: v == 1, "1", integer=True)
 
@@ -125,6 +151,8 @@ def validate_config(cfg: dict):
     conformal = family in ("poincare", "poincare_perturbed")
     if family not in _FAMILIES:
         _err(errors, "metric.family", f"must be one of {_FAMILIES}")
+    else:
+        _unknown_keys(errors, "metric.", metric, ("family", *_METRIC_KEYS[family]))
     if family in ("hyperbolic", "poincare", "poincare_perturbed"):
         _check_number(errors, "metric.curvature_scale", metric.get("curvature_scale", 1.0),
                       _positive, "a positive number")
@@ -264,9 +292,14 @@ def _locked_dir(path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
-            f"output directory {path} is locked by another run (remove {lock} if stale)"
-        )
+        fd = None
+        if _lock_is_stale(lock):
+            with contextlib.suppress(FileExistsError):
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        if fd is None:
+            raise RuntimeError(
+                f"output directory {path} is locked by another run (remove {lock} if stale)"
+            )
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -274,6 +307,27 @@ def _locked_dir(path):
     finally:
         with contextlib.suppress(OSError):
             os.remove(lock)
+
+
+def _lock_is_stale(lock):
+    """Remove ``lock`` if the PID it holds names no running process.
+
+    A live PID, or an empty or unparseable lock, keeps the lock: a racing
+    writer may have created it and not yet written its PID.
+    """
+    try:
+        with open(lock, "r", encoding="utf-8") as fh:
+            pid = int(fh.read())
+        if pid > 0:  # 0 and negative PIDs name process groups
+            os.kill(pid, 0)
+        return False  # alive, or no PID
+    except ProcessLookupError:
+        print(f"removing stale lock {lock}: process {pid} is not running", file=sys.stderr)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(lock)
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, unparseable, not ours
+        return False
 
 
 def _dump_json(obj, path):
@@ -316,12 +370,7 @@ def cmd_solve(config_path, out_dir, trace=False):
                 print(f"solver did not converge: {exc}", file=sys.stderr)
                 return 3
             fields = [sol]
-            steps = [ExhaustionStep(
-                l=radii[0], delta=math.nan,
-                min_u=float(sol.u.values.min()), max_u=float(sol.u.values.max()),
-                max_grad=float(np.sqrt(sol.hessian.grad_sq).max()),
-                iterations=sol.iterations,
-            )]
+            steps = [ExhaustionStep.of(radii[0], math.nan, sol)]
         else:
             grids = [_grid_for(cfg, metric, l) for l in radii]
             schedule = ExhaustionSchedule(

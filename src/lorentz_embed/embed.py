@@ -22,7 +22,7 @@ at the innermost rings instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.signal import resample as _fft_resample
@@ -49,6 +49,12 @@ __all__ = [
 ]
 
 _ETA = np.array([1.0, 1.0, -1.0])
+# accuracy of every radial stencil here (scalar and frame fields)
+_RADIAL_ORDER = 6
+# RK4 substeps per grid edge of the developing map
+_N_SUB = 2
+# rings developed beyond the observation radius, so the audits stay centered
+_PAD_ROWS = 6
 
 
 class ObservationRegionError(ValueError):
@@ -73,16 +79,15 @@ def _rot3(angle):
 # Cartesian derivative operators on the polar grid (scalar fields only)
 
 
-def _edge_radial_derivative(F, h, deriv=1, order=4):
-    """Radial derivative with one-sided stencils at both ends (frame fields)."""
-    F = np.asarray(F, dtype=float)
+def _edge_radial_derivative(F, h):
+    """First radial derivative, one-sided at both ends (frame fields)."""
     n = F.shape[0]
-    half = order // 2
-    npts = order + deriv
+    half = _RADIAL_ORDER // 2
+    npts = _RADIAL_ORDER + 1
     if n < npts:
-        raise ValueError(f"need at least {npts} rows for order {order}")
+        raise ValueError(f"need at least {npts} rows for order {_RADIAL_ORDER}")
     out = np.empty_like(F)
-    w = _fd_weights(tuple(range(-half, half + 1)), deriv) / h**deriv
+    w = _fd_weights(tuple(range(-half, half + 1)), 1) / h
     acc = np.zeros((n - 2 * half, F.shape[1]))
     for k, o in enumerate(range(-half, half + 1)):
         acc += w[k] * F[half + o : half + o + n - 2 * half]
@@ -90,7 +95,7 @@ def _edge_radial_derivative(F, h, deriv=1, order=4):
     for i in list(range(half)) + list(range(n - half, n)):
         lo = min(max(i - npts // 2, 0), n - npts)
         offs = tuple(range(lo - i, lo - i + npts))
-        wo = _fd_weights(offs, deriv) / h**deriv
+        wo = _fd_weights(offs, 1) / h
         row = np.zeros(F.shape[1])
         for k, o in enumerate(offs):
             row += wo[k] * F[i + o]
@@ -106,10 +111,8 @@ class _CartesianCalc:
     that vanish there, so no accuracy is lost near the pole.
     """
 
-    def __init__(self, grid, rows, radial_order=6):
+    def __init__(self, grid, rows):
         self.h1 = grid.h1
-        self.rows = rows
-        self.order = radial_order
         q1, q2 = grid.mesh()
         self.r = q1[:rows]
         self.cos = np.cos(q2[:rows])
@@ -117,7 +120,7 @@ class _CartesianCalc:
 
     def grad(self, F):
         """(dF/dx, dF/dy) from one radial and one spectral derivative."""
-        dr = radial_derivative(F, self.h1, deriv=1, order=self.order)
+        dr = radial_derivative(F, self.h1, deriv=1, order=_RADIAL_ORDER)
         dt = theta_derivative_spectral(F) / self.r
         return self.cos * dr - self.sin * dt, self.sin * dr + self.cos * dt
 
@@ -207,11 +210,10 @@ class ConformalHyperbolicMetric:
     w2: np.ndarray
     curvature: np.ndarray
     max_defect: float
-    check_tol: float
 
 
-def conformal_metric(field: AdmissibleField, rows=None, check_tol=1e-2,
-                     radial_order=6) -> ConformalHyperbolicMetric:
+def conformal_metric(field: AdmissibleField, rows=None,
+                     check_tol=1e-2) -> ConformalHyperbolicMetric:
     """Assemble the rescaled metric and certify its curvature is -1.
 
     ``rows`` limits the certified region (stencil-complete rows away from
@@ -229,14 +231,14 @@ def conformal_metric(field: AdmissibleField, rows=None, check_tol=1e-2,
     rows = min(rows, n1)
     ch = field.hessian.chart
 
-    du1 = radial_derivative(u, grid.h1, deriv=1, order=radial_order)
+    du1 = radial_derivative(u, grid.h1, deriv=1, order=_RADIAL_ORDER)
     du2 = theta_derivative_spectral(u)
     gb11 = (ch.g11 + du1 * du1 / (2.0 * u)) / (2.0 * u)
     gb12 = (ch.g12 + du1 * du2 / (2.0 * u)) / (2.0 * u)
     gb22 = (ch.g22 + du2 * du2 / (2.0 * u)) / (2.0 * u)
 
     gb11, gb12, gb22 = gb11[:rows], gb12[:rows], gb22[:rows]
-    calc = _CartesianCalc(grid, rows, radial_order)
+    calc = _CartesianCalc(grid, rows)
     E, F, G = _polar_to_cartesian_metric(gb11, gb12, gb22, calc.r, calc.cos, calc.sin)
     K = _brioschi_curvature(E, F, G, calc)
     defect = float(np.abs(K + 1.0).max())
@@ -252,14 +254,14 @@ def conformal_metric(field: AdmissibleField, rows=None, check_tol=1e-2,
     e11 = np.sqrt(gb11)
     e12 = gb12 / e11
     e22 = np.sqrt(det_gb / gb11)
-    d1_e11 = _edge_radial_derivative(e11, grid.h1, order=6)
-    d1_e12 = _edge_radial_derivative(e12, grid.h1, order=6)
-    d1_e22 = _edge_radial_derivative(e22, grid.h1, order=6)
+    d1_e11 = _edge_radial_derivative(e11, grid.h1)
+    d1_e12 = _edge_radial_derivative(e12, grid.h1)
+    d1_e22 = _edge_radial_derivative(e22, grid.h1)
     d2_e11 = theta_derivative_spectral(e11)
     w1 = (d1_e12 - d2_e11) / e22
     w2 = (d1_e22 + w1 * e12) / e11
     return ConformalHyperbolicMetric(
-        grid, rows, gb11, gb12, gb22, e11, e12, e22, w1, w2, K, defect, check_tol
+        grid, rows, gb11, gb12, gb22, e11, e12, e22, w1, w2, K, defect
     )
 
 
@@ -368,17 +370,12 @@ def _radial_stage_samples(F, n_sub):
 
 def _extrapolate_to_segment(F_col, r_nodes, s_pts):
     """Cubic extrapolation of a ray profile to points below the first node."""
-    w = []
-    r0, r1, r2, r3 = r_nodes[:4]
-    for s in np.asarray(s_pts, dtype=float):
-        ws = np.array([
-            (s - r1) * (s - r2) * (s - r3) / ((r0 - r1) * (r0 - r2) * (r0 - r3)),
-            (s - r0) * (s - r2) * (s - r3) / ((r1 - r0) * (r1 - r2) * (r1 - r3)),
-            (s - r0) * (s - r1) * (s - r3) / ((r2 - r0) * (r2 - r1) * (r2 - r3)),
-            (s - r0) * (s - r1) * (s - r2) / ((r3 - r0) * (r3 - r1) * (r3 - r2)),
-        ])
-        w.append(ws)
-    W = np.array(w)
+    r = r_nodes[:4]
+    s = np.asarray(s_pts, dtype=float)
+    W = np.empty((s.size, 4))
+    for k in range(4):  # Lagrange weight of node k
+        a, b, c = (r[m] for m in range(4) if m != k)
+        W[:, k] = (s - a) * (s - b) * (s - c) / ((r[k] - a) * (r[k] - b) * (r[k] - c))
     return W @ F_col[:4]
 
 
@@ -389,13 +386,13 @@ class DevelopingMap:
     ``frames`` are elements of the linear isometry group of diag(1,1,-1)
     whose third column is the image point; the chart pole is normalized to
     the apex (0, 0, 1) with the base-ray direction mapped to the x1 axis
-    direction of the hyperboloid chart.  Holonomy diagnostics measure
-    path independence of the transport.
+    direction of the hyperboloid chart; the base ray is the grid's first
+    column.  Holonomy diagnostics measure path independence of the
+    transport.
     """
 
     grid: object
     rows: int
-    base: tuple
     frames: np.ndarray
     points: np.ndarray
     path_defect: float
@@ -409,24 +406,21 @@ class DevelopingMap:
         return self.path_defect <= self.holonomy_tol
 
 
-def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
+def develop(gbar: ConformalHyperbolicMetric, rows=None,
             holonomy_tol=1e-5) -> DevelopingMap:
     """Integrate the orthonormal frame of the rescaled metric into R^{2,1}.
 
-    Transport runs radially out along the base ray and then around each
-    ring; a second assembly in the opposite order provides the
-    path-independence defect.  Per-cell loop transports give the local
-    holonomy, which vanishes like a power of the spacing when the
-    structure is genuinely flat.
+    Transport runs radially out along the base ray (the first column) and
+    then around each ring, in _N_SUB RK4 steps per grid edge; a second
+    assembly in the opposite order provides the path-independence defect.
+    Per-cell loop transports give the local holonomy, which vanishes like
+    a power of the spacing when the structure is genuinely flat.
     """
     grid = gbar.grid
     if rows is None:
         rows = gbar.rows
     if rows > gbar.rows:
         raise ValueError("cannot develop beyond the certified rows")
-    if base[0] != 0:
-        raise ValueError("base node must lie on the innermost ring")
-    j0 = base[1]
     n2 = grid.n2
     h1, h2 = grid.h1, grid.h2
 
@@ -438,37 +432,35 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
 
     # angular edge propagators, all rings at once
     A_th = _frame_generator(
-        _theta_stage_samples(w2, n_sub),
-        _theta_stage_samples(e12, n_sub),
-        _theta_stage_samples(e22, n_sub),
+        _theta_stage_samples(w2, _N_SUB),
+        _theta_stage_samples(e12, _N_SUB),
+        _theta_stage_samples(e22, _N_SUB),
     )
-    P_th = _rk4_transport(A_th, h2, n_sub)
+    P_th = _rk4_transport(A_th, h2, _N_SUB)
 
     # radial edge propagators, all rays at once (omega^2(d_r) = 0)
-    st_e11 = _radial_stage_samples(e11, n_sub)
-    st_w1 = _radial_stage_samples(w1, n_sub)
+    st_e11 = _radial_stage_samples(e11, _N_SUB)
+    st_w1 = _radial_stage_samples(w1, _N_SUB)
     A_r = _frame_generator(st_w1, st_e11, np.zeros_like(st_e11))
-    P_r = _rk4_transport(A_r, h1, n_sub)
+    P_r = _rk4_transport(A_r, h1, _N_SUB)
 
     # order A: radial along the base ray, then angular around every ring
     framesA = np.empty((rows, n2, 3, 3))
-    framesA[0, j0] = np.eye(3)
+    framesA[0, 0] = np.eye(3)
     cur = np.eye(3)
     for i in range(rows - 1):
-        cur = cur @ P_r[i, j0]
+        cur = cur @ P_r[i, 0]
         if (i + 1) % 16 == 0:
             cur = _reorthonormalize(cur)
-        framesA[i + 1, j0] = cur
-    cur = framesA[:, j0].copy()
+        framesA[i + 1, 0] = cur
+    cur = framesA[:, 0].copy()
     closure = np.broadcast_to(np.eye(3), (rows, 3, 3)).copy()
-    for step in range(1, n2 + 1):
-        j_prev = (j0 + step - 1) % n2
-        closure = closure @ P_th[:, j_prev]
-        if step == n2:
+    for j in range(1, n2 + 1):
+        closure = closure @ P_th[:, j - 1]
+        if j == n2:
             break
-        j = (j0 + step) % n2
-        cur = cur @ P_th[:, j_prev]
-        if step % 16 == 0:
+        cur = cur @ P_th[:, j - 1]
+        if j % 16 == 0:
             cur = _reorthonormalize(cur)
         framesA[:, j] = cur
     framesA = _reorthonormalize(framesA)
@@ -476,12 +468,10 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
     # order B: angular around the innermost ring, then radial along every ray
     framesB = np.empty_like(framesA)
     ring = np.empty((n2, 3, 3))
-    ring[j0] = np.eye(3)
+    ring[0] = np.eye(3)
     cur = np.eye(3)
-    for step in range(1, n2):
-        j_prev = (j0 + step - 1) % n2
-        j = (j0 + step) % n2
-        cur = cur @ P_th[0, j_prev]
+    for j in range(1, n2):
+        cur = cur @ P_th[0, j - 1]
         ring[j] = cur
     framesB[0] = ring
     cur = ring.copy()
@@ -493,13 +483,13 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
     framesB = _reorthonormalize(framesB)
 
     # pole normalization: continue the frame from the base node to the pole
-    s_stages = np.linspace(grid.q1[0], 0.0, 2 * n_sub + 1)
-    a_seg = _extrapolate_to_segment(e11[:, j0], grid.q1, s_stages)
-    w_seg = _extrapolate_to_segment(w1[:, j0], grid.q1, s_stages)
+    s_stages = np.linspace(grid.q1[0], 0.0, 2 * _N_SUB + 1)
+    a_seg = _extrapolate_to_segment(e11[:, 0], grid.q1, s_stages)
+    w_seg = _extrapolate_to_segment(w1[:, 0], grid.q1, s_stages)
     A_seg = _frame_generator(w_seg, a_seg, np.zeros_like(a_seg))
-    P_in = _rk4_transport(A_seg[None, ...], -grid.q1[0], n_sub)[0]
+    P_in = _rk4_transport(A_seg[None, ...], -grid.q1[0], _N_SUB)[0]
     M_pole = _reorthonormalize(P_in)
-    L = _rot3(grid.q2[j0]) @ _lorentz_inv(M_pole)
+    L = _rot3(grid.q2[0]) @ _lorentz_inv(M_pole)
 
     framesA = L @ framesA
     framesB = L @ framesB
@@ -512,9 +502,8 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
     # removes the seam jump that would otherwise pollute differentiation
     # of the assembled embedding (the raw defect is reported above)
     G_close = _so21_log(closure)
-    for step in range(1, n2):
-        j = (j0 + step) % n2
-        framesA[:, j] = framesA[:, j] @ _so21_exp((-step / n2) * G_close)
+    for j in range(1, n2):
+        framesA[:, j] = framesA[:, j] @ _so21_exp((-j / n2) * G_close)
     framesA = _reorthonormalize(framesA)
     pointsA = framesA[..., 2]
 
@@ -531,7 +520,6 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None, base=(0, 0), n_sub=2,
     return DevelopingMap(
         grid=grid,
         rows=rows,
-        base=tuple(base),
         frames=framesA,
         points=pointsA,
         path_defect=path_defect,
@@ -553,7 +541,8 @@ class EmbeddingMap:
     ``pullback`` and ``shape`` hold the induced metric and the second
     fundamental form in Cartesian chart components; ``normal`` is the
     future-timelike unit normal.  The graph height is the third component
-    of X over the first two.
+    of X over the first two.  ``chart`` is the field's chart data on the
+    whole grid, which the extrinsic audit compares against.
     """
 
     grid: object
@@ -564,15 +553,11 @@ class EmbeddingMap:
     shape: tuple
     u_values: np.ndarray
     metric: object
+    chart: object
     developing: DevelopingMap
 
-    @property
-    def graph_height(self):
-        return self.X[..., 2]
 
-
-def assemble_embedding(field: AdmissibleField, dev: DevelopingMap,
-                       radial_order=6) -> EmbeddingMap:
+def assemble_embedding(field: AdmissibleField, dev: DevelopingMap) -> EmbeddingMap:
     """X = sqrt(2u) i(y), with normal and shape form differenced from X.
 
     The second fundamental form is h_ab = Gamma^c_ab <X_c, n> - <X_ab, n>
@@ -585,7 +570,7 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap,
     u = field.u.values[:rows]
     X = np.sqrt(2.0 * u)[..., None] * dev.points
 
-    calc = _CartesianCalc(grid, rows, radial_order)
+    calc = _CartesianCalc(grid, rows)
     Xa, Xb = calc.grad_vec(X)
     G11 = minkowski_inner(Xa, Xa)
     G12 = minkowski_inner(Xa, Xb)
@@ -625,6 +610,7 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap,
         shape=(h11, h12, h22),
         u_values=u,
         metric=field.metric,
+        chart=field.hessian.chart,
         developing=dev,
     )
 
@@ -650,27 +636,10 @@ class EmbeddingAudit:
     worst_pullback_node: tuple
 
     def to_json_dict(self):
-        return {
-            "pullback_rel_err": self.pullback_rel_err,
-            "u_identity_err": self.u_identity_err,
-            "normal_identity_err": self.normal_identity_err,
-            "pinching_margin_cone": self.pinching_margin_cone,
-            "pinching_margin_lower": self.pinching_margin_lower,
-            "pinching_margin_upper": self.pinching_margin_upper,
-            "pinching_saturation": self.pinching_saturation,
-            "gauss_residual": self.gauss_residual,
-            "codazzi_residual": self.codazzi_residual,
-            "a_norm_max": self.a_norm_max,
-            "holonomy_path_defect": self.holonomy_path_defect,
-            "holonomy_cell_sum": self.holonomy_cell_sum,
-            "eta_drift": self.eta_drift,
-            "audit_rows": self.audit_rows,
-            "worst_pullback_node": list(self.worst_pullback_node),
-        }
+        return {**asdict(self), "worst_pullback_node": list(self.worst_pullback_node)}
 
 
-def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
-                     audit_rows=None, radial_order=6) -> EmbeddingAudit:
+def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
     """Extrinsic verification of an assembled embedding.
 
     Reports the worst relative pullback error against the chart metric,
@@ -679,23 +648,24 @@ def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
     hyperboloids, the curvature compatibility residual |K + det h/det G|,
     the symmetry defect of the covariant derivative of the shape form
     (measured in the invariant tensor norm), and the largest shape-form
-    norm |A|.
+    norm |A|, each over the first ``audit_rows`` rings.  The chart metric
+    and curvature come from ``emb.chart``.
     """
-    metric = emb.metric if metric is None else metric
-    bounds = metric.bounds if bounds is None else bounds
+    bounds = emb.metric.bounds
     grid = emb.grid
-    rows = emb.rows if audit_rows is None else min(audit_rows, emb.rows)
+    rows = min(audit_rows, emb.rows)
     sl = slice(0, rows)
 
-    calc = _CartesianCalc(grid, emb.rows, radial_order)
+    calc = _CartesianCalc(grid, emb.rows)
     G11, G12, G22 = emb.pullback
     h11, h12, h22 = emb.shape
     det_G = G11 * G22 - G12 * G12
 
     # chart metric in Cartesian components
-    q1, q2 = grid.mesh()
-    g11, g12, g22 = metric.metric_components(q1[: emb.rows], q2[: emb.rows])
-    gxx, gxy, gyy = _polar_to_cartesian_metric(g11, g12, g22, calc.r, calc.cos, calc.sin)
+    ch = emb.chart
+    gxx, gxy, gyy = _polar_to_cartesian_metric(
+        ch.g11[: emb.rows], ch.g12[: emb.rows], ch.g22[: emb.rows],
+        calc.r, calc.cos, calc.sin)
     num = np.sqrt((G11 - gxx) ** 2 + 2 * (G12 - gxy) ** 2 + (G22 - gyy) ** 2)
     den = np.sqrt(gxx**2 + 2 * gxy**2 + gyy**2)
     rel = (num / den)[sl]
@@ -719,7 +689,7 @@ def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
     lower = (Z - np.sqrt(1.0 / bounds.c2 + amb))[sl]
     saturation = float(max(np.abs(upper).max(), np.abs(lower).max()))
 
-    K_chart = metric.curvature_at(q1[: emb.rows], q2[: emb.rows])
+    K_chart = ch.K[: emb.rows]
     det_h = h11 * h22 - h12 * h12
     gauss = float(np.abs(det_h / det_G + K_chart)[sl].max())
 
@@ -776,11 +746,10 @@ def verify_embedding(emb: EmbeddingMap, metric=None, bounds=None,
     )
 
 
-def build_embedding(field: AdmissibleField, l_obs, pad_rows=6, check_tol=1e-2,
-                    base=(0, 0), n_sub=2, holonomy_tol=1e-5, radial_order=6):
+def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2, holonomy_tol=1e-5):
     """Full pipeline on the observation ball: rescale, develop, assemble.
 
-    The developing region extends ``pad_rows`` rings beyond the
+    The developing region extends _PAD_ROWS rings beyond the
     observation radius (but stays clear of the outer boundary) so that the
     audit region is differenced with centered stencils only.
     """
@@ -791,13 +760,11 @@ def build_embedding(field: AdmissibleField, l_obs, pad_rows=6, check_tol=1e-2,
             f"observation region too small: l_obs = {l_obs:g} covers {obs_rows} "
             f"rings of the grid (ring spacing {grid.h1:.4g}), fewer than 4"
         )
-    dev_rows = min(obs_rows + pad_rows, grid.n1 - 4)
-    gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol,
-                            radial_order=radial_order)
-    dev = develop(gbar, rows=dev_rows, base=base, n_sub=n_sub,
-                  holonomy_tol=holonomy_tol)
-    emb = assemble_embedding(field, dev, radial_order=radial_order)
-    audit = verify_embedding(emb, audit_rows=obs_rows, radial_order=radial_order)
+    dev_rows = min(obs_rows + _PAD_ROWS, grid.n1 - 4)
+    gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol)
+    dev = develop(gbar, rows=dev_rows, holonomy_tol=holonomy_tol)
+    emb = assemble_embedding(field, dev)
+    audit = verify_embedding(emb, audit_rows=obs_rows)
     return gbar, dev, emb, audit
 
 
@@ -830,20 +797,13 @@ def export_graph(emb: EmbeddingMap, rows=None) -> Mesh:
     ring_vertices = emb.X[:rows].reshape(rows * n2, 3)
     vertices = np.vstack([pole, ring_vertices])
 
-    faces = []
-    for j in range(n2):
-        jn = (j + 1) % n2
-        faces.append((0, 1 + j, 1 + jn))
-    for i in range(rows - 1):
-        for j in range(n2):
-            jn = (j + 1) % n2
-            v00 = 1 + i * n2 + j
-            v10 = 1 + (i + 1) * n2 + j
-            v11 = 1 + (i + 1) * n2 + jn
-            v01 = 1 + i * n2 + jn
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return Mesh(vertices=vertices, faces=np.asarray(faces, dtype=int))
+    j = np.arange(n2)
+    jn = (j + 1) % n2
+    fan = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=-1)
+    ring = 1 + n2 * np.arange(rows - 1)[:, None]  # first vertex of rings 0..rows-2
+    v00, v01, v10, v11 = ring + j, ring + jn, ring + n2 + j, ring + n2 + jn
+    quads = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    return Mesh(vertices=vertices, faces=np.vstack([fan, quads]))
 
 
 def write_obj(mesh: Mesh, path):

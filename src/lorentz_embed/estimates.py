@@ -47,6 +47,13 @@ MANDATORY_IDS = (
     "admissibility",
 )
 
+# slacks: per h^2 of the gradient and Hessian records, and of the lower bound
+GRAD_SLACK_CONST = 2.0
+HESS_SLACK_CONST = 10.0
+LOWER_BOUND_SLACK = 1e-9
+# radial samples of the band a probe ball meets on a warped chart
+BALL_SAMPLES = 4096
+
 
 @dataclass(frozen=True)
 class EstimateRecord:
@@ -103,7 +110,7 @@ class EstimateReport:
         }
 
 
-def max_neg_curvature_ball(metric, center, r0, samples=4096):
+def max_neg_curvature_ball(metric, center, r0):
     """Max of -K over the closed metric ball of radius r0 about a chart point.
 
     On warped polar charts the ball meets exactly the radial band
@@ -120,7 +127,8 @@ def max_neg_curvature_ball(metric, center, r0, samples=4096):
             raise ValueError(
                 f"ball of radius {r0} about r={r_c} leaves the chart (r_max={metric.r_max})"
             )
-        band = np.linspace(max(r_c - r0, 0.0), min(r_c + r0, metric.r_max), samples + 1)
+        band = np.linspace(max(r_c - r0, 0.0), min(r_c + r0, metric.r_max),
+                           BALL_SAMPLES + 1)
         return float(np.max(-metric.curvature_at(band, None)))
     rho_c, th_c = float(center[0]), float(center[1])
     xc, yc = rho_c * math.cos(th_c), rho_c * math.sin(th_c)
@@ -182,8 +190,7 @@ def _probe_ball_fits(field, center, r0):
     metric = field.metric
     if metric.kind == "geodesic_polar":
         return center[0] + r0 <= field.ball_radius + 1e-12
-    if getattr(metric, "pair_distance", None) is not None and \
-            getattr(metric, "center_distance", None) is not None:
+    if metric.pair_distance is not None and metric.center_distance is not None:
         rho, th = center
         d_center = float(metric.pair_distance(
             0.0, 0.0, rho * math.cos(th), rho * math.sin(th)))
@@ -227,7 +234,7 @@ def check_zero_order(field: AdmissibleField, boundary_value=None, slack=1e-9):
     return [lower_rec, upper_rec]
 
 
-def check_first_order(field: AdmissibleField, grad_slack_const=2.0, tol=1e-10):
+def check_first_order(field: AdmissibleField, tol=1e-10):
     """Gradient ceiling 2/sqrt(c1) and the linear barrier above u.
 
     The barrier b + (2/sqrt(c1)) (l - d(x0, .)) dominates u on domains that
@@ -240,7 +247,7 @@ def check_first_order(field: AdmissibleField, grad_slack_const=2.0, tol=1e-10):
     bound = 2.0 / math.sqrt(c1)
     grad = np.sqrt(field.hessian.grad_sq)
     h = max(grid.h1, grid.h2)
-    slack = grad_slack_const * h * h + 10.0 * tol
+    slack = GRAD_SLACK_CONST * h * h + 10.0 * tol
     records = [
         EstimateRecord(
             id="gradient_bound",
@@ -301,7 +308,7 @@ def admissibility_record(field: AdmissibleField):
     )
 
 
-def check_lower_bound(field: AdmissibleField, node, r0, slack=1e-9, c2=None):
+def check_lower_bound(field: AdmissibleField, node, r0, c2=None):
     """Three-term interior lower bound for u at a probe node.
 
     With A = 2 sqrt(c2) coth(sqrt(c2) r0) and c2 the ball max of -K, the
@@ -332,8 +339,8 @@ def check_lower_bound(field: AdmissibleField, node, r0, slack=1e-9, c2=None):
         bound=bound,
         observed=observed,
         margin=observed - bound,
-        passed=bool(observed - bound >= -slack),
-        slack=slack,
+        passed=bool(observed - bound >= -LOWER_BOUND_SLACK),
+        slack=LOWER_BOUND_SLACK,
         extra={"ball_max_neg_K": c2, "A": A, **terms, "node": list(node)},
     )
 
@@ -358,8 +365,7 @@ class CutoffFunction:
     records: list = dataclass_field(default_factory=list)
 
 
-def build_cutoff(field: AdmissibleField, node, r0, distance=None,
-                 grad_slack_const=2.0, hess_slack_const=10.0, c2=None):
+def build_cutoff(field: AdmissibleField, node, r0, distance=None, c2=None):
     """Construct the cutoff about a probe node and audit its three properties.
 
     i)  0 <= phi <= cap on the support, phi >= (cap - u(probe))/2 on the
@@ -389,8 +395,8 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None,
     c1 = metric.bounds.c1
     h = max(grid.h1, grid.h2)
     slack_rng = 1e-10
-    slack_grad = grad_slack_const * h * h + 1e-8
-    slack_hess = hess_slack_const * h * h + 1e-8
+    slack_grad = GRAD_SLACK_CONST * h * h + 1e-8
+    slack_hess = HESS_SLACK_CONST * h * h + 1e-8
 
     recs = []
     lo = float(phi[support].min())
@@ -463,13 +469,13 @@ class SecondOrderConstants:
             raise ValueError("curvature constants must be nonnegative (c2 positive)")
 
 
-def second_order_constants(metric, center, r0, c_cal=1.0, fd_step=1e-4, c2=None):
+def second_order_constants(metric, center, r0, c_cal=1.0, c2=None):
     """c2 over B(center, r0), c2' over B(center, r0+1), and the log-curvature
     derivative bounds c3, c4 over B(center, r0).
 
-    Radial charts sample closed-form derivatives of log(-K) when the metric
-    carries them, else centered differences with step ``fd_step``.  A given
-    ``c2`` is taken as the ball max over B(center, r0).
+    Radial charts sample the closed-form derivatives of log(-K) on the
+    probe ball's radial band; conformal charts use the chart-wide bounds.
+    A given ``c2`` is taken as the ball max over B(center, r0).
     """
     if c2 is None:
         c2 = max_neg_curvature_ball(metric, center, r0)
@@ -478,16 +484,9 @@ def second_order_constants(metric, center, r0, c_cal=1.0, fd_step=1e-4, c2=None)
         r_c = float(center[0])
         band = np.linspace(max(r_c - r0, 0.0), min(r_c + r0, metric.r_max), 2049)
         band = np.clip(band, 1e-9, None)
-        K = metric.curvature
-        kv = np.asarray(K(band), dtype=float)
-        kprime = getattr(metric, "curvature_prime", None)
-        kpp = getattr(metric, "curvature_double_prime", None)
-        if kprime is not None and kpp is not None:
-            kp = np.asarray(kprime(band), dtype=float)
-            kdp = np.asarray(kpp(band), dtype=float)
-        else:
-            kp = (np.asarray(K(band + fd_step)) - np.asarray(K(band - fd_step))) / (2 * fd_step)
-            kdp = (np.asarray(K(band + fd_step)) - 2 * kv + np.asarray(K(band - fd_step))) / fd_step**2
+        kv = np.asarray(metric.curvature(band), dtype=float)
+        kp = np.asarray(metric.curvature_prime(band), dtype=float)
+        kdp = np.asarray(metric.curvature_double_prime(band), dtype=float)
         wp = kp / kv
         wpp = kdp / kv - wp**2
         ang = metric.f_prime(band) / metric.f(band) * wp

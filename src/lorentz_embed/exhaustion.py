@@ -1,13 +1,12 @@
 """Continuation of the Dirichlet solves over an expanding sequence of balls.
 
 Each ball is solved with the constant boundary datum 1/(2 max(-K)) (or a
-configurable perturbation of it), warm-started from the previous solution
-extended by the new boundary constant outside the old ball.  Interior
-convergence is certified on a fixed reference grid inside the smallest
-ball: the table of successive sups delta_k = max |u_{k+1} - u_k| must
-decrease after the first step, mirroring the uniform interior estimates
-that make the limit exist.  No convergence *rate* is asserted, only the
-observed deltas.
+configurable perturbation of it), starting from that constant: no ball
+starts from the previous one.  Interior convergence is certified on a
+fixed 48 x 64 reference grid inside the smallest ball: the table of
+successive sups delta_k = max |u_{k+1} - u_k| must decrease after the
+first step, mirroring the uniform interior estimates that make the limit
+exist.  No convergence *rate* is asserted, only the observed deltas.
 """
 
 from __future__ import annotations
@@ -30,6 +29,9 @@ __all__ = [
     "run_exhaustion",
     "sample_bicubic",
 ]
+
+# (n1, n2) of the grid on the observation ball where the deltas are read
+_REFERENCE_SHAPE = (48, 64)
 
 
 class DivergenceError(RuntimeError):
@@ -54,7 +56,6 @@ class ExhaustionSchedule:
     l_obs: float
     tol: float = 1e-5
     boundary_rule: str = "standard"  # "standard" or "midpoint"
-    reference_shape: tuple = (48, 64)
 
     def __post_init__(self):
         radii = tuple(float(l) for l in self.radii)
@@ -82,19 +83,24 @@ class ExhaustionStep:
     max_grad: float
     iterations: int
 
+    @classmethod
+    def of(cls, l, delta, sol):
+        """The table row of the ball of radius l, solved as ``sol``."""
+        return cls(l, delta, float(sol.u.values.min()), float(sol.u.values.max()),
+                   float(np.sqrt(sol.hessian.grad_sq).max()), sol.iterations)
+
 
 @dataclass
 class ExhaustionResult:
     fields: list
     steps: list
-    reference_grid: PolarGrid
     limit_on_reference: np.ndarray
     converged: bool
     deltas_monotone: bool
 
 
-def make_schedule(metric, radii, l_obs, nodes_per_unit=16, n_theta=64,
-                  tol=1e-5, boundary_rule="standard", reference_shape=(48, 64)):
+def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
+                  tol=1e-5, boundary_rule="standard"):
     """Grids scaled with the ball: radial spacing fixed, angular count even.
 
     The angular count is held at ``n_theta`` by default (adequate whenever
@@ -105,12 +111,11 @@ def make_schedule(metric, radii, l_obs, nodes_per_unit=16, n_theta=64,
     for l in radii:
         n_r = max(int(math.ceil(l * nodes_per_unit)), 16)
         grids.append(PolarGrid(n_r, n_theta, float(l)))
-    return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol,
-                              boundary_rule, reference_shape)
+    return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
 def sample_bicubic(field: ScalarField, r_pts, t_pts):
-    """Bicubic sample of a polar grid function, pole-aware and periodic.
+    """Bicubic sample of a polar grid function on the mesh r_pts x t_pts.
 
     The array is extended by four mirrored rows across the pole and four
     wrapped columns in theta before spline fitting, so evaluation is
@@ -127,12 +132,9 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     t_ext = np.concatenate([grid.q2[-pad:] - 2 * math.pi, grid.q2,
                             grid.q2[:pad] + 2 * math.pi])
     spline = RectBivariateSpline(r_ext, t_ext, ext, kx=3, ky=3)
-    r_pts = np.asarray(r_pts, dtype=float)
     t_wrapped = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0,
                        2 * math.pi) + grid.theta0
-    if r_pts.ndim == 1 and t_wrapped.ndim == 1:
-        return spline(r_pts, t_wrapped, grid=True)
-    return spline(r_pts, t_wrapped, grid=False)
+    return spline(np.asarray(r_pts, dtype=float), t_wrapped)
 
 
 def _boundary_value(metric, l, rule):
@@ -143,72 +145,46 @@ def _boundary_value(metric, l, rule):
 
 
 def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
-                   max_iter=30, keep_fields=True) -> ExhaustionResult:
-    """Solve the schedule, warm-starting each ball from the previous one.
+                   max_iter=30) -> ExhaustionResult:
+    """Solve the schedule, each ball from its constant boundary datum.
 
     Raises DivergenceError when the interior deltas increase across three
-    consecutive steps; otherwise returns the per-step table, the final
-    field, and its restriction to the reference grid.  Stops early once
-    delta drops below the schedule tolerance.
+    consecutive steps; otherwise returns the per-step table, every field
+    solved, and the last one's restriction to the reference grid.  Stops
+    early once delta drops below the schedule tolerance.
     """
-    ref = PolarGrid(schedule.reference_shape[0], schedule.reference_shape[1],
-                    schedule.l_obs)
-    R_ref, T_ref = ref.mesh()
+    ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs)
     steps, fields = [], []
-    prev_field = None
     prev_ref = None
     increases = 0
-    converged = False
     deltas = []
 
     for l, grid in zip(schedule.radii, schedule.grids):
         b = _boundary_value(metric, l, schedule.boundary_rule)
         problem = DirichletProblem(metric, grid, boundary_value=b,
                                    tol=solver_tol, max_iter=max_iter)
-        initial = None
-        if prev_field is not None:
-            initial = np.full(grid.shape, b)
-            R, _ = grid.mesh()
-            inside = R <= prev_field.ball_radius - 1e-12
-            vals = sample_bicubic(prev_field.u, grid.q1, grid.q2)
-            initial[inside] = vals[inside]
-        sol = solve_dirichlet(problem, initial=initial)
+        sol = solve_dirichlet(problem)
         u_ref = sample_bicubic(sol.u, ref.q1, ref.q2)
         delta = math.nan if prev_ref is None else float(np.abs(u_ref - prev_ref).max())
-        steps.append(ExhaustionStep(
-            l=l,
-            delta=delta,
-            min_u=float(sol.u.values.min()),
-            max_u=float(sol.u.values.max()),
-            max_grad=float(np.sqrt(sol.hessian.grad_sq).max()),
-            iterations=sol.iterations,
-        ))
-        if keep_fields:
-            fields.append(sol)
-        else:
-            fields = [sol]
-        if len(deltas) >= 1 and not math.isnan(delta) and delta > deltas[-1]:
-            increases += 1
+        steps.append(ExhaustionStep.of(l, delta, sol))
+        fields.append(sol)
+        if not math.isnan(delta):
+            increases = increases + 1 if deltas and delta > deltas[-1] else 0
             if increases >= 3:
                 raise DivergenceError(
                     "interior deltas increased across three consecutive steps",
                     steps, fields,
                 )
-        elif not math.isnan(delta):
-            increases = 0
-        if not math.isnan(delta):
             deltas.append(delta)
-        prev_field, prev_ref = sol, u_ref
+        prev_ref = u_ref
         if deltas and deltas[-1] <= schedule.tol:
-            converged = True
             break
 
     monotone = all(b <= a for a, b in zip(deltas, deltas[1:]))
-    converged = converged or (bool(deltas) and deltas[-1] <= schedule.tol)
+    converged = bool(deltas) and deltas[-1] <= schedule.tol
     return ExhaustionResult(
         fields=fields,
         steps=steps,
-        reference_grid=ref,
         limit_on_reference=prev_ref,
         converged=converged,
         deltas_monotone=monotone,

@@ -349,8 +349,7 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
         raise RuntimeError(
             f"geodesic shooting did not converge (worst endpoint error {worst:.3e})"
         )
-    out = np.where(degenerate, 0.0, length)
-    return out
+    return np.where(degenerate, 0.0, length)
 
 
 def distance_field(metric, grid, node, reach=math.inf):

@@ -177,20 +177,20 @@ def _fd_weights(offsets: tuple, deriv: int) -> np.ndarray:
     return w
 
 
-def _ghost_rows_below(F: np.ndarray, depth: int, parity: float) -> np.ndarray:
-    """Prepend rows r_{-1-k} = parity * F[k] rotated by half a turn."""
+def _ghost_rows_below(F: np.ndarray, depth: int) -> np.ndarray:
+    """Prepend rows r_{-1-k} = F[k] rotated by half a turn."""
     half = F.shape[1] // 2
-    ghosts = [parity * np.roll(F[k], half) for k in range(depth)]
+    ghosts = [np.roll(F[k], half) for k in range(depth)]
     return np.vstack([*reversed(ghosts), F])
 
 
-def radial_derivative(F, h, deriv=1, order=2, parity=1.0):
+def radial_derivative(F, h, deriv=1, order=2):
     """d^deriv/dr^deriv along axis 0, accuracy `order`, ghost rows across the pole.
 
     Interior rows use centered stencils; the top order//2 rows fall back to
     one-sided stencils of the same order (used only by audits, never by the
-    equation operator).  `parity` is +1 for scalars and tensor components
-    with an even number of radial indices, -1 otherwise.
+    equation operator).  F is a scalar field: its ghost rows are the
+    antipodal values, without a sign change.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -198,7 +198,7 @@ def radial_derivative(F, h, deriv=1, order=2, parity=1.0):
     npts_c = 2 * half + 1
     if n < npts_c:
         raise GridTooCoarseError(f"need at least {npts_c} radial rows for order {order}")
-    Fe = _ghost_rows_below(F, half, parity)
+    Fe = _ghost_rows_below(F, half)
     out = np.empty_like(F)
     w = _fd_weights(tuple(range(-half, half + 1)), deriv) / h**deriv
     n_centered = n - half  # rows 0..n_centered-1 have full upper neighbors

@@ -33,6 +33,9 @@ __all__ = [
     "jacobi_defect",
 ]
 
+# largest Jacobi defect |f'' + K f| / max(1, f) a built radial chart may carry
+JACOBI_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class CurvatureBounds:
@@ -64,20 +67,21 @@ class CurvatureBounds:
 class WarpedPolarMetric:
     """Geodesic polar chart g = dr^2 + f(r)^2 dtheta^2 with K = -f''/f.
 
-    ``f`` and ``f_prime`` accept scalars or numpy arrays.  ``sample_*``
-    arrays are retained when f came from an ODE integration so the Jacobi
-    consistency invariant can be re-audited later.
+    ``f``, ``f_prime``, the curvature K and its first two radial
+    derivatives accept scalars or numpy arrays.  ``sample_*`` arrays are
+    retained when f came from an ODE integration so the Jacobi consistency
+    invariant can be re-audited later.
     """
 
     f: Callable
     f_prime: Callable
     curvature: Callable
+    curvature_prime: Callable
+    curvature_double_prime: Callable
     r_max: float
     bounds: CurvatureBounds | None = None
     sample_radii: np.ndarray | None = None
     sample_f: np.ndarray | None = None
-    curvature_prime: Callable | None = None
-    curvature_double_prime: Callable | None = None
 
     kind: ClassVar[str] = "geodesic_polar"
 
@@ -98,7 +102,7 @@ class WarpedPolarMetric:
         return np.asarray(self.curvature(np.asarray(r, dtype=float)), dtype=float)
 
 
-def make_hyperbolic(scale: float, r_max: float = math.inf) -> WarpedPolarMetric:
+def make_hyperbolic(scale: float) -> WarpedPolarMetric:
     """Constant-curvature chart K = -scale, f(r) = sinh(sqrt(scale) r)/sqrt(scale).
 
     scale = 1 is the metric of the unit imaginary sphere
@@ -121,37 +125,27 @@ def make_hyperbolic(scale: float, r_max: float = math.inf) -> WarpedPolarMetric:
         c1=scale, c2=scale, c2_of_radius=lambda l: scale, c3=0.0, c4=0.0
     )
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return WarpedPolarMetric(f, f_prime, curvature, r_max, bounds,
-                             curvature_prime=zero, curvature_double_prime=zero)
-
-
-def _fd_derivatives(fn, r, step=1e-4):
-    """Centered first and second derivatives of a scalar profile."""
-    r = np.asarray(r, dtype=float)
-    fp = (fn(r + step) - fn(r - step)) / (2.0 * step)
-    fpp = (fn(r + step) - 2.0 * fn(r) + fn(r - step)) / step**2
-    return fp, fpp
+    return WarpedPolarMetric(f, f_prime, curvature, zero, zero, math.inf, bounds)
 
 
 def make_radial_from_curvature(
     K: Callable,
     r_max: float,
+    k_prime: Callable,
+    k_double_prime: Callable,
     ode_step: float = 1e-3,
-    jacobi_tol: float = 1e-7,
-    k_prime: Callable | None = None,
-    k_double_prime: Callable | None = None,
 ) -> WarpedPolarMetric:
     """Build the warped polar chart realizing a prescribed radial curvature.
 
     Integrates the Jacobi equation f'' = -K f from f(0) = 0, f'(0) = 1 with
     a classical fourth-order scheme at fixed step <= ode_step, then backs f
     and f' with splines on the sample grid (interpolation error is O(step^4),
-    far below jacobi_tol).  K must be continuous and strictly negative on
+    far below JACOBI_TOL).  K must be continuous and strictly negative on
     [0, r_max]; the first offending radius is reported otherwise.
 
-    ``k_prime``/``k_double_prime`` are optional closed-form derivatives of K;
-    when absent, the c3/c4 constants fall back to centered differences with
-    step 1e-4.
+    ``k_prime`` and ``k_double_prime`` are the closed-form radial
+    derivatives of K; the log-curvature bounds c3 and c4 are sampled from
+    them.
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
@@ -202,14 +196,8 @@ def make_radial_from_curvature(
         idx = min(int(math.ceil(l / h)), n)
         return float(max(cummax[idx], -K(min(l, r_max))))
 
-    if k_prime is not None:
-        kp = np.asarray(k_prime(radii), dtype=float)
-    else:
-        kp = _fd_derivatives(K, radii)[0]
-    if k_double_prime is not None:
-        kpp = np.asarray(k_double_prime(radii), dtype=float)
-    else:
-        kpp = _fd_derivatives(K, radii)[1]
+    kp = np.asarray(k_prime(radii), dtype=float)
+    kpp = np.asarray(k_double_prime(radii), dtype=float)
     # w = log(-K): w' = K'/K, w'' = K''/K - (K'/K)^2
     wp = kp / kvals
     wpp = kpp / kvals - wp**2
@@ -227,29 +215,25 @@ def make_radial_from_curvature(
         c4=c4,
     )
     metric = WarpedPolarMetric(
-        f, f_prime, K, r_max, bounds, sample_radii=radii, sample_f=fs,
-        curvature_prime=k_prime, curvature_double_prime=k_double_prime,
+        f, f_prime, K, k_prime, k_double_prime, r_max, bounds,
+        sample_radii=radii, sample_f=fs,
     )
     defect = jacobi_defect(metric)
-    if defect > jacobi_tol:
+    if defect > JACOBI_TOL:
         raise ValueError(
-            f"Jacobi consistency defect {defect:.3e} exceeds tolerance {jacobi_tol:.1e}"
+            f"Jacobi consistency defect {defect:.3e} exceeds tolerance {JACOBI_TOL:.1e}"
         )
     return metric
 
 
-def jacobi_defect(m: WarpedPolarMetric, radii: np.ndarray | None = None) -> float:
-    """Max of |f'' + K f| / max(1, f) with f'' from a five-point stencil.
+def jacobi_defect(m: WarpedPolarMetric) -> float:
+    """Max of |f'' + K f| / max(1, f) over the ODE sample radii of f, with
+    f'' from a five-point stencil.
 
     The check is independent of how f was produced: it differences sampled
     values of f instead of trusting the stored derivative.
     """
-    if radii is None:
-        if m.sample_radii is not None:
-            radii = m.sample_radii
-        else:
-            radii = np.linspace(0.0, min(m.r_max, 10.0), 4001)
-    radii = np.asarray(radii, dtype=float)
+    radii = m.sample_radii
     h = radii[1] - radii[0]
     fv = np.asarray(m.f(radii), dtype=float)
     kv = np.asarray(m.curvature(radii), dtype=float)
@@ -268,7 +252,7 @@ class ConformalDiscMetric:
     Laplacian of log psi in closed form, so the chart's curvature
     K = -lap(log psi)/(2 psi) is available without differencing.  The
     consistency of ``curvature`` with that identity is checked on a dense
-    sample at construction.  Grids use chart-polar coordinates (rho, theta);
+    sample at construction, to a relative 1e-8.  Grids use chart-polar coordinates (rho, theta);
     all evaluation methods take those and convert internally.
     """
 
@@ -278,7 +262,6 @@ class ConformalDiscMetric:
     curvature: Callable
     domain_radius: float
     bounds: CurvatureBounds | None = None
-    curvature_tol: float = 1e-8
     pair_distance: Callable | None = None    # closed-form d((x1,y1),(x2,y2)) if known
     center_distance: Callable | None = None  # closed-form d(0, chart radius rho)
 
@@ -296,7 +279,7 @@ class ConformalDiscMetric:
             2.0 * np.asarray(self.psi(x, y), dtype=float)
         )
         err = np.max(np.abs(k_stored - k_conf) / np.maximum(1.0, np.abs(k_stored)))
-        if err > self.curvature_tol:
+        if err > 1e-8:
             raise ValueError(
                 f"stored curvature disagrees with -lap(log psi)/(2 psi) by {err:.3e}"
             )

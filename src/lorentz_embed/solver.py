@@ -5,9 +5,10 @@ fixed ball with constant boundary value b = 1/(2 max(-K)).  The constant
 field u = b is a strict subsolution and an admissible starting point
 (Hess u = 0, g > 0), so a damped Newton iteration on the log-form residual
 replaces the continuity method: failures here are damping issues, not
-modeling issues.  The line search halves the step until both admissibility
-margins (min eigenvalue of g^{-1}(Hess u + g) and min of |grad u|^2 + 2u)
-retain at least a fixed fraction of their previous values.
+modeling issues.  Every solve starts from that constant.  The line search
+halves the step until both admissibility margins (min eigenvalue of
+g^{-1}(Hess u + g) and min of |grad u|^2 + 2u) retain at least the fraction
+MARGIN_KEEP of their previous values, giving up below MIN_STEP.
 
 Each Newton step differentiates the discrete residual exactly: nine
 stencil-coefficient arrays per iteration, one per (radial, angular)
@@ -41,6 +42,10 @@ __all__ = [
     "verify_subsolution",
 ]
 
+# line search: smallest step tried, and the share of each margin a step keeps
+MIN_STEP = 1e-12
+MARGIN_KEEP = 0.1
+
 
 class NonConvergenceError(RuntimeError):
     """Newton failed to converge; carries the iteration trace."""
@@ -64,8 +69,6 @@ class DirichletProblem:
     boundary_value: float | None = None
     tol: float = 1e-10
     max_iter: int = 30
-    min_step: float = 1e-12
-    margin_keep: float = 0.1
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.max_iter < 1:
@@ -73,7 +76,7 @@ class DirichletProblem:
         if self.boundary_value is None:
             if self.metric.bounds is None:
                 raise ValueError("metric carries no bounds; pass boundary_value")
-            b = 1.0 / (2.0 * self.metric.bounds.c2_of_radius(self.ball_radius))
+            b = 1.0 / (2.0 * self.metric.bounds.c2_of_radius(self.grid.radius))
             object.__setattr__(self, "boundary_value", float(b))
         if self.boundary_value <= 0.0:
             raise ValueError("boundary value must be positive")
@@ -83,10 +86,6 @@ class DirichletProblem:
                 raise ValueError(
                     f"boundary value {self.boundary_value} exceeds 1/(2 c1) = {cap}"
                 )
-
-    @property
-    def ball_radius(self):
-        return self.grid.radius
 
 
 @dataclass(frozen=True)
@@ -308,16 +307,12 @@ def _linear_solve(J, rhs):
     return x
 
 
-def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None,
-                    keep_trace: bool = True) -> AdmissibleField:
+def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     """Solve one Dirichlet problem by damped Newton from the constant subsolution.
 
-    `initial` optionally warm-starts the iteration (its boundary ring is
-    overwritten with the boundary value; an inadmissible warm start falls
-    back to the constant).  Returns an AdmissibleField whose interior
-    log-residual infinity norm is <= problem.tol.  Raises
-    NonConvergenceError with the trace when damping underflows or the
-    iteration budget is exhausted.
+    Returns an AdmissibleField whose interior log-residual infinity norm is
+    <= problem.tol.  Raises NonConvergenceError with the trace when damping
+    underflows or the iteration budget is exhausted.
     """
     grid = problem.grid
     metric = problem.metric
@@ -325,25 +320,14 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
     chart = chart_arrays(metric, grid)
     stencil = _Stencil(grid.h1, grid.h2)
 
-    values = np.full(grid.shape, b)
-    if initial is not None:
-        cand = np.array(initial, dtype=float)
-        if cand.shape != grid.shape:
-            raise ValueError("initial guess shape mismatch")
-        cand[-1] = b
-        if _probe(cand, chart).admissible:
-            values = cand
-
     trace = []
     step = np.nan
-    state = _probe(values, chart)
-    if not state.admissible:  # constant start is admissible by construction
-        raise NonConvergenceError("initial state inadmissible", trace)
+    # the constant start is admissible: Hess u = 0, and 2b > 0
+    state = _probe(np.full(grid.shape, b), chart)
 
     for it in range(problem.max_iter + 1):
         res_norm = state.res_norm
-        if keep_trace:
-            trace.append((it, res_norm, step, state.eig_margin))
+        trace.append((it, res_norm, step, state.eig_margin))
         if res_norm <= problem.tol:
             return _finalize(ScalarField(grid, state.values), chart, metric, b, it, trace)
         rhs = np.zeros(grid.shape)
@@ -357,26 +341,24 @@ def solve_dirichlet(problem: DirichletProblem, initial: np.ndarray | None = None
             delta = _linear_solve(J, rhs.ravel()).reshape(grid.shape)
 
         t = 1.0
-        keep = problem.margin_keep
         accepted = None
-        while t >= problem.min_step:
+        while t >= MIN_STEP:
             try:
-                cand = _probe(values + t * delta, chart)
+                cand = _probe(state.values + t * delta, chart)
             except ValueError:  # non-finite trial state: damp it away
                 t *= 0.5
                 continue
             if (cand.admissible
-                    and cand.eig_margin >= keep * state.eig_margin
-                    and cand.rhs_margin >= keep * state.rhs_margin):
+                    and cand.eig_margin >= MARGIN_KEEP * state.eig_margin
+                    and cand.rhs_margin >= MARGIN_KEEP * state.rhs_margin):
                 accepted = cand
                 break
             t *= 0.5
         if accepted is None:
             raise NonConvergenceError(
-                f"damping underflow at iteration {it} (step < {problem.min_step})",
+                f"damping underflow at iteration {it} (step < {MIN_STEP})",
                 trace,
             )
-        values = accepted.values
         state = accepted
         step = t
 

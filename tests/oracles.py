@@ -98,3 +98,21 @@ def pinched_curvature():
         return -((2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
 
     return K, Kp, Kpp
+
+
+def bump_curvature():
+    """K(r) = -(1 + 8 exp(-2 (r - 1.5)^2)), 9:1 pinching in an annulus, with
+    derivatives."""
+
+    def K(r):
+        return -(1.0 + 8.0 * np.exp(-2.0 * (np.asarray(r, float) - 1.5) ** 2))
+
+    def Kp(r):
+        s = np.asarray(r, float) - 1.5
+        return 32.0 * s * np.exp(-2.0 * s * s)
+
+    def Kpp(r):
+        s = np.asarray(r, float) - 1.5
+        return 32.0 * (1.0 - 4.0 * s * s) * np.exp(-2.0 * s * s)
+
+    return K, Kp, Kpp

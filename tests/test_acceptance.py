@@ -176,10 +176,9 @@ def test_criterion_09_uniqueness_proxy(pinched_metric):
     radii = (2.0, 3.0, 4.0, 5.0, 6.0)
     results = {}
     for rule in ("standard", "midpoint"):
-        sched = make_schedule(pinched_metric, radii, l_obs=1.0,
-                              nodes_per_unit=16, n_theta=32, tol=1e-16,
-                              boundary_rule=rule)
-        results[rule] = run_exhaustion(sched, pinched_metric, keep_fields=False)
+        sched = make_schedule(radii, l_obs=1.0, nodes_per_unit=16, n_theta=32,
+                              tol=1e-16, boundary_rule=rule)
+        results[rule] = run_exhaustion(sched, pinched_metric)
     gap = float(np.max(np.abs(results["standard"].limit_on_reference
                               - results["midpoint"].limit_on_reference)))
     assert gap <= 5e-4

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +109,19 @@ class TestValidation:
         ("audit", {"r0_list": []}, "audit.r0_list"),
         ("audit", {"c_cal": math.nan}, "audit.c_cal"),
         ("schema_version", True, "schema_version"),
+        # keys the run would not read
+        ("outputs", {}, "outputs"),
+        ("grid", {"n_theta": 16, "n_rho": 32}, "grid.n_rho"),
+        ("exhaustion", {"radii": [2.0, 3.0], "l_obs": 1.0, "tolerance": 1e-5},
+         "exhaustion.tolerance"),
+        ("solver", {"tol": 1e-10, "maxiter": 30}, "solver.maxiter"),
+        ("audit", {"r0_list": [1.0], "r0": 1.0}, "audit.r0"),
+        ("output", {"dir": "runs"}, "output.dir"),
+        ("metric", {"family": "hyperbolic", "base": 1.0}, "metric.base"),
+        ("metric", {"family": "radial_pinched", "curvature_scale": 1.0},
+         "metric.curvature_scale"),
+        ("metric", {"family": "poincare", "eps": 0.1}, "metric.eps"),
+        ("metric", {"family": "poincare_perturbed", "r_max": 5.0}, "metric.r_max"),
     ])
     def test_malformed_field_named(self, section, value, field):
         cfg, errors = validate_config(base_config(**{section: value}))
@@ -159,6 +175,9 @@ class TestPipeline:
     @pytest.mark.parametrize("section, value, field", [
         ("solver", {"tol": math.nan}, "solver.tol"),
         ("metric", {"family": "radial_pinched", "base": "1"}, "metric.base"),
+        ("exhaustion", {"radii": [2.0, 3.0], "l_obs": 1.0, "tolerance": 1e-5},
+         "exhaustion.tolerance"),
+        ("metric", {"family": "hyperbolic", "amp": 1.0}, "metric.amp"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, section, value, field):
         cfg_path = write_config(tmp_path, base_config(**{section: value}))
@@ -291,3 +310,37 @@ class TestLocking:
         # released after exit
         with _locked_dir(out):
             pass
+
+    @staticmethod
+    def _exited_pid():
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def test_stale_lock_reclaimed(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        pid = self._exited_pid()
+        (out / ".lock").write_text(str(pid))
+        with _locked_dir(str(out)):
+            assert (out / ".lock").read_text() == str(os.getpid())
+        assert not (out / ".lock").exists()
+        err = capsys.readouterr().err
+        assert "stale lock" in err and str(pid) in err
+
+    @pytest.mark.parametrize("content", ["live", "", "not a pid", "0", "group"])
+    def test_unproven_lock_blocks(self, tmp_path, capsys, content):
+        # a live writer, one that has not written its PID yet, or a process
+        # group id (no process group has the id of an exited child)
+        out = tmp_path / "run"
+        out.mkdir()
+        if content == "live":
+            content = str(os.getpid())
+        elif content == "group":
+            content = str(-self._exited_pid())
+        (out / ".lock").write_text(content)
+        with pytest.raises(RuntimeError, match="locked"):
+            with _locked_dir(str(out)):
+                pass
+        assert (out / ".lock").read_text() == content
+        assert "stale" not in capsys.readouterr().err

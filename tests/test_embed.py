@@ -251,6 +251,34 @@ class TestExport:
             area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             assert area2 > 0.0  # counterclockwise seen from +x3
 
+    def test_faces_match_ring_by_ring_loop(self, model_embedding):
+        # the fan around the pole, then two triangles per quad, ring by ring
+        mesh = export_graph(model_embedding[2], rows=4)
+        n2 = model_embedding[2].grid.n2
+        faces = [(0, 1 + j, 1 + (j + 1) % n2) for j in range(n2)]
+        for i in range(3):
+            for j in range(n2):
+                jn = (j + 1) % n2
+                v00, v01 = 1 + i * n2 + j, 1 + i * n2 + jn
+                v10, v11 = 1 + (i + 1) * n2 + j, 1 + (i + 1) * n2 + jn
+                faces += [(v00, v10, v11), (v00, v11, v01)]
+        assert np.array_equal(mesh.faces, np.array(faces))
+
+    def test_segment_weights_match_pointwise_lagrange(self):
+        r = np.array([0.05, 0.15, 0.25, 0.35, 0.45])
+        F = np.random.default_rng(3).standard_normal((5, 3))
+        s_pts = np.linspace(0.05, 0.0, 5)
+        W = []
+        for s in s_pts:
+            W.append([
+                (s - r[1]) * (s - r[2]) * (s - r[3]) / ((r[0] - r[1]) * (r[0] - r[2]) * (r[0] - r[3])),
+                (s - r[0]) * (s - r[2]) * (s - r[3]) / ((r[1] - r[0]) * (r[1] - r[2]) * (r[1] - r[3])),
+                (s - r[0]) * (s - r[1]) * (s - r[3]) / ((r[2] - r[0]) * (r[2] - r[1]) * (r[2] - r[3])),
+                (s - r[0]) * (s - r[1]) * (s - r[2]) / ((r[3] - r[0]) * (r[3] - r[1]) * (r[3] - r[2])),
+            ])
+        expect = np.array(W) @ F[:4]
+        assert np.array_equal(_extrapolate_to_segment(F, r, s_pts), expect)
+
     def test_single_ring_rejected(self, model_embedding):
         with pytest.raises(ValueError, match="too few rings"):
             export_graph(model_embedding[2], rows=1)

@@ -237,9 +237,9 @@ class TestSuite:
                                                        monkeypatch):
         calls = []
 
-        def counted(metric, center, r0, samples=4096):
+        def counted(metric, center, r0):
             calls.append((float(center[0]), float(center[1]), r0))
-            return max_neg_curvature_ball(metric, center, r0, samples)
+            return max_neg_curvature_ball(metric, center, r0)
 
         monkeypatch.setattr(estimates, "max_neg_curvature_ball", counted)
         g = pinched_solve_64.u.grid

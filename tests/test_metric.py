@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from oracles import pinched_curvature
+from oracles import bump_curvature, pinched_curvature
 
 from lorentz_embed.metric import (
     CurvatureBounds,
@@ -18,11 +18,22 @@ from lorentz_embed.metric import (
 )
 
 
+def _zero(r):
+    return np.zeros_like(np.asarray(r, dtype=float))
+
+
+def constant_curvature(k):
+    """K = k with its (vanishing) radial derivatives."""
+    return (lambda r: np.full_like(np.asarray(r, dtype=float), k)), _zero, _zero
+
+
 def flat_metric(r_max=10.0):
     return WarpedPolarMetric(
         f=lambda r: np.asarray(r, dtype=float),
         f_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-        curvature=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        curvature=_zero,
+        curvature_prime=_zero,
+        curvature_double_prime=_zero,
         r_max=r_max,
     )
 
@@ -51,7 +62,8 @@ class TestHyperbolic:
 
 class TestRadialFromCurvature:
     def test_recovers_sinh(self):
-        m = make_radial_from_curvature(lambda r: -np.ones_like(np.asarray(r, float)), 3.0)
+        K, Kp, Kpp = constant_curvature(-1.0)
+        m = make_radial_from_curvature(K, 3.0, Kp, Kpp)
         assert abs(float(m.f(2.0)) - math.sinh(2.0)) <= 1e-8
 
     def test_step_halving_agreement(self):
@@ -59,12 +71,21 @@ class TestRadialFromCurvature:
             r = np.asarray(r, dtype=float)
             return -(1.0 + 0.5 * r * r / (1.0 + r * r))
 
-        m1 = make_radial_from_curvature(K, 2.5, ode_step=1e-3)
-        m2 = make_radial_from_curvature(K, 2.5, ode_step=5e-4)
+        def Kp(r):
+            r = np.asarray(r, dtype=float)
+            return -(r / (1.0 + r * r) ** 2)
+
+        def Kpp(r):
+            r = np.asarray(r, dtype=float)
+            return -((1.0 - 3.0 * r * r) / (1.0 + r * r) ** 3)
+
+        m1 = make_radial_from_curvature(K, 2.5, Kp, Kpp, ode_step=1e-3)
+        m2 = make_radial_from_curvature(K, 2.5, Kp, Kpp, ode_step=5e-4)
         assert abs(float(m1.f(2.0)) - float(m2.f(2.0))) <= 1e-8
 
     def test_scaled_closed_form(self):
-        m = make_radial_from_curvature(lambda r: -4.0 * np.ones_like(np.asarray(r, float)), 1.5)
+        K, Kp, Kpp = constant_curvature(-4.0)
+        m = make_radial_from_curvature(K, 1.5, Kp, Kpp)
         assert float(m.f(1.0)) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-8)
 
     def test_rejects_nonnegative_curvature(self):
@@ -73,19 +94,20 @@ class TestRadialFromCurvature:
             return r - 1.0  # crosses zero at r = 1
 
         with pytest.raises(ValueError, match="strictly negative"):
-            make_radial_from_curvature(K, 2.0)
+            make_radial_from_curvature(K, 2.0, np.ones_like, _zero)
 
     def test_jacobi_consistency(self, pinched_metric):
         assert jacobi_defect(pinched_metric) <= 1e-7
 
-    @pytest.mark.parametrize("K, r_max", [
-        (pinched_curvature()[0], 6.5),
-        (lambda r: -(1.0 + 8.0 * np.exp(-2.0 * (np.asarray(r, float) - 1.5) ** 2)), 3.0),
+    @pytest.mark.parametrize("curvature, r_max", [
+        (pinched_curvature(), 6.5),
+        (bump_curvature(), 3.0),
     ], ids=["pinched", "bump"])
-    def test_samples_match_array_rk4(self, K, r_max):
+    def test_samples_match_array_rk4(self, curvature, r_max):
         # the stage-by-stage RK4 on 2-vectors with K evaluated per stage,
         # which the float loop over vectorized K samples must reproduce
-        m = make_radial_from_curvature(K, r_max)
+        K, Kp, Kpp = curvature
+        m = make_radial_from_curvature(K, r_max, Kp, Kpp)
         n = max(int(math.ceil(r_max / 1e-3)), 8)
         h = r_max / n
         radii = np.linspace(0.0, r_max, n + 1)
@@ -117,7 +139,9 @@ class TestRadialFromCurvature:
         K_rec = -fpp / fv[2:-2]
         K_true = pinched_metric.curvature_at(r[2:-2])
         assert np.max(np.abs(K_rec - K_true)) <= 1e-6
-        m2 = make_radial_from_curvature(pinched_metric.curvature, 6.0, ode_step=2e-4)
+        m2 = make_radial_from_curvature(
+            pinched_metric.curvature, 6.0, pinched_metric.curvature_prime,
+            pinched_metric.curvature_double_prime, ode_step=2e-4)
         rr = np.linspace(0.1, 5.5, 700)
         assert np.max(np.abs(m2.f(rr) - pinched_metric.f(rr))) <= 1e-6
 
@@ -125,7 +149,8 @@ class TestRadialFromCurvature:
 class TestCurvatureFdRatio:
     @pytest.mark.parametrize("factory", [
         lambda: make_hyperbolic(1.0),
-        lambda: make_radial_from_curvature(pinched_curvature()[0], 6.0),
+        lambda: make_radial_from_curvature(pinched_curvature()[0], 6.0,
+                                           *pinched_curvature()[1:]),
     ])
     def test_second_order_ratio(self, factory):
         m = factory()

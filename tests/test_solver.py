@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import bump_curvature
+
 from lorentz_embed import solver
-from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
+from lorentz_embed.metric import (
+    make_hyperbolic,
+    make_poincare,
+    make_poincare_perturbed,
+    make_radial_from_curvature,
+)
 from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.solver import (
     DirichletProblem,
@@ -164,34 +171,10 @@ class TestFourierStep:
         solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert len(calls) >= 1
 
-    def test_non_radial_state_factors(self, pinched_metric, monkeypatch):
-        g = PolarGrid(24, 16, 3.0)
-        vals, state = _state(pinched_metric, g, angular=0.01)
-        assert state.admissible
-        calls = self._count_splu(monkeypatch)
-        solve_dirichlet(DirichletProblem(pinched_metric, g), initial=vals)
-        assert len(calls) >= 1
-
     def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
         for sol in (pinched_solve_64, pinched_solve_l4):
             u = sol.u.values
             assert np.array_equal(u, np.broadcast_to(u[:, :1], u.shape))
-
-
-class TestWarmStart:
-    def test_inadmissible_warm_start_falls_back(self, pinched_metric):
-        g = PolarGrid(24, 16, 3.0)
-        p = DirichletProblem(pinched_metric, g)
-        bad = np.full(g.shape, p.boundary_value)
-        bad[10, 5] = 40.0  # wrecks admissibility
-        sol = solve_dirichlet(p, initial=bad)
-        assert sol.min_eigenvalue > 0.0
-
-    def test_warm_start_accepted(self, pinched_metric, pinched_solve_64):
-        g = pinched_solve_64.u.grid
-        p = DirichletProblem(pinched_metric, g)
-        sol = solve_dirichlet(p, initial=pinched_solve_64.u.values.copy())
-        assert sol.iterations <= 1
 
 
 class TestStrongPinching:
@@ -199,13 +182,8 @@ class TestStrongPinching:
         # 9:1 pinching contrast concentrated in an annulus; historically the
         # first Newton step needs damping here, and the solution dips to
         # u ~ 1/(2 max(-K)) inside the bump while staying admissible
-        from lorentz_embed.metric import make_radial_from_curvature
-
-        def K(r):
-            r = np.asarray(r, dtype=float)
-            return -(1.0 + 8.0 * np.exp(-2.0 * (r - 1.5) ** 2))
-
-        m = make_radial_from_curvature(K, 6.0)
+        K, Kp, Kpp = bump_curvature()
+        m = make_radial_from_curvature(K, 6.0, Kp, Kpp)
         sol = solve_dirichlet(DirichletProblem(m, PolarGrid(128, 32, 3.0)))
         assert sol.iterations <= 10
         assert sol.min_eigenvalue > 0.0
