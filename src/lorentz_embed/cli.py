@@ -4,11 +4,12 @@ Runs are reproducible by construction: the canonical config is copied into
 the run directory, every CSV/JSON artifact is written with fixed ordering
 and 17 significant digits, and wall-clock data lives only in the isolated
 runmeta.json.  A lock file holding the writer's PID guards each output
-directory against concurrent writers; a lock whose PID names no running
-process is reclaimed.
+directory against concurrent writers (solve, verify and embed alike); a
+lock whose PID names no running process is reclaimed.
 
 Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
-3 solver non-convergence (trace still written), 4 embedding audit failure.
+3 solver non-convergence (trace still written), 4 embedding audit failure,
+5 output directory locked by another run.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -37,7 +39,9 @@ from .grid import covariant_hessian  # noqa: F401
 from .solver import DirichletProblem, NonConvergenceError, certify, solve_dirichlet
 from .exhaustion import ExhaustionSchedule, ExhaustionStep, run_exhaustion, DivergenceError
 from .estimates import run_estimate_suite
-from .embed import ObservationRegionError, build_embedding, export_graph, write_obj
+from .embed import (
+    _MIN_OBS_RINGS, ObservationRegionError, build_embedding, export_graph, write_obj,
+)
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -220,6 +224,8 @@ def validate_config(cfg: dict):
         _check_number(errors, "metric.r_max", metric["r_max"],
                       lambda v: v >= floor and v > 0, f"a number >= max(radii) + 1 = {floor:g}")
     output = _section(errors, cfg, "output")
+    if not errors and radii and not conformal:
+        _check_observation_rings(errors, grid, ex, radii)
 
     if errors:
         return None, errors
@@ -233,6 +239,23 @@ def validate_config(cfg: dict):
         output=dict(output),
         raw=cfg,
     ), []
+
+
+def _check_observation_rings(errors, grid, ex, radii):
+    """Record an error unless l_obs covers _MIN_OBS_RINGS rings of the grid
+    of every ball, as embed counts them: the exhaustion may stop at any."""
+    for l in radii:
+        try:
+            h1 = _grid_for(grid, l).h1
+        except OverflowError:  # l * nodes_per_unit beyond the float range
+            _err(errors, "grid.nodes_per_unit", f"gives no grid on radius {l:g}")
+            return
+        l_obs = ex.get("l_obs", l - 1.0)
+        if (_MIN_OBS_RINGS - 0.5) * h1 >= l_obs + 1e-12:  # ring k is at (k + 1/2) h1
+            _err(errors, "exhaustion.l_obs",
+                 f"{l_obs:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
+                 f"of radius {l:g} (ring spacing {h1:.4g})")
+            return
 
 
 def load_config(path):
@@ -276,13 +299,30 @@ def build_metric(cfg: RunConfig):
     return make_radial_from_curvature(K, r_max, k_prime=Kp, k_double_prime=Kpp)
 
 
-def _grid_for(cfg: RunConfig, metric, l):
-    kind = "disc" if metric.kind == "conformal_polar" else "polar"
-    n_r = cfg.grid.get("n_r")
+def _grid_for(grid_cfg, l, kind="polar"):
+    n_r = grid_cfg.get("n_r")
     if n_r is None:
         n_r = 64 if kind == "disc" else max(
-            int(math.ceil(l * cfg.grid.get("nodes_per_unit", 16))), 16)
-    return PolarGrid(n_r, cfg.grid.get("n_theta", 64), float(l), kind=kind)
+            int(math.ceil(l * grid_cfg.get("nodes_per_unit", 16))), 16)
+    return PolarGrid(n_r, grid_cfg.get("n_theta", 64), float(l), kind=kind)
+
+
+class LockedError(RuntimeError):
+    """Another run holds the output directory's lock."""
+
+
+def _exit_5_if_locked(cmd):
+    """Make a command report a held lock in one line and exit 5."""
+
+    @functools.wraps(cmd)
+    def run(*args, **kwargs):
+        try:
+            return cmd(*args, **kwargs)
+        except LockedError as exc:
+            print(f"{cmd.__name__.removeprefix('cmd_')}: {exc}", file=sys.stderr)
+            return 5
+
+    return run
 
 
 @contextlib.contextmanager
@@ -297,7 +337,7 @@ def _locked_dir(path):
             with contextlib.suppress(FileExistsError):
                 fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         if fd is None:
-            raise RuntimeError(
+            raise LockedError(
                 f"output directory {path} is locked by another run (remove {lock} if stale)"
             )
     try:
@@ -344,6 +384,7 @@ def _write_runmeta(out_dir):
     )
 
 
+@_exit_5_if_locked
 def cmd_solve(config_path, out_dir, trace=False):
     cfg, errors = load_config(config_path)
     if errors:
@@ -361,7 +402,7 @@ def cmd_solve(config_path, out_dir, trace=False):
         max_iter = cfg.solver.get("max_iter", 30)
 
         if metric.kind == "conformal_polar":
-            grid = _grid_for(cfg, metric, radii[0])
+            grid = _grid_for(cfg.grid, radii[0], kind="disc")
             problem = DirichletProblem(metric, grid, tol=solver_tol, max_iter=max_iter)
             try:
                 sol = solve_dirichlet(problem)
@@ -372,7 +413,7 @@ def cmd_solve(config_path, out_dir, trace=False):
             fields = [sol]
             steps = [ExhaustionStep.of(radii[0], math.nan, sol)]
         else:
-            grids = [_grid_for(cfg, metric, l) for l in radii]
+            grids = [_grid_for(cfg.grid, l) for l in radii]
             schedule = ExhaustionSchedule(
                 tuple(radii), tuple(grids),
                 cfg.exhaustion.get("l_obs", radii[0] - 1.0),
@@ -482,6 +523,7 @@ def _default_probes(field, r0):
     return probes
 
 
+@_exit_5_if_locked
 def cmd_verify(run_dir):
     try:
         cfg, metric, fields = _load_run(run_dir)
@@ -501,9 +543,10 @@ def cmd_verify(run_dir):
         reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
         ok = ok and rep.mandatory_pass()
     out = os.path.join(run_dir, "verify")
-    os.makedirs(out, exist_ok=True)
-    _dump_json({"runs": reports, "mandatory_pass": ok},
-               os.path.join(out, "report.json"))
+    with _locked_dir(run_dir):
+        os.makedirs(out, exist_ok=True)
+        _dump_json({"runs": reports, "mandatory_pass": ok},
+                   os.path.join(out, "report.json"))
     for rep in reports:
         for rec in rep["records"]:
             status = "pass" if rec["pass"] else "FAIL"
@@ -512,6 +555,7 @@ def cmd_verify(run_dir):
     return 0 if ok else 4
 
 
+@_exit_5_if_locked
 def cmd_embed(run_dir):
     try:
         cfg, metric, (field,) = _load_run(run_dir, last_only=True)
@@ -539,16 +583,17 @@ def cmd_embed(run_dir):
             check_tol=audit_cfg["curvature_check_tol"],
             holonomy_tol=audit_cfg["holonomy_tol"],
         )
-    except ObservationRegionError as exc:  # conformal runs observe 0.75 radius: >= 5 rings
+    except ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
         print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
         return 2
     out = os.path.join(run_dir, "embed")
-    os.makedirs(out, exist_ok=True)
-    mesh = export_graph(emb, rows=audit.audit_rows)
-    write_obj(mesh, os.path.join(out, "surface.obj"))
-    payload = audit.to_json_dict()
-    payload["curvature_defect"] = gbar.max_defect
-    _dump_json(payload, os.path.join(out, "audit.json"))
+    with _locked_dir(run_dir):
+        os.makedirs(out, exist_ok=True)
+        mesh = export_graph(emb, rows=audit.audit_rows)
+        write_obj(mesh, os.path.join(out, "surface.obj"))
+        payload = audit.to_json_dict()
+        payload["curvature_defect"] = gbar.max_defect
+        _dump_json(payload, os.path.join(out, "audit.json"))
 
     slack = audit_cfg["pinching_slack"]
     failures = []

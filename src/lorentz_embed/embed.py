@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import resample as _fft_resample
 
 from .grid import radial_derivative, theta_derivative_spectral, _fd_weights
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
@@ -55,6 +54,8 @@ _RADIAL_ORDER = 6
 _N_SUB = 2
 # rings developed beyond the observation radius, so the audits stay centered
 _PAD_ROWS = 6
+# rings the observation radius must cover for the audits
+_MIN_OBS_RINGS = 4
 
 
 class ObservationRegionError(ValueError):
@@ -334,6 +335,18 @@ def _reorthonormalize(M):
     return np.stack([E1, E2, P], axis=-1)
 
 
+def _fft_resample(F, num):
+    """Band-limited resampling of a periodic F to ``num`` >= n samples along
+    the last axis: the rfft spectrum is zero-padded, the unpaired Nyquist
+    bin of an even n split evenly between its two images, and the result
+    scaled by num / n (the arithmetic of ``scipy.signal.resample``)."""
+    n = F.shape[-1]
+    X = np.fft.rfft(F)
+    if n % 2 == 0:
+        X[..., n // 2] *= 0.5
+    return np.fft.irfft(X / (n / num), n=num)
+
+
 def _theta_stage_samples(F, n_sub):
     """Samples of a periodic field at the RK4 stage angles of every edge.
 
@@ -342,7 +355,7 @@ def _theta_stage_samples(F, n_sub):
     """
     n = F.shape[-1]
     factor = 2 * n_sub
-    fine = _fft_resample(F, factor * n, axis=-1)
+    fine = _fft_resample(F, factor * n)
     idx = (np.arange(n)[:, None] * factor + np.arange(factor + 1)[None, :]) % (factor * n)
     return fine[..., idx]
 
@@ -755,10 +768,10 @@ def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2, holonomy_tol=
     """
     grid = field.u.grid
     obs_rows = int(np.searchsorted(grid.q1, l_obs + 1e-12))
-    if obs_rows < 4:
+    if obs_rows < _MIN_OBS_RINGS:
         raise ObservationRegionError(
             f"observation region too small: l_obs = {l_obs:g} covers {obs_rows} "
-            f"rings of the grid (ring spacing {grid.h1:.4g}), fewer than 4"
+            f"rings of the grid (ring spacing {grid.h1:.4g}), fewer than {_MIN_OBS_RINGS}"
         )
     dev_rows = min(obs_rows + _PAD_ROWS, grid.n1 - 4)
     gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol)

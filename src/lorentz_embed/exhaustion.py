@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .grid import PolarGrid, ScalarField
 from .solver import DirichletProblem, solve_dirichlet
@@ -114,12 +113,34 @@ def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
     return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
+def _not_a_knot_weights(m, x):
+    """W with W @ y the not-a-knot cubic spline through (k, y[k]), k < m, at x.
+
+    One dense solve gives the knot slopes of every data column; each point,
+    clamped to [0, m - 1], takes the cubic Hermite piece of its cell.
+    """
+    eye = np.eye(m)
+    secant = eye[1:] - eye[:-1]
+    A = 4.0 * eye + np.eye(m, k=1) + np.eye(m, k=-1)
+    A[0, :2] = 1.0, 2.0
+    A[-1, -2:] = 2.0, 1.0
+    rhs = np.vstack([(5.0 * secant[0] + secant[1]) / 2.0, 3.0 * (eye[2:] - eye[:-2]),
+                     (secant[-2] + 5.0 * secant[-1]) / 2.0])
+    slopes = np.linalg.solve(A, rhs)
+    x = np.clip(x, 0.0, m - 1.0)
+    i = np.minimum(x.astype(np.intp), m - 2)
+    t = (x - i)[:, None]
+    return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * eye[i] + t * t * (3.0 - 2.0 * t) * eye[i + 1]
+            + t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1]))
+
+
 def sample_bicubic(field: ScalarField, r_pts, t_pts):
     """Bicubic sample of a polar grid function on the mesh r_pts x t_pts.
 
     The array is extended by four mirrored rows across the pole and four
-    wrapped columns in theta before spline fitting, so evaluation is
-    interior everywhere on (0, ball_radius] x S^1.
+    wrapped columns in theta, then interpolated by the tensor product of
+    not-a-knot cubic splines on the uniform extended nodes, so evaluation
+    is interior everywhere on (0, ball_radius] x S^1.
     """
     grid = field.grid
     v = field.values
@@ -127,14 +148,12 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     pad = 4
     below = np.stack([np.roll(v[k], half) for k in range(pad)])[::-1]
     ext = np.vstack([below, v])
-    r_ext = np.concatenate([-grid.q1[:pad][::-1], grid.q1])
     ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
-    t_ext = np.concatenate([grid.q2[-pad:] - 2 * math.pi, grid.q2,
-                            grid.q2[:pad] + 2 * math.pi])
-    spline = RectBivariateSpline(r_ext, t_ext, ext, kx=3, ky=3)
-    t_wrapped = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0,
-                       2 * math.pi) + grid.theta0
-    return spline(np.asarray(r_pts, dtype=float), t_wrapped)
+    # node k of the extension sits at r = (k - pad + 1/2) h1, theta0 + (k - pad) h2
+    r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)
+    t_k = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0, 2 * math.pi) / grid.h2 + pad
+    return (_not_a_knot_weights(ext.shape[0], r_k) @ ext
+            @ _not_a_knot_weights(ext.shape[1], t_k).T)
 
 
 def _boundary_value(metric, l, rule):

@@ -302,9 +302,7 @@ def write_field_csv(field: ScalarField, path):
     else:
         c1, c2 = q1, q2
         header = "r,theta,value"
+    rows = np.stack([c1, c2, field.values], axis=-1).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        v = field.values
-        for i in range(grid.n1):
-            for j in range(grid.n2):
-                fh.write(f"{c1[i, j]:.17g},{c2[i, j]:.17g},{v[i, j]:.17g}\n")
+        fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))

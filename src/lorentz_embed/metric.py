@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "CurvatureBounds",
@@ -139,8 +138,9 @@ def make_radial_from_curvature(
 
     Integrates the Jacobi equation f'' = -K f from f(0) = 0, f'(0) = 1 with
     a classical fourth-order scheme at fixed step <= ode_step, then backs f
-    and f' with splines on the sample grid (interpolation error is O(step^4),
-    far below JACOBI_TOL).  K must be continuous and strictly negative on
+    and f' with cubic Hermite pieces on the sample grid whose knot slopes
+    are the RK4 f' and f'' = -K f (interpolation error O(step^4), far below
+    JACOBI_TOL).  K must be continuous and strictly negative on
     [0, r_max]; the first offending radius is reported otherwise.
 
     ``k_prime`` and ``k_double_prime`` are the closed-form radial
@@ -178,14 +178,8 @@ def make_radial_from_curvature(
         y1 = y1 + sixth_h * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         fs[i + 1], fps[i + 1] = y0, y1
 
-    f_spline = CubicSpline(radii, fs)
-    fp_spline = CubicSpline(radii, fps)
-
-    def f(r):
-        return f_spline(np.asarray(r, dtype=float))
-
-    def f_prime(r):
-        return fp_spline(np.asarray(r, dtype=float))
+    f = _uniform_hermite(fs, fps, h)
+    f_prime = _uniform_hermite(fps, -kvals * fs, h)
 
     neg_k = -kvals
     cummax = np.maximum.accumulate(neg_k)
@@ -224,6 +218,24 @@ def make_radial_from_curvature(
             f"Jacobi consistency defect {defect:.3e} exceeds tolerance {JACOBI_TOL:.1e}"
         )
     return metric
+
+
+def _uniform_hermite(y, dy, h):
+    """Piecewise cubic Hermite interpolant of values y and slopes dy at the
+    knots k h, k = 0..n, each piece kept as Horner coefficients in the local
+    coordinate t = r/h - k; the end pieces extrapolate."""
+    y0, y1, d0, d1 = y[:-1], y[1:], h * dy[:-1], h * dy[1:]
+    c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
+    c3 = 2.0 * (y0 - y1) + d0 + d1
+    last = y0.size - 1
+
+    def evaluate(r):
+        x = np.asarray(r, dtype=float) / h
+        i = np.clip(x.astype(np.intp), 0, last)
+        t = x - i
+        return ((c3[i] * t + c2[i]) * t + d0[i]) * t + y0[i]
+
+    return evaluate
 
 
 def jacobi_defect(m: WarpedPolarMetric) -> float:

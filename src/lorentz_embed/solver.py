@@ -18,7 +18,7 @@ into n_theta/2 + 1 independent complex tridiagonal radial systems, the
 pole coupling to the antipodal column becoming the factor (-1)^k in mode
 k (the separable FFT/tridiagonal scheme of Swarztrauber & Sweet, ACM
 TOMS Alg. 541).  Any other state assembles the sparse Jacobian and
-factors it with splu.
+factors it with splu.  Only the Newton step imports scipy, when it runs.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .grid import ScalarField, HessianField, chart_arrays, covariant_hessian
 
@@ -226,6 +223,8 @@ def _stencil_coefficients(state, ch, stencil):
 
 def _assemble_jacobian(state, ch, stencil, coefs=None):
     """Exact Jacobian of the discrete log-residual; boundary rows are identity."""
+    import scipy.sparse as sp
+
     if coefs is None:
         coefs = _stencil_coefficients(state, ch, stencil)
     n1, n2 = ch.grid.shape
@@ -273,6 +272,8 @@ def _fourier_step(coefs, stencil, rhs):
     adds (-1)^k.  Each mode is then a complex tridiagonal system in the
     radial index, solved by banded LU with partial pivoting.
     """
+    from scipy.linalg import solve_banded
+
     n1, n2 = rhs.shape
     ni = n1 - 1
     k = np.arange(n2 // 2 + 1)
@@ -297,6 +298,8 @@ def _fourier_step(coefs, stencil, rhs):
 
 def _linear_solve(J, rhs):
     """Sparse direct solve with one step of iterative refinement if needed."""
+    import scipy.sparse.linalg as spla  # splu is looked up here, at call time
+
     lu = spla.splu(J.tocsc())
     x = lu.solve(rhs)
     norm = np.linalg.norm(rhs)

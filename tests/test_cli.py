@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lorentz_embed
 from lorentz_embed.cli import (
     RunConfig,
     _locked_dir,
@@ -122,6 +123,10 @@ class TestValidation:
          "metric.curvature_scale"),
         ("metric", {"family": "poincare", "eps": 0.1}, "metric.eps"),
         ("metric", {"family": "poincare_perturbed", "r_max": 5.0}, "metric.r_max"),
+        # l_obs = 1 covers 2 rings of the 7-node grid of the radius-3 ball
+        ("grid", {"n_theta": 16, "n_r": 7}, "exhaustion.l_obs"),
+        # the radius-2 ball would need 2e308 nodes, beyond the float range
+        ("grid", {"n_theta": 16, "nodes_per_unit": 1e308}, "grid.nodes_per_unit"),
     ])
     def test_malformed_field_named(self, section, value, field):
         cfg, errors = validate_config(base_config(**{section: value}))
@@ -129,7 +134,9 @@ class TestValidation:
         assert any(e.startswith(f"{field}:") for e in errors), errors
 
     def test_smallest_radial_grid_accepted(self):
-        cfg, errors = validate_config(base_config(grid={"n_theta": 16, "n_r": 7}))
+        # l_obs = 2 covers 4 rings (r = 0.23 .. 1.62) of the 7-node radius-3 grid
+        cfg, errors = validate_config(base_config(
+            grid={"n_theta": 16, "n_r": 7}, exhaustion={"radii": [3.0], "l_obs": 2.0}))
         assert not errors and cfg is not None
 
     @settings(max_examples=300, deadline=None)
@@ -215,18 +222,16 @@ class TestPipeline:
 
     def test_observation_radius_below_four_rings_exit_2(self, tmp_path, capsys):
         # only the rings at r = 0.23 and 0.69 of the radius-3 ball's 7 x 16
-        # grid lie within l_obs = 1: valid for solve and verify, too few to embed
+        # grid lie within l_obs = 1, too few to embed: solve refuses the
+        # config before it solves or writes anything
         cfg = base_config(grid={"n_theta": 16, "n_r": 7},
                           exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
         cfg_path = write_config(tmp_path, cfg)
-        out = str(tmp_path / "run")
-        assert cmd_solve(cfg_path, out) == 0
-        assert cmd_verify(out) == 0
-        capsys.readouterr()
-        assert cmd_embed(out) == 2
+        out = tmp_path / "run"
+        assert cmd_solve(cfg_path, str(out)) == 2
         err = capsys.readouterr().err
         assert "exhaustion.l_obs" in err and "Traceback" not in err
-        assert not (Path(out) / "embed").exists()
+        assert not out.exists()
 
     def test_embed_reads_every_field(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -300,6 +305,34 @@ class TestDeterminism:
             assert b1 == b2, f"artifact {rel} differs between identical runs"
 
 
+class TestStartup:
+    def test_commands_after_solve_load_no_scipy(self, tmp_path):
+        # only the Newton step imports scipy: importing the CLI, and verify
+        # and embed of a stored radial run, load numpy alone
+        cfg = base_config(
+            metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+            grid={"n_theta": 16, "nodes_per_unit": 8},
+            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+        out = str(tmp_path / "run")
+        assert cmd_solve(write_config(tmp_path, cfg), out) == 0
+        script = (
+            "import sys\n"
+            "import lorentz_embed.cli as cli\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), ('import', scipy_modules())\n"
+            f"assert cli.cmd_verify({out!r}) == 0\n"
+            f"assert cli.cmd_embed({out!r}) == 0\n"
+            "assert not scipy_modules(), ('verify, embed', scipy_modules())\n"
+        )
+        src = str(Path(lorentz_embed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+
 class TestLocking:
     def test_concurrent_writers_blocked(self, tmp_path):
         out = str(tmp_path / "run")
@@ -327,6 +360,32 @@ class TestLocking:
         assert not (out / ".lock").exists()
         err = capsys.readouterr().err
         assert "stale lock" in err and str(pid) in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "embed"])
+    def test_live_lock_exit_5(self, tmp_path, capsys, command):
+        # each command refuses a directory a live run holds, in one line
+        # naming the lock file, and writes nothing
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        out.mkdir()
+        if command != "solve":
+            assert cmd_solve(cfg_path, str(out)) == 0
+        if command == "embed":
+            assert cmd_verify(str(out)) == 0
+        before = sorted(out.rglob("*"))
+        lock = out / ".lock"
+        lock.write_text(str(os.getpid()))
+        capsys.readouterr()
+        run = {"solve": lambda: cmd_solve(cfg_path, str(out)),
+               "verify": lambda: cmd_verify(str(out)),
+               "embed": lambda: cmd_embed(str(out))}[command]
+        assert run() == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and err.count("\n") == 1
+        assert str(lock) in err and "Traceback" not in err
+        assert lock.read_text() == str(os.getpid())
+        lock.unlink()
+        assert sorted(out.rglob("*")) == before
 
     @pytest.mark.parametrize("content", ["live", "", "not a pid", "0", "group"])
     def test_unproven_lock_blocks(self, tmp_path, capsys, content):

@@ -16,6 +16,7 @@ from lorentz_embed.embed import (
     minkowski_inner,
     write_obj,
     _extrapolate_to_segment,
+    _fft_resample,
 )
 
 
@@ -72,6 +73,18 @@ class TestConformalMetric:
         )
         with pytest.raises(ValueError, match="positive"):
             conformal_metric(fake)
+
+
+class TestThetaResampling:
+    @pytest.mark.parametrize("shape, factor", [
+        ((50, 64), 2), ((50, 64), 4), ((50, 192), 4), ((3, 50, 64), 6), ((4, 9), 3),
+    ])
+    def test_matches_scipy_resample(self, shape, factor):
+        from scipy.signal import resample
+
+        F = np.random.default_rng(factor).standard_normal(shape)
+        num = factor * shape[-1]
+        assert np.array_equal(_fft_resample(F, num), resample(F, num, axis=-1))
 
 
 class TestDevelopingMap:

@@ -49,6 +49,38 @@ class TestBicubicSampling:
         expect = np.cosh(Rq) + 0.1 * np.sin(Tq) * Rq**2
         assert np.max(np.abs(vals - expect)) <= 5.0 * g.h1**3
 
+    @staticmethod
+    def _spline_oracle(field, r_pts, t_pts):
+        # the FITPACK bicubic interpolating spline (s = 0) on the same
+        # pole-mirrored, theta-wrapped extension
+        from scipy.interpolate import RectBivariateSpline
+
+        grid, v, pad = field.grid, field.values, 4
+        below = np.stack([np.roll(v[k], grid.n2 // 2) for k in range(pad)])[::-1]
+        ext = np.vstack([below, v])
+        ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
+        r_ext = np.concatenate([-grid.q1[:pad][::-1], grid.q1])
+        t_ext = np.concatenate([grid.q2[-pad:] - 2 * math.pi, grid.q2,
+                                grid.q2[:pad] + 2 * math.pi])
+        t_wrapped = np.mod(t_pts - grid.theta0, 2 * math.pi) + grid.theta0
+        return RectBivariateSpline(r_ext, t_ext, ext, kx=3, ky=3)(r_pts, t_wrapped)
+
+    @pytest.mark.parametrize("n1, n2, radius, kind", [
+        (32, 64, 3.0, "polar"), (64, 64, 4.0, "polar"), (192, 192, 4.0, "polar"),
+        (24, 16, 0.7, "disc"),
+    ])
+    def test_matches_bicubic_spline(self, n1, n2, radius, kind):
+        g = PolarGrid(n1, n2, radius, theta0=0.3, kind=kind)
+        R, T = g.mesh()
+        s = R / radius
+        f = ScalarField(g, 0.3 * np.exp(-s * s) * (1.0 + 0.2 * s * np.cos(T))
+                        + 0.01 * s**3 * np.sin(3.0 * T))
+        r_pts = np.linspace(0.0, radius, 41)
+        # one full turn, shifted by -2 pi so that every angle wraps
+        t_pts = np.linspace(0.3, 0.3 + 2 * math.pi, 53, endpoint=False) - 2 * math.pi
+        got = sample_bicubic(f, r_pts, t_pts)
+        assert np.max(np.abs(got - self._spline_oracle(f, r_pts, t_pts))) <= 1e-14
+
     def test_periodic_wrap(self):
         g = PolarGrid(16, 32, 1.0)
         _, T = g.mesh()

@@ -128,7 +128,33 @@ class TestRadialFromCurvature:
             fs[i + 1], fps[i + 1] = y
         assert np.array_equal(m.sample_radii, radii)
         assert np.array_equal(m.sample_f, fs)
-        assert np.array_equal(m.f_prime(radii), CubicSpline(radii, fps)(radii))
+        # at a knot the Hermite piece of the cell below may be evaluated at
+        # t = 1 - ulp, so f' reproduces the RK4 samples to rounding
+        assert np.max(np.abs(m.f_prime(radii) - fps) / np.abs(fps)) <= 1e-15
+
+    @pytest.mark.parametrize("curvature, r_max", [
+        (pinched_curvature(), 6.5),
+        (bump_curvature(), 3.0),
+    ], ids=["pinched", "bump"])
+    def test_hermite_matches_cubic_spline(self, curvature, r_max):
+        # f and f' are Hermite pieces with knot slopes f' and f'' = -K f; the
+        # not-a-knot CubicSplines of the samples that backed them before
+        # agree to rounding away from the ends, and to the splines' own
+        # O(h^4) end-condition error in the first and last cells
+        K, Kp, Kpp = curvature
+        m = make_radial_from_curvature(K, r_max, Kp, Kpp)
+        radii = m.sample_radii
+        h = radii[1] - radii[0]
+        fps = m.f_prime(radii)
+        cells = {"interior": radii[5:-6], "all": radii[:-1]}
+        bounds = {"interior": 5e-15, "all": 5e-13}
+        for fn, samples in ((m.f, m.sample_f), (m.f_prime, fps)):
+            spline = CubicSpline(radii, samples)
+            for part, left in cells.items():
+                r = (left[:, None] + h * np.array([0.13, 0.5, 0.77])).ravel()
+                ref = spline(r)
+                err = np.abs(fn(r) - ref) / np.maximum(1.0, np.abs(ref))
+                assert err.max() <= bounds[part], (part, err.max())
 
     def test_curvature_round_trip(self, pinched_metric):
         # recover K = -f''/f from sampled f alone, five-point second difference
