@@ -7,6 +7,11 @@ runmeta.json.  A lock file holding the writer's PID guards each output
 directory against concurrent writers (solve, verify and embed alike); a
 lock whose PID names no running process is reclaimed.
 
+Every chart is solved through exhaustion.run_exhaustion: a schedule of
+expanding geodesic balls, or a single conformal chart disc.  validate_config
+is the one place config defaults live; the sections of a RunConfig hold
+resolved values.
+
 Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
 3 solver non-convergence (trace still written), 4 embedding audit failure,
 5 output directory locked by another run.
@@ -36,8 +41,10 @@ from .metric import (
 from .grid import PolarGrid, write_field_csv
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
-from .solver import DirichletProblem, NonConvergenceError, certify, solve_dirichlet
-from .exhaustion import ExhaustionSchedule, ExhaustionStep, run_exhaustion, DivergenceError
+from .solver import NonConvergenceError, certify
+# Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
+from .solver import solve_dirichlet  # noqa: F401
+from .exhaustion import make_schedule, run_exhaustion, DivergenceError
 from .estimates import run_estimate_suite
 from .embed import (
     _MIN_OBS_RINGS, ObservationRegionError, build_embedding, export_graph, write_obj,
@@ -45,35 +52,72 @@ from .embed import (
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
-_AUDIT_DEFAULTS = {
-    "r0_list": [1.0],
-    "c_cal": 1.0,
-    "holonomy_tol": 1e-5,
-    "curvature_check_tol": 1e-2,
-    "pullback_tol": 1e-2,
-    "pinching_slack": 1e-6,
+# Every key each section reads, with its default.  None marks a key with
+# no fixed default: metric.family and exhaustion.radii are required, and
+# metric.r_max, grid.n_r and exhaustion.l_obs are derived from other values
+# (_derive_and_relate).  Each family reads only its own metric keys and the
+# grid and exhaustion keys of its kind of grid; "output" reads none.
+_DEFAULTS = {
+    "metric": {"family": None, "curvature_scale": 1.0, "domain_radius": 0.9, "eps": 0.1,
+               "base": 1.0, "amp": 1.0, "r_max": None},
+    "grid": {"n_theta": 64, "nodes_per_unit": 16, "n_r": None},
+    "exhaustion": {"radii": None, "l_obs": None, "tol": 1e-5, "boundary_rule": "standard"},
+    "solver": {"tol": 1e-10, "max_iter": 30},
+    "audit": {"r0_list": [1.0], "c_cal": 1.0, "holonomy_tol": 1e-5,
+              "curvature_check_tol": 1e-2, "pullback_tol": 1e-2, "pinching_slack": 1e-6},
+    "output": {},
 }
+# the kind of grid each family is solved on, and its metric keys
+_FAMILIES = {
+    "hyperbolic": ("polar", ("curvature_scale",)),
+    "radial_pinched": ("polar", ("base", "amp", "r_max")),
+    "poincare": ("disc", ("curvature_scale", "domain_radius")),
+    "poincare_perturbed": ("disc", ("curvature_scale", "domain_radius", "eps")),
+}
+# A geodesic ball's grid scales with its radius.  A chart disc is solved as
+# one ball on a fixed grid: it reads neither grid.nodes_per_unit nor the
+# exhaustion.tol of a delta it never has.
+_KIND_KEYS = {
+    "polar": {"grid": ("n_theta", "nodes_per_unit", "n_r"),
+              "exhaustion": ("radii", "l_obs", "tol", "boundary_rule")},
+    "disc": {"grid": ("n_theta", "n_r"), "exhaustion": ("radii", "l_obs", "boundary_rule")},
+}
+# grid.n_r of a chart disc when unset
+_DISC_N_R = 64
+_GRID_KIND = {"geodesic_polar": "polar", "conformal_polar": "disc"}
 
-# the keys each metric family reads, besides "family"
-_METRIC_KEYS = {
-    "hyperbolic": ("curvature_scale",),
-    "radial_pinched": ("base", "amp", "r_max"),
-    "poincare": ("curvature_scale", "domain_radius"),
-    "poincare_perturbed": ("curvature_scale", "domain_radius", "eps"),
-}
-_FAMILIES = tuple(_METRIC_KEYS)
-# the keys every other section reads; "output" reads none
-_SECTION_KEYS = {
-    "grid": ("n_theta", "nodes_per_unit", "n_r"),
-    "exhaustion": ("radii", "l_obs", "tol", "boundary_rule"),
-    "solver": ("tol", "max_iter"),
-    "audit": tuple(_AUDIT_DEFAULTS),
-    "output": (),
+
+def _positive(v):
+    return v > 0
+
+
+# (what, ok[, integer]) for each numeric key with a range of its own
+_NUMBER_RULES = {
+    "metric.curvature_scale": ("a positive number", _positive),
+    "metric.domain_radius": ("a number in (0, 1)", lambda v: 0 < v < 1),
+    "metric.eps": ("a finite number", lambda v: True),
+    "metric.base": ("a positive number", _positive),
+    "metric.amp": ("a number >= 0", lambda v: v >= 0),
+    "grid.n_theta": ("an even integer >= 8", lambda v: v >= 8 and v % 2 == 0, True),
+    "grid.nodes_per_unit": ("a positive number", _positive),
+    # the widest radial stencil the pipeline applies: the sixth-order radial
+    # derivatives of embed.conformal_metric span 2 * 3 + 1 = 7 rows
+    "grid.n_r": ("an integer >= 7", lambda v: v >= 7, True),
+    "exhaustion.l_obs": ("a positive number", _positive),
+    "exhaustion.tol": ("a positive number", _positive),
+    "solver.tol": ("a positive number", _positive),
+    "solver.max_iter": ("an integer >= 1", lambda v: v >= 1, True),
+    **{f"audit.{key}": ("a positive number", _positive)
+       for key in ("c_cal", "holonomy_tol", "curvature_check_tol", "pullback_tol",
+                   "pinching_slack")},
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Each section holds every key the run reads, resolved to its value;
+    ``raw`` is the config as given."""
+
     schema_version: int
     metric: dict
     grid: dict
@@ -86,11 +130,6 @@ class RunConfig:
 
 def _err(errors, path, message):
     errors.append(f"{path}: {message}")
-
-
-# The widest radial stencil the pipeline applies: the sixth-order radial
-# derivatives of embed.conformal_metric span 2 * 3 + 1 = 7 rows.
-_WIDEST_RADIAL_STENCIL = 7
 
 
 def _check_number(errors, path, value, ok, what, integer=False):
@@ -107,24 +146,10 @@ def _check_number(errors, path, value, ok, what, integer=False):
     return good
 
 
-def _section(errors, cfg, name):
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        _err(errors, name, "must be a JSON object")
-        return {}
-    if name in _SECTION_KEYS:
-        _unknown_keys(errors, f"{name}.", sec, _SECTION_KEYS[name])
-    return sec
-
-
 def _unknown_keys(errors, prefix, obj, known):
     """Record an error for each key of ``obj`` outside ``known``."""
     for key in sorted(set(obj) - set(known), key=str):
         _err(errors, f"{prefix}{key}", "unknown key")
-
-
-def _positive(v):
-    return v > 0
 
 
 def _numbers(errors, path, values, ok, what):
@@ -137,124 +162,115 @@ def _numbers(errors, path, values, ok, what):
     return values if all(good) else None
 
 
+def _resolve_sections(errors, cfg):
+    """The kind of grid and the sections of ``cfg``, defaults filled in.
+
+    Records an error for each section that is not an object, each key the
+    run would not read and each given number out of its range.
+    """
+    given = {}
+    for name in _DEFAULTS:
+        given[name] = cfg.get(name, {})
+        if not isinstance(given[name], dict):
+            _err(errors, name, "must be a JSON object")
+            given[name] = {}
+    family = given["metric"].get("family")
+    if family in tuple(_FAMILIES):  # a tuple: family may be an unhashable JSON value
+        kind, metric_keys = _FAMILIES[family]
+    else:  # the other keys are checked against the widest sets
+        _err(errors, "metric.family", f"must be one of {tuple(_FAMILIES)}")
+        kind, metric_keys = "polar", tuple(_DEFAULTS["metric"])
+    read = {"metric": ("family", *metric_keys), **_KIND_KEYS[kind]}
+    sections = {}
+    for name, sec in given.items():
+        known = read.get(name, tuple(_DEFAULTS[name]))
+        _unknown_keys(errors, f"{name}.", sec, known)
+        for key in sorted(set(sec) & set(known)):
+            if f"{name}.{key}" in _NUMBER_RULES:
+                what, ok, *integer = _NUMBER_RULES[f"{name}.{key}"]
+                _check_number(errors, f"{name}.{key}", sec[key], ok, what, *integer)
+        sections[name] = {key: sec.get(key, _DEFAULTS[name][key]) for key in known}
+    return kind, sections
+
+
 def validate_config(cfg: dict):
     """Schema-check a config dict; returns (RunConfig or None, error list).
 
     Never raises: every malformed value and every key the run would not
-    read becomes an error naming its field.
+    read becomes an error naming its field.  The rules that relate fields
+    are checked once every field is valid on its own.
     """
-    errors = []
     if not isinstance(cfg, dict):
         return None, ["config: must be a JSON object"]
-    _unknown_keys(errors, "", cfg, ("schema_version", "metric", *_SECTION_KEYS))
+    errors = []
+    _unknown_keys(errors, "", cfg, ("schema_version", *_DEFAULTS))
     _check_number(errors, "schema_version", cfg.get("schema_version"),
                   lambda v: v == 1, "1", integer=True)
-
-    metric = _section(errors, cfg, "metric")
-    family = metric.get("family")
-    conformal = family in ("poincare", "poincare_perturbed")
-    if family not in _FAMILIES:
-        _err(errors, "metric.family", f"must be one of {_FAMILIES}")
-    else:
-        _unknown_keys(errors, "metric.", metric, ("family", *_METRIC_KEYS[family]))
-    if family in ("hyperbolic", "poincare", "poincare_perturbed"):
-        _check_number(errors, "metric.curvature_scale", metric.get("curvature_scale", 1.0),
-                      _positive, "a positive number")
-    domain = None
-    if conformal and _check_number(errors, "metric.domain_radius",
-                                   metric.get("domain_radius", 0.9),
-                                   lambda v: 0 < v < 1, "a number in (0, 1)"):
-        domain = metric.get("domain_radius", 0.9)
-    if family == "poincare_perturbed":
-        _check_number(errors, "metric.eps", metric.get("eps", 0.1), lambda v: True,
-                      "a finite number")
-    if family == "radial_pinched":
-        _check_number(errors, "metric.base", metric.get("base", 1.0), _positive,
-                      "a positive number")
-        _check_number(errors, "metric.amp", metric.get("amp", 1.0), lambda v: v >= 0,
-                      "a number >= 0")
-
-    grid = _section(errors, cfg, "grid")
-    _check_number(errors, "grid.n_theta", grid.get("n_theta", 64),
-                  lambda v: v >= 8 and v % 2 == 0, "an even integer >= 8", integer=True)
-    _check_number(errors, "grid.nodes_per_unit", grid.get("nodes_per_unit", 16),
-                  _positive, "a positive number")
-    if "n_r" in grid:
-        _check_number(errors, "grid.n_r", grid["n_r"],
-                      lambda v: v >= _WIDEST_RADIAL_STENCIL,
-                      f"an integer >= {_WIDEST_RADIAL_STENCIL}", integer=True)
-
-    ex = _section(errors, cfg, "exhaustion")
-    radii = _numbers(errors, "exhaustion.radii", ex.get("radii"), _positive,
+    kind, sec = _resolve_sections(errors, cfg)
+    radii = _numbers(errors, "exhaustion.radii", sec["exhaustion"]["radii"], _positive,
                      "positive number")
     if radii and any(b <= a for a, b in zip(radii, radii[1:])):
         _err(errors, "exhaustion.radii", "must be a strictly increasing positive list")
-    if conformal and radii:
-        if len(radii) != 1:
-            _err(errors, "exhaustion.radii", "conformal charts support a single solve radius")
-        elif domain is not None and radii[0] > domain:
-            _err(errors, "exhaustion.radii", "must not exceed metric.domain_radius")
-    _check_number(errors, "exhaustion.tol", ex.get("tol", 1e-5), _positive,
-                  "a positive number")
-    if ex.get("boundary_rule", "standard") not in ("standard", "midpoint"):
+    if sec["exhaustion"]["boundary_rule"] not in ("standard", "midpoint"):
         _err(errors, "exhaustion.boundary_rule", "must be 'standard' or 'midpoint'")
-    l_obs_ok = "l_obs" not in ex or _check_number(
-        errors, "exhaustion.l_obs", ex["l_obs"], _positive, "a positive number")
-    if radii and not conformal and l_obs_ok:
-        l_obs = ex.get("l_obs", max(radii[0] - 1.0, radii[0] / 2))
-        if l_obs > radii[0] - 1.0 + 1e-12:
-            _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
-
-    sv = _section(errors, cfg, "solver")
-    _check_number(errors, "solver.tol", sv.get("tol", 1e-10), _positive,
-                  "a positive number")
-    _check_number(errors, "solver.max_iter", sv.get("max_iter", 30), lambda v: v >= 1,
-                  "an integer >= 1", integer=True)
-
-    audit = {**_AUDIT_DEFAULTS, **_section(errors, cfg, "audit")}
-    for key in ("holonomy_tol", "curvature_check_tol", "pullback_tol",
-                "pinching_slack", "c_cal"):
-        _check_number(errors, f"audit.{key}", audit[key], _positive, "a positive number")
-    _numbers(errors, "audit.r0_list", audit["r0_list"], _positive, "positive number")
-
-    if family == "radial_pinched" and metric.get("r_max") is not None:
-        # the second-order audit samples K on the ball of radius r0 + 1 about
-        # probes whose r0-ball fits in the solved ball: one unit past it
-        floor = max(radii) + 1.0 if radii else 0.0
-        _check_number(errors, "metric.r_max", metric["r_max"],
-                      lambda v: v >= floor and v > 0, f"a number >= max(radii) + 1 = {floor:g}")
-    output = _section(errors, cfg, "output")
-    if not errors and radii and not conformal:
-        _check_observation_rings(errors, grid, ex, radii)
-
+    _numbers(errors, "audit.r0_list", sec["audit"]["r0_list"], _positive, "positive number")
+    if not errors:
+        _derive_and_relate(errors, kind, sec)
+    if not errors:
+        _check_observation_rings(errors, kind, sec["grid"], sec["exhaustion"])
     if errors:
         return None, errors
-    return RunConfig(
-        schema_version=1,
-        metric=dict(metric),
-        grid=dict(grid),
-        exhaustion=dict(ex),
-        solver=dict(sv),
-        audit=audit,
-        output=dict(output),
-        raw=cfg,
-    ), []
+    return RunConfig(schema_version=1, raw=cfg, **sec), []
 
 
-def _check_observation_rings(errors, grid, ex, radii):
+def _derive_and_relate(errors, kind, sec):
+    """Fill the defaults derived from other values, and check the rules
+    that relate fields."""
+    metric, grid, ex = sec["metric"], sec["grid"], sec["exhaustion"]
+    radii = ex["radii"]
+    if kind == "disc":
+        if len(radii) != 1:
+            _err(errors, "exhaustion.radii", "conformal charts support a single solve radius")
+        elif radii[0] > metric["domain_radius"]:
+            _err(errors, "exhaustion.radii", "must not exceed metric.domain_radius")
+        if grid["n_r"] is None:
+            grid["n_r"] = _DISC_N_R
+        if ex["l_obs"] is None:
+            ex["l_obs"] = 0.75 * radii[0]
+        elif ex["l_obs"] >= radii[0]:
+            _err(errors, "exhaustion.l_obs", "must be < radii[0] on a chart disc")
+    elif ex["l_obs"] is None:
+        ex["l_obs"] = radii[0] - 1.0
+        if ex["l_obs"] <= 0:
+            _err(errors, "exhaustion.l_obs",
+                 f"defaults to radii[0] - 1 = {ex['l_obs']:g}, which is not positive: set it")
+    elif ex["l_obs"] > radii[0] - 1.0 + 1e-12:
+        _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
+    if "r_max" not in metric:
+        return
+    if metric["r_max"] is None:
+        metric["r_max"] = max(radii) + max(sec["audit"]["r0_list"]) + 1.5
+    else:
+        # the second-order audit samples K on the ball of radius r0 + 1 about
+        # probes whose r0-ball fits in the solved ball: one unit past it
+        floor = max(radii) + 1.0
+        _check_number(errors, "metric.r_max", metric["r_max"],
+                      lambda v: v >= floor, f"a number >= max(radii) + 1 = {floor:g}")
+
+
+def _check_observation_rings(errors, kind, grid, ex):
     """Record an error unless l_obs covers _MIN_OBS_RINGS rings of the grid
     of every ball, as embed counts them: the exhaustion may stop at any."""
-    for l in radii:
-        try:
-            h1 = _grid_for(grid, l).h1
-        except OverflowError:  # l * nodes_per_unit beyond the float range
-            _err(errors, "grid.nodes_per_unit", f"gives no grid on radius {l:g}")
-            return
-        l_obs = ex.get("l_obs", l - 1.0)
-        if (_MIN_OBS_RINGS - 0.5) * h1 >= l_obs + 1e-12:  # ring k is at (k + 1/2) h1
+    try:
+        grids = make_schedule(kind=kind, **grid, **ex).grids
+    except OverflowError:  # l * nodes_per_unit beyond the float range
+        _err(errors, "grid.nodes_per_unit", "gives more radial nodes than a grid can hold")
+        return
+    for g in grids:
+        if (_MIN_OBS_RINGS - 0.5) * g.h1 >= ex["l_obs"] + 1e-12:  # ring k is at (k + 1/2) h1
             _err(errors, "exhaustion.l_obs",
-                 f"{l_obs:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
-                 f"of radius {l:g} (ring spacing {h1:.4g})")
+                 f"{ex['l_obs']:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
+                 f"of radius {g.radius:g} (ring spacing {g.h1:.4g})")
             return
 
 
@@ -270,19 +286,12 @@ def build_metric(cfg: RunConfig):
     m = cfg.metric
     family = m["family"]
     if family == "hyperbolic":
-        return make_hyperbolic(m.get("curvature_scale", 1.0))
+        return make_hyperbolic(m["curvature_scale"])
     if family == "poincare":
-        return make_poincare(m.get("curvature_scale", 1.0), m.get("domain_radius", 0.9))
+        return make_poincare(m["curvature_scale"], m["domain_radius"])
     if family == "poincare_perturbed":
-        return make_poincare_perturbed(
-            m.get("curvature_scale", 1.0), m.get("domain_radius", 0.9),
-            m.get("eps", 0.1),
-        )
-    base = m.get("base", 1.0)
-    amp = m.get("amp", 1.0)
-    r_max = m.get("r_max")
-    if r_max is None:
-        r_max = max(cfg.exhaustion["radii"]) + max(cfg.audit["r0_list"]) + 1.5
+        return make_poincare_perturbed(m["curvature_scale"], m["domain_radius"], m["eps"])
+    base, amp = m["base"], m["amp"]
 
     def K(r):
         r = np.asarray(r, dtype=float)
@@ -296,15 +305,7 @@ def build_metric(cfg: RunConfig):
         r = np.asarray(r, dtype=float)
         return -(amp * (2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
 
-    return make_radial_from_curvature(K, r_max, k_prime=Kp, k_double_prime=Kpp)
-
-
-def _grid_for(grid_cfg, l, kind="polar"):
-    n_r = grid_cfg.get("n_r")
-    if n_r is None:
-        n_r = 64 if kind == "disc" else max(
-            int(math.ceil(l * grid_cfg.get("nodes_per_unit", 16))), 16)
-    return PolarGrid(n_r, grid_cfg.get("n_theta", 64), float(l), kind=kind)
+    return make_radial_from_curvature(K, m["r_max"], k_prime=Kp, k_double_prime=Kpp)
 
 
 class LockedError(RuntimeError):
@@ -397,46 +398,23 @@ def cmd_solve(config_path, out_dir, trace=False):
         metric = build_metric(cfg)
         fields_dir = os.path.join(out_dir, "fields")
         os.makedirs(fields_dir, exist_ok=True)
-        radii = [float(l) for l in cfg.exhaustion["radii"]]
-        solver_tol = cfg.solver.get("tol", 1e-10)
-        max_iter = cfg.solver.get("max_iter", 30)
-
-        if metric.kind == "conformal_polar":
-            grid = _grid_for(cfg.grid, radii[0], kind="disc")
-            problem = DirichletProblem(metric, grid, tol=solver_tol, max_iter=max_iter)
-            try:
-                sol = solve_dirichlet(problem)
-            except NonConvergenceError as exc:
-                _write_trace(exc.trace, os.path.join(out_dir, "trace_l000.csv"))
-                print(f"solver did not converge: {exc}", file=sys.stderr)
-                return 3
-            fields = [sol]
-            steps = [ExhaustionStep.of(radii[0], math.nan, sol)]
-        else:
-            grids = [_grid_for(cfg.grid, l) for l in radii]
-            schedule = ExhaustionSchedule(
-                tuple(radii), tuple(grids),
-                cfg.exhaustion.get("l_obs", radii[0] - 1.0),
-                cfg.exhaustion.get("tol", 1e-5),
-                cfg.exhaustion.get("boundary_rule", "standard"),
-            )
-            try:
-                result = run_exhaustion(schedule, metric, solver_tol=solver_tol,
-                                        max_iter=max_iter)
-            except NonConvergenceError as exc:
-                _write_trace(exc.trace, os.path.join(out_dir, "trace_failed.csv"))
-                print(f"solver did not converge: {exc}", file=sys.stderr)
-                return 3
-            except DivergenceError as exc:
-                for k, fld in enumerate(exc.fields):
-                    write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
-                print(f"exhaustion diverged: {exc}", file=sys.stderr)
-                return 3
-            fields = result.fields
-            steps = result.steps
+        # make_schedule takes the grid and exhaustion keys by name
+        schedule = make_schedule(kind=_GRID_KIND[metric.kind], **cfg.grid, **cfg.exhaustion)
+        try:
+            result = run_exhaustion(schedule, metric, solver_tol=cfg.solver["tol"],
+                                    max_iter=cfg.solver["max_iter"])
+        except NonConvergenceError as exc:
+            _write_trace(exc.trace, os.path.join(out_dir, "trace_failed.csv"))
+            print(f"solver did not converge: {exc}", file=sys.stderr)
+            return 3
+        except DivergenceError as exc:
+            for k, fld in enumerate(exc.fields):
+                write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
+            print(f"exhaustion diverged: {exc}", file=sys.stderr)
+            return 3
 
         meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": []}
-        for k, fld in enumerate(fields):
+        for k, fld in enumerate(result.fields):
             write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
             if trace:
                 _write_trace(fld.trace, os.path.join(out_dir, f"trace_l{k:03d}.csv"))
@@ -446,7 +424,7 @@ def cmd_solve(config_path, out_dir, trace=False):
             meta["grids"].append({"n1": g.n1, "n2": g.n2, "kind": g.kind})
             meta["iterations"].append(fld.iterations)
         _dump_json(meta, os.path.join(fields_dir, "meta.json"))
-        _write_convergence(steps, os.path.join(out_dir, "convergence.csv"))
+        _write_convergence(result.steps, os.path.join(out_dir, "convergence.csv"))
         return 0
 
 
@@ -539,7 +517,7 @@ def cmd_verify(run_dir):
         probes = _default_probes(fld, min(fit_r0) if fit_r0 else 0.0)
         rep = run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
                                  c_cal=cfg.audit["c_cal"],
-                                 tol=cfg.solver.get("tol", 1e-10))
+                                 tol=cfg.solver["tol"])
         reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
         ok = ok and rep.mandatory_pass()
     out = os.path.join(run_dir, "verify")
@@ -572,14 +550,10 @@ def cmd_embed(run_dir):
         print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
         return 2
 
-    if metric.kind == "geodesic_polar":
-        l_obs = cfg.exhaustion.get("l_obs", field.ball_radius - 1.0)
-    else:
-        l_obs = 0.75 * field.ball_radius
     audit_cfg = cfg.audit
     try:
         gbar, dev, emb, audit = build_embedding(
-            field, l_obs,
+            field, cfg.exhaustion["l_obs"],
             check_tol=audit_cfg["curvature_check_tol"],
             holonomy_tol=audit_cfg["holonomy_tol"],
         )

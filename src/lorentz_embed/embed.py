@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import radial_derivative, theta_derivative_spectral, _fd_weights
+from .grid import radial_derivative, theta_derivative_spectral
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
 from .solver import AdmissibleField
@@ -78,30 +78,6 @@ def _rot3(angle):
 
 # ---------------------------------------------------------------------------
 # Cartesian derivative operators on the polar grid (scalar fields only)
-
-
-def _edge_radial_derivative(F, h):
-    """First radial derivative, one-sided at both ends (frame fields)."""
-    n = F.shape[0]
-    half = _RADIAL_ORDER // 2
-    npts = _RADIAL_ORDER + 1
-    if n < npts:
-        raise ValueError(f"need at least {npts} rows for order {_RADIAL_ORDER}")
-    out = np.empty_like(F)
-    w = _fd_weights(tuple(range(-half, half + 1)), 1) / h
-    acc = np.zeros((n - 2 * half, F.shape[1]))
-    for k, o in enumerate(range(-half, half + 1)):
-        acc += w[k] * F[half + o : half + o + n - 2 * half]
-    out[half : n - half] = acc
-    for i in list(range(half)) + list(range(n - half, n)):
-        lo = min(max(i - npts // 2, 0), n - npts)
-        offs = tuple(range(lo - i, lo - i + npts))
-        wo = _fd_weights(offs, 1) / h
-        row = np.zeros(F.shape[1])
-        for k, o in enumerate(offs):
-            row += wo[k] * F[i + o]
-        out[i] = row
-    return out
 
 
 class _CartesianCalc:
@@ -255,9 +231,9 @@ def conformal_metric(field: AdmissibleField, rows=None,
     e11 = np.sqrt(gb11)
     e12 = gb12 / e11
     e22 = np.sqrt(det_gb / gb11)
-    d1_e11 = _edge_radial_derivative(e11, grid.h1)
-    d1_e12 = _edge_radial_derivative(e12, grid.h1)
-    d1_e22 = _edge_radial_derivative(e22, grid.h1)
+    d1_e11 = radial_derivative(e11, grid.h1, order=_RADIAL_ORDER, across_pole=False)
+    d1_e12 = radial_derivative(e12, grid.h1, order=_RADIAL_ORDER, across_pole=False)
+    d1_e22 = radial_derivative(e22, grid.h1, order=_RADIAL_ORDER, across_pole=False)
     d2_e11 = theta_derivative_spectral(e11)
     w1 = (d1_e12 - d2_e11) / e22
     w2 = (d1_e22 + w1 * e12) / e11

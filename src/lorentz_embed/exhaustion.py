@@ -7,6 +7,9 @@ fixed 48 x 64 reference grid inside the smallest ball: the table of
 successive sups delta_k = max |u_{k+1} - u_k| must decrease after the
 first step, mirroring the uniform interior estimates that make the limit
 exist.  No convergence *rate* is asserted, only the observed deltas.
+
+A schedule may also be a single conformal chart disc (grids of kind
+"disc"): one solve, so its table has one row and no delta.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ class DivergenceError(RuntimeError):
 class ExhaustionSchedule:
     """Radii, per-radius grids, and the observation ball for convergence.
 
-    The observation radius stays at least one unit inside the smallest
-    ball so every solve controls it with room to spare.
+    On geodesic balls the observation radius stays at least one unit inside
+    the smallest ball so every solve controls it with room to spare; on a
+    chart disc, whose radius is below 1, it lies strictly inside the disc.
     """
 
     radii: tuple
@@ -64,7 +68,11 @@ class ExhaustionSchedule:
             raise ValueError("radii and grids must align and be nonempty")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
-        if self.l_obs > radii[0] - 1.0 + 1e-12:
+        if self.grids[0].kind == "disc":
+            if not 0.0 < self.l_obs < radii[0]:
+                raise ValueError("observation radius on a chart disc must satisfy "
+                                 "0 < l_obs < radii[0]")
+        elif self.l_obs > radii[0] - 1.0 + 1e-12:
             raise ValueError("observation radius must satisfy l_obs <= radii[0] - 1")
         if self.boundary_rule not in ("standard", "midpoint"):
             raise ValueError(f"unknown boundary rule {self.boundary_rule!r}")
@@ -82,12 +90,6 @@ class ExhaustionStep:
     max_grad: float
     iterations: int
 
-    @classmethod
-    def of(cls, l, delta, sol):
-        """The table row of the ball of radius l, solved as ``sol``."""
-        return cls(l, delta, float(sol.u.values.min()), float(sol.u.values.max()),
-                   float(np.sqrt(sol.hessian.grad_sq).max()), sol.iterations)
-
 
 @dataclass
 class ExhaustionResult:
@@ -99,17 +101,17 @@ class ExhaustionResult:
 
 
 def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
-                  tol=1e-5, boundary_rule="standard"):
+                  tol=1e-5, boundary_rule="standard", n_r=None, kind="polar"):
     """Grids scaled with the ball: radial spacing fixed, angular count even.
 
     The angular count is held at ``n_theta`` by default (adequate whenever
     the data are radial); pass a larger value to resolve genuinely angular
-    structure on large balls.
+    structure on large balls.  ``n_r`` fixes the radial count of every
+    grid instead.  The parameters carry the names of the run config's
+    grid and exhaustion keys.
     """
-    grids = []
-    for l in radii:
-        n_r = max(int(math.ceil(l * nodes_per_unit)), 16)
-        grids.append(PolarGrid(n_r, n_theta, float(l)))
+    grids = [PolarGrid(n_r or max(int(math.ceil(l * nodes_per_unit)), 16), n_theta,
+                       float(l), kind=kind) for l in radii]
     return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
@@ -172,7 +174,7 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
     solved, and the last one's restriction to the reference grid.  Stops
     early once delta drops below the schedule tolerance.
     """
-    ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs)
+    ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs, kind=schedule.grids[0].kind)
     steps, fields = [], []
     prev_ref = None
     increases = 0
@@ -185,7 +187,9 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
         sol = solve_dirichlet(problem)
         u_ref = sample_bicubic(sol.u, ref.q1, ref.q2)
         delta = math.nan if prev_ref is None else float(np.abs(u_ref - prev_ref).max())
-        steps.append(ExhaustionStep.of(l, delta, sol))
+        steps.append(ExhaustionStep(l, delta, float(sol.u.values.min()),
+                                    float(sol.u.values.max()),
+                                    float(np.sqrt(sol.hessian.grad_sq).max()), sol.iterations))
         fields.append(sol)
         if not math.isnan(delta):
             increases = increases + 1 if deltas and delta > deltas[-1] else 0

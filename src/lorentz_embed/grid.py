@@ -184,13 +184,15 @@ def _ghost_rows_below(F: np.ndarray, depth: int) -> np.ndarray:
     return np.vstack([*reversed(ghosts), F])
 
 
-def radial_derivative(F, h, deriv=1, order=2):
+def radial_derivative(F, h, deriv=1, order=2, across_pole=True):
     """d^deriv/dr^deriv along axis 0, accuracy `order`, ghost rows across the pole.
 
     Interior rows use centered stencils; the top order//2 rows fall back to
     one-sided stencils of the same order (used only by audits, never by the
     equation operator).  F is a scalar field: its ghost rows are the
-    antipodal values, without a sign change.
+    antipodal values, without a sign change.  With ``across_pole=False``
+    (fields not smooth across the pole) the bottom order//2 rows are
+    one-sided too.
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -201,15 +203,17 @@ def radial_derivative(F, h, deriv=1, order=2):
     Fe = _ghost_rows_below(F, half)
     out = np.empty_like(F)
     w = _fd_weights(tuple(range(-half, half + 1)), deriv) / h**deriv
-    n_centered = n - half  # rows 0..n_centered-1 have full upper neighbors
-    acc = np.zeros((n_centered, F.shape[1]))
+    first = 0 if across_pole else half  # rows first..n_centered-1 are centered
+    n_centered = n - half
+    acc = np.zeros((n_centered - first, F.shape[1]))
     for k, o in enumerate(range(-half, half + 1)):
-        acc += w[k] * Fe[half + o : half + o + n_centered]
-    out[:n_centered] = acc
-    # one-sided top rows, same formal order
+        acc += w[k] * Fe[half + o + first : half + o + n_centered]
+    out[first:n_centered] = acc
+    # one-sided rows, same formal order
     npts_o = order + deriv
-    for i in range(n_centered, n):
-        offs = tuple(range(n - npts_o - i, n - i))
+    for i in [*range(first), *range(n_centered, n)]:
+        lo = min(max(i - npts_o // 2, 0), n - npts_o)
+        offs = tuple(range(lo - i, lo - i + npts_o))
         wo = _fd_weights(offs, deriv) / h**deriv
         row = np.zeros(F.shape[1])
         for k, o in enumerate(offs):

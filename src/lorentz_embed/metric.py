@@ -332,7 +332,7 @@ class ConformalDiscMetric:
         return np.asarray(self.curvature(x, y), dtype=float)
 
 
-def make_poincare(scale: float = 1.0, domain_radius: float = 0.9) -> ConformalDiscMetric:
+def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
     """Poincare disc chart with K = -scale: psi = (4/scale)/(1 - x^2 - y^2)^2."""
     if scale <= 0.0:
         raise ValueError(f"curvature scale must be positive, got {scale}")
@@ -368,9 +368,7 @@ def make_poincare(scale: float = 1.0, domain_radius: float = 0.9) -> ConformalDi
     )
 
 
-def make_poincare_perturbed(
-    scale: float = 1.0, domain_radius: float = 0.9, eps: float = 0.1
-) -> ConformalDiscMetric:
+def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> ConformalDiscMetric:
     """Non-radial pinched perturbation of the Poincare chart.
 
     psi = (4/scale) e^{eps x} / (1 - x^2 - y^2)^2 keeps lap(log psi) in

@@ -10,6 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lorentz_embed
+import lorentz_embed.cli as cli
+from lorentz_embed.grid import PolarGrid
+from lorentz_embed.metric import make_poincare_perturbed
+from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.cli import (
     RunConfig,
     _locked_dir,
@@ -53,6 +57,14 @@ def base_config(**overrides):
     for key, val in overrides.items():
         cfg[key] = val
     return cfg
+
+
+def conformal_config(family="poincare_perturbed", eps=0.3, radii=(0.7,), **exhaustion):
+    metric = {"family": family}
+    if family == "poincare_perturbed":
+        metric["eps"] = eps
+    return base_config(metric=metric, grid={"n_theta": 16, "n_r": 24},
+                       exhaustion={"radii": list(radii), **exhaustion})
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -127,11 +139,21 @@ class TestValidation:
         ("grid", {"n_theta": 16, "n_r": 7}, "exhaustion.l_obs"),
         # the radius-2 ball would need 2e308 nodes, beyond the float range
         ("grid", {"n_theta": 16, "nodes_per_unit": 1e308}, "grid.nodes_per_unit"),
+        # a chart disc is one ball on a fixed grid: no delta, no node density
+        ("metric", {"family": "poincare"}, "exhaustion.tol"),
+        ("metric", {"family": "poincare_perturbed"}, "grid.nodes_per_unit"),
     ])
     def test_malformed_field_named(self, section, value, field):
         cfg, errors = validate_config(base_config(**{section: value}))
         assert cfg is None
         assert any(e.startswith(f"{field}:") for e in errors), errors
+
+    def test_conformal_observation_radius_inside_disc(self):
+        cfg = conformal_config(radii=[0.7], l_obs=0.7)
+        assert validate_config(cfg) == (
+            None, ["exhaustion.l_obs: must be < radii[0] on a chart disc"])
+        out, errors = validate_config(conformal_config(radii=[0.7]))
+        assert not errors and out.exhaustion["l_obs"] == 0.75 * 0.7
 
     def test_smallest_radial_grid_accepted(self):
         # l_obs = 2 covers 4 rings (r = 0.23 .. 1.62) of the 7-node radius-3 grid
@@ -262,6 +284,63 @@ class TestPipeline:
         assert cmd_solve(cfg_path, out) == 3
         assert "did not converge" in capsys.readouterr().err
         assert (Path(out) / "trace_failed.csv").exists()
+
+    def test_default_observation_radius_used_by_solve(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.run_exhaustion
+
+        def spy(schedule, *args, **kwargs):
+            seen.append(schedule.l_obs)
+            return real(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_exhaustion", spy)
+        cfg = base_config(exhaustion={"radii": [1.5, 2.5]})
+        out, errors = validate_config(cfg)
+        assert not errors and out.exhaustion["l_obs"] == 0.5
+        assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "run")) == 0
+        assert seen == [0.5]
+
+    def test_default_observation_radius_not_positive_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(exhaustion={"radii": [1.0, 2.0]}))
+        out = tmp_path / "run"
+        assert cmd_solve(cfg_path, str(out)) == 2
+        err = capsys.readouterr().err
+        assert "exhaustion.l_obs: defaults to radii[0] - 1 = 0" in err
+        assert not out.exists()
+
+    def test_conformal_midpoint_boundary_rule(self, tmp_path):
+        # c1 < c2 on the perturbed chart, so the midpoint datum differs
+        cfg_path = write_config(tmp_path, conformal_config(boundary_rule="midpoint"))
+        out = tmp_path / "run"
+        assert cmd_solve(cfg_path, str(out)) == 0
+        bounds = make_poincare_perturbed(1.0, 0.9, 0.3).bounds
+        standard = 1.0 / (2.0 * bounds.c2_of_radius(0.7))
+        midpoint = 0.5 * (standard + 1.0 / (2.0 * bounds.c1))
+        assert midpoint > standard + 1e-3
+        u = np.loadtxt(out / "fields" / "u_000.csv", delimiter=",", skiprows=1,
+                       usecols=2).reshape(24, 16)
+        assert np.max(np.abs(u[-1] - midpoint)) <= 1e-13  # Newton rounding on the ring
+        meta = json.loads((out / "fields" / "meta.json").read_text())
+        assert meta["boundary_values"] == [midpoint]
+
+    def test_conformal_nonconvergence_exit_3_with_trace(self, tmp_path, capsys):
+        cfg = conformal_config()
+        cfg["solver"]["max_iter"] = 1
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "trace_failed.csv").exists()
+        assert not (out / "trace_l000.csv").exists()
+
+    def test_conformal_solve_routed_through_exhaustion(self, tmp_path):
+        # the one-ball schedule gives the field of a direct disc solve
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0
+        u = np.loadtxt(out / "fields" / "u_000.csv", delimiter=",", skiprows=1,
+                       usecols=2).reshape(24, 16)
+        direct = solve_dirichlet(DirichletProblem(
+            make_poincare_perturbed(1.0, 0.9, 0.3), PolarGrid(24, 16, 0.7, kind="disc")))
+        assert np.array_equal(u, direct.u.values)
 
     def test_main_subcommands(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())

@@ -74,6 +74,38 @@ class TestConformalMetric:
         with pytest.raises(ValueError, match="positive"):
             conformal_metric(fake)
 
+    @staticmethod
+    def _edge_radial_derivative(F, h, order=6):
+        # reference frame-field stencil: one-sided at both ends, centered between
+        from lorentz_embed.grid import _fd_weights
+
+        n = F.shape[0]
+        half = order // 2
+        npts = order + 1
+        out = np.empty_like(F)
+        w = _fd_weights(tuple(range(-half, half + 1)), 1) / h
+        acc = np.zeros((n - 2 * half, F.shape[1]))
+        for k, o in enumerate(range(-half, half + 1)):
+            acc += w[k] * F[half + o : half + o + n - 2 * half]
+        out[half : n - half] = acc
+        for i in list(range(half)) + list(range(n - half, n)):
+            lo = min(max(i - npts // 2, 0), n - npts)
+            offs = tuple(range(lo - i, lo - i + npts))
+            wo = _fd_weights(offs, 1) / h
+            row = np.zeros(F.shape[1])
+            for k, o in enumerate(offs):
+                row += wo[k] * F[i + o]
+            out[i] = row
+        return out
+
+    def test_frame_stencil_matches_edge_reference(self, pinched_embedding_64):
+        from lorentz_embed.grid import radial_derivative
+
+        gbar = pinched_embedding_64[0]
+        for frame in (gbar.e11, gbar.e12, gbar.e22):
+            got = radial_derivative(frame, gbar.grid.h1, order=6, across_pole=False)
+            assert np.array_equal(got, self._edge_radial_derivative(frame, gbar.grid.h1))
+
 
 class TestThetaResampling:
     @pytest.mark.parametrize("shape, factor", [
