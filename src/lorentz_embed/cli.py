@@ -3,7 +3,9 @@
 Runs are reproducible by construction: the canonical config is copied into
 the run directory, every CSV/JSON artifact is written with fixed ordering
 and 17 significant digits, and wall-clock data lives only in the isolated
-runmeta.json.  A lock file holding the writer's PID guards each output
+runmeta.json.  Each artifact is written atomically (grid.atomic_write), and
+fields/meta.json records how the exhaustion ended, a diverged one
+included.  A lock file holding the writer's PID guards each output
 directory against concurrent writers (solve, verify and embed alike); a
 lock whose PID names no running process is reclaimed.
 
@@ -38,7 +40,7 @@ from .metric import (
     make_poincare,
     make_poincare_perturbed,
 )
-from .grid import PolarGrid, write_field_csv
+from .grid import PolarGrid, atomic_write, write_field_csv
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
@@ -372,7 +374,7 @@ def _lock_is_stale(lock):
 
 
 def _dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -396,8 +398,6 @@ def cmd_solve(config_path, out_dir, trace=False):
         _dump_json(cfg.raw, os.path.join(out_dir, "config.json"))
         _write_runmeta(out_dir)
         metric = build_metric(cfg)
-        fields_dir = os.path.join(out_dir, "fields")
-        os.makedirs(fields_dir, exist_ok=True)
         # make_schedule takes the grid and exhaustion keys by name
         schedule = make_schedule(kind=_GRID_KIND[metric.kind], **cfg.grid, **cfg.exhaustion)
         try:
@@ -408,28 +408,43 @@ def cmd_solve(config_path, out_dir, trace=False):
             print(f"solver did not converge: {exc}", file=sys.stderr)
             return 3
         except DivergenceError as exc:
-            for k, fld in enumerate(exc.fields):
-                write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
+            # the partial run, marked diverged, stays readable by verify
+            _write_solution(out_dir, exc.fields, exc.steps, schedule.tol, trace, diverged=True)
             print(f"exhaustion diverged: {exc}", file=sys.stderr)
             return 3
-
-        meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": []}
-        for k, fld in enumerate(result.fields):
-            write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
-            if trace:
-                _write_trace(fld.trace, os.path.join(out_dir, f"trace_l{k:03d}.csv"))
-            meta["radii"].append(fld.ball_radius)
-            meta["boundary_values"].append(fld.boundary_value)
-            g = fld.u.grid
-            meta["grids"].append({"n1": g.n1, "n2": g.n2, "kind": g.kind})
-            meta["iterations"].append(fld.iterations)
-        _dump_json(meta, os.path.join(fields_dir, "meta.json"))
-        _write_convergence(result.steps, os.path.join(out_dir, "convergence.csv"))
+        _write_solution(out_dir, result.fields, result.steps, schedule.tol, trace)
         return 0
 
 
+def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
+    """Write the fields, their meta.json and convergence.csv of a solve.
+
+    meta.json records how the exhaustion ended: the last delta, whether it
+    met ``tol`` (both null when no delta was taken, as on a one-ball chart
+    disc), and whether the deltas diverged.
+    """
+    fields_dir = os.path.join(out_dir, "fields")
+    os.makedirs(fields_dir, exist_ok=True)
+    meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": []}
+    for k, fld in enumerate(fields):
+        write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
+        if trace:
+            _write_trace(fld.trace, os.path.join(out_dir, f"trace_l{k:03d}.csv"))
+        meta["radii"].append(fld.ball_radius)
+        meta["boundary_values"].append(fld.boundary_value)
+        g = fld.u.grid
+        meta["grids"].append({"n1": g.n1, "n2": g.n2, "kind": g.kind})
+        meta["iterations"].append(fld.iterations)
+    deltas = [s.delta for s in steps if not math.isnan(s.delta)]
+    meta["last_delta"] = deltas[-1] if deltas else None
+    meta["met_tol"] = deltas[-1] <= tol if deltas else None
+    meta["diverged"] = diverged
+    _dump_json(meta, os.path.join(fields_dir, "meta.json"))
+    _write_convergence(steps, os.path.join(out_dir, "convergence.csv"))
+
+
 def _write_convergence(steps, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("l,delta,min_u,max_u,max_grad\n")
         for s in steps:
             row = (s.l, s.delta, s.min_u, s.max_u, s.max_grad)
@@ -437,7 +452,7 @@ def _write_convergence(steps, path):
 
 
 def _write_trace(trace, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("iteration,residual,step,eig_margin\n")
         for it, res, step, eig in trace:
             fh.write(f"{it},{res:.17g},{step:.17g},{eig:.17g}\n")

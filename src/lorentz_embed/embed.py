@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import radial_derivative, theta_derivative_spectral
+from .grid import atomic_write, radial_derivative, theta_derivative_spectral
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
 from .solver import AdmissibleField
@@ -797,7 +797,7 @@ def export_graph(emb: EmbeddingMap, rows=None) -> Mesh:
 
 def write_obj(mesh: Mesh, path):
     """Wavefront OBJ with v/f records; faces are 1-indexed."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for v in mesh.vertices:
             fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:

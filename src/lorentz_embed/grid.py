@@ -13,12 +13,15 @@ conformal chart disc (q1 is the chart radius).
 A metric is evaluated on a grid once, into ChartData; the covariant Hessian
 takes that chart.  Second-order centered stencils feed the Monge-Ampere
 residual (see solver); audits may request higher radial orders and
-spectrally accurate angular derivatives.
+spectrally accurate angular derivatives.  Every artifact is written
+through ``atomic_write``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +39,7 @@ __all__ = [
     "theta_derivative",
     "theta_derivative_spectral",
     "generalized_eig_range",
+    "atomic_write",
     "write_field_csv",
 ]
 
@@ -292,6 +296,24 @@ def covariant_hessian(u: ScalarField, chart: ChartData, order: int = 2) -> Hessi
                         eig_min, eig_max)
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file that replaces ``path`` only once the block completes.
+
+    It is written next to ``path`` (the same file system, so ``os.replace``
+    is atomic); when the block raises, it is removed and ``path`` is left
+    as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_field_csv(field: ScalarField, path):
     """Dump a field as CSV, row-major in (i, j), 17 significant digits.
 
@@ -307,6 +329,6 @@ def write_field_csv(field: ScalarField, path):
         c1, c2 = q1, q2
         header = "r,theta,value"
     rows = np.stack([c1, c2, field.values], axis=-1).ravel().tolist()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(header + "\n")
         fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))

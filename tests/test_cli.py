@@ -384,22 +384,98 @@ class TestDeterminism:
             assert b1 == b2, f"artifact {rel} differs between identical runs"
 
 
+def _last_delta(out):
+    rows = (out / "convergence.csv").read_text().splitlines()[1:]
+    return float(rows[-1].split(",")[1])
+
+
+class TestExhaustionEnd:
+    """fields/meta.json records how the exhaustion ended."""
+
+    def test_radial_run_records_last_delta(self, tmp_path):
+        # on the pinched metric the delta at l = 3 is near 5e-4: above tol
+        # 1e-5, below tol 1e-3
+        for tol, met in ((1e-5, False), (1e-3, True)):
+            cfg = base_config(
+                metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+                grid={"n_theta": 16, "nodes_per_unit": 8},
+                exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": tol})
+            out = tmp_path / f"run{tol:g}"
+            assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+            meta = json.loads((out / "fields" / "meta.json").read_text())
+            assert meta["last_delta"] == _last_delta(out)
+            assert meta["met_tol"] is met
+            assert meta["diverged"] is False
+
+    def test_chart_disc_has_no_delta(self, tmp_path):
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0
+        meta = json.loads((out / "fields" / "meta.json").read_text())
+        assert meta["last_delta"] is None and meta["met_tol"] is None
+        assert meta["diverged"] is False
+
+    def test_divergence_writes_a_readable_partial_run(self, tmp_path, monkeypatch, capsys):
+        real = cli.run_exhaustion
+
+        def diverging(*args, **kwargs):
+            result = real(*args, **kwargs)
+            raise cli.DivergenceError("deltas increased", result.steps, result.fields)
+
+        monkeypatch.setattr(cli, "run_exhaustion", diverging)
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 3
+        assert "exhaustion diverged" in capsys.readouterr().err
+        meta = json.loads((out / "fields" / "meta.json").read_text())
+        assert meta["diverged"] is True
+        assert meta["last_delta"] == _last_delta(out)
+        assert len(meta["radii"]) == 2
+        assert cmd_verify(str(out)) == 0  # verify reads the partial run
+
+
+class TestAtomicArtifacts:
+    """A writer that fails mid-write leaves the previous file and no temp file."""
+
+    @staticmethod
+    def _writers():
+        g = PolarGrid(4, 8, 1.0)
+        bad_field = type("Field", (), {"grid": g, "values": np.full(g.shape, "x", dtype=object)})
+        bad_mesh = type("Mesh", (), {"vertices": np.zeros((2, 3)), "faces": [(0, 1, "x")]})
+        return {
+            "json": lambda p: cli._dump_json({"a": 1, "z": object()}, p),
+            "convergence": lambda p: cli._write_convergence([None], p),
+            "trace": lambda p: cli._write_trace([(0, 1.0, 1.0, 1.0), (1,)], p),
+            "field_csv": lambda p: cli.write_field_csv(bad_field, p),
+            "obj": lambda p: cli.write_obj(bad_mesh, p),
+        }
+
+    @pytest.mark.parametrize("name", ["json", "convergence", "trace", "field_csv", "obj"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, name):
+        path = tmp_path / "artifact"
+        path.write_text("previous\n")
+        with pytest.raises((TypeError, AttributeError, ValueError)):
+            self._writers()[name](str(path))
+        assert path.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
 class TestStartup:
-    def test_commands_after_solve_load_no_scipy(self, tmp_path):
-        # only the Newton step imports scipy: importing the CLI, and verify
-        # and embed of a stored radial run, load numpy alone
+    def test_radial_pipeline_loads_no_scipy(self, tmp_path):
+        # importing the CLI, and solve, verify and embed of a radial run,
+        # load numpy alone: the radial Newton step needs no scipy
         cfg = base_config(
             metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
             grid={"n_theta": 16, "nodes_per_unit": 8},
             exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+        cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "run")
-        assert cmd_solve(write_config(tmp_path, cfg), out) == 0
         script = (
             "import sys\n"
             "import lorentz_embed.cli as cli\n"
             "def scipy_modules():\n"
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not scipy_modules(), ('import', scipy_modules())\n"
+            f"assert cli.cmd_solve({cfg_path!r}, {out!r}) == 0\n"
+            "assert not scipy_modules(), ('solve', scipy_modules())\n"
             f"assert cli.cmd_verify({out!r}) == 0\n"
             f"assert cli.cmd_embed({out!r}) == 0\n"
             "assert not scipy_modules(), ('verify, embed', scipy_modules())\n"

@@ -201,6 +201,55 @@ class TestTurningRadiusSolve:
         assert np.max(np.abs(x - root)) <= 2.0**-52
 
 
+class TestRowTables:
+    """Fields from the per-row sweep tables against Illinois and closed forms."""
+
+    @pytest.fixture(params=["h0.25", "h1", "h4", "pinched"])
+    def metric_and_scale(self, request, pinched_metric):
+        if request.param == "pinched":
+            return pinched_metric, None
+        scale = float(request.param[1:])
+        return make_hyperbolic(scale), scale
+
+    def test_matches_illinois_and_closed_form(self, metric_and_scale):
+        m, scale = metric_and_scale
+        g = PolarGrid(40, 48, 3.0)
+        R, T = g.mesh()
+        # innermost, middle and top rows; each field holds its same-radius row
+        for probe in ((0, 0), (20, 5), (39, 47)):
+            d = distance_field_polar(m, g, probe)
+            src = (g.q1[probe[0]], g.q2[probe[1]])
+            for i in range(g.n1):
+                ref = distance_polar(m, src, g.q1[i], g.q2)
+                assert np.max(np.abs(d[i] - ref) / np.maximum(1.0, ref)) <= 1e-12
+            if scale is not None:
+                d0 = hyperbolic_distance(scale, src[0], src[1], R, T)
+                assert np.max(np.abs(d - d0) / np.maximum(1.0, d0)) <= 1e-12
+
+    def test_forced_fallback_is_illinois(self, pinched_metric, monkeypatch):
+        # with no residual accepted, every target takes the Illinois solve
+        # of distance_polar, bit for bit, on the solved half of the columns
+        monkeypatch.setattr(geodesics, "_POLISH_TOL", -1.0)
+        g = PolarGrid(12, 16, 3.0)
+        for i, j in ((0, 3), (7, 0)):
+            d = distance_field_polar(pinched_metric, g, (i, j))
+            cols = (j + np.arange(g.n2 // 2 + 1)) % g.n2
+            for row in range(g.n1):
+                ref = distance_polar(pinched_metric, (g.q1[i], g.q2[j]), g.q1[row],
+                                     g.q2[cols])
+                assert np.array_equal(d[row, cols], ref)
+
+    def test_polish_leaves_residual_below_tolerance(self, warped_metric, monkeypatch):
+        # the table path settles every target of these fields on its own
+        calls = []
+        monkeypatch.setattr(geodesics, "_clairaut_lengths",
+                            lambda m, ra, rb, t: calls.append(ra.size))
+        g = PolarGrid(48, 64, 3.0)
+        for node in ((0, 0), (24, 9), (47, 31)):
+            distance_field_polar(warped_metric, g, node)
+        assert calls == []
+
+
 class TestReach:
     """distance_field(..., reach) against the full field on every row."""
 

@@ -19,7 +19,9 @@ from lorentz_embed.solver import (
     _assemble_jacobian,
     _fourier_step,
     _linear_solve,
+    _mode_bands,
     _stencil_coefficients,
+    _thomas,
     _theta_invariant,
     _Stencil,
 )
@@ -124,19 +126,62 @@ def _state(metric, g, angular=0.0):
 
 
 class TestFourierStep:
-    @pytest.mark.parametrize("n2", [8, 16, 64])
-    def test_matches_sparse_lu(self, pinched_metric, n2):
+    @staticmethod
+    def _system(metric, n2):
         g = PolarGrid(20, n2, 3.0)
-        ch = chart_arrays(pinched_metric, g)
-        _, state = _state(pinched_metric, g)
+        ch = chart_arrays(metric, g)
+        _, state = _state(metric, g)
         stencil = _Stencil(g.h1, g.h2)
         coefs = _stencil_coefficients(state, ch, stencil)
+        rhs = np.random.default_rng(n2).standard_normal(g.shape)
+        return g, ch, state, stencil, coefs, rhs
+
+    @pytest.mark.parametrize("n2", [8, 16, 64])
+    def test_matches_sparse_lu(self, pinched_metric, n2):
+        g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, n2)
         assert _theta_invariant(coefs)
         # every Fourier mode, odd ones and Nyquist included, is excited
-        rhs = np.random.default_rng(n2).standard_normal(g.shape)
         assert np.all(np.abs(np.fft.rfft(rhs, axis=1)) > 1e-3)
         fast = _fourier_step(coefs, stencil, rhs)
         ref = _linear_solve(_assemble_jacobian(state, ch, stencil), rhs.ravel())
+        ref = ref.reshape(g.shape)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n2", [8, 16, 64])
+    def test_elimination_matches_banded_lu(self, pinched_metric, n2):
+        # the elimination without pivoting against scipy's pivoting banded LU,
+        # mode by mode, on systems that are all diagonally dominant
+        from scipy.linalg import solve_banded
+
+        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        lower, diag, upper = _mode_bands(coefs, stencil, *g.shape)
+        assert np.all(np.abs(diag) > np.abs(lower) + np.abs(upper))
+        rhs_hat = np.fft.rfft(rhs, axis=1).T
+        fast = _thomas(lower, diag, upper, rhs_hat)
+        for m in range(diag.shape[0]):
+            ab = np.array([np.r_[0.0, upper[m, :-1]], diag[m], np.r_[lower[m, 1:], 0.0]])
+            ref = solve_banded((1, 1), ab, rhs_hat[m])
+            assert np.abs(fast[m] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_dominant_modes_take_banded_lu(self, pinched_metric, monkeypatch):
+        # weaken the diagonal of the high modes only (mode 0 keeps its
+        # diagonal): those modes are solved by banded LU, the rest by
+        # elimination, and the step still matches the sparse LU one
+        import scipy.linalg
+
+        g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, 16)
+        shift = -0.1 * coefs[4]  # (0, 0); coefs follow _Stencil.RT
+        coefs[3], coefs[4], coefs[5] = coefs[3] - shift / 2, coefs[4] + shift, coefs[5] - shift / 2
+        lower, diag, upper = _mode_bands(coefs, stencil, *g.shape)
+        dominant = np.all(np.abs(diag) > np.abs(lower) + np.abs(upper), axis=1)
+        assert dominant[0] and not dominant[-1]
+        calls = []
+        real = scipy.linalg.solve_banded
+        monkeypatch.setattr(scipy.linalg, "solve_banded",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        fast = _fourier_step(coefs, stencil, rhs)
+        assert len(calls) == np.count_nonzero(~dominant)
+        ref = _linear_solve(_assemble_jacobian(state, ch, stencil, coefs), rhs.ravel())
         ref = ref.reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -173,6 +218,19 @@ class TestFourierStep:
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert len(calls) >= 1
+
+    @pytest.mark.parametrize("rule", ["standard", "midpoint"])
+    def test_sparse_step_keeps_boundary_datum(self, rule):
+        # the identity boundary rows of the sparse Jacobian must not move
+        # the ring off its Dirichlet value, not even by round-off
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        g = PolarGrid(24, 16, 0.7, kind="disc")
+        b = 1.0 / (2.0 * m.bounds.c2_of_radius(g.radius))
+        if rule == "midpoint":
+            b = 0.5 * (b + 1.0 / (2.0 * m.bounds.c1))
+        sol = solve_dirichlet(DirichletProblem(m, g, boundary_value=b))
+        assert sol.iterations >= 1
+        assert np.all(sol.u.values[-1] == b)
 
     def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
         for sol in (pinched_solve_64, pinched_solve_l4):
