@@ -16,7 +16,9 @@ resolved values.
 
 Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
 3 solver non-convergence (trace still written), 4 embedding audit failure,
-5 output directory locked by another run.
+5 output directory locked by another run, 6 the exhaustion stopped with its
+last delta above exhaustion.tol (every artifact still written; "all" still
+runs verify and embed, and returns 6 when both succeed).
 """
 
 from __future__ import annotations
@@ -412,16 +414,20 @@ def cmd_solve(config_path, out_dir, trace=False):
             _write_solution(out_dir, exc.fields, exc.steps, schedule.tol, trace, diverged=True)
             print(f"exhaustion diverged: {exc}", file=sys.stderr)
             return 3
-        _write_solution(out_dir, result.fields, result.steps, schedule.tol, trace)
+        meta = _write_solution(out_dir, result.fields, result.steps, schedule.tol, trace)
+        if meta["met_tol"] is False:
+            print(f"exhaustion stopped above its tol: last delta {meta['last_delta']:.3e} "
+                  f"> {schedule.tol:g}", file=sys.stderr)
+            return 6
         return 0
 
 
 def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     """Write the fields, their meta.json and convergence.csv of a solve.
 
-    meta.json records how the exhaustion ended: the last delta, whether it
-    met ``tol`` (both null when no delta was taken, as on a one-ball chart
-    disc), and whether the deltas diverged.
+    meta.json, which is returned, records how the exhaustion ended: the
+    last delta, whether it met ``tol`` (both null when no delta was taken,
+    as on a one-ball chart disc), and whether the deltas diverged.
     """
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
@@ -441,6 +447,7 @@ def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     meta["diverged"] = diverged
     _dump_json(meta, os.path.join(fields_dir, "meta.json"))
     _write_convergence(steps, os.path.join(out_dir, "convergence.csv"))
+    return meta
 
 
 def _write_convergence(steps, path):
@@ -626,12 +633,10 @@ def main(argv=None):
     if args.command == "embed":
         return cmd_embed(args.out)
     rc = cmd_solve(args.config, args.out, trace=args.trace)
-    if rc:
+    if rc not in (0, 6):
         return rc
-    rc = cmd_verify(args.out)
-    if rc:
-        return rc
-    return cmd_embed(args.out)
+    # an unmet exhaustion tol (6) still leaves a complete run to audit
+    return cmd_verify(args.out) or cmd_embed(args.out) or rc
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ first step, mirroring the uniform interior estimates that make the limit
 exist.  No convergence *rate* is asserted, only the observed deltas.
 
 A schedule may also be a single conformal chart disc (grids of kind
-"disc"): one solve, so its table has one row and no delta.
+"disc"): one solve, so its table has one row and no delta, and nothing is
+sampled on the reference grid.
 """
 
 from __future__ import annotations
@@ -93,9 +94,15 @@ class ExhaustionStep:
 
 @dataclass
 class ExhaustionResult:
+    """The solved balls and their table.
+
+    limit_on_reference is the last field sampled on the reference grid, or
+    None on a one-ball schedule, where no delta is taken.
+    """
+
     fields: list
     steps: list
-    limit_on_reference: np.ndarray
+    limit_on_reference: np.ndarray | None
     converged: bool
     deltas_monotone: bool
 
@@ -171,10 +178,12 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
 
     Raises DivergenceError when the interior deltas increase across three
     consecutive steps; otherwise returns the per-step table, every field
-    solved, and the last one's restriction to the reference grid.  Stops
-    early once delta drops below the schedule tolerance.
+    solved, and the last one's restriction to the reference grid (None on
+    a one-ball schedule).  Stops early once delta drops below the schedule
+    tolerance.
     """
     ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs, kind=schedule.grids[0].kind)
+    sample = len(schedule.radii) > 1
     steps, fields = [], []
     prev_ref = None
     increases = 0
@@ -185,7 +194,7 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
         problem = DirichletProblem(metric, grid, boundary_value=b,
                                    tol=solver_tol, max_iter=max_iter)
         sol = solve_dirichlet(problem)
-        u_ref = sample_bicubic(sol.u, ref.q1, ref.q2)
+        u_ref = sample_bicubic(sol.u, ref.q1, ref.q2) if sample else None
         delta = math.nan if prev_ref is None else float(np.abs(u_ref - prev_ref).max())
         steps.append(ExhaustionStep(l, delta, float(sol.u.values.min()),
                                     float(sol.u.values.max()),

@@ -22,9 +22,20 @@ elimination without pivoting (the Thomas algorithm), vectorized across
 modes; it is stable on strictly row diagonally dominant systems, which
 every mode of the radial workloads has been, with a smallest ratio
 |a_ii| / (|a_i,i-1| + |a_i,i+1|) of about 1.0005.  A mode that fails the
-check takes scipy's banded LU with partial pivoting instead.  Any other
-state assembles the sparse Jacobian and factors it with splu.  Only the
-non-radial Newton step, or a non-dominant mode, imports scipy.
+check takes scipy's banded LU with partial pivoting instead.
+
+Any other state is solved by block elimination in the radial index: the
+Jacobian is block tridiagonal with n_theta x n_theta blocks (theta wraps,
+and the pole mirror folds into ring 0's diagonal block).  The forward
+sweep inverts one Schur complement per ring with LAPACK, partial pivoting
+inside the block but none between blocks, which is stable on block
+diagonally dominant systems (Demmel, Higham & Schreiber, Numer. Linear
+Algebra Appl. 2, 1995).  A residual from the nine coefficient arrays
+decides one refinement step, which reuses the inverses, and the step's
+normwise backward error guards the rest: a singular block, a non-finite
+step, or a backward error above _BLOCK_BACKWARD_TOL sends the step to the
+sparse Jacobian and splu, as does an n_theta above _BLOCK_MAX_THETA, where
+splu is faster.  Only those fallbacks import scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +59,19 @@ __all__ = [
 # line search: smallest step tried, and the share of each margin a step keeps
 MIN_STEP = 1e-12
 MARGIN_KEEP = 0.1
+# Block elimination serves n_theta up to _BLOCK_MAX_THETA.  One step on a
+# poincare_perturbed disc (eps 0.3, 1 BLAS thread), block against sparse
+# assembly + splu: 25 / 38 ms at 64 x 64, 94 / 90 ms at 64 x 128,
+# 182 / 229 ms at 128 x 128, 145 / 119 ms at 64 x 160, 330 / 250 ms at
+# 96 x 192; the block cost grows as n_theta^3 per ring.
+_BLOCK_MAX_THETA = 128
+# A block step whose normwise backward error, after refinement, exceeds
+# this is redone by splu.  Measured on poincare_perturbed discs: at most
+# 1.3e-16 on first steps of grids 24 x 16 to 128 x 128 (eps 0.1, 0.3), as
+# for splu; up to 5.9e-15 (splu 2.4e-16) on the 64 x 64 steps whose right
+# side is round-off, |rhs| ~ 1e-10, where the kept inverses lose a little.
+# 1e-12 sits well above both and far below what would slow Newton down.
+_BLOCK_BACKWARD_TOL = 1e-12
 
 
 class NonConvergenceError(RuntimeError):
@@ -227,13 +251,11 @@ def _stencil_coefficients(state, ch, stencil):
     return coefs
 
 
-def _assemble_jacobian(state, ch, stencil, coefs=None):
-    """Exact Jacobian of the discrete log-residual; boundary rows are identity."""
+def _assemble_jacobian(coefs, stencil, shape):
+    """Exact sparse Jacobian of the discrete log-residual; boundary rows are identity."""
     import scipy.sparse as sp
 
-    if coefs is None:
-        coefs = _stencil_coefficients(state, ch, stencil)
-    n1, n2 = ch.grid.shape
+    n1, n2 = shape
     ni = n1 - 1
     half = n2 // 2
     ii, jj = np.meshgrid(np.arange(ni), np.arange(n2), indexing="ij")
@@ -341,6 +363,100 @@ def _thomas(lower, diag, upper, rhs):
     return x
 
 
+def _block_bands(coefs, stencil, n1, n2):
+    """Sub-, main and super-diagonal blocks of the interior Jacobian.
+
+    Each band has shape (n1 - 1, n2, n2): block i couples ring i to ring
+    i - 1, i and i + 1.  The index map is _assemble_jacobian's: theta
+    offsets wrap, and ring 0's di = -1 neighbour is ring 0 itself, half a
+    turn on (the pole mirror), so those coefficients fold into its diagonal
+    block.  lower[0] is therefore zero, and upper[-1] couples the last
+    interior ring to the boundary ring.
+    """
+    ni, half = n1 - 1, n2 // 2
+    j = np.arange(n2)
+    bands = {di: np.zeros((ni, n2, n2)) for di in (-1, 0, 1)}
+    for (di, dj), c in zip(stencil.RT, coefs):
+        if di == -1:
+            bands[-1][1:, j, (j + dj) % n2] += c[1:]
+            bands[0][0, j, (j + dj + half) % n2] += c[0]
+        else:
+            bands[di][:, j, (j + dj) % n2] += c
+    return bands[-1], bands[0], bands[1]
+
+
+def _stencil_apply(coefs, stencil, x):
+    """Interior rows of J @ x for a grid-shaped x, from the nine coefficient arrays."""
+    ni, half = x.shape[0] - 1, x.shape[1] // 2
+    # row k of ext is ring k - 1; ring -1 is ring 0 half a turn on
+    ext = np.vstack([np.roll(x[:1], half, axis=1), x])
+    out = np.zeros((ni, x.shape[1]))
+    for (di, dj), c in zip(stencil.RT, coefs):
+        out += c * np.roll(ext[1 + di:1 + di + ni], -dj, axis=1)
+    return out
+
+
+def _block_step(coefs, stencil, rhs):
+    """Newton step by block elimination in the radial index, or None.
+
+    ``rhs`` has the grid's shape; its boundary row is the step there (the
+    boundary rows of the Jacobian are identity), which moves to the right
+    side of the last interior ring.  The forward sweep inverts one Schur
+    complement per ring (LAPACK, partial pivoting inside the block) and
+    keeps the inverses, so the one refinement step, taken when the residual
+    exceeds 1e-12 of the right side, costs matrix-vector products only.
+    Returns None when a block is singular, the step is not finite, or the
+    refined step's normwise backward error exceeds _BLOCK_BACKWARD_TOL.
+    """
+    n1, n2 = rhs.shape
+    lower, diag, upper = _block_bands(coefs, stencil, n1, n2)
+    b = rhs[:-1].copy()
+    b[-1] -= upper[-1] @ rhs[-1]
+    # block LU: diag[i] becomes the inverse Schur complement, upper[i] the
+    # unit upper factor S_i^{-1} U_i
+    try:
+        for i in range(n1 - 1):
+            if i:
+                diag[i] -= lower[i] @ upper[i - 1]
+            diag[i] = np.linalg.inv(diag[i])
+            if i < n1 - 2:
+                upper[i] = diag[i] @ upper[i]
+    except np.linalg.LinAlgError:
+        return None
+
+    def solve(r):
+        y = np.empty_like(r)
+        y[0] = diag[0] @ r[0]
+        for i in range(1, n1 - 1):
+            y[i] = diag[i] @ (r[i] - lower[i] @ y[i - 1])
+        for i in range(n1 - 3, -1, -1):
+            y[i] -= upper[i] @ y[i + 1]
+        return y
+
+    delta = np.vstack([solve(b), rhs[-1:]])
+    r = rhs[:-1] - _stencil_apply(coefs, stencil, delta)
+    if np.linalg.norm(r) > 1e-12 * np.linalg.norm(rhs):
+        delta[:-1] += solve(r)
+        r = rhs[:-1] - _stencil_apply(coefs, stencil, delta)
+    # normwise backward error: |r| against |J| |delta| + |rhs|, max norms
+    scale = sum(np.abs(c) for c in coefs).max() * np.abs(delta).max() + np.abs(rhs).max()
+    if not (np.all(np.isfinite(delta)) and np.abs(r).max() <= _BLOCK_BACKWARD_TOL * scale):
+        return None
+    return delta
+
+
+def _general_step(coefs, stencil, rhs):
+    """Newton step for any coefficients: block elimination, splu as fallback."""
+    if rhs.shape[1] <= _BLOCK_MAX_THETA:
+        delta = _block_step(coefs, stencil, rhs)
+        if delta is not None:
+            return delta
+    delta = _linear_solve(_assemble_jacobian(coefs, stencil, rhs.shape), rhs.ravel())
+    delta = delta.reshape(rhs.shape)
+    delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
+    return delta
+
+
 def _linear_solve(J, rhs):
     """Sparse direct solve with one step of iterative refinement if needed."""
     import scipy.sparse.linalg as spla  # splu is looked up here, at call time
@@ -384,10 +500,7 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
         if _theta_invariant(coefs):
             delta = _fourier_step(coefs, stencil, rhs)
         else:
-            J = _assemble_jacobian(state, chart, stencil, coefs)
-            del coefs  # released before splu, so they do not add to its peak memory
-            delta = _linear_solve(J, rhs.ravel()).reshape(grid.shape)
-            delta[-1] = 0.0  # the identity rows, which splu solves only to round-off
+            delta = _general_step(coefs, stencil, rhs)
 
         t = 1.0
         accepted = None

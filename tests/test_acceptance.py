@@ -216,7 +216,8 @@ def test_criterion_11_determinism(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     outs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for out in outs:
-        assert cmd_solve(str(cfg_path), out, trace=True) == 0
+        # the delta at l = 3 (5.1e-4) is above tol 1e-5: exit 6, every artifact written
+        assert cmd_solve(str(cfg_path), out, trace=True) == 6
         assert cmd_verify(out) == 0
         assert cmd_embed(out) == 0
     files = sorted(p.relative_to(outs[0])

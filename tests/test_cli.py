@@ -401,11 +401,23 @@ class TestExhaustionEnd:
                 grid={"n_theta": 16, "nodes_per_unit": 8},
                 exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": tol})
             out = tmp_path / f"run{tol:g}"
-            assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+            assert cmd_solve(write_config(tmp_path, cfg), str(out)) == (0 if met else 6)
             meta = json.loads((out / "fields" / "meta.json").read_text())
             assert meta["last_delta"] == _last_delta(out)
             assert meta["met_tol"] is met
             assert meta["diverged"] is False
+
+    def test_unmet_tol_exits_6_after_verify_and_embed(self, tmp_path, capsys):
+        cfg = base_config(
+            metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+            grid={"n_theta": 16, "nodes_per_unit": 8},
+            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+        out = tmp_path / "run"
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 6
+        assert "above its tol" in capsys.readouterr().err
+        assert json.loads((out / "fields" / "meta.json").read_text())["met_tol"] is False
+        assert json.loads((out / "verify" / "report.json").read_text())["mandatory_pass"]
+        assert (out / "embed" / "surface.obj").exists()
 
     def test_chart_disc_has_no_delta(self, tmp_path):
         out = tmp_path / "run"
@@ -459,13 +471,10 @@ class TestAtomicArtifacts:
 
 
 class TestStartup:
-    def test_radial_pipeline_loads_no_scipy(self, tmp_path):
-        # importing the CLI, and solve, verify and embed of a radial run,
-        # load numpy alone: the radial Newton step needs no scipy
-        cfg = base_config(
-            metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
-            grid={"n_theta": 16, "nodes_per_unit": 8},
-            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+    @staticmethod
+    def _assert_loads_no_scipy(tmp_path, cfg, solve_rc):
+        # importing the CLI, and solve, verify and embed of the run, load
+        # numpy alone; runs in a fresh interpreter
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "run")
         script = (
@@ -474,7 +483,7 @@ class TestStartup:
             "def scipy_modules():\n"
             "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "assert not scipy_modules(), ('import', scipy_modules())\n"
-            f"assert cli.cmd_solve({cfg_path!r}, {out!r}) == 0\n"
+            f"assert cli.cmd_solve({cfg_path!r}, {out!r}) == {solve_rc}\n"
             "assert not scipy_modules(), ('solve', scipy_modules())\n"
             f"assert cli.cmd_verify({out!r}) == 0\n"
             f"assert cli.cmd_embed({out!r}) == 0\n"
@@ -486,6 +495,22 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+
+    def test_radial_pipeline_loads_no_scipy(self, tmp_path):
+        # the radial Newton step needs no scipy; the delta at l = 3 (about
+        # 5e-4) is above tol 1e-5, so solve exits 6
+        cfg = base_config(
+            metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+            grid={"n_theta": 16, "nodes_per_unit": 8},
+            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
+        self._assert_loads_no_scipy(tmp_path, cfg, 6)
+
+    def test_chart_disc_pipeline_loads_no_scipy(self, tmp_path):
+        # the non-radial Newton step is a block step, with no splu; the
+        # grid is fine enough for embed's curvature check
+        cfg = conformal_config(radii=(0.8,))
+        cfg["grid"] = {"n_theta": 64, "n_r": 64}
+        self._assert_loads_no_scipy(tmp_path, cfg, 0)
 
 
 class TestLocking:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic
+from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid, ScalarField
 from lorentz_embed.exhaustion import (
     ExhaustionSchedule,
@@ -101,6 +101,20 @@ class TestModelExhaustion:
             assert np.all(fld.u.values == 0.5)
         deltas = [s.delta for s in result.steps[1:]]
         assert all(d <= 1e-12 for d in deltas)
+
+    def test_one_ball_schedule_samples_nothing(self, monkeypatch):
+        # a chart disc solves one ball: no delta, so no reference sample
+        from lorentz_embed import exhaustion
+
+        calls = []
+        monkeypatch.setattr(exhaustion, "sample_bicubic",
+                            lambda *a: calls.append(1) or sample_bicubic(*a))
+        sched = make_schedule((0.7,), l_obs=0.5, n_theta=16, n_r=24, kind="disc")
+        result = run_exhaustion(sched, make_poincare_perturbed(1.0, 0.9, eps=0.3))
+        assert calls == []
+        assert result.limit_on_reference is None
+        assert len(result.steps) == 1 and math.isnan(result.steps[0].delta)
+        assert not result.converged
 
     def test_early_stop_on_tolerance(self):
         sched = make_schedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=12,

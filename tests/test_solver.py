@@ -9,6 +9,7 @@ from lorentz_embed.metric import (
     make_poincare_perturbed,
     make_radial_from_curvature,
 )
+from lorentz_embed import solver
 from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.solver import (
     DirichletProblem,
@@ -17,9 +18,13 @@ from lorentz_embed.solver import (
     verify_subsolution,
     _probe,
     _assemble_jacobian,
+    _block_bands,
+    _block_step,
     _fourier_step,
+    _general_step,
     _linear_solve,
     _mode_bands,
+    _stencil_apply,
     _stencil_coefficients,
     _thomas,
     _theta_invariant,
@@ -101,7 +106,8 @@ class TestJacobian:
         vals = b + 0.04 * np.exp(-R) + 0.01 * np.cos(T) * R**2 / (1 + R**2)
         vals[-1] = b
         state = _probe(vals, ch)
-        J = _assemble_jacobian(state, ch, _Stencil(g.h1, g.h2))
+        stencil = _Stencil(g.h1, g.h2)
+        J = _assemble_jacobian(_stencil_coefficients(state, ch, stencil), stencil, g.shape)
         rng = np.random.default_rng(7)
         v = rng.standard_normal(g.shape)
         v[-1] = 0.0
@@ -125,6 +131,22 @@ def _state(metric, g, angular=0.0):
     return vals, _probe(vals, chart_arrays(metric, g))
 
 
+def _count_splu(monkeypatch):
+    """Record every splu call; the solver looks splu up on
+    scipy.sparse.linalg at each call, as the benchmark's span tracer does."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    real = spla.splu
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
 class TestFourierStep:
     @staticmethod
     def _system(metric, n2):
@@ -143,7 +165,7 @@ class TestFourierStep:
         # every Fourier mode, odd ones and Nyquist included, is excited
         assert np.all(np.abs(np.fft.rfft(rhs, axis=1)) > 1e-3)
         fast = _fourier_step(coefs, stencil, rhs)
-        ref = _linear_solve(_assemble_jacobian(state, ch, stencil), rhs.ravel())
+        ref = _linear_solve(_assemble_jacobian(coefs, stencil, g.shape), rhs.ravel())
         ref = ref.reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -181,7 +203,7 @@ class TestFourierStep:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         fast = _fourier_step(coefs, stencil, rhs)
         assert len(calls) == np.count_nonzero(~dominant)
-        ref = _linear_solve(_assemble_jacobian(state, ch, stencil, coefs), rhs.ravel())
+        ref = _linear_solve(_assemble_jacobian(coefs, stencil, g.shape), rhs.ravel())
         ref = ref.reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -191,38 +213,18 @@ class TestFourierStep:
         ch = chart_arrays(pinched_metric, g)
         assert not _theta_invariant(_stencil_coefficients(state, ch, _Stencil(g.h1, g.h2)))
 
-    @staticmethod
-    def _count_splu(monkeypatch):
-        # the solver looks splu up on scipy.sparse.linalg at each call, as
-        # the benchmark's span tracer does
-        import scipy.sparse.linalg as spla
-
-        calls = []
-        real = spla.splu
-
-        def counted(A, *args, **kwargs):
-            calls.append(A.shape)
-            return real(A, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted)
-        return calls
-
     def test_radial_solve_never_factors(self, pinched_metric, monkeypatch):
-        calls = self._count_splu(monkeypatch)
+        calls = _count_splu(monkeypatch)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
         assert sol.iterations >= 2
         assert calls == []
 
-    def test_non_radial_chart_factors(self, monkeypatch):
-        calls = self._count_splu(monkeypatch)
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
-        solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
-        assert len(calls) >= 1
-
     @pytest.mark.parametrize("rule", ["standard", "midpoint"])
-    def test_sparse_step_keeps_boundary_datum(self, rule):
-        # the identity boundary rows of the sparse Jacobian must not move
-        # the ring off its Dirichlet value, not even by round-off
+    def test_sparse_step_keeps_boundary_datum(self, rule, monkeypatch):
+        # the identity boundary rows of the Jacobian must not move the ring
+        # off its Dirichlet value, not even by round-off; the non-radial
+        # steps here are block steps
+        calls = _count_splu(monkeypatch)
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         g = PolarGrid(24, 16, 0.7, kind="disc")
         b = 1.0 / (2.0 * m.bounds.c2_of_radius(g.radius))
@@ -230,12 +232,102 @@ class TestFourierStep:
             b = 0.5 * (b + 1.0 / (2.0 * m.bounds.c1))
         sol = solve_dirichlet(DirichletProblem(m, g, boundary_value=b))
         assert sol.iterations >= 1
+        assert calls == []
         assert np.all(sol.u.values[-1] == b)
 
     def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
         for sol in (pinched_solve_64, pinched_solve_l4):
             u = sol.u.values
             assert np.array_equal(u, np.broadcast_to(u[:, :1], u.shape))
+
+
+class TestBlockStep:
+    @staticmethod
+    def _system(n1, n2, eps, seed=0):
+        """A non-radial disc state and a random right side."""
+        m = make_poincare_perturbed(1.0, 0.9, eps=eps)
+        g = PolarGrid(n1, n2, 0.7, kind="disc")
+        ch = chart_arrays(m, g)
+        _, state = _state(m, g, angular=0.01)
+        stencil = _Stencil(g.h1, g.h2)
+        coefs = _stencil_coefficients(state, ch, stencil)
+        assert not _theta_invariant(coefs)
+        rhs = np.random.default_rng(seed).standard_normal(g.shape)
+        return g, stencil, coefs, rhs
+
+    @staticmethod
+    def _splu_step(g, stencil, coefs, rhs):
+        return _linear_solve(_assemble_jacobian(coefs, stencil, g.shape),
+                             rhs.ravel()).reshape(g.shape)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3])
+    @pytest.mark.parametrize("shape", [(24, 16), (64, 64), (40, 96)])
+    def test_matches_sparse_lu(self, shape, eps):
+        g, stencil, coefs, rhs = self._system(*shape, eps)
+        fast = _block_step(coefs, stencil, rhs)
+        ref = self._splu_step(g, stencil, coefs, rhs)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(fast[-1], rhs[-1])  # the identity rows, exactly
+
+    def test_bands_are_jacobian_blocks(self):
+        g, stencil, coefs, _ = self._system(12, 8, 0.3)
+        n = g.n2
+        J = _assemble_jacobian(coefs, stencil, g.shape).toarray()
+        lower, diag, upper = _block_bands(coefs, stencil, *g.shape)
+        for i in range(g.n1 - 1):
+            rows = slice(i * n, (i + 1) * n)
+            assert np.array_equal(diag[i], J[rows, i * n:(i + 1) * n])
+            assert np.array_equal(upper[i], J[rows, (i + 1) * n:(i + 2) * n])
+            if i:
+                assert np.array_equal(lower[i], J[rows, (i - 1) * n:i * n])
+        assert not lower[0].any()
+
+    def test_stencil_apply_matches_jacobian(self):
+        g, stencil, coefs, _ = self._system(24, 16, 0.3)
+        x = np.random.default_rng(3).standard_normal(g.shape)
+        J = _assemble_jacobian(coefs, stencil, g.shape)
+        ref = (J @ x.ravel()).reshape(g.shape)[:-1]
+        scale = (abs(J) @ np.abs(x).ravel()).max()
+        assert np.abs(_stencil_apply(coefs, stencil, x) - ref).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("cause", ["backward_error", "n_theta"])
+    def test_fallback_takes_splu(self, cause, monkeypatch):
+        # a step that fails the backward-error check, or a grid above the
+        # crossover, is solved by splu, and the step is the same
+        g, stencil, coefs, rhs = self._system(24, 16, 0.3)
+        fast = _block_step(coefs, stencil, rhs)
+        calls = _count_splu(monkeypatch)
+        if cause == "backward_error":
+            monkeypatch.setattr(solver, "_BLOCK_BACKWARD_TOL", -1.0)
+        else:
+            monkeypatch.setattr(solver, "_BLOCK_MAX_THETA", g.n2 - 2)
+        step = _general_step(coefs, stencil, rhs)
+        assert len(calls) == 1
+        assert np.array_equal(step[-1], rhs[-1])
+        assert np.abs(step - fast).max() <= 1e-12 * np.abs(fast).max()
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_singular_or_non_finite_blocks_give_no_step(self, fill):
+        g, stencil, coefs, rhs = self._system(12, 8, 0.3)
+        coefs = [np.full_like(c, fill) for c in coefs]
+        assert _block_step(coefs, stencil, rhs) is None
+
+    def test_non_radial_chart_makes_no_splu_call(self, monkeypatch):
+        calls = _count_splu(monkeypatch)
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        sol = solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
+        assert sol.iterations >= 1
+        assert calls == []
+
+    def test_solve_matches_splu_path(self, monkeypatch):
+        # the whole Newton solve, block steps against splu steps
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        problem = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
+        fast = solve_dirichlet(problem)
+        monkeypatch.setattr(solver, "_BLOCK_MAX_THETA", 0)
+        ref = solve_dirichlet(problem)
+        assert fast.iterations == ref.iterations
+        assert np.abs(fast.u.values - ref.u.values).max() <= 1e-12
 
 
 class TestStrongPinching:
