@@ -51,7 +51,8 @@ from .solver import solve_dirichlet  # noqa: F401
 from .exhaustion import make_schedule, run_exhaustion, DivergenceError
 from .estimates import run_estimate_suite
 from .embed import (
-    _MIN_OBS_RINGS, ObservationRegionError, build_embedding, export_graph, write_obj,
+    _MIN_OBS_RINGS, CurvatureCheckError, ObservationRegionError, build_embedding,
+    export_graph, write_obj,
 )
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
@@ -582,6 +583,9 @@ def cmd_embed(run_dir):
     except ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
         print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
         return 2
+    except CurvatureCheckError as exc:
+        print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
+        return 4
     out = os.path.join(run_dir, "embed")
     with _locked_dir(run_dir):
         os.makedirs(out, exist_ok=True)

@@ -33,6 +33,7 @@ from .solver import AdmissibleField
 
 __all__ = [
     "ObservationRegionError",
+    "CurvatureCheckError",
     "ConformalHyperbolicMetric",
     "DevelopingMap",
     "EmbeddingMap",
@@ -60,6 +61,10 @@ _MIN_OBS_RINGS = 4
 
 class ObservationRegionError(ValueError):
     """The observation radius covers fewer than 4 rings of the grid."""
+
+
+class CurvatureCheckError(ValueError):
+    """The rescaled metric's curvature misses -1 by more than check_tol."""
 
 
 def minkowski_inner(a, b):
@@ -220,7 +225,7 @@ def conformal_metric(field: AdmissibleField, rows=None,
     K = _brioschi_curvature(E, F, G, calc)
     defect = float(np.abs(K + 1.0).max())
     if defect > check_tol:
-        raise ValueError(
+        raise CurvatureCheckError(
             f"rescaled metric is not hyperbolic to tolerance: max |K+1| = {defect:.3e}"
             f" > {check_tol:.1e}"
         )

@@ -21,8 +21,8 @@ TOMS Alg. 541).  The mode systems are solved together by Gaussian
 elimination without pivoting (the Thomas algorithm), vectorized across
 modes; it is stable on strictly row diagonally dominant systems, which
 every mode of the radial workloads has been, with a smallest ratio
-|a_ii| / (|a_i,i-1| + |a_i,i+1|) of about 1.0005.  A mode that fails the
-check takes scipy's banded LU with partial pivoting instead.
+|a_ii| / (|a_i,i-1| + |a_i,i+1|) of about 1.0005.  If any mode fails the
+check, the whole step takes the block elimination below instead.
 
 Any other state is solved by block elimination in the radial index: the
 Jacobian is block tridiagonal with n_theta x n_theta blocks (theta wraps,
@@ -30,12 +30,9 @@ and the pole mirror folds into ring 0's diagonal block).  The forward
 sweep inverts one Schur complement per ring with LAPACK, partial pivoting
 inside the block but none between blocks, which is stable on block
 diagonally dominant systems (Demmel, Higham & Schreiber, Numer. Linear
-Algebra Appl. 2, 1995).  A residual from the nine coefficient arrays
-decides one refinement step, which reuses the inverses, and the step's
-normwise backward error guards the rest: a singular block, a non-finite
-step, or a backward error above _BLOCK_BACKWARD_TOL sends the step to the
-sparse Jacobian and splu, as does an n_theta above _BLOCK_MAX_THETA, where
-splu is faster.  Only those fallbacks import scipy.
+Algebra Appl. 2, 1995).  One refinement step reuses the inverses.  A
+singular block, a non-finite step or a normwise backward error above
+_BLOCK_BACKWARD_TOL fails the step, and a failed step stops Newton.
 """
 
 from __future__ import annotations
@@ -59,16 +56,10 @@ __all__ = [
 # line search: smallest step tried, and the share of each margin a step keeps
 MIN_STEP = 1e-12
 MARGIN_KEEP = 0.1
-# Block elimination serves n_theta up to _BLOCK_MAX_THETA.  One step on a
-# poincare_perturbed disc (eps 0.3, 1 BLAS thread), block against sparse
-# assembly + splu: 25 / 38 ms at 64 x 64, 94 / 90 ms at 64 x 128,
-# 182 / 229 ms at 128 x 128, 145 / 119 ms at 64 x 160, 330 / 250 ms at
-# 96 x 192; the block cost grows as n_theta^3 per ring.
-_BLOCK_MAX_THETA = 128
 # A block step whose normwise backward error, after refinement, exceeds
-# this is redone by splu.  Measured on poincare_perturbed discs: at most
-# 1.3e-16 on first steps of grids 24 x 16 to 128 x 128 (eps 0.1, 0.3), as
-# for splu; up to 5.9e-15 (splu 2.4e-16) on the 64 x 64 steps whose right
+# this fails.  Measured on poincare_perturbed discs: at most 1.3e-16 on
+# first steps of grids 24 x 16 to 128 x 128 (eps 0.1, 0.3), as for sparse
+# LU; up to 5.9e-15 (sparse LU 2.4e-16) on the 64 x 64 steps whose right
 # side is round-off, |rhs| ~ 1e-10, where the kept inverses lose a little.
 # 1e-12 sits well above both and far below what would slow Newton down.
 _BLOCK_BACKWARD_TOL = 1e-12
@@ -251,40 +242,6 @@ def _stencil_coefficients(state, ch, stencil):
     return coefs
 
 
-def _assemble_jacobian(coefs, stencil, shape):
-    """Exact sparse Jacobian of the discrete log-residual; boundary rows are identity."""
-    import scipy.sparse as sp
-
-    n1, n2 = shape
-    ni = n1 - 1
-    half = n2 // 2
-    ii, jj = np.meshgrid(np.arange(ni), np.arange(n2), indexing="ij")
-    rows_base = (ii * n2 + jj).ravel()
-
-    data, rows, cols = [], [], []
-    for (di, dj), coef in zip(stencil.RT, coefs):
-        ti = ii + di
-        tj = (jj + dj) % n2
-        mirror = ti < 0
-        if np.any(mirror):
-            ti = np.where(mirror, 0, ti)
-            tj = np.where(mirror, (jj + dj + half) % n2, tj)
-        data.append(coef.ravel())
-        rows.append(rows_base)
-        cols.append((ti * n2 + tj).ravel())
-
-    n = n1 * n2
-    bd = np.arange(ni * n2, n)
-    data.append(np.ones(bd.size))
-    rows.append(bd)
-    cols.append(bd)
-    J = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return J.tocsr()
-
-
 def _theta_invariant(coefs):
     """Whether every coefficient array is exactly constant along theta."""
     return all(np.all(c == c[:, :1]) for c in coefs)
@@ -318,27 +275,16 @@ def _mode_bands(coefs, stencil, n1, n2):
 def _fourier_step(coefs, stencil, rhs):
     """Newton step for theta-invariant coefficients, one radial solve per mode.
 
-    ``rhs`` has the grid's shape; its boundary row is the step there (the
-    boundary rows of the Jacobian are identity).  Each Fourier mode is a
-    complex tridiagonal system in the radial index (_mode_bands).  The
-    strictly row diagonally dominant ones are solved together by
-    elimination without pivoting (_thomas), which is stable there; any
-    other mode takes banded LU with partial pivoting.
+    ``rhs`` is as for _block_step.  Each Fourier mode is a complex
+    tridiagonal system in the radial index (_mode_bands).  If every mode is
+    strictly row diagonally dominant, elimination without pivoting (_thomas)
+    solves them together, stably; otherwise the whole step is a block step.
     """
     n1, n2 = rhs.shape
     lower, diag, upper = _mode_bands(coefs, stencil, n1, n2)
-    rhs_hat = np.fft.rfft(rhs, axis=1).T
-    out = np.empty_like(rhs_hat)
-    dominant = np.all(np.abs(diag) > np.abs(lower) + np.abs(upper), axis=1)
-    out[dominant] = _thomas(lower[dominant], diag[dominant], upper[dominant],
-                            rhs_hat[dominant])
-    if not np.all(dominant):
-        from scipy.linalg import solve_banded
-
-        for m in np.nonzero(~dominant)[0]:
-            # ab[1 + i - j, j] = A[i, j]
-            ab = np.array([np.r_[0.0, upper[m, :-1]], diag[m], np.r_[lower[m, 1:], 0.0]])
-            out[m] = solve_banded((1, 1), ab, rhs_hat[m], check_finite=False)
+    if not np.all(np.abs(diag) > np.abs(lower) + np.abs(upper)):
+        return _block_step(coefs, stencil, rhs)
+    out = _thomas(lower, diag, upper, np.fft.rfft(rhs, axis=1).T)
     return np.fft.irfft(out.T, n=n2, axis=1)
 
 
@@ -367,11 +313,10 @@ def _block_bands(coefs, stencil, n1, n2):
     """Sub-, main and super-diagonal blocks of the interior Jacobian.
 
     Each band has shape (n1 - 1, n2, n2): block i couples ring i to ring
-    i - 1, i and i + 1.  The index map is _assemble_jacobian's: theta
-    offsets wrap, and ring 0's di = -1 neighbour is ring 0 itself, half a
-    turn on (the pole mirror), so those coefficients fold into its diagonal
-    block.  lower[0] is therefore zero, and upper[-1] couples the last
-    interior ring to the boundary ring.
+    i - 1, i and i + 1.  Theta offsets wrap, and ring 0's di = -1 neighbour
+    is ring 0 itself, half a turn on (the pole mirror), so those
+    coefficients fold into its diagonal block.  lower[0] is therefore zero,
+    and upper[-1] couples the last interior ring to the boundary ring.
     """
     ni, half = n1 - 1, n2 // 2
     j = np.arange(n2)
@@ -397,16 +342,15 @@ def _stencil_apply(coefs, stencil, x):
 
 
 def _block_step(coefs, stencil, rhs):
-    """Newton step by block elimination in the radial index, or None.
+    """Newton step by block elimination in the radial index.
 
     ``rhs`` has the grid's shape; its boundary row is the step there (the
     boundary rows of the Jacobian are identity), which moves to the right
-    side of the last interior ring.  The forward sweep inverts one Schur
-    complement per ring (LAPACK, partial pivoting inside the block) and
-    keeps the inverses, so the one refinement step, taken when the residual
-    exceeds 1e-12 of the right side, costs matrix-vector products only.
-    Returns None when a block is singular, the step is not finite, or the
-    refined step's normwise backward error exceeds _BLOCK_BACKWARD_TOL.
+    side of the last interior ring.  The forward sweep keeps the inverse
+    Schur complements, so the one refinement step (taken when the residual
+    exceeds 1e-12 of the right side) costs matrix-vector products only.
+    Raises LinAlgError naming the failed check: a singular Schur complement,
+    a non-finite step, or a backward error above _BLOCK_BACKWARD_TOL.
     """
     n1, n2 = rhs.shape
     lower, diag, upper = _block_bands(coefs, stencil, n1, n2)
@@ -414,15 +358,16 @@ def _block_step(coefs, stencil, rhs):
     b[-1] -= upper[-1] @ rhs[-1]
     # block LU: diag[i] becomes the inverse Schur complement, upper[i] the
     # unit upper factor S_i^{-1} U_i
-    try:
-        for i in range(n1 - 1):
-            if i:
-                diag[i] -= lower[i] @ upper[i - 1]
+    for i in range(n1 - 1):
+        if i:
+            diag[i] -= lower[i] @ upper[i - 1]
+        try:
             diag[i] = np.linalg.inv(diag[i])
-            if i < n1 - 2:
-                upper[i] = diag[i] @ upper[i]
-    except np.linalg.LinAlgError:
-        return None
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(
+                f"block step: singular Schur complement at ring {i}") from None
+        if i < n1 - 2:
+            upper[i] = diag[i] @ upper[i]
 
     def solve(r):
         y = np.empty_like(r)
@@ -440,43 +385,21 @@ def _block_step(coefs, stencil, rhs):
         r = rhs[:-1] - _stencil_apply(coefs, stencil, delta)
     # normwise backward error: |r| against |J| |delta| + |rhs|, max norms
     scale = sum(np.abs(c) for c in coefs).max() * np.abs(delta).max() + np.abs(rhs).max()
-    if not (np.all(np.isfinite(delta)) and np.abs(r).max() <= _BLOCK_BACKWARD_TOL * scale):
-        return None
+    if not np.all(np.isfinite(delta)):
+        raise np.linalg.LinAlgError("block step: step is not finite")
+    if not np.abs(r).max() <= _BLOCK_BACKWARD_TOL * scale:
+        raise np.linalg.LinAlgError(
+            f"block step: backward error {np.abs(r).max() / scale:.3e} "
+            f"exceeds {_BLOCK_BACKWARD_TOL:g}")
     return delta
-
-
-def _general_step(coefs, stencil, rhs):
-    """Newton step for any coefficients: block elimination, splu as fallback."""
-    if rhs.shape[1] <= _BLOCK_MAX_THETA:
-        delta = _block_step(coefs, stencil, rhs)
-        if delta is not None:
-            return delta
-    delta = _linear_solve(_assemble_jacobian(coefs, stencil, rhs.shape), rhs.ravel())
-    delta = delta.reshape(rhs.shape)
-    delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
-    return delta
-
-
-def _linear_solve(J, rhs):
-    """Sparse direct solve with one step of iterative refinement if needed."""
-    import scipy.sparse.linalg as spla  # splu is looked up here, at call time
-
-    lu = spla.splu(J.tocsc())
-    x = lu.solve(rhs)
-    norm = np.linalg.norm(rhs)
-    if norm > 0.0:
-        r = rhs - J @ x
-        if np.linalg.norm(r) > 1e-12 * norm:
-            x = x + lu.solve(r)
-    return x
 
 
 def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     """Solve one Dirichlet problem by damped Newton from the constant subsolution.
 
     Returns an AdmissibleField whose interior log-residual infinity norm is
-    <= problem.tol.  Raises NonConvergenceError with the trace when damping
-    underflows or the iteration budget is exhausted.
+    <= problem.tol.  Raises NonConvergenceError with the trace when a step
+    fails its checks, damping underflows, or the iteration budget runs out.
     """
     grid = problem.grid
     metric = problem.metric
@@ -497,10 +420,11 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
         rhs = np.zeros(grid.shape)
         rhs[:-1] = -state.residual
         coefs = _stencil_coefficients(state, chart, stencil)
-        if _theta_invariant(coefs):
-            delta = _fourier_step(coefs, stencil, rhs)
-        else:
-            delta = _general_step(coefs, stencil, rhs)
+        step_fn = _fourier_step if _theta_invariant(coefs) else _block_step
+        try:
+            delta = step_fn(coefs, stencil, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"Newton step {it}: {exc}", trace) from exc
 
         t = 1.0
         accepted = None

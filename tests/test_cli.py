@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import lorentz_embed
 import lorentz_embed.cli as cli
+import lorentz_embed.solver as solver
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.metric import make_poincare_perturbed
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
@@ -285,6 +287,28 @@ class TestPipeline:
         assert "did not converge" in capsys.readouterr().err
         assert (Path(out) / "trace_failed.csv").exists()
 
+    def test_failed_newton_step_exit_3_with_trace(self, tmp_path, capsys, monkeypatch):
+        # a block step that fails its backward-error check stops Newton
+        monkeypatch.setattr(solver, "_BLOCK_BACKWARD_TOL", -1.0)
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 3
+        assert "backward error" in capsys.readouterr().err
+        assert (out / "trace_failed.csv").exists()
+
+    def test_failed_curvature_check_exit_4(self, tmp_path, capsys):
+        # on a 32 x 32 grid the eps 0.3 chart disc's rescaled metric misses
+        # K = -1 by 1.3e-2, above the default curvature_check_tol of 1e-2
+        cfg = conformal_config(radii=(0.8,))
+        cfg["grid"] = {"n_theta": 32, "n_r": 32}
+        out = str(tmp_path / "run")
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("embed audit: rescaled metric is not hyperbolic")
+        assert cmd_embed(out) == 4
+        assert capsys.readouterr().err == err
+
     def test_default_observation_radius_used_by_solve(self, tmp_path, monkeypatch):
         seen = []
         real = cli.run_exhaustion
@@ -504,6 +528,22 @@ class TestStartup:
             grid={"n_theta": 16, "nodes_per_unit": 8},
             exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
         self._assert_loads_no_scipy(tmp_path, cfg, 6)
+
+    def test_no_module_imports_scipy(self):
+        # the runs above see only the paths they take; an import statement
+        # on any other path shows here
+        found = []
+        for path in sorted(Path(lorentz_embed.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_chart_disc_pipeline_loads_no_scipy(self, tmp_path):
         # the non-radial Newton step is a block step, with no splu; the

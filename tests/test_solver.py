@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import bump_curvature
+from oracles import _assemble_jacobian, _linear_solve, bump_curvature, splu_step
 
 from lorentz_embed.metric import (
     make_hyperbolic,
@@ -17,12 +17,9 @@ from lorentz_embed.solver import (
     solve_dirichlet,
     verify_subsolution,
     _probe,
-    _assemble_jacobian,
     _block_bands,
     _block_step,
     _fourier_step,
-    _general_step,
-    _linear_solve,
     _mode_bands,
     _stencil_apply,
     _stencil_coefficients,
@@ -131,19 +128,17 @@ def _state(metric, g, angular=0.0):
     return vals, _probe(vals, chart_arrays(metric, g))
 
 
-def _count_splu(monkeypatch):
-    """Record every splu call; the solver looks splu up on
-    scipy.sparse.linalg at each call, as the benchmark's span tracer does."""
-    import scipy.sparse.linalg as spla
+def _count_steps(monkeypatch):
+    """Count the calls of each Newton step function; the solver, and the
+    Fourier step when it hands over to the block step, look them up on the
+    solver module at each call."""
+    calls = {"_fourier_step": 0, "_block_step": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(solver, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    calls = []
-    real = spla.splu
-
-    def counted(A, *args, **kwargs):
-        calls.append(A.shape)
-        return real(A, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(solver, name, counted)
     return calls
 
 
@@ -185,24 +180,19 @@ class TestFourierStep:
             ref = solve_banded((1, 1), ab, rhs_hat[m])
             assert np.abs(fast[m] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def test_non_dominant_modes_take_banded_lu(self, pinched_metric, monkeypatch):
+    def test_non_dominant_modes_take_block_step(self, pinched_metric, monkeypatch):
         # weaken the diagonal of the high modes only (mode 0 keeps its
-        # diagonal): those modes are solved by banded LU, the rest by
-        # elimination, and the step still matches the sparse LU one
-        import scipy.linalg
-
+        # diagonal): the whole step is then one block step, and it still
+        # matches the sparse LU one
         g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, 16)
         shift = -0.1 * coefs[4]  # (0, 0); coefs follow _Stencil.RT
         coefs[3], coefs[4], coefs[5] = coefs[3] - shift / 2, coefs[4] + shift, coefs[5] - shift / 2
         lower, diag, upper = _mode_bands(coefs, stencil, *g.shape)
         dominant = np.all(np.abs(diag) > np.abs(lower) + np.abs(upper), axis=1)
         assert dominant[0] and not dominant[-1]
-        calls = []
-        real = scipy.linalg.solve_banded
-        monkeypatch.setattr(scipy.linalg, "solve_banded",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = _count_steps(monkeypatch)
         fast = _fourier_step(coefs, stencil, rhs)
-        assert len(calls) == np.count_nonzero(~dominant)
+        assert calls["_block_step"] == 1
         ref = _linear_solve(_assemble_jacobian(coefs, stencil, g.shape), rhs.ravel())
         ref = ref.reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -214,17 +204,17 @@ class TestFourierStep:
         assert not _theta_invariant(_stencil_coefficients(state, ch, _Stencil(g.h1, g.h2)))
 
     def test_radial_solve_never_factors(self, pinched_metric, monkeypatch):
-        calls = _count_splu(monkeypatch)
+        calls = _count_steps(monkeypatch)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
         assert sol.iterations >= 2
-        assert calls == []
+        assert calls == {"_fourier_step": sol.iterations, "_block_step": 0}
 
     @pytest.mark.parametrize("rule", ["standard", "midpoint"])
     def test_sparse_step_keeps_boundary_datum(self, rule, monkeypatch):
         # the identity boundary rows of the Jacobian must not move the ring
         # off its Dirichlet value, not even by round-off; the non-radial
         # steps here are block steps
-        calls = _count_splu(monkeypatch)
+        calls = _count_steps(monkeypatch)
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         g = PolarGrid(24, 16, 0.7, kind="disc")
         b = 1.0 / (2.0 * m.bounds.c2_of_radius(g.radius))
@@ -232,7 +222,7 @@ class TestFourierStep:
             b = 0.5 * (b + 1.0 / (2.0 * m.bounds.c1))
         sol = solve_dirichlet(DirichletProblem(m, g, boundary_value=b))
         assert sol.iterations >= 1
-        assert calls == []
+        assert calls == {"_fourier_step": 0, "_block_step": sol.iterations}
         assert np.all(sol.u.values[-1] == b)
 
     def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
@@ -255,17 +245,12 @@ class TestBlockStep:
         rhs = np.random.default_rng(seed).standard_normal(g.shape)
         return g, stencil, coefs, rhs
 
-    @staticmethod
-    def _splu_step(g, stencil, coefs, rhs):
-        return _linear_solve(_assemble_jacobian(coefs, stencil, g.shape),
-                             rhs.ravel()).reshape(g.shape)
-
     @pytest.mark.parametrize("eps", [0.1, 0.3])
     @pytest.mark.parametrize("shape", [(24, 16), (64, 64), (40, 96)])
     def test_matches_sparse_lu(self, shape, eps):
         g, stencil, coefs, rhs = self._system(*shape, eps)
         fast = _block_step(coefs, stencil, rhs)
-        ref = self._splu_step(g, stencil, coefs, rhs)
+        ref = splu_step(coefs, stencil, rhs)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(fast[-1], rhs[-1])  # the identity rows, exactly
 
@@ -290,41 +275,44 @@ class TestBlockStep:
         scale = (abs(J) @ np.abs(x).ravel()).max()
         assert np.abs(_stencil_apply(coefs, stencil, x) - ref).max() <= 1e-15 * scale
 
-    @pytest.mark.parametrize("cause", ["backward_error", "n_theta"])
-    def test_fallback_takes_splu(self, cause, monkeypatch):
-        # a step that fails the backward-error check, or a grid above the
-        # crossover, is solved by splu, and the step is the same
-        g, stencil, coefs, rhs = self._system(24, 16, 0.3)
+    def test_block_step_beyond_128_angles(self):
+        # the block step serves every angle count, above 128 too
+        g, stencil, coefs, rhs = self._system(12, 160, 0.3)
         fast = _block_step(coefs, stencil, rhs)
-        calls = _count_splu(monkeypatch)
-        if cause == "backward_error":
-            monkeypatch.setattr(solver, "_BLOCK_BACKWARD_TOL", -1.0)
-        else:
-            monkeypatch.setattr(solver, "_BLOCK_MAX_THETA", g.n2 - 2)
-        step = _general_step(coefs, stencil, rhs)
-        assert len(calls) == 1
-        assert np.array_equal(step[-1], rhs[-1])
-        assert np.abs(step - fast).max() <= 1e-12 * np.abs(fast).max()
+        ref = splu_step(coefs, stencil, rhs)
+        assert np.array_equal(fast[-1], rhs[-1])
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_backward_error_failure_stops_newton(self, monkeypatch):
+        # a step that fails its backward-error check is not taken: Newton
+        # stops with the check named and the trace so far
+        monkeypatch.setattr(solver, "_BLOCK_BACKWARD_TOL", -1.0)
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        with pytest.raises(NonConvergenceError, match="backward error") as exc:
+            solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
+        assert len(exc.value.trace) >= 1
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_singular_or_non_finite_blocks_give_no_step(self, fill):
         g, stencil, coefs, rhs = self._system(12, 8, 0.3)
         coefs = [np.full_like(c, fill) for c in coefs]
-        assert _block_step(coefs, stencil, rhs) is None
+        check = "singular Schur complement" if fill == 0.0 else "not finite"
+        with pytest.raises(np.linalg.LinAlgError, match=check):
+            _block_step(coefs, stencil, rhs)
 
     def test_non_radial_chart_makes_no_splu_call(self, monkeypatch):
-        calls = _count_splu(monkeypatch)
+        calls = _count_steps(monkeypatch)
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         sol = solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert sol.iterations >= 1
-        assert calls == []
+        assert calls == {"_fourier_step": 0, "_block_step": sol.iterations}
 
     def test_solve_matches_splu_path(self, monkeypatch):
         # the whole Newton solve, block steps against splu steps
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         problem = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
         fast = solve_dirichlet(problem)
-        monkeypatch.setattr(solver, "_BLOCK_MAX_THETA", 0)
+        monkeypatch.setattr(solver, "_block_step", splu_step)
         ref = solve_dirichlet(problem)
         assert fast.iterations == ref.iterations
         assert np.abs(fast.u.values - ref.u.values).max() <= 1e-12
