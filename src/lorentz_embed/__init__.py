@@ -49,7 +49,7 @@ from .estimates import (
     check_second_order,
     run_estimate_suite,
 )
-from .geodesics import distance_field, distance_polar, distance_conformal
+from .geodesics import distance_field, distance_conformal
 from .embed import (
     ConformalHyperbolicMetric,
     DevelopingMap,

@@ -68,8 +68,8 @@ _DEFAULTS = {
     "grid": {"n_theta": 64, "nodes_per_unit": 16, "n_r": None},
     "exhaustion": {"radii": None, "l_obs": None, "tol": 1e-5, "boundary_rule": "standard"},
     "solver": {"tol": 1e-10, "max_iter": 30},
-    "audit": {"r0_list": [1.0], "c_cal": 1.0, "holonomy_tol": 1e-5,
-              "curvature_check_tol": 1e-2, "pullback_tol": 1e-2, "pinching_slack": 1e-6},
+    "audit": {"r0_list": [1.0], "c_cal": 1.0, "curvature_check_tol": 1e-2,
+              "pullback_tol": 1e-2, "pinching_slack": 1e-6},
     "output": {},
 }
 # the kind of grid each family is solved on, and its metric keys
@@ -113,8 +113,7 @@ _NUMBER_RULES = {
     "solver.tol": ("a positive number", _positive),
     "solver.max_iter": ("an integer >= 1", lambda v: v >= 1, True),
     **{f"audit.{key}": ("a positive number", _positive)
-       for key in ("c_cal", "holonomy_tol", "curvature_check_tol", "pullback_tol",
-                   "pinching_slack")},
+       for key in ("c_cal", "curvature_check_tol", "pullback_tol", "pinching_slack")},
 }
 
 
@@ -578,7 +577,6 @@ def cmd_embed(run_dir):
         gbar, dev, emb, audit = build_embedding(
             field, cfg.exhaustion["l_obs"],
             check_tol=audit_cfg["curvature_check_tol"],
-            holonomy_tol=audit_cfg["holonomy_tol"],
         )
     except ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
         print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)

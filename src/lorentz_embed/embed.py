@@ -393,15 +393,9 @@ class DevelopingMap:
     cell_defect_max: float
     cell_defect_sum: float
     eta_drift: float
-    holonomy_tol: float
-
-    @property
-    def holonomy_ok(self):
-        return self.path_defect <= self.holonomy_tol
 
 
-def develop(gbar: ConformalHyperbolicMetric, rows=None,
-            holonomy_tol=1e-5) -> DevelopingMap:
+def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
     """Integrate the orthonormal frame of the rescaled metric into R^{2,1}.
 
     Transport runs radially out along the base ray (the first column) and
@@ -520,7 +514,6 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None,
         cell_defect_max=float(cell_defect.max()),
         cell_defect_sum=float(cell_defect.sum()),
         eta_drift=eta_drift,
-        holonomy_tol=holonomy_tol,
     )
 
 
@@ -740,7 +733,7 @@ def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
     )
 
 
-def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2, holonomy_tol=1e-5):
+def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2):
     """Full pipeline on the observation ball: rescale, develop, assemble.
 
     The developing region extends _PAD_ROWS rings beyond the
@@ -756,7 +749,7 @@ def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2, holonomy_tol=
         )
     dev_rows = min(obs_rows + _PAD_ROWS, grid.n1 - 4)
     gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol)
-    dev = develop(gbar, rows=dev_rows, holonomy_tol=holonomy_tol)
+    dev = develop(gbar, rows=dev_rows)
     emb = assemble_embedding(field, dev)
     audit = verify_embedding(emb, audit_rows=obs_rows)
     return gbar, dev, emb, audit

@@ -1,9 +1,9 @@
 """Geodesic distances on the metric charts.
 
 Warped polar charts use the rotational symmetry: a unit-speed geodesic
-conserves c = f(r)^2 theta', which reduces the two-point problem between
-(r_s, th_s) and (r_t, th_t) to a scalar solve for the turning radius rho
-(where f(rho) = c), with angle sweep and arclength given by quadratures
+conserves c = f(r)^2 theta', which parametrizes the geodesics between two
+radii by their turning radius rho (where f(rho) = c), with angle sweep and
+arclength given by quadratures
 
     dtheta/dr = c / (f sqrt(f^2 - c^2)),     ds/dr = f / sqrt(f^2 - c^2).
 
@@ -12,22 +12,10 @@ removed by the substitution r = rho + t^2, and each integral is split at
 2 rho so the near-pole boundary layer of almost-antipodal geodesics is
 resolved at any parameter value.  Simple connectivity plus strictly
 negative curvature guarantee a unique connecting geodesic, so the sweep is
-monotone in rho on each branch, and the geodesic grazing the smaller
-radius r_a (rho = r_a) closes both brackets [lo, r_a].  The root-find is the Illinois variant of
-regula falsi (Dowell & Jarratt, BIT 11, 1971) on that bracket.  It
-bisects whenever the secant point leaves the bracket, or when halving
-alone could only just collapse the bracket within the budget of 52
-iterations plus the 8 bracket expansions.  A target stops once its sweep
-is within 1e-13 max(1, target) of the target angle; the first variation
-gives dd/dtheta = c, so the distance is then off by about 1e-13 f(r_max).
-A target whose bracket is instead as narrow as 52 bisections would leave
-it takes the length interpolated linearly in the sweep between the
-bracket ends, which stays accurate where rho itself is only known to
-round-off (targets next to the grazing geodesic).  ``distance_polar``
-solves each of its scattered targets this way.
+monotone along the family below.
 
-A distance field instead solves a grid row at a time: the targets of a
-row share (r_a, r_b) and differ only in angle.  With t in [-1, 1] and
+A distance field solves a grid row at a time: the targets of a row share
+(r_a, r_b) and differ only in angle.  With t in [-1, 1] and
 rho = r_a (1 - t^2), t > 0 the direct branch and t < 0 the one through
 r_a, the sweep S(rho, r_b) - sign(t) S(rho, r_a) is smooth and monotone
 from 0 (t = 1, the radial ray) to pi (t = -1, the ray through the pole),
@@ -40,7 +28,8 @@ polish it, each a Newton step with the interpolant's slope, and the
 first variation dd/dtheta = c takes the length from the last one to the
 target angle, L + f(rho) (theta - sweep), leaving an error of second
 order in the sweep residual.  A target whose residual is still above
-_POLISH_TOL takes the Illinois solve.  The arithmetic is local to a row,
+_POLISH_TOL halves its table bracket 52 times by exact sweeps and takes
+the same correction at the midpoint.  The arithmetic is local to a row,
 so a row's distances do not depend on which other rows are solved.
 Polar grids are uniform and periodic in theta, so a distance field is
 solved for half of the columns and mirrored about the source column.
@@ -69,7 +58,6 @@ import numpy as np
 
 __all__ = [
     "wrap_angle_difference",
-    "distance_polar",
     "distance_field_polar",
     "distance_conformal",
     "distance_field",
@@ -131,134 +119,6 @@ def _sweep_and_length(metric, rho, R):
     return sweep, length
 
 
-_SWEEP_RTOL = 1e-13  # angle residual, relative to max(1, target)
-_EXPANSIONS = 8  # lower-bracket expansions
-_EVALS = _EXPANSIONS + 52  # sweeps per target: the expansions plus 52 bisections
-
-
-def _branch_sweep(metric, rho, ra, rb, sign):
-    """Total angle sweep and length of the arc with turning radius rho."""
-    s_b, j_b = _sweep_and_length(metric, rho, rb)
-    s_a, j_a = _sweep_and_length(metric, rho, ra)
-    return s_b + sign * s_a, j_b + sign * j_a
-
-
-def _illinois(residual, a, b, ga, gb, va, vb, tol, budget):
-    """Safeguarded Illinois iteration on brackets with g(a) < 0 < g(b).
-
-    ``residual(k, x)`` returns g and a value v at the points x of brackets
-    k, where g increases on each bracket; ``va``/``vb`` are the values at
-    the ends.  A bracket stops with the value at its last point when
-    |g| <= tol.  It stops with v interpolated linearly in g between its
-    ends when it is as narrow as 52 bisections would leave it, or after
-    ``budget`` evaluations.
-    """
-    out = np.empty_like(a)
-    k = np.arange(a.size)
-    width = (b - a) * 2.0**-52
-    ta, tb = ga, gb  # residuals at the ends, before Illinois halving
-    moved = np.zeros(a.size)  # -1 / +1: the last step replaced a / b
-    for it in range(int(np.max(budget, initial=0))):
-        if k.size == 0:
-            break
-        w = b - a
-        x = a - ga * (w / (gb - ga))
-        # bisect off-bracket secant points, and whenever halving alone
-        # would only just collapse the bracket within the remaining budget
-        need = np.ceil(np.log2(np.maximum(w / width, 1.0)))
-        bisect = ~(np.isfinite(x) & (x > a) & (x < b)) | (need >= budget - it)
-        x = np.where(bisect, 0.5 * (a + b), x)
-        g, v = residual(k, x)
-        left = g < 0.0
-        # Illinois: halve the kept end's residual when one end moves twice
-        ga = np.where(left, g, np.where(~bisect & (moved > 0.0), 0.5 * ga, ga))
-        gb = np.where(left, np.where(~bisect & (moved < 0.0), 0.5 * gb, gb), g)
-        a, ta, va = np.where(left, x, a), np.where(left, g, ta), np.where(left, v, va)
-        b, tb, vb = np.where(left, b, x), np.where(left, tb, g), np.where(left, vb, v)
-        moved = np.where(bisect, 0.0, np.where(left, -1.0, 1.0))
-        converged = np.abs(g) <= tol
-        # v is smooth in g, so a collapsed bracket interpolates past the
-        # round-off that limits x
-        out[k] = np.where(converged, v, va + (vb - va) * (ta / (ta - tb)))
-        keep = ~converged & (b - a > width) & (budget > it + 1)
-        k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved = (
-            q[keep] for q in (k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved))
-    return out
-
-
-def _clairaut_lengths(metric, ra, rb, target):
-    """Length of the geodesic between radii ra <= rb that sweeps angle target.
-
-    On each branch the residual g = orient (sweep - target) increases with
-    the turning radius, so [lo, ra] with g(lo) < 0 < g(ra) brackets the
-    root.  A lower end that does not straddle, even after expansion,
-    settles on lo, as bisection would.
-    """
-    # the grazing geodesic, turning at ra, ends both branches
-    sweep_star, len_star = _sweep_and_length(metric, ra, rb)
-    through = target > sweep_star  # geodesic dips inside r_a first
-    sign = np.where(through, 1.0, -1.0)
-    orient = -sign  # the sweep rises with rho directly, falls through r_a
-
-    g_hi = orient * (sweep_star - target)
-    lo = np.full_like(ra, 1e-10)
-    g_lo = np.empty_like(ra)
-    len_lo = np.empty_like(ra)
-    evals = np.zeros(ra.size, dtype=int)
-    # expand the lower bracket until the sweep straddles the target
-    todo = np.arange(ra.size)
-    for k in range(_EXPANSIONS):
-        tot, length = _branch_sweep(metric, lo[todo], ra[todo], rb[todo], sign[todo])
-        g_lo[todo] = orient[todo] * (tot - target[todo])
-        len_lo[todo] = length
-        evals[todo] += 1
-        todo = todo[through[todo] & (g_lo[todo] > 0.0)]
-        if todo.size == 0 or k == _EXPANSIONS - 1:
-            break
-        lo[todo] *= 1e-2
-
-    out = np.where(g_lo >= 0.0, len_lo, len_star)
-    act = np.nonzero((g_lo < 0.0) & (g_hi > 0.0))[0]
-
-    def residual(k, rho):
-        i = act[k]
-        tot, length = _branch_sweep(metric, rho, ra[i], rb[i], sign[i])
-        return orient[i] * (tot - target[i]), length
-
-    tol = _SWEEP_RTOL * np.maximum(1.0, target[act])
-    out[act] = _illinois(residual, lo[act], ra[act], g_lo[act], g_hi[act],
-                         len_lo[act], len_star[act], tol, _EVALS - evals[act])
-    return out
-
-
-def distance_polar(metric, source, r_t, th_t):
-    """Geodesic distance from one point to arrays of points, warped polar chart."""
-    r_s, th_s = float(source[0]), float(source[1])
-    r_t = np.asarray(r_t, dtype=float)
-    th_t = np.asarray(th_t, dtype=float)
-    shape = np.broadcast(r_t, th_t).shape
-    r_t = np.broadcast_to(r_t, shape).ravel()
-    th_t = np.broadcast_to(th_t, shape).ravel()
-    dth = wrap_angle_difference(th_t - th_s).ravel()
-
-    r_a = np.minimum(r_t, r_s)
-    r_b = np.maximum(r_t, r_s)
-    out = np.empty_like(r_a)
-
-    radial = dth < 1e-13
-    antipodal = (math.pi - dth) < 1e-13
-    general = ~(radial | antipodal)
-    out[radial] = (r_b - r_a)[radial]
-    out[antipodal] = (r_b + r_a)[antipodal]  # ray through the pole
-    if np.any(general):
-        out[general] = _clairaut_lengths(metric, r_a[general], r_b[general],
-                                         dth[general])
-
-    near = np.isclose(r_t, r_s, rtol=0.0, atol=1e-15) & radial
-    out[near] = 0.0
-    return out.reshape(shape)
-
-
 _TABLE_NODES = 32  # Chebyshev-Lobatto points of each row's sweep table
 _PSI = np.linspace(0.0, math.pi, _TABLE_NODES)  # the table points are cos(_PSI)
 _ORDERS = np.arange(_TABLE_NODES)
@@ -299,7 +159,7 @@ def _row_lengths(metric, ra, rb, target):
     """Clairaut lengths of row targets: ra, rb of shape (rows,), target (rows, cols).
 
     One sweep table per row, inverted for all of the row's targets, then
-    the polish and the Illinois fallback (see the module docstring).
+    the polish and the bisection fallback (see the module docstring).
     """
     ra, rb = ra[:, None], rb[:, None]
     _, sweep, _ = _row_arcs(metric, ra, rb, _PSI)
@@ -329,8 +189,24 @@ def _row_lengths(metric, ra, rb, target):
     bad = ~(np.abs(resid) <= _POLISH_TOL)
     if np.any(bad):
         ra_b, rb_b = np.broadcast_to(ra, out.shape)[bad], np.broadcast_to(rb, out.shape)[bad]
-        out[bad] = _clairaut_lengths(metric, ra_b, rb_b, target[bad])
+        out[bad] = _bisect_lengths(metric, ra_b, rb_b, target[bad], lo_psi[bad], hi_psi[bad])
     return out
+
+
+def _bisect_lengths(metric, ra, rb, target, lo, hi):
+    """Lengths of the targets the polish left above _POLISH_TOL.
+
+    The sweep increases with psi on each table bracket [lo, hi], so 52
+    halvings by exact sweeps leave psi at round-off, and the first variation
+    takes the length at the midpoint to the target angle.
+    """
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        _, sw, _ = _row_arcs(metric, ra, rb, mid)
+        below = sw <= target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    rho, sw, length = _row_arcs(metric, ra, rb, 0.5 * (lo + hi))
+    return length + metric.f(rho) * (target - sw)
 
 
 def distance_field_polar(metric, grid, node, reach=math.inf):
@@ -352,7 +228,7 @@ def distance_field_polar(metric, grid, node, reach=math.inf):
     r = grid.q1[rows]
     r_a, r_b = np.minimum(r, r_s), np.maximum(r, r_s)
     dth = wrap_angle_difference(grid.q2[cols] - grid.q2[j])
-    # the radial and antipodal columns as distance_polar takes them
+    # the radial and antipodal columns in closed form
     band = np.where(dth < 1e-13, (r_b - r_a)[:, None], (r_b + r_a)[:, None])
     general = (dth >= 1e-13) & (math.pi - dth >= 1e-13)
     band[:, general] = _row_lengths(metric, r_a, r_b,

@@ -1,12 +1,21 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately decoupled from the library's numerics:
-the radial two-point boundary value problem is solved by shooting with a
+Everything here is deliberately decoupled from the library's numerics,
+apart from the one quadrature named at the end: the radial two-point boundary value problem is solved by shooting with a
 high-order adaptive integrator (the warp function is re-integrated inside
 the same flow, so not even the metric module's fixed-step integration is
 shared), and distances/embeddings of the constant-curvature model come
 from closed forms.  The Newton steps of the solver are checked against the
 exact sparse Jacobian of the discrete residual, solved by scipy's splu.
+
+The Clairaut reference ``distance_polar`` solves each target on its own for
+the turning radius rho of the connecting geodesic: it brackets rho on the
+direct or the through branch (at most 8 tries of its lower end) and runs
+a safeguarded Illinois iteration (Dowell & Jarratt, BIT 11, 1971) to a sweep
+residual of 1e-13 max(1, target).  The library's distance fields instead
+invert a per-row sweep table in the table parameter psi.  The two share only
+the quadrature ``geodesics._sweep_and_length``, which the hyperbolic closed
+form checks on its own.
 """
 
 import math
@@ -14,6 +23,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from lorentz_embed.geodesics import _sweep_and_length, wrap_angle_difference
 
 
 def radial_bvp(K, l, boundary_value, c1, eps=1e-6):
@@ -176,3 +187,131 @@ def splu_step(coefs, stencil, rhs):
     delta = delta.reshape(rhs.shape)
     delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
     return delta
+
+
+_SWEEP_RTOL = 1e-13  # angle residual, relative to max(1, target)
+_EXPANSIONS = 8  # lower-bracket expansions
+_EVALS = _EXPANSIONS + 52  # sweeps per target: the expansions plus 52 bisections
+
+
+def _branch_sweep(metric, rho, ra, rb, sign):
+    """Total angle sweep and length of the arc with turning radius rho."""
+    s_b, j_b = _sweep_and_length(metric, rho, rb)
+    s_a, j_a = _sweep_and_length(metric, rho, ra)
+    return s_b + sign * s_a, j_b + sign * j_a
+
+
+def _illinois(residual, a, b, ga, gb, va, vb, tol, budget):
+    """Safeguarded Illinois iteration on brackets with g(a) < 0 < g(b).
+
+    ``residual(k, x)`` returns g and a value v at the points x of brackets
+    k, where g increases on each bracket; ``va``/``vb`` are the values at
+    the ends.  A bracket stops with the value at its last point when
+    |g| <= tol.  It stops with v interpolated linearly in g between its
+    ends when it is as narrow as 52 bisections would leave it, or after
+    ``budget`` evaluations.
+    """
+    out = np.empty_like(a)
+    k = np.arange(a.size)
+    width = (b - a) * 2.0**-52
+    ta, tb = ga, gb  # residuals at the ends, before Illinois halving
+    moved = np.zeros(a.size)  # -1 / +1: the last step replaced a / b
+    for it in range(int(np.max(budget, initial=0))):
+        if k.size == 0:
+            break
+        w = b - a
+        x = a - ga * (w / (gb - ga))
+        # bisect off-bracket secant points, and whenever halving alone
+        # would only just collapse the bracket within the remaining budget
+        need = np.ceil(np.log2(np.maximum(w / width, 1.0)))
+        bisect = ~(np.isfinite(x) & (x > a) & (x < b)) | (need >= budget - it)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        g, v = residual(k, x)
+        left = g < 0.0
+        # Illinois: halve the kept end's residual when one end moves twice
+        ga = np.where(left, g, np.where(~bisect & (moved > 0.0), 0.5 * ga, ga))
+        gb = np.where(left, np.where(~bisect & (moved < 0.0), 0.5 * gb, gb), g)
+        a, ta, va = np.where(left, x, a), np.where(left, g, ta), np.where(left, v, va)
+        b, tb, vb = np.where(left, b, x), np.where(left, tb, g), np.where(left, vb, v)
+        moved = np.where(bisect, 0.0, np.where(left, -1.0, 1.0))
+        converged = np.abs(g) <= tol
+        # v is smooth in g, so a collapsed bracket interpolates past the
+        # round-off that limits x
+        out[k] = np.where(converged, v, va + (vb - va) * (ta / (ta - tb)))
+        keep = ~converged & (b - a > width) & (budget > it + 1)
+        k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved = (
+            q[keep] for q in (k, a, b, ga, gb, ta, tb, va, vb, tol, width, budget, moved))
+    return out
+
+
+def _clairaut_lengths(metric, ra, rb, target):
+    """Length of the geodesic between radii ra <= rb that sweeps angle target.
+
+    On each branch the residual g = orient (sweep - target) increases with
+    the turning radius, so [lo, ra] with g(lo) < 0 < g(ra) brackets the
+    root.  A lower end that does not straddle, even after expansion,
+    settles on lo, as bisection would.
+    """
+    # the grazing geodesic, turning at ra, ends both branches
+    sweep_star, len_star = _sweep_and_length(metric, ra, rb)
+    through = target > sweep_star  # geodesic dips inside r_a first
+    sign = np.where(through, 1.0, -1.0)
+    orient = -sign  # the sweep rises with rho directly, falls through r_a
+
+    g_hi = orient * (sweep_star - target)
+    lo = np.full_like(ra, 1e-10)
+    g_lo = np.empty_like(ra)
+    len_lo = np.empty_like(ra)
+    evals = np.zeros(ra.size, dtype=int)
+    # expand the lower bracket until the sweep straddles the target
+    todo = np.arange(ra.size)
+    for k in range(_EXPANSIONS):
+        tot, length = _branch_sweep(metric, lo[todo], ra[todo], rb[todo], sign[todo])
+        g_lo[todo] = orient[todo] * (tot - target[todo])
+        len_lo[todo] = length
+        evals[todo] += 1
+        todo = todo[through[todo] & (g_lo[todo] > 0.0)]
+        if todo.size == 0 or k == _EXPANSIONS - 1:
+            break
+        lo[todo] *= 1e-2
+
+    out = np.where(g_lo >= 0.0, len_lo, len_star)
+    act = np.nonzero((g_lo < 0.0) & (g_hi > 0.0))[0]
+
+    def residual(k, rho):
+        i = act[k]
+        tot, length = _branch_sweep(metric, rho, ra[i], rb[i], sign[i])
+        return orient[i] * (tot - target[i]), length
+
+    tol = _SWEEP_RTOL * np.maximum(1.0, target[act])
+    out[act] = _illinois(residual, lo[act], ra[act], g_lo[act], g_hi[act],
+                         len_lo[act], len_star[act], tol, _EVALS - evals[act])
+    return out
+
+
+def distance_polar(metric, source, r_t, th_t):
+    """Geodesic distance from one point to arrays of points, warped polar chart."""
+    r_s, th_s = float(source[0]), float(source[1])
+    r_t = np.asarray(r_t, dtype=float)
+    th_t = np.asarray(th_t, dtype=float)
+    shape = np.broadcast(r_t, th_t).shape
+    r_t = np.broadcast_to(r_t, shape).ravel()
+    th_t = np.broadcast_to(th_t, shape).ravel()
+    dth = wrap_angle_difference(th_t - th_s).ravel()
+
+    r_a = np.minimum(r_t, r_s)
+    r_b = np.maximum(r_t, r_s)
+    out = np.empty_like(r_a)
+
+    radial = dth < 1e-13
+    antipodal = (math.pi - dth) < 1e-13
+    general = ~(radial | antipodal)
+    out[radial] = (r_b - r_a)[radial]
+    out[antipodal] = (r_b + r_a)[antipodal]  # ray through the pole
+    if np.any(general):
+        out[general] = _clairaut_lengths(metric, r_a[general], r_b[general],
+                                         dth[general])
+
+    near = np.isclose(r_t, r_s, rtol=0.0, atol=1e-15) & radial
+    out[near] = 0.0
+    return out.reshape(shape)

@@ -215,6 +215,13 @@ class TestPipeline:
         assert cmd_solve(cfg_path, str(tmp_path / "run")) == 2
         assert field in capsys.readouterr().err
 
+    def test_holonomy_tol_is_not_a_key(self, tmp_path, capsys):
+        # audit.json reports the holonomy defects; no audit key gates them
+        cfg_path = write_config(tmp_path, base_config(
+            audit={"r0_list": [1.0], "holonomy_tol": 1e-5}))
+        assert cmd_solve(cfg_path, str(tmp_path / "run")) == 2
+        assert "audit.holonomy_tol" in capsys.readouterr().err
+
     def test_embed_requires_verify(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out = str(tmp_path / "run")

@@ -145,7 +145,6 @@ class TestDevelopingMap:
     def test_path_independence(self, model_embedding):
         _, dev, _, _ = model_embedding
         assert dev.path_defect <= 1e-5
-        assert dev.holonomy_ok
 
     def test_cell_holonomy_cubic_envelope(self):
         # per-cell transport defect stays under C h^3 across resolutions

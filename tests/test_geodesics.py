@@ -2,21 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import hyperbolic_distance, poincare_distance
+import oracles
+from oracles import _illinois, distance_polar, hyperbolic_distance, poincare_distance
 from test_metric import flat_metric
 
 from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed import geodesics
 from lorentz_embed.geodesics import (
-    _illinois,
+    _row_lengths,
     _sweep_and_length,
     distance_conformal,
     distance_field,
     distance_field_polar,
-    distance_polar,
     wrap_angle_difference,
 )
 
@@ -62,6 +62,22 @@ class TestPolarDistance:
         d0 = hyperbolic_distance(1.0, r1, t1, r2, t2)
         assert abs(float(d[0]) - float(d0)) <= 1e-8
 
+    @given(
+        r1=st.floats(min_value=0.01, max_value=2.8),
+        r2=st.floats(min_value=0.01, max_value=2.8),
+        t1=st.floats(min_value=0.0, max_value=2 * math.pi),
+        t2=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs_row_path_matches_closed_form(self, r1, r2, t1, t2):
+        m = make_hyperbolic(1.0)
+        dth = float(wrap_angle_difference(t2 - t1))
+        assume(not is_radial_or_antipodal(dth))
+        d = _row_lengths(m, np.array([min(r1, r2)]), np.array([max(r1, r2)]),
+                         np.array([[dth]]))
+        d0 = hyperbolic_distance(1.0, r1, t1, r2, t2)
+        assert abs(float(d[0, 0]) - float(d0)) <= 1e-8
+
     def test_radial_and_antipodal_exact(self):
         m = make_hyperbolic(1.0)
         src = (0.75, 0.0)
@@ -85,6 +101,21 @@ class TestPolarDistance:
         d12 = distance_field_polar(pinched_metric, g, nodes[1])[nodes[2]]
         d02 = distance_field_polar(pinched_metric, g, nodes[0])[nodes[2]]
         assert d02 <= d01 + d12 + 1e-10
+
+
+def is_radial_or_antipodal(dth):
+    """The columns distance_field_polar takes in closed form, not by _row_lengths."""
+    return (dth < 1e-13) | (math.pi - dth < 1e-13)
+
+
+def row_path(metric, source, r_t, th):
+    """_row_lengths on targets at radii r_t (rows) and angles th (columns)."""
+    r_s = float(source[0])
+    r_t = np.atleast_1d(np.asarray(r_t, float))
+    target = wrap_angle_difference(np.atleast_1d(th) - source[1])
+    assert not np.any(is_radial_or_antipodal(target))
+    return _row_lengths(metric, np.minimum(r_t, r_s), np.maximum(r_t, r_s),
+                        np.broadcast_to(target, (r_t.size, target.size)))
 
 
 def bisection_reference(metric, source, r_t, th_t, iters=200):
@@ -126,7 +157,7 @@ def warped_metric(request, pinched_metric):
 
 
 class TestTurningRadiusSolve:
-    """The safeguarded iteration against a 200-step bisection."""
+    """The Illinois oracle and the row tables against a 200-step bisection."""
 
     @pytest.mark.parametrize("r_t", [0.35, 1.9])
     def test_targets_around_branch_split(self, warped_metric, r_t):
@@ -134,6 +165,15 @@ class TestTurningRadiusSolve:
         split = _sweep_and_length(warped_metric, min(r_s, r_t), max(r_s, r_t))[0]
         th = split + np.array([-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6])
         d = distance_polar(warped_metric, (r_s, 0.0), r_t, th)
+        d_ref = bisection_reference(warped_metric, (r_s, 0.0), r_t, th)
+        assert np.max(np.abs(d - d_ref)) <= 1e-10
+
+    @pytest.mark.parametrize("r_t", [0.35, 1.9])
+    def test_row_path_targets_around_branch_split(self, warped_metric, r_t):
+        r_s = 0.8
+        split = _sweep_and_length(warped_metric, min(r_s, r_t), max(r_s, r_t))[0]
+        th = split + np.array([-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6])
+        d = row_path(warped_metric, (r_s, 0.0), r_t, th)[0]
         d_ref = bisection_reference(warped_metric, (r_s, 0.0), r_t, th)
         assert np.max(np.abs(d - d_ref)) <= 1e-10
 
@@ -153,6 +193,14 @@ class TestTurningRadiusSolve:
         for r_s in (0.1, 1.2):
             d = distance_polar(warped_metric, (r_s, 0.0), r, th)
             d_ref = bisection_reference(warped_metric, (r_s, 0.0), r, th)
+            assert np.max(np.abs(d - d_ref)) <= 1e-10
+
+    def test_row_path_near_antipodal_and_near_radial(self, warped_metric):
+        r = np.array([0.05, 0.7, 1.3, 2.6])
+        th = np.array([math.pi - 1e-9, 1e-12])
+        for r_s in (0.1, 1.2):
+            d = row_path(warped_metric, (r_s, 0.0), r, th)
+            d_ref = bisection_reference(warped_metric, (r_s, 0.0), r[:, None], th)
             assert np.max(np.abs(d - d_ref)) <= 1e-10
 
     def test_source_on_innermost_ring(self, warped_metric):
@@ -176,13 +224,34 @@ class TestTurningRadiusSolve:
             calls.append(rho)
             return _sweep_and_length(metric, rho, R)
 
-        monkeypatch.setattr(geodesics, "_sweep_and_length", counted)
+        monkeypatch.setattr(oracles, "_sweep_and_length", counted)
         for r_s, r_t, th in ((0.8, 0.35, 1e-12), (0.1, 2.6, math.pi - 1e-9),
                              (0.03, 0.03, 2.0), (1.2, 2.9, 0.4)):
             calls.clear()
             distance_polar(warped_metric, (r_s, 0.0), r_t, th)
             # the grazing geodesic, then two sweeps per bracket evaluation
             assert len(calls) <= 1 + 2 * 60
+
+    @pytest.mark.parametrize("polish_tol", [geodesics._POLISH_TOL, -1.0])
+    def test_row_arcs_budget(self, warped_metric, monkeypatch, polish_tol):
+        # the table, two polish steps and, for targets the polish leaves
+        # above tolerance, 52 halvings and the length at the midpoint
+        calls = []
+        row_arcs = geodesics._row_arcs
+
+        def counted(metric, ra, rb, psi):
+            calls.append(psi)
+            return row_arcs(metric, ra, rb, psi)
+
+        monkeypatch.setattr(geodesics, "_row_arcs", counted)
+        monkeypatch.setattr(geodesics, "_POLISH_TOL", polish_tol)
+        g = PolarGrid(12, 16, 3.0)
+        for r_s, r_t, th in ((0.8, 0.35, 1e-12), (0.1, 2.6, math.pi - 1e-9),
+                             (0.03, 0.03, 2.0), (1.2, 2.9, 0.4),
+                             (g.q1[3], g.q1[:6], g.q2[1:8])):
+            calls.clear()
+            row_path(warped_metric, (r_s, 0.0), r_t, th)
+            assert len(calls) <= 56
 
     def test_safeguard_keeps_bisection_accuracy(self):
         # a ninth-order root stalls plain Illinois; the budget-aware
@@ -202,7 +271,7 @@ class TestTurningRadiusSolve:
 
 
 class TestRowTables:
-    """Fields from the per-row sweep tables against Illinois and closed forms."""
+    """Fields from the per-row sweep tables against the Illinois oracle and closed forms."""
 
     @pytest.fixture(params=["h0.25", "h1", "h4", "pinched"])
     def metric_and_scale(self, request, pinched_metric):
@@ -226,24 +295,29 @@ class TestRowTables:
                 d0 = hyperbolic_distance(scale, src[0], src[1], R, T)
                 assert np.max(np.abs(d - d0) / np.maximum(1.0, d0)) <= 1e-12
 
-    def test_forced_fallback_is_illinois(self, pinched_metric, monkeypatch):
-        # with no residual accepted, every target takes the Illinois solve
-        # of distance_polar, bit for bit, on the solved half of the columns
+    def test_forced_fallback_is_bisection(self, metric_and_scale, monkeypatch):
+        # with no residual accepted, every target bisects its table bracket;
+        # the solved half of the columns against the Illinois oracle, and
+        # every column against the closed form
+        m, scale = metric_and_scale
         monkeypatch.setattr(geodesics, "_POLISH_TOL", -1.0)
         g = PolarGrid(12, 16, 3.0)
+        R, T = g.mesh()
         for i, j in ((0, 3), (7, 0)):
-            d = distance_field_polar(pinched_metric, g, (i, j))
+            d = distance_field_polar(m, g, (i, j))
+            src = (g.q1[i], g.q2[j])
             cols = (j + np.arange(g.n2 // 2 + 1)) % g.n2
-            for row in range(g.n1):
-                ref = distance_polar(pinched_metric, (g.q1[i], g.q2[j]), g.q1[row],
-                                     g.q2[cols])
-                assert np.array_equal(d[row, cols], ref)
+            ref = distance_polar(m, src, R[:, cols], T[:, cols])
+            assert np.max(np.abs(d[:, cols] - ref) / np.maximum(1.0, ref)) <= 1e-12
+            if scale is not None:
+                d0 = hyperbolic_distance(scale, src[0], src[1], R, T)
+                assert np.max(np.abs(d - d0) / np.maximum(1.0, d0)) <= 1e-12
 
     def test_polish_leaves_residual_below_tolerance(self, warped_metric, monkeypatch):
         # the table path settles every target of these fields on its own
         calls = []
-        monkeypatch.setattr(geodesics, "_clairaut_lengths",
-                            lambda m, ra, rb, t: calls.append(ra.size))
+        monkeypatch.setattr(geodesics, "_bisect_lengths",
+                            lambda m, ra, rb, t, lo, hi: calls.append(ra.size))
         g = PolarGrid(48, 64, 3.0)
         for node in ((0, 0), (24, 9), (47, 31)):
             distance_field_polar(warped_metric, g, node)

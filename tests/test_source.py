@@ -1,0 +1,41 @@
+"""Checks on the package source itself, read as syntax trees."""
+
+import ast
+from pathlib import Path
+
+import lorentz_embed
+
+SRC = Path(lorentz_embed.__file__).parent
+
+
+def _private_definitions(tree):
+    """Module-level ``_private`` functions, classes and constants of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def test_every_private_helper_is_referenced():
+    # a helper that only its own definition names is code that never runs,
+    # such as a constant left behind by the function that read it
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, lineno in _private_definitions(tree):
+            defined[name] = f"{path.name}:{lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) > 50  # the walk found the package
+    assert sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in used) == []
