@@ -8,14 +8,9 @@ conformal factor, geodesic distances by shooting).
 
 import numpy as np
 
-from lorentz_embed import (
-    DirichletProblem,
-    PolarGrid,
-    make_poincare,
-    make_poincare_perturbed,
-    solve_dirichlet,
-    verify_subsolution,
-)
+from lorentz_embed.grid import PolarGrid
+from lorentz_embed.metric import make_poincare, make_poincare_perturbed
+from lorentz_embed.solver import DirichletProblem, solve_dirichlet, verify_subsolution
 from lorentz_embed.geodesics import distance_conformal
 
 # --- Poincare chart: constant solution in any gauge -------------------------

@@ -12,12 +12,9 @@ import os
 
 import numpy as np
 
-from lorentz_embed import (
-    DirichletProblem,
-    PolarGrid,
-    make_hyperbolic,
-    solve_dirichlet,
-)
+from lorentz_embed.grid import PolarGrid
+from lorentz_embed.metric import make_hyperbolic
+from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.estimates import run_estimate_suite
 from lorentz_embed.embed import build_embedding, export_graph, write_obj
 

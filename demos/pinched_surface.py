@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from lorentz_embed import make_radial_from_curvature
+from lorentz_embed.metric import make_radial_from_curvature
 from lorentz_embed.exhaustion import make_schedule, run_exhaustion
 from lorentz_embed.estimates import run_estimate_suite
 from lorentz_embed.embed import build_embedding, export_graph, write_obj

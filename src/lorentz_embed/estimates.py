@@ -2,8 +2,10 @@
 
 Each audit recomputes its bound from the metric data and compares against
 the solved field, reporting a margin (bound minus observed for upper
-bounds, observed minus bound for lower bounds) and a pass flag with a
-per-estimate slack.  Records are recomputable from dumped fields alone.
+bounds, observed minus bound for lower bounds) that passes when it is at
+least -slack, for a per-estimate slack (``_record``); the few records
+with another rule say so where they are built.  Records are recomputable
+from dumped fields alone.
 
 The unquantified constant appearing in the second-order eigenvalue bound
 is not computable from the theory; it is exposed as the calibration
@@ -14,7 +16,7 @@ than silently asserting an absolute inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -79,6 +81,13 @@ class EstimateRecord:
         if self.extra:
             d["extra"] = {k: _jsonable(v) for k, v in self.extra.items()}
         return d
+
+
+def _record(id, locus, bound, observed, slack=0.0, lower=False, **extra):
+    """A record under the module's convention: margin = bound - observed
+    (observed - bound for a ``lower`` bound), passing when margin >= -slack."""
+    margin = float(observed - bound if lower else bound - observed)
+    return EstimateRecord(id, locus, bound, observed, margin, margin >= -slack, slack, extra)
 
 
 def _jsonable(v):
@@ -198,13 +207,22 @@ def _probe_ball_fits(field, center, r0):
     return True  # no distance formula: containment is the caller's duty
 
 
-def _require_probe_ball_inside(field, center, r0):
-    """Localized audits assume the solve covers the whole probe ball."""
+def _probe_ball(field, node, r0, c2=None):
+    """Chart centre of a probe node and the max of -K over its ball B(r0).
+
+    Localized audits assume the solve covers the whole probe ball; ``c2``
+    is sampled only when not given.
+    """
+    grid = field.u.grid
+    center = (grid.q1[node[0]], grid.q2[node[1]])
     if not _probe_ball_fits(field, center, r0):
         raise ValueError(
             f"probe ball of radius {r0} about chart point "
             f"({center[0]:.4g}, {center[1]:.4g}) leaves the solved domain"
         )
+    if c2 is None:
+        c2 = max_neg_curvature_ball(field.metric, center, r0)
+    return center, c2
 
 
 def check_zero_order(field: AdmissibleField, boundary_value=None, slack=1e-9):
@@ -213,25 +231,12 @@ def check_zero_order(field: AdmissibleField, boundary_value=None, slack=1e-9):
     u = field.u.values
     c1 = field.metric.bounds.c1
     upper = 1.0 / (2.0 * c1)
-    lower_rec = EstimateRecord(
-        id="zero_order_lower",
-        locus="interior minimum vs boundary datum",
-        bound=b,
-        observed=float(u.min()),
-        margin=float(u.min() - b),
-        passed=bool(u.min() - b >= -slack),
-        slack=slack,
-    )
-    upper_rec = EstimateRecord(
-        id="zero_order_upper",
-        locus="maximum principle ceiling 1/(2 c1)",
-        bound=upper,
-        observed=float(u.max()),
-        margin=float(upper - u.max()),
-        passed=bool(upper - u.max() >= -slack),
-        slack=slack,
-    )
-    return [lower_rec, upper_rec]
+    return [
+        _record("zero_order_lower", "interior minimum vs boundary datum",
+                b, float(u.min()), slack, lower=True),
+        _record("zero_order_upper", "maximum principle ceiling 1/(2 c1)",
+                upper, float(u.max()), slack),
+    ]
 
 
 def check_first_order(field: AdmissibleField, tol=1e-10):
@@ -248,32 +253,17 @@ def check_first_order(field: AdmissibleField, tol=1e-10):
     grad = np.sqrt(field.hessian.grad_sq)
     h = max(grid.h1, grid.h2)
     slack = GRAD_SLACK_CONST * h * h + 10.0 * tol
-    records = [
-        EstimateRecord(
-            id="gradient_bound",
-            locus="gradient ceiling 2/sqrt(c1)",
-            bound=bound,
-            observed=float(grad.max()),
-            margin=float(bound - grad.max()),
-            passed=bool(bound - grad.max() >= -slack),
-            slack=slack,
-            extra={"grid_h": h},
-        )
-    ]
+    records = [_record("gradient_bound", "gradient ceiling 2/sqrt(c1)",
+                       bound, float(grad.max()), slack, grid_h=h)]
     dctr = None
     if metric.kind == "geodesic_polar":
         dctr = grid.mesh()[0]
     elif getattr(metric, "center_distance", None) is not None:
         dctr = metric.center_distance(grid.mesh()[0])
     if dctr is None:
-        records.append(
-            EstimateRecord(
-                id="gradient_barrier",
-                locus="linear barrier above u (no center-distance formula)",
-                bound=0.0, observed=0.0, margin=0.0, passed=True, slack=0.0,
-                extra={"skipped": "chart provides no geodesic center distance"},
-            )
-        )
+        records.append(_record(
+            "gradient_barrier", "linear barrier above u (no center-distance formula)",
+            0.0, 0.0, skipped="chart provides no geodesic center distance"))
         return records
     # total geodesic radius of the solve domain
     if metric.kind == "geodesic_polar":
@@ -282,30 +272,16 @@ def check_first_order(field: AdmissibleField, tol=1e-10):
         l_geo = float(metric.center_distance(field.ball_radius))
     xi = field.boundary_value + bound * (l_geo - dctr)
     overshoot = float((field.u.values - xi).max())
-    records.append(
-        EstimateRecord(
-            id="gradient_barrier",
-            locus="comparison with the linear barrier",
-            bound=0.0,
-            observed=overshoot,
-            margin=-overshoot,
-            passed=bool(overshoot <= slack),
-            slack=slack,
-        )
-    )
+    # own rule: the margin is -overshoot, which reads -0.0 where u touches xi
+    records.append(EstimateRecord(
+        id="gradient_barrier", locus="comparison with the linear barrier", bound=0.0,
+        observed=overshoot, margin=-overshoot, passed=overshoot <= slack, slack=slack))
     return records
 
 
 def admissibility_record(field: AdmissibleField):
-    return EstimateRecord(
-        id="admissibility",
-        locus="min eigenvalue of g^{-1}(Hess u + g)",
-        bound=0.0,
-        observed=field.min_eigenvalue,
-        margin=field.min_eigenvalue,
-        passed=bool(field.min_eigenvalue > 0.0),
-        extra={"rhs_min": field.rhs_min},
-    )
+    return _record("admissibility", "min eigenvalue of g^{-1}(Hess u + g)",
+                   0.0, field.min_eigenvalue, lower=True, rhs_min=field.rhs_min)
 
 
 def check_lower_bound(field: AdmissibleField, node, r0, c2=None):
@@ -316,33 +292,19 @@ def check_lower_bound(field: AdmissibleField, node, r0, c2=None):
     probe ball to sit inside the solved domain.  ``c2`` may be passed in
     when the caller already holds the ball max.
     """
-    grid = field.u.grid
-    metric = field.metric
-    i, j = node
-    center = (grid.q1[i], grid.q2[j])
-    _require_probe_ball_inside(field, center, r0)
-    if c2 is None:
-        c2 = max_neg_curvature_ball(metric, center, r0)
+    _, c2 = _probe_ball(field, node, r0, c2)
     s = math.sqrt(c2)
     A = 2.0 * s / math.tanh(s * r0)
-    c1 = metric.bounds.c1
+    c1 = field.metric.bounds.c1
     terms = {
         "cap_term": r0 / (2.0 * A),
         "curvature_term": 1.0 / (32.0 * c2),
         "quadratic_term": c1 * r0 * r0 / (9.0 * A * A),
     }
-    bound = min(terms.values())
-    observed = float(field.u.values[i, j])
-    return EstimateRecord(
-        id=f"lower_bound_r0_{r0:g}",
-        locus="three-term interior lower bound",
-        bound=bound,
-        observed=observed,
-        margin=observed - bound,
-        passed=bool(observed - bound >= -LOWER_BOUND_SLACK),
-        slack=LOWER_BOUND_SLACK,
-        extra={"ball_max_neg_K": c2, "A": A, **terms, "node": list(node)},
-    )
+    return _record(f"lower_bound_r0_{r0:g}", "three-term interior lower bound",
+                   min(terms.values()), float(field.u.values[node[0], node[1]]),
+                   LOWER_BOUND_SLACK, lower=True,
+                   ball_max_neg_K=c2, A=A, **terms, node=list(node))
 
 
 @dataclass
@@ -378,16 +340,12 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None, c2=None):
     """
     grid = field.u.grid
     metric = field.metric
-    i, j = node
-    center = (grid.q1[i], grid.q2[j])
-    _require_probe_ball_inside(field, center, r0)
-    if c2 is None:
-        c2 = max_neg_curvature_ball(metric, center, r0)
+    _, c2 = _probe_ball(field, node, r0, c2)
     cap, reach = _audit_reach(field, node, r0, c2)
     if reach is None:
         return CutoffFunction(node, r0, c2, cap, hypothesis_met=False)
 
-    u_probe = float(field.u.values[i, j])
+    u_probe = float(field.u.values[node[0], node[1]])
     d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
     phi = cap - field.u.values - d * d / _cutoff_denominator(c2, r0)
     support = phi > 0.0
@@ -398,57 +356,33 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None, c2=None):
     slack_grad = GRAD_SLACK_CONST * h * h + 1e-8
     slack_hess = HESS_SLACK_CONST * h * h + 1e-8
 
-    recs = []
-    lo = float(phi[support].min())
-    hi = float(phi[support].max())
+    lo, hi = float(phi[support].min()), float(phi[support].max())
     core_radius = _core_radius(metric, cap, u_probe)
     core = d <= core_radius
     core_min = float(phi[core].min()) if np.any(core) else math.inf
     core_floor = 0.5 * (cap - u_probe)
-    range_margin = min(lo - 0.0, cap - hi, core_min - core_floor)
-    recs.append(EstimateRecord(
-        id="cutoff_range",
-        locus="cutoff value range and core floor",
-        bound=cap,
-        observed=hi,
-        margin=float(range_margin),
-        passed=bool(range_margin >= -slack_rng),
-        slack=slack_rng,
-        extra={"support_min": lo, "core_min": core_min,
-               "core_floor": core_floor, "core_radius": core_radius,
-               "support_nodes": int(support.sum()), "core_nodes": int(core.sum())},
-    ))
+    # own rule: the margin is the least of the three range margins
+    range_margin = float(min(lo - 0.0, cap - hi, core_min - core_floor))
+    recs = [EstimateRecord(
+        id="cutoff_range", locus="cutoff value range and core floor", bound=cap,
+        observed=hi, margin=range_margin, passed=range_margin >= -slack_rng, slack=slack_rng,
+        extra={"support_min": lo, "core_min": core_min, "core_floor": core_floor,
+               "core_radius": core_radius, "support_nodes": int(support.sum()),
+               "core_nodes": int(core.sum())})]
 
     ch = field.hessian.chart
-    phi_field = ScalarField(grid, phi)
-    hess_phi = covariant_hessian(phi_field, ch, order=2)
+    hess_phi = covariant_hessian(ScalarField(grid, phi), ch)
     grad_phi = np.sqrt(hess_phi.grad_sq)
     gbound = 3.0 / math.sqrt(c1)
-    gobs = float(grad_phi[support].max())
-    recs.append(EstimateRecord(
-        id="cutoff_gradient",
-        locus="cutoff gradient ceiling 3/sqrt(c1)",
-        bound=gbound,
-        observed=gobs,
-        margin=gbound - gobs,
-        passed=bool(gbound - gobs >= -slack_grad),
-        slack=slack_grad,
-    ))
+    recs.append(_record("cutoff_gradient", "cutoff gradient ceiling 3/sqrt(c1)",
+                        gbound, float(grad_phi[support].max()), slack_grad))
 
     a11 = hess_phi.h11 + field.hessian.h11 + ch.g11
     a12 = hess_phi.h12 + field.hessian.h12 + ch.g12
     a22 = hess_phi.h22 + field.hessian.h22 + ch.g22
     eig_min, _ = generalized_eig_range(a11, a12, a22, ch.g11, ch.g22)
-    hobs = float(eig_min[support].min())
-    recs.append(EstimateRecord(
-        id="cutoff_hessian",
-        locus="Hess(phi) dominates -(Hess u + g)",
-        bound=0.0,
-        observed=hobs,
-        margin=hobs,
-        passed=bool(hobs >= -slack_hess),
-        slack=slack_hess,
-    ))
+    recs.append(_record("cutoff_hessian", "Hess(phi) dominates -(Hess u + g)",
+                        0.0, float(eig_min[support].min()), slack_hess, lower=True))
     return CutoffFunction(node, r0, c2, cap, True, phi, support, d, recs)
 
 
@@ -510,19 +444,16 @@ def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=Non
     """
     grid = field.u.grid
     metric = field.metric
-    i, j = node
-    center = (grid.q1[i], grid.q2[j])
-    _require_probe_ball_inside(field, center, r0)
+    center, c2 = _probe_ball(field, node, r0, c2)
     k = second_order_constants(metric, center, r0, c_cal, c2=c2)
     cap, reach = _audit_reach(field, node, r0, k.c2)
-    u_probe = float(field.u.values[i, j])
-    if reach is None:
+    u_probe = float(field.u.values[node[0], node[1]])
+    if reach is None:  # own rule: nothing is audited, so the record passes
         return EstimateRecord(
             id=f"second_order_r0_{r0:g}",
             locus="Hessian eigenvalue ceiling (hypothesis not met)",
             bound=math.inf, observed=0.0, margin=math.inf, passed=True,
-            extra={"hypothesis_met": False, "cap": cap, "u_probe": u_probe},
-        )
+            extra={"hypothesis_met": False, "cap": cap, "u_probe": u_probe})
     d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
     core_radius = _core_radius(metric, cap, u_probe)
     core = d <= core_radius
@@ -532,21 +463,15 @@ def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=Non
         1.0 + math.sqrt(k.c4) * r0 / s2 + k.c2_prime * (1.0 + r0 / s2 + k.c3 * r0 / s2)
     )
     ratio = observed / bound
+    # own rule: passes on the ratio, with no slack
     return EstimateRecord(
-        id=f"second_order_r0_{r0:g}",
-        locus="Hessian eigenvalue ceiling on the core ball",
-        bound=bound,
-        observed=observed,
-        margin=bound - observed,
-        passed=bool(ratio <= 1.0),
-        extra={
-            "ratio": ratio, "hypothesis_met": True, "cap": cap,
-            "u_probe": u_probe, "core_radius": core_radius,
-            "core_nodes": int(core.sum()),
-            "c2": k.c2, "c2_prime": k.c2_prime, "c3": k.c3, "c4": k.c4,
-            "c_cal": c_cal, "node": list(node),
-        },
-    )
+        id=f"second_order_r0_{r0:g}", locus="Hessian eigenvalue ceiling on the core ball",
+        bound=bound, observed=observed, margin=bound - observed, passed=ratio <= 1.0,
+        extra={"ratio": ratio, "hypothesis_met": True, "cap": cap,
+               "u_probe": u_probe, "core_radius": core_radius,
+               "core_nodes": int(core.sum()),
+               "c2": k.c2, "c2_prime": k.c2_prime, "c3": k.c3, "c4": k.c4,
+               "c_cal": c_cal, "node": list(node)})
 
 
 def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
@@ -561,12 +486,9 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     The max of -K over each probe ball is sampled once and shared by the
     audits at that (node, r0); the second-order ceiling samples B(r0 + 1).
     """
-    report = EstimateReport(records=[])
-    for rec in check_zero_order(field, slack=max(10.0 * tol, 1e-12)):
-        report.add(rec)
-    for rec in check_first_order(field, tol=tol):
-        report.add(rec)
-    report.add(admissibility_record(field))
+    report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
+                                     *check_first_order(field, tol=tol),
+                                     admissibility_record(field)])
 
     grid = field.u.grid
     anchors = [(0, 0)] + [tuple(p) for p in probes]
@@ -588,21 +510,15 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
             cut = build_cutoff(field, node, r0, distance=dist, c2=c2s[r0])
             if cut.hypothesis_met:
                 for rec in cut.records:
-                    report.add(EstimateRecord(
-                        id=f"{rec.id}_r0_{r0:g}_node_{node[0]}_{node[1]}",
-                        locus=rec.locus, bound=rec.bound, observed=rec.observed,
-                        margin=rec.margin, passed=rec.passed, slack=rec.slack,
-                        extra={**rec.extra, "node": list(node)},
-                    ))
-            else:
+                    report.add(replace(rec, id=f"{rec.id}_r0_{r0:g}_node_{node[0]}_{node[1]}",
+                                       extra={**rec.extra, "node": list(node)}))
+            else:  # own rule: the audit is skipped, so the record passes
+                u_probe = float(field.u.values[node])
                 report.add(EstimateRecord(
                     id=f"cutoff_hypothesis_r0_{r0:g}_node_{node[0]}_{node[1]}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
-                    bound=cut.cap, observed=float(field.u.values[node]),
-                    margin=cut.cap - float(field.u.values[node]),
-                    passed=True,
-                    extra={"hypothesis_met": False},
-                ))
+                    bound=cut.cap, observed=u_probe, margin=cut.cap - u_probe, passed=True,
+                    extra={"hypothesis_met": False}))
             report.add(check_second_order(field, node, r0, c_cal=c_cal, distance=dist,
                                           c2=c2s[r0]))
     return report

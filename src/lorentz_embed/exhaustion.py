@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PolarGrid, ScalarField
+from .grid import PolarGrid, ScalarField, ghost_rows_below
 from .solver import DirichletProblem, solve_dirichlet
 
 __all__ = [
@@ -152,11 +152,8 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     is interior everywhere on (0, ball_radius] x S^1.
     """
     grid = field.grid
-    v = field.values
-    half = grid.n2 // 2
     pad = 4
-    below = np.stack([np.roll(v[k], half) for k in range(pad)])[::-1]
-    ext = np.vstack([below, v])
+    ext = ghost_rows_below(field.values, pad)
     ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
     # node k of the extension sits at r = (k - pad + 1/2) h1, theta0 + (k - pad) h2
     r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)

@@ -35,6 +35,7 @@ __all__ = [
     "ChartData",
     "chart_arrays",
     "covariant_hessian",
+    "ghost_rows_below",
     "radial_derivative",
     "theta_derivative",
     "theta_derivative_spectral",
@@ -181,8 +182,8 @@ def _fd_weights(offsets: tuple, deriv: int) -> np.ndarray:
     return w
 
 
-def _ghost_rows_below(F: np.ndarray, depth: int) -> np.ndarray:
-    """Prepend rows r_{-1-k} = F[k] rotated by half a turn."""
+def ghost_rows_below(F: np.ndarray, depth: int) -> np.ndarray:
+    """Prepend rows r_{-1-k} = F[k] rotated by half a turn (the pole mirror)."""
     half = F.shape[1] // 2
     ghosts = [np.roll(F[k], half) for k in range(depth)]
     return np.vstack([*reversed(ghosts), F])
@@ -204,7 +205,7 @@ def radial_derivative(F, h, deriv=1, order=2, across_pole=True):
     npts_c = 2 * half + 1
     if n < npts_c:
         raise GridTooCoarseError(f"need at least {npts_c} radial rows for order {order}")
-    Fe = _ghost_rows_below(F, half)
+    Fe = ghost_rows_below(F, half)
     out = np.empty_like(F)
     w = _fd_weights(tuple(range(-half, half + 1)), deriv) / h**deriv
     first = 0 if across_pole else half  # rows first..n_centered-1 are centered
@@ -226,13 +227,12 @@ def radial_derivative(F, h, deriv=1, order=2, across_pole=True):
     return out
 
 
-def theta_derivative(F, h, deriv=1, order=2):
-    """Periodic centered derivative along axis 1."""
+def theta_derivative(F, h, deriv=1):
+    """Periodic second-order centered derivative along axis 1."""
     F = np.asarray(F, dtype=float)
-    half = order // 2
-    w = _fd_weights(tuple(range(-half, half + 1)), deriv) / h**deriv
+    w = _fd_weights((-1, 0, 1), deriv) / h**deriv
     out = np.zeros_like(F)
-    for k, o in enumerate(range(-half, half + 1)):
+    for k, o in enumerate((-1, 0, 1)):
         out += w[k] * np.roll(F, -o, axis=1)
     return out
 
@@ -262,12 +262,12 @@ def generalized_eig_range(a11, a12, a22, g11, g22):
 # covariant operators
 
 
-def covariant_hessian(u: ScalarField, chart: ChartData, order: int = 2) -> HessianField:
+def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
     """Covariant Hessian Hess(u)_ij = d_i d_j u - Gamma^k_ij d_k u plus invariants.
 
     ``chart`` must be evaluated on the grid of ``u``.  Stencils are centered
-    and second order by default; the top row of the returned arrays is
-    one-sided and should only be consumed by audits.
+    and second order; the top row of the returned arrays is one-sided and
+    should only be consumed by audits.
     """
     grid = u.grid
     if chart.grid != grid:
@@ -279,12 +279,11 @@ def covariant_hessian(u: ScalarField, chart: ChartData, order: int = 2) -> Hessi
         )
     F = u.values
     h1, h2 = grid.h1, grid.h2
-    du1 = radial_derivative(F, h1, deriv=1, order=order)
-    du2 = theta_derivative(F, h2, deriv=1, order=order)
-    d11 = radial_derivative(F, h1, deriv=2, order=order)
-    d22 = theta_derivative(F, h2, deriv=2, order=order)
-    d12 = radial_derivative(theta_derivative(F, h2, deriv=1, order=order),
-                            h1, deriv=1, order=order)
+    du1 = radial_derivative(F, h1, deriv=1)
+    du2 = theta_derivative(F, h2, deriv=1)
+    d11 = radial_derivative(F, h1, deriv=2)
+    d22 = theta_derivative(F, h2, deriv=2)
+    d12 = radial_derivative(theta_derivative(F, h2, deriv=1), h1, deriv=1)
     h11 = d11 - chart.gamma1_11 * du1 - chart.gamma2_11 * du2
     h12 = d12 - chart.gamma1_12 * du1 - chart.gamma2_12 * du2
     h22 = d22 - chart.gamma1_22 * du1 - chart.gamma2_22 * du2

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import ScalarField, HessianField, chart_arrays, covariant_hessian
+from .grid import ScalarField, HessianField, chart_arrays, covariant_hessian, ghost_rows_below
 
 __all__ = [
     "DirichletProblem",
@@ -144,7 +144,15 @@ class SubsolutionReport:
 
 
 class _Stencil:
-    """Second-order interior stencil coefficients shared by residual and Jacobian."""
+    """Second-order interior stencil coefficients of the Jacobian.
+
+    ``_stencil_coefficients`` builds the Jacobian from ``coef``, and the
+    step solvers walk ``RT``; the residual itself (``_probe``) takes its
+    derivatives from ``grid.covariant_hessian``.  The two must agree, and
+    ``tests/test_solver.py::TestJacobian::test_matches_directional_difference``
+    ties them together: the Jacobian it builds from this table matches a
+    central difference of ``_probe``'s residual to truncation order.
+    """
 
     RT = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -194,7 +202,7 @@ def _probe(values, chart):
     """
     grid = chart.grid
     u = ScalarField(grid, values)
-    hess = covariant_hessian(u, chart, order=2)
+    hess = covariant_hessian(u, chart)
     s = hess.grad_sq + 2.0 * values
     interior = slice(0, grid.n1 - 1)
     eig_margin = float(hess.eig_min[interior].min())
@@ -332,9 +340,8 @@ def _block_bands(coefs, stencil, n1, n2):
 
 def _stencil_apply(coefs, stencil, x):
     """Interior rows of J @ x for a grid-shaped x, from the nine coefficient arrays."""
-    ni, half = x.shape[0] - 1, x.shape[1] // 2
-    # row k of ext is ring k - 1; ring -1 is ring 0 half a turn on
-    ext = np.vstack([np.roll(x[:1], half, axis=1), x])
+    ni = x.shape[0] - 1
+    ext = ghost_rows_below(x, 1)  # row k is ring k - 1
     out = np.zeros((ni, x.shape[1]))
     for (di, dj), c in zip(stencil.RT, coefs):
         out += c * np.roll(ext[1 + di:1 + di + ni], -dj, axis=1)
@@ -457,7 +464,7 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
 
 def _finalize(u, chart, metric, boundary_value, iterations, trace):
     # audit-grade Hessian: one-sided top row included in the certificate
-    hess = covariant_hessian(u, chart, order=2)
+    hess = covariant_hessian(u, chart)
     s = hess.grad_sq + 2.0 * u.values
     return AdmissibleField(
         u=u,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic
+from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed.grid import (
     PolarGrid,
     ScalarField,
@@ -300,3 +300,54 @@ class TestDistanceOnDemand:
         ids = [r.id for r in rep.records]
         assert f"cutoff_hypothesis_r0_0.5_node_{probe[0]}_0" in ids
         assert f"cutoff_range_r0_1_node_{probe[0]}_0" in ids
+
+
+class TestRecordConvention:
+    """Every record follows the module docstring's rule unless it has its own."""
+
+    @staticmethod
+    def _rule(rec):
+        """Check one record against its rule; return the rule's name."""
+        if rec.extra.get("hypothesis_met") is False:
+            assert rec.id.startswith(("cutoff_hypothesis_", "second_order_"))
+            assert rec.passed is True  # nothing audited
+            return "hypothesis_not_met"
+        if rec.id.startswith("cutoff_range_"):
+            x = rec.extra
+            assert rec.margin == min(x["support_min"], rec.bound - rec.observed,
+                                     x["core_min"] - x["core_floor"])
+            assert rec.passed is (rec.margin >= -rec.slack)
+            return "cutoff_range"
+        if rec.id.startswith("second_order_"):
+            assert rec.margin == rec.bound - rec.observed
+            assert rec.passed is (rec.extra["ratio"] <= 1.0)
+            return "second_order"
+        if rec.id == "gradient_barrier" and "skipped" not in rec.extra:
+            # -overshoot, so an exact fit is written as -0.0
+            assert repr(rec.margin) == repr(-rec.observed)
+            assert rec.passed is (rec.observed <= rec.slack)
+            return "gradient_barrier"
+        lower = rec.id.split("_r0_")[0] in (
+            "zero_order_lower", "admissibility", "lower_bound", "cutoff_hessian")
+        assert rec.margin == (rec.observed - rec.bound if lower else rec.bound - rec.observed)
+        assert rec.passed is (rec.margin >= -rec.slack)
+        return "record"
+
+    def test_margins_and_pass_flags_follow_the_convention(self, pinched_solve_64):
+        g = pinched_solve_64.u.grid
+        pinched = run_estimate_suite(pinched_solve_64, r0_list=(0.5, 1.0),
+                                     probes=[(int(np.searchsorted(g.q1, 1.8)), 0)])
+        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
+                                                PolarGrid(24, 16, 0.7, kind="disc")))
+        perturbed = run_estimate_suite(disc, r0_list=(1.0, 2.0))
+        rules = {}
+        for rep in (pinched, perturbed):
+            for rec in rep.records:
+                rules.setdefault(self._rule(rec), set()).add(rec.id.split("_r0_")[0])
+        assert rules["record"] == {
+            "zero_order_lower", "zero_order_upper", "gradient_bound", "gradient_barrier",
+            "admissibility", "lower_bound", "cutoff_gradient", "cutoff_hessian"}
+        assert rules["hypothesis_not_met"] == {"cutoff_hypothesis", "second_order"}
+        assert rules["cutoff_range"] == {"cutoff_range"}
+        assert rules["second_order"] == {"second_order"}
+        assert rules["gradient_barrier"] == {"gradient_barrier"}
