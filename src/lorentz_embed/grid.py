@@ -11,10 +11,15 @@ geodesic ball (q1 is geodesic distance); a grid of kind "disc" covers a
 conformal chart disc (q1 is the chart radius).
 
 A metric is evaluated on a grid once, into ChartData; the covariant Hessian
-takes that chart.  Second-order centered stencils feed the Monge-Ampere
-residual (see solver); audits may request higher radial orders and
-spectrally accurate angular derivatives.  Every artifact is written
-through ``atomic_write``.
+takes that chart.  Radial metrics give polar charts that are bitwise
+constant along theta, and radial Newton iterates stay so; when field and
+chart both are, the Hessian kernel runs on column 0 and repeats it.  At
+width 1 the theta rolls and the pole mirror's half turn are the identity
+and every other operation is elementwise, so that column is bit for bit
+column 0 of the full-width result.  Second-order centered stencils feed
+the Monge-Ampere residual (see solver); audits may request higher radial
+orders and spectrally accurate angular derivatives.  Every artifact is
+written through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -134,6 +139,8 @@ class ChartData:
     gamma2_11: np.ndarray
     gamma2_12: np.ndarray
     gamma2_22: np.ndarray
+    # the same arrays at column 0 when all are bitwise constant along theta
+    column: ChartData | None = None
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,13 @@ class HessianField:
     det_ratio: np.ndarray     # det(Hess u + g) / det g
     eig_min: np.ndarray       # eigenvalues of g^{-1}(Hess u + g)
     eig_max: np.ndarray
+    ring_constant: bool = False  # taken on column 0 and repeated along theta
+
+
+def _ring_constant(*arrays):
+    """Whether each row of each array holds one bit pattern (so 0.0 != -0.0)."""
+    bits = (a.view(np.uint64) for a in arrays)
+    return all(np.all(b == b[:, :1]) for b in bits)
 
 
 def chart_arrays(metric, grid) -> ChartData:
@@ -158,10 +172,9 @@ def chart_arrays(metric, grid) -> ChartData:
     gam = metric.christoffel_components(q1, q2)
     K = metric.curvature_at(q1, q2)
     det_g = g11 * g22 - g12 * g12
-    return ChartData(
-        grid, g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K,
-        gam[0], gam[1], gam[2], gam[3], gam[4], gam[5],
-    )
+    arrays = (g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K, *gam)
+    column = ChartData(grid, *(a[:, :1] for a in arrays)) if _ring_constant(*arrays) else None
+    return ChartData(grid, *arrays, column=column)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +280,10 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
 
     ``chart`` must be evaluated on the grid of ``u``.  Stencils are centered
     and second order; the top row of the returned arrays is one-sided and
-    should only be consumed by audits.
+    should only be consumed by audits.  When ``u`` and the chart are both
+    bitwise constant along theta, the kernel runs on column 0 alone and the
+    result repeats it (``ring_constant``), bit-identical to the full width:
+    theta differences and the pole mirror map a width-1 column to itself.
     """
     grid = u.grid
     if chart.grid != grid:
@@ -278,7 +294,15 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
             "(need n_r >= 4 and n_theta >= 8)"
         )
     F = u.values
-    h1, h2 = grid.h1, grid.h2
+    if chart.column is not None and _ring_constant(F):
+        column = _hessian_arrays(F[:, :1], grid.h1, grid.h2, chart.column)
+        return HessianField(chart, *(np.repeat(a, grid.n2, axis=1) for a in column),
+                            ring_constant=True)
+    return HessianField(chart, *_hessian_arrays(F, grid.h1, grid.h2, chart))
+
+
+def _hessian_arrays(F, h1, h2, chart):
+    """The nine HessianField arrays of F, of any width, in chart arrays of that width."""
     du1 = radial_derivative(F, h1, deriv=1)
     du2 = theta_derivative(F, h2, deriv=1)
     d11 = radial_derivative(F, h1, deriv=2)
@@ -291,8 +315,7 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
     a11, a12, a22 = h11 + chart.g11, h12 + chart.g12, h22 + chart.g22
     det_ratio = (a11 * a22 - a12 * a12) / chart.det_g
     eig_min, eig_max = generalized_eig_range(a11, a12, a22, chart.g11, chart.g22)
-    return HessianField(chart, h11, h12, h22, du1, du2, grad_sq, det_ratio,
-                        eig_min, eig_max)
+    return h11, h12, h22, du1, du2, grad_sq, det_ratio, eig_min, eig_max
 
 
 @contextlib.contextmanager
@@ -317,17 +340,30 @@ def write_field_csv(field: ScalarField, path):
     """Dump a field as CSV, row-major in (i, j), 17 significant digits.
 
     Polar grids emit (r, theta, value); disc grids emit Cartesian chart
-    coordinates (x, y, value).
+    coordinates (x, y, value).  The file is written one grid row at a time.
+    On polar grids each theta is formatted once per grid, each r once per
+    row, and the value of a row whose bits all agree once.
     """
     grid = field.grid
-    q1, q2 = grid.mesh()
-    if grid.kind == "disc":
-        c1, c2 = q1 * np.cos(q2), q1 * np.sin(q2)
-        header = "x,y,value"
-    else:
-        c1, c2 = q1, q2
-        header = "r,theta,value"
-    rows = np.stack([c1, c2, field.values], axis=-1).ravel().tolist()
+    values = field.values
     with atomic_write(path) as fh:
-        fh.write(header + "\n")
-        fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))
+        if grid.kind == "disc":
+            q1, q2 = grid.mesh()
+            fh.write("x,y,value\n")
+            rows = np.stack([q1 * np.cos(q2), q1 * np.sin(q2), values], axis=-1)
+            fmt = "%.17g,%.17g,%.17g\n" * grid.n2
+            for row in rows.reshape(grid.n1, -1).tolist():
+                fh.write(fmt % tuple(row))
+            return
+        fh.write("r,theta,value\n")
+        # one ",theta,<value>" line tail per column; a row's r joins them
+        tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
+        bits = values.view(np.uint64)
+        constant = np.all(bits == bits[:, :1], axis=1).tolist()
+        for r, row, const in zip(grid.q1.tolist(), values, constant):
+            r_text = "%.17g" % r
+            fmt = r_text + r_text.join(tails)
+            if const:
+                fh.write(fmt.replace("%.17g", "%.17g" % float(row[0])))
+            else:
+                fh.write(fmt % tuple(row.tolist()))

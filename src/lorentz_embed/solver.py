@@ -12,8 +12,9 @@ MARGIN_KEEP of their previous values, giving up below MIN_STEP.
 
 Each Newton step differentiates the discrete residual exactly: nine
 stencil-coefficient arrays per iteration, one per (radial, angular)
-offset.  When every one of them is exactly constant along theta (radial
-metrics keep radial iterates radial), an rfft in theta splits the step
+offset.  When the iterate's Hessian was taken on one column (iterate and
+chart bitwise constant along theta; radial metrics keep radial iterates
+radial), so are the coefficients, and an rfft in theta splits the step
 into n_theta/2 + 1 independent complex tridiagonal radial systems, the
 pole coupling to the antipodal column becoming the factor (-1)^k in mode
 k (the separable FFT/tridiagonal scheme of Swarztrauber & Sweet, ACM
@@ -220,21 +221,25 @@ def _stencil_coefficients(state, ch, stencil):
 
     Returns one (n1 - 1, n2) array per offset in ``_Stencil.RT`` order: the
     derivative of the interior log-residual at (i, j) with respect to the
-    value at (i + di, j + dj), before any pole or periodic wrap.
+    value at (i + di, j + dj), before any pole or periodic wrap.  Each is
+    a read-only ``np.broadcast_to`` view.  When the state's Hessian is
+    ring-constant, so are all seventeen inputs: the formula then runs on
+    column 0 alone, and the views repeat that column.
     """
-    ni = ch.grid.n1 - 1
+    ni, n2 = ch.grid.n1 - 1, ch.grid.n2
     hess = state.hessian
-    a11 = (hess.h11 + ch.g11)[:ni]
-    a12 = (hess.h12 + ch.g12)[:ni]
-    a22 = (hess.h22 + ch.g22)[:ni]
+    at = (slice(0, ni), slice(0, 1) if hess.ring_constant else slice(None))
+    a11 = hess.h11[at] + ch.g11[at]
+    a12 = hess.h12[at] + ch.g12[at]
+    a22 = hess.h22[at] + ch.g22[at]
     det_a = a11 * a22 - a12 * a12
-    du1 = hess.du1[:ni]
-    du2 = hess.du2[:ni]
-    s = state.rhs[:ni]
-    inv11 = ch.inv11[:ni]
-    inv22 = ch.inv22[:ni]
-    g1_11, g1_12, g1_22 = ch.gamma1_11[:ni], ch.gamma1_12[:ni], ch.gamma1_22[:ni]
-    g2_11, g2_12, g2_22 = ch.gamma2_11[:ni], ch.gamma2_12[:ni], ch.gamma2_22[:ni]
+    du1 = hess.du1[at]
+    du2 = hess.du2[at]
+    s = state.rhs[at]
+    inv11 = ch.inv11[at]
+    inv22 = ch.inv22[at]
+    g1_11, g1_12, g1_22 = ch.gamma1_11[at], ch.gamma1_12[at], ch.gamma1_22[at]
+    g2_11, g2_12, g2_22 = ch.gamma2_11[at], ch.gamma2_12[at], ch.gamma2_22[at]
 
     coefs = []
     for off in stencil.RT:
@@ -246,13 +251,8 @@ def _stencil_coefficients(state, ch, stencil):
         coef = coef - (2.0 * inv11 * du1 * s_r + 2.0 * inv22 * du2 * s_t) / s
         if off == (0, 0):
             coef = coef - 2.0 / s
-        coefs.append(coef)
+        coefs.append(np.broadcast_to(coef, (ni, n2)))
     return coefs
-
-
-def _theta_invariant(coefs):
-    """Whether every coefficient array is exactly constant along theta."""
-    return all(np.all(c == c[:, :1]) for c in coefs)
 
 
 def _mode_bands(coefs, stencil, n1, n2):
@@ -427,7 +427,7 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
         rhs = np.zeros(grid.shape)
         rhs[:-1] = -state.residual
         coefs = _stencil_coefficients(state, chart, stencil)
-        step_fn = _fourier_step if _theta_invariant(coefs) else _block_step
+        step_fn = _fourier_step if state.hessian.ring_constant else _block_step
         try:
             delta = step_fn(coefs, stencil, rhs)
         except np.linalg.LinAlgError as exc:

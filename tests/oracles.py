@@ -315,3 +315,20 @@ def distance_polar(metric, source, r_t, th_t):
     near = np.isclose(r_t, r_s, rtol=0.0, atol=1e-15) & radial
     out[near] = 0.0
     return out.reshape(shape)
+
+
+def write_field_csv_oneshot(field, path):
+    """The field CSV as one ``%`` format over every node: the byte-level
+    reference for ``grid.write_field_csv``, which writes row by row."""
+    grid = field.grid
+    q1, q2 = grid.mesh()
+    if grid.kind == "disc":
+        c1, c2 = q1 * np.cos(q2), q1 * np.sin(q2)
+        header = "x,y,value"
+    else:
+        c1, c2 = q1, q2
+        header = "r,theta,value"
+    rows = np.stack([c1, c2, field.values], axis=-1).ravel().tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))

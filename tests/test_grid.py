@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import write_field_csv_oneshot
 from test_metric import flat_metric
 
-from lorentz_embed.metric import make_hyperbolic
+from lorentz_embed import grid as grid_module
+from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.grid import (
     GridTooCoarseError,
     PolarGrid,
@@ -182,6 +185,76 @@ class TestMongeAmpereOperator:
         assert eig[node] == state.eig_margin
 
 
+HESSIAN_ARRAYS = ("h11", "h12", "h22", "du1", "du2", "grad_sq", "det_ratio",
+                  "eig_min", "eig_max")
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestRingColumn:
+    """The Hessian of a ring-constant field in a ring-constant chart is taken
+    on column 0; it must equal the full-width kernel bit for bit."""
+
+    @staticmethod
+    def _full_width(u, ch):
+        return grid_module._hessian_arrays(u.values, u.grid.h1, u.grid.h2, ch)
+
+    def test_chart_column_decided_once(self, pinched_metric):
+        ch = chart_arrays(pinched_metric, PolarGrid(24, 16, 3.0))
+        assert ch.column is not None
+        for name in ("g11", "g22", "det_g", "inv22", "K", "gamma1_22", "gamma2_12"):
+            assert _same_bits(getattr(ch.column, name), getattr(ch, name)[:, :1])
+        disc = PolarGrid(24, 16, 0.7, kind="disc")
+        assert chart_arrays(make_poincare_perturbed(1.0, 0.9, eps=0.3), disc).column is None
+
+    def test_column_matches_full_width(self, pinched_metric, pinched_solve_64):
+        u = pinched_solve_64.u
+        ch = chart_arrays(pinched_metric, u.grid)
+        hess = covariant_hessian(u, ch)
+        assert hess.ring_constant
+        for name, full in zip(HESSIAN_ARRAYS, self._full_width(u, ch)):
+            assert np.array_equal(getattr(hess, name), full), name
+            assert _same_bits(getattr(hess, name), full), name
+
+    def test_one_perturbed_node_takes_full_width(self, pinched_metric, pinched_solve_64):
+        values = pinched_solve_64.u.values.copy()
+        values[5, 7] += 1e-3
+        u = ScalarField(pinched_solve_64.u.grid, values)
+        ch = chart_arrays(pinched_metric, u.grid)
+        hess = covariant_hessian(u, ch)
+        assert not hess.ring_constant
+        for name, full in zip(HESSIAN_ARRAYS, self._full_width(u, ch)):
+            assert _same_bits(getattr(hess, name), full), name
+
+    def test_signed_zeros_take_full_width(self, pinched_metric):
+        # 0.0 == -0.0, but the bits differ, so the row is not ring-constant
+        g = PolarGrid(24, 16, 3.0)
+        values = np.zeros(g.shape)
+        values[4, 1::2] = -0.0
+        assert not hessian(values, g, pinched_metric).ring_constant
+        assert hessian(np.zeros(g.shape), g, pinched_metric).ring_constant
+
+    def test_disc_chart_takes_full_width(self):
+        g = PolarGrid(24, 16, 0.7, kind="disc")
+        hess = hessian(np.full(g.shape, 0.5), g, make_poincare_perturbed(1.0, 0.9, eps=0.3))
+        assert not hess.ring_constant
+
+    def test_pinched_solve_takes_hessians_at_width_1(self, pinched_metric, monkeypatch):
+        widths = []
+        kernel = grid_module._hessian_arrays
+
+        def spy(F, *args):
+            widths.append(F.shape[1])
+            return kernel(F, *args)
+
+        monkeypatch.setattr(grid_module, "_hessian_arrays", spy)
+        sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(32, 32, 3.0)))
+        assert sol.iterations >= 2 and sol.hessian.ring_constant
+        assert len(widths) >= sol.iterations + 2 and set(widths) == {1}
+
+
 class TestSpectralTheta:
     def test_trig_polynomial_exact(self):
         g = PolarGrid(8, 32, 1.0)
@@ -219,3 +292,29 @@ class TestFieldDump:
         write_field_csv(ScalarField(g, v), path)
         back = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2).reshape(g.shape)
         assert np.array_equal(back, v)
+
+    @staticmethod
+    def _field(case):
+        rng = np.random.default_rng(7)
+        if case == "disc":
+            g = PolarGrid(16, 16, 0.8, kind="disc")
+            return ScalarField(g, rng.random(g.shape))
+        g = PolarGrid(24, 32, 2.0)
+        if case == "general":
+            return ScalarField(g, rng.random(g.shape))
+        values = np.repeat(rng.random((g.n1, 1)), g.n2, axis=1)
+        if case == "signed_zero":
+            # equal as floats, yet "%.17g" gives "0" and "-0"
+            values[3, ::2], values[3, 1::2] = 0.0, -0.0
+        return ScalarField(g, values)
+
+    @pytest.mark.parametrize("case", ["ring_constant", "general", "disc", "signed_zero"])
+    def test_bytes_match_one_shot_oracle(self, tmp_path, case):
+        field = self._field(case)
+        path, ref = tmp_path / "u.csv", tmp_path / "ref.csv"
+        write_field_csv(field, path)
+        write_field_csv_oneshot(field, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        if case == "signed_zero":
+            lines = path.read_text().splitlines()[1 + 3 * 32:1 + 4 * 32]
+            assert {line.rsplit(",", 1)[1] for line in lines} == {"0", "-0"}

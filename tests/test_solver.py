@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from lorentz_embed.solver import (
     _stencil_apply,
     _stencil_coefficients,
     _thomas,
-    _theta_invariant,
     _Stencil,
 )
 
@@ -128,6 +129,11 @@ def _state(metric, g, angular=0.0):
     return vals, _probe(vals, chart_arrays(metric, g))
 
 
+def _theta_invariant(coefs):
+    """Whether every coefficient array is exactly constant along theta."""
+    return all(np.all(c == c[:, :1]) for c in coefs)
+
+
 def _count_steps(monkeypatch):
     """Count the calls of each Newton step function; the solver, and the
     Fourier step when it hands over to the block step, look them up on the
@@ -156,7 +162,9 @@ class TestFourierStep:
     @pytest.mark.parametrize("n2", [8, 16, 64])
     def test_matches_sparse_lu(self, pinched_metric, n2):
         g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, n2)
-        assert _theta_invariant(coefs)
+        # the Fourier step is chosen by the ring-constant Hessian, which
+        # implies theta-invariant coefficients
+        assert state.hessian.ring_constant and _theta_invariant(coefs)
         # every Fourier mode, odd ones and Nyquist included, is excited
         assert np.all(np.abs(np.fft.rfft(rhs, axis=1)) > 1e-3)
         fast = _fourier_step(coefs, stencil, rhs)
@@ -197,10 +205,23 @@ class TestFourierStep:
         ref = ref.reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_column_coefficients_match_full_width(self, pinched_metric):
+        # a ring-constant state takes its coefficients on column 0, as
+        # read-only broadcast views; the full-width formula gives the same bits
+        g, ch, state, stencil, coefs, _ = self._system(pinched_metric, 16)
+        assert state.hessian.ring_constant
+        full_state = replace(state, hessian=replace(state.hessian, ring_constant=False))
+        full = _stencil_coefficients(full_state, ch, stencil)
+        for c, ref in zip(coefs, full):
+            assert c.shape == ref.shape == (g.n1 - 1, g.n2)
+            assert c.strides[1] == 0 and not c.flags.writeable
+            assert np.array_equal(c.view(np.uint64), ref.view(np.uint64))
+
     def test_non_radial_state_is_not_theta_invariant(self, pinched_metric):
         g = PolarGrid(20, 16, 3.0)
         _, state = _state(pinched_metric, g, angular=0.01)
         ch = chart_arrays(pinched_metric, g)
+        assert not state.hessian.ring_constant
         assert not _theta_invariant(_stencil_coefficients(state, ch, _Stencil(g.h1, g.h2)))
 
     def test_radial_solve_never_factors(self, pinched_metric, monkeypatch):
@@ -241,7 +262,7 @@ class TestBlockStep:
         _, state = _state(m, g, angular=0.01)
         stencil = _Stencil(g.h1, g.h2)
         coefs = _stencil_coefficients(state, ch, stencil)
-        assert not _theta_invariant(coefs)
+        assert not state.hessian.ring_constant and not _theta_invariant(coefs)
         rhs = np.random.default_rng(seed).standard_normal(g.shape)
         return g, stencil, coefs, rhs
 
