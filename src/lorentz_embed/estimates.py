@@ -485,6 +485,8 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     holds there for some radius, and only as far as those audits read it.
     The max of -K over each probe ball is sampled once and shared by the
     audits at that (node, r0); the second-order ceiling samples B(r0 + 1).
+    A warped polar metric is rotationally symmetric, so nodes on one ring
+    that need the same reach share one solved field, rolled along theta.
     """
     report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
                                      *check_first_order(field, tol=tol),
@@ -493,6 +495,7 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     grid = field.u.grid
     anchors = [(0, 0)] + [tuple(p) for p in probes]
     seen = set()
+    solved = {}  # (ring, reach) -> (column, distance field) solved in this call
     for node in anchors:
         if node in seen:
             continue
@@ -503,8 +506,13 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         c2s = {r0: max_neg_curvature_ball(field.metric, center, r0) for r0 in fit}
         reaches = [_audit_reach(field, node, r0, c2s[r0])[1] for r0 in fit]
         reaches = [r for r in reaches if r is not None]
-        dist = (distance_field(field.metric, grid, node, reach=max(reaches))
-                if reaches else None)
+        dist = None
+        if reaches:
+            key = (node[0], max(reaches))
+            if key not in solved or field.metric.kind != "geodesic_polar":
+                solved[key] = (node[1], distance_field(field.metric, grid, node, reach=key[1]))
+            j0, dist = solved[key]
+            dist = np.roll(dist, node[1] - j0, axis=1)
         for r0 in fit:
             report.add(check_lower_bound(field, node, r0, c2=c2s[r0]))
             cut = build_cutoff(field, node, r0, distance=dist, c2=c2s[r0])

@@ -10,9 +10,9 @@ arclength given by quadratures
 The integrable inverse-square-root singularity at the turning point is
 removed by the substitution r = rho + t^2, and each integral is split at
 2 rho so the near-pole boundary layer of almost-antipodal geodesics is
-resolved at any parameter value.  Simple connectivity plus strictly
-negative curvature guarantee a unique connecting geodesic, so the sweep is
-monotone along the family below.
+resolved at any parameter value; each piece is a 24-node Gauss-Legendre
+rule.  Simple connectivity plus strictly negative curvature guarantee a
+unique connecting geodesic, so the sweep is monotone along the family below.
 
 A distance field solves a grid row at a time: the targets of a row share
 (r_a, r_b) and differ only in angle.  With t in [-1, 1] and
@@ -22,17 +22,19 @@ from 0 (t = 1, the radial ray) to pi (t = -1, the ray through the pole),
 because S(rho, r_a) is proportional to sqrt(r_a - rho) = sqrt(r_a) |t|.  A
 row at the source radius has the through branch alone, t in [-1, 0].
 Each row tabulates the sweep at 32 Chebyshev-Lobatto points of t, and
-Newton on the interpolant, started between the bracketing table points,
-gives every target of the row its parameter.  Two exact evaluations
-polish it, each a Newton step with the interpolant's slope, and the
-first variation dd/dtheta = c takes the length from the last one to the
-target angle, L + f(rho) (theta - sweep), leaving an error of second
-order in the sweep residual.  A target whose residual is still above
-_POLISH_TOL halves its table bracket 52 times by exact sweeps and takes
-the same correction at the midpoint.  The arithmetic is local to a row,
-so a row's distances do not depend on which other rows are solved.
-Polar grids are uniform and periodic in theta, so a distance field is
-solved for half of the columns and mirrored about the source column.
+Newton on the interpolant (summed by Clenshaw's recurrence), started
+between the bracketing table points, gives every target of the row its
+parameter.  Two exact evaluations polish it, each a Newton step with the
+interpolant's slope, and the first variation dd/dtheta = c takes the
+length from the last one to the target angle, L + f(rho) (theta - sweep),
+leaving an error of second order in the sweep residual.  A target whose
+residual is still above _POLISH_TOL halves its table bracket 52 times by
+exact sweeps and takes the same correction at the midpoint.  The
+arithmetic is local to a row, so a row's distances do not depend on which
+other rows are solved.  Polar grids are uniform and periodic in theta, so
+a distance field is solved for half of the column offsets and mirrored
+about the source column: the fields from the nodes of one ring are rolls
+of one another, bit for bit.
 
 ``distance_field(metric, grid, node, reach)`` returns, at every node, the
 geodesic distance wherever it is <= ``reach``, and a lower bound greater
@@ -70,7 +72,7 @@ def wrap_angle_difference(dth):
     return d
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_X = 0.5 * (_GL_NODES + 1.0)  # nodes on (0, 1)
 _GL_W = 0.5 * _GL_WEIGHTS
 
@@ -80,7 +82,7 @@ def _sweep_and_length(metric, rho, R):
 
     Computes I(R) = int_rho^R c dr / (f sqrt(f^2-c^2)) and
     J(R) = int_rho^R f dr / sqrt(f^2-c^2) with c = f(rho), vectorized over
-    matching arrays rho, R (requires R >= rho).
+    arrays rho and R that broadcast together (requires R >= rho).
     """
     f = metric.f
     rho = np.asarray(rho, dtype=float)
@@ -102,20 +104,23 @@ def _sweep_and_length(metric, rho, R):
         rho_n = np.broadcast_to(rho[..., None], t.shape)[near]
         diff[near] = tn * tn * metric.f_prime(rho_n + 0.5 * tn * tn)
     den1 = np.sqrt(np.maximum(diff * (f1 + c[..., None]), 1e-300))
-    w1 = _GL_W * t_max[..., None] * 2.0 * t
-    sweep = np.sum(w1 * c[..., None] / (f1 * den1), axis=-1)
-    length = np.sum(w1 * f1 / den1, axis=-1)
+    q1 = _GL_W * t / den1  # dr = 2 t dt and dt = t_max dx
+    # arrays also for scalar rho and R: the remainder adds in place
+    sweep = np.asarray(2.0 * t_max * c * np.sum(q1 / f1, axis=-1))
+    length = np.asarray(2.0 * t_max * np.sum(q1 * f1, axis=-1))
 
-    # regular remainder, log-spaced so the O(rho)-scale variation just above
-    # the split stays resolved even when R/rho is large
+    # regular remainder, on the arcs that reach past the split only, and
+    # log-spaced so the O(rho)-scale variation just above the split stays
+    # resolved even when R/rho is large
     span = np.log(np.maximum(R / split, 1.0))
-    sigma = span[..., None] * _GL_X
-    r2 = split[..., None] * np.exp(sigma)
+    far = span > 0.0
+    span, c = span[far], np.broadcast_to(c, far.shape)[far]
+    r2 = split[far][:, None] * np.exp(span[:, None] * _GL_X)
     f2 = f(r2)
-    den2 = np.sqrt(np.maximum(f2 * f2 - (c * c)[..., None], 1e-300))
-    w2 = _GL_W * span[..., None] * r2
-    sweep = sweep + np.sum(w2 * c[..., None] / (f2 * den2), axis=-1)
-    length = length + np.sum(w2 * f2 / den2, axis=-1)
+    den2 = np.sqrt(np.maximum(f2 * f2 - (c * c)[:, None], 1e-300))
+    q2 = _GL_W * r2 / den2  # dr = r dsigma and dsigma = span dx
+    sweep[far] += span * c * np.sum(q2 / f2, axis=-1)
+    length[far] += span * np.sum(q2 * f2, axis=-1)
     return sweep, length
 
 
@@ -149,10 +154,18 @@ def _row_arcs(metric, ra, rb, psi):
 
 
 def _interpolant(coef, psi):
-    """The row interpolants p(psi) and dp/dpsi at each target's psi."""
-    k_psi = psi[..., None] * _ORDERS
-    return (np.sum(coef * np.cos(k_psi), axis=-1),
-            -np.sum(coef * _ORDERS * np.sin(k_psi), axis=-1))
+    """The row interpolants p = sum_k a_k T_k(cos psi) and dp/dpsi = -sin(psi)
+    sum_k k a_k U_{k-1}(cos psi) at each target's psi, by Clenshaw's recurrence in
+    Reinsch's form (s = +-1 the sign of cos psi, u = 2 (cos psi - s), d_k = b_k -
+    s b_{k+1}), whose round-off stays flat up to psi = 0 and pi."""
+    s = np.where(psi <= 0.5 * math.pi, 1.0, -1.0)
+    u = np.where(s > 0, -4.0 * np.sin(0.5 * psi) ** 2, 4.0 * np.cos(0.5 * psi) ** 2)
+    a = np.stack([coef, coef * _ORDERS])  # the two series side by side
+    b = d = np.zeros((2,) + psi.shape)
+    for k in range(_TABLE_NODES - 1, 0, -1):
+        d = a[..., k] + u * b + s * d
+        b = d + s * b
+    return coef[..., 0] + 0.5 * u * b[0] + s * d[0], -np.sin(psi) * b[1]
 
 
 def _row_lengths(metric, ra, rb, target):
@@ -227,7 +240,8 @@ def distance_field_polar(metric, grid, node, reach=math.inf):
     half = np.repeat(gap[:, None], k.size, axis=1)
     r = grid.q1[rows]
     r_a, r_b = np.minimum(r, r_s), np.maximum(r, r_s)
-    dth = wrap_angle_difference(grid.q2[cols] - grid.q2[j])
+    # offsets from column 0, so the solved half does not depend on j
+    dth = wrap_angle_difference(grid.q2[k] - grid.q2[0])
     # the radial and antipodal columns in closed form
     band = np.where(dth < 1e-13, (r_b - r_a)[:, None], (r_b + r_a)[:, None])
     general = (dth >= 1e-13) & (math.pi - dth >= 1e-13)

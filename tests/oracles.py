@@ -15,7 +15,9 @@ a safeguarded Illinois iteration (Dowell & Jarratt, BIT 11, 1971) to a sweep
 residual of 1e-13 max(1, target).  The library's distance fields instead
 invert a per-row sweep table in the table parameter psi.  The two share only
 the quadrature ``geodesics._sweep_and_length``, which the hyperbolic closed
-form checks on its own.
+form checks on its own.  ``_interpolant`` sums a row table's Chebyshev series
+as explicit cosine and sine sums, against which the library's Clenshaw
+recurrence is checked.
 """
 
 import math
@@ -332,3 +334,13 @@ def write_field_csv_oneshot(field, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))
+
+
+_ORDERS = np.arange(32)  # the orders of a 32-point row table's series
+
+
+def _interpolant(coef, psi):
+    """The row interpolants p(psi) and dp/dpsi at each target's psi."""
+    k_psi = psi[..., None] * _ORDERS
+    return (np.sum(coef * np.cos(k_psi), axis=-1),
+            -np.sum(coef * _ORDERS * np.sin(k_psi), axis=-1))

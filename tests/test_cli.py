@@ -450,6 +450,13 @@ class TestExhaustionEnd:
         assert json.loads((out / "verify" / "report.json").read_text())["mandatory_pass"]
         assert (out / "embed" / "surface.obj").exists()
 
+    def test_readme_example_meets_its_tol(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        out = tmp_path / "run"
+        assert main(["solve", "--config", write_config(tmp_path, example), "--out", str(out)]) == 0
+        assert json.loads((out / "fields" / "meta.json").read_text())["met_tol"] is True
+
     def test_chart_disc_has_no_delta(self, tmp_path):
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0

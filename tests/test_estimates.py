@@ -301,6 +301,58 @@ class TestDistanceOnDemand:
         assert f"cutoff_hypothesis_r0_0.5_node_{probe[0]}_0" in ids
         assert f"cutoff_range_r0_1_node_{probe[0]}_0" in ids
 
+    def test_one_field_per_ring_and_reach(self, pinched_solve_64, monkeypatch):
+        # probes on one ring share one solved field, rolled along theta; the
+        # records are those of runs that solve each probe's own field
+        g = pinched_solve_64.u.grid
+        i = int(np.searchsorted(g.q1, 1.8))
+        probes = [(i, 0), (i, 21), (i, 42), (i + 3, 5), (i + 3, 40)]
+        base = run_estimate_suite(pinched_solve_64).to_json_dict()["records"]
+        expected, keys = list(base), set()
+        for p in probes:
+            calls = self._count_calls(monkeypatch)
+            own = run_estimate_suite(pinched_solve_64, probes=[p]).to_json_dict()["records"]
+            expected += own[len(base):]
+            assert [node for node, _ in calls] == [p]
+            keys.add((p[0], calls[0][1]))
+        calls = self._count_calls(monkeypatch)
+        read = {}
+
+        def cutoff(field, node, r0, distance=None, c2=None):
+            read[node] = distance
+            return build_cutoff(field, node, r0, distance=distance, c2=c2)
+
+        monkeypatch.setattr(estimates, "build_cutoff", cutoff)
+        shared = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()["records"]
+        assert len(keys) == 2
+        assert [node for node, _ in calls] == [(i, 0), (i + 3, 5)]
+        assert {(node[0], reach) for node, reach in calls} == keys
+        assert json.dumps(shared) == json.dumps(expected)
+        for p in probes:  # each audit read the field of its own probe
+            reach = dict(keys)[p[0]]
+            assert np.array_equal(read[p], distance_field_polar(pinched_solve_64.metric, g, p,
+                                                                reach))
+
+    def test_chart_disc_takes_no_roll(self, monkeypatch):
+        # a perturbed conformal chart is not rotationally symmetric: probes on
+        # one ring with one reach each solve their own field.  The audits'
+        # values are not under test, so a chart-flat stand-in is returned
+        calls = []
+
+        def counted(metric, grid, node, reach=math.inf):
+            calls.append((tuple(node), reach))
+            R, T = grid.mesh()
+            X, Y = R * np.cos(T), R * np.sin(T)
+            return np.hypot(X - X[node], Y - Y[node])
+
+        monkeypatch.setattr(estimates, "distance_field", counted)
+        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
+                                                PolarGrid(8, 8, 0.8, kind="disc")))
+        probes = [(3, 0), (3, 2), (3, 4)]
+        run_estimate_suite(disc, probes=probes, r0_list=(4.0,))
+        assert [node for node, _ in calls] == [(0, 0)] + probes
+        assert len({reach for _, reach in calls}) == 1
+
 
 class TestRecordConvention:
     """Every record follows the module docstring's rule unless it has its own."""

@@ -324,6 +324,61 @@ class TestRowTables:
         assert calls == []
 
 
+class TestQuadratureNodes:
+    """The Gauss-Legendre rule of _sweep_and_length against closed form and itself."""
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0, 9.0])
+    def test_wider_set_matches_closed_form(self, scale):
+        m = make_hyperbolic(scale)
+        for g in (PolarGrid(96, 128, 3.0), PolarGrid(64, 64, 6.0)):
+            R, T = g.mesh()
+            for i, j in ((0, 0), (1, 3), (g.n1 // 2, 5), (g.n1 - 1, g.n2 - 1)):
+                d = distance_field_polar(m, g, (i, j))
+                d0 = hyperbolic_distance(scale, g.q1[i], g.q2[j], R, T)
+                assert np.max(np.abs(d - d0) / np.maximum(1.0, d0)) <= 1e-13
+
+    def test_pinched_self_convergence(self, pinched_metric, monkeypatch):
+        # the pinched f is a C1 Hermite spline with no closed-form distance:
+        # the field against the same field under a 48-node rule
+        g = PolarGrid(40, 48, 3.0)
+        probes = ((0, 0), (20, 5), (39, 47))
+        fields = [distance_field_polar(pinched_metric, g, p) for p in probes]
+        x, w = np.polynomial.legendre.leggauss(48)
+        monkeypatch.setattr(geodesics, "_GL_X", 0.5 * (x + 1.0))
+        monkeypatch.setattr(geodesics, "_GL_W", 0.5 * w)
+        for p, d in zip(probes, fields):
+            d48 = distance_field_polar(pinched_metric, g, p)
+            assert np.max(np.abs(d - d48) / np.maximum(1.0, d48)) <= 1e-13
+
+
+class TestInterpolant:
+    def test_clenshaw_matches_cosine_sums(self):
+        # random series of every scale, at both ends, the table points and
+        # random interior angles
+        rng = np.random.default_rng(16)
+        coef = rng.standard_normal((400, 1, 32)) * 10.0 ** rng.uniform(-3, 3, (400, 1, 1))
+        psi = np.concatenate([[0.0, math.pi], geodesics._PSI, rng.uniform(0.0, math.pi, 64)])
+        psi = np.broadcast_to(psi, (400, psi.size))
+        p, dp = geodesics._interpolant(coef, psi)
+        p0, dp0 = oracles._interpolant(coef, psi)
+        bound = 1e-13 * np.sum(np.abs(coef), axis=-1)
+        assert np.all(np.abs(p - p0) <= bound)
+        assert np.all(np.abs(dp - dp0) <= bound)
+
+
+class TestRotation:
+    """The fields from the nodes of one ring are rolls of one another, bit for bit."""
+
+    @pytest.mark.parametrize("ring", [0, 9])
+    def test_field_is_the_roll_of_column_zero(self, warped_metric, ring):
+        g = PolarGrid(24, 32, 3.0)
+        for reach in (math.inf, 0.8):
+            base = distance_field_polar(warped_metric, g, (ring, 0), reach)
+            for j in range(g.n2):
+                assert np.array_equal(distance_field_polar(warped_metric, g, (ring, j), reach),
+                                      np.roll(base, j, axis=1))
+
+
 class TestReach:
     """distance_field(..., reach) against the full field on every row."""
 
