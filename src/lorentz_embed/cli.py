@@ -9,6 +9,11 @@ included.  A lock file holding the writer's PID guards each output
 directory against concurrent writers (solve, verify and embed alike); a
 lock whose PID names no running process is reclaimed.
 
+Importing this module loads only what config handling and solve need
+(metric, grid, solver, exhaustion).  verify loads estimates (and through it
+geodesics) on its first call, and embed loads embed; the names of those
+stages used here are attributes of this module, resolved on first access.
+
 Every chart is solved through exhaustion.run_exhaustion: a schedule of
 expanding geodesic balls, or a single conformal chart disc.  validate_config
 is the one place config defaults live; the sections of a RunConfig hold
@@ -27,6 +32,7 @@ import argparse
 import contextlib
 import datetime
 import functools
+import importlib
 import json
 import math
 import os
@@ -48,14 +54,33 @@ from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
 # Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
 from .solver import solve_dirichlet  # noqa: F401
-from .exhaustion import make_schedule, run_exhaustion, DivergenceError
-from .estimates import run_estimate_suite
-from .embed import (
-    _MIN_OBS_RINGS, CurvatureCheckError, ObservationRegionError, build_embedding,
-    export_graph, write_obj,
-)
+from .exhaustion import _MIN_OBS_RINGS, make_schedule, run_exhaustion, DivergenceError
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
+
+# Names of the stages only verify and embed run, and the module of each.
+# Each resolves on first access through __getattr__; the commands reach them
+# as attributes of this module, so a wrapper set on it (a span tracer, a
+# test's spy) is the one they call.
+_STAGE_NAMES = {
+    "run_estimate_suite": "estimates",
+    "CurvatureCheckError": "embed",
+    "ObservationRegionError": "embed",
+    "build_embedding": "embed",
+    "export_graph": "embed",
+    "write_obj": "embed",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Import the stage that defines ``name`` and keep the name here (PEP 562)."""
+    if name not in _STAGE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    stage = importlib.import_module(f".{_STAGE_NAMES[name]}", __package__)
+    value = globals()[name] = getattr(stage, name)
+    return value
+
 
 # Every key each section reads, with its default.  None marks a key with
 # no fixed default: metric.family and exhaustion.radii are required, and
@@ -537,9 +562,9 @@ def cmd_verify(run_dir):
         fit_r0 = [r0 for r0 in r0_list
                   if metric.kind != "geodesic_polar" or r0 + 2 * fld.u.grid.h1 < fld.ball_radius]
         probes = _default_probes(fld, min(fit_r0) if fit_r0 else 0.0)
-        rep = run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
-                                 c_cal=cfg.audit["c_cal"],
-                                 tol=cfg.solver["tol"])
+        rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
+                                      c_cal=cfg.audit["c_cal"],
+                                      tol=cfg.solver["tol"])
         reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
         ok = ok and rep.mandatory_pass()
     out = os.path.join(run_dir, "verify")
@@ -574,21 +599,21 @@ def cmd_embed(run_dir):
 
     audit_cfg = cfg.audit
     try:
-        gbar, dev, emb, audit = build_embedding(
+        gbar, dev, emb, audit = _cli.build_embedding(
             field, cfg.exhaustion["l_obs"],
             check_tol=audit_cfg["curvature_check_tol"],
         )
-    except ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
+    except _cli.ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
         print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
         return 2
-    except CurvatureCheckError as exc:
+    except _cli.CurvatureCheckError as exc:
         print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
         return 4
     out = os.path.join(run_dir, "embed")
     with _locked_dir(run_dir):
         os.makedirs(out, exist_ok=True)
-        mesh = export_graph(emb, rows=audit.audit_rows)
-        write_obj(mesh, os.path.join(out, "surface.obj"))
+        mesh = _cli.export_graph(emb, rows=audit.audit_rows)
+        _cli.write_obj(mesh, os.path.join(out, "surface.obj"))
         payload = audit.to_json_dict()
         payload["curvature_defect"] = gbar.max_defect
         _dump_json(payload, os.path.join(out, "audit.json"))

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .exhaustion import _MIN_OBS_RINGS
 from .grid import atomic_write, radial_derivative, theta_derivative_spectral
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
@@ -55,8 +56,6 @@ _RADIAL_ORDER = 6
 _N_SUB = 2
 # rings developed beyond the observation radius, so the audits stay centered
 _PAD_ROWS = 6
-# rings the observation radius must cover for the audits
-_MIN_OBS_RINGS = 4
 
 
 class ObservationRegionError(ValueError):

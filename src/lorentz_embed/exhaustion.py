@@ -35,6 +35,9 @@ __all__ = [
 
 # (n1, n2) of the grid on the observation ball where the deltas are read
 _REFERENCE_SHAPE = (48, 64)
+# rings of a ball's grid the observation radius must cover for embed's
+# audits; config validation checks it on every ball of a schedule
+_MIN_OBS_RINGS = 4
 
 
 class DivergenceError(RuntimeError):

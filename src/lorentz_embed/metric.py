@@ -231,7 +231,8 @@ def _uniform_hermite(y, dy, h):
 
     def evaluate(r):
         x = np.asarray(r, dtype=float) / h
-        i = np.clip(x.astype(np.intp), 0, last)
+        # two ufuncs: np.clip's Python-level wrapper costs more than the clamp
+        i = np.minimum(np.maximum(x.astype(np.intp), 0), last)
         t = x - i
         return ((c3[i] * t + c2[i]) * t + d0[i]) * t + y0[i]
 

@@ -509,13 +509,36 @@ class TestAtomicArtifacts:
 
 
 class TestStartup:
+    # the radial Newton step needs no scipy; the delta at l = 3 (about
+    # 5e-4) is above tol 1e-5, so solve exits 6
+    RADIAL = (base_config(
+        metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+        grid={"n_theta": 16, "nodes_per_unit": 8},
+        exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5}), 6)
+    # the non-radial Newton step is a block step, with no splu; the grid is
+    # fine enough for embed's curvature check
+    CHART_DISC = ({**conformal_config(radii=(0.8,)), "grid": {"n_theta": 64, "n_r": 64}}, 0)
+    # what solve never runs, and what embed alone never needs
+    SOLVE_UNUSED = ("lorentz_embed.estimates", "lorentz_embed.geodesics",
+                    "lorentz_embed.embed", "numpy.polynomial")
+    EMBED_UNUSED = ("lorentz_embed.estimates", "lorentz_embed.geodesics")
+
     @staticmethod
-    def _assert_loads_no_scipy(tmp_path, cfg, solve_rc):
+    def _fresh(script):
+        """Run ``script`` in a fresh interpreter that finds this package."""
+        src = str(Path(lorentz_embed.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def _assert_loads_no_scipy(self, tmp_path, cfg, solve_rc):
         # importing the CLI, and solve, verify and embed of the run, load
-        # numpy alone; runs in a fresh interpreter
+        # numpy alone
         cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "run")
-        script = (
+        self._fresh(
             "import sys\n"
             "import lorentz_embed.cli as cli\n"
             "def scipy_modules():\n"
@@ -527,21 +550,9 @@ class TestStartup:
             f"assert cli.cmd_embed({out!r}) == 0\n"
             "assert not scipy_modules(), ('verify, embed', scipy_modules())\n"
         )
-        src = str(Path(lorentz_embed.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
 
     def test_radial_pipeline_loads_no_scipy(self, tmp_path):
-        # the radial Newton step needs no scipy; the delta at l = 3 (about
-        # 5e-4) is above tol 1e-5, so solve exits 6
-        cfg = base_config(
-            metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
-            grid={"n_theta": 16, "nodes_per_unit": 8},
-            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-5})
-        self._assert_loads_no_scipy(tmp_path, cfg, 6)
+        self._assert_loads_no_scipy(tmp_path, *self.RADIAL)
 
     def test_no_module_imports_scipy(self):
         # the runs above see only the paths they take; an import statement
@@ -560,11 +571,56 @@ class TestStartup:
         assert found == []
 
     def test_chart_disc_pipeline_loads_no_scipy(self, tmp_path):
-        # the non-radial Newton step is a block step, with no splu; the
-        # grid is fine enough for embed's curvature check
-        cfg = conformal_config(radii=(0.8,))
-        cfg["grid"] = {"n_theta": 64, "n_r": 64}
-        self._assert_loads_no_scipy(tmp_path, cfg, 0)
+        self._assert_loads_no_scipy(tmp_path, *self.CHART_DISC)
+
+    @pytest.mark.parametrize("case", ["RADIAL", "CHART_DISC"])
+    def test_each_command_loads_only_its_stages(self, tmp_path, case):
+        # solve loads no audit or embedding stage, verify loads no embed,
+        # and embed in an interpreter of its own loads no audit stage
+        cfg, solve_rc = getattr(self, case)
+        cfg_path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "run")
+        preamble = (
+            "import sys\n"
+            "import lorentz_embed.cli as cli\n"
+            "def loaded(names):\n"
+            "    return [m for m in names if m in sys.modules]\n"
+        )
+        self._fresh(
+            preamble
+            + f"assert cli.cmd_solve({cfg_path!r}, {out!r}) == {solve_rc}\n"
+            f"assert loaded({self.SOLVE_UNUSED!r}) == [], loaded({self.SOLVE_UNUSED!r})\n"
+            f"assert cli.cmd_verify({out!r}) == 0\n"
+            "assert 'lorentz_embed.estimates' in sys.modules\n"
+            "assert 'lorentz_embed.embed' not in sys.modules\n"
+        )
+        self._fresh(
+            preamble
+            + f"assert cli.cmd_embed({out!r}) == 0\n"
+            "assert 'lorentz_embed.embed' in sys.modules\n"
+            f"assert loaded({self.EMBED_UNUSED!r}) == [], loaded({self.EMBED_UNUSED!r})\n"
+        )
+
+    def test_commands_call_stages_through_cli(self, tmp_path, monkeypatch):
+        # span tracers wrap these names on cli; verify and embed must call
+        # what is bound there when they run, not a copy taken earlier
+        calls = []
+        for name in ("run_estimate_suite", "build_embedding", "export_graph", "write_obj"):
+            def spy(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        out = str(tmp_path / "run")
+        assert cmd_solve(write_config(tmp_path, base_config()), out) == 0
+        assert calls == []
+        assert cmd_verify(out) == 0
+        assert calls == ["run_estimate_suite"] * 2  # one suite per ball
+        assert cmd_embed(out) == 0
+        assert calls[2:] == ["build_embedding", "export_graph", "write_obj"]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_stage"):
+            cli.no_such_stage
 
 
 class TestLocking:

@@ -16,6 +16,7 @@ from lorentz_embed.metric import (
     make_poincare_perturbed,
     make_radial_from_curvature,
 )
+from lorentz_embed.metric import _uniform_hermite
 
 
 def _zero(r):
@@ -155,6 +156,30 @@ class TestRadialFromCurvature:
                 ref = spline(r)
                 err = np.abs(fn(r) - ref) / np.maximum(1.0, np.abs(ref))
                 assert err.max() <= bounds[part], (part, err.max())
+
+    def test_hermite_index_matches_clip(self):
+        # the knot index is clamped with np.maximum and np.minimum, not
+        # np.clip; both clamps stay, so every radius, below 0 and beyond the
+        # last knot included, takes the piece and the bits np.clip gives
+        rng = np.random.default_rng(7)
+        y, dy, h = rng.standard_normal(9), rng.standard_normal(9), 0.25
+        y0, y1, d0, d1 = y[:-1], y[1:], h * dy[:-1], h * dy[1:]
+        c2 = 3.0 * (y1 - y0) - 2.0 * d0 - d1
+        c3 = 2.0 * (y0 - y1) + d0 + d1
+
+        def clip_form(r):
+            x = np.asarray(r, dtype=float) / h
+            i = np.clip(x.astype(np.intp), 0, y0.size - 1)
+            t = x - i
+            return i, ((c3[i] * t + c2[i]) * t + d0[i]) * t + y0[i]
+
+        evaluate = _uniform_hermite(y, dy, h)
+        r = np.array([-3.0, -h, -0.1, -0.0, 0.0, 0.3, h, 1.0, 1.9, 2.0, 2.1, 7.5])
+        index, ref = clip_form(r)
+        assert index.tolist() == [0, 0, 0, 0, 0, 1, 1, 4, 7, 7, 7, 7]
+        assert np.array_equal(evaluate(r), ref)
+        for rk, vk in zip(r, ref):
+            assert evaluate(float(rk)) == vk
 
     def test_curvature_round_trip(self, pinched_metric):
         # recover K = -f''/f from sampled f alone, five-point second difference
