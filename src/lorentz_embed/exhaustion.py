@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -125,12 +126,9 @@ def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
     return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
-def _not_a_knot_weights(m, x):
-    """W with W @ y the not-a-knot cubic spline through (k, y[k]), k < m, at x.
-
-    One dense solve gives the knot slopes of every data column; each point,
-    clamped to [0, m - 1], takes the cubic Hermite piece of its cell.
-    """
+@lru_cache(maxsize=None)
+def _knot_slopes(m):
+    """Read-only S, S @ y the knot slopes of the not-a-knot spline through (k, y[k])."""
     eye = np.eye(m)
     secant = eye[1:] - eye[:-1]
     A = 4.0 * eye + np.eye(m, k=1) + np.eye(m, k=-1)
@@ -139,6 +137,18 @@ def _not_a_knot_weights(m, x):
     rhs = np.vstack([(5.0 * secant[0] + secant[1]) / 2.0, 3.0 * (eye[2:] - eye[:-2]),
                      (secant[-2] + 5.0 * secant[-1]) / 2.0])
     slopes = np.linalg.solve(A, rhs)
+    slopes.flags.writeable = False
+    return slopes
+
+
+def _not_a_knot_weights(m, x):
+    """W with W @ y the not-a-knot cubic spline through (k, y[k]), k < m, at x.
+
+    The knot slopes of every data column come from _knot_slopes; each
+    point, clamped to [0, m - 1], takes the cubic Hermite piece of its cell.
+    """
+    eye = np.eye(m)
+    slopes = _knot_slopes(m)
     x = np.clip(x, 0.0, m - 1.0)
     i = np.minimum(x.astype(np.intp), m - 2)
     t = (x - i)[:, None]

@@ -13,13 +13,14 @@ conformal chart disc (q1 is the chart radius).
 A metric is evaluated on a grid once, into ChartData; the covariant Hessian
 takes that chart.  Radial metrics give polar charts that are bitwise
 constant along theta, and radial Newton iterates stay so; when field and
-chart both are, the Hessian kernel runs on column 0 and repeats it.  At
-width 1 the theta rolls and the pole mirror's half turn are the identity
-and every other operation is elementwise, so that column is bit for bit
-column 0 of the full-width result.  Second-order centered stencils feed
-the Monge-Ampere residual (see solver); audits may request higher radial
-orders and spectrally accurate angular derivatives.  Every artifact is
-written through ``atomic_write``.
+chart both are, the Hessian kernel runs on column 0 and returns views of
+it broadcast along theta.  At width 1 the theta rolls and the pole
+mirror's half turn are the identity and every other operation is
+elementwise, so that column is bit for bit column 0 of the full-width
+result.  Second-order centered stencils feed the Monge-Ampere residual
+(see solver); audits may request higher radial orders and spectrally
+accurate angular derivatives.  Every artifact is written through
+``atomic_write``.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class HessianField:
     det_ratio: np.ndarray     # det(Hess u + g) / det g
     eig_min: np.ndarray       # eigenvalues of g^{-1}(Hess u + g)
     eig_max: np.ndarray
-    ring_constant: bool = False  # taken on column 0 and repeated along theta
+    ring_constant: bool = False  # taken on column 0: read-only views of it along theta
 
 
 def _ring_constant(*arrays):
@@ -282,8 +283,9 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
     and second order; the top row of the returned arrays is one-sided and
     should only be consumed by audits.  When ``u`` and the chart are both
     bitwise constant along theta, the kernel runs on column 0 alone and the
-    result repeats it (``ring_constant``), bit-identical to the full width:
-    theta differences and the pole mirror map a width-1 column to itself.
+    result holds read-only views of it broadcast along theta
+    (``ring_constant``), bit-identical to the full width: theta differences
+    and the pole mirror map a width-1 column to itself.
     """
     grid = u.grid
     if chart.grid != grid:
@@ -296,7 +298,7 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
     F = u.values
     if chart.column is not None and _ring_constant(F):
         column = _hessian_arrays(F[:, :1], grid.h1, grid.h2, chart.column)
-        return HessianField(chart, *(np.repeat(a, grid.n2, axis=1) for a in column),
+        return HessianField(chart, *(np.broadcast_to(a, grid.shape) for a in column),
                             ring_constant=True)
     return HessianField(chart, *_hessian_arrays(F, grid.h1, grid.h2, chart))
 

@@ -12,18 +12,19 @@ MARGIN_KEEP of their previous values, giving up below MIN_STEP.
 
 Each Newton step differentiates the discrete residual exactly: nine
 stencil-coefficient arrays per iteration, one per (radial, angular)
-offset.  When the iterate's Hessian was taken on one column (iterate and
-chart bitwise constant along theta; radial metrics keep radial iterates
-radial), so are the coefficients, and an rfft in theta splits the step
-into n_theta/2 + 1 independent complex tridiagonal radial systems, the
-pole coupling to the antipodal column becoming the factor (-1)^k in mode
-k (the separable FFT/tridiagonal scheme of Swarztrauber & Sweet, ACM
-TOMS Alg. 541).  The mode systems are solved together by Gaussian
-elimination without pivoting (the Thomas algorithm), vectorized across
-modes; it is stable on strictly row diagonally dominant systems, which
-every mode of the radial workloads has been, with a smallest ratio
-|a_ii| / (|a_i,i-1| + |a_i,i+1|) of about 1.0005.  If any mode fails the
-check, the whole step takes the block elimination below instead.
+offset.  On a chart bitwise constant along theta (``ChartData.column``:
+radial metrics on polar grids) radial iterates stay bitwise radial, so
+the whole Newton state is one (n1, 1) column: values, residual, margins,
+coefficients, step and line-search trials.  Only the converged field is
+formed at full width.  A ring-constant right side excites angular mode 0
+alone, where every theta shift is the identity, so the step is one real
+tridiagonal system in the radial index with bands sum_dj c_{di,dj}, the
+pole mirror folded into ring 0's diagonal.  Gaussian elimination without
+pivoting (the Thomas algorithm) solves it; that is stable on strictly row
+diagonally dominant systems, which every radial step of the workloads
+has been, with a smallest ratio |a_ii| / (|a_i,i-1| + |a_i,i+1|) of about
+1.0005.  If the system fails the check, the state is broadcast to full
+width and the step is one block step.
 
 Any other state is solved by block elimination in the radial index: the
 Jacobian is block tridiagonal with n_theta x n_theta blocks (theta wraps,
@@ -200,12 +201,14 @@ def _probe(values, chart):
     form symmetrizes the two positivity requirements, and a state violating
     either at an interior node has no residual.  The boundary ring is not
     part of the residual: the solver pins it to the Dirichlet value.
+    ``values`` has the grid's shape, or (n1, 1) on a chart with a column,
+    which broadcasts along theta; the state then holds columns.
     """
     grid = chart.grid
-    u = ScalarField(grid, values)
-    hess = covariant_hessian(u, chart)
-    s = hess.grad_sq + 2.0 * values
-    interior = slice(0, grid.n1 - 1)
+    width = values.shape[1]
+    hess = covariant_hessian(ScalarField(grid, np.broadcast_to(values, grid.shape)), chart)
+    s = hess.grad_sq[:, :width] + 2.0 * values
+    interior = (slice(0, grid.n1 - 1), slice(0, width))
     eig_margin = float(hess.eig_min[interior].min())
     rhs_margin = float(s[interior].min())
     if eig_margin <= 0.0 or rhs_margin <= 0.0:
@@ -219,16 +222,13 @@ def _probe(values, chart):
 def _stencil_coefficients(state, ch, stencil):
     """Jacobian coefficient of each stencil offset at each interior node.
 
-    Returns one (n1 - 1, n2) array per offset in ``_Stencil.RT`` order: the
-    derivative of the interior log-residual at (i, j) with respect to the
-    value at (i + di, j + dj), before any pole or periodic wrap.  Each is
-    a read-only ``np.broadcast_to`` view.  When the state's Hessian is
-    ring-constant, so are all seventeen inputs: the formula then runs on
-    column 0 alone, and the views repeat that column.
+    Returns one (n1 - 1, width) array per offset in ``_Stencil.RT`` order,
+    width being that of the state's values: the derivative of the interior
+    log-residual at (i, j) with respect to the value at (i + di, j + dj),
+    before any pole or periodic wrap.  A column state gets columns.
     """
-    ni, n2 = ch.grid.n1 - 1, ch.grid.n2
+    at = (slice(0, ch.grid.n1 - 1), slice(0, state.values.shape[1]))
     hess = state.hessian
-    at = (slice(0, ni), slice(0, 1) if hess.ring_constant else slice(None))
     a11 = hess.h11[at] + ch.g11[at]
     a12 = hess.h12[at] + ch.g12[at]
     a22 = hess.h22[at] + ch.g22[at]
@@ -251,69 +251,53 @@ def _stencil_coefficients(state, ch, stencil):
         coef = coef - (2.0 * inv11 * du1 * s_r + 2.0 * inv22 * du2 * s_t) / s
         if off == (0, 0):
             coef = coef - 2.0 / s
-        coefs.append(np.broadcast_to(coef, (ni, n2)))
+        coefs.append(coef)
     return coefs
 
 
-def _mode_bands(coefs, stencil, n1, n2):
-    """Sub-, main and super-diagonal of each Fourier mode's radial system.
+def _radial_step(coefs, stencil, rhs, n2):
+    """Newton step of a column state: the mode-0 radial system.
 
-    In Fourier mode k of an rfft along theta, the shift by dj columns is the
-    factor w^dj with w = exp(2 pi i k / n2), and the pole mirror (a further
-    shift by n2/2) adds (-1)^k.  Each band has shape (modes, n1); the
-    boundary row is identity.
+    ``coefs`` are (n1 - 1, 1) columns, ``rhs`` is (n1, 1) with its boundary
+    row as for _block_step; every angular mode but 0 has a zero right side.
+    Mode 0 is tridiagonal in the radial index, with bands sum_dj c_{di,dj},
+    ring 0's di = -1 band (the pole mirror) folded into its diagonal, and
+    an identity boundary row.  If it is strictly row diagonally dominant,
+    elimination without pivoting solves it, stably; otherwise the whole
+    step is a block step on everything broadcast to n2 columns.
     """
-    ni = n1 - 1
-    k = np.arange(n2 // 2 + 1)
-    phase = {dj: np.exp(2j * np.pi * k * dj / n2) for dj in (-1, 0, 1)}
-    # per radial offset di: sum over dj of c_{di,dj}(r) w^dj, shape (ni, modes)
+    n1 = rhs.shape[0]
     band = {di: 0.0 for di in (-1, 0, 1)}
-    for (di, dj), c in zip(stencil.RT, coefs):
-        band[di] = band[di] + c[:, :1] * phase[dj]
-    lower = np.zeros((k.size, n1), dtype=complex)
-    lower[:, 1:ni] = band[-1][1:].T
-    diag = np.ones((k.size, n1), dtype=complex)
-    diag[:, :ni] = band[0].T
-    diag[:, 0] += (-1.0) ** k * band[-1][0]
-    upper = np.zeros((k.size, n1), dtype=complex)
-    upper[:, :ni] = band[1].T
-    return lower, diag, upper
-
-
-def _fourier_step(coefs, stencil, rhs):
-    """Newton step for theta-invariant coefficients, one radial solve per mode.
-
-    ``rhs`` is as for _block_step.  Each Fourier mode is a complex
-    tridiagonal system in the radial index (_mode_bands).  If every mode is
-    strictly row diagonally dominant, elimination without pivoting (_thomas)
-    solves them together, stably; otherwise the whole step is a block step.
-    """
-    n1, n2 = rhs.shape
-    lower, diag, upper = _mode_bands(coefs, stencil, n1, n2)
+    for (di, _), c in zip(stencil.RT, coefs):
+        band[di] = band[di] + c[:, 0]
+    lower = np.r_[0.0, band[-1][1:], 0.0]
+    diag = np.r_[band[0][0] + band[-1][0], band[0][1:], 1.0]
+    upper = np.r_[band[1], 0.0]
     if not np.all(np.abs(diag) > np.abs(lower) + np.abs(upper)):
-        return _block_step(coefs, stencil, rhs)
-    out = _thomas(lower, diag, upper, np.fft.rfft(rhs, axis=1).T)
-    return np.fft.irfft(out.T, n=n2, axis=1)
+        return _block_step([np.broadcast_to(c, (n1 - 1, n2)) for c in coefs], stencil,
+                           np.broadcast_to(rhs, (n1, n2)))
+    x = _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs[:, 0].tolist())
+    return np.array(x)[:, None]
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve tridiagonal systems, one per row of the (systems, n) arguments.
+def _tridiagonal_solve(lower, diag, upper, rhs):
+    """Solve one tridiagonal system given as lists of floats; returns a list.
 
-    Gaussian elimination without pivoting, vectorized across the systems
-    and looping over the n unknowns; lower[:, 0] and upper[:, -1] are unused.
+    Gaussian elimination without pivoting (the Thomas algorithm); lower[0]
+    and upper[-1] are unused.  Each division is a product with the
+    reciprocal, which is how numpy's complex division rounds: a mode-0
+    system solved in complex arithmetic gives the same bits.
     """
-    n = diag.shape[1]
-    d = np.empty_like(diag)
-    y = np.empty_like(rhs)
-    d[:, 0], y[:, 0] = diag[:, 0], rhs[:, 0]
+    n = len(diag)
+    d, y = [diag[0]], [rhs[0]]
     for i in range(1, n):
-        mult = lower[:, i] / d[:, i - 1]
-        d[:, i] = diag[:, i] - mult * upper[:, i - 1]
-        y[:, i] = rhs[:, i] - mult * y[:, i - 1]
-    x = np.empty_like(rhs)
-    x[:, -1] = y[:, -1] / d[:, -1]
+        mult = lower[i] * (1.0 / d[i - 1])
+        d.append(diag[i] - mult * upper[i - 1])
+        y.append(rhs[i] - mult * y[i - 1])
+    x = [0.0] * n
+    x[-1] = y[-1] * (1.0 / d[-1])
     for i in range(n - 2, -1, -1):
-        x[:, i] = (y[:, i] - upper[:, i] * x[:, i + 1]) / d[:, i]
+        x[i] = (y[i] - upper[i] * x[i + 1]) * (1.0 / d[i])
     return x
 
 
@@ -417,19 +401,22 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     trace = []
     step = np.nan
     # the constant start is admissible: Hess u = 0, and 2b > 0
-    state = _probe(np.full(grid.shape, b), chart)
+    state = _probe(np.full((grid.n1, 1 if chart.column is not None else grid.n2), b), chart)
 
     for it in range(problem.max_iter + 1):
         res_norm = state.res_norm
         trace.append((it, res_norm, step, state.eig_margin))
         if res_norm <= problem.tol:
-            return _finalize(ScalarField(grid, state.values), chart, metric, b, it, trace)
-        rhs = np.zeros(grid.shape)
+            # a column solve forms its one full-width field here
+            values = np.ascontiguousarray(np.broadcast_to(state.values, grid.shape))
+            return _finalize(ScalarField(grid, values), chart, metric, b, it, trace)
+        rhs = np.zeros(state.values.shape)
         rhs[:-1] = -state.residual
         coefs = _stencil_coefficients(state, chart, stencil)
-        step_fn = _fourier_step if state.hessian.ring_constant else _block_step
         try:
-            delta = step_fn(coefs, stencil, rhs)
+            # a block step taken for a column state makes the state full width
+            delta = (_radial_step(coefs, stencil, rhs, grid.n2) if rhs.shape[1] == 1
+                     else _block_step(coefs, stencil, rhs))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"Newton step {it}: {exc}", trace) from exc
 

@@ -7,6 +7,12 @@ the same flow, so not even the metric module's fixed-step integration is
 shared), and distances/embeddings of the constant-curvature model come
 from closed forms.  The Newton steps of the solver are checked against the
 exact sparse Jacobian of the discrete residual, solved by scipy's splu.
+The radial step is also checked against ``_fourier_step``, the step of
+every angular mode at once: an rfft in theta, one complex tridiagonal
+system per mode (``_mode_bands``), all solved together by ``_thomas``, and
+an irfft.  On a ring-constant right side its mode 0 is the radial step's
+system; it hands a step with a mode that is not diagonally dominant to
+the library's ``_block_step``.
 
 The Clairaut reference ``distance_polar`` solves each target on its own for
 the turning radius rho of the connecting geodesic: it brackets rho on the
@@ -27,6 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from lorentz_embed.geodesics import _sweep_and_length, wrap_angle_difference
+from lorentz_embed.solver import _block_step
 
 
 def radial_bvp(K, l, boundary_value, c1, eps=1e-6):
@@ -181,7 +188,7 @@ def _linear_solve(J, rhs):
 
 
 def splu_step(coefs, stencil, rhs):
-    """The Newton step of solver._block_step / _fourier_step, by sparse LU.
+    """The Newton step of solver._block_step / _radial_step, by sparse LU.
 
     ``rhs`` has the grid's shape; its boundary row is the step there.
     """
@@ -189,6 +196,68 @@ def splu_step(coefs, stencil, rhs):
     delta = delta.reshape(rhs.shape)
     delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
     return delta
+
+
+def _mode_bands(coefs, stencil, n1, n2):
+    """Sub-, main and super-diagonal of each Fourier mode's radial system.
+
+    In Fourier mode k of an rfft along theta, the shift by dj columns is the
+    factor w^dj with w = exp(2 pi i k / n2), and the pole mirror (a further
+    shift by n2/2) adds (-1)^k.  Each band has shape (modes, n1); the
+    boundary row is identity.
+    """
+    ni = n1 - 1
+    k = np.arange(n2 // 2 + 1)
+    phase = {dj: np.exp(2j * np.pi * k * dj / n2) for dj in (-1, 0, 1)}
+    # per radial offset di: sum over dj of c_{di,dj}(r) w^dj, shape (ni, modes)
+    band = {di: 0.0 for di in (-1, 0, 1)}
+    for (di, dj), c in zip(stencil.RT, coefs):
+        band[di] = band[di] + c[:, :1] * phase[dj]
+    lower = np.zeros((k.size, n1), dtype=complex)
+    lower[:, 1:ni] = band[-1][1:].T
+    diag = np.ones((k.size, n1), dtype=complex)
+    diag[:, :ni] = band[0].T
+    diag[:, 0] += (-1.0) ** k * band[-1][0]
+    upper = np.zeros((k.size, n1), dtype=complex)
+    upper[:, :ni] = band[1].T
+    return lower, diag, upper
+
+
+def _fourier_step(coefs, stencil, rhs):
+    """Newton step for theta-invariant coefficients, one radial solve per mode.
+
+    ``rhs`` is as for _block_step.  Each Fourier mode is a complex
+    tridiagonal system in the radial index (_mode_bands).  If every mode is
+    strictly row diagonally dominant, elimination without pivoting (_thomas)
+    solves them together, stably; otherwise the whole step is a block step.
+    """
+    n1, n2 = rhs.shape
+    lower, diag, upper = _mode_bands(coefs, stencil, n1, n2)
+    if not np.all(np.abs(diag) > np.abs(lower) + np.abs(upper)):
+        return _block_step(coefs, stencil, rhs)
+    out = _thomas(lower, diag, upper, np.fft.rfft(rhs, axis=1).T)
+    return np.fft.irfft(out.T, n=n2, axis=1)
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solve tridiagonal systems, one per row of the (systems, n) arguments.
+
+    Gaussian elimination without pivoting, vectorized across the systems
+    and looping over the n unknowns; lower[:, 0] and upper[:, -1] are unused.
+    """
+    n = diag.shape[1]
+    d = np.empty_like(diag)
+    y = np.empty_like(rhs)
+    d[:, 0], y[:, 0] = diag[:, 0], rhs[:, 0]
+    for i in range(1, n):
+        mult = lower[:, i] / d[:, i - 1]
+        d[:, i] = diag[:, i] - mult * upper[:, i - 1]
+        y[:, i] = rhs[:, i] - mult * y[:, i - 1]
+    x = np.empty_like(rhs)
+    x[:, -1] = y[:, -1] / d[:, -1]
+    for i in range(n - 2, -1, -1):
+        x[:, i] = (y[:, i] - upper[:, i] * x[:, i + 1]) / d[:, i]
+    return x
 
 
 _SWEEP_RTOL = 1e-13  # angle residual, relative to max(1, target)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed import exhaustion
 from lorentz_embed.grid import PolarGrid, ScalarField
 from lorentz_embed.exhaustion import (
     ExhaustionSchedule,
@@ -80,6 +81,19 @@ class TestBicubicSampling:
         t_pts = np.linspace(0.3, 0.3 + 2 * math.pi, 53, endpoint=False) - 2 * math.pi
         got = sample_bicubic(f, r_pts, t_pts)
         assert np.max(np.abs(got - self._spline_oracle(f, r_pts, t_pts))) <= 1e-14
+
+    @pytest.mark.parametrize("m", [4, 23, 200])
+    def test_cached_slopes_give_the_uncached_weights(self, m, monkeypatch):
+        # one knot-slope solve per size, kept read-only; the weights keep
+        # their bits
+        x = np.linspace(-0.5, m - 0.5, 3 * m + 1)
+        cached = exhaustion._not_a_knot_weights(m, x)
+        slopes = exhaustion._knot_slopes(m)
+        assert not slopes.flags.writeable
+        assert exhaustion._knot_slopes(m) is slopes
+        monkeypatch.setattr(exhaustion, "_knot_slopes", exhaustion._knot_slopes.__wrapped__)
+        uncached = exhaustion._not_a_knot_weights(m, x)
+        assert np.array_equal(cached.view(np.uint64), uncached.view(np.uint64))
 
     def test_periodic_wrap(self):
         g = PolarGrid(16, 32, 1.0)

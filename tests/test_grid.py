@@ -215,8 +215,11 @@ class TestRingColumn:
         hess = covariant_hessian(u, ch)
         assert hess.ring_constant
         for name, full in zip(HESSIAN_ARRAYS, self._full_width(u, ch)):
-            assert np.array_equal(getattr(hess, name), full), name
-            assert _same_bits(getattr(hess, name), full), name
+            arr = getattr(hess, name)
+            assert np.array_equal(arr, full), name
+            assert _same_bits(arr, full), name
+            # a read-only view of the width-1 kernel, broadcast along theta
+            assert arr.strides[1] == 0 and not arr.flags.writeable, name
 
     def test_one_perturbed_node_takes_full_width(self, pinched_metric, pinched_solve_64):
         values = pinched_solve_64.u.values.copy()

@@ -3,7 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import _assemble_jacobian, _linear_solve, bump_curvature, splu_step
+from oracles import (
+    _assemble_jacobian,
+    _fourier_step,
+    _linear_solve,
+    _mode_bands,
+    bump_curvature,
+    splu_step,
+)
 
 from lorentz_embed.metric import (
     make_hyperbolic,
@@ -21,11 +28,10 @@ from lorentz_embed.solver import (
     _probe,
     _block_bands,
     _block_step,
-    _fourier_step,
-    _mode_bands,
+    _radial_step,
     _stencil_apply,
     _stencil_coefficients,
-    _thomas,
+    _tridiagonal_solve,
     _Stencil,
 )
 
@@ -134,11 +140,11 @@ def _theta_invariant(coefs):
     return all(np.all(c == c[:, :1]) for c in coefs)
 
 
-def _count_steps(monkeypatch):
-    """Count the calls of each Newton step function; the solver, and the
-    Fourier step when it hands over to the block step, look them up on the
-    solver module at each call."""
-    calls = {"_fourier_step": 0, "_block_step": 0}
+def _count_steps(monkeypatch, names=("_radial_step", "_block_step")):
+    """Count the calls of solver functions, by default the Newton step
+    functions; the solver, and the radial step when it hands over to the
+    block step, look them up on the solver module at each call."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _real=getattr(solver, name)):
             calls[_name] += 1
@@ -148,74 +154,106 @@ def _count_steps(monkeypatch):
     return calls
 
 
+def _full_width(coefs, rhs, n2):
+    """Column coefficients and right side broadcast to n2 columns."""
+    n1 = rhs.shape[0]
+    return ([np.broadcast_to(c, (n1 - 1, n2)) for c in coefs],
+            np.broadcast_to(rhs, (n1, n2)))
+
+
+def _ulps(a, b):
+    """Largest distance of a from b in units in the last place of max |b|."""
+    return float(np.max(np.abs(a - b)) / np.spacing(np.max(np.abs(b))))
+
+
 class TestFourierStep:
+    """The step of ring-constant states: mode 0 of the Fourier step, taken
+    on one column (``_radial_step``) and pinned to the all-modes oracle."""
+
     @staticmethod
     def _system(metric, n2):
+        """A radial column state near the constant start, its column
+        coefficients and a random column right side (boundary row zero, as
+        in a solve)."""
         g = PolarGrid(20, n2, 3.0)
         ch = chart_arrays(metric, g)
-        _, state = _state(metric, g)
+        vals, _ = _state(metric, g)
+        state = _probe(np.ascontiguousarray(vals[:, :1]), ch)
         stencil = _Stencil(g.h1, g.h2)
         coefs = _stencil_coefficients(state, ch, stencil)
-        rhs = np.random.default_rng(n2).standard_normal(g.shape)
+        rhs = np.random.default_rng(n2).standard_normal((g.n1, 1))
+        rhs[-1] = 0.0
         return g, ch, state, stencil, coefs, rhs
+
+    @pytest.mark.parametrize("n2", [8, 16, 64, 192])
+    def test_matches_oracle_fourier_step(self, pinched_metric, n2):
+        # on a ring-constant right side only mode 0 is excited; a power-of-two
+        # rfft sums and scales it exactly, 192 angles round
+        g, _, state, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        assert state.hessian.ring_constant
+        fast = _radial_step(coefs, stencil, rhs, n2)
+        full_coefs, full_rhs = _full_width(coefs, rhs, n2)
+        ref = _fourier_step(full_coefs, stencil, full_rhs)
+        assert fast.shape == (g.n1, 1)
+        if n2 & (n2 - 1) == 0:
+            assert np.array_equal(np.broadcast_to(fast, ref.shape), ref)
+        else:
+            assert _ulps(np.broadcast_to(fast, ref.shape), ref) <= 8
 
     @pytest.mark.parametrize("n2", [8, 16, 64])
     def test_matches_sparse_lu(self, pinched_metric, n2):
-        g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, n2)
-        # the Fourier step is chosen by the ring-constant Hessian, which
-        # implies theta-invariant coefficients
-        assert state.hessian.ring_constant and _theta_invariant(coefs)
-        # every Fourier mode, odd ones and Nyquist included, is excited
-        assert np.all(np.abs(np.fft.rfft(rhs, axis=1)) > 1e-3)
-        fast = _fourier_step(coefs, stencil, rhs)
-        ref = _linear_solve(_assemble_jacobian(coefs, stencil, g.shape), rhs.ravel())
-        ref = ref.reshape(g.shape)
+        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        rhs[-1] = 0.25  # a boundary step, which moves to the last interior ring
+        full_coefs, full_rhs = _full_width(coefs, rhs, n2)
+        fast = _radial_step(coefs, stencil, rhs, n2)
+        ref = _linear_solve(_assemble_jacobian(full_coefs, stencil, g.shape),
+                            np.ravel(full_rhs)).reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert fast[-1, 0] == rhs[-1, 0]
 
     @pytest.mark.parametrize("n2", [8, 16, 64])
     def test_elimination_matches_banded_lu(self, pinched_metric, n2):
-        # the elimination without pivoting against scipy's pivoting banded LU,
-        # mode by mode, on systems that are all diagonally dominant
+        # the scalar elimination without pivoting against scipy's pivoting
+        # banded LU, on the diagonally dominant mode-0 system
         from scipy.linalg import solve_banded
 
         g, _, _, stencil, coefs, rhs = self._system(pinched_metric, n2)
-        lower, diag, upper = _mode_bands(coefs, stencil, *g.shape)
+        lower, diag, upper = (b[0].real for b in _mode_bands(
+            _full_width(coefs, rhs, n2)[0], stencil, *g.shape))
         assert np.all(np.abs(diag) > np.abs(lower) + np.abs(upper))
-        rhs_hat = np.fft.rfft(rhs, axis=1).T
-        fast = _thomas(lower, diag, upper, rhs_hat)
-        for m in range(diag.shape[0]):
-            ab = np.array([np.r_[0.0, upper[m, :-1]], diag[m], np.r_[lower[m, 1:], 0.0]])
-            ref = solve_banded((1, 1), ab, rhs_hat[m])
-            assert np.abs(fast[m] - ref).max() <= 1e-12 * np.abs(ref).max()
+        fast = _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
+                                  rhs[:, 0].tolist())
+        ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
+        ref = solve_banded((1, 1), ab, rhs[:, 0])
+        assert np.abs(np.array(fast) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_non_dominant_modes_take_block_step(self, pinched_metric, monkeypatch):
-        # weaken the diagonal of the high modes only (mode 0 keeps its
-        # diagonal): the whole step is then one block step, and it still
-        # matches the sparse LU one
-        g, ch, state, stencil, coefs, rhs = self._system(pinched_metric, 16)
-        shift = -0.1 * coefs[4]  # (0, 0); coefs follow _Stencil.RT
-        coefs[3], coefs[4], coefs[5] = coefs[3] - shift / 2, coefs[4] + shift, coefs[5] - shift / 2
-        lower, diag, upper = _mode_bands(coefs, stencil, *g.shape)
-        dominant = np.all(np.abs(diag) > np.abs(lower) + np.abs(upper), axis=1)
-        assert dominant[0] and not dominant[-1]
+        # weaken the mode-0 diagonal of every interior ring by 5 % (its
+        # smallest dominance ratio is about 1.03): the whole step is then
+        # one block step, and it still matches the sparse LU one
+        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, 16)
+        coefs[4] = coefs[4] - 0.05 * (coefs[3] + coefs[4] + coefs[5])  # (0, 0) in _Stencil.RT
+        full_coefs, full_rhs = _full_width(coefs, rhs, 16)
+        lower, diag, upper = _mode_bands(full_coefs, stencil, *g.shape)
+        assert not np.all(np.abs(diag[0]) > np.abs(lower[0]) + np.abs(upper[0]))
         calls = _count_steps(monkeypatch)
-        fast = _fourier_step(coefs, stencil, rhs)
-        assert calls["_block_step"] == 1
-        ref = _linear_solve(_assemble_jacobian(coefs, stencil, g.shape), rhs.ravel())
-        ref = ref.reshape(g.shape)
+        fast = _radial_step(coefs, stencil, rhs, 16)
+        assert calls == {"_radial_step": 0, "_block_step": 1}
+        assert fast.shape == g.shape
+        ref = splu_step(full_coefs, stencil, np.array(full_rhs))
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_column_coefficients_match_full_width(self, pinched_metric):
-        # a ring-constant state takes its coefficients on column 0, as
-        # read-only broadcast views; the full-width formula gives the same bits
+        # a column state takes its coefficients on the column; the
+        # full-width formula on the broadcast state gives the same bits
         g, ch, state, stencil, coefs, _ = self._system(pinched_metric, 16)
-        assert state.hessian.ring_constant
-        full_state = replace(state, hessian=replace(state.hessian, ring_constant=False))
+        full_state = replace(state, values=np.repeat(state.values, g.n2, axis=1),
+                             rhs=np.repeat(state.rhs, g.n2, axis=1))
         full = _stencil_coefficients(full_state, ch, stencil)
         for c, ref in zip(coefs, full):
-            assert c.shape == ref.shape == (g.n1 - 1, g.n2)
-            assert c.strides[1] == 0 and not c.flags.writeable
-            assert np.array_equal(c.view(np.uint64), ref.view(np.uint64))
+            assert c.shape == (g.n1 - 1, 1) and ref.shape == (g.n1 - 1, g.n2)
+            assert np.array_equal(np.broadcast_to(c, ref.shape).view(np.uint64),
+                                  ref.view(np.uint64))
 
     def test_non_radial_state_is_not_theta_invariant(self, pinched_metric):
         g = PolarGrid(20, 16, 3.0)
@@ -228,7 +266,54 @@ class TestFourierStep:
         calls = _count_steps(monkeypatch)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
         assert sol.iterations >= 2
-        assert calls == {"_fourier_step": sol.iterations, "_block_step": 0}
+        assert calls == {"_radial_step": sol.iterations, "_block_step": 0}
+
+    def test_radial_steps_take_columns(self, pinched_metric, monkeypatch):
+        # the whole Newton state of a radial solve is one column
+        shapes = []
+        real = solver._radial_step
+
+        def spy(coefs, stencil, rhs, n2):
+            shapes.append(({c.shape for c in coefs}, rhs.shape, n2))
+            return real(coefs, stencil, rhs, n2)
+
+        monkeypatch.setattr(solver, "_radial_step", spy)
+        sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
+        assert len(shapes) == sol.iterations >= 2
+        assert all(s == ({(63, 1)}, (64, 1), 64) for s in shapes)
+        assert sol.u.values.shape == (64, 64) and sol.u.values.flags.writeable
+
+    def test_block_fallback_continues_at_full_width(self, pinched_metric, monkeypatch):
+        # a first step handed to the block step, as a non-dominant mode 0
+        # would be, makes the state full width; Newton goes on with block
+        # steps to the column solve's answer
+        problem = DirichletProblem(pinched_metric, PolarGrid(32, 16, 3.0))
+        column = solve_dirichlet(problem)
+
+        def fallback(coefs, stencil, rhs, n2):
+            full_coefs, full_rhs = _full_width(coefs, rhs, n2)
+            return solver._block_step(full_coefs, stencil, full_rhs)
+
+        monkeypatch.setattr(solver, "_radial_step", fallback)
+        calls = _count_steps(monkeypatch)
+        sol = solve_dirichlet(problem)
+        assert calls == {"_radial_step": 1, "_block_step": sol.iterations}
+        assert sol.iterations == column.iterations
+        assert np.abs(sol.u.values - column.u.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["pinched", "perturbed"])
+    def test_one_hessian_per_probe_and_finalize(self, pinched_metric, monkeypatch, case):
+        # perfbench derives its line-search probe count from the calls of
+        # solver.covariant_hessian: one per _probe and one in _finalize
+        if case == "pinched":
+            problem = DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0))
+        else:
+            problem = DirichletProblem(make_poincare_perturbed(1.0, 0.9, eps=0.3),
+                                       PolarGrid(24, 16, 0.7, kind="disc"))
+        calls = _count_steps(monkeypatch, ("_probe", "covariant_hessian"))
+        sol = solve_dirichlet(problem)
+        assert calls["_probe"] >= sol.iterations + 1
+        assert calls["covariant_hessian"] == calls["_probe"] + 1
 
     @pytest.mark.parametrize("rule", ["standard", "midpoint"])
     def test_sparse_step_keeps_boundary_datum(self, rule, monkeypatch):
@@ -243,7 +328,7 @@ class TestFourierStep:
             b = 0.5 * (b + 1.0 / (2.0 * m.bounds.c1))
         sol = solve_dirichlet(DirichletProblem(m, g, boundary_value=b))
         assert sol.iterations >= 1
-        assert calls == {"_fourier_step": 0, "_block_step": sol.iterations}
+        assert calls == {"_radial_step": 0, "_block_step": sol.iterations}
         assert np.all(sol.u.values[-1] == b)
 
     def test_radial_solve_stays_exactly_radial(self, pinched_solve_64, pinched_solve_l4):
@@ -326,7 +411,7 @@ class TestBlockStep:
         m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
         sol = solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert sol.iterations >= 1
-        assert calls == {"_fourier_step": 0, "_block_step": sol.iterations}
+        assert calls == {"_radial_step": 0, "_block_step": sol.iterations}
 
     def test_solve_matches_splu_path(self, monkeypatch):
         # the whole Newton solve, block steps against splu steps
