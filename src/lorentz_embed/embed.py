@@ -793,9 +793,12 @@ def export_graph(emb: EmbeddingMap, rows=None) -> Mesh:
 
 
 def write_obj(mesh: Mesh, path):
-    """Wavefront OBJ with v/f records; faces are 1-indexed."""
+    """Wavefront OBJ with v/f records; faces are 1-indexed.
+
+    Each block is formatted by one ``%`` over all of its records.
+    """
     with atomic_write(path) as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        v = np.asarray(mesh.vertices, dtype=float)
+        fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist()))
+        f = np.asarray(mesh.faces) + 1
+        fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))

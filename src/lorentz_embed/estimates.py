@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,8 @@ HESS_SLACK_CONST = 10.0
 LOWER_BOUND_SLACK = 1e-9
 # radial samples of the band a probe ball meets on a warped chart
 BALL_SAMPLES = 4096
+# radial and angular samples of a conformal chart's disc
+DISC_SAMPLES = 160
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ def max_neg_curvature_ball(metric, center, r0):
     a closed form is available; otherwise they sample the chart-disc
     *superset* |p - center| <= r0 / sqrt(min psi), which can only enlarge
     the returned maximum and therefore only weakens (never falsifies) the
-    audited bounds.
+    audited bounds.  The disc sample and min psi are built once per metric.
     """
     if metric.kind == "geodesic_polar":
         r_c = float(center[0])
@@ -141,21 +144,30 @@ def max_neg_curvature_ball(metric, center, r0):
         return float(np.max(-metric.curvature_at(band, None)))
     rho_c, th_c = float(center[0]), float(center[1])
     xc, yc = rho_c * math.cos(th_c), rho_c * math.sin(th_c)
-    n = 160
-    rho = np.linspace(0.0, metric.domain_radius, n)
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    R, T = np.meshgrid(rho, th, indexing="ij")
-    X, Y = R * np.cos(T), R * np.sin(T)
+    X, Y, psi_min = _chart_disc_sample(metric)
     if metric.pair_distance is not None:
         d = metric.pair_distance(xc, yc, X, Y)
         mask = d <= r0
     else:
-        psi_min = float(np.min(metric.psi(X, Y)))
         chart_radius = r0 / math.sqrt(psi_min)
         mask = np.hypot(X - xc, Y - yc) <= chart_radius
     if not np.any(mask):
-        mask = np.hypot(X - xc, Y - yc) <= 2.0 * metric.domain_radius / n
+        mask = np.hypot(X - xc, Y - yc) <= 2.0 * metric.domain_radius / DISC_SAMPLES
     return float(np.max(-metric.curvature(X[mask], Y[mask])))
+
+
+@lru_cache(maxsize=4)
+def _chart_disc_sample(metric):
+    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 chart-polar sample
+    of a conformal chart's disc, and min psi over them (None when the chart
+    has a pair distance, which needs no psi).  Built once per metric."""
+    rho = np.linspace(0.0, metric.domain_radius, DISC_SAMPLES)
+    th = np.linspace(0.0, 2.0 * math.pi, DISC_SAMPLES, endpoint=False)
+    R, T = np.meshgrid(rho, th, indexing="ij")
+    X, Y = R * np.cos(T), R * np.sin(T)
+    X.flags.writeable = Y.flags.writeable = False
+    psi_min = None if metric.pair_distance is not None else float(np.min(metric.psi(X, Y)))
+    return X, Y, psi_min
 
 
 def _hypothesis_cap(c2, r0):

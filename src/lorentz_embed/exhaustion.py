@@ -128,14 +128,22 @@ def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
 
 @lru_cache(maxsize=None)
 def _knot_slopes(m):
-    """Read-only S, S @ y the knot slopes of the not-a-knot spline through (k, y[k])."""
-    eye = np.eye(m)
-    secant = eye[1:] - eye[:-1]
-    A = 4.0 * eye + np.eye(m, k=1) + np.eye(m, k=-1)
+    """Read-only S, S @ y the knot slopes of the not-a-knot spline through (k, y[k]).
+
+    Interior rows are s[k-1] + 4 s[k] + s[k+1] = 3 (y[k+1] - y[k-1]); the
+    two end rows are the not-a-knot conditions.
+    """
+    k = np.arange(1, m - 1)
+    A = np.zeros((m, m))
+    A[k, k] = 4.0
+    A[k, k - 1] = A[k, k + 1] = 1.0
     A[0, :2] = 1.0, 2.0
     A[-1, -2:] = 2.0, 1.0
-    rhs = np.vstack([(5.0 * secant[0] + secant[1]) / 2.0, 3.0 * (eye[2:] - eye[:-2]),
-                     (secant[-2] + 5.0 * secant[-1]) / 2.0])
+    rhs = np.zeros((m, m))
+    rhs[k, k - 1] = -3.0
+    rhs[k, k + 1] = 3.0
+    rhs[0, :3] = -2.5, 2.0, 0.5
+    rhs[-1, -3:] = -0.5, -2.0, 2.5
     slopes = np.linalg.solve(A, rhs)
     slopes.flags.writeable = False
     return slopes
@@ -147,13 +155,16 @@ def _not_a_knot_weights(m, x):
     The knot slopes of every data column come from _knot_slopes; each
     point, clamped to [0, m - 1], takes the cubic Hermite piece of its cell.
     """
-    eye = np.eye(m)
     slopes = _knot_slopes(m)
     x = np.clip(x, 0.0, m - 1.0)
     i = np.minimum(x.astype(np.intp), m - 2)
     t = (x - i)[:, None]
-    return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * eye[i] + t * t * (3.0 - 2.0 * t) * eye[i + 1]
-            + t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1]))
+    W = t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1])
+    W += 0.0  # -0.0 to 0.0: the bits of adding the value terms' zeros off the cell
+    rows = np.arange(x.size)
+    W[rows, i] += ((1.0 + 2.0 * t) * (1.0 - t) ** 2)[:, 0]
+    W[rows, i + 1] += (t * t * (3.0 - 2.0 * t))[:, 0]
+    return W
 
 
 def sample_bicubic(field: ScalarField, r_pts, t_pts):

@@ -11,16 +11,18 @@ geodesic ball (q1 is geodesic distance); a grid of kind "disc" covers a
 conformal chart disc (q1 is the chart radius).
 
 A metric is evaluated on a grid once, into ChartData; the covariant Hessian
-takes that chart.  Radial metrics give polar charts that are bitwise
-constant along theta, and radial Newton iterates stay so; when field and
-chart both are, the Hessian kernel runs on column 0 and returns views of
-it broadcast along theta.  At width 1 the theta rolls and the pole
-mirror's half turn are the identity and every other operation is
-elementwise, so that column is bit for bit column 0 of the full-width
-result.  Second-order centered stencils feed the Monge-Ampere residual
-(see solver); audits may request higher radial orders and spectrally
-accurate angular derivatives.  Every artifact is written through
-``atomic_write``.
+takes that chart.  The metric is called on the open mesh (q1 as a column,
+q2 as a row), so a chart that never reads theta, such as a warped polar
+metric, is evaluated as one column and its full-width arrays are views of
+it broadcast along theta.  Radial Newton iterates stay bitwise constant
+along theta; when the field is and the chart is a column, the Hessian
+kernel runs on column 0 and returns views of it broadcast along theta.
+At width 1 the theta rolls and the pole mirror's half turn are the
+identity and every other operation is elementwise, so that column is bit
+for bit column 0 of the full-width result.  Second-order centered
+stencils feed the Monge-Ampere residual (see solver); audits may request
+higher radial orders and spectrally accurate angular derivatives.  Every
+artifact is written through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ class ChartData:
     gamma2_11: np.ndarray
     gamma2_12: np.ndarray
     gamma2_22: np.ndarray
-    # the same arrays at column 0 when all are bitwise constant along theta
+    # the (n1, 1) arrays the fields above broadcast, when the chart never reads theta
     column: ChartData | None = None
 
 
@@ -161,21 +163,29 @@ class HessianField:
     ring_constant: bool = False  # taken on column 0: read-only views of it along theta
 
 
-def _ring_constant(*arrays):
-    """Whether each row of each array holds one bit pattern (so 0.0 != -0.0)."""
-    bits = (a.view(np.uint64) for a in arrays)
-    return all(np.all(b == b[:, :1]) for b in bits)
+def _ring_constant(F):
+    """Whether each row of F holds one bit pattern (so 0.0 != -0.0)."""
+    bits = F.view(np.uint64)
+    return bool(np.all(bits == bits[:, :1]))
 
 
 def chart_arrays(metric, grid) -> ChartData:
-    q1, q2 = grid.mesh()
+    """The metric at the nodes of ``grid``, evaluated on the open mesh.
+
+    Every field is a read-only array of the grid's shape.  A metric that
+    never reads theta returns (n1, 1) arrays; they become ``column`` and
+    the fields broadcast them along theta.
+    """
+    q1, q2 = np.meshgrid(grid.q1, grid.q2, indexing="ij", sparse=True)
     g11, g12, g22 = metric.metric_components(q1, q2)
     gam = metric.christoffel_components(q1, q2)
     K = metric.curvature_at(q1, q2)
     det_g = g11 * g22 - g12 * g12
     arrays = (g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K, *gam)
-    column = ChartData(grid, *(a[:, :1] for a in arrays)) if _ring_constant(*arrays) else None
-    return ChartData(grid, *arrays, column=column)
+    full = [np.broadcast_to(a, grid.shape) for a in arrays]
+    column = (ChartData(grid, *(a[:, :1] for a in full))
+              if all(a.shape == (grid.n1, 1) for a in arrays) else None)
+    return ChartData(grid, *full, column=column)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +291,9 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
 
     ``chart`` must be evaluated on the grid of ``u``.  Stencils are centered
     and second order; the top row of the returned arrays is one-sided and
-    should only be consumed by audits.  When ``u`` and the chart are both
-    bitwise constant along theta, the kernel runs on column 0 alone and the
-    result holds read-only views of it broadcast along theta
+    should only be consumed by audits.  When the chart is a column and
+    ``u`` is bitwise constant along theta, the kernel runs on column 0
+    alone and the result holds read-only views of it broadcast along theta
     (``ring_constant``), bit-identical to the full width: theta differences
     and the pole mirror map a width-1 column to itself.
     """

@@ -12,11 +12,11 @@ MARGIN_KEEP of their previous values, giving up below MIN_STEP.
 
 Each Newton step differentiates the discrete residual exactly: nine
 stencil-coefficient arrays per iteration, one per (radial, angular)
-offset.  On a chart bitwise constant along theta (``ChartData.column``:
-radial metrics on polar grids) radial iterates stay bitwise radial, so
-the whole Newton state is one (n1, 1) column: values, residual, margins,
-coefficients, step and line-search trials.  Only the converged field is
-formed at full width.  A ring-constant right side excites angular mode 0
+offset.  On a chart evaluated as one column (``ChartData.column``: a
+metric that never reads theta, such as a warped polar metric) radial
+iterates stay bitwise radial, so the whole Newton state is one (n1, 1)
+column: values, residual, margins, coefficients, step and line-search
+trials.  Only the converged field is formed at full width.  A ring-constant right side excites angular mode 0
 alone, where every theta shift is the identity, so the step is one real
 tridiagonal system in the radial index with bands sum_dj c_{di,dj}, the
 pole mirror folded into ring 0's diagonal.  Gaussian elimination without

@@ -24,6 +24,12 @@ the quadrature ``geodesics._sweep_and_length``, which the hyperbolic closed
 form checks on its own.  ``_interpolant`` sums a row table's Chebyshev series
 as explicit cosine and sine sums, against which the library's Clenshaw
 recurrence is checked.
+
+The remaining references are the library's earlier forms of code that now
+takes a shortcut, kept to pin the shortcut bit for bit: ``chart_arrays_full``
+evaluates a chart at every node of the full mesh; ``knot_slopes_eye`` and
+``not_a_knot_weights_eye`` build the spline matrices from identity rows;
+``write_obj_rows`` formats one OBJ record at a time.
 """
 
 import math
@@ -413,3 +419,47 @@ def _interpolant(coef, psi):
     k_psi = psi[..., None] * _ORDERS
     return (np.sum(coef * np.cos(k_psi), axis=-1),
             -np.sum(coef * _ORDERS * np.sin(k_psi), axis=-1))
+
+
+def chart_arrays_full(metric, grid):
+    """The 13 ChartData arrays, in field order, with the metric evaluated at
+    every node of the full (n1, n2) mesh."""
+    q1, q2 = grid.mesh()
+    g11, g12, g22 = metric.metric_components(q1, q2)
+    gam = metric.christoffel_components(q1, q2)
+    K = metric.curvature_at(q1, q2)
+    det_g = g11 * g22 - g12 * g12
+    return (g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K, *gam)
+
+
+def knot_slopes_eye(m):
+    """The not-a-knot knot-slope matrix, its system built from identity rows."""
+    eye = np.eye(m)
+    secant = eye[1:] - eye[:-1]
+    A = 4.0 * eye + np.eye(m, k=1) + np.eye(m, k=-1)
+    A[0, :2] = 1.0, 2.0
+    A[-1, -2:] = 2.0, 1.0
+    rhs = np.vstack([(5.0 * secant[0] + secant[1]) / 2.0, 3.0 * (eye[2:] - eye[:-2]),
+                     (secant[-2] + 5.0 * secant[-1]) / 2.0])
+    return np.linalg.solve(A, rhs)
+
+
+def not_a_knot_weights_eye(m, x):
+    """The not-a-knot spline weights at x, the Hermite values as identity rows."""
+    eye = np.eye(m)
+    slopes = knot_slopes_eye(m)
+    x = np.clip(x, 0.0, m - 1.0)
+    i = np.minimum(x.astype(np.intp), m - 2)
+    t = (x - i)[:, None]
+    return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * eye[i] + t * t * (3.0 - 2.0 * t) * eye[i + 1]
+            + t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1]))
+
+
+def write_obj_rows(mesh, path):
+    """The OBJ file written one record at a time: the byte-level reference
+    for ``embed.write_obj``, which formats each block at once."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")

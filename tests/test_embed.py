@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hyperboloid_point
+from oracles import hyperboloid_point, write_obj_rows
 
 from lorentz_embed.metric import make_hyperbolic
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.embed import (
+    Mesh,
     build_embedding,
     conformal_metric,
     develop,
@@ -326,6 +327,21 @@ class TestExport:
     def test_single_ring_rejected(self, model_embedding):
         with pytest.raises(ValueError, match="too few rings"):
             export_graph(model_embedding[2], rows=1)
+
+    def test_obj_bytes_match_the_row_writer(self, tmp_path, model_embedding):
+        rng = np.random.default_rng(7)
+        vertices = rng.standard_normal((20001, 3)) * 10.0 ** rng.integers(-300, 300, (20001, 3))
+        vertices[:4] = [[-0.0, 0.0, 1e-300], [-1e-300, 5e-324, -5e-324],
+                        [1e300, -1.7976931348623157e308, 0.1], [1.0 / 3.0, -2.0, 12345.0]]
+        faces = np.stack([np.arange(20000), np.arange(1, 20001), np.zeros(20000, int)], axis=-1)
+        for mesh in (Mesh(vertices, faces), export_graph(model_embedding[2])):
+            write_obj(mesh, tmp_path / "block.obj")
+            write_obj_rows(mesh, tmp_path / "rows.obj")
+            assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "rows.obj").read_bytes()
+            if mesh.faces is faces:
+                lines = (tmp_path / "block.obj").read_text().splitlines()
+                assert lines[0] == "v -0 0 1e-300"
+                assert lines[-1] == "f 20000 20001 1"
 
     def test_obj_format(self, tmp_path, model_embedding):
         mesh = export_graph(model_embedding[2], rows=3)

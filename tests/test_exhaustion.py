@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import knot_slopes_eye, not_a_knot_weights_eye
+
 from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed import exhaustion
 from lorentz_embed.grid import PolarGrid, ScalarField
@@ -94,6 +96,20 @@ class TestBicubicSampling:
         monkeypatch.setattr(exhaustion, "_knot_slopes", exhaustion._knot_slopes.__wrapped__)
         uncached = exhaustion._not_a_knot_weights(m, x)
         assert np.array_equal(cached.view(np.uint64), uncached.view(np.uint64))
+
+    @pytest.mark.parametrize("m", [8, 20, 100, 148, 196, 200])
+    def test_spline_matrices_match_the_eye_oracle(self, m):
+        # points below 0, on every knot, between knots and above m - 1; the
+        # clamped ends give t = 0 and t = 1, where slope terms are -0.0
+        x = np.concatenate([[-3.0, -0.25, -0.0], np.arange(m, dtype=float),
+                            np.arange(m - 1) + 0.37, np.linspace(0.0, m - 1.0, 2 * m + 5),
+                            [m - 1.0 + 1e-9, m - 0.5, m + 2.0]])
+        slopes = exhaustion._knot_slopes(m)
+        assert np.array_equal(slopes.view(np.uint64), knot_slopes_eye(m).view(np.uint64))
+        W = exhaustion._not_a_knot_weights(m, x)
+        ref = not_a_knot_weights_eye(m, x)
+        assert W.shape == ref.shape
+        assert np.array_equal(W.view(np.uint64), ref.view(np.uint64))
 
     def test_periodic_wrap(self):
         g = PolarGrid(16, 32, 1.0)

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import write_field_csv_oneshot
+from oracles import chart_arrays_full, write_field_csv_oneshot
 from test_metric import flat_metric
 
 from lorentz_embed import grid as grid_module
-from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed.metric import (
+    WarpedPolarMetric,
+    make_hyperbolic,
+    make_poincare,
+    make_poincare_perturbed,
+)
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.grid import (
     GridTooCoarseError,
@@ -187,10 +192,47 @@ class TestMongeAmpereOperator:
 
 HESSIAN_ARRAYS = ("h11", "h12", "h22", "du1", "du2", "grad_sq", "det_ratio",
                   "eig_min", "eig_max")
+# the ChartData arrays, in the order of oracles.chart_arrays_full
+CHART_ARRAYS = ("g11", "g12", "g22", "det_g", "inv11", "inv22", "K", "gamma1_11",
+                "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
 
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestOpenMesh:
+    """chart_arrays calls the metric on the open mesh; the full-mesh
+    evaluation in the oracles is the reference, bit for bit.  Odd lengths
+    exercise the tails of numpy's vector loops."""
+
+    @pytest.mark.parametrize("n1", [13, 97])
+    @pytest.mark.parametrize("n2", [16, 192])
+    @pytest.mark.parametrize("family", ["hyperbolic", "pinched"])
+    def test_radial_chart_is_one_column(self, family, n1, n2, pinched_metric):
+        metric = make_hyperbolic(1.7) if family == "hyperbolic" else pinched_metric
+        g = PolarGrid(n1, n2, 3.0)
+        ch = chart_arrays(metric, g)
+        assert ch.column is not None and ch.column.column is None
+        for name, ref in zip(CHART_ARRAYS, chart_arrays_full(metric, g)):
+            col, full = getattr(ch.column, name), getattr(ch, name)
+            assert _same_bits(col, ref[:, :1]), name
+            assert _same_bits(full, ref), name
+            # the full-width field is a read-only view of the column
+            assert full.strides[1] == 0 and not full.flags.writeable, name
+            assert np.shares_memory(full, col), name
+
+    @pytest.mark.parametrize("n1, n2", [(13, 16), (97, 192)])
+    @pytest.mark.parametrize("make", [lambda: make_poincare(1.0, 0.9),
+                                      lambda: make_poincare_perturbed(1.0, 0.9, eps=0.3)],
+                             ids=["poincare", "perturbed"])
+    def test_conformal_chart_is_full_width(self, make, n1, n2):
+        metric = make()
+        g = PolarGrid(n1, n2, 0.8, kind="disc")
+        ch = chart_arrays(metric, g)
+        assert ch.column is None
+        for name, ref in zip(CHART_ARRAYS, chart_arrays_full(metric, g)):
+            assert _same_bits(getattr(ch, name), ref), name
 
 
 class TestRingColumn:
@@ -202,10 +244,15 @@ class TestRingColumn:
         return grid_module._hessian_arrays(u.values, u.grid.h1, u.grid.h2, ch)
 
     def test_chart_column_decided_once(self, pinched_metric):
+        # a chart that never reads theta is evaluated as one column, and its
+        # full-width fields broadcast that column
         ch = chart_arrays(pinched_metric, PolarGrid(24, 16, 3.0))
         assert ch.column is not None
-        for name in ("g11", "g22", "det_g", "inv22", "K", "gamma1_22", "gamma2_12"):
-            assert _same_bits(getattr(ch.column, name), getattr(ch, name)[:, :1])
+        for name in CHART_ARRAYS:
+            col = getattr(ch.column, name)
+            assert col.shape == (24, 1) and not col.flags.writeable, name
+            assert _same_bits(col, getattr(ch, name)[:, :1]), name
+            assert getattr(ch, name).strides[1] == 0, name
         disc = PolarGrid(24, 16, 0.7, kind="disc")
         assert chart_arrays(make_poincare_perturbed(1.0, 0.9, eps=0.3), disc).column is None
 
@@ -256,6 +303,21 @@ class TestRingColumn:
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(32, 32, 3.0)))
         assert sol.iterations >= 2 and sol.hessian.ring_constant
         assert len(widths) >= sol.iterations + 2 and set(widths) == {1}
+
+    def test_pinched_solve_evaluates_the_metric_at_width_1(self, pinched_metric,
+                                                           monkeypatch):
+        shapes = []
+        for name in ("metric_components", "christoffel_components", "curvature_at"):
+            def spy(self, r, theta=None, _method=getattr(WarpedPolarMetric, name)):
+                shapes.append((_method.__name__, np.shape(r)))
+                return _method(self, r, theta)
+
+            monkeypatch.setattr(WarpedPolarMetric, name, spy)
+        sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
+        assert sol.hessian.ring_constant
+        assert {name for name, _ in shapes} == {
+            "metric_components", "christoffel_components", "curvature_at"}
+        assert {shape for _, shape in shapes} == {(64, 1)}
 
 
 class TestSpectralTheta:
