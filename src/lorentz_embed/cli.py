@@ -450,13 +450,16 @@ def cmd_solve(config_path, out_dir, trace=False):
 def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     """Write the fields, their meta.json and convergence.csv of a solve.
 
-    meta.json, which is returned, records how the exhaustion ended: the
-    last delta, whether it met ``tol`` (both null when no delta was taken,
+    meta.json, which is returned, records per ball the Newton iterations,
+    final residual, its round-off floor and whether Newton stopped on that
+    floor (solver.DirichletProblem), and how the exhaustion ended: the last
+    delta, whether it met ``tol`` (both null when no delta was taken,
     as on a one-ball chart disc), and whether the deltas diverged.
     """
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
-    meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": []}
+    meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": [],
+            "residual": [], "residual_floor": [], "floor_limited": []}
     for k, fld in enumerate(fields):
         write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
         if trace:
@@ -466,6 +469,9 @@ def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
         g = fld.u.grid
         meta["grids"].append({"n1": g.n1, "n2": g.n2, "kind": g.kind})
         meta["iterations"].append(fld.iterations)
+        meta["residual"].append(fld.residual)
+        meta["residual_floor"].append(fld.residual_floor)
+        meta["floor_limited"].append(fld.floor_limited)
     deltas = [s.delta for s in steps if not math.isnan(s.delta)]
     meta["last_delta"] = deltas[-1] if deltas else None
     meta["met_tol"] = deltas[-1] <= tol if deltas else None
@@ -609,13 +615,18 @@ def cmd_embed(run_dir):
     except _cli.CurvatureCheckError as exc:
         print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
         return 4
+    payload = audit.to_json_dict()
+    payload["curvature_defect"] = gbar.max_defect
+    # the mesh and the audit are all that is written: the arrays of the
+    # field, the rescaled metric and the embedding go as soon as the mesh
+    # no longer needs them
+    del field, gbar, dev
+    mesh = _cli.export_graph(emb, rows=audit.audit_rows)
+    del emb
     out = os.path.join(run_dir, "embed")
     with _locked_dir(run_dir):
         os.makedirs(out, exist_ok=True)
-        mesh = _cli.export_graph(emb, rows=audit.audit_rows)
         _cli.write_obj(mesh, os.path.join(out, "surface.obj"))
-        payload = audit.to_json_dict()
-        payload["curvature_defect"] = gbar.max_defect
         _dump_json(payload, os.path.join(out, "audit.json"))
 
     slack = audit_cfg["pinching_slack"]

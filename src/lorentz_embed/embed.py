@@ -21,6 +21,7 @@ at the innermost rings instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -56,6 +57,10 @@ _RADIAL_ORDER = 6
 _N_SUB = 2
 # rings developed beyond the observation radius, so the audits stay centered
 _PAD_ROWS = 6
+# OBJ records formatted per write
+_OBJ_BLOCK = 1024
+# rings (or rows of radial edges) the developing map transports at once
+_RING_BLOCK = 8
 
 
 class ObservationRegionError(ValueError):
@@ -94,10 +99,10 @@ class _CartesianCalc:
 
     def __init__(self, grid, rows):
         self.h1 = grid.h1
-        q1, q2 = grid.mesh()
-        self.r = q1[:rows]
-        self.cos = np.cos(q2[:rows])
-        self.sin = np.sin(q2[:rows])
+        # an open mesh: r is a column, cos and sin are rows
+        self.r = grid.q1[:rows, None]
+        self.cos = np.cos(grid.q2)[None, :]
+        self.sin = np.sin(grid.q2)[None, :]
 
     def grad(self, F):
         """(dF/dx, dF/dy) from one radial and one spectral derivative."""
@@ -107,9 +112,10 @@ class _CartesianCalc:
 
     def grad_vec(self, V):
         """grad applied to each component of a vector field V[..., k]."""
-        parts = [self.grad(V[..., k]) for k in range(V.shape[-1])]
-        return (np.stack([p[0] for p in parts], axis=-1),
-                np.stack([p[1] for p in parts], axis=-1))
+        dx, dy = np.empty(V.shape), np.empty(V.shape)
+        for k in range(V.shape[-1]):
+            dx[..., k], dy[..., k] = self.grad(V[..., k])
+        return dx, dy
 
 
 def _polar_to_cartesian_metric(a11, a12, a22, r, cos, sin):
@@ -146,18 +152,19 @@ def _pullback_christoffels(G11, G12, G22, calc):
 
     gamma[k][a][b] is Gamma^k_ab, with indices 0 = x and 1 = y.
     """
-    G11_x, G11_y = calc.grad(G11)
-    G12_x, G12_y = calc.grad(G12)
-    G22_x, G22_y = calc.grad(G22)
     det_G = G11 * G22 - G12 * G12
     i11, i12, i22 = G22 / det_G, -G12 / det_G, G11 / det_G
-    # symbols of the first kind, Gamma_{k,ab}
-    c111 = 0.5 * G11_x
-    c112 = 0.5 * G11_y
-    c122 = G12_y - 0.5 * G22_x
-    c211 = G12_x - 0.5 * G11_y
-    c212 = 0.5 * G22_x
-    c222 = 0.5 * G22_y
+    # symbols of the first kind, Gamma_{k,ab}, formed in the derivatives'
+    # own arrays: 0.5 dG11, 0.5 dG22, and dG12 less the halves they need
+    c111, c112 = calc.grad(G11)
+    c111 *= 0.5
+    c112 *= 0.5
+    c212, c222 = calc.grad(G22)
+    c212 *= 0.5
+    c222 *= 0.5
+    c211, c122 = calc.grad(G12)
+    c211 -= c112
+    c122 -= c212
     g1_11 = i11 * c111 + i12 * c211
     g1_12 = i11 * c112 + i12 * c212
     g1_22 = i11 * c122 + i12 * c222
@@ -250,29 +257,34 @@ def conformal_metric(field: AdmissibleField, rows=None,
 # developing map
 
 
-def _frame_generator(w, a, b):
-    """so(2,1) generator [[0,-w,a],[w,0,b],[a,b,0]] from coefficient arrays."""
-    z = np.zeros_like(w)
-    return np.stack([
-        np.stack([z, -w, a], axis=-1),
-        np.stack([w, z, b], axis=-1),
-        np.stack([a, b, z], axis=-1),
-    ], axis=-2)
+def _frame_generator(w, a, b=None):
+    """so(2,1) generator [[0,-w,a],[w,0,b],[a,b,0]] from coefficient arrays;
+    b defaults to zero."""
+    A = np.zeros(np.shape(w) + (3, 3))
+    A[..., 0, 1] = -w
+    A[..., 1, 0] = w
+    A[..., 0, 2] = A[..., 2, 0] = a
+    if b is not None:
+        A[..., 1, 2] = A[..., 2, 1] = b
+    return A
 
 
-def _rk4_transport(A_stages, h, n_sub):
-    """Propagators of dE/dt = E A(t) over one edge, from sampled generators.
+def _rk4_transport(w, a, b, h, n_sub):
+    """Propagators of dE/dt = E A(t) over edges, A = _frame_generator(w, a, b).
 
-    A_stages has shape (..., 2*n_sub + 1, 3, 3) with samples at the
-    half-substep points of the edge.
+    w, a and b (None for zero) have shape (..., 2*n_sub + 1): samples at
+    the half-substep points of each edge.  Each stage's generator is formed
+    when the step reaches it.
     """
-    shape = A_stages.shape[:-3]
-    E = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+    E = np.broadcast_to(np.eye(3), w.shape[:-1] + (3, 3)).copy()
     hh = h / n_sub
+
+    def generator(k):
+        return _frame_generator(w[..., k], a[..., k], None if b is None else b[..., k])
+
+    A1 = generator(0)
     for s in range(n_sub):
-        A0 = A_stages[..., 2 * s, :, :]
-        Am = A_stages[..., 2 * s + 1, :, :]
-        A1 = A_stages[..., 2 * s + 2, :, :]
+        A0, Am, A1 = A1, generator(2 * s + 1), generator(2 * s + 2)
         k1 = E @ A0
         k2 = (E + 0.5 * hh * k1) @ Am
         k3 = (E + 0.5 * hh * k2) @ Am
@@ -340,16 +352,17 @@ def _theta_stage_samples(F, n_sub):
     return fine[..., idx]
 
 
-def _radial_stage_samples(F, n_sub):
-    """Samples at r_i + h (k / (2 n_sub)), k = 0..2n_sub, i = 0..M-2.
+def _radial_stage_samples(F, n_sub, start, stop):
+    """Samples at r_i + h (k / (2 n_sub)), k = 0..2n_sub, i = start..stop-1,
+    stop <= M-1.
 
     Cubic Lagrange interpolation on a sliding four-row window (one-sided at
-    the two ends); returns array (M-1, N, 2*n_sub+1).
+    the two ends); returns array (stop - start, N, 2*n_sub+1).
     """
-    M = F.shape[0]
-    base = np.clip(np.arange(M - 1) - 1, 0, M - 4)
-    x0 = np.arange(M - 1) - base
-    out = np.empty((M - 1, F.shape[1], 2 * n_sub + 1))
+    i = np.arange(start, stop)
+    base = np.clip(i - 1, 0, F.shape[0] - 4)
+    x0 = i - base
+    out = np.empty((i.size, F.shape[1], 2 * n_sub + 1))
     for k in range(2 * n_sub + 1):
         x = x0 + k / (2.0 * n_sub)
         l0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
@@ -401,7 +414,10 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
     then around each ring, in _N_SUB RK4 steps per grid edge; a second
     assembly in the opposite order provides the path-independence defect.
     Per-cell loop transports give the local holonomy, which vanishes like
-    a power of the spacing when the structure is genuinely flat.
+    a power of the spacing when the structure is genuinely flat.  Only the
+    angular edge propagators and the frames are kept, (rows, n2, 3, 3)
+    each; the rest runs _RING_BLOCK rings, or rows of radial edges, at a
+    time, and forms each RK4 stage's generator when the step reaches it.
     """
     grid = gbar.grid
     if rows is None:
@@ -409,34 +425,27 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
     if rows > gbar.rows:
         raise ValueError("cannot develop beyond the certified rows")
     n2 = grid.n2
-    h1, h2 = grid.h1, grid.h2
 
-    e11 = gbar.e11[:rows]
-    e12 = gbar.e12[:rows]
-    e22 = gbar.e22[:rows]
-    w1 = gbar.w1[:rows]
-    w2 = gbar.w2[:rows]
+    P_th = np.empty((rows, n2, 3, 3))
+    for i in range(0, rows, _RING_BLOCK):
+        ring = slice(i, min(i + _RING_BLOCK, rows))
+        w, a, b = (_theta_stage_samples(F[ring], _N_SUB) for F in (gbar.w2, gbar.e12, gbar.e22))
+        P_th[ring] = _rk4_transport(w, a, b, grid.h2, _N_SUB)
 
-    # angular edge propagators, all rings at once
-    A_th = _frame_generator(
-        _theta_stage_samples(w2, _N_SUB),
-        _theta_stage_samples(e12, _N_SUB),
-        _theta_stage_samples(e22, _N_SUB),
-    )
-    P_th = _rk4_transport(A_th, h2, _N_SUB)
-
-    # radial edge propagators, all rays at once (omega^2(d_r) = 0)
-    st_e11 = _radial_stage_samples(e11, _N_SUB)
-    st_w1 = _radial_stage_samples(w1, _N_SUB)
-    A_r = _frame_generator(st_w1, st_e11, np.zeros_like(st_e11))
-    P_r = _rk4_transport(A_r, h1, _N_SUB)
+    # pole normalization: continue the frame from the base node to the pole
+    s_stages = np.linspace(grid.q1[0], 0.0, 2 * _N_SUB + 1)
+    a_seg = _extrapolate_to_segment(gbar.e11[:rows, 0], grid.q1, s_stages)
+    w_seg = _extrapolate_to_segment(gbar.w1[:rows, 0], grid.q1, s_stages)
+    P_in = _rk4_transport(w_seg[None], a_seg[None], None, -grid.q1[0], _N_SUB)[0]
+    L = _rot3(grid.q2[0]) @ _lorentz_inv(_reorthonormalize(P_in))
 
     # order A: radial along the base ray, then angular around every ring
     framesA = np.empty((rows, n2, 3, 3))
     framesA[0, 0] = np.eye(3)
     cur = np.eye(3)
+    base_ray = _radial_propagators(gbar, rows, 0, rows - 1, cols=slice(0, 1))
     for i in range(rows - 1):
-        cur = cur @ P_r[i, 0]
+        cur = cur @ base_ray[i, 0]
         if (i + 1) % 16 == 0:
             cur = _reorthonormalize(cur)
         framesA[i + 1, 0] = cur
@@ -450,39 +459,35 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
         if j % 16 == 0:
             cur = _reorthonormalize(cur)
         framesA[:, j] = cur
-    framesA = _reorthonormalize(framesA)
+    for i in range(0, rows, _RING_BLOCK):
+        ring = slice(i, i + _RING_BLOCK)
+        framesA[ring] = L @ _reorthonormalize(framesA[ring])
 
-    # order B: angular around the innermost ring, then radial along every ray
-    framesB = np.empty_like(framesA)
-    ring = np.empty((n2, 3, 3))
-    ring[0] = np.eye(3)
-    cur = np.eye(3)
+    # order B: angular around the innermost ring, then radial along every
+    # ray, compared with order A ring by ring; each block of radial edges
+    # also closes its rows of per-cell loops
+    cur = np.empty((n2, 3, 3))
+    cur[0] = np.eye(3)
     for j in range(1, n2):
-        cur = cur @ P_th[0, j - 1]
-        ring[j] = cur
-    framesB[0] = ring
-    cur = ring.copy()
-    for i in range(rows - 1):
-        cur = cur @ P_r[i]
-        if (i + 1) % 16 == 0:
-            cur = _reorthonormalize(cur)
-        framesB[i + 1] = cur
-    framesB = _reorthonormalize(framesB)
-
-    # pole normalization: continue the frame from the base node to the pole
-    s_stages = np.linspace(grid.q1[0], 0.0, 2 * _N_SUB + 1)
-    a_seg = _extrapolate_to_segment(e11[:, 0], grid.q1, s_stages)
-    w_seg = _extrapolate_to_segment(w1[:, 0], grid.q1, s_stages)
-    A_seg = _frame_generator(w_seg, a_seg, np.zeros_like(a_seg))
-    P_in = _rk4_transport(A_seg[None, ...], -grid.q1[0], _N_SUB)[0]
-    M_pole = _reorthonormalize(P_in)
-    L = _rot3(grid.q2[0]) @ _lorentz_inv(M_pole)
-
-    framesA = L @ framesA
-    framesB = L @ framesB
-    pointsA = framesA[..., 2]
-    pointsB = framesB[..., 2]
-    path_defect = float(np.abs(pointsA - pointsB).max())
+        cur[j] = cur[j - 1] @ P_th[0, j - 1]
+    path_defect = float(np.abs(framesA[0, :, :, 2] - (L @ _reorthonormalize(cur))[..., 2]).max())
+    jp1 = (np.arange(n2) + 1) % n2
+    cell_defect = np.empty((rows - 1, n2))
+    for i in range(0, rows - 1, _RING_BLOCK):
+        edges = slice(i, min(i + _RING_BLOCK, rows - 1))
+        P_r = _radial_propagators(gbar, rows, edges.start, edges.stop)
+        loops = (P_r @ P_th[edges.start + 1:edges.stop + 1] @ _lorentz_inv(P_r[:, jp1])
+                 @ _lorentz_inv(P_th[edges]))
+        cell_defect[edges] = np.sqrt(np.sum((loops - np.eye(3)) ** 2, axis=(-2, -1)))
+        framesB = np.empty_like(P_r)
+        for k, P in enumerate(P_r):
+            cur = cur @ P
+            if (edges.start + k + 1) % 16 == 0:
+                cur = _reorthonormalize(cur)
+            framesB[k] = cur
+        points = (L @ _reorthonormalize(framesB))[..., 2]
+        rings = slice(edges.start + 1, edges.stop + 1)
+        path_defect = max(path_defect, float(np.abs(framesA[rings, :, :, 2] - points).max()))
 
     # distribute each ring's closure holonomy uniformly around the ring:
     # the transported frame is defined up to this gauge, and smoothing it
@@ -491,29 +496,33 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
     G_close = _so21_log(closure)
     for j in range(1, n2):
         framesA[:, j] = framesA[:, j] @ _so21_exp((-j / n2) * G_close)
-    framesA = _reorthonormalize(framesA)
-    pointsA = framesA[..., 2]
-
-    # per-cell loop holonomy
-    inv_P_r = _lorentz_inv(P_r)
-    inv_P_th = _lorentz_inv(P_th)
-    jp1 = (np.arange(n2) + 1) % n2
-    loops = (P_r[:, :] @ P_th[1:, :] @ inv_P_r[:, jp1] @ inv_P_th[:-1, :])
-    cell_defect = np.sqrt(np.sum((loops - np.eye(3)) ** 2, axis=(-2, -1)))
     eta = np.diag(_ETA)
-    gram = np.swapaxes(framesA, -1, -2) @ (eta @ framesA)
-    eta_drift = float(np.abs(gram - eta).max())
+    eta_drift = 0.0
+    for i in range(0, rows, _RING_BLOCK):
+        ring = slice(i, i + _RING_BLOCK)
+        framesA[ring] = _reorthonormalize(framesA[ring])
+        gram = np.swapaxes(framesA[ring], -1, -2) @ (eta @ framesA[ring])
+        eta_drift = max(eta_drift, float(np.abs(gram - eta).max()))
 
     return DevelopingMap(
         grid=grid,
         rows=rows,
         frames=framesA,
-        points=pointsA,
+        points=framesA[..., 2],
         path_defect=path_defect,
         cell_defect_max=float(cell_defect.max()),
         cell_defect_sum=float(cell_defect.sum()),
         eta_drift=eta_drift,
     )
+
+
+def _radial_propagators(gbar, rows, start, stop, cols=slice(None)):
+    """RK4 propagators of the radial edges from ring i to ring i + 1, i =
+    start..stop-1, in the columns ``cols``: (stop - start, n_cols, 3, 3).
+    The radial generator has omega^2(d_r) = 0."""
+    w, a = (_radial_stage_samples(F[:rows, cols], _N_SUB, start, stop)
+            for F in (gbar.w1, gbar.e11))
+    return _rk4_transport(w, a, None, gbar.grid.h1, _N_SUB)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,8 @@ class EmbeddingMap:
     """Grid-indexed spacelike immersion X with its extrinsic data.
 
     ``pullback`` and ``shape`` hold the induced metric and the second
-    fundamental form in Cartesian chart components; ``normal`` is the
+    fundamental form in Cartesian chart components, ``christoffel`` the
+    pullback's Christoffel symbols as gamma[k][a][b]; ``normal`` is the
     future-timelike unit normal.  The graph height is the third component
     of X over the first two.  ``chart`` is the field's chart data on the
     whole grid, which the extrinsic audit compares against.
@@ -537,6 +547,7 @@ class EmbeddingMap:
     normal: np.ndarray
     pullback: tuple
     shape: tuple
+    christoffel: tuple
     u_values: np.ndarray
     metric: object
     chart: object
@@ -565,27 +576,31 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap) -> EmbeddingM
     if np.any(det_G <= 0.0) or np.any(G11 <= 0.0):
         raise ValueError("induced metric is degenerate or not spacelike")
 
-    cross = np.stack([
+    # the symbols first, then the normal and one second derivative of X at a time
+    gam = _pullback_christoffels(G11, G12, G22, calc)
+    n = np.stack([
         Xa[..., 1] * Xb[..., 2] - Xa[..., 2] * Xb[..., 1],
         Xa[..., 2] * Xb[..., 0] - Xa[..., 0] * Xb[..., 2],
         Xa[..., 0] * Xb[..., 1] - Xa[..., 1] * Xb[..., 0],
     ], axis=-1)
-    n = cross * _ETA
-    nn = minkowski_inner(n, n)
-    n = n / np.sqrt(-nn)[..., None]
-    flip = n[..., 2] < 0.0
-    n[flip] *= -1.0  # future-timelike: <n, (0,0,1)> < 0 in signature (+,+,-)
+    n *= _ETA
+    n /= np.sqrt(-minkowski_inner(n, n))[..., None]
+    n[n[..., 2] < 0.0] *= -1.0  # future-timelike: <n, (0,0,1)> < 0 in signature (+,+,-)
 
-    Xaa, Xa_y = calc.grad_vec(Xa)
-    Xb_x, Xbb = calc.grad_vec(Xb)
-    Xab = 0.5 * (Xa_y + Xb_x)
-
-    gam = _pullback_christoffels(G11, G12, G22, calc)
     xa_n = minkowski_inner(Xa, n)
     xb_n = minkowski_inner(Xb, n)
+    Xaa, Xab = calc.grad_vec(Xa)  # Xab holds d_y Xa until d_x Xb is added
+    del Xa
     h11 = gam[0][0][0] * xa_n + gam[1][0][0] * xb_n - minkowski_inner(Xaa, n)
-    h12 = gam[0][0][1] * xa_n + gam[1][0][1] * xb_n - minkowski_inner(Xab, n)
+    del Xaa
+    Xb_x, Xbb = calc.grad_vec(Xb)
+    del Xb
     h22 = gam[0][1][1] * xa_n + gam[1][1][1] * xb_n - minkowski_inner(Xbb, n)
+    del Xbb
+    Xab += Xb_x
+    Xab *= 0.5
+    del Xb_x
+    h12 = gam[0][0][1] * xa_n + gam[1][0][1] * xb_n - minkowski_inner(Xab, n)
 
     return EmbeddingMap(
         grid=grid,
@@ -594,6 +609,7 @@ def assemble_embedding(field: AdmissibleField, dev: DevelopingMap) -> EmbeddingM
         normal=n,
         pullback=(G11, G12, G22),
         shape=(h11, h12, h22),
+        christoffel=gam,
         u_values=u,
         metric=field.metric,
         chart=field.hessian.chart,
@@ -637,51 +653,100 @@ def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
     norm |A|, each over the first ``audit_rows`` rings.  The chart metric
     and curvature come from ``emb.chart``.
     """
-    bounds = emb.metric.bounds
     grid = emb.grid
     rows = min(audit_rows, emb.rows)
     sl = slice(0, rows)
-
     calc = _CartesianCalc(grid, emb.rows)
-    G11, G12, G22 = emb.pullback
-    h11, h12, h22 = emb.shape
-    det_G = G11 * G22 - G12 * G12
+    X, n, u = emb.X, emb.normal, emb.u_values
 
     # chart metric in Cartesian components
     ch = emb.chart
-    gxx, gxy, gyy = _polar_to_cartesian_metric(
+    chart_metric = _polar_to_cartesian_metric(
         ch.g11[: emb.rows], ch.g12[: emb.rows], ch.g22[: emb.rows],
         calc.r, calc.cos, calc.sin)
+    pullback_rel_err, worst_node = _pullback_error(emb.pullback, chart_metric, sl)
+    u_identity = float(np.abs(-0.5 * minkowski_inner(X, X) - u)[sl].max())
+    normal_identity = _normal_identity(X, n, u, chart_metric, calc, sl)
+    del chart_metric
+    cone, lower, upper, saturation = _pinching_margins(X, emb.metric.bounds, sl)
+
+    G11, G12, G22 = emb.pullback
+    h11, h12, h22 = emb.shape
+    det_G = G11 * G22 - G12 * G12
+    det_h = h11 * h22 - h12 * h12
+    gauss = float(np.abs(det_h / det_G + ch.K[: emb.rows])[sl].max())
+    del det_h
+
+    i12 = -G12 / det_G
+    inv = ((G22 / det_G, i12), (i12, G11 / det_G))
+    del det_G, i12
+    codazzi = _codazzi_residual(emb.shape, emb.christoffel, inv, calc, sl)
+
+    # |A|^2 = h_ab h_cd G^{ac} G^{bd}, summed in the index order a, b, c, d
+    h = ((h11, h12), (h12, h22))
+    a_sq = 0.0
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        a_sq = a_sq + h[a][b] * h[c][d] * inv[a][c] * inv[b][d]
+    a_norm_max = float(np.sqrt(np.maximum(a_sq, 0.0))[sl].max())
+
+    dev = emb.developing
+    return EmbeddingAudit(
+        pullback_rel_err=pullback_rel_err,
+        u_identity_err=u_identity,
+        normal_identity_err=normal_identity,
+        pinching_margin_cone=cone,
+        pinching_margin_lower=lower,
+        pinching_margin_upper=upper,
+        pinching_saturation=saturation,
+        gauss_residual=gauss,
+        codazzi_residual=codazzi,
+        a_norm_max=a_norm_max,
+        holonomy_path_defect=dev.path_defect,
+        holonomy_cell_sum=dev.cell_defect_sum,
+        eta_drift=dev.eta_drift,
+        audit_rows=rows,
+        worst_pullback_node=worst_node,
+    )
+
+
+def _pullback_error(pullback, chart_metric, sl):
+    """Largest relative error of the pullback against the chart metric over
+    the rows ``sl``, and the node where it occurs."""
+    (G11, G12, G22), (gxx, gxy, gyy) = pullback, chart_metric
     num = np.sqrt((G11 - gxx) ** 2 + 2 * (G12 - gxy) ** 2 + (G22 - gyy) ** 2)
     den = np.sqrt(gxx**2 + 2 * gxy**2 + gyy**2)
     rel = (num / den)[sl]
-    worst_flat = int(np.argmax(rel))
-    worst_node = tuple(int(v) for v in np.unravel_index(worst_flat, rel.shape))
-    pullback_rel_err = float(rel.max())
+    worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    return float(rel.max()), tuple(int(v) for v in worst)
 
-    X, n, u = emb.X, emb.normal, emb.u_values
-    u_identity = float(np.abs(-0.5 * minkowski_inner(X, X) - u)[sl].max())
 
+def _normal_identity(X, n, u, chart_metric, calc, sl):
+    """Largest |<X, n>^2 - (|grad u|^2 + 2u)| over the rows ``sl``."""
+    gxx, gxy, gyy = chart_metric
     du_x, du_y = calc.grad(u)
     det_g = gxx * gyy - gxy * gxy
     grad_sq = (gyy * du_x * du_x - 2 * gxy * du_x * du_y + gxx * du_y * du_y) / det_g
     xn = minkowski_inner(X, n)
-    normal_identity = float(np.abs(xn * xn - (grad_sq + 2.0 * u))[sl].max())
+    return float(np.abs(xn * xn - (grad_sq + 2.0 * u))[sl].max())
 
-    Z = X[..., 2]
-    amb = X[..., 0] ** 2 + X[..., 1] ** 2
-    cone = (Z - np.sqrt(amb))[sl]
-    upper = (np.sqrt(1.0 / bounds.c1 + amb) - Z)[sl]
-    lower = (Z - np.sqrt(1.0 / bounds.c2 + amb))[sl]
+
+def _pinching_margins(X, bounds, sl):
+    """Smallest margins of the graph above the light cone, above the lower
+    and below the upper bounding hyperboloid, and the largest distance to
+    either hyperboloid, over the rows ``sl``."""
+    Z = X[sl, :, 2]
+    amb = X[sl, :, 0] ** 2 + X[sl, :, 1] ** 2
+    cone = float((Z - np.sqrt(amb)).min())
+    upper = np.sqrt(1.0 / bounds.c1 + amb) - Z
+    lower = Z - np.sqrt(1.0 / bounds.c2 + amb)
     saturation = float(max(np.abs(upper).max(), np.abs(lower).max()))
+    return cone, float(lower.min()), float(upper.min()), saturation
 
-    K_chart = ch.K[: emb.rows]
-    det_h = h11 * h22 - h12 * h12
-    gauss = float(np.abs(det_h / det_G + K_chart)[sl].max())
 
-    # covariant derivative symmetry of the shape form, invariant norm
-    i11, i12, i22 = G22 / det_G, -G12 / det_G, G11 / det_G
-    gam = _pullback_christoffels(G11, G12, G22, calc)
+def _codazzi_residual(shape, gam, inv, calc, sl):
+    """Largest invariant norm of the antisymmetric part of the covariant
+    derivative of the shape form over the rows ``sl``."""
+    h11, h12, h22 = shape
     h = ((h11, h12), (h12, h22))
     dh11, dh12, dh22 = calc.grad(h11), calc.grad(h12), calc.grad(h22)
     dh = ((dh11, dh12), (dh12, dh22))  # dh[b][c][a] = d_a h_bc
@@ -695,41 +760,15 @@ def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
 
     # antisymmetric part in the first two slots: only (x, y) matters
     T_c = [cov_dh(0, 1, c) - cov_dh(1, 0, c) for c in (0, 1)]
-    inv = ((i11, i12), (i12, i22))
     # |T|^2 = T_xyc T_xyf G^xx G^yy ... contract the antisymmetric pair with
     # 2 det(G^{-1}) and the last slot with G^{-1}
-    pair_factor = (i11 * i22 - i12 * i12)
-    codazzi_sq = np.zeros_like(G11)
+    pair_factor = (inv[0][0] * inv[1][1] - inv[0][1] * inv[0][1])
+    codazzi_sq = np.zeros_like(h11)
     for c in (0, 1):
         for f in (0, 1):
             codazzi_sq += T_c[c] * T_c[f] * inv[c][f]
     codazzi_sq = 2.0 * pair_factor * codazzi_sq
-    codazzi = float(np.sqrt(np.maximum(codazzi_sq, 0.0))[sl].max())
-
-    # |A|^2 = h_ab h_cd G^{ac} G^{bd}
-    hmat = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
-    Ginv = np.stack([np.stack([i11, i12], -1), np.stack([i12, i22], -1)], -2)
-    a_sq = np.einsum("...ab,...cd,...ac,...bd->...", hmat, hmat, Ginv, Ginv)
-    a_norm_max = float(np.sqrt(np.maximum(a_sq, 0.0))[sl].max())
-
-    dev = emb.developing
-    return EmbeddingAudit(
-        pullback_rel_err=pullback_rel_err,
-        u_identity_err=u_identity,
-        normal_identity_err=normal_identity,
-        pinching_margin_cone=float(cone.min()),
-        pinching_margin_lower=float(lower.min()),
-        pinching_margin_upper=float(upper.min()),
-        pinching_saturation=saturation,
-        gauss_residual=gauss,
-        codazzi_residual=codazzi,
-        a_norm_max=a_norm_max,
-        holonomy_path_defect=dev.path_defect,
-        holonomy_cell_sum=dev.cell_defect_sum,
-        eta_drift=dev.eta_drift,
-        audit_rows=rows,
-        worst_pullback_node=worst_node,
-    )
+    return float(np.sqrt(np.maximum(codazzi_sq, 0.0))[sl].max())
 
 
 def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2):
@@ -785,20 +824,31 @@ def export_graph(emb: EmbeddingMap, rows=None) -> Mesh:
 
     j = np.arange(n2)
     jn = (j + 1) % n2
-    fan = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=-1)
+    faces = np.empty((n2 * (2 * rows - 1), 3), dtype=j.dtype)
+    faces[:n2] = np.stack([np.zeros_like(j), 1 + j, 1 + jn], axis=-1)  # the pole fan
+    quads = faces[n2:].reshape(rows - 1, n2, 6)  # two triangles per cell
     ring = 1 + n2 * np.arange(rows - 1)[:, None]  # first vertex of rings 0..rows-2
-    v00, v01, v10, v11 = ring + j, ring + jn, ring + n2 + j, ring + n2 + jn
-    quads = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
-    return Mesh(vertices=vertices, faces=np.vstack([fan, quads]))
+    quads[..., 0] = quads[..., 3] = ring + j
+    quads[..., 1] = ring + n2 + j
+    quads[..., 2] = quads[..., 4] = ring + n2 + jn
+    quads[..., 5] = ring + jn
+    return Mesh(vertices=vertices, faces=faces)
 
 
 def write_obj(mesh: Mesh, path):
     """Wavefront OBJ with v/f records; faces are 1-indexed.
 
-    Each block is formatted by one ``%`` over all of its records.
+    Each block of up to _OBJ_BLOCK records is formatted by one ``%``.
     """
     with atomic_write(path) as fh:
-        v = np.asarray(mesh.vertices, dtype=float)
-        fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist()))
-        f = np.asarray(mesh.faces) + 1
-        fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
+        _write_blocks(fh, "v %.17g %.17g %.17g\n", np.asarray(mesh.vertices, dtype=float))
+        _write_blocks(fh, "f %d %d %d\n", mesh.faces, 1)
+
+
+def _write_blocks(fh, record, rows, offset=0):
+    """One ``record`` per row of ``rows`` (plus ``offset``), _OBJ_BLOCK rows per ``%``."""
+    for k in range(0, len(rows), _OBJ_BLOCK):
+        block = np.asarray(rows[k:k + _OBJ_BLOCK])
+        if offset:
+            block = block + offset
+        fh.write((record * len(block)) % tuple(block.ravel().tolist()))

@@ -58,6 +58,8 @@ LOWER_BOUND_SLACK = 1e-9
 BALL_SAMPLES = 4096
 # radial and angular samples of a conformal chart's disc
 DISC_SAMPLES = 160
+# rings of that sample evaluated at once
+_DISC_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,17 @@ def max_neg_curvature_ball(metric, center, r0):
 @lru_cache(maxsize=4)
 def _chart_disc_sample(metric):
     """Read-only chart points (X, Y) of the DISC_SAMPLES^2 chart-polar sample
-    of a conformal chart's disc, and min psi over them (None when the chart
-    has a pair distance, which needs no psi).  Built once per metric."""
+    of a conformal chart's disc, and min psi over them, _DISC_BLOCK rings
+    at a time (None when the chart has a pair distance, which needs no
+    psi).  Built once per metric."""
     rho = np.linspace(0.0, metric.domain_radius, DISC_SAMPLES)
     th = np.linspace(0.0, 2.0 * math.pi, DISC_SAMPLES, endpoint=False)
-    R, T = np.meshgrid(rho, th, indexing="ij")
-    X, Y = R * np.cos(T), R * np.sin(T)
+    X, Y = rho[:, None] * np.cos(th), rho[:, None] * np.sin(th)
     X.flags.writeable = Y.flags.writeable = False
-    psi_min = None if metric.pair_distance is not None else float(np.min(metric.psi(X, Y)))
+    psi_min = None
+    if metric.pair_distance is None:
+        psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
+                      for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
     return X, Y, psi_min
 
 

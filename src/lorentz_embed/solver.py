@@ -29,12 +29,18 @@ width and the step is one block step.
 Any other state is solved by block elimination in the radial index: the
 Jacobian is block tridiagonal with n_theta x n_theta blocks (theta wraps,
 and the pole mirror folds into ring 0's diagonal block).  The forward
-sweep inverts one Schur complement per ring with LAPACK, partial pivoting
-inside the block but none between blocks, which is stable on block
-diagonally dominant systems (Demmel, Higham & Schreiber, Numer. Linear
-Algebra Appl. 2, 1995).  One refinement step reuses the inverses.  A
-singular block, a non-finite step or a normwise backward error above
-_BLOCK_BACKWARD_TOL fails the step, and a failed step stops Newton.
+sweep builds each ring's diagonal block when it reaches it, applies the
+coupling blocks (three wrapped theta taps each) straight from the
+coefficient arrays, and inverts one Schur complement per ring with
+LAPACK, partial pivoting inside the block but none between blocks, which
+is stable on block diagonally dominant systems (Demmel, Higham &
+Schreiber, Numer. Linear Algebra Appl. 2, 1995).  It keeps only those
+inverses: (n1 - 1) n2^2 doubles, 2.1 MB on a 64 x 64 disc, where the three
+stacked bands of blocks took 6.2 MB.  One refinement step reuses the
+inverses.  A singular block, a non-finite step or a normwise backward
+error above _BLOCK_BACKWARD_TOL fails the step, and a failed step stops
+Newton.  Newton also stops at the residual's round-off floor once it
+stalls there (DirichletProblem).
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ MARGIN_KEEP = 0.1
 # side is round-off, |rhs| ~ 1e-10, where the kept inverses lose a little.
 # 1e-12 sits well above both and far below what would slow Newton down.
 _BLOCK_BACKWARD_TOL = 1e-12
+# A residual at or below its round-off floor stops Newton once a step cuts
+# it by less than this factor; quadratic convergence cuts it by far more.
+_FLOOR_PROGRESS = 4.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -82,6 +91,16 @@ class DirichletProblem:
     boundary_value defaults to 1/(2 max(-K)) over the solve domain, the
     constant subsolution value.  Tolerance applies to the infinity norm of
     the interior log-residual.
+
+    Newton stops when that residual is at most ``tol``.  It also stops,
+    "floor-limited", when the residual is at or below its round-off floor
+    eps_mach * max_nodes(sum_k |c_k|) * max|u| (c_k the nine Jacobian
+    stencil coefficients: how far the residual moves when the values move
+    by one ulp) and the last step cut it by less than _FLOOR_PROGRESS.  The
+    rule never accepts a residual above the floor and never fires while
+    Newton still converges quadratically; a stall above the floor still
+    fails.  On a column state the floor comes from the column's
+    coefficients.
     """
 
     metric: object
@@ -114,7 +133,10 @@ class AdmissibleField:
 
     min_eigenvalue is the minimum over nodes of the eigenvalues of
     g^{-1}(Hess u + g); rhs_min the minimum of |grad u|^2 + 2u.  Both must
-    be strictly positive or construction fails.
+    be strictly positive or construction fails.  ``residual`` is the final
+    interior log-residual, ``residual_floor`` its round-off floor there and
+    ``floor_limited`` whether Newton stopped on the floor rather than on
+    ``tol`` (see DirichletProblem); a certified stored field has none.
     """
 
     u: ScalarField
@@ -126,6 +148,9 @@ class AdmissibleField:
     ball_radius: float
     iterations: int
     trace: list = field(default_factory=list, repr=False)
+    residual: float | None = None
+    residual_floor: float | None = None
+    floor_limited: bool = False
 
     def __post_init__(self):
         if self.min_eigenvalue <= 0.0:
@@ -178,7 +203,7 @@ class _Stencil:
 @dataclass
 class _State:
     values: np.ndarray
-    hessian: HessianField
+    hessian: HessianField | None  # None once the step's coefficients are taken
     rhs: np.ndarray
     eig_margin: float
     rhs_margin: float
@@ -301,25 +326,47 @@ def _tridiagonal_solve(lower, diag, upper, rhs):
     return x
 
 
-def _block_bands(coefs, stencil, n1, n2):
-    """Sub-, main and super-diagonal blocks of the interior Jacobian.
+def _diagonal_block(coefs, stencil, i, n2):
+    """Ring i's diagonal block of the interior Jacobian, as an (n2, n2) array.
 
-    Each band has shape (n1 - 1, n2, n2): block i couples ring i to ring
-    i - 1, i and i + 1.  Theta offsets wrap, and ring 0's di = -1 neighbour
-    is ring 0 itself, half a turn on (the pole mirror), so those
-    coefficients fold into its diagonal block.  lower[0] is therefore zero,
-    and upper[-1] couples the last interior ring to the boundary ring.
+    Theta offsets wrap.  Ring 0's di = -1 neighbour is ring 0 itself, half a
+    turn on (the pole mirror), so those coefficients fold into its block.
     """
-    ni, half = n1 - 1, n2 // 2
+    half = n2 // 2
     j = np.arange(n2)
-    bands = {di: np.zeros((ni, n2, n2)) for di in (-1, 0, 1)}
+    block = np.zeros((n2, n2))
     for (di, dj), c in zip(stencil.RT, coefs):
-        if di == -1:
-            bands[-1][1:, j, (j + dj) % n2] += c[1:]
-            bands[0][0, j, (j + dj + half) % n2] += c[0]
-        else:
-            bands[di][:, j, (j + dj) % n2] += c
-    return bands[-1], bands[0], bands[1]
+        if di == 0:
+            block[j, (j + dj) % n2] += c[i]
+        elif di == -1 and i == 0:
+            block[j, (j + dj + half) % n2] += c[0]
+    return block
+
+
+def _coupling_taps(coefs, stencil, di):
+    """The three wrapped theta taps of the blocks coupling each ring to ring
+    i + di (di = +-1): row j of ring i's block holds c_{di,dj}[i, j] in
+    column (j + dj) mod n2.  Returns (c_{di,dj}, (j + dj) mod n2,
+    (j - dj) mod n2) per dj.  Ring 0's di = -1 block is zero (the pole
+    mirror lives in its diagonal block), and the sweeps never apply it."""
+    n2 = coefs[0].shape[1]
+    j = np.arange(n2)
+    return [(c, (j + dj) % n2, (j - dj) % n2)
+            for (d, dj), c in zip(stencil.RT, coefs) if d == di]
+
+
+def _apply_coupling(taps, i, x):
+    """B @ x for ring i's coupling block B given by ``taps``; x is (n2,) or (n2, m)."""
+    (c0, k0, _), (c1, k1, _), (c2, k2, _) = taps
+    if x.ndim == 2:
+        return c0[i, :, None] * x[k0] + c1[i, :, None] * x[k1] + c2[i, :, None] * x[k2]
+    return c0[i] * x[k0] + c1[i] * x[k1] + c2[i] * x[k2]
+
+
+def _times_coupling(a, taps, i):
+    """a @ B for ring i's coupling block B given by ``taps``; a is (m, n2)."""
+    (c0, _, k0), (c1, _, k1), (c2, _, k2) = taps
+    return (a * c0[i])[:, k0] + (a * c1[i])[:, k1] + (a * c2[i])[:, k2]
 
 
 def _stencil_apply(coefs, stencil, x):
@@ -337,36 +384,38 @@ def _block_step(coefs, stencil, rhs):
 
     ``rhs`` has the grid's shape; its boundary row is the step there (the
     boundary rows of the Jacobian are identity), which moves to the right
-    side of the last interior ring.  The forward sweep keeps the inverse
-    Schur complements, so the one refinement step (taken when the residual
-    exceeds 1e-12 of the right side) costs matrix-vector products only.
+    side of the last interior ring.  The forward sweep builds each ring's
+    diagonal block when it reaches it and keeps only the inverse Schur
+    complements S_i^{-1}, with S_i = D_i - L_i (S_{i-1}^{-1} U_{i-1}); the
+    coupling blocks L_i and U_i are applied from the coefficient arrays.
+    So the one refinement step (taken when the residual exceeds 1e-12 of
+    the right side) costs matrix-vector products only.
     Raises LinAlgError naming the failed check: a singular Schur complement,
     a non-finite step, or a backward error above _BLOCK_BACKWARD_TOL.
     """
     n1, n2 = rhs.shape
-    lower, diag, upper = _block_bands(coefs, stencil, n1, n2)
+    ni = n1 - 1
+    lower, upper = _coupling_taps(coefs, stencil, -1), _coupling_taps(coefs, stencil, 1)
     b = rhs[:-1].copy()
-    b[-1] -= upper[-1] @ rhs[-1]
-    # block LU: diag[i] becomes the inverse Schur complement, upper[i] the
-    # unit upper factor S_i^{-1} U_i
-    for i in range(n1 - 1):
+    b[-1] -= _apply_coupling(upper, ni - 1, rhs[-1])
+    inv = []
+    for i in range(ni):
+        schur = _diagonal_block(coefs, stencil, i, n2)
         if i:
-            diag[i] -= lower[i] @ upper[i - 1]
+            schur -= _apply_coupling(lower, i, _times_coupling(inv[-1], upper, i - 1))
         try:
-            diag[i] = np.linalg.inv(diag[i])
+            inv.append(np.linalg.inv(schur))
         except np.linalg.LinAlgError:
             raise np.linalg.LinAlgError(
                 f"block step: singular Schur complement at ring {i}") from None
-        if i < n1 - 2:
-            upper[i] = diag[i] @ upper[i]
 
     def solve(r):
         y = np.empty_like(r)
-        y[0] = diag[0] @ r[0]
-        for i in range(1, n1 - 1):
-            y[i] = diag[i] @ (r[i] - lower[i] @ y[i - 1])
-        for i in range(n1 - 3, -1, -1):
-            y[i] -= upper[i] @ y[i + 1]
+        y[0] = inv[0] @ r[0]
+        for i in range(1, ni):
+            y[i] = inv[i] @ (r[i] - _apply_coupling(lower, i, y[i - 1]))
+        for i in range(ni - 2, -1, -1):
+            y[i] -= inv[i] @ _apply_coupling(upper, i, y[i + 1])
         return y
 
     delta = np.vstack([solve(b), rhs[-1:]])
@@ -389,8 +438,10 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     """Solve one Dirichlet problem by damped Newton from the constant subsolution.
 
     Returns an AdmissibleField whose interior log-residual infinity norm is
-    <= problem.tol.  Raises NonConvergenceError with the trace when a step
-    fails its checks, damping underflows, or the iteration budget runs out.
+    <= problem.tol, or at most its round-off floor when Newton stopped
+    floor-limited (DirichletProblem).  Raises NonConvergenceError with the
+    trace when a step fails its checks, damping underflows, or the
+    iteration budget runs out.
     """
     grid = problem.grid
     metric = problem.metric
@@ -406,13 +457,18 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     for it in range(problem.max_iter + 1):
         res_norm = state.res_norm
         trace.append((it, res_norm, step, state.eig_margin))
-        if res_norm <= problem.tol:
+        coefs = _stencil_coefficients(state, chart, stencil)
+        state.hessian = None  # the step and the line search read only coefs and margins
+        floor = _residual_floor(coefs, state.values)
+        floor_limited = (res_norm > problem.tol and res_norm <= floor and it > 0
+                         and trace[-2][1] < _FLOOR_PROGRESS * res_norm)
+        if res_norm <= problem.tol or floor_limited:
             # a column solve forms its one full-width field here
             values = np.ascontiguousarray(np.broadcast_to(state.values, grid.shape))
-            return _finalize(ScalarField(grid, values), chart, metric, b, it, trace)
+            return _finalize(ScalarField(grid, values), chart, metric, b, it, trace,
+                             res_norm, floor, floor_limited)
         rhs = np.zeros(state.values.shape)
         rhs[:-1] = -state.residual
-        coefs = _stencil_coefficients(state, chart, stencil)
         try:
             # a block step taken for a column state makes the state full width
             delta = (_radial_step(coefs, stencil, rhs, grid.n2) if rhs.shape[1] == 1
@@ -449,7 +505,15 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     )
 
 
-def _finalize(u, chart, metric, boundary_value, iterations, trace):
+def _residual_floor(coefs, values):
+    """Round-off floor of the interior log-residual: eps_mach times the
+    largest sum_k |c_k| over the nodes times max|u|."""
+    return (np.finfo(float).eps * float(sum(np.abs(c) for c in coefs).max())
+            * float(np.abs(values).max()))
+
+
+def _finalize(u, chart, metric, boundary_value, iterations, trace,
+              residual=None, residual_floor=None, floor_limited=False):
     # audit-grade Hessian: one-sided top row included in the certificate
     hess = covariant_hessian(u, chart)
     s = hess.grad_sq + 2.0 * u.values
@@ -463,6 +527,9 @@ def _finalize(u, chart, metric, boundary_value, iterations, trace):
         ball_radius=u.grid.radius,
         iterations=iterations,
         trace=trace,
+        residual=residual,
+        residual_floor=residual_floor,
+        floor_limited=floor_limited,
     )
 
 

@@ -26,7 +26,11 @@ as explicit cosine and sine sums, against which the library's Clenshaw
 recurrence is checked.
 
 The remaining references are the library's earlier forms of code that now
-takes a shortcut, kept to pin the shortcut bit for bit: ``chart_arrays_full``
+takes a shortcut, kept to pin the shortcut: ``_block_bands`` stacks the
+block step's Jacobian blocks as whole bands; ``develop_whole`` is the
+developing map on whole arrays, its RK4 stage generators stacked
+(``rk4_transport_stacked``) and its holonomy loops formed all at once;
+``chart_arrays_full``
 evaluates a chart at every node of the full mesh; ``knot_slopes_eye`` and
 ``not_a_knot_weights_eye`` build the spline matrices from identity rows;
 ``write_obj_rows`` formats one OBJ record at a time.
@@ -38,6 +42,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from lorentz_embed.embed import (
+    _ETA,
+    _N_SUB,
+    _extrapolate_to_segment,
+    _frame_generator,
+    _lorentz_inv,
+    _reorthonormalize,
+    _rot3,
+    _so21_exp,
+    _so21_log,
+    _theta_stage_samples,
+)
 from lorentz_embed.geodesics import _sweep_and_length, wrap_angle_difference
 from lorentz_embed.solver import _block_step
 
@@ -202,6 +218,29 @@ def splu_step(coefs, stencil, rhs):
     delta = delta.reshape(rhs.shape)
     delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
     return delta
+
+
+def _block_bands(coefs, stencil, n1, n2):
+    """Sub-, main and super-diagonal blocks of the interior Jacobian, stacked.
+
+    Each band has shape (n1 - 1, n2, n2): block i couples ring i to ring
+    i - 1, i and i + 1.  Theta offsets wrap, and ring 0's di = -1 neighbour
+    is ring 0 itself, half a turn on (the pole mirror), so those
+    coefficients fold into its diagonal block.  lower[0] is therefore zero,
+    and upper[-1] couples the last interior ring to the boundary ring.
+    This is the block step's earlier whole-band form, which it now builds
+    and applies one ring at a time.
+    """
+    ni, half = n1 - 1, n2 // 2
+    j = np.arange(n2)
+    bands = {di: np.zeros((ni, n2, n2)) for di in (-1, 0, 1)}
+    for (di, dj), c in zip(stencil.RT, coefs):
+        if di == -1:
+            bands[-1][1:, j, (j + dj) % n2] += c[1:]
+            bands[0][0, j, (j + dj + half) % n2] += c[0]
+        else:
+            bands[di][:, j, (j + dj) % n2] += c
+    return bands[-1], bands[0], bands[1]
 
 
 def _mode_bands(coefs, stencil, n1, n2):
@@ -463,3 +502,119 @@ def write_obj_rows(mesh, path):
             fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for f in mesh.faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+def rk4_transport_stacked(A_stages, h, n_sub):
+    """Propagators of dE/dt = E A(t) over one edge, from sampled generators
+    stacked as (..., 2*n_sub + 1, 3, 3), samples at the half-substep points."""
+    shape = A_stages.shape[:-3]
+    E = np.broadcast_to(np.eye(3), shape + (3, 3)).copy()
+    hh = h / n_sub
+    for s in range(n_sub):
+        A0 = A_stages[..., 2 * s, :, :]
+        Am = A_stages[..., 2 * s + 1, :, :]
+        A1 = A_stages[..., 2 * s + 2, :, :]
+        k1 = E @ A0
+        k2 = (E + 0.5 * hh * k1) @ Am
+        k3 = (E + 0.5 * hh * k2) @ Am
+        k4 = (E + hh * k3) @ A1
+        E = E + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return E
+
+
+def radial_stage_samples_whole(F, n_sub):
+    """Samples at r_i + h (k / (2 n_sub)) of every row i = 0..M-2 at once,
+    (M-1, N, 2*n_sub+1), by cubic Lagrange interpolation on a sliding
+    four-row window (one-sided at the two ends)."""
+    M = F.shape[0]
+    base = np.clip(np.arange(M - 1) - 1, 0, M - 4)
+    x0 = np.arange(M - 1) - base
+    out = np.empty((M - 1, F.shape[1], 2 * n_sub + 1))
+    for k in range(2 * n_sub + 1):
+        x = x0 + k / (2.0 * n_sub)
+        l0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
+        l1 = x * (x - 2.0) * (x - 3.0) / 2.0
+        l2 = -x * (x - 1.0) * (x - 3.0) / 2.0
+        l3 = x * (x - 1.0) * (x - 2.0) / 6.0
+        out[:, :, k] = (l0[:, None] * F[base] + l1[:, None] * F[base + 1]
+                        + l2[:, None] * F[base + 2] + l3[:, None] * F[base + 3])
+    return out
+
+
+def develop_whole(gbar, rows):
+    """``embed.develop`` on whole arrays: the frames, points, path defect,
+    cell defects (max, sum) and eta drift."""
+    grid = gbar.grid
+    n2 = grid.n2
+    e11, e12, e22 = gbar.e11[:rows], gbar.e12[:rows], gbar.e22[:rows]
+    w1, w2 = gbar.w1[:rows], gbar.w2[:rows]
+
+    A_th = _frame_generator(_theta_stage_samples(w2, _N_SUB),
+                            _theta_stage_samples(e12, _N_SUB),
+                            _theta_stage_samples(e22, _N_SUB))
+    P_th = rk4_transport_stacked(A_th, grid.h2, _N_SUB)
+    st_e11 = radial_stage_samples_whole(e11, _N_SUB)
+    st_w1 = radial_stage_samples_whole(w1, _N_SUB)
+    P_r = rk4_transport_stacked(_frame_generator(st_w1, st_e11, np.zeros_like(st_e11)),
+                                grid.h1, _N_SUB)
+
+    framesA = np.empty((rows, n2, 3, 3))
+    framesA[0, 0] = np.eye(3)
+    cur = np.eye(3)
+    for i in range(rows - 1):
+        cur = cur @ P_r[i, 0]
+        if (i + 1) % 16 == 0:
+            cur = _reorthonormalize(cur)
+        framesA[i + 1, 0] = cur
+    cur = framesA[:, 0].copy()
+    closure = np.broadcast_to(np.eye(3), (rows, 3, 3)).copy()
+    for j in range(1, n2 + 1):
+        closure = closure @ P_th[:, j - 1]
+        if j == n2:
+            break
+        cur = cur @ P_th[:, j - 1]
+        if j % 16 == 0:
+            cur = _reorthonormalize(cur)
+        framesA[:, j] = cur
+    framesA = _reorthonormalize(framesA)
+
+    framesB = np.empty_like(framesA)
+    ring = np.empty((n2, 3, 3))
+    ring[0] = np.eye(3)
+    cur = np.eye(3)
+    for j in range(1, n2):
+        cur = cur @ P_th[0, j - 1]
+        ring[j] = cur
+    framesB[0] = ring
+    cur = ring.copy()
+    for i in range(rows - 1):
+        cur = cur @ P_r[i]
+        if (i + 1) % 16 == 0:
+            cur = _reorthonormalize(cur)
+        framesB[i + 1] = cur
+    framesB = _reorthonormalize(framesB)
+
+    s_stages = np.linspace(grid.q1[0], 0.0, 2 * _N_SUB + 1)
+    a_seg = _extrapolate_to_segment(e11[:, 0], grid.q1, s_stages)
+    w_seg = _extrapolate_to_segment(w1[:, 0], grid.q1, s_stages)
+    A_seg = _frame_generator(w_seg, a_seg, np.zeros_like(a_seg))
+    P_in = rk4_transport_stacked(A_seg[None, ...], -grid.q1[0], _N_SUB)[0]
+    L = _rot3(grid.q2[0]) @ _lorentz_inv(_reorthonormalize(P_in))
+    framesA = L @ framesA
+    framesB = L @ framesB
+    path_defect = float(np.abs(framesA[..., 2] - framesB[..., 2]).max())
+
+    G_close = _so21_log(closure)
+    for j in range(1, n2):
+        framesA[:, j] = framesA[:, j] @ _so21_exp((-j / n2) * G_close)
+    framesA = _reorthonormalize(framesA)
+
+    inv_P_r = _lorentz_inv(P_r)
+    inv_P_th = _lorentz_inv(P_th)
+    jp1 = (np.arange(n2) + 1) % n2
+    loops = P_r @ P_th[1:] @ inv_P_r[:, jp1] @ inv_P_th[:-1]
+    cell_defect = np.sqrt(np.sum((loops - np.eye(3)) ** 2, axis=(-2, -1)))
+    eta = np.diag(_ETA)
+    gram = np.swapaxes(framesA, -1, -2) @ (eta @ framesA)
+    return (framesA, framesA[..., 2], path_defect, float(cell_defect.max()),
+            float(cell_defect.sum()), float(np.abs(gram - eta).max()))

@@ -437,6 +437,10 @@ class TestExhaustionEnd:
             assert meta["last_delta"] == _last_delta(out)
             assert meta["met_tol"] is met
             assert meta["diverged"] is False
+            n = len(meta["radii"])
+            assert len(meta["residual"]) == len(meta["residual_floor"]) == n
+            assert meta["floor_limited"] == [False] * n
+            assert max(meta["residual"]) <= 1e-10
 
     def test_unmet_tol_exits_6_after_verify_and_embed(self, tmp_path, capsys):
         cfg = base_config(
@@ -463,6 +467,10 @@ class TestExhaustionEnd:
         meta = json.loads((out / "fields" / "meta.json").read_text())
         assert meta["last_delta"] is None and meta["met_tol"] is None
         assert meta["diverged"] is False
+        # how Newton ended on the one ball
+        assert meta["residual"][0] <= 1e-10 or meta["floor_limited"] == [True]
+        assert meta["residual"][0] <= max(1e-10, meta["residual_floor"][0])
+        assert meta["floor_limited"] in ([True], [False])
 
     def test_divergence_writes_a_readable_partial_run(self, tmp_path, monkeypatch, capsys):
         real = cli.run_exhaustion

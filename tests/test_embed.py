@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import hyperboloid_point, write_obj_rows
+from oracles import develop_whole, hyperboloid_point, write_obj_rows
 
-from lorentz_embed.metric import make_hyperbolic
+from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.embed import (
@@ -156,6 +157,40 @@ class TestDevelopingMap:
             assert dev.cell_defect_max <= 1e-2 * h**3
         # and the summed defect stays within the holonomy budget
         assert dev.cell_defect_sum <= 1e-5
+
+    @pytest.mark.parametrize("case", ["perturbed disc", "pinched ball"])
+    def test_matches_whole_array_transport(self, case, pinched_embedding_64):
+        # ring blocks and stage generators formed one at a time give the
+        # whole-array developing map bit for bit
+        if case == "pinched ball":
+            gbar, dev = pinched_embedding_64[:2]
+        else:
+            metric = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+            sol = solve_dirichlet(DirichletProblem(metric, PolarGrid(40, 48, 0.8, kind="disc")))
+            gbar = conformal_metric(sol)
+            dev = develop(gbar)
+        frames, points, path, cell_max, cell_sum, drift = develop_whole(gbar, dev.rows)
+        assert np.array_equal(dev.frames, frames)
+        assert np.array_equal(dev.points, points)
+        assert (dev.path_defect, dev.cell_defect_max, dev.cell_defect_sum, dev.eta_drift) == (
+            path, cell_max, cell_sum, drift)
+
+    def test_develop_memory_budget(self):
+        # the angular propagators and the frames, (rows, n2, 3, 3) each, and
+        # one block of rings in flight: 1.23 MB measured on this disc, where
+        # the stacked stage generators took 5.85 MB
+        metric = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        sol = solve_dirichlet(DirichletProblem(metric, PolarGrid(64, 64, 0.8, kind="disc")))
+        gbar = conformal_metric(sol)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            develop(gbar)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1.23e6
 
     def test_beyond_certified_rows_rejected(self, model_embedding):
         gbar = model_embedding[0]

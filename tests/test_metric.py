@@ -100,6 +100,24 @@ class TestRadialFromCurvature:
     def test_jacobi_consistency(self, pinched_metric):
         assert jacobi_defect(pinched_metric) <= 1e-7
 
+    def test_fine_ode_step_builds(self):
+        # the defect's second difference does not divide the round-off of f
+        # by the square of a shrinking step: at ode_step 1e-4 it used to read
+        # 3.2e-7 and refuse a chart whose f is accurate to about 1e-14
+        K, Kp, Kpp = pinched_curvature()
+        coarse = make_radial_from_curvature(K, 6.5, Kp, Kpp)
+        fine = make_radial_from_curvature(K, 6.5, Kp, Kpp, ode_step=1e-4)
+        assert jacobi_defect(fine) <= 1e-8
+        assert jacobi_defect(coarse) <= 1e-8
+        r = np.linspace(0.0, 6.5, 1001)
+        assert np.max(np.abs(fine.f(r) - coarse.f(r)) / np.maximum(1.0, coarse.f(r))) <= 1e-11
+
+    def test_short_chart_keeps_five_samples(self):
+        # 11 samples: the full spacing would leave three, too few for the stencil
+        K, Kp, Kpp = pinched_curvature()
+        m = make_radial_from_curvature(K, 0.01, Kp, Kpp)
+        assert m.sample_radii.size == 11 and jacobi_defect(m) <= 1e-7
+
     @pytest.mark.parametrize("curvature, r_max", [
         (pinched_curvature(), 6.5),
         (bump_curvature(), 3.0),

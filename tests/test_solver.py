@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import (
     _assemble_jacobian,
+    _block_bands,
     _fourier_step,
     _linear_solve,
     _mode_bands,
@@ -26,11 +28,14 @@ from lorentz_embed.solver import (
     solve_dirichlet,
     verify_subsolution,
     _probe,
-    _block_bands,
+    _apply_coupling,
     _block_step,
+    _coupling_taps,
+    _diagonal_block,
     _radial_step,
     _stencil_apply,
     _stencil_coefficients,
+    _times_coupling,
     _tridiagonal_solve,
     _Stencil,
 )
@@ -361,16 +366,26 @@ class TestBlockStep:
         assert np.array_equal(fast[-1], rhs[-1])  # the identity rows, exactly
 
     def test_bands_are_jacobian_blocks(self):
+        # each ring's diagonal block, bit for bit, and its coupling blocks
+        # as the sweeps apply them, against the sparse Jacobian's blocks
         g, stencil, coefs, _ = self._system(12, 8, 0.3)
         n = g.n2
         J = _assemble_jacobian(coefs, stencil, g.shape).toarray()
         lower, diag, upper = _block_bands(coefs, stencil, *g.shape)
+        below, above = _coupling_taps(coefs, stencil, -1), _coupling_taps(coefs, stencil, 1)
+        eye = np.eye(n)
         for i in range(g.n1 - 1):
             rows = slice(i * n, (i + 1) * n)
-            assert np.array_equal(diag[i], J[rows, i * n:(i + 1) * n])
-            assert np.array_equal(upper[i], J[rows, (i + 1) * n:(i + 2) * n])
+            block = _diagonal_block(coefs, stencil, i, n)
+            assert np.array_equal(block, J[rows, i * n:(i + 1) * n])
+            assert np.array_equal(block, diag[i])
+            assert np.array_equal(_apply_coupling(above, i, eye), J[rows, (i + 1) * n:(i + 2) * n])
+            assert np.array_equal(_apply_coupling(above, i, eye), upper[i])
+            assert np.array_equal(_times_coupling(eye, above, i), upper[i])
             if i:
-                assert np.array_equal(lower[i], J[rows, (i - 1) * n:i * n])
+                assert np.array_equal(_apply_coupling(below, i, eye), J[rows, (i - 1) * n:i * n])
+                assert np.array_equal(_apply_coupling(below, i, eye), lower[i])
+                assert np.array_equal(_times_coupling(eye, below, i), lower[i])
         assert not lower[0].any()
 
     def test_stencil_apply_matches_jacobian(self):
@@ -422,6 +437,74 @@ class TestBlockStep:
         ref = solve_dirichlet(problem)
         assert fast.iterations == ref.iterations
         assert np.abs(fast.u.values - ref.u.values).max() <= 1e-12
+
+
+    def test_block_step_memory_budget(self):
+        # the step keeps one inverse Schur complement per interior ring,
+        # (n1 - 1) n2^2 doubles, and no whole-band arrays
+        g, stencil, coefs, rhs = self._system(64, 64, 0.3)
+        budget = 1.25 * (g.n1 - 1) * g.n2**2 * 8
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _block_step(coefs, stencil, rhs)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
+class TestRoundOffFloor:
+    """Newton stops at the residual's round-off floor once it stalls there."""
+
+    def test_fine_disc_converges_floor_limited(self):
+        # the perturbed benchmark disc at 96^2: its residual stalls near
+        # 3e-10, above tol, and used to run out of iterations there
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        problem = DirichletProblem(m, PolarGrid(96, 96, 0.8, kind="disc"))
+        sol = solve_dirichlet(problem)
+        assert sol.floor_limited
+        assert problem.tol < sol.residual <= sol.residual_floor
+        assert sol.residual == sol.trace[-1][1]
+        assert sol.iterations <= 8
+
+    def test_benchmark_disc_stops_on_tol(self):
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        sol = solve_dirichlet(DirichletProblem(m, PolarGrid(64, 64, 0.8, kind="disc")))
+        assert sol.iterations == 4 and not sol.floor_limited
+        assert sol.residual <= 1e-10 < sol.residual_floor
+
+    def test_quadratic_convergence_is_not_stopped(self, pinched_metric):
+        # on the 192^2 pinched ball a residual of about 3e-10 lies below its
+        # (pessimistic, radial) floor, but its step cut the residual 1e5-fold:
+        # Newton goes on to tol
+        sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(192, 192, 4.0)))
+        assert not sol.floor_limited and sol.residual <= 1e-10
+        res = [r for _, r, _, _ in sol.trace]
+        below = [k for k in range(1, len(res) - 1) if 1e-10 < res[k] <= sol.residual_floor]
+        assert below and all(res[k - 1] >= 4.0 * res[k] for k in below)
+
+    def test_floor_never_stops_a_converging_solve(self, monkeypatch):
+        # with every residual below the floor, only the progress test holds
+        # Newton back: a solve that keeps cutting its residual 4-fold is the
+        # same solve
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        problem = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
+        ref = solve_dirichlet(problem)
+        res = [r for _, r, _, _ in ref.trace]
+        assert all(a >= 4.0 * b for a, b in zip(res, res[1:]))
+        monkeypatch.setattr(solver, "_residual_floor", lambda coefs, values: np.inf)
+        sol = solve_dirichlet(problem)
+        assert sol.iterations == ref.iterations and not sol.floor_limited
+        assert np.array_equal(sol.u.values, ref.u.values)
+
+    def test_stall_above_the_floor_fails(self, monkeypatch):
+        monkeypatch.setattr(solver, "_residual_floor", lambda coefs, values: 0.0)
+        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        problem = DirichletProblem(m, PolarGrid(96, 96, 0.8, kind="disc"), max_iter=8)
+        with pytest.raises(NonConvergenceError, match="no convergence"):
+            solve_dirichlet(problem)
 
 
 class TestStrongPinching:
