@@ -177,13 +177,16 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     """
     grid = field.grid
     pad = 4
-    ext = ghost_rows_below(field.values, pad)
-    ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
     # node k of the extension sits at r = (k - pad + 1/2) h1, theta0 + (k - pad) h2
     r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)
     t_k = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0, 2 * math.pi) / grid.h2 + pad
-    return (_not_a_knot_weights(ext.shape[0], r_k) @ ext
-            @ _not_a_knot_weights(ext.shape[1], t_k).T)
+    # the weights first: a new size's knot slopes take their dense solve
+    # before the padded array exists
+    W_r = _not_a_knot_weights(grid.n1 + pad, r_k)
+    W_t = _not_a_knot_weights(grid.n2 + 2 * pad, t_k)
+    ext = ghost_rows_below(field.values, pad)
+    ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
+    return W_r @ ext @ W_t.T
 
 
 def _boundary_value(metric, l, rule):
