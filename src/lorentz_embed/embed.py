@@ -464,8 +464,8 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
         framesA[ring] = L @ _reorthonormalize(framesA[ring])
 
     # order B: angular around the innermost ring, then radial along every
-    # ray, compared with order A ring by ring; each block of radial edges
-    # also closes its rows of per-cell loops
+    # ray, compared with order A a block of rings at a time; each block of
+    # radial edges also closes its rows of per-cell loops
     cur = np.empty((n2, 3, 3))
     cur[0] = np.eye(3)
     for j in range(1, n2):
