@@ -438,7 +438,6 @@ class TestBlockStep:
         assert fast.iterations == ref.iterations
         assert np.abs(fast.u.values - ref.u.values).max() <= 1e-12
 
-
     def test_block_step_memory_budget(self):
         # the step keeps one inverse Schur complement per interior ring,
         # (n1 - 1) n2^2 doubles, and no whole-band arrays
