@@ -37,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .metric import (
     make_poincare,
     make_poincare_perturbed,
 )
-from .grid import PolarGrid, atomic_write, write_field_csv
+from .grid import HessianField, PolarGrid, atomic_write, write_field_csv
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
@@ -593,6 +593,9 @@ def cmd_embed(run_dir):
     except (FileNotFoundError, ValueError) as exc:
         print(f"embed: {exc}", file=sys.stderr)
         return 2
+    # certified: embed reads only the field's values and chart; the audit Hessian's arrays go now
+    spent = np.broadcast_to(np.nan, field.u.grid.shape)
+    field = replace(field, hessian=HessianField(field.hessian.chart, *[spent] * 9))
     report_path = os.path.join(run_dir, "verify", "report.json")
     if not os.path.exists(report_path):
         print("embed: verify report missing (run verify first)", file=sys.stderr)

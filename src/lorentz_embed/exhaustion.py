@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import PolarGrid, ScalarField, ghost_rows_below
-from .solver import DirichletProblem, solve_dirichlet
+from .grid import PolarGrid, ScalarField, _ring_constant, ghost_rows_below
+from .solver import DirichletProblem, _tridiagonal_solve, solve_dirichlet
 
 __all__ = [
     "ExhaustionSchedule",
@@ -39,6 +38,8 @@ _REFERENCE_SHAPE = (48, 64)
 # rings of a ball's grid the observation radius must cover for embed's
 # audits; config validation checks it on every ball of a schedule
 _MIN_OBS_RINGS = 4
+# splines per block of sample_bicubic: 150 kB of data, right sides and slopes on 192 rings
+_COLUMNS = 32
 
 
 class DivergenceError(RuntimeError):
@@ -100,8 +101,8 @@ class ExhaustionStep:
 class ExhaustionResult:
     """The solved balls and their table.
 
-    limit_on_reference is the last field sampled on the reference grid, or
-    None on a one-ball schedule, where no delta is taken.
+    limit_on_reference is the last field sampled on the reference grid
+    (read-only on a radial ball), or None on a one-ball schedule.
     """
 
     fields: list
@@ -126,45 +127,31 @@ def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
     return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
-@lru_cache(maxsize=None)
-def _knot_slopes(m):
-    """Read-only S, S @ y the knot slopes of the not-a-knot spline through (k, y[k]).
+def _knot_slopes(Y):
+    """Knot slopes of the not-a-knot splines through (k, Y[k, j]), one per column j.
 
     Interior rows are s[k-1] + 4 s[k] + s[k+1] = 3 (y[k+1] - y[k-1]); the
-    two end rows are the not-a-knot conditions.
+    not-a-knot end rows s[0] + 2 s[1] and 2 s[m-2] + s[m-1] keep the system
+    tridiagonal (de Boor, A Practical Guide to Splines, ch. IV).
     """
-    k = np.arange(1, m - 1)
-    A = np.zeros((m, m))
-    A[k, k] = 4.0
-    A[k, k - 1] = A[k, k + 1] = 1.0
-    A[0, :2] = 1.0, 2.0
-    A[-1, -2:] = 2.0, 1.0
-    rhs = np.zeros((m, m))
-    rhs[k, k - 1] = -3.0
-    rhs[k, k + 1] = 3.0
-    rhs[0, :3] = -2.5, 2.0, 0.5
-    rhs[-1, -3:] = -0.5, -2.0, 2.5
-    slopes = np.linalg.solve(A, rhs)
-    slopes.flags.writeable = False
-    return slopes
+    rhs = np.empty(Y.shape)
+    rhs[0] = -2.5 * Y[0] + 2.0 * Y[1] + 0.5 * Y[2]
+    np.subtract(Y[2:], Y[:-2], out=rhs[1:-1])
+    rhs[1:-1] *= 3.0
+    rhs[-1] = -0.5 * Y[-3] - 2.0 * Y[-2] + 2.5 * Y[-1]
+    ones, fours = [1.0] * (len(Y) - 2), [4.0] * (len(Y) - 2)
+    return _tridiagonal_solve([0.0, *ones, 2.0], [1.0, *fours, 1.0], [2.0, *ones, 0.0], rhs)
 
 
-def _not_a_knot_weights(m, x):
-    """W with W @ y the not-a-knot cubic spline through (k, y[k]), k < m, at x.
-
-    The knot slopes of every data column come from _knot_slopes; each
-    point, clamped to [0, m - 1], takes the cubic Hermite piece of its cell.
-    """
-    slopes = _knot_slopes(m)
+def _not_a_knot(Y, x):
+    """Not-a-knot splines through (k, Y[k, j]), one per column j, at x clamped to [0, m - 1]."""
+    m = Y.shape[0]
+    s = _knot_slopes(Y)
     x = np.clip(x, 0.0, m - 1.0)
     i = np.minimum(x.astype(np.intp), m - 2)
     t = (x - i)[:, None]
-    W = t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1])
-    W += 0.0  # -0.0 to 0.0: the bits of adding the value terms' zeros off the cell
-    rows = np.arange(x.size)
-    W[rows, i] += ((1.0 + 2.0 * t) * (1.0 - t) ** 2)[:, 0]
-    W[rows, i + 1] += (t * t * (3.0 - 2.0 * t))[:, 0]
-    return W
+    return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * Y[i] + t * t * (3.0 - 2.0 * t) * Y[i + 1]
+            + t * (1.0 - t) * ((1.0 - t) * s[i] - t * s[i + 1]))
 
 
 def sample_bicubic(field: ScalarField, r_pts, t_pts):
@@ -173,20 +160,26 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     The array is extended by four mirrored rows across the pole and four
     wrapped columns in theta, then interpolated by the tensor product of
     not-a-knot cubic splines on the uniform extended nodes, so evaluation
-    is interior everywhere on (0, ball_radius] x S^1.
+    is interior everywhere on (0, ball_radius] x S^1.  The splines' Hermite
+    pieces, from the data and the banded knot slopes, are evaluated along r
+    at r_pts, then along theta at t_pts, _COLUMNS splines at a time.  A
+    field whose rows each hold one bit pattern (every radial ball) is
+    sampled on its first column, returned read-only, broadcast along theta.
     """
-    grid = field.grid
-    pad = 4
+    grid, pad = field.grid, 4
     # node k of the extension sits at r = (k - pad + 1/2) h1, theta0 + (k - pad) h2
     r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)
     t_k = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0, 2 * math.pi) / grid.h2 + pad
-    # the weights first: a new size's knot slopes take their dense solve
-    # before the padded array exists
-    W_r = _not_a_knot_weights(grid.n1 + pad, r_k)
-    W_t = _not_a_knot_weights(grid.n2 + 2 * pad, t_k)
-    ext = ghost_rows_below(field.values, pad)
-    ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
-    return W_r @ ext @ W_t.T
+    values = field.values[:, :1] if _ring_constant(field.values) else field.values
+    ghosts = ghost_rows_below(values[:pad], pad)[:pad]
+    blocks = (np.vstack([ghosts[:, j:j + _COLUMNS], values[:, j:j + _COLUMNS]])
+              for j in range(0, values.shape[1], _COLUMNS))
+    rows = np.hstack([_not_a_knot(Y, r_k) for Y in blocks])
+    if rows.shape[1] == 1:
+        return np.broadcast_to(rows, (r_k.size, t_k.size))
+    rows = np.pad(rows, ((0, 0), (pad, pad)), mode="wrap")
+    return np.vstack([_not_a_knot(rows[j:j + _COLUMNS].T, t_k).T
+                      for j in range(0, r_k.size, _COLUMNS)])
 
 
 def _boundary_value(metric, l, rule):

@@ -32,8 +32,11 @@ developing map on whole arrays, its RK4 stage generators stacked
 (``rk4_transport_stacked``) and its holonomy loops formed all at once;
 ``chart_arrays_full``
 evaluates a chart at every node of the full mesh; ``knot_slopes_eye`` and
-``not_a_knot_weights_eye`` build the spline matrices from identity rows;
-``write_obj_rows`` formats one OBJ record at a time.
+``not_a_knot_weights_eye`` are the dense spline matrices, built from
+identity rows with one LAPACK solve, and ``sample_bicubic_dense`` samples
+with them as two weight matrices, where the library sweeps the banded
+slope system over the data; ``write_obj_rows`` formats one OBJ record at a
+time.
 """
 
 import math
@@ -55,6 +58,7 @@ from lorentz_embed.embed import (
     _theta_stage_samples,
 )
 from lorentz_embed.geodesics import _sweep_and_length, wrap_angle_difference
+from lorentz_embed.grid import ghost_rows_below
 from lorentz_embed.solver import _block_step
 
 
@@ -492,6 +496,17 @@ def not_a_knot_weights_eye(m, x):
     t = (x - i)[:, None]
     return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * eye[i] + t * t * (3.0 - 2.0 * t) * eye[i + 1]
             + t * (1.0 - t) * ((1.0 - t) * slopes[i] - t * slopes[i + 1]))
+
+
+def sample_bicubic_dense(field, r_pts, t_pts):
+    """exhaustion.sample_bicubic as W_r @ ext @ W_t.T, the weights dense."""
+    grid, pad = field.grid, 4
+    r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)
+    t_k = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0, 2 * math.pi) / grid.h2 + pad
+    ext = ghost_rows_below(field.values, pad)
+    ext = np.hstack([ext[:, -pad:], ext, ext[:, :pad]])
+    return (not_a_knot_weights_eye(grid.n1 + pad, r_k) @ ext
+            @ not_a_knot_weights_eye(grid.n2 + 2 * pad, t_k).T)
 
 
 def write_obj_rows(mesh, path):

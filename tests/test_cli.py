@@ -279,6 +279,37 @@ class TestPipeline:
         assert cmd_embed(out) == 2
         assert "u_000.csv missing" in capsys.readouterr().err
 
+    def test_embed_drops_the_audit_hessian(self, tmp_path, monkeypatch):
+        # build_embedding reads the certified field's values and chart; the
+        # nine audit Hessian arrays of a non-radial field are gone before it
+        out = str(tmp_path / "run")
+        assert cmd_solve(write_config(tmp_path, conformal_config()), out) == 0
+        assert cmd_verify(out) == 0
+        seen, real = [], cli.build_embedding
+        monkeypatch.setattr(cli, "build_embedding",
+                            lambda field, *a, **k: seen.append(field) or real(field, *a, **k))
+        cmd_embed(out)
+        (field,) = seen
+        assert field.hessian.chart.grid is field.u.grid
+        for name in ("h11", "h12", "h22", "du1", "du2", "grad_sq", "det_ratio",
+                     "eig_min", "eig_max"):
+            assert getattr(field.hessian, name).strides == (0, 0)
+
+    def test_embed_refuses_an_inadmissible_field_exit_2(self, tmp_path, capsys):
+        # the certificate still runs: a stored field with Hess u + g
+        # indefinite is refused before anything is embedded
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        path = sorted((out / "fields").glob("u_*.csv"))[-1]
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        data[:, 2] = 4.0 - data[:, 0] ** 2
+        np.savetxt(path, data, delimiter=",", header="r,theta,value", comments="")
+        capsys.readouterr()
+        assert cmd_embed(str(out)) == 2
+        assert "not admissible" in capsys.readouterr().err
+        assert not (out / "embed").exists()
+
     def test_missing_artifacts_exit_2(self, tmp_path):
         assert cmd_verify(str(tmp_path / "nowhere")) == 2
 

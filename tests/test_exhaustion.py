@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import knot_slopes_eye, not_a_knot_weights_eye
+from oracles import knot_slopes_eye, not_a_knot_weights_eye, sample_bicubic_dense
 
 from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed import exhaustion
@@ -85,31 +86,102 @@ class TestBicubicSampling:
         assert np.max(np.abs(got - self._spline_oracle(f, r_pts, t_pts))) <= 1e-14
 
     @pytest.mark.parametrize("m", [4, 23, 200])
-    def test_cached_slopes_give_the_uncached_weights(self, m, monkeypatch):
-        # one knot-slope solve per size, kept read-only; the weights keep
-        # their bits
+    def test_cached_slopes_give_the_uncached_weights(self, m):
+        # nothing is kept between calls: two calls give the same bits, and
+        # the module holds no cache
+        Y = np.random.default_rng(m).standard_normal((m, 5))
         x = np.linspace(-0.5, m - 0.5, 3 * m + 1)
-        cached = exhaustion._not_a_knot_weights(m, x)
-        slopes = exhaustion._knot_slopes(m)
-        assert not slopes.flags.writeable
-        assert exhaustion._knot_slopes(m) is slopes
-        monkeypatch.setattr(exhaustion, "_knot_slopes", exhaustion._knot_slopes.__wrapped__)
-        uncached = exhaustion._not_a_knot_weights(m, x)
-        assert np.array_equal(cached.view(np.uint64), uncached.view(np.uint64))
+        first = exhaustion._not_a_knot(Y, x)
+        assert np.array_equal(first.view(np.uint64), exhaustion._not_a_knot(Y, x).view(np.uint64))
+        assert not any(hasattr(v, "cache_info") for v in vars(exhaustion).values())
 
-    @pytest.mark.parametrize("m", [8, 20, 100, 148, 196, 200])
+    @pytest.mark.parametrize("m", [4, 8, 20, 100, 148, 196, 200])
     def test_spline_matrices_match_the_eye_oracle(self, m):
+        # the banded slopes of the identity's columns are the dense slope
+        # matrix; on data, slopes and spline values match the dense products
+        ref = knot_slopes_eye(m)
+        assert np.abs(exhaustion._knot_slopes(np.eye(m)) - ref).max() <= 1e-14 * np.abs(ref).max()
+        Y = np.random.default_rng(m).standard_normal((m, 7))
+        ref = ref @ Y
+        assert np.abs(exhaustion._knot_slopes(Y) - ref).max() <= 1e-14 * np.abs(ref).max()
         # points below 0, on every knot, between knots and above m - 1; the
-        # clamped ends give t = 0 and t = 1, where slope terms are -0.0
+        # clamped ends give t = 0 and t = 1
         x = np.concatenate([[-3.0, -0.25, -0.0], np.arange(m, dtype=float),
                             np.arange(m - 1) + 0.37, np.linspace(0.0, m - 1.0, 2 * m + 5),
                             [m - 1.0 + 1e-9, m - 0.5, m + 2.0]])
-        slopes = exhaustion._knot_slopes(m)
-        assert np.array_equal(slopes.view(np.uint64), knot_slopes_eye(m).view(np.uint64))
-        W = exhaustion._not_a_knot_weights(m, x)
-        ref = not_a_knot_weights_eye(m, x)
-        assert W.shape == ref.shape
-        assert np.array_equal(W.view(np.uint64), ref.view(np.uint64))
+        ref = not_a_knot_weights_eye(m, x) @ Y
+        got = exhaustion._not_a_knot(Y, x)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @staticmethod
+    def _radial_field(n1, n2, radius):
+        g = PolarGrid(n1, n2, radius, theta0=0.3)
+        R, _ = g.mesh()
+        return ScalarField(g, 0.3 * np.exp(-(R / radius) ** 2) + 0.1)
+
+    @staticmethod
+    def _mesh(radius):
+        return np.linspace(0.0, radius, 41), np.linspace(-1.0, 2 * math.pi + 1.0, 53)
+
+    @pytest.mark.parametrize("n1, n2", [(20, 16), (96, 192), (192, 192)])
+    def test_ring_constant_field_samples_one_column(self, n1, n2, monkeypatch):
+        # the column, broadcast read-only along theta, is the general path's
+        # tensor-product sample of the same field
+        f = self._radial_field(n1, n2, 4.0)
+        r_pts, t_pts = self._mesh(4.0)
+        got = sample_bicubic(f, r_pts, t_pts)
+        assert got.shape == (41, 53) and got.strides[1] == 0 and not got.flags.writeable
+        monkeypatch.setattr(exhaustion, "_ring_constant", lambda F: False)
+        general = sample_bicubic(f, r_pts, t_pts)
+        assert general.strides[1] != 0
+        assert np.abs(got - general).max() <= 1e-15 * np.abs(general).max()
+        dense = sample_bicubic_dense(f, r_pts, t_pts)
+        assert np.abs(general - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    def test_one_changed_node_takes_the_general_path(self):
+        f = self._radial_field(48, 64, 4.0)
+        r_pts, t_pts = self._mesh(4.0)
+        values = f.values.copy()
+        values[10, 7] += 1e-3
+        changed = ScalarField(f.grid, values)
+        got = sample_bicubic(changed, r_pts, t_pts)
+        assert got.strides[1] != 0
+        ref = sample_bicubic_dense(changed, r_pts, t_pts)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(got - sample_bicubic(f, r_pts, t_pts)).max() > 1e-5
+
+    def test_signed_zeros_are_not_ring_constant(self):
+        # a row of 0.0 and -0.0 is constant in value but not in bits: the
+        # general path samples it, and agrees with the column path of +0.0
+        f = self._radial_field(48, 64, 4.0)
+        r_pts, t_pts = self._mesh(4.0)
+        values = f.values.copy()
+        values[5] = 0.0
+        plus = sample_bicubic(ScalarField(f.grid, values), r_pts, t_pts)
+        values[5, ::3] = -0.0
+        signed = sample_bicubic(ScalarField(f.grid, values), r_pts, t_pts)
+        assert plus.strides[1] == 0 and signed.strides[1] != 0
+        assert np.abs(signed - plus).max() <= 1e-15 * np.abs(plus).max()
+
+    @pytest.mark.parametrize("radial", [True, False])
+    def test_sample_memory_budget(self, radial):
+        # below one 200 x 200 matrix of doubles (320,000 bytes): no dense
+        # slope matrix and no whole padded array
+        f = self._radial_field(192, 192, 4.0)
+        if not radial:
+            R, T = f.grid.mesh()
+            f = ScalarField(f.grid, f.values + 0.01 * np.sin(T) * R)
+        ref = PolarGrid(48, 64, 1.0)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sample_bicubic(f, ref.q1, ref.q2)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300_000
 
     def test_periodic_wrap(self):
         g = PolarGrid(16, 32, 1.0)

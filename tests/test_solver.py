@@ -218,7 +218,7 @@ class TestFourierStep:
 
     @pytest.mark.parametrize("n2", [8, 16, 64])
     def test_elimination_matches_banded_lu(self, pinched_metric, n2):
-        # the scalar elimination without pivoting against scipy's pivoting
+        # the shared elimination without pivoting against scipy's pivoting
         # banded LU, on the diagonally dominant mode-0 system
         from scipy.linalg import solve_banded
 
@@ -226,11 +226,12 @@ class TestFourierStep:
         lower, diag, upper = (b[0].real for b in _mode_bands(
             _full_width(coefs, rhs, n2)[0], stencil, *g.shape))
         assert np.all(np.abs(diag) > np.abs(lower) + np.abs(upper))
-        fast = _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(),
-                                  rhs[:, 0].tolist())
+        rhs = np.hstack([rhs, rhs[::-1], -3.0 * rhs])  # several right sides at once
+        fast = _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs)
+        assert fast.shape == rhs.shape
         ab = np.array([np.r_[0.0, upper[:-1]], diag, np.r_[lower[1:], 0.0]])
-        ref = solve_banded((1, 1), ab, rhs[:, 0])
-        assert np.abs(np.array(fast) - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = solve_banded((1, 1), ab, rhs)
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_non_dominant_modes_take_block_step(self, pinched_metric, monkeypatch):
         # weaken the mode-0 diagonal of every interior ring by 5 % (its
