@@ -114,7 +114,6 @@ _KIND_KEYS = {
 }
 # grid.n_r of a chart disc when unset
 _DISC_N_R = 64
-_GRID_KIND = {"geodesic_polar": "polar", "conformal_polar": "disc"}
 
 
 def _positive(v):
@@ -426,7 +425,8 @@ def cmd_solve(config_path, out_dir, trace=False):
         _write_runmeta(out_dir)
         metric = build_metric(cfg)
         # make_schedule takes the grid and exhaustion keys by name
-        schedule = make_schedule(kind=_GRID_KIND[metric.kind], **cfg.grid, **cfg.exhaustion)
+        schedule = make_schedule(kind=_FAMILIES[cfg.metric["family"]][0], **cfg.grid,
+                                 **cfg.exhaustion)
         try:
             result = run_exhaustion(schedule, metric, solver_tol=cfg.solver["tol"],
                                     max_iter=cfg.solver["max_iter"])
@@ -564,9 +564,10 @@ def cmd_verify(run_dir):
     r0_list = [float(r) for r in cfg.audit["r0_list"]]
     reports = []
     ok = True
+    dist = metric.center_distance
     for fld in fields:
         fit_r0 = [r0 for r0 in r0_list
-                  if metric.kind != "geodesic_polar" or r0 + 2 * fld.u.grid.h1 < fld.ball_radius]
+                  if dist is None or r0 + 2 * fld.u.grid.h1 < dist(fld.ball_radius)]
         probes = _default_probes(fld, min(fit_r0) if fit_r0 else 0.0)
         rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
                                       c_cal=cfg.audit["c_cal"],

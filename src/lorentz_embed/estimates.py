@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,12 +53,6 @@ MANDATORY_IDS = (
 GRAD_SLACK_CONST = 2.0
 HESS_SLACK_CONST = 10.0
 LOWER_BOUND_SLACK = 1e-9
-# radial samples of the band a probe ball meets on a warped chart
-BALL_SAMPLES = 4096
-# radial and angular samples of a conformal chart's disc
-DISC_SAMPLES = 160
-# rings of that sample evaluated at once
-_DISC_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -125,54 +118,8 @@ class EstimateReport:
 
 
 def max_neg_curvature_ball(metric, center, r0):
-    """Max of -K over the closed metric ball of radius r0 about a chart point.
-
-    On warped polar charts the ball meets exactly the radial band
-    [max(0, r - r0), r + r0] and K is radial, so a dense 1D sample suffices.
-    Conformal charts sample the chart disc masked by pairwise distance when
-    a closed form is available; otherwise they sample the chart-disc
-    *superset* |p - center| <= r0 / sqrt(min psi), which can only enlarge
-    the returned maximum and therefore only weakens (never falsifies) the
-    audited bounds.  The disc sample and min psi are built once per metric.
-    """
-    if metric.kind == "geodesic_polar":
-        r_c = float(center[0])
-        if r_c + r0 > metric.r_max + 1e-12:
-            raise ValueError(
-                f"ball of radius {r0} about r={r_c} leaves the chart (r_max={metric.r_max})"
-            )
-        band = np.linspace(max(r_c - r0, 0.0), min(r_c + r0, metric.r_max),
-                           BALL_SAMPLES + 1)
-        return float(np.max(-metric.curvature_at(band, None)))
-    rho_c, th_c = float(center[0]), float(center[1])
-    xc, yc = rho_c * math.cos(th_c), rho_c * math.sin(th_c)
-    X, Y, psi_min = _chart_disc_sample(metric)
-    if metric.pair_distance is not None:
-        d = metric.pair_distance(xc, yc, X, Y)
-        mask = d <= r0
-    else:
-        chart_radius = r0 / math.sqrt(psi_min)
-        mask = np.hypot(X - xc, Y - yc) <= chart_radius
-    if not np.any(mask):
-        mask = np.hypot(X - xc, Y - yc) <= 2.0 * metric.domain_radius / DISC_SAMPLES
-    return float(np.max(-metric.curvature(X[mask], Y[mask])))
-
-
-@lru_cache(maxsize=4)
-def _chart_disc_sample(metric):
-    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 chart-polar sample
-    of a conformal chart's disc, and min psi over them, _DISC_BLOCK rings
-    at a time (None when the chart has a pair distance, which needs no
-    psi).  Built once per metric."""
-    rho = np.linspace(0.0, metric.domain_radius, DISC_SAMPLES)
-    th = np.linspace(0.0, 2.0 * math.pi, DISC_SAMPLES, endpoint=False)
-    X, Y = rho[:, None] * np.cos(th), rho[:, None] * np.sin(th)
-    X.flags.writeable = Y.flags.writeable = False
-    psi_min = None
-    if metric.pair_distance is None:
-        psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
-                      for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
-    return X, Y, psi_min
+    """Max of -K over the closed metric ball of radius r0 about a chart point."""
+    return metric.ball_max_neg_curvature(center, r0)
 
 
 def _hypothesis_cap(c2, r0):
@@ -213,15 +160,10 @@ def _audit_reach(field, node, r0, c2):
 
 def _probe_ball_fits(field, center, r0):
     """Whether the solve domain covers the whole probe ball (triangle bound)."""
-    metric = field.metric
-    if metric.kind == "geodesic_polar":
-        return center[0] + r0 <= field.ball_radius + 1e-12
-    if metric.pair_distance is not None and metric.center_distance is not None:
-        rho, th = center
-        d_center = float(metric.pair_distance(
-            0.0, 0.0, rho * math.cos(th), rho * math.sin(th)))
-        return d_center + r0 <= float(metric.center_distance(field.ball_radius)) + 1e-12
-    return True  # no distance formula: containment is the caller's duty
+    dist = field.metric.center_distance
+    if dist is None:
+        return True  # no distance formula: containment is the caller's duty
+    return float(dist(center[0])) + r0 <= float(dist(field.ball_radius)) + 1e-12
 
 
 def _probe_ball(field, node, r0, c2=None):
@@ -272,21 +214,14 @@ def check_first_order(field: AdmissibleField, tol=1e-10):
     slack = GRAD_SLACK_CONST * h * h + 10.0 * tol
     records = [_record("gradient_bound", "gradient ceiling 2/sqrt(c1)",
                        bound, float(grad.max()), slack, grid_h=h)]
-    dctr = None
-    if metric.kind == "geodesic_polar":
-        dctr = grid.mesh()[0]
-    elif getattr(metric, "center_distance", None) is not None:
-        dctr = metric.center_distance(grid.mesh()[0])
-    if dctr is None:
+    if metric.center_distance is None:
         records.append(_record(
             "gradient_barrier", "linear barrier above u (no center-distance formula)",
             0.0, 0.0, skipped="chart provides no geodesic center distance"))
         return records
+    dctr = metric.center_distance(grid.mesh()[0])
     # total geodesic radius of the solve domain
-    if metric.kind == "geodesic_polar":
-        l_geo = field.ball_radius
-    else:
-        l_geo = float(metric.center_distance(field.ball_radius))
+    l_geo = float(metric.center_distance(field.ball_radius))
     xi = field.boundary_value + bound * (l_geo - dctr)
     overshoot = float((field.u.values - xi).max())
     # own rule: the margin is -overshoot, which reads -0.0 where u touches xi
@@ -424,28 +359,13 @@ def second_order_constants(metric, center, r0, c_cal=1.0, c2=None):
     """c2 over B(center, r0), c2' over B(center, r0+1), and the log-curvature
     derivative bounds c3, c4 over B(center, r0).
 
-    Radial charts sample the closed-form derivatives of log(-K) on the
-    probe ball's radial band; conformal charts use the chart-wide bounds.
-    A given ``c2`` is taken as the ball max over B(center, r0).
+    c3 and c4 are the metric's ``log_curvature_bounds``.  A given ``c2`` is
+    taken as the ball max over B(center, r0).
     """
     if c2 is None:
         c2 = max_neg_curvature_ball(metric, center, r0)
     c2p = max_neg_curvature_ball(metric, center, r0 + 1.0)
-    if metric.kind == "geodesic_polar":
-        r_c = float(center[0])
-        band = np.linspace(max(r_c - r0, 0.0), min(r_c + r0, metric.r_max), 2049)
-        band = np.clip(band, 1e-9, None)
-        kv = np.asarray(metric.curvature(band), dtype=float)
-        kp = np.asarray(metric.curvature_prime(band), dtype=float)
-        kdp = np.asarray(metric.curvature_double_prime(band), dtype=float)
-        wp = kp / kv
-        wpp = kdp / kv - wp**2
-        ang = metric.f_prime(band) / metric.f(band) * wp
-        c3 = float(np.max(np.abs(wp)))
-        c4 = float(max(np.max(np.abs(wpp)), np.max(np.abs(ang))))
-    else:
-        b = metric.bounds
-        c3, c4 = b.c3, b.c4
+    c3, c4 = metric.log_curvature_bounds(center, r0)
     return SecondOrderConstants(c2, c2p, c3, c4, c_cal)
 
 
@@ -502,8 +422,9 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     holds there for some radius, and only as far as those audits read it.
     The max of -K over each probe ball is sampled once and shared by the
     audits at that (node, r0); the second-order ceiling samples B(r0 + 1).
-    A warped polar metric is rotationally symmetric, so nodes on one ring
-    that need the same reach share one solved field, rolled along theta.
+    A chart that never reads theta (``chart.column``) is rotationally
+    symmetric, so nodes on one ring that need the same reach share one
+    solved field, rolled along theta.
     """
     report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
                                      *check_first_order(field, tol=tol),
@@ -526,7 +447,7 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         dist = None
         if reaches:
             key = (node[0], max(reaches))
-            if key not in solved or field.metric.kind != "geodesic_polar":
+            if key not in solved or field.hessian.chart.column is None:
                 solved[key] = (node[1], distance_field(field.metric, grid, node, reach=key[1]))
             j0, dist = solved[key]
             dist = np.roll(dist, node[1] - j0, axis=1)

@@ -38,12 +38,14 @@ of one another, bit for bit.
 
 ``distance_field(metric, grid, node, reach)`` returns, at every node, the
 geodesic distance wherever it is <= ``reach``, and a lower bound greater
-than ``reach`` everywhere else.  On warped polar charts ds^2 >= dr^2, so
-d >= |r - r_s|: only the rows with |r_i - r_s| <= reach are solved, and
-the other rows hold |r_i - r_s|.  Callers that read d only on a ball (the
-localized audits in ``estimates``) pass its radius and skip the rest of
-the quadrature.  Conformal charts have no such cheap bound in chart
-coordinates and solve every node whatever ``reach`` is.
+than ``reach`` everywhere else; it calls the metric's ``distance_field``,
+which calls back into this module.  On warped polar charts
+(``distance_field_polar``) ds^2 >= dr^2, so d >= |r - r_s|: only the rows
+with |r_i - r_s| <= reach are solved, and the other rows hold |r_i - r_s|.
+Callers that read d only on a ball (the localized audits in ``estimates``)
+pass its radius and skip the rest of the quadrature.  Conformal charts have
+no such cheap bound in chart coordinates and solve every node whatever
+``reach`` is, by their pair distance when they have one.
 
 Conformal charts integrate the geodesic flow in Cartesian chart coordinates
 (the conformal Christoffel symbols are smooth across the chart origin) and
@@ -344,17 +346,6 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
 
 
 def distance_field(metric, grid, node, reach=math.inf):
-    """Distance from a grid node to all nodes, dispatched on the chart kind.
-
-    Exact wherever the distance is <= ``reach``; elsewhere a lower bound
-    above ``reach``.  Conformal charts solve every node.
-    """
-    if metric.kind == "geodesic_polar":
-        return distance_field_polar(metric, grid, node, reach)
-    i, j = node
-    R, T = grid.mesh()
-    X, Y = R * np.cos(T), R * np.sin(T)
-    src = (X[i, j], Y[i, j])
-    if getattr(metric, "pair_distance", None) is not None:
-        return metric.pair_distance(src[0], src[1], X, Y)
-    return distance_conformal(metric, src, X, Y).reshape(grid.shape)
+    """Distance from a grid node to all nodes, exact where it is <= ``reach``
+    and a lower bound above ``reach`` elsewhere: the metric's own answer."""
+    return metric.distance_field(grid, node, reach)

@@ -164,9 +164,10 @@ class HessianField:
 
 
 def _ring_constant(F):
-    """Whether each row of F holds one bit pattern (so 0.0 != -0.0)."""
+    """Whether each row of F holds one bit pattern (so 0.0 != -0.0), i.e. the
+    AND and the OR of its bits agree: row reductions, no (n1, n2) temporary."""
     bits = F.view(np.uint64)
-    return bool(np.all(bits == bits[:, :1]))
+    return bool(np.all(np.bitwise_and.reduce(bits, 1) == np.bitwise_or.reduce(bits, 1)))
 
 
 def chart_arrays(metric, grid) -> ChartData:

@@ -11,13 +11,17 @@ Two chart families are supported:
 Charts are analytic: every metric quantity is evaluated on demand at grid
 nodes, so no interpolation error enters the estimate audits.  All metric
 objects are immutable after construction and safe to share between workers.
+Each family answers the audits' probe-ball geometry: ``center_distance``
+(of a chart radius; None without a closed form), ``ball_max_neg_curvature``,
+``log_curvature_bounds`` and ``distance_field`` (importing ``geodesics``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +42,12 @@ JACOBI_TOL = 1e-7
 # (h^4 / 90) |f^(6)|, stays near 3e-9 f on the test metrics (|K| <= 9),
 # and its round-off near 1e-11 f.
 _JACOBI_SPACING = 4e-3
+# radial samples of the band a probe ball meets on a warped chart
+BALL_SAMPLES = 4096
+# radial and angular samples of a conformal chart's disc
+DISC_SAMPLES = 160
+# rings of that sample evaluated at once
+_DISC_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,6 @@ class WarpedPolarMetric:
     sample_radii: np.ndarray | None = None
     sample_f: np.ndarray | None = None
 
-    kind: ClassVar[str] = "geodesic_polar"
-
     def metric_components(self, r, theta):
         r = np.asarray(r, dtype=float)
         fr = self.f(r)
@@ -103,6 +111,35 @@ class WarpedPolarMetric:
 
     def curvature_at(self, r, theta=None):
         return np.asarray(self.curvature(np.asarray(r, dtype=float)), dtype=float)
+
+    def center_distance(self, r):
+        """The radial coordinate is geodesic distance from the center."""
+        return r
+
+    def _band(self, center, r0, samples):
+        """``samples`` radii on [max(0, r - r0), r + r0], the band B(center, r0) meets."""
+        r_c = float(center[0])
+        return np.linspace(max(r_c - r0, 0.0), min(r_c + r0, self.r_max), samples)
+
+    def ball_max_neg_curvature(self, center, r0):
+        """Max of -K over B(center, r0): K is radial, so the band suffices."""
+        if float(center[0]) + r0 > self.r_max + 1e-12:
+            raise ValueError(f"ball of radius {r0} about r={float(center[0])} leaves "
+                             f"the chart (r_max={self.r_max})")
+        return float(np.max(-self.curvature_at(self._band(center, r0, BALL_SAMPLES + 1))))
+
+    def log_curvature_bounds(self, center, r0):
+        """c3 and c4 of log(-K) over B(center, r0), from the closed-form
+        radial derivatives of K sampled on the ball's band."""
+        band = np.clip(self._band(center, r0, 2049), 1e-9, None)
+        return _log_curvature_bounds(self.curvature(band), self.curvature_prime(band),
+                                     self.curvature_double_prime(band),
+                                     self.f(band), self.f_prime(band))
+
+    def distance_field(self, grid, node, reach=math.inf):
+        """Clairaut distances from a grid node (``geodesics.distance_field_polar``)."""
+        from .geodesics import distance_field_polar
+        return distance_field_polar(self, grid, node, reach)
 
 
 def make_hyperbolic(scale: float) -> WarpedPolarMetric:
@@ -194,17 +231,9 @@ def make_radial_from_curvature(
         idx = min(int(math.ceil(l / h)), n)
         return float(max(cummax[idx], -K(min(l, r_max))))
 
-    kp = np.asarray(k_prime(radii), dtype=float)
-    kpp = np.asarray(k_double_prime(radii), dtype=float)
-    # w = log(-K): w' = K'/K, w'' = K''/K - (K'/K)^2
-    wp = kp / kvals
-    wpp = kpp / kvals - wp**2
-    # eigenvalues of g^{-1} Hess(w) for radial w are w'' and (f'/f) w'
-    interior = slice(1, None)
-    ang = fps[interior] / fs[interior] * wp[interior]
-    c3 = float(np.max(np.abs(wp)))
-    c4 = float(max(np.max(np.abs(wpp)), np.max(np.abs(ang))))
-
+    # f = 0 at the first radius: its angular term is left out
+    c3, c4 = _log_curvature_bounds(kvals, k_prime(radii), k_double_prime(radii),
+                                   fs, fps, skip=1)
     bounds = CurvatureBounds(
         c1=float(neg_k.min()),
         c2=float(neg_k.max()),
@@ -222,6 +251,19 @@ def make_radial_from_curvature(
             f"Jacobi consistency defect {defect:.3e} exceeds tolerance {JACOBI_TOL:.1e}"
         )
     return metric
+
+
+def _log_curvature_bounds(k, kp, kpp, f, fp, skip=0):
+    """c3 = max |w'| and c4 = max(|w''|, |(f'/f) w'|) of w = log(-K) over
+    radial samples of K, K', K'', f and f'; the angular term skips the first
+    ``skip`` samples."""
+    k, kp, kpp = (np.asarray(a, dtype=float) for a in (k, kp, kpp))
+    # w = log(-K): w' = K'/K, w'' = K''/K - (K'/K)^2
+    wp = kp / k
+    wpp = kpp / k - wp**2
+    # eigenvalues of g^{-1} Hess(w) for radial w are w'' and (f'/f) w'
+    ang = fp[skip:] / f[skip:] * wp[skip:]
+    return float(np.max(np.abs(wp))), float(max(np.max(np.abs(wpp)), np.max(np.abs(ang))))
 
 
 def _uniform_hermite(y, dy, h):
@@ -290,8 +332,6 @@ class ConformalDiscMetric:
     pair_distance: Callable | None = None    # closed-form d((x1,y1),(x2,y2)) if known
     center_distance: Callable | None = None  # closed-form d(0, chart radius rho)
 
-    kind: ClassVar[str] = "conformal_polar"
-
     def __post_init__(self):
         if not (0.0 < self.domain_radius < 1.0):
             raise ValueError("domain_radius must lie in (0, 1)")
@@ -343,6 +383,51 @@ class ConformalDiscMetric:
     def curvature_at(self, rho, theta):
         x, y = self._xy(rho, theta)
         return np.asarray(self.curvature(x, y), dtype=float)
+
+    def ball_max_neg_curvature(self, center, r0):
+        """Max of -K over B(center, r0) on the chart-disc sample, masked by the
+        pair distance if known, else by the *superset* |p - center| <= r0 /
+        sqrt(min psi): a larger maximum only weakens the audited bounds."""
+        rho_c, th_c = float(center[0]), float(center[1])
+        xc, yc = rho_c * math.cos(th_c), rho_c * math.sin(th_c)
+        X, Y, psi_min = _chart_disc_sample(self)
+        if self.pair_distance is not None:
+            mask = self.pair_distance(xc, yc, X, Y) <= r0
+        else:
+            mask = np.hypot(X - xc, Y - yc) <= r0 / math.sqrt(psi_min)
+        if not np.any(mask):
+            mask = np.hypot(X - xc, Y - yc) <= 2.0 * self.domain_radius / DISC_SAMPLES
+        return float(np.max(-self.curvature(X[mask], Y[mask])))
+
+    def log_curvature_bounds(self, center, r0):
+        """The chart-wide c3 and c4, whatever the ball."""
+        return self.bounds.c3, self.bounds.c4
+
+    def distance_field(self, grid, node, reach=math.inf):
+        """Distances from a grid node to every node, whatever ``reach``."""
+        i, j = node
+        X, Y = self._xy(*grid.mesh())
+        if self.pair_distance is not None:
+            return self.pair_distance(X[i, j], Y[i, j], X, Y)
+        from .geodesics import distance_conformal
+        return distance_conformal(self, (X[i, j], Y[i, j]), X, Y).reshape(grid.shape)
+
+
+@lru_cache(maxsize=4)
+def _chart_disc_sample(metric):
+    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 chart-polar sample
+    of a conformal chart's disc, and min psi over them, _DISC_BLOCK rings
+    at a time (None when the chart has a pair distance, which needs no
+    psi).  Built once per metric."""
+    rho = np.linspace(0.0, metric.domain_radius, DISC_SAMPLES)
+    th = np.linspace(0.0, 2.0 * math.pi, DISC_SAMPLES, endpoint=False)
+    X, Y = rho[:, None] * np.cos(th), rho[:, None] * np.sin(th)
+    X.flags.writeable = Y.flags.writeable = False
+    psi_min = None
+    if metric.pair_distance is None:
+        psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
+                      for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
+    return X, Y, psi_min
 
 
 def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:

@@ -424,6 +424,25 @@ class TestPipeline:
         assert np.max(np.abs(u - 0.5)) <= 1e-12
         assert cmd_verify(out) == 0
 
+    def test_chart_disc_cutoff_audits(self, tmp_path):
+        # r0 = 1.5 passes verify's filter on a chart disc with no closed-form
+        # distance and meets the smallness hypothesis, so the cutoff and
+        # second-order audits run on shooting distances
+        cfg = conformal_config(radii=(0.8,))
+        cfg["grid"] = {"n_theta": 8, "n_r": 8}
+        cfg["audit"] = {"r0_list": [1.5]}
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
+        for name in ("cutoff_range", "cutoff_gradient", "cutoff_hessian", "second_order"):
+            records = [r for r in run["records"] if r["id"].startswith(f"{name}_r0_1.5")]
+            assert len(records) == 4, name  # the centre and three probes
+            assert all(r["pass"] for r in records), name
+        assert not any(r["id"].startswith("cutoff_hypothesis") for r in run["records"])
+        assert all(r["extra"]["hypothesis_met"] for r in run["records"]
+                   if r["id"].startswith("second_order"))
+
 
 class TestDeterminism:
     def test_bit_identical_artifacts(self, tmp_path):

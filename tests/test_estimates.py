@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
+from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed.grid import (
     PolarGrid,
     ScalarField,
@@ -114,18 +114,6 @@ class TestBallCurvatureMax:
     def test_clips_at_center(self, pinched_metric):
         c2 = max_neg_curvature_ball(pinched_metric, (0.3, 0.0), 1.0)
         assert c2 == pytest.approx(-float(pinched_metric.curvature(1.3)), rel=1e-10)
-
-
-    def test_disc_sample_cached_per_metric(self, monkeypatch):
-        # the chart-disc sample does not depend on the centre or the radius;
-        # a pair-distance chart masks by distance, the other by min psi
-        for metric in (make_poincare(1.0, 0.9), make_poincare_perturbed(1.0, 0.9, 0.3)):
-            calls = [((0.2, 1.0), 0.5), ((0.6, 3.0), 1.5), ((0.0, 0.0), 1e-6)]
-            cached = [max_neg_curvature_ball(metric, c, r0) for c, r0 in calls]
-            monkeypatch.setattr(estimates, "_chart_disc_sample",
-                                estimates._chart_disc_sample.__wrapped__)
-            assert [max_neg_curvature_ball(metric, c, r0) for c, r0 in calls] == cached
-            monkeypatch.undo()
 
 
 class TestCutoff:
@@ -262,28 +250,6 @@ class TestSuite:
         expected = [(float(g.q1[i]), float(g.q2[j]), r)
                     for i, j in [(0, 0), probe] for r in (0.5, 1.0, 1.5, 2.0)]
         assert sorted(calls) == sorted(expected)
-
-
-    def test_disc_sample_built_once_per_metric(self, monkeypatch):
-        metric = make_poincare_perturbed(1.0, 0.9, 0.3)
-        disc = solve_dirichlet(DirichletProblem(metric, PolarGrid(24, 16, 0.7, kind="disc")))
-        calls = []
-
-        def counted(metric, center, r0):
-            calls.append(r0)
-            return max_neg_curvature_ball(metric, center, r0)
-
-        monkeypatch.setattr(estimates, "max_neg_curvature_ball", counted)
-        estimates._chart_disc_sample.cache_clear()
-        kwargs = dict(probes=[(3, 0), (5, 4)], r0_list=(0.5, 1.0))
-        cached = run_estimate_suite(disc, **kwargs).to_json_dict()
-        info = estimates._chart_disc_sample.cache_info()
-        assert len(calls) >= 6
-        assert (info.misses, info.hits) == (1, len(calls) - 1)
-        monkeypatch.setattr(estimates, "_chart_disc_sample",
-                            estimates._chart_disc_sample.__wrapped__)
-        uncached = run_estimate_suite(disc, **kwargs).to_json_dict()
-        assert json.dumps(cached) == json.dumps(uncached)
 
 
 class TestDistanceOnDemand:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ class TestRingColumn:
         assert {name for name, _ in shapes} == {
             "metric_components", "christoffel_components", "curvature_at"}
         assert {shape for _, shape in shapes} == {(64, 1)}
+
+    @pytest.mark.parametrize("constant", [True, False])
+    def test_ring_test_memory_budget(self, constant):
+        # a small fraction of the 102,824 bytes that a whole (n1, n2)
+        # comparison array and its reduction take at 192 x 192
+        R, T = PolarGrid(192, 192, 4.0).mesh()
+        values = np.exp(-R) + (0.0 if constant else 0.01 * np.sin(T))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert grid_module._ring_constant(values) is constant
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_000
 
 
 class TestSpectralTheta:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,9 @@ from lorentz_embed.metric import (
     make_radial_from_curvature,
 )
 from lorentz_embed.metric import _uniform_hermite
+from lorentz_embed import estimates, metric as metric_module
+from lorentz_embed.grid import PolarGrid
+from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 
 
 def _zero(r):
@@ -323,3 +327,65 @@ class TestConformalCharts:
 
         K_fd = -lap_log_psi(xs, ys) / (2.0 * m.psi(xs, ys))
         assert np.allclose(K_fd, m.curvature(xs, ys), atol=1e-6)
+
+
+class TestChartAnswers:
+    """The geometry each chart family answers for the estimate audits."""
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_poincare_center_distance_is_the_pair_distance_from_0(self, scale):
+        # the probe-ball containment test reads the centre form
+        m = make_poincare(scale, 0.995)
+        rho = np.linspace(0.0, 0.99, 100)
+        for theta in np.linspace(0.0, 2.0 * math.pi, 7):
+            pair = m.pair_distance(0.0, 0.0, rho * math.cos(theta), rho * math.sin(theta))
+            assert np.all(np.abs(m.center_distance(rho) - pair) <= 1e-12 * pair)
+
+    def test_warped_center_distance_is_the_identity(self, pinched_metric):
+        r = np.linspace(0.0, 4.0, 9)
+        for m in (make_hyperbolic(1.0), pinched_metric):
+            assert m.center_distance(r) is r
+            assert m.center_distance(2.5) == 2.5
+
+    def test_conformal_log_curvature_bounds_are_chart_wide(self):
+        m = make_poincare_perturbed(1.0, 0.9, 0.3)
+        assert m.log_curvature_bounds((0.3, 1.0), 0.5) == (m.bounds.c3, m.bounds.c4)
+
+    def test_warped_ball_must_stay_in_the_chart(self, pinched_metric):
+        with pytest.raises(ValueError, match="leaves the chart"):
+            pinched_metric.ball_max_neg_curvature((pinched_metric.r_max - 0.5, 0.0), 1.0)
+
+
+class TestChartDiscSample:
+    def test_disc_sample_cached_per_metric(self, monkeypatch):
+        # the chart-disc sample does not depend on the centre or the radius;
+        # a pair-distance chart masks by distance, the other by min psi
+        for metric in (make_poincare(1.0, 0.9), make_poincare_perturbed(1.0, 0.9, 0.3)):
+            calls = [((0.2, 1.0), 0.5), ((0.6, 3.0), 1.5), ((0.0, 0.0), 1e-6)]
+            cached = [metric.ball_max_neg_curvature(c, r0) for c, r0 in calls]
+            monkeypatch.setattr(metric_module, "_chart_disc_sample",
+                                metric_module._chart_disc_sample.__wrapped__)
+            assert [metric.ball_max_neg_curvature(c, r0) for c, r0 in calls] == cached
+            monkeypatch.undo()
+
+    def test_disc_sample_built_once_per_metric(self, monkeypatch):
+        metric = make_poincare_perturbed(1.0, 0.9, 0.3)
+        disc = solve_dirichlet(DirichletProblem(metric, PolarGrid(24, 16, 0.7, kind="disc")))
+        calls = []
+        ball_max = estimates.max_neg_curvature_ball
+
+        def counted(metric, center, r0):
+            calls.append(r0)
+            return ball_max(metric, center, r0)
+
+        monkeypatch.setattr(estimates, "max_neg_curvature_ball", counted)
+        metric_module._chart_disc_sample.cache_clear()
+        kwargs = dict(probes=[(3, 0), (5, 4)], r0_list=(0.5, 1.0))
+        cached = estimates.run_estimate_suite(disc, **kwargs).to_json_dict()
+        info = metric_module._chart_disc_sample.cache_info()
+        assert len(calls) >= 6
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        monkeypatch.setattr(metric_module, "_chart_disc_sample",
+                            metric_module._chart_disc_sample.__wrapped__)
+        uncached = estimates.run_estimate_suite(disc, **kwargs).to_json_dict()
+        assert json.dumps(cached) == json.dumps(uncached)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import lorentz_embed
+from lorentz_embed.metric import ConformalDiscMetric, WarpedPolarMetric
 
 SRC = Path(lorentz_embed.__file__).parent
 
@@ -39,3 +40,13 @@ def test_every_private_helper_is_referenced():
     assert len(defined) > 50  # the walk found the package
     assert sorted(f"{where} {name}" for name, where in defined.items()
                   if name not in used) == []
+
+
+def test_no_chart_kind_branches():
+    # each chart family answers the audits' geometry as methods in metric.py,
+    # so no module names a kind of chart to branch on
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "geodesic_polar" not in text and "conformal_polar" not in text, path.name
+    assert not hasattr(WarpedPolarMetric, "kind")
+    assert not hasattr(ConformalDiscMetric, "kind")
