@@ -10,9 +10,9 @@ directory against concurrent writers (solve, verify and embed alike); a
 lock whose PID names no running process is reclaimed.
 
 Importing this module loads only what config handling and solve need
-(metric, grid, solver, exhaustion).  verify loads estimates (and through it
-geodesics) on its first call, and embed loads embed; the names of those
-stages used here are attributes of this module, resolved on first access.
+(metric, grid, solver, exhaustion).  verify loads estimates (and geodesics
+only to solve a distance field), and embed loads embed, on first call; the
+names of those stages used here are attributes of this module.
 
 Every chart is solved through exhaustion.run_exhaustion: a schedule of
 expanding geodesic balls, or a single conformal chart disc.  validate_config
@@ -63,6 +63,7 @@ __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "
 # as attributes of this module, so a wrapper set on it (a span tracer, a
 # test's spy) is the one they call.
 _STAGE_NAMES = {
+    "default_probes": "estimates",
     "run_estimate_suite": "estimates",
     "CurvatureCheckError": "embed",
     "ObservationRegionError": "embed",
@@ -508,22 +509,38 @@ def _load_run(run_dir, last_only=False):
     cfg, errors = load_config(cfg_path)
     if errors:
         raise ValueError("; ".join(errors))
-    meta_path = os.path.join(run_dir, "fields", "meta.json")
-    if not os.path.exists(meta_path):
-        raise FileNotFoundError("fields/meta.json missing (run solve first)")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_json_object(run_dir, "fields/meta.json", "run solve first")
+    lists = [meta.get(key) for key in ("radii", "boundary_values", "grids", "iterations")]
+    if not all(isinstance(v, list) and v and len(v) == len(lists[0]) for v in lists):
+        raise ValueError("fields/meta.json: radii, boundary_values, grids and iterations "
+                         "must be non-empty lists of one length")
+    if not all(isinstance(g, dict) and all(type(g.get(n)) is int for n in ("n1", "n2"))
+               for g in meta["grids"]):
+        raise ValueError("fields/meta.json: every grid needs integer n1 and n2")
     metric = build_metric(cfg)
     stored = []
-    for k, (l, b, ginfo, iters) in enumerate(zip(
-            meta["radii"], meta["boundary_values"], meta["grids"],
-            meta["iterations"])):
-        grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo["kind"])
+    for k, (l, b, ginfo, iters) in enumerate(zip(*lists)):
+        grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo.get("kind"))
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
         stored.append((grid, _read_field_csv(path, grid.shape), b, iters))
     if last_only:
         stored = stored[-1:]
     return cfg, metric, [certify(metric, *args) for args in stored]
+
+
+def _read_json_object(run_dir, name, hint):
+    """The JSON object in a run directory's file ``name``; each error names the file."""
+    path = os.path.join(run_dir, *name.split("/"))
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{name} missing ({hint})")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{name}: corrupt JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: not a JSON object")
+    return obj
 
 
 def _read_field_csv(path, shape):
@@ -540,38 +557,20 @@ def _read_field_csv(path, shape):
     return data.reshape(shape)
 
 
-def _default_probes(field, r0):
-    """Probe nodes on three rays, at radii where the probe ball fits."""
-    grid = field.u.grid
-    l = field.ball_radius
-    probes = []
-    for frac, j in zip((0.45, 0.6, 0.75), (0, grid.n2 // 3, (2 * grid.n2) // 3)):
-        r_target = frac * l
-        if r_target + r0 > l:
-            r_target = max(l - r0 - 2 * grid.h1, grid.h1)
-        i = int(np.clip(np.searchsorted(grid.q1, r_target), 0, grid.n1 - 1))
-        probes.append((i, j))
-    return probes
-
-
 @_exit_5_if_locked
 def cmd_verify(run_dir):
     try:
-        cfg, metric, fields = _load_run(run_dir)
+        cfg, _, fields = _load_run(run_dir)
     except (FileNotFoundError, ValueError) as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     r0_list = [float(r) for r in cfg.audit["r0_list"]]
     reports = []
     ok = True
-    dist = metric.center_distance
     for fld in fields:
-        fit_r0 = [r0 for r0 in r0_list
-                  if dist is None or r0 + 2 * fld.u.grid.h1 < dist(fld.ball_radius)]
-        probes = _default_probes(fld, min(fit_r0) if fit_r0 else 0.0)
+        probes, fit_r0 = _cli.default_probes(fld, r0_list)
         rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
-                                      c_cal=cfg.audit["c_cal"],
-                                      tol=cfg.solver["tol"])
+                                      c_cal=cfg.audit["c_cal"], tol=cfg.solver["tol"])
         reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
         ok = ok and rep.mandatory_pass()
     out = os.path.join(run_dir, "verify")
@@ -591,18 +590,13 @@ def cmd_verify(run_dir):
 def cmd_embed(run_dir):
     try:
         cfg, metric, (field,) = _load_run(run_dir, last_only=True)
+        verify_report = _read_json_object(run_dir, "verify/report.json", "run verify first")
     except (FileNotFoundError, ValueError) as exc:
         print(f"embed: {exc}", file=sys.stderr)
         return 2
     # certified: embed reads only the field's values and chart; the audit Hessian's arrays go now
     spent = np.broadcast_to(np.nan, field.u.grid.shape)
     field = replace(field, hessian=HessianField(field.hessian.chart, *[spent] * 9))
-    report_path = os.path.join(run_dir, "verify", "report.json")
-    if not os.path.exists(report_path):
-        print("embed: verify report missing (run verify first)", file=sys.stderr)
-        return 2
-    with open(report_path, "r", encoding="utf-8") as fh:
-        verify_report = json.load(fh)
     if not verify_report.get("mandatory_pass", False):
         print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
         return 2

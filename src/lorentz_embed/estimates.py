@@ -23,15 +23,17 @@ import numpy as np
 from .grid import ScalarField, covariant_hessian, generalized_eig_range
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
-from .geodesics import distance_field
 from .solver import AdmissibleField
 
 __all__ = [
     "EstimateRecord",
     "EstimateReport",
-    "CutoffFunction",
+    "ProbeBall",
     "SecondOrderConstants",
     "max_neg_curvature_ball",
+    "distance_field",
+    "probe_ball",
+    "default_probes",
     "check_zero_order",
     "check_first_order",
     "check_lower_bound",
@@ -122,10 +124,10 @@ def max_neg_curvature_ball(metric, center, r0):
     return metric.ball_max_neg_curvature(center, r0)
 
 
-def _hypothesis_cap(c2, r0):
-    """r0 / (2 sqrt(c2) coth(sqrt(c2) r0)), the smallness threshold for u."""
-    s = math.sqrt(c2)
-    return r0 / (2.0 * s / math.tanh(s * r0))
+def distance_field(metric, grid, node, reach=math.inf):
+    """Distance from a grid node to all nodes, exact where it is <= ``reach``
+    and a lower bound above ``reach`` elsewhere: the metric's own answer."""
+    return metric.distance_field(grid, node, reach)
 
 
 def _cutoff_denominator(c2, r0):
@@ -139,49 +141,77 @@ def _core_radius(metric, cap, u_probe):
     return math.sqrt(metric.bounds.c1) * (cap - u_probe) / 6.0
 
 
-def _audit_reach(field, node, r0, c2):
-    """Hypothesis cap, and how far from the probe the localized audits read d.
-
-    The reach is None when the smallness hypothesis u(probe) < cap fails:
-    the cutoff and second-order audits then read no distance.  Otherwise it
-    covers the cutoff support phi > 0, where d^2 < A (cap - u) <= A (cap -
-    min u), and the core ball, plus 3 radial rows for the order-2 Hessian
-    stencils of phi (centered +-1; the one-sided top row reaches 3 down).
-    """
-    cap = _hypothesis_cap(c2, r0)
-    u = field.u.values
-    u_probe = float(u[node[0], node[1]])
-    if not u_probe < cap:
-        return cap, None
-    support = math.sqrt(_cutoff_denominator(c2, r0) * (cap - float(u.min())))
-    core = _core_radius(field.metric, cap, u_probe)
-    return cap, max(support, core) + 3.0 * field.u.grid.h1
-
-
-def _probe_ball_fits(field, center, r0):
+def _probe_ball_fits(field, node, r0):
     """Whether the solve domain covers the whole probe ball (triangle bound)."""
     dist = field.metric.center_distance
     if dist is None:
         return True  # no distance formula: containment is the caller's duty
-    return float(dist(center[0])) + r0 <= float(dist(field.ball_radius)) + 1e-12
+    return float(dist(field.u.grid.q1[node[0]])) + r0 <= float(dist(field.ball_radius)) + 1e-12
 
 
-def _probe_ball(field, node, r0, c2=None):
-    """Chart centre of a probe node and the max of -K over its ball B(r0).
+@dataclass(frozen=True)
+class ProbeBall:
+    """The geodesic ball B(r0) about a probe node that the localized audits read.
 
-    Localized audits assume the solve covers the whole probe ball; ``c2``
-    is sampled only when not given.
+    ``c2`` is the max of -K over the ball and ``cap`` = r0 / (2 sqrt(c2)
+    coth(sqrt(c2) r0)) the smallness threshold for u.  ``reach`` is how far
+    from the probe the cutoff and second-order audits read d: the cutoff
+    support phi > 0, where d^2 < A (cap - u) <= A (cap - min u), and the core
+    ball, plus 3 radial rows for the order-2 Hessian stencils of phi
+    (centered +-1; the one-sided top row reaches 3 down).  It is None when
+    the hypothesis u(probe) < cap fails: the audits then read no distance.
     """
+
+    node: tuple
+    r0: float
+    center: tuple
+    c2: float
+    cap: float
+    u_probe: float
+    reach: float | None
+
+
+def probe_ball(field: AdmissibleField, node, r0) -> ProbeBall:
+    """The probe ball B(r0) about a grid node, which must lie in the solved domain."""
     grid = field.u.grid
     center = (grid.q1[node[0]], grid.q2[node[1]])
-    if not _probe_ball_fits(field, center, r0):
+    if not _probe_ball_fits(field, node, r0):
         raise ValueError(
             f"probe ball of radius {r0} about chart point "
             f"({center[0]:.4g}, {center[1]:.4g}) leaves the solved domain"
         )
-    if c2 is None:
-        c2 = max_neg_curvature_ball(field.metric, center, r0)
-    return center, c2
+    c2 = max_neg_curvature_ball(field.metric, center, r0)
+    s = math.sqrt(c2)
+    cap = r0 / (2.0 * s / math.tanh(s * r0))
+    u_probe = float(field.u.values[node[0], node[1]])
+    reach = None
+    if u_probe < cap:
+        support = math.sqrt(_cutoff_denominator(c2, r0) * (cap - float(field.u.values.min())))
+        reach = max(support, _core_radius(field.metric, cap, u_probe)) + 3.0 * grid.h1
+    return ProbeBall(tuple(node), r0, center, c2, cap, u_probe, reach)
+
+
+def default_probes(field: AdmissibleField, r0_list):
+    """Probe nodes on three rays, and the radii of ``r0_list`` to audit.
+
+    A radius is kept when r0 + 2 h1 is below the domain's geodesic radius
+    (always on a chart with no ``center_distance``).  The probes sit at 0.45,
+    0.6 and 0.75 of the chart radius l, or at max(l - r0 - 2 h1, h1) when the
+    smallest kept r0 would pass l.  On a chart disc that compares a chart
+    radius with a geodesic one and puts every probe on ring 1, an open defect
+    (CHANGES.md) left for Contain (ROADMAP item 3).
+    """
+    grid, l, dist = field.u.grid, field.ball_radius, field.metric.center_distance
+    r0s = [r0 for r0 in r0_list if dist is None or r0 + 2 * grid.h1 < dist(l)]
+    r0 = min(r0s) if r0s else 0.0
+    probes = []
+    for frac, j in zip((0.45, 0.6, 0.75), (0, grid.n2 // 3, (2 * grid.n2) // 3)):
+        r_target = frac * l
+        if r_target + r0 > l:
+            r_target = max(l - r0 - 2 * grid.h1, grid.h1)
+        i = int(np.clip(np.searchsorted(grid.q1, r_target), 0, grid.n1 - 1))
+        probes.append((i, j))
+    return probes, r0s
 
 
 def check_zero_order(field: AdmissibleField, boundary_value=None, slack=1e-9):
@@ -236,15 +266,13 @@ def admissibility_record(field: AdmissibleField):
                    0.0, field.min_eigenvalue, lower=True, rhs_min=field.rhs_min)
 
 
-def check_lower_bound(field: AdmissibleField, node, r0, c2=None):
+def check_lower_bound(field: AdmissibleField, ball: ProbeBall):
     """Three-term interior lower bound for u at a probe node.
 
     With A = 2 sqrt(c2) coth(sqrt(c2) r0) and c2 the ball max of -K, the
-    bound is min{ r0/(2A), 1/(32 c2), c1 r0^2 / (9 A^2) }.  Requires the
-    probe ball to sit inside the solved domain.  ``c2`` may be passed in
-    when the caller already holds the ball max.
+    bound is min{ r0/(2A), 1/(32 c2), c1 r0^2 / (9 A^2) }.
     """
-    _, c2 = _probe_ball(field, node, r0, c2)
+    c2, r0 = ball.c2, ball.r0
     s = math.sqrt(c2)
     A = 2.0 * s / math.tanh(s * r0)
     c1 = field.metric.bounds.c1
@@ -254,52 +282,28 @@ def check_lower_bound(field: AdmissibleField, node, r0, c2=None):
         "quadratic_term": c1 * r0 * r0 / (9.0 * A * A),
     }
     return _record(f"lower_bound_r0_{r0:g}", "three-term interior lower bound",
-                   min(terms.values()), float(field.u.values[node[0], node[1]]),
-                   LOWER_BOUND_SLACK, lower=True,
-                   ball_max_neg_K=c2, A=A, **terms, node=list(node))
+                   min(terms.values()), ball.u_probe, LOWER_BOUND_SLACK, lower=True,
+                   ball_max_neg_K=c2, A=A, **terms, node=list(ball.node))
 
 
-@dataclass
-class CutoffFunction:
-    """The localized cutoff built from u and the squared distance to a probe.
-
-    cap is the smallness threshold r0/(2 sqrt(c2) coth(sqrt(c2) r0)); the
-    cutoff is phi = cap - u - d^2/(2 sqrt(c2) r0 coth(sqrt(c2) r0)) and its
-    support is audited only when the hypothesis u(probe) < cap holds.
-    """
-
-    node: tuple
-    r0: float
-    c2: float
-    cap: float
-    hypothesis_met: bool
-    phi: np.ndarray | None = None
-    support: np.ndarray | None = None
-    distance: np.ndarray | None = None
-    records: list = dataclass_field(default_factory=list)
-
-
-def build_cutoff(field: AdmissibleField, node, r0, distance=None, c2=None):
+def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
     """Construct the cutoff about a probe node and audit its three properties.
 
+    The cutoff is phi = cap - u - d^2/(2 sqrt(c2) r0 coth(sqrt(c2) r0)), with
+    d the ``distance`` field from the probe (exact within ``ball.reach``):
     i)  0 <= phi <= cap on the support, phi >= (cap - u(probe))/2 on the
         small core ball of radius sqrt(c1) (cap - u(probe))/6;
     ii) |grad phi| <= 3/sqrt(c1);
     iii) Hess phi >= -(Hess u + g), checked at eigenvalue level.
 
-    Returns a hypothesis-failed marker (no audit) when u(probe) >= cap.
-    ``c2``, the max of -K over the probe ball, is computed when not given.
+    Returns the three records, or none when the hypothesis u(probe) < cap
+    fails (``ball.reach`` None; ``distance`` is then not read).
     """
-    grid = field.u.grid
-    metric = field.metric
-    _, c2 = _probe_ball(field, node, r0, c2)
-    cap, reach = _audit_reach(field, node, r0, c2)
-    if reach is None:
-        return CutoffFunction(node, r0, c2, cap, hypothesis_met=False)
-
-    u_probe = float(field.u.values[node[0], node[1]])
-    d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
-    phi = cap - field.u.values - d * d / _cutoff_denominator(c2, r0)
+    if ball.reach is None:
+        return []
+    grid, metric = field.u.grid, field.metric
+    cap, u_probe, d = ball.cap, ball.u_probe, distance
+    phi = cap - field.u.values - d * d / _cutoff_denominator(ball.c2, ball.r0)
     support = phi > 0.0
 
     c1 = metric.bounds.c1
@@ -335,7 +339,7 @@ def build_cutoff(field: AdmissibleField, node, r0, distance=None, c2=None):
     eig_min, _ = generalized_eig_range(a11, a12, a22, ch.g11, ch.g22)
     recs.append(_record("cutoff_hessian", "Hess(phi) dominates -(Hess u + g)",
                         0.0, float(eig_min[support].min()), slack_hess, lower=True))
-    return CutoffFunction(node, r0, c2, cap, True, phi, support, d, recs)
+    return recs
 
 
 @dataclass(frozen=True)
@@ -355,45 +359,35 @@ class SecondOrderConstants:
             raise ValueError("curvature constants must be nonnegative (c2 positive)")
 
 
-def second_order_constants(metric, center, r0, c_cal=1.0, c2=None):
-    """c2 over B(center, r0), c2' over B(center, r0+1), and the log-curvature
-    derivative bounds c3, c4 over B(center, r0).
-
-    c3 and c4 are the metric's ``log_curvature_bounds``.  A given ``c2`` is
-    taken as the ball max over B(center, r0).
-    """
-    if c2 is None:
-        c2 = max_neg_curvature_ball(metric, center, r0)
+def second_order_constants(metric, center, r0, c2, c_cal=1.0):
+    """c2 (the max of -K over B(center, r0), as given), c2' over
+    B(center, r0+1), and the log-curvature derivative bounds c3, c4 over
+    B(center, r0): the metric's ``log_curvature_bounds``."""
     c2p = max_neg_curvature_ball(metric, center, r0 + 1.0)
     c3, c4 = metric.log_curvature_bounds(center, r0)
     return SecondOrderConstants(c2, c2p, c3, c4, c_cal)
 
 
-def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=None,
-                       c2=None):
+def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=1.0):
     """Hessian eigenvalue ceiling on the core ball about a probe node.
 
     Reports the ratio of the observed max eigenvalue of g^{-1}(g + Hess u)
     to exp(c_cal c2') / (cap - u(probe)) * (1 + sqrt(c4) r0/sqrt(c2)
     + c2'(1 + r0/sqrt(c2) + c3 r0/sqrt(c2))).  The calibration constant
     stands in for a constant the theory does not quantify, so this record
-    is reported as a ratio and is non-gating by default.
+    is reported as a ratio and is non-gating by default.  ``distance`` is
+    read as in ``build_cutoff``.
     """
-    grid = field.u.grid
-    metric = field.metric
-    center, c2 = _probe_ball(field, node, r0, c2)
-    k = second_order_constants(metric, center, r0, c_cal, c2=c2)
-    cap, reach = _audit_reach(field, node, r0, k.c2)
-    u_probe = float(field.u.values[node[0], node[1]])
-    if reach is None:  # own rule: nothing is audited, so the record passes
+    r0, cap, u_probe = ball.r0, ball.cap, ball.u_probe
+    k = second_order_constants(field.metric, ball.center, r0, ball.c2, c_cal)
+    if ball.reach is None:  # own rule: nothing is audited, so the record passes
         return EstimateRecord(
             id=f"second_order_r0_{r0:g}",
             locus="Hessian eigenvalue ceiling (hypothesis not met)",
             bound=math.inf, observed=0.0, margin=math.inf, passed=True,
             extra={"hypothesis_met": False, "cap": cap, "u_probe": u_probe})
-    d = distance_field(metric, grid, node, reach=reach) if distance is None else distance
-    core_radius = _core_radius(metric, cap, u_probe)
-    core = d <= core_radius
+    core_radius = _core_radius(field.metric, cap, u_probe)
+    core = distance <= core_radius
     observed = float(field.hessian.eig_max[core].max())
     s2 = math.sqrt(k.c2)
     bound = (math.exp(c_cal * k.c2_prime) / (cap - u_probe)) * (
@@ -408,7 +402,7 @@ def check_second_order(field: AdmissibleField, node, r0, c_cal=1.0, distance=Non
                "u_probe": u_probe, "core_radius": core_radius,
                "core_nodes": int(core.sum()),
                "c2": k.c2, "c2_prime": k.c2_prime, "c3": k.c3, "c4": k.c4,
-               "c_cal": c_cal, "node": list(node)})
+               "c_cal": c_cal, "node": list(ball.node)})
 
 
 def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
@@ -417,14 +411,14 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
 
     ``probes`` are (i, j) node indices for the localized audits (cutoff and
     second-order ceiling); the lower-bound audit runs at the innermost node
-    on the first ray and at every probe, for each radius in ``r0_list``.
-    A node's distance field is solved only if the smallness hypothesis
-    holds there for some radius, and only as far as those audits read it.
-    The max of -K over each probe ball is sampled once and shared by the
-    audits at that (node, r0); the second-order ceiling samples B(r0 + 1).
-    A chart that never reads theta (``chart.column``) is rotationally
-    symmetric, so nodes on one ring that need the same reach share one
-    solved field, rolled along theta.
+    on the first ray and at every probe, for each radius in ``r0_list``
+    whose probe ball fits in the solved domain.  Each (node, r0) gets one
+    ``ProbeBall``, which all three audits read; the second-order ceiling
+    also samples B(r0 + 1).  A node's distance field is solved only if the
+    smallness hypothesis holds there for some radius, and only as far as
+    those audits read it.  A chart that never reads theta (``chart.column``)
+    is rotationally symmetric, so nodes on one ring that need the same reach
+    share one solved field, rolled along theta.
     """
     report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
                                      *check_first_order(field, tol=tol),
@@ -438,12 +432,9 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         if node in seen:
             continue
         seen.add(node)
-        center = (grid.q1[node[0]], grid.q2[node[1]])
-        # radii whose probe ball stays inside the solved domain
-        fit = [r0 for r0 in r0_list if _probe_ball_fits(field, center, r0)]
-        c2s = {r0: max_neg_curvature_ball(field.metric, center, r0) for r0 in fit}
-        reaches = [_audit_reach(field, node, r0, c2s[r0])[1] for r0 in fit]
-        reaches = [r for r in reaches if r is not None]
+        balls = [probe_ball(field, node, r0) for r0 in r0_list
+                 if _probe_ball_fits(field, node, r0)]
+        reaches = [b.reach for b in balls if b.reach is not None]
         dist = None
         if reaches:
             key = (node[0], max(reaches))
@@ -451,20 +442,18 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                 solved[key] = (node[1], distance_field(field.metric, grid, node, reach=key[1]))
             j0, dist = solved[key]
             dist = np.roll(dist, node[1] - j0, axis=1)
-        for r0 in fit:
-            report.add(check_lower_bound(field, node, r0, c2=c2s[r0]))
-            cut = build_cutoff(field, node, r0, distance=dist, c2=c2s[r0])
-            if cut.hypothesis_met:
-                for rec in cut.records:
-                    report.add(replace(rec, id=f"{rec.id}_r0_{r0:g}_node_{node[0]}_{node[1]}",
-                                       extra={**rec.extra, "node": list(node)}))
-            else:  # own rule: the audit is skipped, so the record passes
-                u_probe = float(field.u.values[node])
+        for ball in balls:
+            tag = f"r0_{ball.r0:g}_node_{node[0]}_{node[1]}"
+            report.add(check_lower_bound(field, ball))
+            cut = build_cutoff(field, ball, dist)
+            for rec in cut:
+                report.add(replace(rec, id=f"{rec.id}_{tag}",
+                                   extra={**rec.extra, "node": list(node)}))
+            if ball.reach is None:  # own rule: the audit is skipped, so the record passes
                 report.add(EstimateRecord(
-                    id=f"cutoff_hypothesis_r0_{r0:g}_node_{node[0]}_{node[1]}",
+                    id=f"cutoff_hypothesis_{tag}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
-                    bound=cut.cap, observed=u_probe, margin=cut.cap - u_probe, passed=True,
-                    extra={"hypothesis_met": False}))
-            report.add(check_second_order(field, node, r0, c_cal=c_cal, distance=dist,
-                                          c2=c2s[r0]))
+                    bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
+                    passed=True, extra={"hypothesis_met": False}))
+            report.add(check_second_order(field, ball, dist, c_cal=c_cal))
     return report

@@ -36,11 +36,11 @@ a distance field is solved for half of the column offsets and mirrored
 about the source column: the fields from the nodes of one ring are rolls
 of one another, bit for bit.
 
-``distance_field(metric, grid, node, reach)`` returns, at every node, the
-geodesic distance wherever it is <= ``reach``, and a lower bound greater
-than ``reach`` everywhere else; it calls the metric's ``distance_field``,
-which calls back into this module.  On warped polar charts
-(``distance_field_polar``) ds^2 >= dr^2, so d >= |r - r_s|: only the rows
+A metric's ``distance_field(grid, node, reach)`` (the audits call it as
+``estimates.distance_field``) imports this module on first use.  It gives
+the geodesic distance at every node where it is <= ``reach``, and a lower
+bound greater than ``reach`` everywhere else.  On warped polar charts
+(``warped_distance_field``) ds^2 >= dr^2, so d >= |r - r_s|: only the rows
 with |r_i - r_s| <= reach are solved, and the other rows hold |r_i - r_s|.
 Callers that read d only on a ball (the localized audits in ``estimates``)
 pass its radius and skip the rest of the quadrature.  Conformal charts have
@@ -62,9 +62,8 @@ import numpy as np
 
 __all__ = [
     "wrap_angle_difference",
-    "distance_field_polar",
+    "warped_distance_field",
     "distance_conformal",
-    "distance_field",
 ]
 
 
@@ -224,7 +223,7 @@ def _bisect_lengths(metric, ra, rb, target, lo, hi):
     return length + metric.f(rho) * (target - sw)
 
 
-def distance_field_polar(metric, grid, node, reach=math.inf):
+def warped_distance_field(metric, grid, node, reach=math.inf):
     """Distance from grid node (i, j) to every node, as a grid-shaped array.
 
     Only the rows with |r_i - r_s| <= ``reach`` are solved; the others hold
@@ -344,8 +343,3 @@ def distance_conformal(metric, source_xy, x_t, y_t, n_steps=384, tol=1e-10,
         )
     return np.where(degenerate, 0.0, length)
 
-
-def distance_field(metric, grid, node, reach=math.inf):
-    """Distance from a grid node to all nodes, exact where it is <= ``reach``
-    and a lower bound above ``reach`` elsewhere: the metric's own answer."""
-    return metric.distance_field(grid, node, reach)

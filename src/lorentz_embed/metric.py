@@ -137,9 +137,9 @@ class WarpedPolarMetric:
                                      self.f(band), self.f_prime(band))
 
     def distance_field(self, grid, node, reach=math.inf):
-        """Clairaut distances from a grid node (``geodesics.distance_field_polar``)."""
-        from .geodesics import distance_field_polar
-        return distance_field_polar(self, grid, node, reach)
+        """Clairaut distances from a grid node (``geodesics.warped_distance_field``)."""
+        from .geodesics import warped_distance_field
+        return warped_distance_field(self, grid, node, reach)
 
 
 def make_hyperbolic(scale: float) -> WarpedPolarMetric:

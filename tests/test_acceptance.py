@@ -21,6 +21,8 @@ from lorentz_embed.estimates import (
     check_first_order,
     check_lower_bound,
     check_zero_order,
+    distance_field,
+    probe_ball,
 )
 from lorentz_embed.embed import build_embedding, conformal_metric
 from lorentz_embed.cli import cmd_embed, cmd_solve, cmd_verify
@@ -87,10 +89,12 @@ def test_criterion_03_a_priori_estimate_suite(model_solve_l4, pinched_solve_64,
     hypothesis_passes = 0
     for r_probe, j in ((1.3, 0), (1.9, g.n2 // 3), (2.5, (2 * g.n2) // 3)):
         i = int(np.searchsorted(g.q1, r_probe))
-        cut = build_cutoff(pinched_solve_l4, (i, j), 1.0)
-        assert cut.hypothesis_met, r_probe
-        assert all(rec.passed for rec in cut.records), (
-            r_probe, [(r.id, r.margin) for r in cut.records])
+        ball = probe_ball(pinched_solve_l4, (i, j), 1.0)
+        assert ball.reach is not None, r_probe  # the hypothesis holds
+        d = distance_field(pinched_solve_l4.metric, g, ball.node, reach=ball.reach)
+        records = build_cutoff(pinched_solve_l4, ball, d)
+        assert all(rec.passed for rec in records), (
+            r_probe, [(r.id, r.margin) for r in records])
         hypothesis_passes += 1
     assert hypothesis_passes == 3
     report(3, "zero/first order, admissibility, barrier on 4 runs; "
@@ -101,11 +105,11 @@ def test_criterion_04_lower_bound_formula(model_solve_l4, pinched_solve_64):
     details = []
     for name, sol in (("model_l4", model_solve_l4), ("pinched_l3", pinched_solve_64)):
         for r0 in (1.0, 2.0):
-            rec = check_lower_bound(sol, (0, 0), r0)
+            rec = check_lower_bound(sol, probe_ball(sol, (0, 0), r0))
             assert rec.passed, (name, r0)
             details.append(f"{name} r0={r0:g}: {rec.bound:.4g} <= {rec.observed:.4g}")
     # spot check the frozen arithmetic of the unit model at r0 = 1
-    rec = check_lower_bound(model_solve_l4, (0, 0), 1.0)
+    rec = check_lower_bound(model_solve_l4, probe_ball(model_solve_l4, (0, 0), 1.0))
     assert rec.bound == pytest.approx(math.tanh(1.0) ** 2 / 36.0, rel=1e-12)
     assert rec.observed == pytest.approx(0.5, abs=1e-10)
     report(4, "; ".join(details))

@@ -236,6 +236,29 @@ class TestPipeline:
         target.write_text("r,theta,value\n1,2,not_a_number\n")
         assert cmd_verify(out) == 2
 
+    @pytest.mark.parametrize("name, corrupt, commands", [
+        ("verify/report.json", "{not json", ("embed",)),
+        ("verify/report.json", [1], ("embed",)),
+        ("fields/meta.json", lambda meta: meta.pop("boundary_values"), ("verify", "embed")),
+        ("fields/meta.json", lambda meta: meta["grids"][0].pop("n2"), ("verify", "embed")),
+    ], ids=["report-not-json", "report-a-list", "meta-no-boundary-values", "grid-no-n2"])
+    def test_corrupt_artifact_exit_2(self, tmp_path, capsys, name, corrupt, commands):
+        # each command exits 2 with one line naming the file, not a traceback
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        path = out / name
+        if callable(corrupt):
+            data = json.loads(path.read_text())
+            corrupt(data)
+            corrupt = data
+        path.write_text(corrupt if isinstance(corrupt, str) else json.dumps(corrupt))
+        for command in commands:
+            capsys.readouterr()
+            assert {"verify": cmd_verify, "embed": cmd_embed}[command](str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: {name}") and err.count("\n") == 1, err
+
     def test_unknown_grid_kind_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out = str(tmp_path / "run")
@@ -657,6 +680,25 @@ class TestStartup:
             + f"assert cli.cmd_embed({out!r}) == 0\n"
             "assert 'lorentz_embed.embed' in sys.modules\n"
             f"assert loaded({self.EMBED_UNUSED!r}) == [], loaded({self.EMBED_UNUSED!r})\n"
+        )
+
+    def test_verify_loads_geodesics_only_for_a_distance_field(self, tmp_path):
+        # the smallness hypothesis fails at every probe of this disc, so no
+        # distance field is solved, and neither geodesics nor numpy.polynomial
+        # (which geodesics needs for its quadrature nodes) is loaded
+        cfg_path = write_config(tmp_path, conformal_config())
+        out = str(tmp_path / "run")
+        unused = ("lorentz_embed.geodesics", "numpy.polynomial")
+        self._fresh(
+            "import json, sys\n"
+            "import lorentz_embed.cli as cli\n"
+            f"assert cli.cmd_solve({cfg_path!r}, {out!r}) == 0\n"
+            f"assert cli.cmd_verify({out!r}) == 0\n"
+            f"assert [m for m in {unused!r} if m in sys.modules] == []\n"
+            f"report = json.load(open({out!r} + '/verify/report.json'))\n"
+            "ids = [r['id'] for run in report['runs'] for r in run['records']]\n"
+            "assert any(i.startswith('cutoff_hypothesis_') for i in ids)\n"
+            "assert not any(i.startswith('cutoff_range_') for i in ids)\n"
         )
 
     def test_commands_call_stages_through_cli(self, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
 from lorentz_embed.grid import (
     PolarGrid,
     ScalarField,
@@ -13,15 +13,18 @@ from lorentz_embed.grid import (
     generalized_eig_range,
 )
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
-from lorentz_embed import estimates, geodesics
-from lorentz_embed.geodesics import distance_field_polar
+from lorentz_embed import estimates
+from lorentz_embed.geodesics import warped_distance_field
 from lorentz_embed.estimates import (
     build_cutoff,
     check_first_order,
     check_lower_bound,
     check_second_order,
     check_zero_order,
+    default_probes,
+    distance_field,
     max_neg_curvature_ball,
+    probe_ball,
     run_estimate_suite,
     second_order_constants,
 )
@@ -30,6 +33,15 @@ from lorentz_embed.estimates import (
 @pytest.fixture(scope="module")
 def model_solve():
     return solve_dirichlet(DirichletProblem(make_hyperbolic(1.0), PolarGrid(48, 48, 4.0)))
+
+
+def ball_and_distance(field, node, r0):
+    """The probe ball B(r0) about ``node`` and the distance field its
+    localized audits read (None when the smallness hypothesis fails)."""
+    ball = probe_ball(field, node, r0)
+    if ball.reach is None:
+        return ball, None
+    return ball, distance_field(field.metric, field.u.grid, ball.node, reach=ball.reach)
 
 
 class TestZeroOrder:
@@ -81,7 +93,7 @@ class TestLowerBound:
         assert t_cap == pytest.approx(0.19039854, abs=1e-8)
         assert t_quad == pytest.approx(math.tanh(1.0) ** 2 / 36.0, rel=1e-15)
         assert t_quad == pytest.approx(0.01611183, abs=1e-8)
-        rec = check_lower_bound(model_solve, (0, 0), 1.0)
+        rec = check_lower_bound(model_solve, probe_ball(model_solve, (0, 0), 1.0))
         assert rec.bound == pytest.approx(min(t_cap, t_curv, t_quad), rel=1e-12)
         assert rec.observed == pytest.approx(0.5, abs=1e-12)
         assert rec.passed
@@ -89,21 +101,21 @@ class TestLowerBound:
     def test_unit_model_r0_two(self, model_solve):
         A = 2.0 / math.tanh(2.0)
         expected = min(2.0 / (2.0 * A), 1.0 / 32.0, 4.0 / (9.0 * A * A))
-        rec = check_lower_bound(model_solve, (0, 0), 2.0)
+        rec = check_lower_bound(model_solve, probe_ball(model_solve, (0, 0), 2.0))
         assert rec.bound == pytest.approx(expected, rel=1e-12)
         assert rec.passed
 
     def test_pinched_probe(self, pinched_solve_64):
         g = pinched_solve_64.u.grid
         i = int(np.searchsorted(g.q1, 1.9))
-        rec = check_lower_bound(pinched_solve_64, (i, 0), 1.0)
+        rec = check_lower_bound(pinched_solve_64, probe_ball(pinched_solve_64, (i, 0), 1.0))
         assert rec.passed
         assert rec.extra["ball_max_neg_K"] > 1.0
 
     def test_ball_must_fit(self, pinched_solve_64):
         g = pinched_solve_64.u.grid
         with pytest.raises(ValueError, match="leaves the solved domain"):
-            check_lower_bound(pinched_solve_64, (g.n1 - 1, 0), 1.0)
+            probe_ball(pinched_solve_64, (g.n1 - 1, 0), 1.0)
 
 
 class TestBallCurvatureMax:
@@ -119,26 +131,27 @@ class TestBallCurvatureMax:
 class TestCutoff:
     def test_model_large_radius_all_items(self, model_solve):
         # u = 1/2 < 3/(2 coth 3) ~ 1.49: hypothesis holds with room
-        cut = build_cutoff(model_solve, (0, 0), 3.0)
-        assert cut.hypothesis_met
-        assert cut.cap == pytest.approx(3.0 * math.tanh(3.0) / 2.0, rel=1e-12)
-        assert all(rec.passed for rec in cut.records)
-        ids = [rec.id for rec in cut.records]
+        ball, d = ball_and_distance(model_solve, (0, 0), 3.0)
+        assert ball.reach is not None
+        assert ball.cap == pytest.approx(3.0 * math.tanh(3.0) / 2.0, rel=1e-12)
+        records = build_cutoff(model_solve, ball, d)
+        assert all(rec.passed for rec in records)
+        ids = [rec.id for rec in records]
         assert ids == ["cutoff_range", "cutoff_gradient", "cutoff_hessian"]
 
     def test_model_small_radius_hypothesis_gate(self, model_solve):
-        cut = build_cutoff(model_solve, (0, 0), 1.0)
-        assert not cut.hypothesis_met
-        assert cut.records == []
-        assert cut.phi is None
+        ball = probe_ball(model_solve, (0, 0), 1.0)
+        assert ball.reach is None
+        # no records, and no distance read
+        assert build_cutoff(model_solve, ball, None) == []
 
     def test_pinched_probes(self, pinched_solve_l4):
         g = pinched_solve_l4.u.grid
         for r_probe in (1.3, 1.9, 2.5):
             i = int(np.searchsorted(g.q1, r_probe))
-            cut = build_cutoff(pinched_solve_l4, (i, 0), 1.0)
-            assert cut.hypothesis_met
-            assert all(rec.passed for rec in cut.records)
+            ball, d = ball_and_distance(pinched_solve_l4, (i, 0), 1.0)
+            assert ball.reach is not None
+            assert all(rec.passed for rec in build_cutoff(pinched_solve_l4, ball, d))
 
     def test_slack_covers_refinement(self, pinched_metric):
         # the pinned slack constants must absorb the FD error at both of
@@ -147,9 +160,9 @@ class TestCutoff:
             sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(n, 32, 4.0)))
             g = sol.u.grid
             i = int(np.searchsorted(g.q1, 1.9))
-            cut = build_cutoff(sol, (i, 0), 1.0)
-            assert cut.hypothesis_met
-            for rec in cut.records:
+            ball, d = ball_and_distance(sol, (i, 0), 1.0)
+            assert ball.reach is not None
+            for rec in build_cutoff(sol, ball, d):
                 assert rec.passed, (n, rec.id, rec.margin, rec.slack)
 
 
@@ -169,7 +182,7 @@ class TestHessianComparison:
     def test_pinched_offcenter_distance_squared(self, pinched_solve_64, pinched_metric):
         g = pinched_solve_64.u.grid
         node = (20, 8)
-        d = distance_field_polar(pinched_metric, g, node)
+        d = warped_distance_field(pinched_metric, g, node)
         c2 = max_neg_curvature_ball(pinched_metric, (g.q1[node[0]], g.q2[node[1]]), 1.0)
         ch = chart_arrays(pinched_metric, g)
         hess = covariant_hessian(ScalarField(g, d * d), ch)
@@ -183,7 +196,8 @@ class TestHessianComparison:
 
 class TestSecondOrder:
     def test_model_constant_solution(self, model_solve):
-        rec = check_second_order(model_solve, (0, 0), 3.0, c_cal=1.0)
+        rec = check_second_order(model_solve, *ball_and_distance(model_solve, (0, 0), 3.0),
+                                 c_cal=1.0)
         assert rec.extra["hypothesis_met"]
         assert rec.observed == pytest.approx(1.0, abs=1e-10)
         assert rec.passed
@@ -191,19 +205,45 @@ class TestSecondOrder:
     def test_constants_echoed(self, pinched_solve_l4, pinched_metric):
         g = pinched_solve_l4.u.grid
         i = int(np.searchsorted(g.q1, 1.9))
-        rec = check_second_order(pinched_solve_l4, (i, 0), 1.0, c_cal=1.0)
+        rec = check_second_order(pinched_solve_l4,
+                                 *ball_and_distance(pinched_solve_l4, (i, 0), 1.0), c_cal=1.0)
         for key in ("c2", "c2_prime", "c3", "c4", "c_cal"):
             assert key in rec.extra
         assert rec.extra["c2"] <= rec.extra["c2_prime"] + 1e-12
         assert rec.extra["ratio"] <= 1.0
 
     def test_constants_match_dense_sampling(self, pinched_metric):
-        k = second_order_constants(pinched_metric, (1.5, 0.0), 1.0)
+        # c2 is the probe ball's own sample, taken as given; c2' samples B(r0 + 1)
+        c2 = max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 1.0)
+        k = second_order_constants(pinched_metric, (1.5, 0.0), 1.0, c2)
         assert k.c2 == pytest.approx(
             max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 1.0), rel=1e-12)
         assert k.c2_prime == pytest.approx(
             max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 2.0), rel=1e-12)
         assert k.c3 >= 0 and k.c4 >= 0
+
+
+class TestProbeBall:
+    def test_model_ball_cap_and_reach(self, model_solve):
+        # u = 1/2 < cap = 3 tanh(3)/2 at r0 = 3; at r0 = 1 cap = tanh(1)/2 < 1/2
+        ball = probe_ball(model_solve, (0, 0), 3.0)
+        assert ball.cap == pytest.approx(3.0 * math.tanh(3.0) / 2.0, rel=1e-12)
+        assert ball.reach is not None
+        assert probe_ball(model_solve, (0, 0), 1.0).reach is None
+
+
+class TestDefaultProbes:
+    def test_pinched_probes_and_radii(self, pinched_solve_64):
+        # rays at 0.45 and 0.6 of l = 3; the 0.75 probe moves in to l - r0 - 2 h1
+        assert default_probes(pinched_solve_64, [1.0]) == ([(29, 0), (38, 21), (40, 42)],
+                                                           [1.0])
+
+    def test_disc_drops_a_radius_near_its_geodesic_radius(self):
+        metric = make_poincare(1.0, 0.9)
+        disc = solve_dirichlet(DirichletProblem(metric, PolarGrid(16, 16, 0.8, kind="disc")))
+        h1, radius = disc.u.grid.h1, float(metric.center_distance(0.8))
+        near, inside = radius - 1.5 * h1, radius - 2.5 * h1
+        assert default_probes(disc, [1.0, near, inside])[1] == [1.0, inside]
 
 
 class TestSuite:
@@ -228,8 +268,8 @@ class TestSuite:
                           pinched_solve_64.boundary_value,
                           pinched_solve_64.iterations)
         assert rebuilt.ball_radius == pinched_solve_64.ball_radius
-        rec1 = check_lower_bound(pinched_solve_64, (10, 0), 1.0)
-        rec2 = check_lower_bound(rebuilt, (10, 0), 1.0)
+        rec1 = check_lower_bound(pinched_solve_64, probe_ball(pinched_solve_64, (10, 0), 1.0))
+        rec2 = check_lower_bound(rebuilt, probe_ball(rebuilt, (10, 0), 1.0))
         assert rec1.bound == rec2.bound and rec1.observed == rec2.observed
 
 
@@ -252,25 +292,42 @@ class TestSuite:
         assert sorted(calls) == sorted(expected)
 
 
+    def test_audits_run_once_per_fitting_ball(self, pinched_solve_64, monkeypatch):
+        # build_cutoff and check_second_order each take every (node, r0) whose
+        # ball fits once, the balls that fail the hypothesis included
+        calls = []
+        for name in ("build_cutoff", "check_second_order"):
+            def spy(field, ball, *args, _real=getattr(estimates, name), _name=name, **kwargs):
+                calls.append((_name, ball.node, ball.r0, ball.reach is None))
+                return _real(field, ball, *args, **kwargs)
+            monkeypatch.setattr(estimates, name, spy)
+        g = pinched_solve_64.u.grid
+        probe = (int(np.searchsorted(g.q1, 1.8)), 0)
+        # B(2.5) about the probe leaves the l = 3 ball
+        run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0, 2.5))
+        balls = [((0, 0), 0.5), ((0, 0), 1.0), ((0, 0), 2.5), (probe, 0.5), (probe, 1.0)]
+        for name in ("build_cutoff", "check_second_order"):
+            assert [c[1:3] for c in calls if c[0] == name] == balls
+        failed = {c[1:3] for c in calls if c[3]}
+        assert {((0, 0), 1.0), (probe, 0.5)} <= failed and (probe, 1.0) not in failed
+
+
 class TestDistanceOnDemand:
     """The suite solves distances only where its audits read them."""
 
     @staticmethod
     def _count_calls(monkeypatch, full=False):
-        calls = []
+        calls, real = [], estimates.distance_field
 
         def counted(metric, grid, node, reach=math.inf):
             calls.append((tuple(node), reach))
-            return geodesics.distance_field(metric, grid, node,
-                                            reach=math.inf if full else reach)
+            return real(metric, grid, node, reach=math.inf if full else reach)
 
         monkeypatch.setattr(estimates, "distance_field", counted)
         return calls
 
     def test_records_match_full_fields(self, pinched_solve_64, monkeypatch):
-        from lorentz_embed.cli import _default_probes
-
-        probes = _default_probes(pinched_solve_64, 1.0)
+        probes, _ = default_probes(pinched_solve_64, [1.0])
         fast = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()
         calls = self._count_calls(monkeypatch, full=True)
         full = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()
@@ -284,8 +341,10 @@ class TestDistanceOnDemand:
         rep = run_estimate_suite(pinched_solve_64, probes=[(0, 0)])
         ids = [r.id for r in rep.records]
         assert "cutoff_hypothesis_r0_1_node_0_0" in ids
-        assert build_cutoff(pinched_solve_64, (0, 0), 1.0).hypothesis_met is False
-        assert check_second_order(pinched_solve_64, (0, 0), 1.0).extra["hypothesis_met"] is False
+        ball = probe_ball(pinched_solve_64, (0, 0), 1.0)
+        assert ball.reach is None
+        assert build_cutoff(pinched_solve_64, ball, None) == []
+        assert check_second_order(pinched_solve_64, ball, None).extra["hypothesis_met"] is False
         assert calls == []
 
     def test_one_field_per_probe_meeting_the_hypothesis(self, pinched_solve_64,
@@ -318,9 +377,9 @@ class TestDistanceOnDemand:
         calls = self._count_calls(monkeypatch)
         read = {}
 
-        def cutoff(field, node, r0, distance=None, c2=None):
-            read[node] = distance
-            return build_cutoff(field, node, r0, distance=distance, c2=c2)
+        def cutoff(field, ball, distance):
+            read[ball.node] = distance
+            return build_cutoff(field, ball, distance)
 
         monkeypatch.setattr(estimates, "build_cutoff", cutoff)
         shared = run_estimate_suite(pinched_solve_64, probes=probes).to_json_dict()["records"]
@@ -330,7 +389,7 @@ class TestDistanceOnDemand:
         assert json.dumps(shared) == json.dumps(expected)
         for p in probes:  # each audit read the field of its own probe
             reach = dict(keys)[p[0]]
-            assert np.array_equal(read[p], distance_field_polar(pinched_solve_64.metric, g, p,
+            assert np.array_equal(read[p], warped_distance_field(pinched_solve_64.metric, g, p,
                                                                 reach))
 
     def test_chart_disc_takes_no_roll(self, monkeypatch):

@@ -11,12 +11,12 @@ from test_metric import flat_metric
 from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed import geodesics
+from lorentz_embed.estimates import distance_field
 from lorentz_embed.geodesics import (
     _row_lengths,
     _sweep_and_length,
     distance_conformal,
-    distance_field,
-    distance_field_polar,
+    warped_distance_field,
     wrap_angle_difference,
 )
 
@@ -35,7 +35,7 @@ class TestPolarDistance:
         g = PolarGrid(40, 48, 3.0)
         R, T = g.mesh()
         for probe in ((0, 0), (13, 9), (39, 47)):
-            d = distance_field_polar(m, g, probe)
+            d = warped_distance_field(m, g, probe)
             d0 = hyperbolic_distance(scale, g.q1[probe[0]], g.q2[probe[1]], R, T)
             assert np.max(np.abs(d - d0)) <= 1e-8
 
@@ -90,21 +90,21 @@ class TestPolarDistance:
     def test_symmetry_on_pinched_family(self, pinched_metric):
         g = PolarGrid(24, 32, 3.0)
         a, b = (4, 3), (17, 21)
-        d_ab = distance_field_polar(pinched_metric, g, a)[b]
-        d_ba = distance_field_polar(pinched_metric, g, b)[a]
+        d_ab = warped_distance_field(pinched_metric, g, a)[b]
+        d_ba = warped_distance_field(pinched_metric, g, b)[a]
         assert d_ab == pytest.approx(d_ba, abs=1e-9)
 
     def test_triangle_inequality_spot_check(self, pinched_metric):
         g = PolarGrid(16, 16, 3.0)
         nodes = [(2, 1), (8, 5), (13, 12)]
-        d01 = distance_field_polar(pinched_metric, g, nodes[0])[nodes[1]]
-        d12 = distance_field_polar(pinched_metric, g, nodes[1])[nodes[2]]
-        d02 = distance_field_polar(pinched_metric, g, nodes[0])[nodes[2]]
+        d01 = warped_distance_field(pinched_metric, g, nodes[0])[nodes[1]]
+        d12 = warped_distance_field(pinched_metric, g, nodes[1])[nodes[2]]
+        d02 = warped_distance_field(pinched_metric, g, nodes[0])[nodes[2]]
         assert d02 <= d01 + d12 + 1e-10
 
 
 def is_radial_or_antipodal(dth):
-    """The columns distance_field_polar takes in closed form, not by _row_lengths."""
+    """The columns warped_distance_field takes in closed form, not by _row_lengths."""
     return (dth < 1e-13) | (math.pi - dth < 1e-13)
 
 
@@ -206,7 +206,7 @@ class TestTurningRadiusSolve:
     def test_source_on_innermost_ring(self, warped_metric):
         g = PolarGrid(24, 32, 3.0)
         R, T = g.mesh()
-        d = distance_field_polar(warped_metric, g, (0, 5))
+        d = warped_distance_field(warped_metric, g, (0, 5))
         d_ref = bisection_reference(warped_metric, (g.q1[0], g.q2[5]), R, T)
         assert np.max(np.abs(d - d_ref)) <= 1e-10
 
@@ -214,7 +214,7 @@ class TestTurningRadiusSolve:
         g = PolarGrid(12, 16, 3.0)
         k = np.arange(g.n2)
         for i, j in ((0, 0), (5, 3), (11, 15)):
-            d = distance_field_polar(warped_metric, g, (i, j))
+            d = warped_distance_field(warped_metric, g, (i, j))
             assert np.array_equal(d[:, (j + k) % g.n2], d[:, (j - k) % g.n2])
 
     def test_sweep_budget(self, warped_metric, monkeypatch):
@@ -286,7 +286,7 @@ class TestRowTables:
         R, T = g.mesh()
         # innermost, middle and top rows; each field holds its same-radius row
         for probe in ((0, 0), (20, 5), (39, 47)):
-            d = distance_field_polar(m, g, probe)
+            d = warped_distance_field(m, g, probe)
             src = (g.q1[probe[0]], g.q2[probe[1]])
             for i in range(g.n1):
                 ref = distance_polar(m, src, g.q1[i], g.q2)
@@ -304,7 +304,7 @@ class TestRowTables:
         g = PolarGrid(12, 16, 3.0)
         R, T = g.mesh()
         for i, j in ((0, 3), (7, 0)):
-            d = distance_field_polar(m, g, (i, j))
+            d = warped_distance_field(m, g, (i, j))
             src = (g.q1[i], g.q2[j])
             cols = (j + np.arange(g.n2 // 2 + 1)) % g.n2
             ref = distance_polar(m, src, R[:, cols], T[:, cols])
@@ -320,7 +320,7 @@ class TestRowTables:
                             lambda m, ra, rb, t, lo, hi: calls.append(ra.size))
         g = PolarGrid(48, 64, 3.0)
         for node in ((0, 0), (24, 9), (47, 31)):
-            distance_field_polar(warped_metric, g, node)
+            warped_distance_field(warped_metric, g, node)
         assert calls == []
 
 
@@ -333,7 +333,7 @@ class TestQuadratureNodes:
         for g in (PolarGrid(96, 128, 3.0), PolarGrid(64, 64, 6.0)):
             R, T = g.mesh()
             for i, j in ((0, 0), (1, 3), (g.n1 // 2, 5), (g.n1 - 1, g.n2 - 1)):
-                d = distance_field_polar(m, g, (i, j))
+                d = warped_distance_field(m, g, (i, j))
                 d0 = hyperbolic_distance(scale, g.q1[i], g.q2[j], R, T)
                 assert np.max(np.abs(d - d0) / np.maximum(1.0, d0)) <= 1e-13
 
@@ -342,12 +342,12 @@ class TestQuadratureNodes:
         # the field against the same field under a 48-node rule
         g = PolarGrid(40, 48, 3.0)
         probes = ((0, 0), (20, 5), (39, 47))
-        fields = [distance_field_polar(pinched_metric, g, p) for p in probes]
+        fields = [warped_distance_field(pinched_metric, g, p) for p in probes]
         x, w = np.polynomial.legendre.leggauss(48)
         monkeypatch.setattr(geodesics, "_GL_X", 0.5 * (x + 1.0))
         monkeypatch.setattr(geodesics, "_GL_W", 0.5 * w)
         for p, d in zip(probes, fields):
-            d48 = distance_field_polar(pinched_metric, g, p)
+            d48 = warped_distance_field(pinched_metric, g, p)
             assert np.max(np.abs(d - d48) / np.maximum(1.0, d48)) <= 1e-13
 
 
@@ -373,14 +373,14 @@ class TestRotation:
     def test_field_is_the_roll_of_column_zero(self, warped_metric, ring):
         g = PolarGrid(24, 32, 3.0)
         for reach in (math.inf, 0.8):
-            base = distance_field_polar(warped_metric, g, (ring, 0), reach)
+            base = warped_distance_field(warped_metric, g, (ring, 0), reach)
             for j in range(g.n2):
-                assert np.array_equal(distance_field_polar(warped_metric, g, (ring, j), reach),
+                assert np.array_equal(warped_distance_field(warped_metric, g, (ring, j), reach),
                                       np.roll(base, j, axis=1))
 
 
 class TestReach:
-    """distance_field(..., reach) against the full field on every row."""
+    """estimates.distance_field(..., reach) against the full field on every row."""
 
     @pytest.mark.parametrize("reach", [0.0, 0.45, 1.3])
     def test_band_exact_and_bound_beyond(self, warped_metric, reach):
@@ -460,6 +460,8 @@ class TestConformalDistance:
 
 
 class TestDispatch:
+    """estimates.distance_field takes each chart family's own distances."""
+
     def test_polar_and_conformal_fields(self, pinched_metric):
         g = PolarGrid(12, 16, 2.5)
         d = distance_field(pinched_metric, g, (3, 4))

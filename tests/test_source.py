@@ -1,9 +1,11 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import lorentz_embed
+from lorentz_embed import estimates
 from lorentz_embed.metric import ConformalDiscMetric, WarpedPolarMetric
 
 SRC = Path(lorentz_embed.__file__).parent
@@ -50,3 +52,13 @@ def test_no_chart_kind_branches():
         assert "geodesic_polar" not in text and "conformal_polar" not in text, path.name
     assert not hasattr(WarpedPolarMetric, "kind")
     assert not hasattr(ConformalDiscMetric, "kind")
+
+
+def test_probe_ball_audits_take_no_optional_inputs():
+    # each localized audit reads one ProbeBall, so no parameter stands in for
+    # a value the caller may or may not hold; only estimates places probes
+    for fn in (estimates.check_lower_bound, estimates.build_cutoff,
+               estimates.check_second_order, estimates.second_order_constants):
+        defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+        assert None not in defaults.values(), (fn.__name__, defaults)
+    assert "center_distance" not in (SRC / "cli.py").read_text()
