@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from lorentz_embed.metric import make_radial_from_curvature
+from lorentz_embed.metric import make_radial_pinched
 from lorentz_embed.exhaustion import make_schedule, run_exhaustion
 from lorentz_embed.estimates import run_estimate_suite
 from lorentz_embed.embed import build_embedding, export_graph, write_obj
@@ -20,23 +20,7 @@ from lorentz_embed.embed import build_embedding, export_graph, write_obj
 OUT = os.path.join(os.path.dirname(__file__), "demo_out")
 os.makedirs(OUT, mode=0o755, exist_ok=True)
 
-
-def K(r):
-    r = np.asarray(r, dtype=float)
-    return -(1.0 + r * r / (1.0 + r * r))
-
-
-def Kp(r):
-    r = np.asarray(r, dtype=float)
-    return -(2.0 * r / (1.0 + r * r) ** 2)
-
-
-def Kpp(r):
-    r = np.asarray(r, dtype=float)
-    return -((2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
-
-
-metric = make_radial_from_curvature(K, 8.5, k_prime=Kp, k_double_prime=Kpp)
+metric = make_radial_pinched(1.0, 1.0, 8.5)
 b = metric.bounds
 print(f"pinching constants: c1 = {b.c1:.4f}, c2 = {b.c2:.4f}; "
       f"log-curvature derivative bounds c3 = {b.c3:.4f}, c4 = {b.c4:.4f}")

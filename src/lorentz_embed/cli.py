@@ -42,12 +42,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from . import __version__
-from .metric import (
-    make_hyperbolic,
-    make_radial_from_curvature,
-    make_poincare,
-    make_poincare_perturbed,
-)
+from .metric import make_hyperbolic, make_radial_pinched, make_poincare, make_poincare_perturbed
 from .grid import HessianField, PolarGrid, atomic_write, write_field_csv
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
@@ -98,12 +93,13 @@ _DEFAULTS = {
               "pullback_tol": 1e-2, "pinching_slack": 1e-6},
     "output": {},
 }
-# the kind of grid each family is solved on, and its metric keys
+# each family's kind of grid, its metric keys and the factory taking them in that order
 _FAMILIES = {
-    "hyperbolic": ("polar", ("curvature_scale",)),
-    "radial_pinched": ("polar", ("base", "amp", "r_max")),
-    "poincare": ("disc", ("curvature_scale", "domain_radius")),
-    "poincare_perturbed": ("disc", ("curvature_scale", "domain_radius", "eps")),
+    "hyperbolic": ("polar", ("curvature_scale",), make_hyperbolic),
+    "radial_pinched": ("polar", ("base", "amp", "r_max"), make_radial_pinched),
+    "poincare": ("disc", ("curvature_scale", "domain_radius"), make_poincare),
+    "poincare_perturbed": ("disc", ("curvature_scale", "domain_radius", "eps"),
+                           make_poincare_perturbed),
 }
 # A geodesic ball's grid scales with its radius.  A chart disc is solved as
 # one ball on a fixed grid: it reads neither grid.nodes_per_unit nor the
@@ -205,7 +201,7 @@ def _resolve_sections(errors, cfg):
             given[name] = {}
     family = given["metric"].get("family")
     if family in tuple(_FAMILIES):  # a tuple: family may be an unhashable JSON value
-        kind, metric_keys = _FAMILIES[family]
+        kind, metric_keys, _ = _FAMILIES[family]
     else:  # the other keys are checked against the widest sets
         _err(errors, "metric.family", f"must be one of {tuple(_FAMILIES)}")
         kind, metric_keys = "polar", tuple(_DEFAULTS["metric"])
@@ -312,29 +308,8 @@ def load_config(path):
 
 
 def build_metric(cfg: RunConfig):
-    m = cfg.metric
-    family = m["family"]
-    if family == "hyperbolic":
-        return make_hyperbolic(m["curvature_scale"])
-    if family == "poincare":
-        return make_poincare(m["curvature_scale"], m["domain_radius"])
-    if family == "poincare_perturbed":
-        return make_poincare_perturbed(m["curvature_scale"], m["domain_radius"], m["eps"])
-    base, amp = m["base"], m["amp"]
-
-    def K(r):
-        r = np.asarray(r, dtype=float)
-        return -(base + amp * r * r / (1.0 + r * r))
-
-    def Kp(r):
-        r = np.asarray(r, dtype=float)
-        return -(2.0 * amp * r / (1.0 + r * r) ** 2)
-
-    def Kpp(r):
-        r = np.asarray(r, dtype=float)
-        return -(amp * (2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
-
-    return make_radial_from_curvature(K, m["r_max"], k_prime=Kp, k_double_prime=Kpp)
+    _, keys, make = _FAMILIES[cfg.metric["family"]]
+    return make(*(cfg.metric[key] for key in keys))
 
 
 class LockedError(RuntimeError):
@@ -517,6 +492,14 @@ def _load_run(run_dir, last_only=False):
     if not all(isinstance(g, dict) and all(type(g.get(n)) is int for n in ("n1", "n2"))
                for g in meta["grids"]):
         raise ValueError("fields/meta.json: every grid needs integer n1 and n2")
+    errors = []
+    for key, ok, what, integer in (("radii", _positive, "a positive number", False),
+                                   ("boundary_values", _positive, "a positive number", False),
+                                   ("iterations", lambda v: v >= 0, "an integer >= 0", True)):
+        for k, value in enumerate(meta[key]):
+            _check_number(errors, f"fields/meta.json: {key}[{k}]", value, ok, what, integer)
+    if errors:
+        raise ValueError("; ".join(errors))
     metric = build_metric(cfg)
     stored = []
     for k, (l, b, ginfo, iters) in enumerate(zip(*lists)):

@@ -180,10 +180,10 @@ class ConformalHyperbolicMetric:
     """The rescaled metric (g + du x du/(2u))/(2u) with its curvature check.
 
     Components are stored both in the grid's polar frame (gb11, gb12, gb22)
-    and in the Cartesian chart frame; ``curvature`` is computed from the
-    Cartesian components alone by finite differences, independently of the
-    identity that makes it -1, and ``max_defect`` is the largest |K + 1|
-    over the certified rows.
+    and in the Cartesian chart frame.  ``max_defect`` is the largest |K + 1|
+    over the certified rows, with K computed from the Cartesian components
+    alone by finite differences, independently of the identity that makes
+    it -1.
     """
 
     grid: object
@@ -196,7 +196,6 @@ class ConformalHyperbolicMetric:
     e22: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    curvature: np.ndarray
     max_defect: float
 
 
@@ -249,7 +248,7 @@ def conformal_metric(field: AdmissibleField, rows=None,
     w1 = (d1_e12 - d2_e11) / e22
     w2 = (d1_e22 + w1 * e12) / e11
     return ConformalHyperbolicMetric(
-        grid, rows, gb11, gb12, gb22, e11, e12, e22, w1, w2, K, defect
+        grid, rows, gb11, gb12, gb22, e11, e12, e22, w1, w2, defect
     )
 
 
@@ -407,7 +406,7 @@ class DevelopingMap:
     eta_drift: float
 
 
-def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
+def develop(gbar: ConformalHyperbolicMetric) -> DevelopingMap:
     """Integrate the orthonormal frame of the rescaled metric into R^{2,1}.
 
     Transport runs radially out along the base ray (the first column) and
@@ -419,11 +418,7 @@ def develop(gbar: ConformalHyperbolicMetric, rows=None) -> DevelopingMap:
     each; the rest runs _RING_BLOCK rings, or rows of radial edges, at a
     time, and forms each RK4 stage's generator when the step reaches it.
     """
-    grid = gbar.grid
-    if rows is None:
-        rows = gbar.rows
-    if rows > gbar.rows:
-        raise ValueError("cannot develop beyond the certified rows")
+    grid, rows = gbar.grid, gbar.rows
     n2 = grid.n2
 
     P_th = np.empty((rows, n2, 3, 3))
@@ -787,7 +782,7 @@ def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2):
         )
     dev_rows = min(obs_rows + _PAD_ROWS, grid.n1 - 4)
     gbar = conformal_metric(field, rows=dev_rows, check_tol=check_tol)
-    dev = develop(gbar, rows=dev_rows)
+    dev = develop(gbar)
     emb = assemble_embedding(field, dev)
     audit = verify_embedding(emb, audit_rows=obs_rows)
     return gbar, dev, emb, audit

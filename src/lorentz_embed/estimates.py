@@ -29,7 +29,6 @@ __all__ = [
     "EstimateRecord",
     "EstimateReport",
     "ProbeBall",
-    "SecondOrderConstants",
     "max_neg_curvature_ball",
     "distance_field",
     "probe_ball",
@@ -38,7 +37,6 @@ __all__ = [
     "check_first_order",
     "check_lower_bound",
     "build_cutoff",
-    "second_order_constants",
     "check_second_order",
     "run_estimate_suite",
 ]
@@ -159,7 +157,7 @@ class ProbeBall:
     support phi > 0, where d^2 < A (cap - u) <= A (cap - min u), and the core
     ball, plus 3 radial rows for the order-2 Hessian stencils of phi
     (centered +-1; the one-sided top row reaches 3 down).  It is None when
-    the hypothesis u(probe) < cap fails: the audits then read no distance.
+    the hypothesis u(probe) < cap fails: the suite then runs neither audit.
     """
 
     node: tuple
@@ -296,11 +294,11 @@ def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
     ii) |grad phi| <= 3/sqrt(c1);
     iii) Hess phi >= -(Hess u + g), checked at eigenvalue level.
 
-    Returns the three records, or none when the hypothesis u(probe) < cap
-    fails (``ball.reach`` None; ``distance`` is then not read).
+    Returns the three records.  The ball must meet the hypothesis
+    u(probe) < cap (``ball.reach`` set).
     """
     if ball.reach is None:
-        return []
+        raise ValueError(f"ball about {ball.node} fails the hypothesis u(probe) < cap")
     grid, metric = field.u.grid, field.metric
     cap, u_probe, d = ball.cap, ball.u_probe, distance
     phi = cap - field.u.values - d * d / _cutoff_denominator(ball.c2, ball.r0)
@@ -342,56 +340,29 @@ def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
     return recs
 
 
-@dataclass(frozen=True)
-class SecondOrderConstants:
-    """Curvature statistics over the probe balls feeding the Hessian ceiling."""
-
-    c2: float
-    c2_prime: float
-    c3: float
-    c4: float
-    c_cal: float = 1.0
-
-    def __post_init__(self):
-        if self.c2 > self.c2_prime + 1e-12:
-            raise ValueError("c2 must not exceed c2_prime (larger ball)")
-        if min(self.c2, self.c2_prime) <= 0 or min(self.c3, self.c4) < 0:
-            raise ValueError("curvature constants must be nonnegative (c2 positive)")
-
-
-def second_order_constants(metric, center, r0, c2, c_cal=1.0):
-    """c2 (the max of -K over B(center, r0), as given), c2' over
-    B(center, r0+1), and the log-curvature derivative bounds c3, c4 over
-    B(center, r0): the metric's ``log_curvature_bounds``."""
-    c2p = max_neg_curvature_ball(metric, center, r0 + 1.0)
-    c3, c4 = metric.log_curvature_bounds(center, r0)
-    return SecondOrderConstants(c2, c2p, c3, c4, c_cal)
-
-
 def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=1.0):
     """Hessian eigenvalue ceiling on the core ball about a probe node.
 
     Reports the ratio of the observed max eigenvalue of g^{-1}(g + Hess u)
     to exp(c_cal c2') / (cap - u(probe)) * (1 + sqrt(c4) r0/sqrt(c2)
-    + c2'(1 + r0/sqrt(c2) + c3 r0/sqrt(c2))).  The calibration constant
-    stands in for a constant the theory does not quantify, so this record
-    is reported as a ratio and is non-gating by default.  ``distance`` is
-    read as in ``build_cutoff``.
+    + c2'(1 + r0/sqrt(c2) + c3 r0/sqrt(c2))), c2' the max of -K over B(r0 + 1).
+    The calibration constant stands in for a constant the theory does not
+    quantify, so this record is reported as a ratio and is non-gating by
+    default.  ``distance`` and the ball are as in ``build_cutoff``.
     """
-    r0, cap, u_probe = ball.r0, ball.cap, ball.u_probe
-    k = second_order_constants(field.metric, ball.center, r0, ball.c2, c_cal)
-    if ball.reach is None:  # own rule: nothing is audited, so the record passes
-        return EstimateRecord(
-            id=f"second_order_r0_{r0:g}",
-            locus="Hessian eigenvalue ceiling (hypothesis not met)",
-            bound=math.inf, observed=0.0, margin=math.inf, passed=True,
-            extra={"hypothesis_met": False, "cap": cap, "u_probe": u_probe})
+    if ball.reach is None:
+        raise ValueError(f"ball about {ball.node} fails the hypothesis u(probe) < cap")
+    r0, cap, u_probe, c2 = ball.r0, ball.cap, ball.u_probe, ball.c2
+    c2p = max_neg_curvature_ball(field.metric, ball.center, r0 + 1.0)
+    c3, c4 = field.metric.log_curvature_bounds(ball.center, r0)
+    if c2 > c2p + 1e-12 or min(c2, c2p) <= 0 or min(c3, c4) < 0:
+        raise ValueError(f"need 0 < c2 <= c2' and c3, c4 >= 0: {c2}, {c2p}, {c3}, {c4}")
     core_radius = _core_radius(field.metric, cap, u_probe)
     core = distance <= core_radius
     observed = float(field.hessian.eig_max[core].max())
-    s2 = math.sqrt(k.c2)
-    bound = (math.exp(c_cal * k.c2_prime) / (cap - u_probe)) * (
-        1.0 + math.sqrt(k.c4) * r0 / s2 + k.c2_prime * (1.0 + r0 / s2 + k.c3 * r0 / s2)
+    s2 = math.sqrt(c2)
+    bound = (math.exp(c_cal * c2p) / (cap - u_probe)) * (
+        1.0 + math.sqrt(c4) * r0 / s2 + c2p * (1.0 + r0 / s2 + c3 * r0 / s2)
     )
     ratio = observed / bound
     # own rule: passes on the ratio, with no slack
@@ -401,7 +372,7 @@ def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=
         extra={"ratio": ratio, "hypothesis_met": True, "cap": cap,
                "u_probe": u_probe, "core_radius": core_radius,
                "core_nodes": int(core.sum()),
-               "c2": k.c2, "c2_prime": k.c2_prime, "c3": k.c3, "c4": k.c4,
+               "c2": c2, "c2_prime": c2p, "c3": c3, "c4": c4,
                "c_cal": c_cal, "node": list(ball.node)})
 
 
@@ -413,12 +384,13 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     second-order ceiling); the lower-bound audit runs at the innermost node
     on the first ray and at every probe, for each radius in ``r0_list``
     whose probe ball fits in the solved domain.  Each (node, r0) gets one
-    ``ProbeBall``, which all three audits read; the second-order ceiling
-    also samples B(r0 + 1).  A node's distance field is solved only if the
-    smallness hypothesis holds there for some radius, and only as far as
-    those audits read it.  A chart that never reads theta (``chart.column``)
-    is rotationally symmetric, so nodes on one ring that need the same reach
-    share one solved field, rolled along theta.
+    ``ProbeBall``.  Only a ball that meets the smallness hypothesis gets the
+    cutoff and second-order audits; one that fails it gets a passing
+    ``cutoff_hypothesis`` and a not-met ``second_order`` record.  A node's
+    distance field is solved only if the hypothesis holds there for some
+    radius, and only as far as those audits read it.  A chart that never
+    reads theta (``chart.column``) is rotationally symmetric, so nodes on one
+    ring that need the same reach share one solved field, rolled along theta.
     """
     report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
                                      *check_first_order(field, tol=tol),
@@ -445,15 +417,20 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
         for ball in balls:
             tag = f"r0_{ball.r0:g}_node_{node[0]}_{node[1]}"
             report.add(check_lower_bound(field, ball))
-            cut = build_cutoff(field, ball, dist)
-            for rec in cut:
-                report.add(replace(rec, id=f"{rec.id}_{tag}",
-                                   extra={**rec.extra, "node": list(node)}))
-            if ball.reach is None:  # own rule: the audit is skipped, so the record passes
+            if ball.reach is None:  # own rule: the audits are skipped, so the records pass
                 report.add(EstimateRecord(
                     id=f"cutoff_hypothesis_{tag}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
                     bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
                     passed=True, extra={"hypothesis_met": False}))
+                report.add(EstimateRecord(
+                    id=f"second_order_r0_{ball.r0:g}",
+                    locus="Hessian eigenvalue ceiling (hypothesis not met)",
+                    bound=math.inf, observed=0.0, margin=math.inf, passed=True,
+                    extra={"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe}))
+                continue
+            for rec in build_cutoff(field, ball, dist):
+                report.add(replace(rec, id=f"{rec.id}_{tag}",
+                                   extra={**rec.extra, "node": list(node)}))
             report.add(check_second_order(field, ball, dist, c_cal=c_cal))
     return report

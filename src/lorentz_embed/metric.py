@@ -31,6 +31,7 @@ __all__ = [
     "ConformalDiscMetric",
     "make_hyperbolic",
     "make_radial_from_curvature",
+    "make_radial_pinched",
     "make_poincare",
     "make_poincare_perturbed",
     "jacobi_defect",
@@ -251,6 +252,25 @@ def make_radial_from_curvature(
             f"Jacobi consistency defect {defect:.3e} exceeds tolerance {JACOBI_TOL:.1e}"
         )
     return metric
+
+
+def make_radial_pinched(base: float, amp: float, r_max: float) -> WarpedPolarMetric:
+    """The radial chart of K = -(base + amp r^2/(1+r^2)), which runs from
+    -base at the center to -(base + amp) at infinity."""
+
+    def K(r):
+        r = np.asarray(r, dtype=float)
+        return -(base + amp * r * r / (1.0 + r * r))
+
+    def Kp(r):
+        r = np.asarray(r, dtype=float)
+        return -(2.0 * amp * r / (1.0 + r * r) ** 2)
+
+    def Kpp(r):
+        r = np.asarray(r, dtype=float)
+        return -(amp * (2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
+
+    return make_radial_from_curvature(K, r_max, k_prime=Kp, k_double_prime=Kpp)
 
 
 def _log_curvature_bounds(k, kp, kpp, f, fp, skip=0):

@@ -54,11 +54,9 @@ from .grid import ScalarField, HessianField, chart_arrays, covariant_hessian, gh
 __all__ = [
     "DirichletProblem",
     "AdmissibleField",
-    "SubsolutionReport",
     "NonConvergenceError",
     "solve_dirichlet",
     "certify",
-    "verify_subsolution",
 ]
 
 # line search: smallest step tried, and the share of each margin a step keeps
@@ -74,6 +72,8 @@ _BLOCK_BACKWARD_TOL = 1e-12
 # A residual at or below its round-off floor stops Newton once a step cuts
 # it by less than this factor; quadratic convergence cuts it by far more.
 _FLOOR_PROGRESS = 4.0
+# the (radial, angular) offset of each Jacobian coefficient, in _stencil_coefficients' order
+_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 class NonConvergenceError(RuntimeError):
@@ -161,45 +161,6 @@ class AdmissibleField:
             raise ValueError(f"equation right side loses positivity: {self.rhs_min}")
 
 
-@dataclass(frozen=True)
-class SubsolutionReport:
-    """Margin of the constant-subsolution inequality 1 - (-K) 2b >= 0."""
-
-    margin: float
-    worst_node: tuple
-    passed: bool
-
-
-class _Stencil:
-    """Second-order interior stencil coefficients of the Jacobian.
-
-    ``_stencil_coefficients`` builds the Jacobian from ``coef``, and the
-    step solvers walk ``RT``; the residual itself (``_probe``) takes its
-    derivatives from ``grid.covariant_hessian``.  The two must agree, and
-    ``tests/test_solver.py::TestJacobian::test_matches_directional_difference``
-    ties them together: the Jacobian it builds from this table matches a
-    central difference of ``_probe``'s residual to truncation order.
-    """
-
-    RT = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
-
-    def __init__(self, h1, h2):
-        c = 1.0 / (4.0 * h1 * h2)
-        z = 0.0
-        # per offset: (s_r, s_t, s_rr, s_tt, s_rt)
-        self.coef = {
-            (-1, -1): (z, z, z, z, +c),
-            (-1, 0): (-0.5 / h1, z, 1.0 / h1**2, z, z),
-            (-1, 1): (z, z, z, z, -c),
-            (0, -1): (z, -0.5 / h2, z, 1.0 / h2**2, z),
-            (0, 0): (z, z, -2.0 / h1**2, -2.0 / h2**2, z),
-            (0, 1): (z, +0.5 / h2, z, 1.0 / h2**2, z),
-            (1, -1): (z, z, z, z, -c),
-            (1, 0): (+0.5 / h1, z, 1.0 / h1**2, z, z),
-            (1, 1): (z, z, z, z, +c),
-        }
-
-
 @dataclass
 class _State:
     values: np.ndarray
@@ -244,14 +205,30 @@ def _probe(values, chart):
     return _State(values, hess, s, eig_margin, rhs_margin, residual)
 
 
-def _stencil_coefficients(state, ch, stencil):
+def _stencil_coefficients(state, ch):
     """Jacobian coefficient of each stencil offset at each interior node.
 
-    Returns one (n1 - 1, width) array per offset in ``_Stencil.RT`` order,
+    Returns one (n1 - 1, width) array per offset in ``_OFFSETS`` order,
     width being that of the state's values: the derivative of the interior
     log-residual at (i, j) with respect to the value at (i + di, j + dj),
     before any pole or periodic wrap.  A column state gets columns.
+    ``TestJacobian`` pins them to a difference of ``_probe``'s residual.
     """
+    h1, h2 = ch.grid.h1, ch.grid.h2
+    c = 1.0 / (4.0 * h1 * h2)
+    z = 0.0
+    # per offset: (s_r, s_t, s_rr, s_tt, s_rt), the second-order difference weights
+    weights = (
+        (z, z, z, z, +c),
+        (-0.5 / h1, z, 1.0 / h1**2, z, z),
+        (z, z, z, z, -c),
+        (z, -0.5 / h2, z, 1.0 / h2**2, z),
+        (z, z, -2.0 / h1**2, -2.0 / h2**2, z),
+        (z, +0.5 / h2, z, 1.0 / h2**2, z),
+        (z, z, z, z, -c),
+        (+0.5 / h1, z, 1.0 / h1**2, z, z),
+        (z, z, z, z, +c),
+    )
     at = (slice(0, ch.grid.n1 - 1), slice(0, state.values.shape[1]))
     hess = state.hessian
     a11 = hess.h11[at] + ch.g11[at]
@@ -267,8 +244,7 @@ def _stencil_coefficients(state, ch, stencil):
     g2_11, g2_12, g2_22 = ch.gamma2_11[at], ch.gamma2_12[at], ch.gamma2_22[at]
 
     coefs = []
-    for off in stencil.RT:
-        s_r, s_t, s_rr, s_tt, s_rt = stencil.coef[off]
+    for off, (s_r, s_t, s_rr, s_tt, s_rt) in zip(_OFFSETS, weights):
         h11_c = s_rr - g1_11 * s_r - g2_11 * s_t
         h12_c = s_rt - g1_12 * s_r - g2_12 * s_t
         h22_c = s_tt - g1_22 * s_r - g2_22 * s_t
@@ -280,7 +256,7 @@ def _stencil_coefficients(state, ch, stencil):
     return coefs
 
 
-def _radial_step(coefs, stencil, rhs, n2):
+def _radial_step(coefs, rhs, n2):
     """Newton step of a column state: the mode-0 radial system.
 
     ``coefs`` are (n1 - 1, 1) columns, ``rhs`` is (n1, 1) with its boundary
@@ -293,13 +269,13 @@ def _radial_step(coefs, stencil, rhs, n2):
     """
     n1 = rhs.shape[0]
     band = {di: 0.0 for di in (-1, 0, 1)}
-    for (di, _), c in zip(stencil.RT, coefs):
+    for (di, _), c in zip(_OFFSETS, coefs):
         band[di] = band[di] + c[:, 0]
     lower = np.r_[0.0, band[-1][1:], 0.0]
     diag = np.r_[band[0][0] + band[-1][0], band[0][1:], 1.0]
     upper = np.r_[band[1], 0.0]
     if not np.all(np.abs(diag) > np.abs(lower) + np.abs(upper)):
-        return _block_step([np.broadcast_to(c, (n1 - 1, n2)) for c in coefs], stencil,
+        return _block_step([np.broadcast_to(c, (n1 - 1, n2)) for c in coefs],
                            np.broadcast_to(rhs, (n1, n2)))
     return _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs)
 
@@ -330,7 +306,7 @@ def _tridiagonal_solve(lower, diag, upper, rhs):
     return x.T
 
 
-def _diagonal_block(coefs, stencil, i, n2):
+def _diagonal_block(coefs, i, n2):
     """Ring i's diagonal block of the interior Jacobian, as an (n2, n2) array.
 
     Theta offsets wrap.  Ring 0's di = -1 neighbour is ring 0 itself, half a
@@ -339,7 +315,7 @@ def _diagonal_block(coefs, stencil, i, n2):
     half = n2 // 2
     j = np.arange(n2)
     block = np.zeros((n2, n2))
-    for (di, dj), c in zip(stencil.RT, coefs):
+    for (di, dj), c in zip(_OFFSETS, coefs):
         if di == 0:
             block[j, (j + dj) % n2] += c[i]
         elif di == -1 and i == 0:
@@ -347,7 +323,7 @@ def _diagonal_block(coefs, stencil, i, n2):
     return block
 
 
-def _coupling_taps(coefs, stencil, di):
+def _coupling_taps(coefs, di):
     """The three wrapped theta taps of the blocks coupling each ring to ring
     i + di (di = +-1): row j of ring i's block holds c_{di,dj}[i, j] in
     column (j + dj) mod n2.  Returns (c_{di,dj}, (j + dj) mod n2,
@@ -356,7 +332,7 @@ def _coupling_taps(coefs, stencil, di):
     n2 = coefs[0].shape[1]
     j = np.arange(n2)
     return [(c, (j + dj) % n2, (j - dj) % n2)
-            for (d, dj), c in zip(stencil.RT, coefs) if d == di]
+            for (d, dj), c in zip(_OFFSETS, coefs) if d == di]
 
 
 def _apply_coupling(taps, i, x):
@@ -373,17 +349,17 @@ def _times_coupling(a, taps, i):
     return (a * c0[i])[:, k0] + (a * c1[i])[:, k1] + (a * c2[i])[:, k2]
 
 
-def _stencil_apply(coefs, stencil, x):
+def _stencil_apply(coefs, x):
     """Interior rows of J @ x for a grid-shaped x, from the nine coefficient arrays."""
     ni = x.shape[0] - 1
     ext = ghost_rows_below(x, 1)  # row k is ring k - 1
     out = np.zeros((ni, x.shape[1]))
-    for (di, dj), c in zip(stencil.RT, coefs):
+    for (di, dj), c in zip(_OFFSETS, coefs):
         out += c * np.roll(ext[1 + di:1 + di + ni], -dj, axis=1)
     return out
 
 
-def _block_step(coefs, stencil, rhs):
+def _block_step(coefs, rhs):
     """Newton step by block elimination in the radial index.
 
     ``rhs`` has the grid's shape; its boundary row is the step there (the
@@ -399,12 +375,12 @@ def _block_step(coefs, stencil, rhs):
     """
     n1, n2 = rhs.shape
     ni = n1 - 1
-    lower, upper = _coupling_taps(coefs, stencil, -1), _coupling_taps(coefs, stencil, 1)
+    lower, upper = _coupling_taps(coefs, -1), _coupling_taps(coefs, 1)
     b = rhs[:-1].copy()
     b[-1] -= _apply_coupling(upper, ni - 1, rhs[-1])
     inv = []
     for i in range(ni):
-        schur = _diagonal_block(coefs, stencil, i, n2)
+        schur = _diagonal_block(coefs, i, n2)
         if i:
             schur -= _apply_coupling(lower, i, _times_coupling(inv[-1], upper, i - 1))
         try:
@@ -423,10 +399,10 @@ def _block_step(coefs, stencil, rhs):
         return y
 
     delta = np.vstack([solve(b), rhs[-1:]])
-    r = rhs[:-1] - _stencil_apply(coefs, stencil, delta)
+    r = rhs[:-1] - _stencil_apply(coefs, delta)
     if np.linalg.norm(r) > 1e-12 * np.linalg.norm(rhs):
         delta[:-1] += solve(r)
-        r = rhs[:-1] - _stencil_apply(coefs, stencil, delta)
+        r = rhs[:-1] - _stencil_apply(coefs, delta)
     # normwise backward error: |r| against |J| |delta| + |rhs|, max norms
     scale = sum(np.abs(c) for c in coefs).max() * np.abs(delta).max() + np.abs(rhs).max()
     if not np.all(np.isfinite(delta)):
@@ -451,7 +427,6 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     metric = problem.metric
     b = problem.boundary_value
     chart = chart_arrays(metric, grid)
-    stencil = _Stencil(grid.h1, grid.h2)
 
     trace = []
     step = np.nan
@@ -461,7 +436,7 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     for it in range(problem.max_iter + 1):
         res_norm = state.res_norm
         trace.append((it, res_norm, step, state.eig_margin))
-        coefs = _stencil_coefficients(state, chart, stencil)
+        coefs = _stencil_coefficients(state, chart)
         state.hessian = None  # the step and the line search read only coefs and margins
         floor = _residual_floor(coefs, state.values)
         floor_limited = (res_norm > problem.tol and res_norm <= floor and it > 0
@@ -475,8 +450,8 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
         rhs[:-1] = -state.residual
         try:
             # a block step taken for a column state makes the state full width
-            delta = (_radial_step(coefs, stencil, rhs, grid.n2) if rhs.shape[1] == 1
-                     else _block_step(coefs, stencil, rhs))
+            delta = (_radial_step(coefs, rhs, grid.n2) if rhs.shape[1] == 1
+                     else _block_step(coefs, rhs))
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"Newton step {it}: {exc}", trace) from exc
 
@@ -544,18 +519,3 @@ def certify(metric, grid, values, boundary_value, iterations=0) -> AdmissibleFie
     """
     u = ScalarField(grid, values)
     return _finalize(u, chart_arrays(metric, grid), metric, boundary_value, iterations, [])
-
-
-def verify_subsolution(problem: DirichletProblem) -> SubsolutionReport:
-    """Margin of det(Hess b + g)/det g >= -K (0 + 2b) for the constant start.
-
-    For constant fields the left side is exactly 1, so the margin is
-    min over nodes of 1 - 2 b (-K).  A negative margin means the boundary
-    datum overestimates 1/(2 max(-K)) on this domain.
-    """
-    ch = chart_arrays(problem.metric, problem.grid)
-    margin_field = 1.0 - 2.0 * problem.boundary_value * (-ch.K)
-    flat = int(np.argmin(margin_field))
-    worst = tuple(int(x) for x in np.unravel_index(flat, margin_field.shape))
-    margin = float(margin_field.min())
-    return SubsolutionReport(margin=margin, worst_node=worst, passed=margin >= -1e-12)

@@ -59,7 +59,7 @@ from lorentz_embed.embed import (
 )
 from lorentz_embed.geodesics import _sweep_and_length, wrap_angle_difference
 from lorentz_embed.grid import ghost_rows_below
-from lorentz_embed.solver import _block_step
+from lorentz_embed.solver import _OFFSETS, _block_step
 
 
 def radial_bvp(K, l, boundary_value, c1, eps=1e-6):
@@ -165,7 +165,7 @@ def bump_curvature():
     return K, Kp, Kpp
 
 
-def _assemble_jacobian(coefs, stencil, shape):
+def _assemble_jacobian(coefs, shape):
     """Exact sparse Jacobian of the discrete log-residual; boundary rows are identity."""
     import scipy.sparse as sp
 
@@ -176,7 +176,7 @@ def _assemble_jacobian(coefs, stencil, shape):
     rows_base = (ii * n2 + jj).ravel()
 
     data, rows, cols = [], [], []
-    for (di, dj), coef in zip(stencil.RT, coefs):
+    for (di, dj), coef in zip(_OFFSETS, coefs):
         ti = ii + di
         tj = (jj + dj) % n2
         mirror = ti < 0
@@ -213,18 +213,18 @@ def _linear_solve(J, rhs):
     return x
 
 
-def splu_step(coefs, stencil, rhs):
+def splu_step(coefs, rhs):
     """The Newton step of solver._block_step / _radial_step, by sparse LU.
 
     ``rhs`` has the grid's shape; its boundary row is the step there.
     """
-    delta = _linear_solve(_assemble_jacobian(coefs, stencil, rhs.shape), rhs.ravel())
+    delta = _linear_solve(_assemble_jacobian(coefs, rhs.shape), rhs.ravel())
     delta = delta.reshape(rhs.shape)
     delta[-1] = rhs[-1]  # the identity rows, which splu solves only to round-off
     return delta
 
 
-def _block_bands(coefs, stencil, n1, n2):
+def _block_bands(coefs, n1, n2):
     """Sub-, main and super-diagonal blocks of the interior Jacobian, stacked.
 
     Each band has shape (n1 - 1, n2, n2): block i couples ring i to ring
@@ -238,7 +238,7 @@ def _block_bands(coefs, stencil, n1, n2):
     ni, half = n1 - 1, n2 // 2
     j = np.arange(n2)
     bands = {di: np.zeros((ni, n2, n2)) for di in (-1, 0, 1)}
-    for (di, dj), c in zip(stencil.RT, coefs):
+    for (di, dj), c in zip(_OFFSETS, coefs):
         if di == -1:
             bands[-1][1:, j, (j + dj) % n2] += c[1:]
             bands[0][0, j, (j + dj + half) % n2] += c[0]
@@ -247,7 +247,7 @@ def _block_bands(coefs, stencil, n1, n2):
     return bands[-1], bands[0], bands[1]
 
 
-def _mode_bands(coefs, stencil, n1, n2):
+def _mode_bands(coefs, n1, n2):
     """Sub-, main and super-diagonal of each Fourier mode's radial system.
 
     In Fourier mode k of an rfft along theta, the shift by dj columns is the
@@ -260,7 +260,7 @@ def _mode_bands(coefs, stencil, n1, n2):
     phase = {dj: np.exp(2j * np.pi * k * dj / n2) for dj in (-1, 0, 1)}
     # per radial offset di: sum over dj of c_{di,dj}(r) w^dj, shape (ni, modes)
     band = {di: 0.0 for di in (-1, 0, 1)}
-    for (di, dj), c in zip(stencil.RT, coefs):
+    for (di, dj), c in zip(_OFFSETS, coefs):
         band[di] = band[di] + c[:, :1] * phase[dj]
     lower = np.zeros((k.size, n1), dtype=complex)
     lower[:, 1:ni] = band[-1][1:].T
@@ -272,7 +272,7 @@ def _mode_bands(coefs, stencil, n1, n2):
     return lower, diag, upper
 
 
-def _fourier_step(coefs, stencil, rhs):
+def _fourier_step(coefs, rhs):
     """Newton step for theta-invariant coefficients, one radial solve per mode.
 
     ``rhs`` is as for _block_step.  Each Fourier mode is a complex
@@ -281,9 +281,9 @@ def _fourier_step(coefs, stencil, rhs):
     solves them together, stably; otherwise the whole step is a block step.
     """
     n1, n2 = rhs.shape
-    lower, diag, upper = _mode_bands(coefs, stencil, n1, n2)
+    lower, diag, upper = _mode_bands(coefs, n1, n2)
     if not np.all(np.abs(diag) > np.abs(lower) + np.abs(upper)):
-        return _block_step(coefs, stencil, rhs)
+        return _block_step(coefs, rhs)
     out = _thomas(lower, diag, upper, np.fft.rfft(rhs, axis=1).T)
     return np.fft.irfft(out.T, n=n2, axis=1)
 

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lorentz_embed
 import lorentz_embed.cli as cli
+import lorentz_embed.metric as metric_module
 import lorentz_embed.solver as solver
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.metric import make_poincare_perturbed
@@ -79,6 +81,15 @@ class TestValidation:
     def test_valid_config_accepted(self):
         cfg, errors = validate_config(base_config())
         assert not errors and cfg is not None
+
+    def test_each_family_is_a_metric_factory(self):
+        # build_metric is one lookup: each family's factory is a metric.make_*
+        # that takes the family's metric keys, in order, as its arguments
+        for family, (_, keys, make) in cli._FAMILIES.items():
+            assert make.__name__.startswith("make_"), family
+            assert getattr(metric_module, make.__name__) is make, family
+            params = inspect.signature(make).parameters.values()
+            assert len([p for p in params if p.default is p.empty]) == len(keys), family
 
     def test_negative_tolerance_names_field(self):
         _, errors = validate_config(base_config(solver={"tol": -1.0}))
@@ -258,6 +269,27 @@ class TestPipeline:
             assert {"verify": cmd_verify, "embed": cmd_embed}[command](str(out)) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"{command}: {name}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("key, value", [
+        ("radii", "3.0"), ("boundary_values", None), ("iterations", "4"),
+    ], ids=["string-radius", "null-boundary-value", "string-iterations"])
+    def test_corrupt_meta_value_exit_2(self, tmp_path, capsys, key, value):
+        # a string radius or a null boundary value ended in a TypeError
+        # traceback (exit 1), and a string iteration count was read; each
+        # now exits 2 with one line naming the entry
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        path = out / "fields" / "meta.json"
+        meta = json.loads(path.read_text())
+        meta[key][0] = value
+        path.write_text(json.dumps(meta))
+        for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
+            capsys.readouterr()
+            assert command(str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{name}: fields/meta.json: {key}[0]: must be "), err
+            assert err.count("\n") == 1, err
 
     def test_unknown_grid_kind_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

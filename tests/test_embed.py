@@ -192,11 +192,6 @@ class TestDevelopingMap:
             tracemalloc.stop()
         assert peak <= 1.25 * 1.23e6
 
-    def test_beyond_certified_rows_rejected(self, model_embedding):
-        gbar = model_embedding[0]
-        with pytest.raises(ValueError, match="certified"):
-            develop(gbar, rows=gbar.rows + 1)
-
 
 class TestAssembledEmbedding:
     def test_model_is_unit_imaginary_sphere(self, model_embedding, model_solve_128):

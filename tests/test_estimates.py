@@ -26,7 +26,6 @@ from lorentz_embed.estimates import (
     max_neg_curvature_ball,
     probe_ball,
     run_estimate_suite,
-    second_order_constants,
 )
 
 
@@ -142,8 +141,14 @@ class TestCutoff:
     def test_model_small_radius_hypothesis_gate(self, model_solve):
         ball = probe_ball(model_solve, (0, 0), 1.0)
         assert ball.reach is None
-        # no records, and no distance read
-        assert build_cutoff(model_solve, ball, None) == []
+        # the audits refuse the ball before reading a distance; the suite
+        # records it as not met instead of auditing it
+        for audit in (build_cutoff, check_second_order):
+            with pytest.raises(ValueError, match="hypothesis"):
+                audit(model_solve, ball, None)
+        ids = [rec.id for rec in run_estimate_suite(model_solve, r0_list=(1.0,)).records]
+        assert ids[-3:] == ["lower_bound_r0_1", "cutoff_hypothesis_r0_1_node_0_0",
+                            "second_order_r0_1"]
 
     def test_pinched_probes(self, pinched_solve_l4):
         g = pinched_solve_l4.u.grid
@@ -212,15 +217,17 @@ class TestSecondOrder:
         assert rec.extra["c2"] <= rec.extra["c2_prime"] + 1e-12
         assert rec.extra["ratio"] <= 1.0
 
-    def test_constants_match_dense_sampling(self, pinched_metric):
+    def test_constants_match_dense_sampling(self, pinched_solve_l4, pinched_metric):
         # c2 is the probe ball's own sample, taken as given; c2' samples B(r0 + 1)
-        c2 = max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 1.0)
-        k = second_order_constants(pinched_metric, (1.5, 0.0), 1.0, c2)
-        assert k.c2 == pytest.approx(
-            max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 1.0), rel=1e-12)
-        assert k.c2_prime == pytest.approx(
-            max_neg_curvature_ball(pinched_metric, (1.5, 0.0), 2.0), rel=1e-12)
-        assert k.c3 >= 0 and k.c4 >= 0
+        g = pinched_solve_l4.u.grid
+        ball, d = ball_and_distance(pinched_solve_l4, (int(np.searchsorted(g.q1, 1.5)), 0), 1.0)
+        assert ball.reach is not None
+        k = check_second_order(pinched_solve_l4, ball, d).extra
+        assert k["c2"] == ball.c2 == pytest.approx(
+            max_neg_curvature_ball(pinched_metric, ball.center, 1.0), rel=1e-12)
+        assert k["c2_prime"] == pytest.approx(
+            max_neg_curvature_ball(pinched_metric, ball.center, 2.0), rel=1e-12)
+        assert k["c3"] >= 0 and k["c4"] >= 0
 
 
 class TestProbeBall:
@@ -285,16 +292,18 @@ class TestSuite:
         g = pinched_solve_64.u.grid
         probe = (int(np.searchsorted(g.q1, 1.8)), 0)
         run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0))
-        # one sample of B(r0) per (node, r0), one of B(r0 + 1) for the
-        # second-order ceiling: nodes (0, 0) and the probe, two radii each
+        # one sample of B(r0) per (node, r0): nodes (0, 0) and the probe, two
+        # radii each; one of B(r0 + 1) for the second-order ceiling, only on
+        # the one ball that meets the hypothesis, B(1) about the probe
         expected = [(float(g.q1[i]), float(g.q2[j]), r)
-                    for i, j in [(0, 0), probe] for r in (0.5, 1.0, 1.5, 2.0)]
+                    for i, j in [(0, 0), probe] for r in (0.5, 1.0)]
+        expected.append((float(g.q1[probe[0]]), float(g.q2[probe[1]]), 2.0))
         assert sorted(calls) == sorted(expected)
 
 
     def test_audits_run_once_per_fitting_ball(self, pinched_solve_64, monkeypatch):
         # build_cutoff and check_second_order each take every (node, r0) whose
-        # ball fits once, the balls that fail the hypothesis included
+        # ball fits and meets the hypothesis once; the suite records the others
         calls = []
         for name in ("build_cutoff", "check_second_order"):
             def spy(field, ball, *args, _real=getattr(estimates, name), _name=name, **kwargs):
@@ -304,12 +313,15 @@ class TestSuite:
         g = pinched_solve_64.u.grid
         probe = (int(np.searchsorted(g.q1, 1.8)), 0)
         # B(2.5) about the probe leaves the l = 3 ball
-        run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0, 2.5))
-        balls = [((0, 0), 0.5), ((0, 0), 1.0), ((0, 0), 2.5), (probe, 0.5), (probe, 1.0)]
+        rep = run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0, 2.5))
         for name in ("build_cutoff", "check_second_order"):
-            assert [c[1:3] for c in calls if c[0] == name] == balls
-        failed = {c[1:3] for c in calls if c[3]}
-        assert {((0, 0), 1.0), (probe, 0.5)} <= failed and (probe, 1.0) not in failed
+            assert [c[1:] for c in calls if c[0] == name] == [((0, 0), 2.5, False),
+                                                              (probe, 1.0, False)]
+        # (0, 0) fails at r0 = 0.5 and 1, the probe at 0.5
+        ids = [rec.id for rec in rep.records]
+        for r0, node in (("0.5", (0, 0)), ("1", (0, 0)), ("0.5", probe)):
+            assert f"cutoff_hypothesis_r0_{r0}_node_{node[0]}_{node[1]}" in ids
+        assert ids.count("second_order_r0_0.5") == 2 and ids.count("second_order_r0_1") == 2
 
 
 class TestDistanceOnDemand:
@@ -339,12 +351,17 @@ class TestDistanceOnDemand:
     def test_failed_hypothesis_solves_no_distance(self, pinched_solve_64, monkeypatch):
         calls = self._count_calls(monkeypatch)
         rep = run_estimate_suite(pinched_solve_64, probes=[(0, 0)])
-        ids = [r.id for r in rep.records]
-        assert "cutoff_hypothesis_r0_1_node_0_0" in ids
         ball = probe_ball(pinched_solve_64, (0, 0), 1.0)
         assert ball.reach is None
-        assert build_cutoff(pinched_solve_64, ball, None) == []
-        assert check_second_order(pinched_solve_64, ball, None).extra["hypothesis_met"] is False
+        # the suite writes both not-met records itself; the audits refuse the ball
+        hyp, second = rep.records[-2:]
+        assert hyp.id == "cutoff_hypothesis_r0_1_node_0_0" and hyp.passed
+        assert hyp.margin == ball.cap - ball.u_probe and hyp.extra == {"hypothesis_met": False}
+        assert second.id == "second_order_r0_1" and second.passed and second.margin == math.inf
+        assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe}
+        for audit in (build_cutoff, check_second_order):
+            with pytest.raises(ValueError, match="hypothesis"):
+                audit(pinched_solve_64, ball, None)
         assert calls == []
 
     def test_one_field_per_probe_meeting_the_hypothesis(self, pinched_solve_64,

@@ -16,6 +16,7 @@ from lorentz_embed.metric import (
     make_poincare,
     make_poincare_perturbed,
     make_radial_from_curvature,
+    make_radial_pinched,
 )
 from lorentz_embed.metric import _uniform_hermite
 from lorentz_embed import estimates, metric as metric_module
@@ -217,6 +218,17 @@ class TestRadialFromCurvature:
             pinched_metric.curvature_double_prime, ode_step=2e-4)
         rr = np.linspace(0.1, 5.5, 700)
         assert np.max(np.abs(m2.f(rr) - pinched_metric.f(rr))) <= 1e-6
+
+    def test_pinched_factory_is_the_test_family(self, pinched_metric):
+        # base = amp = 1 multiplies by 1.0, which is exact: the oracle family's
+        # K bit for bit, and so the same integrated f
+        m = make_radial_pinched(1.0, 1.0, 9.5)
+        r = pinched_metric.sample_radii
+        assert np.array_equal(m.sample_radii, r)
+        for name in ("f", "curvature", "curvature_prime", "curvature_double_prime"):
+            assert np.array_equal(getattr(m, name)(r), getattr(pinched_metric, name)(r)), name
+        for name in ("c1", "c2", "c3", "c4"):
+            assert getattr(m.bounds, name) == getattr(pinched_metric.bounds, name), name
 
 
 class TestCurvatureFdRatio:

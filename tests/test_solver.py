@@ -26,7 +26,6 @@ from lorentz_embed.solver import (
     DirichletProblem,
     NonConvergenceError,
     solve_dirichlet,
-    verify_subsolution,
     _probe,
     _apply_coupling,
     _block_step,
@@ -37,7 +36,6 @@ from lorentz_embed.solver import (
     _stencil_coefficients,
     _times_coupling,
     _tridiagonal_solve,
-    _Stencil,
 )
 
 
@@ -115,8 +113,7 @@ class TestJacobian:
         vals = b + 0.04 * np.exp(-R) + 0.01 * np.cos(T) * R**2 / (1 + R**2)
         vals[-1] = b
         state = _probe(vals, ch)
-        stencil = _Stencil(g.h1, g.h2)
-        J = _assemble_jacobian(_stencil_coefficients(state, ch, stencil), stencil, g.shape)
+        J = _assemble_jacobian(_stencil_coefficients(state, ch), g.shape)
         rng = np.random.default_rng(7)
         v = rng.standard_normal(g.shape)
         v[-1] = 0.0
@@ -184,21 +181,20 @@ class TestFourierStep:
         ch = chart_arrays(metric, g)
         vals, _ = _state(metric, g)
         state = _probe(np.ascontiguousarray(vals[:, :1]), ch)
-        stencil = _Stencil(g.h1, g.h2)
-        coefs = _stencil_coefficients(state, ch, stencil)
+        coefs = _stencil_coefficients(state, ch)
         rhs = np.random.default_rng(n2).standard_normal((g.n1, 1))
         rhs[-1] = 0.0
-        return g, ch, state, stencil, coefs, rhs
+        return g, ch, state, coefs, rhs
 
     @pytest.mark.parametrize("n2", [8, 16, 64, 192])
     def test_matches_oracle_fourier_step(self, pinched_metric, n2):
         # on a ring-constant right side only mode 0 is excited; a power-of-two
         # rfft sums and scales it exactly, 192 angles round
-        g, _, state, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        g, _, state, coefs, rhs = self._system(pinched_metric, n2)
         assert state.hessian.ring_constant
-        fast = _radial_step(coefs, stencil, rhs, n2)
+        fast = _radial_step(coefs, rhs, n2)
         full_coefs, full_rhs = _full_width(coefs, rhs, n2)
-        ref = _fourier_step(full_coefs, stencil, full_rhs)
+        ref = _fourier_step(full_coefs, full_rhs)
         assert fast.shape == (g.n1, 1)
         if n2 & (n2 - 1) == 0:
             assert np.array_equal(np.broadcast_to(fast, ref.shape), ref)
@@ -207,11 +203,11 @@ class TestFourierStep:
 
     @pytest.mark.parametrize("n2", [8, 16, 64])
     def test_matches_sparse_lu(self, pinched_metric, n2):
-        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        g, _, _, coefs, rhs = self._system(pinched_metric, n2)
         rhs[-1] = 0.25  # a boundary step, which moves to the last interior ring
         full_coefs, full_rhs = _full_width(coefs, rhs, n2)
-        fast = _radial_step(coefs, stencil, rhs, n2)
-        ref = _linear_solve(_assemble_jacobian(full_coefs, stencil, g.shape),
+        fast = _radial_step(coefs, rhs, n2)
+        ref = _linear_solve(_assemble_jacobian(full_coefs, g.shape),
                             np.ravel(full_rhs)).reshape(g.shape)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
         assert fast[-1, 0] == rhs[-1, 0]
@@ -222,9 +218,9 @@ class TestFourierStep:
         # banded LU, on the diagonally dominant mode-0 system
         from scipy.linalg import solve_banded
 
-        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, n2)
+        g, _, _, coefs, rhs = self._system(pinched_metric, n2)
         lower, diag, upper = (b[0].real for b in _mode_bands(
-            _full_width(coefs, rhs, n2)[0], stencil, *g.shape))
+            _full_width(coefs, rhs, n2)[0], *g.shape))
         assert np.all(np.abs(diag) > np.abs(lower) + np.abs(upper))
         rhs = np.hstack([rhs, rhs[::-1], -3.0 * rhs])  # several right sides at once
         fast = _tridiagonal_solve(lower.tolist(), diag.tolist(), upper.tolist(), rhs)
@@ -237,25 +233,25 @@ class TestFourierStep:
         # weaken the mode-0 diagonal of every interior ring by 5 % (its
         # smallest dominance ratio is about 1.03): the whole step is then
         # one block step, and it still matches the sparse LU one
-        g, _, _, stencil, coefs, rhs = self._system(pinched_metric, 16)
-        coefs[4] = coefs[4] - 0.05 * (coefs[3] + coefs[4] + coefs[5])  # (0, 0) in _Stencil.RT
+        g, _, _, coefs, rhs = self._system(pinched_metric, 16)
+        coefs[4] = coefs[4] - 0.05 * (coefs[3] + coefs[4] + coefs[5])  # (0, 0) in solver._OFFSETS
         full_coefs, full_rhs = _full_width(coefs, rhs, 16)
-        lower, diag, upper = _mode_bands(full_coefs, stencil, *g.shape)
+        lower, diag, upper = _mode_bands(full_coefs, *g.shape)
         assert not np.all(np.abs(diag[0]) > np.abs(lower[0]) + np.abs(upper[0]))
         calls = _count_steps(monkeypatch)
-        fast = _radial_step(coefs, stencil, rhs, 16)
+        fast = _radial_step(coefs, rhs, 16)
         assert calls == {"_radial_step": 0, "_block_step": 1}
         assert fast.shape == g.shape
-        ref = splu_step(full_coefs, stencil, np.array(full_rhs))
+        ref = splu_step(full_coefs, np.array(full_rhs))
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_column_coefficients_match_full_width(self, pinched_metric):
         # a column state takes its coefficients on the column; the
         # full-width formula on the broadcast state gives the same bits
-        g, ch, state, stencil, coefs, _ = self._system(pinched_metric, 16)
+        g, ch, state, coefs, _ = self._system(pinched_metric, 16)
         full_state = replace(state, values=np.repeat(state.values, g.n2, axis=1),
                              rhs=np.repeat(state.rhs, g.n2, axis=1))
-        full = _stencil_coefficients(full_state, ch, stencil)
+        full = _stencil_coefficients(full_state, ch)
         for c, ref in zip(coefs, full):
             assert c.shape == (g.n1 - 1, 1) and ref.shape == (g.n1 - 1, g.n2)
             assert np.array_equal(np.broadcast_to(c, ref.shape).view(np.uint64),
@@ -266,7 +262,7 @@ class TestFourierStep:
         _, state = _state(pinched_metric, g, angular=0.01)
         ch = chart_arrays(pinched_metric, g)
         assert not state.hessian.ring_constant
-        assert not _theta_invariant(_stencil_coefficients(state, ch, _Stencil(g.h1, g.h2)))
+        assert not _theta_invariant(_stencil_coefficients(state, ch))
 
     def test_radial_solve_never_factors(self, pinched_metric, monkeypatch):
         calls = _count_steps(monkeypatch)
@@ -279,9 +275,9 @@ class TestFourierStep:
         shapes = []
         real = solver._radial_step
 
-        def spy(coefs, stencil, rhs, n2):
+        def spy(coefs, rhs, n2):
             shapes.append(({c.shape for c in coefs}, rhs.shape, n2))
-            return real(coefs, stencil, rhs, n2)
+            return real(coefs, rhs, n2)
 
         monkeypatch.setattr(solver, "_radial_step", spy)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
@@ -296,9 +292,9 @@ class TestFourierStep:
         problem = DirichletProblem(pinched_metric, PolarGrid(32, 16, 3.0))
         column = solve_dirichlet(problem)
 
-        def fallback(coefs, stencil, rhs, n2):
+        def fallback(coefs, rhs, n2):
             full_coefs, full_rhs = _full_width(coefs, rhs, n2)
-            return solver._block_step(full_coefs, stencil, full_rhs)
+            return solver._block_step(full_coefs, full_rhs)
 
         monkeypatch.setattr(solver, "_radial_step", fallback)
         calls = _count_steps(monkeypatch)
@@ -351,33 +347,32 @@ class TestBlockStep:
         g = PolarGrid(n1, n2, 0.7, kind="disc")
         ch = chart_arrays(m, g)
         _, state = _state(m, g, angular=0.01)
-        stencil = _Stencil(g.h1, g.h2)
-        coefs = _stencil_coefficients(state, ch, stencil)
+        coefs = _stencil_coefficients(state, ch)
         assert not state.hessian.ring_constant and not _theta_invariant(coefs)
         rhs = np.random.default_rng(seed).standard_normal(g.shape)
-        return g, stencil, coefs, rhs
+        return g, coefs, rhs
 
     @pytest.mark.parametrize("eps", [0.1, 0.3])
     @pytest.mark.parametrize("shape", [(24, 16), (64, 64), (40, 96)])
     def test_matches_sparse_lu(self, shape, eps):
-        g, stencil, coefs, rhs = self._system(*shape, eps)
-        fast = _block_step(coefs, stencil, rhs)
-        ref = splu_step(coefs, stencil, rhs)
+        g, coefs, rhs = self._system(*shape, eps)
+        fast = _block_step(coefs, rhs)
+        ref = splu_step(coefs, rhs)
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(fast[-1], rhs[-1])  # the identity rows, exactly
 
     def test_bands_are_jacobian_blocks(self):
         # each ring's diagonal block, bit for bit, and its coupling blocks
         # as the sweeps apply them, against the sparse Jacobian's blocks
-        g, stencil, coefs, _ = self._system(12, 8, 0.3)
+        g, coefs, _ = self._system(12, 8, 0.3)
         n = g.n2
-        J = _assemble_jacobian(coefs, stencil, g.shape).toarray()
-        lower, diag, upper = _block_bands(coefs, stencil, *g.shape)
-        below, above = _coupling_taps(coefs, stencil, -1), _coupling_taps(coefs, stencil, 1)
+        J = _assemble_jacobian(coefs, g.shape).toarray()
+        lower, diag, upper = _block_bands(coefs, *g.shape)
+        below, above = _coupling_taps(coefs, -1), _coupling_taps(coefs, 1)
         eye = np.eye(n)
         for i in range(g.n1 - 1):
             rows = slice(i * n, (i + 1) * n)
-            block = _diagonal_block(coefs, stencil, i, n)
+            block = _diagonal_block(coefs, i, n)
             assert np.array_equal(block, J[rows, i * n:(i + 1) * n])
             assert np.array_equal(block, diag[i])
             assert np.array_equal(_apply_coupling(above, i, eye), J[rows, (i + 1) * n:(i + 2) * n])
@@ -390,18 +385,18 @@ class TestBlockStep:
         assert not lower[0].any()
 
     def test_stencil_apply_matches_jacobian(self):
-        g, stencil, coefs, _ = self._system(24, 16, 0.3)
+        g, coefs, _ = self._system(24, 16, 0.3)
         x = np.random.default_rng(3).standard_normal(g.shape)
-        J = _assemble_jacobian(coefs, stencil, g.shape)
+        J = _assemble_jacobian(coefs, g.shape)
         ref = (J @ x.ravel()).reshape(g.shape)[:-1]
         scale = (abs(J) @ np.abs(x).ravel()).max()
-        assert np.abs(_stencil_apply(coefs, stencil, x) - ref).max() <= 1e-15 * scale
+        assert np.abs(_stencil_apply(coefs, x) - ref).max() <= 1e-15 * scale
 
     def test_block_step_beyond_128_angles(self):
         # the block step serves every angle count, above 128 too
-        g, stencil, coefs, rhs = self._system(12, 160, 0.3)
-        fast = _block_step(coefs, stencil, rhs)
-        ref = splu_step(coefs, stencil, rhs)
+        g, coefs, rhs = self._system(12, 160, 0.3)
+        fast = _block_step(coefs, rhs)
+        ref = splu_step(coefs, rhs)
         assert np.array_equal(fast[-1], rhs[-1])
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -416,11 +411,11 @@ class TestBlockStep:
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_singular_or_non_finite_blocks_give_no_step(self, fill):
-        g, stencil, coefs, rhs = self._system(12, 8, 0.3)
+        g, coefs, rhs = self._system(12, 8, 0.3)
         coefs = [np.full_like(c, fill) for c in coefs]
         check = "singular Schur complement" if fill == 0.0 else "not finite"
         with pytest.raises(np.linalg.LinAlgError, match=check):
-            _block_step(coefs, stencil, rhs)
+            _block_step(coefs, rhs)
 
     def test_non_radial_chart_makes_no_splu_call(self, monkeypatch):
         calls = _count_steps(monkeypatch)
@@ -442,13 +437,13 @@ class TestBlockStep:
     def test_block_step_memory_budget(self):
         # the step keeps one inverse Schur complement per interior ring,
         # (n1 - 1) n2^2 doubles, and no whole-band arrays
-        g, stencil, coefs, rhs = self._system(64, 64, 0.3)
+        g, coefs, rhs = self._system(64, 64, 0.3)
         budget = 1.25 * (g.n1 - 1) * g.n2**2 * 8
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _block_step(coefs, stencil, rhs)
+            _block_step(coefs, rhs)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
@@ -529,29 +524,3 @@ class TestNonConvergence:
         with pytest.raises(NonConvergenceError) as exc:
             solve_dirichlet(p)
         assert len(exc.value.trace) >= 1
-
-
-class TestSubsolution:
-    def test_unit_model_margin_zero(self):
-        p = DirichletProblem(make_hyperbolic(1.0), PolarGrid(16, 16, 3.0))
-        rep = verify_subsolution(p)
-        assert rep.passed
-        assert rep.margin == pytest.approx(0.0, abs=1e-14)
-
-    def test_pinched_margin_nonnegative_with_equality_at_rim(self, pinched_metric):
-        g = PolarGrid(64, 16, 3.0)
-        p = DirichletProblem(pinched_metric, g)
-        rep = verify_subsolution(p)
-        assert rep.passed
-        assert rep.margin >= -1e-12
-        # equality is attained where -K reaches the ball max: the outer ring
-        assert rep.worst_node[0] == g.n1 - 1
-        assert rep.margin <= 1e-3
-
-    def test_wrong_boundary_detected(self, pinched_metric):
-        g = PolarGrid(32, 16, 3.0)
-        b_bad = 1.0 / (2.0 * pinched_metric.bounds.c1)  # ignores the pinching
-        p = DirichletProblem(pinched_metric, g, boundary_value=b_bad)
-        rep = verify_subsolution(p)
-        assert not rep.passed
-        assert rep.margin < 0.0

@@ -44,6 +44,31 @@ def test_every_private_helper_is_referenced():
                   if name not in used) == []
 
 
+def _loaded_names(node):
+    """Each name an expression in ``node`` reads: loaded names and attributes."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_definition_is_referenced():
+    # a public function or class that no code of the package calls, past its
+    # own body, serves only demos and tests: it belongs on their side
+    defined, used = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used.extend(_loaded_names(tree))
+        defined.extend((f"{path.name}:{node.name}", node) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_"))
+    assert len(defined) > 40  # the walk found the package
+    unused = [where for where, node in defined
+              if used.count(node.name) <= list(_loaded_names(node)).count(node.name)]
+    assert unused == []
+
+
 def test_no_chart_kind_branches():
     # each chart family answers the audits' geometry as methods in metric.py,
     # so no module names a kind of chart to branch on
@@ -58,7 +83,7 @@ def test_probe_ball_audits_take_no_optional_inputs():
     # each localized audit reads one ProbeBall, so no parameter stands in for
     # a value the caller may or may not hold; only estimates places probes
     for fn in (estimates.check_lower_bound, estimates.build_cutoff,
-               estimates.check_second_order, estimates.second_order_constants):
+               estimates.check_second_order):
         defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
         assert None not in defaults.values(), (fn.__name__, defaults)
     assert "center_distance" not in (SRC / "cli.py").read_text()
