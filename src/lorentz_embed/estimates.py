@@ -129,7 +129,8 @@ def distance_field(metric, grid, node, reach=math.inf):
 
 
 def _cutoff_denominator(c2, r0):
-    """A = 2 sqrt(c2) r0 coth(sqrt(c2) r0); the cutoff is cap - u - d^2/A."""
+    """r0 A, with A = 2 sqrt(c2) coth(sqrt(c2) r0) as in ``check_lower_bound``:
+    the cutoff is cap - u - d^2/(r0 A)."""
     s = math.sqrt(c2)
     return 2.0 * s * r0 / math.tanh(s * r0)
 
@@ -151,13 +152,14 @@ def _probe_ball_fits(field, node, r0):
 class ProbeBall:
     """The geodesic ball B(r0) about a probe node that the localized audits read.
 
-    ``c2`` is the max of -K over the ball and ``cap`` = r0 / (2 sqrt(c2)
-    coth(sqrt(c2) r0)) the smallness threshold for u.  ``reach`` is how far
-    from the probe the cutoff and second-order audits read d: the cutoff
-    support phi > 0, where d^2 < A (cap - u) <= A (cap - min u), and the core
-    ball, plus 3 radial rows for the order-2 Hessian stencils of phi
+    ``c2`` is the max of -K over the ball and ``cap`` = r0 / A the smallness
+    threshold for u, with A = 2 sqrt(c2) coth(sqrt(c2) r0).  ``reach`` is how
+    far from the probe the cutoff and second-order audits read d: the cutoff
+    support phi > 0, where d^2 < r0 A (cap - u) <= r0 A (cap - min u), and the
+    core ball, plus 3 radial rows for the order-2 Hessian stencils of phi
     (centered +-1; the one-sided top row reaches 3 down).  It is None when
     the hypothesis u(probe) < cap fails: the suite then runs neither audit.
+    ``tag``, r0_{r0}_node_{i}_{j}, ends the id of every record about the ball.
     """
 
     node: tuple
@@ -167,6 +169,10 @@ class ProbeBall:
     cap: float
     u_probe: float
     reach: float | None
+
+    @property
+    def tag(self):
+        return f"r0_{self.r0:g}_node_{self.node[0]}_{self.node[1]}"
 
 
 def probe_ball(field: AdmissibleField, node, r0) -> ProbeBall:
@@ -279,7 +285,7 @@ def check_lower_bound(field: AdmissibleField, ball: ProbeBall):
         "curvature_term": 1.0 / (32.0 * c2),
         "quadratic_term": c1 * r0 * r0 / (9.0 * A * A),
     }
-    return _record(f"lower_bound_r0_{r0:g}", "three-term interior lower bound",
+    return _record(f"lower_bound_{ball.tag}", "three-term interior lower bound",
                    min(terms.values()), ball.u_probe, LOWER_BOUND_SLACK, lower=True,
                    ball_max_neg_K=c2, A=A, **terms, node=list(ball.node))
 
@@ -367,7 +373,7 @@ def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=
     ratio = observed / bound
     # own rule: passes on the ratio, with no slack
     return EstimateRecord(
-        id=f"second_order_r0_{r0:g}", locus="Hessian eigenvalue ceiling on the core ball",
+        id=f"second_order_{ball.tag}", locus="Hessian eigenvalue ceiling on the core ball",
         bound=bound, observed=observed, margin=bound - observed, passed=ratio <= 1.0,
         extra={"ratio": ratio, "hypothesis_met": True, "cap": cap,
                "u_probe": u_probe, "core_radius": core_radius,
@@ -415,22 +421,22 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
             j0, dist = solved[key]
             dist = np.roll(dist, node[1] - j0, axis=1)
         for ball in balls:
-            tag = f"r0_{ball.r0:g}_node_{node[0]}_{node[1]}"
             report.add(check_lower_bound(field, ball))
             if ball.reach is None:  # own rule: the audits are skipped, so the records pass
                 report.add(EstimateRecord(
-                    id=f"cutoff_hypothesis_{tag}",
+                    id=f"cutoff_hypothesis_{ball.tag}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
                     bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
                     passed=True, extra={"hypothesis_met": False}))
                 report.add(EstimateRecord(
-                    id=f"second_order_r0_{ball.r0:g}",
+                    id=f"second_order_{ball.tag}",
                     locus="Hessian eigenvalue ceiling (hypothesis not met)",
                     bound=math.inf, observed=0.0, margin=math.inf, passed=True,
-                    extra={"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe}))
+                    extra={"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
+                           "node": list(node)}))
                 continue
             for rec in build_cutoff(field, ball, dist):
-                report.add(replace(rec, id=f"{rec.id}_{tag}",
+                report.add(replace(rec, id=f"{rec.id}_{ball.tag}",
                                    extra={**rec.extra, "node": list(node)}))
             report.add(check_second_order(field, ball, dist, c_cal=c_cal))
     return report

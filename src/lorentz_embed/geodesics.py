@@ -258,10 +258,7 @@ def warped_distance_field(metric, grid, node, reach=math.inf):
 
 def _conformal_rhs(metric, state):
     x, y, vx, vy = state
-    p = metric.psi(x, y)
-    px, py = metric.psi_grad(x, y)
-    phx = px / (2.0 * p)
-    phy = py / (2.0 * p)
+    phx, phy = metric.phi_grad(x, y)
     ax = -phx * (vx * vx - vy * vy) - 2.0 * phy * vx * vy
     ay = phy * (vx * vx - vy * vy) - 2.0 * phx * vx * vy
     return np.array([vx, vy, ax, ay])

@@ -6,7 +6,8 @@ Two chart families are supported:
   coordinate is exact geodesic distance from the center (the warp function
   solves the Jacobi equation ``f'' = -K f`` with ``f(0) = 0, f'(0) = 1``);
 * conformal disc charts ``g = psi(x, y) (dx^2 + dy^2)`` on a sub-disc of the
-  unit disc, discretized in chart-polar coordinates.
+  unit disc, discretized in chart-polar coordinates: the perturbed Poincare
+  family, whose eps = 0 member is the Poincare disc with closed-form distances.
 
 Charts are analytic: every metric quantity is evaluated on demand at grid
 nodes, so no interpolation error enters the estimate audits.  All metric
@@ -19,7 +20,7 @@ Each family answers the audits' probe-ball geometry: ``center_distance``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -335,12 +336,12 @@ def jacobi_defect(m: WarpedPolarMetric) -> float:
 class ConformalDiscMetric:
     """Conformal chart g = psi(x,y)(dx^2 + dy^2) on a sub-disc of radius < 1.
 
-    ``psi_grad`` returns (psi_x, psi_y); ``psi_log_laplacian`` is the flat
-    Laplacian of log psi in closed form, so the chart's curvature
-    K = -lap(log psi)/(2 psi) is available without differencing.  The
-    consistency of ``curvature`` with that identity is checked on a dense
-    sample at construction, to a relative 1e-8.  Grids use chart-polar coordinates (rho, theta);
-    all evaluation methods take those and convert internally.
+    ``psi_grad`` returns (psi_x, psi_y), read only by ``phi_grad``;
+    ``psi_log_laplacian`` is the flat Laplacian of log psi in closed form, so
+    the chart's curvature K = -lap(log psi)/(2 psi) needs no differencing.
+    Construction checks ``curvature`` against that identity on a dense
+    sample, to a relative 1e-8.  Methods other than ``phi_grad`` take
+    chart-polar (rho, theta), the grids' coordinates.
     """
 
     psi: Callable
@@ -355,14 +356,10 @@ class ConformalDiscMetric:
     def __post_init__(self):
         if not (0.0 < self.domain_radius < 1.0):
             raise ValueError("domain_radius must lie in (0, 1)")
-        rho = np.linspace(0.0, self.domain_radius, 60)
-        th = np.linspace(0.0, 2.0 * math.pi, 61)[:-1]
-        R, T = np.meshgrid(rho, th, indexing="ij")
-        x, y = R * np.cos(T), R * np.sin(T)
+        x, y = _disc_points(self.domain_radius, 60)
         k_stored = np.asarray(self.curvature(x, y), dtype=float)
         k_conf = -np.asarray(self.psi_log_laplacian(x, y), dtype=float) / (
-            2.0 * np.asarray(self.psi(x, y), dtype=float)
-        )
+            2.0 * np.asarray(self.psi(x, y), dtype=float))
         err = np.max(np.abs(k_stored - k_conf) / np.maximum(1.0, np.abs(k_stored)))
         if err > 1e-8:
             raise ValueError(
@@ -380,25 +377,25 @@ class ConformalDiscMetric:
         rho = np.asarray(rho, dtype=float)
         return p, np.zeros_like(p), p * rho * rho
 
+    def phi_grad(self, x, y):
+        """grad psi / (2 psi) at chart points: the gradient of phi = log(psi)/2,
+        which every conformal symbol reads."""
+        p = np.asarray(self.psi(x, y), dtype=float)
+        px, py = self.psi_grad(x, y)
+        return np.asarray(px, dtype=float) / (2.0 * p), np.asarray(py, dtype=float) / (2.0 * p)
+
     def christoffel_components(self, rho, theta):
         """Chart-polar symbols of a conformal metric, via phi = log(psi)/2."""
         x, y = self._xy(rho, theta)
-        p = np.asarray(self.psi(x, y), dtype=float)
-        px, py = self.psi_grad(x, y)
-        phx = np.asarray(px, dtype=float) / (2.0 * p)
-        phy = np.asarray(py, dtype=float) / (2.0 * p)
+        phx, phy = self.phi_grad(x, y)
         rho = np.asarray(rho, dtype=float)
         theta = np.asarray(theta, dtype=float)
         ct, st = np.cos(theta), np.sin(theta)
         ph_rho = phx * ct + phy * st
         ph_th = rho * (-phx * st + phy * ct)
-        g1_11 = ph_rho
-        g1_12 = ph_th
-        g1_22 = -rho - rho * rho * ph_rho
-        g2_11 = -ph_th / rho**2
-        g2_12 = 1.0 / rho + ph_rho
-        g2_22 = ph_th
-        return g1_11, g1_12, g1_22, g2_11, g2_12, g2_22
+        # Gamma^1_11, Gamma^1_12, Gamma^1_22, Gamma^2_11, Gamma^2_12, Gamma^2_22
+        return (ph_rho, ph_th, -rho - rho * rho * ph_rho,
+                -ph_th / rho**2, 1.0 / rho + ph_rho, ph_th)
 
     def curvature_at(self, rho, theta):
         x, y = self._xy(rho, theta)
@@ -406,17 +403,15 @@ class ConformalDiscMetric:
 
     def ball_max_neg_curvature(self, center, r0):
         """Max of -K over B(center, r0) on the chart-disc sample, masked by the
-        pair distance if known, else by the *superset* |p - center| <= r0 /
-        sqrt(min psi): a larger maximum only weakens the audited bounds."""
+        *superset* |p - center| <= r0 / sqrt(min psi), or by the samples
+        nearest the centre when that is empty: a larger maximum only weakens
+        the audited bounds."""
         rho_c, th_c = float(center[0]), float(center[1])
-        xc, yc = rho_c * math.cos(th_c), rho_c * math.sin(th_c)
         X, Y, psi_min = _chart_disc_sample(self)
-        if self.pair_distance is not None:
-            mask = self.pair_distance(xc, yc, X, Y) <= r0
-        else:
-            mask = np.hypot(X - xc, Y - yc) <= r0 / math.sqrt(psi_min)
+        gap = np.hypot(X - rho_c * math.cos(th_c), Y - rho_c * math.sin(th_c))
+        mask = gap <= r0 / math.sqrt(psi_min)
         if not np.any(mask):
-            mask = np.hypot(X - xc, Y - yc) <= 2.0 * self.domain_radius / DISC_SAMPLES
+            mask = gap <= 2.0 * self.domain_radius / DISC_SAMPLES
         return float(np.max(-self.curvature(X[mask], Y[mask])))
 
     def log_curvature_bounds(self, center, r0):
@@ -433,41 +428,30 @@ class ConformalDiscMetric:
         return distance_conformal(self, (X[i, j], Y[i, j]), X, Y).reshape(grid.shape)
 
 
+def _disc_points(radius, n):
+    """Chart points (X, Y) of the n x n chart-polar sample of the disc of
+    ``radius``: rows at n radii from 0 to ``radius``, columns at n angles."""
+    rho = np.linspace(0.0, radius, n)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return rho * np.cos(th), rho * np.sin(th)
+
+
 @lru_cache(maxsize=4)
 def _chart_disc_sample(metric):
-    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 chart-polar sample
-    of a conformal chart's disc, and min psi over them, _DISC_BLOCK rings
-    at a time (None when the chart has a pair distance, which needs no
-    psi).  Built once per metric."""
-    rho = np.linspace(0.0, metric.domain_radius, DISC_SAMPLES)
-    th = np.linspace(0.0, 2.0 * math.pi, DISC_SAMPLES, endpoint=False)
-    X, Y = rho[:, None] * np.cos(th), rho[:, None] * np.sin(th)
+    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 sample of a
+    conformal chart's disc, and min psi over them, _DISC_BLOCK rings at a
+    time.  Built once per metric."""
+    X, Y = _disc_points(metric.domain_radius, DISC_SAMPLES)
     X.flags.writeable = Y.flags.writeable = False
-    psi_min = None
-    if metric.pair_distance is None:
-        psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
-                      for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
+    psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
+                  for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
     return X, Y, psi_min
 
 
 def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
-    """Poincare disc chart with K = -scale: psi = (4/scale)/(1 - x^2 - y^2)^2."""
-    if scale <= 0.0:
-        raise ValueError(f"curvature scale must be positive, got {scale}")
-
-    def psi(x, y):
-        return (4.0 / scale) / (1.0 - x * x - y * y) ** 2
-
-    def psi_grad(x, y):
-        w = (1.0 - x * x - y * y) ** 3
-        return (16.0 / scale) * x / w, (16.0 / scale) * y / w
-
-    def psi_log_laplacian(x, y):
-        return 8.0 / (1.0 - x * x - y * y) ** 2
-
-    def curvature(x, y):
-        return np.full_like(np.asarray(x, dtype=float), -scale)
-
+    """Poincare disc chart with K = -scale: the perturbed chart at eps = 0,
+    psi = (4/scale)/(1 - x^2 - y^2)^2, with its closed-form distances."""
+    chart = make_poincare_perturbed(scale, domain_radius, 0.0)
     root = math.sqrt(scale)
 
     def pair_distance(x1, y1, x2, y2):
@@ -479,11 +463,7 @@ def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
     def center_distance(rho):
         return 2.0 * np.arctanh(np.asarray(rho, dtype=float)) / root
 
-    bounds = CurvatureBounds(scale, scale, lambda rho: scale, 0.0, 0.0)
-    return ConformalDiscMetric(
-        psi, psi_grad, psi_log_laplacian, curvature, domain_radius, bounds,
-        pair_distance=pair_distance, center_distance=center_distance,
-    )
+    return replace(chart, pair_distance=pair_distance, center_distance=center_distance)
 
 
 def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> ConformalDiscMetric:
@@ -491,7 +471,7 @@ def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> C
 
     psi = (4/scale) e^{eps x} / (1 - x^2 - y^2)^2 keeps lap(log psi) in
     closed form (the added exponent is harmonic), giving K = -scale e^{-eps x}:
-    strictly negative, pinched, and genuinely angle-dependent.
+    strictly negative, pinched, and genuinely angle-dependent for eps != 0.
     """
     if scale <= 0.0:
         raise ValueError(f"curvature scale must be positive, got {scale}")
@@ -501,11 +481,10 @@ def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> C
         return (4.0 / scale) * np.exp(eps * x) / (1.0 - x * x - y * y) ** 2
 
     def psi_grad(x, y):
-        b = (4.0 / scale) / (1.0 - x * x - y * y) ** 2
-        bx = (16.0 / scale) * x / (1.0 - x * x - y * y) ** 3
-        by = (16.0 / scale) * y / (1.0 - x * x - y * y) ** 3
+        q = 1.0 - x * x - y * y
         e = np.exp(eps * x)
-        return (bx + eps * b) * e, by * e
+        bx, by = (16.0 / scale) * x / q**3, (16.0 / scale) * y / q**3
+        return (bx + eps * ((4.0 / scale) / q**2)) * e, by * e
 
     def psi_log_laplacian(x, y):
         return 8.0 / (1.0 - x * x - y * y) ** 2
@@ -513,32 +492,26 @@ def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> C
     def curvature(x, y):
         return -scale * np.exp(-eps * np.asarray(x, dtype=float))
 
+    chart = ConformalDiscMetric(psi, psi_grad, psi_log_laplacian, curvature, R)
     # |grad log(-K)|_g = eps / sqrt(psi); Hess log(-K) sampled densely below,
     # on an 80 x 80 chart-polar sample taken 16 rings at a time
-    rho = np.linspace(0.0, R, 80)[:, None]
-    th = np.linspace(0.0, 2.0 * math.pi, 81)[:-1]
-    cos_t, sin_t = np.cos(th), np.sin(th)
+    X, Y = _disc_points(R, 80)
     c3 = c4 = -math.inf
     for k in range(0, 80, 16):
-        x, y = rho[k:k + 16] * cos_t, rho[k:k + 16] * sin_t
+        x, y = X[k:k + 16], Y[k:k + 16]
         p = psi(x, y)
         c3 = max(c3, float(np.max(abs(eps) / np.sqrt(p))))
         # Hess(w)_ab = eps Gamma^x_ab for w = -eps x; conformal symbols in
         # Cartesian coordinates are +-phi_x, +-phi_y
-        px, py = psi_grad(x, y)
-        phx, phy = px / (2.0 * p), py / (2.0 * p)
+        phx, phy = chart.phi_grad(x, y)
         h_xx, h_xy, h_yy = eps * phx, eps * phy, -eps * phx
         tr = (h_xx + h_yy) / p
         det = (h_xx * h_yy - h_xy**2) / p**2
         disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
         c4 = max(c4, float(np.max(np.abs(tr / 2.0) + disc)))
-    bounds = CurvatureBounds(
+    return replace(chart, bounds=CurvatureBounds(
         c1=scale * math.exp(-abs(eps) * R),
         c2=scale * math.exp(abs(eps) * R),
         c2_of_radius=lambda rho_ball: scale * math.exp(abs(eps) * min(rho_ball, R)),
-        c3=c3,
-        c4=c4,
-    )
-    return ConformalDiscMetric(
-        psi, psi_grad, psi_log_laplacian, curvature, domain_radius, bounds
-    )
+        c3=c3, c4=c4,
+    ))

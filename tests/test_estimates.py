@@ -147,8 +147,8 @@ class TestCutoff:
             with pytest.raises(ValueError, match="hypothesis"):
                 audit(model_solve, ball, None)
         ids = [rec.id for rec in run_estimate_suite(model_solve, r0_list=(1.0,)).records]
-        assert ids[-3:] == ["lower_bound_r0_1", "cutoff_hypothesis_r0_1_node_0_0",
-                            "second_order_r0_1"]
+        assert ids[-3:] == ["lower_bound_r0_1_node_0_0", "cutoff_hypothesis_r0_1_node_0_0",
+                            "second_order_r0_1_node_0_0"]
 
     def test_pinched_probes(self, pinched_solve_l4):
         g = pinched_solve_l4.u.grid
@@ -321,7 +321,32 @@ class TestSuite:
         ids = [rec.id for rec in rep.records]
         for r0, node in (("0.5", (0, 0)), ("1", (0, 0)), ("0.5", probe)):
             assert f"cutoff_hypothesis_r0_{r0}_node_{node[0]}_{node[1]}" in ids
-        assert ids.count("second_order_r0_0.5") == 2 and ids.count("second_order_r0_1") == 2
+        for r0, node in (("0.5", (0, 0)), ("1", (0, 0)), ("0.5", probe), ("1", probe)):
+            assert ids.count(f"second_order_r0_{r0}_node_{node[0]}_{node[1]}") == 1
+
+
+    def test_record_ids_unique_and_tagged_by_ball(self, pinched_solve_64):
+        # every record about a probe ball ends in the ball's tag, so no id
+        # repeats within a ball or a report; records that name a node name it
+        g = pinched_solve_64.u.grid
+        probe = (int(np.searchsorted(g.q1, 1.8)), 0)
+        pinched = run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0))
+        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
+                                                PolarGrid(8, 8, 0.8, kind="disc")))
+        perturbed = run_estimate_suite(disc, probes=[(3, 0)], r0_list=(1.0, 1.5))
+        for rep in (pinched, perturbed):
+            ids = [rec.id for rec in rep.records]
+            assert len(ids) == len(set(ids))
+            assert {rec.extra["hypothesis_met"] for rec in rep.records
+                    if rec.id.startswith("second_order_")} == {True, False}
+            for rec in rep.records:
+                if "_r0_" not in rec.id:
+                    continue
+                r0 = rec.id.split("_r0_")[1].split("_node_")[0]
+                node = rec.extra.get("node")
+                if node is not None:
+                    assert rec.id.endswith(f"_r0_{r0}_node_{node[0]}_{node[1]}")
+                assert rec.id.startswith("cutoff_hypothesis_") or node is not None
 
 
 class TestDistanceOnDemand:
@@ -357,8 +382,10 @@ class TestDistanceOnDemand:
         hyp, second = rep.records[-2:]
         assert hyp.id == "cutoff_hypothesis_r0_1_node_0_0" and hyp.passed
         assert hyp.margin == ball.cap - ball.u_probe and hyp.extra == {"hypothesis_met": False}
-        assert second.id == "second_order_r0_1" and second.passed and second.margin == math.inf
-        assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe}
+        assert second.id == "second_order_r0_1_node_0_0" and second.passed
+        assert second.margin == math.inf
+        assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
+                                "node": [0, 0]}
         for audit in (build_cutoff, check_second_order):
             with pytest.raises(ValueError, match="hypothesis"):
                 audit(pinched_solve_64, ball, None)

@@ -20,7 +20,7 @@ from lorentz_embed.metric import (
 )
 from lorentz_embed.metric import _uniform_hermite
 from lorentz_embed import estimates, metric as metric_module
-from lorentz_embed.grid import PolarGrid
+from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 
 
@@ -341,6 +341,59 @@ class TestConformalCharts:
         assert np.allclose(K_fd, m.curvature(xs, ys), atol=1e-6)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestPoincareIsPerturbedAtZero:
+    """The Poincare chart is the perturbed chart at eps = 0, bit for bit,
+    plus its closed-form distances."""
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_same_chart_bits(self, scale):
+        m, p = make_poincare(scale, 0.9), make_poincare_perturbed(scale, 0.9, 0.0)
+        grid = PolarGrid(24, 16, 0.85, kind="disc")
+        rho, th = grid.mesh()
+        x, y = rho * np.cos(th), rho * np.sin(th)
+        assert _same_bits(m.psi(x, y), p.psi(x, y))
+        assert all(map(_same_bits, m.psi_grad(x, y), p.psi_grad(x, y)))
+        assert _same_bits(m.curvature(x, y), p.curvature(x, y))
+        ours, theirs = chart_arrays(m, grid), chart_arrays(p, grid)
+        for name in ("g11", "g12", "g22", "det_g", "K", "gamma1_11", "gamma1_12",
+                     "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22"):
+            assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
+        for b in (m.bounds, p.bounds):
+            assert (b.c1, b.c2, b.c3, b.c4) == (scale, scale, 0.0, 0.0)
+            assert [b.c2_of_radius(r) for r in (0.1, 0.5, 2.0)] == [scale] * 3
+        assert p.pair_distance is None and p.center_distance is None
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_textbook_formulas(self, scale):
+        # the closed forms of the Poincare disc, in their usual arithmetic
+        rng = np.random.default_rng(0)
+        rho, th = 0.9 * np.sqrt(rng.random(4096)), 2.0 * math.pi * rng.random(4096)
+        x, y = rho * np.cos(th), rho * np.sin(th)
+        m = make_poincare(scale, 0.9)
+        q = 1.0 - x * x - y * y
+        assert _same_bits(m.psi(x, y), (4.0 / scale) / q**2)
+        px, py = m.psi_grad(x, y)
+        assert _same_bits(px, (16.0 / scale) * x / q**3)
+        assert _same_bits(py, (16.0 / scale) * y / q**3)
+        assert _same_bits(m.curvature(x, y), np.full_like(x, -scale))
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
+    def test_ball_max_is_exactly_the_scale(self, scale):
+        m = make_poincare(scale, 0.9)
+        assert m.ball_max_neg_curvature((0.4, 1.0), 0.5) == scale
+        # a ball so small that no sample meets the distance mask takes the
+        # samples nearest its centre
+        X, Y, psi_min = metric_module._chart_disc_sample(m)
+        gap = np.hypot(X - 0.4 * math.cos(1.0), Y - 0.4 * math.sin(1.0))
+        assert not np.any(gap <= 1e-9 / math.sqrt(psi_min))
+        assert m.ball_max_neg_curvature((0.4, 1.0), 1e-9) == scale
+
+
 class TestChartAnswers:
     """The geometry each chart family answers for the estimate audits."""
 
@@ -370,8 +423,7 @@ class TestChartAnswers:
 
 class TestChartDiscSample:
     def test_disc_sample_cached_per_metric(self, monkeypatch):
-        # the chart-disc sample does not depend on the centre or the radius;
-        # a pair-distance chart masks by distance, the other by min psi
+        # the chart-disc sample does not depend on the centre or the radius
         for metric in (make_poincare(1.0, 0.9), make_poincare_perturbed(1.0, 0.9, 0.3)):
             calls = [((0.2, 1.0), 0.5), ((0.6, 3.0), 1.5), ((0.0, 0.0), 1e-6)]
             cached = [metric.ball_max_neg_curvature(c, r0) for c, r0 in calls]

@@ -87,3 +87,18 @@ def test_probe_ball_audits_take_no_optional_inputs():
         defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
         assert None not in defaults.values(), (fn.__name__, defaults)
     assert "center_distance" not in (SRC / "cli.py").read_text()
+
+
+def test_psi_grad_is_read_in_one_place():
+    # grad phi = grad psi / (2 psi) has one definition, ConformalDiscMetric.phi_grad;
+    # every other reader of the conformal symbols goes through it
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "psi_grad":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1 and calls[0].startswith("metric.py:"), calls
+    assert "psi_grad" in inspect.getsource(ConformalDiscMetric.phi_grad)
