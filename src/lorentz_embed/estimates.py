@@ -392,7 +392,9 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     whose probe ball fits in the solved domain.  Each (node, r0) gets one
     ``ProbeBall``.  Only a ball that meets the smallness hypothesis gets the
     cutoff and second-order audits; one that fails it gets a passing
-    ``cutoff_hypothesis`` and a not-met ``second_order`` record.  A node's
+    ``cutoff_hypothesis`` and a not-met ``second_order`` record.  The first
+    passes by rule with a negative margin, and its ``extra`` says so
+    (``by_rule``), so a search for the tightest record can skip it.  A node's
     distance field is solved only if the hypothesis holds there for some
     radius, and only as far as those audits read it.  A chart that never
     reads theta (``chart.column``) is rotationally symmetric, so nodes on one
@@ -427,7 +429,8 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                     id=f"cutoff_hypothesis_{ball.tag}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
                     bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
-                    passed=True, extra={"hypothesis_met": False}))
+                    passed=True, extra={"hypothesis_met": False, "node": list(node),
+                                        "by_rule": True}))
                 report.add(EstimateRecord(
                     id=f"second_order_{ball.tag}",
                     locus="Hessian eigenvalue ceiling (hypothesis not met)",

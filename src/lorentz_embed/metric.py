@@ -50,6 +50,8 @@ BALL_SAMPLES = 4096
 DISC_SAMPLES = 160
 # rings of that sample evaluated at once
 _DISC_BLOCK = 16
+# RK4 steps of make_radial_from_curvature held as Python floats at once
+_RK4_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -204,22 +206,24 @@ def make_radial_from_curvature(
         )
 
     # K at the RK4 stage radii r_i, r_i + h/2 and r_i + h, once, vectorized;
-    # the loop itself runs on Python floats
-    k_mid = np.asarray(K(radii[:-1] + 0.5 * h), dtype=float).tolist()
-    k_end = np.asarray(K(radii[:-1] + h), dtype=float).tolist()
+    # the loop runs on Python floats, _RK4_BLOCK steps of them at a time
+    k_stages = (kvals[:-1], np.asarray(K(radii[:-1] + 0.5 * h), dtype=float),
+                np.asarray(K(radii[:-1] + h), dtype=float))
     fs = np.empty(n + 1)
     fps = np.empty(n + 1)
     fs[0], fps[0] = 0.0, 1.0
     y0, y1 = 0.0, 1.0
     half_h, sixth_h = 0.5 * h, h / 6.0
-    for i, (ka, kb, kc) in enumerate(zip(kvals[:-1].tolist(), k_mid, k_end)):
-        a0, a1 = y1, -ka * y0
-        b0, b1 = y1 + half_h * a1, -kb * (y0 + half_h * a0)
-        c0, c1 = y1 + half_h * b1, -kb * (y0 + half_h * b0)
-        d0, d1 = y1 + h * c1, -kc * (y0 + h * c0)
-        y0 = y0 + sixth_h * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        y1 = y1 + sixth_h * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        fs[i + 1], fps[i + 1] = y0, y1
+    for start in range(0, n, _RK4_BLOCK):
+        block = zip(*(k[start:start + _RK4_BLOCK].tolist() for k in k_stages))
+        for i, (ka, kb, kc) in enumerate(block, start):
+            a0, a1 = y1, -ka * y0
+            b0, b1 = y1 + half_h * a1, -kb * (y0 + half_h * a0)
+            c0, c1 = y1 + half_h * b1, -kb * (y0 + half_h * b0)
+            d0, d1 = y1 + h * c1, -kc * (y0 + h * c0)
+            y0 = y0 + sixth_h * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+            y1 = y1 + sixth_h * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            fs[i + 1], fps[i + 1] = y0, y1
 
     f = _uniform_hermite(fs, fps, h)
     f_prime = _uniform_hermite(fps, -kvals * fs, h)

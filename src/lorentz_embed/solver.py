@@ -16,11 +16,13 @@ offset.  On a chart evaluated as one column (``ChartData.column``: a
 metric that never reads theta, such as a warped polar metric) radial
 iterates stay bitwise radial, so the whole Newton state is one (n1, 1)
 column: values, residual, margins, coefficients, step and line-search
-trials.  Only the converged field is formed at full width.  A ring-constant right side excites angular mode 0
-alone, where every theta shift is the identity, so the step is one real
-tridiagonal system in the radial index with bands sum_dj c_{di,dj}, the
-pole mirror folded into ring 0's diagonal.  Gaussian elimination without
-pivoting (the Thomas algorithm) solves it; that is stable on strictly row
+trials, and so is the answer: the solved field is that column broadcast
+along theta, read-only (a block solve returns its own array, read-only
+too).  A ring-constant right side excites angular mode 0 alone, where
+every theta shift is the identity, so the step is one real tridiagonal
+system in the radial index with bands sum_dj c_{di,dj}, the pole mirror
+folded into ring 0's diagonal.  Gaussian elimination without pivoting
+(the Thomas algorithm) solves it; that is stable on strictly row
 diagonally dominant systems, which every radial step of the workloads
 has been, with a smallest ratio |a_ii| / (|a_i,i-1| + |a_i,i+1|) of about
 1.0005.  If the system fails the check, the state is broadcast to full
@@ -442,8 +444,9 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
         floor_limited = (res_norm > problem.tol and res_norm <= floor and it > 0
                          and trace[-2][1] < _FLOOR_PROGRESS * res_norm)
         if res_norm <= problem.tol or floor_limited:
-            # a column solve forms its one full-width field here
-            values = np.ascontiguousarray(np.broadcast_to(state.values, grid.shape))
+            # a read-only view: a column broadcast along theta, or the block
+            # path's own array
+            values = np.broadcast_to(state.values, grid.shape)
             return _finalize(ScalarField(grid, values), chart, metric, b, it, trace,
                              res_norm, floor, floor_limited)
         rhs = np.zeros(state.values.shape)
@@ -495,7 +498,9 @@ def _finalize(u, chart, metric, boundary_value, iterations, trace,
               residual=None, residual_floor=None, floor_limited=False):
     # audit-grade Hessian: one-sided top row included in the certificate
     hess = covariant_hessian(u, chart)
-    s = hess.grad_sq + 2.0 * u.values
+    # a ring-constant field's right side is taken on column 0, like its Hessian
+    width = 1 if hess.ring_constant else u.grid.n2
+    s = hess.grad_sq[:, :width] + 2.0 * u.values[:, :width]
     return AdmissibleField(
         u=u,
         hessian=hess,

@@ -326,8 +326,8 @@ class TestSuite:
 
 
     def test_record_ids_unique_and_tagged_by_ball(self, pinched_solve_64):
-        # every record about a probe ball ends in the ball's tag, so no id
-        # repeats within a ball or a report; records that name a node name it
+        # every record about a probe ball ends in the ball's tag and names
+        # its node, so no id repeats within a ball or a report
         g = pinched_solve_64.u.grid
         probe = (int(np.searchsorted(g.q1, 1.8)), 0)
         pinched = run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0))
@@ -343,10 +343,10 @@ class TestSuite:
                 if "_r0_" not in rec.id:
                     continue
                 r0 = rec.id.split("_r0_")[1].split("_node_")[0]
-                node = rec.extra.get("node")
-                if node is not None:
-                    assert rec.id.endswith(f"_r0_{r0}_node_{node[0]}_{node[1]}")
-                assert rec.id.startswith("cutoff_hypothesis_") or node is not None
+                node = rec.extra["node"]
+                assert rec.id.endswith(f"_r0_{r0}_node_{node[0]}_{node[1]}")
+                # only the records that pass by rule say so
+                assert rec.extra.get("by_rule", False) is rec.id.startswith("cutoff_hypothesis_")
 
 
 class TestDistanceOnDemand:
@@ -381,7 +381,8 @@ class TestDistanceOnDemand:
         # the suite writes both not-met records itself; the audits refuse the ball
         hyp, second = rep.records[-2:]
         assert hyp.id == "cutoff_hypothesis_r0_1_node_0_0" and hyp.passed
-        assert hyp.margin == ball.cap - ball.u_probe and hyp.extra == {"hypothesis_met": False}
+        assert hyp.margin == ball.cap - ball.u_probe
+        assert hyp.extra == {"hypothesis_met": False, "node": [0, 0], "by_rule": True}
         assert second.id == "second_order_r0_1_node_0_0" and second.passed
         assert second.margin == math.inf
         assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,

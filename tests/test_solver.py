@@ -283,7 +283,24 @@ class TestFourierStep:
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
         assert len(shapes) == sol.iterations >= 2
         assert all(s == ({(63, 1)}, (64, 1), 64) for s in shapes)
-        assert sol.u.values.shape == (64, 64) and sol.u.values.flags.writeable
+        # the answer stays one column too, read-only, broadcast along theta
+        u = sol.u.values
+        assert u.shape == (64, 64) and u.strides[1] == 0 and not u.flags.writeable
+        assert np.array_equal(u, np.broadcast_to(u[:, :1], u.shape))
+
+    def test_radial_solve_memory_budget(self, pinched_metric):
+        # below one 192 x 192 field of doubles (294,912 bytes): the solved
+        # field, its Hessian and its chart are columns
+        problem = DirichletProblem(pinched_metric, PolarGrid(192, 192, 4.0))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            sol = solve_dirichlet(problem)
+            retained = tracemalloc.get_traced_memory()[0] - entry
+        finally:
+            tracemalloc.stop()
+        assert sol.u.values.strides[1] == 0
+        assert retained <= 100_000
 
     def test_block_fallback_continues_at_full_width(self, pinched_metric, monkeypatch):
         # a first step handed to the block step, as a non-dominant mode 0
