@@ -22,8 +22,9 @@ os.makedirs(OUT, mode=0o755, exist_ok=True)
 
 metric = make_radial_pinched(1.0, 1.0, 8.5)
 b = metric.bounds
-print(f"pinching constants: c1 = {b.c1:.4f}, c2 = {b.c2:.4f}; "
-      f"log-curvature derivative bounds c3 = {b.c3:.4f}, c4 = {b.c4:.4f}")
+c3, c4 = metric.log_curvature_bounds((2.0, 0.0), 1.0)
+print(f"pinching constants: c1 = {b.c1:.4f}, c2 = {b.c2:.4f}; log-curvature "
+      f"derivative bounds on the ball B((r, theta) = (2, 0), 1): c3 = {c3:.4f}, c4 = {c4:.4f}")
 
 # --- expanding-ball continuation -------------------------------------------
 schedule = make_schedule((2.0, 3.0, 4.0, 5.0, 6.0), l_obs=1.0,

@@ -542,22 +542,25 @@ def _read_field_csv(path, shape):
 
 @_exit_5_if_locked
 def cmd_verify(run_dir):
-    try:
-        cfg, _, fields = _load_run(run_dir)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"verify: {exc}", file=sys.stderr)
+    if not os.path.isdir(run_dir):  # locking would create it
+        print(f"verify: run directory {run_dir} not found", file=sys.stderr)
         return 2
-    r0_list = [float(r) for r in cfg.audit["r0_list"]]
-    reports = []
-    ok = True
-    for fld in fields:
-        probes, fit_r0 = _cli.default_probes(fld, r0_list)
-        rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
-                                      c_cal=cfg.audit["c_cal"], tol=cfg.solver["tol"])
-        reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
-        ok = ok and rep.mandatory_pass()
-    out = os.path.join(run_dir, "verify")
-    with _locked_dir(run_dir):
+    with _locked_dir(run_dir):  # the run is read under the lock its report is written under
+        try:
+            cfg, _, fields = _load_run(run_dir)
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"verify: {exc}", file=sys.stderr)
+            return 2
+        r0_list = [float(r) for r in cfg.audit["r0_list"]]
+        reports = []
+        ok = True
+        for fld in fields:
+            probes, fit_r0 = _cli.default_probes(fld, r0_list)
+            rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
+                                          c_cal=cfg.audit["c_cal"], tol=cfg.solver["tol"])
+            reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
+            ok = ok and rep.mandatory_pass()
+        out = os.path.join(run_dir, "verify")
         os.makedirs(out, exist_ok=True)
         _dump_json({"runs": reports, "mandatory_pass": ok},
                    os.path.join(out, "report.json"))
@@ -571,41 +574,45 @@ def cmd_verify(run_dir):
 
 @_exit_5_if_locked
 def cmd_embed(run_dir):
-    try:
-        cfg, metric, (field,) = _load_run(run_dir, last_only=True)
-        verify_report = _read_json_object(run_dir, "verify/report.json", "run verify first")
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"embed: {exc}", file=sys.stderr)
+    if not os.path.isdir(run_dir):  # locking would create it
+        print(f"embed: run directory {run_dir} not found", file=sys.stderr)
         return 2
-    # certified: embed reads only the field's values and chart; the audit Hessian's arrays go now
-    spent = np.broadcast_to(np.nan, field.u.grid.shape)
-    field = replace(field, hessian=HessianField(field.hessian.chart, *[spent] * 9))
-    if not verify_report.get("mandatory_pass", False):
-        print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
-        return 2
+    with _locked_dir(run_dir):  # the run is read under the lock its mesh is written under
+        try:
+            cfg, metric, (field,) = _load_run(run_dir, last_only=True)
+            verify_report = _read_json_object(run_dir, "verify/report.json", "run verify first")
+        except (FileNotFoundError, ValueError) as exc:
+            print(f"embed: {exc}", file=sys.stderr)
+            return 2
+        # certified: embed reads the field's values and chart; the Hessian's arrays go now
+        spent = np.broadcast_to(np.nan, field.u.grid.shape)
+        field = replace(field, hessian=HessianField(field.hessian.chart, *[spent] * 9))
+        if not verify_report.get("mandatory_pass", False):
+            print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
+            return 2
 
-    audit_cfg = cfg.audit
-    try:
-        gbar, dev, emb, audit = _cli.build_embedding(
-            field, cfg.exhaustion["l_obs"],
-            check_tol=audit_cfg["curvature_check_tol"],
-        )
-    except _cli.ObservationRegionError as exc:  # validation vets config grids; meta.json may differ
-        print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
-        return 2
-    except _cli.CurvatureCheckError as exc:
-        print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
-        return 4
-    payload = audit.to_json_dict()
-    payload["curvature_defect"] = gbar.max_defect
-    # the mesh and the audit are all that is written: the arrays of the
-    # field, the rescaled metric and the embedding go as soon as the mesh
-    # no longer needs them
-    del field, gbar, dev
-    mesh = _cli.export_graph(emb, rows=audit.audit_rows)
-    del emb
-    out = os.path.join(run_dir, "embed")
-    with _locked_dir(run_dir):
+        audit_cfg = cfg.audit
+        try:
+            gbar, dev, emb, audit = _cli.build_embedding(
+                field, cfg.exhaustion["l_obs"],
+                check_tol=audit_cfg["curvature_check_tol"],
+            )
+        except _cli.ObservationRegionError as exc:
+            # validation vets config grids; meta.json may differ
+            print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
+            return 2
+        except _cli.CurvatureCheckError as exc:
+            print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
+            return 4
+        payload = audit.to_json_dict()
+        payload["curvature_defect"] = gbar.max_defect
+        # the mesh and the audit are all that is written: the arrays of the
+        # field, the rescaled metric and the embedding go as soon as the mesh
+        # no longer needs them
+        del field, gbar, dev
+        mesh = _cli.export_graph(emb, rows=audit.audit_rows)
+        del emb
+        out = os.path.join(run_dir, "embed")
         os.makedirs(out, exist_ok=True)
         _cli.write_obj(mesh, os.path.join(out, "surface.obj"))
         _dump_json(payload, os.path.join(out, "audit.json"))

@@ -221,7 +221,7 @@ def conformal_metric(field: AdmissibleField, rows=None,
     du1 = radial_derivative(u, grid.h1, deriv=1, order=_RADIAL_ORDER)
     du2 = theta_derivative_spectral(u)
     gb11 = (ch.g11 + du1 * du1 / (2.0 * u)) / (2.0 * u)
-    gb12 = (ch.g12 + du1 * du2 / (2.0 * u)) / (2.0 * u)
+    gb12 = du1 * du2 / (2.0 * u) / (2.0 * u)
     gb22 = (ch.g22 + du2 * du2 / (2.0 * u)) / (2.0 * u)
 
     gb11, gb12, gb22 = gb11[:rows], gb12[:rows], gb22[:rows]
@@ -657,8 +657,7 @@ def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
     # chart metric in Cartesian components
     ch = emb.chart
     chart_metric = _polar_to_cartesian_metric(
-        ch.g11[: emb.rows], ch.g12[: emb.rows], ch.g22[: emb.rows],
-        calc.r, calc.cos, calc.sin)
+        ch.g11[: emb.rows], 0.0, ch.g22[: emb.rows], calc.r, calc.cos, calc.sin)
     pullback_rel_err, worst_node = _pullback_error(emb.pullback, chart_metric, sl)
     u_identity = float(np.abs(-0.5 * minkowski_inner(X, X) - u)[sl].max())
     normal_identity = _normal_identity(X, n, u, chart_metric, calc, sl)

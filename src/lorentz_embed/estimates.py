@@ -338,7 +338,7 @@ def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
                         gbound, float(grad_phi[support].max()), slack_grad))
 
     a11 = hess_phi.h11 + field.hessian.h11 + ch.g11
-    a12 = hess_phi.h12 + field.hessian.h12 + ch.g12
+    a12 = hess_phi.h12 + field.hessian.h12
     a22 = hess_phi.h22 + field.hessian.h22 + ch.g22
     eig_min, _ = generalized_eig_range(a11, a12, a22, ch.g11, ch.g22)
     recs.append(_record("cutoff_hessian", "Hess(phi) dominates -(Hess u + g)",

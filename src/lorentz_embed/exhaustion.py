@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PolarGrid, ScalarField, _ring_constant, ghost_rows_below
+from .grid import PolarGrid, ScalarField, ghost_rows_below
 from .solver import DirichletProblem, _tridiagonal_solve, solve_dirichlet
 
 __all__ = [
@@ -163,14 +163,14 @@ def sample_bicubic(field: ScalarField, r_pts, t_pts):
     is interior everywhere on (0, ball_radius] x S^1.  The splines' Hermite
     pieces, from the data and the banded knot slopes, are evaluated along r
     at r_pts, then along theta at t_pts, _COLUMNS splines at a time.  A
-    field whose rows each hold one bit pattern (every radial ball) is
-    sampled on its first column, returned read-only, broadcast along theta.
+    field constant along theta (``field.column``; every radial ball) is
+    sampled on that column, returned read-only, broadcast along theta.
     """
     grid, pad = field.grid, 4
     # node k of the extension sits at r = (k - pad + 1/2) h1, theta0 + (k - pad) h2
     r_k = np.asarray(r_pts, dtype=float) / grid.h1 + (pad - 0.5)
     t_k = np.mod(np.asarray(t_pts, dtype=float) - grid.theta0, 2 * math.pi) / grid.h2 + pad
-    values = field.values[:, :1] if _ring_constant(field.values) else field.values
+    values = field.values if field.column is None else field.column
     ghosts = ghost_rows_below(values[:pad], pad)[:pad]
     blocks = (np.vstack([ghosts[:, j:j + _COLUMNS], values[:, j:j + _COLUMNS]])
               for j in range(0, values.shape[1], _COLUMNS))

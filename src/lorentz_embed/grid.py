@@ -10,19 +10,22 @@ boundary and carries the Dirichlet value.  A grid of kind "polar" covers a
 geodesic ball (q1 is geodesic distance); a grid of kind "disc" covers a
 conformal chart disc (q1 is the chart radius).
 
-A metric is evaluated on a grid once, into ChartData; the covariant Hessian
-takes that chart.  The metric is called on the open mesh (q1 as a column,
-q2 as a row), so a chart that never reads theta, such as a warped polar
-metric, is evaluated as one column and its full-width arrays are views of
-it broadcast along theta.  Radial Newton iterates stay bitwise constant
-along theta; when the field is and the chart is a column, the Hessian
-kernel runs on column 0 and returns views of it broadcast along theta.
-At width 1 the theta rolls and the pole mirror's half turn are the
-identity and every other operation is elementwise, so that column is bit
-for bit column 0 of the full-width result.  Second-order centered
-stencils feed the Monge-Ampere residual (see solver); audits may request
-higher radial orders and spectrally accurate angular derivatives.  Every
-artifact is written through ``atomic_write``.
+A metric is evaluated on a grid once, into ChartData, which holds only
+what the metric returns: charts are orthogonal, so readers form 1/g11 and
+g11 g22 from the diagonal.  The covariant Hessian takes that chart.  The
+metric is called on the open mesh (q1 as a column, q2 as a row), so a
+chart that never reads theta, such as a warped polar metric, is evaluated
+as one column and its full-width arrays are views of it broadcast along
+theta.  ``ScalarField.column`` is the one test of a field's constancy
+along theta.  Radial Newton iterates stay bitwise constant along theta;
+when the field is and the chart is a column, the Hessian kernel runs on
+column 0 and returns views of it broadcast along theta.  At width 1 the
+theta rolls and the pole mirror's half turn are the identity and every
+other operation is elementwise, so that column is bit for bit column 0 of
+the full-width result.  Second-order centered stencils feed the
+Monge-Ampere residual (see solver); audits may request higher radial
+orders and spectrally accurate angular derivatives.  Every artifact is
+written through ``atomic_write``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -119,22 +122,25 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(v[:, :1] if v.strides[1] == 0 else v)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def column(self):
+        """Column 0 as an (n1, 1) view if each row holds one bit pattern (so
+        0.0 != -0.0), else None; tested on first read."""
+        v = self.values
+        return v[:, :1] if v.strides[1] == 0 or _ring_constant(v) else None
 
 
 @dataclass(frozen=True)
 class ChartData:
-    """Metric, Christoffel, and curvature arrays evaluated at the nodes of ``grid``."""
+    """The diagonal metric, curvature and Christoffel symbols at the nodes of ``grid``."""
 
     grid: PolarGrid
     g11: np.ndarray
-    g12: np.ndarray
     g22: np.ndarray
-    det_g: np.ndarray
-    inv11: np.ndarray
-    inv22: np.ndarray
     K: np.ndarray
     gamma1_11: np.ndarray
     gamma1_12: np.ndarray
@@ -160,12 +166,11 @@ class HessianField:
     det_ratio: np.ndarray     # det(Hess u + g) / det g
     eig_min: np.ndarray       # eigenvalues of g^{-1}(Hess u + g)
     eig_max: np.ndarray
-    ring_constant: bool = False  # taken on column 0: read-only views of it along theta
 
 
 def _ring_constant(F):
-    """Whether each row of F holds one bit pattern (so 0.0 != -0.0), i.e. the
-    AND and the OR of its bits agree: row reductions, no (n1, n2) temporary."""
+    """Whether the AND and the OR of each row's bits agree: row reductions,
+    no (n1, n2) temporary."""
     bits = F.view(np.uint64)
     return bool(np.all(np.bitwise_and.reduce(bits, 1) == np.bitwise_or.reduce(bits, 1)))
 
@@ -178,11 +183,9 @@ def chart_arrays(metric, grid) -> ChartData:
     the fields broadcast them along theta.
     """
     q1, q2 = np.meshgrid(grid.q1, grid.q2, indexing="ij", sparse=True)
-    g11, g12, g22 = metric.metric_components(q1, q2)
+    g11, g22 = metric.metric_components(q1, q2)
     gam = metric.christoffel_components(q1, q2)
-    K = metric.curvature_at(q1, q2)
-    det_g = g11 * g22 - g12 * g12
-    arrays = (g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K, *gam)
+    arrays = (g11, g22, metric.curvature_at(q1, q2), *gam)
     full = [np.broadcast_to(a, grid.shape) for a in arrays]
     column = (ChartData(grid, *(a[:, :1] for a in full))
               if all(a.shape == (grid.n1, 1) for a in arrays) else None)
@@ -274,7 +277,8 @@ def theta_derivative_spectral(F, deriv=1):
 
 
 def generalized_eig_range(a11, a12, a22, g11, g22):
-    """Eigenvalue range of g^{-1} A for diagonal g and symmetric A."""
+    """Eigenvalue range of g^{-1} A for symmetric A and the diagonal g of
+    an orthogonal chart, g = diag(g11, g22)."""
     b11 = a11 / g11
     b22 = a22 / g22
     b12 = a12 / np.sqrt(g11 * g22)
@@ -293,10 +297,10 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
     ``chart`` must be evaluated on the grid of ``u``.  Stencils are centered
     and second order; the top row of the returned arrays is one-sided and
     should only be consumed by audits.  When the chart is a column and
-    ``u`` is bitwise constant along theta, the kernel runs on column 0
-    alone and the result holds read-only views of it broadcast along theta
-    (``ring_constant``), bit-identical to the full width: theta differences
-    and the pole mirror map a width-1 column to itself.
+    ``u`` is bitwise constant along theta (``u.column``), the kernel runs on
+    column 0 alone and the result holds read-only views of it broadcast
+    along theta (``strides[1] == 0``), bit-identical to the full width:
+    theta differences and the pole mirror map a width-1 column to itself.
     """
     grid = u.grid
     if chart.grid != grid:
@@ -306,12 +310,10 @@ def covariant_hessian(u: ScalarField, chart: ChartData) -> HessianField:
             f"grid {grid.shape} too coarse for the Hessian stencils "
             "(need n_r >= 4 and n_theta >= 8)"
         )
-    F = u.values
-    if chart.column is not None and _ring_constant(F):
-        column = _hessian_arrays(F[:, :1], grid.h1, grid.h2, chart.column)
-        return HessianField(chart, *(np.broadcast_to(a, grid.shape) for a in column),
-                            ring_constant=True)
-    return HessianField(chart, *_hessian_arrays(F, grid.h1, grid.h2, chart))
+    if chart.column is not None and u.column is not None:
+        column = _hessian_arrays(u.column, grid.h1, grid.h2, chart.column)
+        return HessianField(chart, *(np.broadcast_to(a, grid.shape) for a in column))
+    return HessianField(chart, *_hessian_arrays(u.values, grid.h1, grid.h2, chart))
 
 
 def _hessian_arrays(F, h1, h2, chart):
@@ -324,10 +326,10 @@ def _hessian_arrays(F, h1, h2, chart):
     h11 = d11 - chart.gamma1_11 * du1 - chart.gamma2_11 * du2
     h12 = d12 - chart.gamma1_12 * du1 - chart.gamma2_12 * du2
     h22 = d22 - chart.gamma1_22 * du1 - chart.gamma2_22 * du2
-    grad_sq = chart.inv11 * du1 * du1 + chart.inv22 * du2 * du2
-    a11, a12, a22 = h11 + chart.g11, h12 + chart.g12, h22 + chart.g22
-    det_ratio = (a11 * a22 - a12 * a12) / chart.det_g
-    eig_min, eig_max = generalized_eig_range(a11, a12, a22, chart.g11, chart.g22)
+    grad_sq = 1.0 / chart.g11 * du1 * du1 + 1.0 / chart.g22 * du2 * du2
+    a11, a22 = h11 + chart.g11, h22 + chart.g22
+    det_ratio = (a11 * a22 - h12 * h12) / (chart.g11 * chart.g22)
+    eig_min, eig_max = generalized_eig_range(a11, h12, a22, chart.g11, chart.g22)
     return h11, h12, h22, du1, du2, grad_sq, det_ratio, eig_min, eig_max
 
 
@@ -355,7 +357,8 @@ def write_field_csv(field: ScalarField, path):
     Polar grids emit (r, theta, value); disc grids emit Cartesian chart
     coordinates (x, y, value).  The file is written one grid row at a time.
     On polar grids each theta is formatted once per grid, each r once per
-    row, and the value of a row whose bits all agree once.
+    row, and, on a field constant along theta (``field.column``), each
+    row's value once.
     """
     grid = field.grid
     values = field.values
@@ -371,12 +374,11 @@ def write_field_csv(field: ScalarField, path):
         fh.write("r,theta,value\n")
         # one ",theta,<value>" line tail per column; a row's r joins them
         tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
-        bits = values.view(np.uint64)
-        constant = np.all(bits == bits[:, :1], axis=1).tolist()
-        for r, row, const in zip(grid.q1.tolist(), values, constant):
+        column = field.column
+        for r, row in zip(grid.q1.tolist(), values if column is None else column):
             r_text = "%.17g" % r
             fmt = r_text + r_text.join(tails)
-            if const:
-                fh.write(fmt.replace("%.17g", "%.17g" % float(row[0])))
-            else:
+            if column is None:
                 fh.write(fmt % tuple(row.tolist()))
+            else:
+                fh.write(fmt.replace("%.17g", "%.17g" % float(row[0])))

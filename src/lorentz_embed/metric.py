@@ -9,9 +9,12 @@ Two chart families are supported:
   unit disc, discretized in chart-polar coordinates: the perturbed Poincare
   family, whose eps = 0 member is the Poincare disc with closed-form distances.
 
-Charts are analytic: every metric quantity is evaluated on demand at grid
-nodes, so no interpolation error enters the estimate audits.  All metric
-objects are immutable after construction and safe to share between workers.
+Both families are orthogonal: ``metric_components`` returns the diagonal
+(g11, g22), which with the curvature and the Christoffel symbols is all a
+grid's chart data holds.  Charts are analytic: every metric quantity is
+evaluated on demand at grid nodes, so no interpolation error enters the
+estimate audits.  All metric objects are immutable after construction and
+safe to share between workers.
 Each family answers the audits' probe-ball geometry: ``center_distance``
 (of a chart radius; None without a closed form), ``ball_max_neg_curvature``,
 ``log_curvature_bounds`` and ``distance_field`` (importing ``geodesics``).
@@ -60,24 +63,20 @@ class CurvatureBounds:
 
     ``c2_of_radius(l)`` is the maximum of ``-K`` over the closed ball of
     radius ``l`` about the chart center; it supplies the constant boundary
-    datum ``1/(2 max(-K))`` of the Dirichlet solves.  ``c3`` and ``c4``
-    bound ``|grad log(-K)|`` and the eigenvalues of ``Hess log(-K)`` on the
-    chart; they feed the second-order eigenvalue audit.  A Hoelder modulus
-    of K is assumed by the theory but never enters a computation, so it is
+    datum ``1/(2 max(-K))`` of the Dirichlet solves.  The bounds c3 and c4
+    on ``|grad log(-K)|`` and ``Hess log(-K)`` are a probe ball's, from
+    the chart's ``log_curvature_bounds``.  A Hoelder modulus of K is
+    assumed by the theory but never enters a computation, so it is
     deliberately not a field here.
     """
 
     c1: float
     c2: float
     c2_of_radius: Callable[[float], float]
-    c3: float = 0.0
-    c4: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.c1 <= self.c2):
             raise ValueError(f"need 0 < c1 <= c2, got c1={self.c1}, c2={self.c2}")
-        if self.c3 < 0.0 or self.c4 < 0.0:
-            raise ValueError("c3 and c4 must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,10 @@ class WarpedPolarMetric:
     sample_f: np.ndarray | None = None
 
     def metric_components(self, r, theta):
+        """The diagonal (g11, g22) = (1, f^2)."""
         r = np.asarray(r, dtype=float)
         fr = self.f(r)
-        return np.ones_like(fr), np.zeros_like(fr), fr * fr
+        return np.ones_like(fr), fr * fr
 
     def christoffel_components(self, r, theta):
         """Gamma^1_{11}, Gamma^1_{12}, Gamma^1_{22}, Gamma^2_{11}, Gamma^2_{12}, Gamma^2_{22}."""
@@ -133,12 +133,17 @@ class WarpedPolarMetric:
         return float(np.max(-self.curvature_at(self._band(center, r0, BALL_SAMPLES + 1))))
 
     def log_curvature_bounds(self, center, r0):
-        """c3 and c4 of log(-K) over B(center, r0), from the closed-form
-        radial derivatives of K sampled on the ball's band."""
+        """c3 = max |w'| and c4 = max(|w''|, |(f'/f) w'|) of w = log(-K) over
+        B(center, r0), from the closed-form radial derivatives of K sampled
+        on the ball's band."""
         band = np.clip(self._band(center, r0, 2049), 1e-9, None)
-        return _log_curvature_bounds(self.curvature(band), self.curvature_prime(band),
-                                     self.curvature_double_prime(band),
-                                     self.f(band), self.f_prime(band))
+        k = np.asarray(self.curvature(band), dtype=float)
+        # w = log(-K): w' = K'/K, w'' = K''/K - (K'/K)^2
+        wp = np.asarray(self.curvature_prime(band), dtype=float) / k
+        wpp = np.asarray(self.curvature_double_prime(band), dtype=float) / k - wp**2
+        # eigenvalues of g^{-1} Hess(w) for radial w are w'' and (f'/f) w'
+        ang = self.f_prime(band) / self.f(band) * wp
+        return float(np.max(np.abs(wp))), float(max(np.max(np.abs(wpp)), np.max(np.abs(ang))))
 
     def distance_field(self, grid, node, reach=math.inf):
         """Clairaut distances from a grid node (``geodesics.warped_distance_field``)."""
@@ -165,9 +170,7 @@ def make_hyperbolic(scale: float) -> WarpedPolarMetric:
     def curvature(r):
         return np.full_like(np.asarray(r, dtype=float), -scale)
 
-    bounds = CurvatureBounds(
-        c1=scale, c2=scale, c2_of_radius=lambda l: scale, c3=0.0, c4=0.0
-    )
+    bounds = CurvatureBounds(c1=scale, c2=scale, c2_of_radius=lambda l: scale)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     return WarpedPolarMetric(f, f_prime, curvature, zero, zero, math.inf, bounds)
 
@@ -189,8 +192,8 @@ def make_radial_from_curvature(
     [0, r_max]; the first offending radius is reported otherwise.
 
     ``k_prime`` and ``k_double_prime`` are the closed-form radial
-    derivatives of K; the log-curvature bounds c3 and c4 are sampled from
-    them.
+    derivatives of K; a probe ball's log-curvature bounds c3 and c4 are
+    sampled from them on its band (``log_curvature_bounds``).
     """
     if r_max <= 0.0:
         raise ValueError("r_max must be positive")
@@ -237,16 +240,8 @@ def make_radial_from_curvature(
         idx = min(int(math.ceil(l / h)), n)
         return float(max(cummax[idx], -K(min(l, r_max))))
 
-    # f = 0 at the first radius: its angular term is left out
-    c3, c4 = _log_curvature_bounds(kvals, k_prime(radii), k_double_prime(radii),
-                                   fs, fps, skip=1)
-    bounds = CurvatureBounds(
-        c1=float(neg_k.min()),
-        c2=float(neg_k.max()),
-        c2_of_radius=c2_of_radius,
-        c3=c3,
-        c4=c4,
-    )
+    bounds = CurvatureBounds(c1=float(neg_k.min()), c2=float(neg_k.max()),
+                             c2_of_radius=c2_of_radius)
     metric = WarpedPolarMetric(
         f, f_prime, K, k_prime, k_double_prime, r_max, bounds,
         sample_radii=radii, sample_f=fs,
@@ -276,19 +271,6 @@ def make_radial_pinched(base: float, amp: float, r_max: float) -> WarpedPolarMet
         return -(amp * (2.0 - 6.0 * r * r) / (1.0 + r * r) ** 3)
 
     return make_radial_from_curvature(K, r_max, k_prime=Kp, k_double_prime=Kpp)
-
-
-def _log_curvature_bounds(k, kp, kpp, f, fp, skip=0):
-    """c3 = max |w'| and c4 = max(|w''|, |(f'/f) w'|) of w = log(-K) over
-    radial samples of K, K', K'', f and f'; the angular term skips the first
-    ``skip`` samples."""
-    k, kp, kpp = (np.asarray(a, dtype=float) for a in (k, kp, kpp))
-    # w = log(-K): w' = K'/K, w'' = K''/K - (K'/K)^2
-    wp = kp / k
-    wpp = kpp / k - wp**2
-    # eigenvalues of g^{-1} Hess(w) for radial w are w'' and (f'/f) w'
-    ang = fp[skip:] / f[skip:] * wp[skip:]
-    return float(np.max(np.abs(wp))), float(max(np.max(np.abs(wpp)), np.max(np.abs(ang))))
 
 
 def _uniform_hermite(y, dy, h):
@@ -344,8 +326,10 @@ class ConformalDiscMetric:
     ``psi_log_laplacian`` is the flat Laplacian of log psi in closed form, so
     the chart's curvature K = -lap(log psi)/(2 psi) needs no differencing.
     Construction checks ``curvature`` against that identity on a dense
-    sample, to a relative 1e-8.  Methods other than ``phi_grad`` take
-    chart-polar (rho, theta), the grids' coordinates.
+    sample, to a relative 1e-8.  ``log_bounds`` is the chart-wide (c3, c4):
+    bounds on ``|grad log(-K)|`` and on the eigenvalues of ``Hess log(-K)``
+    over the whole disc (None when not certified).  Methods other than
+    ``phi_grad`` take chart-polar (rho, theta), the grids' coordinates.
     """
 
     psi: Callable
@@ -354,6 +338,7 @@ class ConformalDiscMetric:
     curvature: Callable
     domain_radius: float
     bounds: CurvatureBounds | None = None
+    log_bounds: tuple | None = None
     pair_distance: Callable | None = None    # closed-form d((x1,y1),(x2,y2)) if known
     center_distance: Callable | None = None  # closed-form d(0, chart radius rho)
 
@@ -376,10 +361,11 @@ class ConformalDiscMetric:
         return rho * np.cos(theta), rho * np.sin(theta)
 
     def metric_components(self, rho, theta):
+        """The diagonal (g11, g22) = (psi, psi rho^2)."""
         x, y = self._xy(rho, theta)
         p = np.asarray(self.psi(x, y), dtype=float)
         rho = np.asarray(rho, dtype=float)
-        return p, np.zeros_like(p), p * rho * rho
+        return p, p * rho * rho
 
     def phi_grad(self, x, y):
         """grad psi / (2 psi) at chart points: the gradient of phi = log(psi)/2,
@@ -420,7 +406,7 @@ class ConformalDiscMetric:
 
     def log_curvature_bounds(self, center, r0):
         """The chart-wide c3 and c4, whatever the ball."""
-        return self.bounds.c3, self.bounds.c4
+        return self.log_bounds
 
     def distance_field(self, grid, node, reach=math.inf):
         """Distances from a grid node to every node, whatever ``reach``."""
@@ -513,9 +499,8 @@ def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> C
         det = (h_xx * h_yy - h_xy**2) / p**2
         disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
         c4 = max(c4, float(np.max(np.abs(tr / 2.0) + disc)))
-    return replace(chart, bounds=CurvatureBounds(
+    return replace(chart, log_bounds=(c3, c4), bounds=CurvatureBounds(
         c1=scale * math.exp(-abs(eps) * R),
         c2=scale * math.exp(abs(eps) * R),
         c2_of_radius=lambda rho_ball: scale * math.exp(abs(eps) * min(rho_ball, R)),
-        c3=c3, c4=c4,
     ))

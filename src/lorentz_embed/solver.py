@@ -12,7 +12,9 @@ MARGIN_KEEP of their previous values, giving up below MIN_STEP.
 
 Each Newton step differentiates the discrete residual exactly: nine
 stencil-coefficient arrays per iteration, one per (radial, angular)
-offset.  On a chart evaluated as one column (``ChartData.column``: a
+offset.  The chart data is what the metric returns; charts are
+orthogonal, so the coefficients form g^{-1} = diag(1/g11, 1/g22) from it
+and add no off-diagonal metric term.  On a chart evaluated as one column (``ChartData.column``: a
 metric that never reads theta, such as a warped polar metric) radial
 iterates stay bitwise radial, so the whole Newton state is one (n1, 1)
 column: values, residual, margins, coefficients, step and line-search
@@ -234,14 +236,14 @@ def _stencil_coefficients(state, ch):
     at = (slice(0, ch.grid.n1 - 1), slice(0, state.values.shape[1]))
     hess = state.hessian
     a11 = hess.h11[at] + ch.g11[at]
-    a12 = hess.h12[at] + ch.g12[at]
+    a12 = hess.h12[at]
     a22 = hess.h22[at] + ch.g22[at]
     det_a = a11 * a22 - a12 * a12
     du1 = hess.du1[at]
     du2 = hess.du2[at]
     s = state.rhs[at]
-    inv11 = ch.inv11[at]
-    inv22 = ch.inv22[at]
+    inv11 = 1.0 / ch.g11[at]
+    inv22 = 1.0 / ch.g22[at]
     g1_11, g1_12, g1_22 = ch.gamma1_11[at], ch.gamma1_12[at], ch.gamma1_22[at]
     g2_11, g2_12, g2_22 = ch.gamma2_11[at], ch.gamma2_12[at], ch.gamma2_22[at]
 
@@ -499,7 +501,7 @@ def _finalize(u, chart, metric, boundary_value, iterations, trace,
     # audit-grade Hessian: one-sided top row included in the certificate
     hess = covariant_hessian(u, chart)
     # a ring-constant field's right side is taken on column 0, like its Hessian
-    width = 1 if hess.ring_constant else u.grid.n2
+    width = 1 if hess.grad_sq.strides[1] == 0 else u.grid.n2
     s = hess.grad_sq[:, :width] + 2.0 * u.values[:, :width]
     return AdmissibleField(
         u=u,

@@ -465,14 +465,13 @@ def _interpolant(coef, psi):
 
 
 def chart_arrays_full(metric, grid):
-    """The 13 ChartData arrays, in field order, with the metric evaluated at
+    """The 9 ChartData arrays, in field order, with the metric evaluated at
     every node of the full (n1, n2) mesh."""
     q1, q2 = grid.mesh()
-    g11, g12, g22 = metric.metric_components(q1, q2)
+    g11, g22 = metric.metric_components(q1, q2)
     gam = metric.christoffel_components(q1, q2)
     K = metric.curvature_at(q1, q2)
-    det_g = g11 * g22 - g12 * g12
-    return (g11, g12, g22, det_g, 1.0 / g11, 1.0 / g22, K, *gam)
+    return (g11, g22, K, *gam)
 
 
 def knot_slopes_eye(m):

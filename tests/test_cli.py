@@ -365,8 +365,15 @@ class TestPipeline:
         assert "not admissible" in capsys.readouterr().err
         assert not (out / "embed").exists()
 
-    def test_missing_artifacts_exit_2(self, tmp_path):
-        assert cmd_verify(str(tmp_path / "nowhere")) == 2
+    def test_missing_artifacts_exit_2(self, tmp_path, capsys):
+        # a missing run directory is reported in one line; taking its lock
+        # does not create it
+        missing = tmp_path / "nowhere"
+        for command, run in (("verify", cmd_verify), ("embed", cmd_embed)):
+            assert run(str(missing)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: ") and err.count("\n") == 1
+            assert not missing.exists()
 
     def test_nonconvergence_exit_3_with_trace(self, tmp_path, capsys):
         cfg = base_config(
@@ -808,6 +815,25 @@ class TestLocking:
         assert lock.read_text() == str(os.getpid())
         lock.unlink()
         assert sorted(out.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["verify", "embed"])
+    def test_lock_taken_before_the_run_is_read(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        # a run that a live solve holds is not read: the lock comes first
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        reads = []
+
+        def spy(*args, **kwargs):
+            reads.append(args)
+            raise FileNotFoundError("config.json missing from run directory")
+
+        monkeypatch.setattr(cli, "_load_run", spy)
+        run = {"verify": cmd_verify, "embed": cmd_embed}[command]
+        assert run(str(out)) == 5
+        assert reads == []
+        assert "locked" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["live", "", "not a pid", "0", "group"])
     def test_unproven_lock_blocks(self, tmp_path, capsys, content):

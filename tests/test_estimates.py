@@ -229,6 +229,17 @@ class TestSecondOrder:
             max_neg_curvature_ball(pinched_metric, ball.center, 2.0), rel=1e-12)
         assert k["c3"] >= 0 and k["c4"] >= 0
 
+    @pytest.mark.parametrize("pair", [(-0.1, 0.0), (0.0, -0.1)])
+    def test_negative_log_curvature_bounds_rejected(self, pinched_solve_l4, pair,
+                                                    monkeypatch):
+        # the check reads c3 and c4 where they are used, from the chart
+        g = pinched_solve_l4.u.grid
+        ball, d = ball_and_distance(pinched_solve_l4, (int(np.searchsorted(g.q1, 1.5)), 0), 1.0)
+        monkeypatch.setattr(type(pinched_solve_l4.metric), "log_curvature_bounds",
+                            lambda self, center, r0: pair)
+        with pytest.raises(ValueError, match="c3, c4 >= 0"):
+            check_second_order(pinched_solve_l4, ball, d)
+
 
 class TestProbeBall:
     def test_model_ball_cap_and_reach(self, model_solve):

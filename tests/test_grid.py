@@ -58,6 +58,53 @@ class TestGridLayout:
         v[3, 4] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ScalarField(g, v)
+        # a broadcast column is checked on its column
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(g, np.broadcast_to(v[:, 4:5], g.shape))
+
+
+class TestScalarFieldColumn:
+    """ScalarField.column is the one test of constancy along theta."""
+
+    def test_column_of_each_kind_of_field(self):
+        g = PolarGrid(24, 16, 3.0)
+        R, T = g.mesh()
+        col = np.exp(-g.q1)[:, None]
+        broadcast = ScalarField(g, np.broadcast_to(col, g.shape))
+        assert np.shares_memory(broadcast.column, col)
+        stored = ScalarField(g, np.exp(-R))  # constant rows, stored at full width
+        assert stored.column.shape == (24, 1) and np.shares_memory(stored.column, stored.values)
+        assert np.array_equal(stored.column, col)
+        assert ScalarField(g, np.exp(-R) + 0.01 * np.sin(T)).column is None
+        signed = np.zeros(g.shape)
+        signed[4, 1::2] = -0.0  # equal values, different bits
+        assert ScalarField(g, signed).column is None
+
+    def test_column_tested_on_first_read(self, monkeypatch):
+        # construction never tests constancy; the first read does, once
+        g = PolarGrid(24, 16, 3.0)
+        calls = []
+        ring_constant = grid_module._ring_constant
+        monkeypatch.setattr(grid_module, "_ring_constant",
+                            lambda F: calls.append(F.shape) or ring_constant(F))
+        f = ScalarField(g, np.ones(g.shape))
+        assert calls == []
+        assert f.column is f.column and calls == [g.shape]
+
+    def test_broadcast_field_memory_budget(self):
+        # a finiteness check at full width traces 102,648 bytes for the
+        # 1,536 bytes of this column
+        g = PolarGrid(192, 192, 4.0)
+        values = np.broadcast_to(np.exp(-g.q1)[:, None], g.shape)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ScalarField(g, values)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000
 
 
 class TestHessianStencils:
@@ -194,8 +241,8 @@ class TestMongeAmpereOperator:
 HESSIAN_ARRAYS = ("h11", "h12", "h22", "du1", "du2", "grad_sq", "det_ratio",
                   "eig_min", "eig_max")
 # the ChartData arrays, in the order of oracles.chart_arrays_full
-CHART_ARRAYS = ("g11", "g12", "g22", "det_g", "inv11", "inv22", "K", "gamma1_11",
-                "gamma1_12", "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22")
+CHART_ARRAYS = ("g11", "g22", "K", "gamma1_11", "gamma1_12", "gamma1_22", "gamma2_11",
+                "gamma2_12", "gamma2_22")
 
 
 def _same_bits(a, b):
@@ -261,7 +308,7 @@ class TestRingColumn:
         u = pinched_solve_64.u
         ch = chart_arrays(pinched_metric, u.grid)
         hess = covariant_hessian(u, ch)
-        assert hess.ring_constant
+        assert hess.grad_sq.strides[1] == 0
         for name, full in zip(HESSIAN_ARRAYS, self._full_width(u, ch)):
             arr = getattr(hess, name)
             assert np.array_equal(arr, full), name
@@ -275,7 +322,7 @@ class TestRingColumn:
         u = ScalarField(pinched_solve_64.u.grid, values)
         ch = chart_arrays(pinched_metric, u.grid)
         hess = covariant_hessian(u, ch)
-        assert not hess.ring_constant
+        assert hess.grad_sq.strides[1] != 0
         for name, full in zip(HESSIAN_ARRAYS, self._full_width(u, ch)):
             assert _same_bits(getattr(hess, name), full), name
 
@@ -284,13 +331,13 @@ class TestRingColumn:
         g = PolarGrid(24, 16, 3.0)
         values = np.zeros(g.shape)
         values[4, 1::2] = -0.0
-        assert not hessian(values, g, pinched_metric).ring_constant
-        assert hessian(np.zeros(g.shape), g, pinched_metric).ring_constant
+        assert hessian(values, g, pinched_metric).grad_sq.strides[1] != 0
+        assert hessian(np.zeros(g.shape), g, pinched_metric).grad_sq.strides[1] == 0
 
     def test_disc_chart_takes_full_width(self):
         g = PolarGrid(24, 16, 0.7, kind="disc")
         hess = hessian(np.full(g.shape, 0.5), g, make_poincare_perturbed(1.0, 0.9, eps=0.3))
-        assert not hess.ring_constant
+        assert hess.grad_sq.strides[1] != 0
 
     def test_pinched_solve_takes_hessians_at_width_1(self, pinched_metric, monkeypatch):
         widths = []
@@ -302,7 +349,7 @@ class TestRingColumn:
 
         monkeypatch.setattr(grid_module, "_hessian_arrays", spy)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(32, 32, 3.0)))
-        assert sol.iterations >= 2 and sol.hessian.ring_constant
+        assert sol.iterations >= 2 and sol.hessian.grad_sq.strides[1] == 0
         assert len(widths) >= sol.iterations + 2 and set(widths) == {1}
 
     def test_pinched_solve_evaluates_the_metric_at_width_1(self, pinched_metric,
@@ -315,7 +362,7 @@ class TestRingColumn:
 
             monkeypatch.setattr(WarpedPolarMetric, name, spy)
         sol = solve_dirichlet(DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0)))
-        assert sol.hessian.ring_constant
+        assert sol.hessian.grad_sq.strides[1] == 0
         assert {name for name, _ in shapes} == {
             "metric_components", "christoffel_components", "curvature_at"}
         assert {shape for _, shape in shapes} == {(64, 1)}

@@ -227,8 +227,11 @@ class TestRadialFromCurvature:
         assert np.array_equal(m.sample_radii, r)
         for name in ("f", "curvature", "curvature_prime", "curvature_double_prime"):
             assert np.array_equal(getattr(m, name)(r), getattr(pinched_metric, name)(r)), name
-        for name in ("c1", "c2", "c3", "c4"):
+        for name in ("c1", "c2"):
             assert getattr(m.bounds, name) == getattr(pinched_metric.bounds, name), name
+        for center, r0 in (((0.5, 0.0), 1.0), ((2.0, 1.0), 1.0), ((4.0, 3.0), 0.5)):
+            assert (m.log_curvature_bounds(center, r0)
+                    == pinched_metric.log_curvature_bounds(center, r0)), center
 
 
 class TestCurvatureFdRatio:
@@ -272,8 +275,6 @@ class TestBoundsCertificate:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             CurvatureBounds(c1=2.0, c2=1.0, c2_of_radius=lambda l: 1.0)
-        with pytest.raises(ValueError):
-            CurvatureBounds(c1=1.0, c2=1.0, c2_of_radius=lambda l: 1.0, c3=-0.1)
 
 
 class TestChristoffels:
@@ -324,7 +325,8 @@ class TestConformalCharts:
         K = m.curvature(x, y)
         b = m.bounds
         assert np.all(K <= -b.c1 + 1e-12) and np.all(K >= -b.c2 - 1e-12)
-        assert b.c3 > 0 and b.c4 > 0
+        c3, c4 = m.log_bounds
+        assert c3 > 0 and c4 > 0
 
     def test_perturbed_fd_curvature_identity(self):
         m = make_poincare_perturbed(1.0, 0.8, eps=0.15)
@@ -360,12 +362,13 @@ class TestPoincareIsPerturbedAtZero:
         assert all(map(_same_bits, m.psi_grad(x, y), p.psi_grad(x, y)))
         assert _same_bits(m.curvature(x, y), p.curvature(x, y))
         ours, theirs = chart_arrays(m, grid), chart_arrays(p, grid)
-        for name in ("g11", "g12", "g22", "det_g", "K", "gamma1_11", "gamma1_12",
-                     "gamma1_22", "gamma2_11", "gamma2_12", "gamma2_22"):
+        for name in ("g11", "g22", "K", "gamma1_11", "gamma1_12", "gamma1_22",
+                     "gamma2_11", "gamma2_12", "gamma2_22"):
             assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
         for b in (m.bounds, p.bounds):
-            assert (b.c1, b.c2, b.c3, b.c4) == (scale, scale, 0.0, 0.0)
+            assert (b.c1, b.c2) == (scale, scale)
             assert [b.c2_of_radius(r) for r in (0.1, 0.5, 2.0)] == [scale] * 3
+        assert m.log_bounds == p.log_bounds == (0.0, 0.0)
         assert p.pair_distance is None and p.center_distance is None
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
@@ -414,7 +417,8 @@ class TestChartAnswers:
 
     def test_conformal_log_curvature_bounds_are_chart_wide(self):
         m = make_poincare_perturbed(1.0, 0.9, 0.3)
-        assert m.log_curvature_bounds((0.3, 1.0), 0.5) == (m.bounds.c3, m.bounds.c4)
+        assert m.log_curvature_bounds((0.3, 1.0), 0.5) == m.log_bounds
+        assert m.log_curvature_bounds((0.7, 4.0), 0.1) == m.log_bounds
 
     def test_warped_ball_must_stay_in_the_chart(self, pinched_metric):
         with pytest.raises(ValueError, match="leaves the chart"):

@@ -1,11 +1,13 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
 import lorentz_embed
 from lorentz_embed import estimates
+from lorentz_embed.grid import ChartData, ScalarField
 from lorentz_embed.metric import ConformalDiscMetric, WarpedPolarMetric
 
 SRC = Path(lorentz_embed.__file__).parent
@@ -102,3 +104,27 @@ def test_psi_grad_is_read_in_one_place():
                     calls.append(f"{path.name}:{node.lineno}")
     assert len(calls) == 1 and calls[0].startswith("metric.py:"), calls
     assert "psi_grad" in inspect.getsource(ConformalDiscMetric.phi_grad)
+
+
+def test_chart_data_holds_what_the_metric_returns():
+    # charts are orthogonal: the diagonal metric, the curvature and the six
+    # Christoffel symbols, with nothing derived from them and no g12
+    arrays = [f.name for f in dataclasses.fields(ChartData) if f.name not in ("grid", "column")]
+    assert arrays == ["g11", "g22", "K", "gamma1_11", "gamma1_12", "gamma1_22",
+                      "gamma2_11", "gamma2_12", "gamma2_22"]
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')}"
+                  for node in ast.walk(tree)
+                  if "g12" in (getattr(node, "id", None), getattr(node, "attr", None),
+                               getattr(node, "arg", None))]
+    assert named == []
+
+
+def test_theta_constancy_is_tested_in_one_place():
+    # ScalarField.column is the one test; other modules read it
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "_ring_constant" in path.read_text()]
+    assert naming == ["grid.py"]
+    assert "_ring_constant" in inspect.getsource(ScalarField)
