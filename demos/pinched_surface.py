@@ -15,7 +15,8 @@ import numpy as np
 from lorentz_embed.metric import make_radial_pinched
 from lorentz_embed.exhaustion import make_schedule, run_exhaustion
 from lorentz_embed.estimates import run_estimate_suite
-from lorentz_embed.embed import build_embedding, export_graph, write_obj
+from lorentz_embed.cli import write_obj
+from lorentz_embed.embed import build_embedding, export_graph
 
 OUT = os.path.join(os.path.dirname(__file__), "demo_out")
 os.makedirs(OUT, mode=0o755, exist_ok=True)

@@ -1,9 +1,13 @@
 """Configuration-driven front end: solve -> verify -> embed -> export.
 
 Runs are reproducible by construction: the canonical config is copied into
-the run directory, every CSV/JSON artifact is written with fixed ordering
-and 17 significant digits, and wall-clock data lives only in the isolated
-runmeta.json.  Each artifact is written atomically (grid.atomic_write), and
+the run directory, every artifact is written with fixed ordering and 17
+significant digits, and wall-clock data lives only in the isolated
+runmeta.json.  No other module does file I/O: each artifact format's writer
+sits beside its reader, writes atomically (atomic_write) and formats its
+records with _write_records, save a polar field CSV constant along theta.
+The field reader checks a CSV's coordinates against its grid bit for bit,
+and solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
 fields/meta.json records how the exhaustion ended, a diverged one
 included.  A lock file holding the writer's PID guards each output
 directory against concurrent writers (solve, verify and embed alike); a
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import fnmatch
 import functools
 import importlib
 import json
@@ -43,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .metric import make_hyperbolic, make_radial_pinched, make_poincare, make_poincare_perturbed
-from .grid import HessianField, PolarGrid, atomic_write, write_field_csv
+from .grid import HessianField, PolarGrid
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
@@ -64,7 +69,6 @@ _STAGE_NAMES = {
     "ObservationRegionError": "embed",
     "build_embedding": "embed",
     "export_graph": "embed",
-    "write_obj": "embed",
 }
 _cli = sys.modules[__name__]
 
@@ -375,10 +379,149 @@ def _lock_is_stale(lock):
         return False
 
 
+# ---------------------------------------------------------------------------
+# run artifacts: each format's writer beside its reader
+
+# every file the CLI writes into a run directory besides config.json and
+# runmeta.json, as <directory>/<fnmatch pattern>; solve removes them first
+_RUN_ARTIFACTS = ("fields/u_*.csv", "fields/meta.json", "convergence.csv",
+                  "trace_failed.csv", "trace_l*.csv", "verify/report.json",
+                  "embed/surface.obj", "embed/audit.json")
+# records formatted per ``%``
+_BLOCK = 1024
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file that replaces ``path`` only once the block completes.
+
+    It is written next to ``path`` (the same file system, so ``os.replace``
+    is atomic); when the block raises, it is removed and ``path`` is left
+    as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def _write_records(fh, record, rows):
+    """One ``record`` per row of ``rows``, _BLOCK rows per ``%``."""
+    for k in range(0, len(rows), _BLOCK):
+        block = np.asarray(rows[k:k + _BLOCK])
+        fh.write((record * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _remove_run_artifacts(out_dir):
+    """Remove the files of _RUN_ARTIFACTS in ``out_dir``; every other file stays."""
+    for pattern in _RUN_ARTIFACTS:
+        folder, name = os.path.split(os.path.join(out_dir, pattern))
+        for match in fnmatch.filter(os.listdir(folder) if os.path.isdir(folder) else (), name):
+            path = os.path.join(folder, match)
+            if os.path.isfile(path):
+                os.remove(path)
+
+
 def _dump_json(obj, path):
     with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _read_json_object(run_dir, name, hint):
+    """The JSON object in a run directory's file ``name``; each error names the file."""
+    path = os.path.join(run_dir, *name.split("/"))
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{name} missing ({hint})")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{name}: corrupt JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: not a JSON object")
+    return obj
+
+
+def _field_coordinates(grid):
+    """The header and the two coordinate columns, of the grid's shape, of a
+    field CSV: (r, theta) on polar grids, Cartesian chart (x, y) on discs."""
+    q1, q2 = grid.mesh()
+    if grid.kind == "disc":
+        return "x,y,value", q1 * np.cos(q2), q1 * np.sin(q2)
+    return "r,theta,value", q1, q2
+
+
+def write_field_csv(field, path):
+    """Dump a field as CSV, row-major in (i, j): _field_coordinates and the value.
+
+    A polar field constant along theta (``field.column``) is written a grid
+    row at a time, each theta formatted once per grid and each r and value
+    once per row; every other field as stacked records.
+    """
+    grid = field.grid
+    column = field.column if grid.kind == "polar" else None
+    with atomic_write(path) as fh:
+        if column is None:
+            header, c1, c2 = _field_coordinates(grid)
+            fh.write(header + "\n")
+            rows = np.stack([c1, c2, field.values], axis=-1).reshape(-1, 3)
+            _write_records(fh, "%.17g,%.17g,%.17g\n", rows)
+            return
+        fh.write("r,theta,value\n")
+        # one ",theta,<value>" line tail per column; a row's r joins them
+        tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
+        for r, (value,) in zip(grid.q1.tolist(), column.tolist()):
+            r_text = "%.17g" % r
+            fh.write((r_text + r_text.join(tails)).replace("%.17g", "%.17g" % value))
+
+
+def _read_field_csv(path, grid):
+    """The values of a field CSV on ``grid``, once its coordinates are the
+    grid's bit for bit."""
+    name = os.path.basename(path)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{name} missing")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{name}: corrupt CSV ({exc})")
+    if data.shape[0] != grid.n1 * grid.n2:
+        raise ValueError(f"{name}: expected {grid.n1 * grid.n2} rows, got {data.shape[0]}")
+    if data.shape[1] != 3:
+        raise ValueError(f"{name}: expected 3 columns, got {data.shape[1]}")
+    _, c1, c2 = _field_coordinates(grid)
+    coords = np.stack([c1, c2], axis=-1).reshape(-1, 2)
+    bad = np.flatnonzero(np.any(data[:, :2].view(np.uint64) != coords.view(np.uint64), axis=1))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{name}: row {k + 1} has coordinates {tuple(data[k, :2].tolist())}, "
+                         f"not the grid's {tuple(coords[k].tolist())}")
+    return np.ascontiguousarray(data[:, 2]).reshape(grid.shape)
+
+
+def _write_convergence(steps, path):
+    with atomic_write(path) as fh:
+        fh.write("l,delta,min_u,max_u,max_grad\n")
+        _write_records(fh, ",".join(["%.17g"] * 5) + "\n",
+                       [(s.l, s.delta, s.min_u, s.max_u, s.max_grad) for s in steps])
+
+
+def _write_trace(trace, path):
+    with atomic_write(path) as fh:
+        fh.write("iteration,residual,step,eig_margin\n")
+        _write_records(fh, "%d,%.17g,%.17g,%.17g\n", trace)
+
+
+def write_obj(mesh, path):
+    """Wavefront OBJ with the v/f records of an embed.Mesh; faces are 1-indexed."""
+    with atomic_write(path) as fh:
+        _write_records(fh, "v %.17g %.17g %.17g\n", np.asarray(mesh.vertices, dtype=float))
+        _write_records(fh, "f %d %d %d\n", np.asarray(mesh.faces) + 1)
 
 
 def _write_runmeta(out_dir):
@@ -397,6 +540,7 @@ def cmd_solve(config_path, out_dir, trace=False):
             print(f"config error: {e}", file=sys.stderr)
         return 2
     with _locked_dir(out_dir):
+        _remove_run_artifacts(out_dir)  # what an earlier run left would outlive this one
         _dump_json(cfg.raw, os.path.join(out_dir, "config.json"))
         _write_runmeta(out_dir)
         metric = build_metric(cfg)
@@ -457,21 +601,6 @@ def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     return meta
 
 
-def _write_convergence(steps, path):
-    with atomic_write(path) as fh:
-        fh.write("l,delta,min_u,max_u,max_grad\n")
-        for s in steps:
-            row = (s.l, s.delta, s.min_u, s.max_u, s.max_grad)
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def _write_trace(trace, path):
-    with atomic_write(path) as fh:
-        fh.write("iteration,residual,step,eig_margin\n")
-        for it, res, step, eig in trace:
-            fh.write(f"{it},{res:.17g},{step:.17g},{eig:.17g}\n")
-
-
 def _load_run(run_dir, last_only=False):
     """Rebuild metric, grids, and admissible fields from run artifacts.
 
@@ -505,39 +634,10 @@ def _load_run(run_dir, last_only=False):
     for k, (l, b, ginfo, iters) in enumerate(zip(*lists)):
         grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo.get("kind"))
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
-        stored.append((grid, _read_field_csv(path, grid.shape), b, iters))
+        stored.append((grid, _read_field_csv(path, grid), b, iters))
     if last_only:
         stored = stored[-1:]
     return cfg, metric, [certify(metric, *args) for args in stored]
-
-
-def _read_json_object(run_dir, name, hint):
-    """The JSON object in a run directory's file ``name``; each error names the file."""
-    path = os.path.join(run_dir, *name.split("/"))
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{name} missing ({hint})")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValueError(f"{name}: corrupt JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name}: not a JSON object")
-    return obj
-
-
-def _read_field_csv(path, shape):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{os.path.basename(path)} missing")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
-    except ValueError as exc:
-        raise ValueError(f"{os.path.basename(path)}: corrupt CSV ({exc})")
-    if data.size != shape[0] * shape[1]:
-        raise ValueError(
-            f"{os.path.basename(path)}: expected {shape[0] * shape[1]} rows, got {data.size}"
-        )
-    return data.reshape(shape)
 
 
 @_exit_5_if_locked
@@ -566,9 +666,11 @@ def cmd_verify(run_dir):
                    os.path.join(out, "report.json"))
     for rep in reports:
         for rec in rep["records"]:
-            status = "pass" if rec["pass"] else "FAIL"
-            print(f"l={rep['ball_radius']:g} {rec['id']}: {status} "
-                  f"(margin {rec['margin']:.3e})")
+            if rec.get("extra", {}).get("by_rule"):
+                status = "pass by rule (hypothesis not met)"
+            else:
+                status = f"{'pass' if rec['pass'] else 'FAIL'} (margin {rec['margin']:.3e})"
+            print(f"l={rep['ball_radius']:g} {rec['id']}: {status}")
     return 0 if ok else 4
 
 
@@ -580,14 +682,17 @@ def cmd_embed(run_dir):
     with _locked_dir(run_dir):  # the run is read under the lock its mesh is written under
         try:
             cfg, metric, (field,) = _load_run(run_dir, last_only=True)
-            verify_report = _read_json_object(run_dir, "verify/report.json", "run verify first")
+            report = _read_json_object(run_dir, "verify/report.json", "run verify first")
+            passed = report.get("mandatory_pass")
+            if type(passed) is not bool:  # a verdict is JSON true or false, nothing else
+                raise ValueError("verify/report.json: mandatory_pass must be true or false")
         except (FileNotFoundError, ValueError) as exc:
             print(f"embed: {exc}", file=sys.stderr)
             return 2
         # certified: embed reads the field's values and chart; the Hessian's arrays go now
         spent = np.broadcast_to(np.nan, field.u.grid.shape)
         field = replace(field, hessian=HessianField(field.hessian.chart, *[spent] * 9))
-        if not verify_report.get("mandatory_pass", False):
+        if not passed:
             print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
             return 2
 

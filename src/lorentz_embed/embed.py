@@ -17,6 +17,9 @@ those are honest scalar fields on the disc (smooth across the pole), so
 spectral theta-derivatives and mirrored radial stencils apply everywhere.
 The frame fields are not smooth across the pole and use one-sided stencils
 at the innermost rings instead.
+
+export_graph triangulates the embedding into a Mesh; this module does no
+file I/O, and cli writes the mesh as OBJ.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .exhaustion import _MIN_OBS_RINGS
-from .grid import atomic_write, radial_derivative, theta_derivative_spectral
+from .grid import radial_derivative, theta_derivative_spectral
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
 from .solver import AdmissibleField
@@ -47,7 +50,6 @@ __all__ = [
     "verify_embedding",
     "build_embedding",
     "export_graph",
-    "write_obj",
 ]
 
 _ETA = np.array([1.0, 1.0, -1.0])
@@ -57,8 +59,6 @@ _RADIAL_ORDER = 6
 _N_SUB = 2
 # rings developed beyond the observation radius, so the audits stay centered
 _PAD_ROWS = 6
-# OBJ records formatted per write
-_OBJ_BLOCK = 1024
 # rings (or rows of radial edges) the developing map transports at once
 _RING_BLOCK = 8
 
@@ -827,22 +827,3 @@ def export_graph(emb: EmbeddingMap, rows=None) -> Mesh:
     quads[..., 2] = quads[..., 4] = ring + n2 + jn
     quads[..., 5] = ring + jn
     return Mesh(vertices=vertices, faces=faces)
-
-
-def write_obj(mesh: Mesh, path):
-    """Wavefront OBJ with v/f records; faces are 1-indexed.
-
-    Each block of up to _OBJ_BLOCK records is formatted by one ``%``.
-    """
-    with atomic_write(path) as fh:
-        _write_blocks(fh, "v %.17g %.17g %.17g\n", np.asarray(mesh.vertices, dtype=float))
-        _write_blocks(fh, "f %d %d %d\n", mesh.faces, 1)
-
-
-def _write_blocks(fh, record, rows, offset=0):
-    """One ``record`` per row of ``rows`` (plus ``offset``), _OBJ_BLOCK rows per ``%``."""
-    for k in range(0, len(rows), _OBJ_BLOCK):
-        block = np.asarray(rows[k:k + _OBJ_BLOCK])
-        if offset:
-            block = block + offset
-        fh.write((record * len(block)) % tuple(block.ravel().tolist()))

@@ -24,15 +24,13 @@ theta rolls and the pole mirror's half turn are the identity and every
 other operation is elementwise, so that column is bit for bit column 0 of
 the full-width result.  Second-order centered stencils feed the
 Monge-Ampere residual (see solver); audits may request higher radial
-orders and spectrally accurate angular derivatives.  Every artifact is
-written through ``atomic_write``.
+orders and spectrally accurate angular derivatives.  This module does no
+file I/O: cli writes and reads the field CSVs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -51,8 +49,6 @@ __all__ = [
     "theta_derivative",
     "theta_derivative_spectral",
     "generalized_eig_range",
-    "atomic_write",
-    "write_field_csv",
 ]
 
 class GridTooCoarseError(ValueError):
@@ -64,8 +60,7 @@ class PolarGrid:
     """Pole-offset grid: q1_i = (i+1/2) h1 up to ``radius``, q2_j periodic.
 
     ``kind="polar"`` is a geodesic ball B(x0, radius); ``kind="disc"`` is a
-    conformal chart disc of chart radius < 1, whose CSV dumps use Cartesian
-    chart coordinates.
+    conformal chart disc of chart radius < 1.
     """
 
     n1: int
@@ -331,54 +326,3 @@ def _hessian_arrays(F, h1, h2, chart):
     det_ratio = (a11 * a22 - h12 * h12) / (chart.g11 * chart.g22)
     eig_min, eig_max = generalized_eig_range(a11, h12, a22, chart.g11, chart.g22)
     return h11, h12, h22, du1, du2, grad_sq, det_ratio, eig_min, eig_max
-
-
-@contextlib.contextmanager
-def atomic_write(path):
-    """A text file that replaces ``path`` only once the block completes.
-
-    It is written next to ``path`` (the same file system, so ``os.replace``
-    is atomic); when the block raises, it is removed and ``path`` is left
-    as it was.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-
-
-def write_field_csv(field: ScalarField, path):
-    """Dump a field as CSV, row-major in (i, j), 17 significant digits.
-
-    Polar grids emit (r, theta, value); disc grids emit Cartesian chart
-    coordinates (x, y, value).  The file is written one grid row at a time.
-    On polar grids each theta is formatted once per grid, each r once per
-    row, and, on a field constant along theta (``field.column``), each
-    row's value once.
-    """
-    grid = field.grid
-    values = field.values
-    with atomic_write(path) as fh:
-        if grid.kind == "disc":
-            q1, q2 = grid.mesh()
-            fh.write("x,y,value\n")
-            rows = np.stack([q1 * np.cos(q2), q1 * np.sin(q2), values], axis=-1)
-            fmt = "%.17g,%.17g,%.17g\n" * grid.n2
-            for row in rows.reshape(grid.n1, -1).tolist():
-                fh.write(fmt % tuple(row))
-            return
-        fh.write("r,theta,value\n")
-        # one ",theta,<value>" line tail per column; a row's r joins them
-        tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
-        column = field.column
-        for r, row in zip(grid.q1.tolist(), values if column is None else column):
-            r_text = "%.17g" % r
-            fmt = r_text + r_text.join(tails)
-            if column is None:
-                fh.write(fmt % tuple(row.tolist()))
-            else:
-                fh.write(fmt.replace("%.17g", "%.17g" % float(row[0])))

@@ -439,7 +439,7 @@ def distance_polar(metric, source, r_t, th_t):
 
 def write_field_csv_oneshot(field, path):
     """The field CSV as one ``%`` format over every node: the byte-level
-    reference for ``grid.write_field_csv``, which writes row by row."""
+    reference for ``cli.write_field_csv``, which writes row by row."""
     grid = field.grid
     q1, q2 = grid.mesh()
     if grid.kind == "disc":
@@ -510,7 +510,7 @@ def sample_bicubic_dense(field, r_pts, t_pts):
 
 def write_obj_rows(mesh, path):
     """The OBJ file written one record at a time: the byte-level reference
-    for ``embed.write_obj``, which formats each block at once."""
+    for ``cli.write_obj``, which formats each block at once."""
     with open(path, "w", encoding="utf-8") as fh:
         for v in mesh.vertices:
             fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")

@@ -15,7 +15,7 @@ import lorentz_embed
 import lorentz_embed.cli as cli
 import lorentz_embed.metric as metric_module
 import lorentz_embed.solver as solver
-from lorentz_embed.grid import PolarGrid
+from lorentz_embed.grid import PolarGrid, ScalarField
 from lorentz_embed.metric import make_poincare_perturbed
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.cli import (
@@ -364,6 +364,107 @@ class TestPipeline:
         assert cmd_embed(str(out)) == 2
         assert "not admissible" in capsys.readouterr().err
         assert not (out / "embed").exists()
+
+    @pytest.mark.parametrize("verdict", ["yes", 1, None, "missing", False])
+    def test_embed_reads_only_a_boolean_verdict(self, tmp_path, capsys, verdict):
+        # a truthy "yes" or 1 embedded with exit 0; only JSON true passes,
+        # false is refused as before, and anything else is a corrupt report
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        path = out / "verify" / "report.json"
+        report = json.loads(path.read_text())
+        if verdict == "missing":
+            del report["mandatory_pass"]
+        else:
+            report["mandatory_pass"] = verdict
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cmd_embed(str(out)) == 2
+        err = capsys.readouterr().err
+        if verdict is False:
+            assert "mandatory estimates failed" in err
+        else:
+            assert err == "embed: verify/report.json: mandatory_pass must be true or false\n"
+        assert not (out / "embed").exists()
+
+    @pytest.mark.parametrize("case", ["other_grid", "extra_column"])
+    def test_field_coordinates_are_the_grid_s(self, tmp_path, capsys, case):
+        # the reader took only the value column, so coordinates of another
+        # grid, or a fourth column, verified and embedded with exit 0
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        path = out / "fields" / "u_000.csv"
+        header, *rows = path.read_text().splitlines()
+        if case == "other_grid":
+            meta = json.loads((out / "fields" / "meta.json").read_text())["grids"][0]
+            other = PolarGrid(meta["n1"], meta["n2"], 2.5)
+            values = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
+            cli.write_field_csv(ScalarField(other, values.reshape(other.shape)), path)
+            expect = "u_000.csv: row 1 has coordinates ("
+        else:
+            path.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
+            expect = "u_000.csv: expected 3 columns, got 4"
+        for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
+            capsys.readouterr()
+            assert command(str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{name}: {expect}") and err.count("\n") == 1, err
+
+    def test_field_csv_round_trips_exactly(self, tmp_path):
+        # the reader's coordinate check holds for what the writer writes
+        rng = np.random.default_rng(5)
+        for grid in (PolarGrid(64, 64, 0.8, kind="disc"), PolarGrid(24, 32, 2.0),
+                     PolarGrid(7, 8, 1.5)):
+            values = rng.standard_normal(grid.shape)
+            values[0, ::2] = -0.0
+            path = tmp_path / "u.csv"
+            cli.write_field_csv(ScalarField(grid, values), path)
+            back = cli._read_field_csv(str(path), grid)
+            assert back.tobytes() == values.tobytes() and back.flags.c_contiguous
+
+    def test_resolve_removes_what_the_earlier_run_wrote(self, tmp_path, capsys):
+        # a re-solve left the old report, mesh, traces and fields past its
+        # schedule, so embed exited 0 on fields that no verify audited
+        pinched = {"family": "radial_pinched", "base": 1.0, "amp": 1.0}
+        grid = {"n_theta": 16, "nodes_per_unit": 8}
+        out = tmp_path / "run"
+        first = base_config(metric=pinched, grid=grid,
+                            exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-3})
+        assert cmd_solve(write_config(tmp_path, first), str(out), trace=True) == 0
+        assert cmd_verify(str(out)) == 0
+        assert cmd_embed(str(out)) == 0
+        (out / "notes.txt").write_text("kept\n")
+        (out / "fields" / "u_extra.txt").write_text("kept\n")
+        second = base_config(metric={**pinched, "amp": 0.5}, grid=grid,
+                             exhaustion={"radii": [2.0], "l_obs": 1.0})
+        assert cmd_solve(write_config(tmp_path, second, "second.json"), str(out)) == 0
+        assert sorted(p.name for p in (out / "fields").iterdir()) == [
+            "meta.json", "u_000.csv", "u_extra.txt"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "convergence.csv", "embed", "fields", "notes.txt", "runmeta.json",
+            "verify"]
+        assert list((out / "verify").iterdir()) == list((out / "embed").iterdir()) == []
+        capsys.readouterr()
+        assert cmd_embed(str(out)) == 2
+        assert "run verify first" in capsys.readouterr().err
+
+    def test_verify_prints_passes_by_rule(self, tmp_path, capsys):
+        # a record that passes because its hypothesis is not met said
+        # "pass (margin -1.1e-01)"; report.json keeps its margin
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0
+        capsys.readouterr()
+        assert cmd_verify(str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        by_rule = [line for line in lines if ": pass by rule" in line]
+        assert by_rule and all(line.endswith(" pass by rule (hypothesis not met)")
+                               and "cutoff_hypothesis_" in line for line in by_rule)
+        assert all("(margin " in line for line in lines if line not in by_rule)
+        (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
+        marked = [rec for rec in run["records"] if rec.get("extra", {}).get("by_rule")]
+        assert len(marked) == len(by_rule) and all(rec["margin"] < 0 for rec in marked)
 
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         # a missing run directory is reported in one line; taking its lock

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import develop_whole, hyperboloid_point, write_obj_rows
 
+from lorentz_embed.cli import write_obj
 from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
@@ -16,7 +17,6 @@ from lorentz_embed.embed import (
     develop,
     export_graph,
     minkowski_inner,
-    write_obj,
     _extrapolate_to_segment,
     _fft_resample,
 )

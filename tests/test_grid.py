@@ -23,8 +23,8 @@ from lorentz_embed.grid import (
     chart_arrays,
     covariant_hessian,
     theta_derivative_spectral,
-    write_field_csv,
 )
+from lorentz_embed.cli import write_field_csv
 from lorentz_embed.solver import _probe
 
 

@@ -128,3 +128,13 @@ def test_theta_constancy_is_tested_in_one_place():
               if "_ring_constant" in path.read_text()]
     assert naming == ["grid.py"]
     assert "_ring_constant" in inspect.getsource(ScalarField)
+
+
+def test_only_cli_writes_artifacts():
+    # each artifact format's writer sits beside its reader in cli; no other
+    # module opens a file or holds a row format
+    naming = [f"{path.name} {word}" for path in sorted(SRC.glob("*.py"))
+              for word in ("open(", "atomic_write", "os.replace", "%.17g")
+              if path.name != "cli.py" and word in path.read_text()]
+    assert naming == []
+    assert "%.17g" in (SRC / "cli.py").read_text()
