@@ -54,7 +54,8 @@ from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
 # Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
 from .solver import solve_dirichlet  # noqa: F401
-from .exhaustion import _MIN_OBS_RINGS, make_schedule, run_exhaustion, DivergenceError
+from .exhaustion import (_MIN_OBS_RINGS, _observation_rings, make_schedule,
+                         run_exhaustion, DivergenceError)
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -296,7 +297,7 @@ def _check_observation_rings(errors, kind, grid, ex):
         _err(errors, "grid.nodes_per_unit", "gives more radial nodes than a grid can hold")
         return
     for g in grids:
-        if (_MIN_OBS_RINGS - 0.5) * g.h1 >= ex["l_obs"] + 1e-12:  # ring k is at (k + 1/2) h1
+        if _observation_rings(g, ex["l_obs"]) < _MIN_OBS_RINGS:
             _err(errors, "exhaustion.l_obs",
                  f"{ex['l_obs']:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
                  f"of radius {g.radius:g} (ring spacing {g.h1:.4g})")
@@ -567,6 +568,11 @@ def cmd_solve(config_path, out_dir, trace=False):
         return 0
 
 
+# the per-ball lists of fields/meta.json, in the order _load_run reads them
+_META_LISTS = ("radii", "boundary_values", "grids", "iterations", "residual",
+               "residual_floor", "floor_limited")
+
+
 def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     """Write the fields, their meta.json and convergence.csv of a solve.
 
@@ -578,8 +584,7 @@ def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
     """
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
-    meta = {"radii": [], "boundary_values": [], "grids": [], "iterations": [],
-            "residual": [], "residual_floor": [], "floor_limited": []}
+    meta = {key: [] for key in _META_LISTS}
     for k, fld in enumerate(fields):
         write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
         if trace:
@@ -614,24 +619,30 @@ def _load_run(run_dir, last_only=False):
     if errors:
         raise ValueError("; ".join(errors))
     meta = _read_json_object(run_dir, "fields/meta.json", "run solve first")
-    lists = [meta.get(key) for key in ("radii", "boundary_values", "grids", "iterations")]
+    lists = [meta.get(key) for key in _META_LISTS]
     if not all(isinstance(v, list) and v and len(v) == len(lists[0]) for v in lists):
-        raise ValueError("fields/meta.json: radii, boundary_values, grids and iterations "
-                         "must be non-empty lists of one length")
+        raise ValueError(f"fields/meta.json: {', '.join(_META_LISTS[:-1])} and "
+                         f"{_META_LISTS[-1]} must be non-empty lists of one length")
     if not all(isinstance(g, dict) and all(type(g.get(n)) is int for n in ("n1", "n2"))
                for g in meta["grids"]):
         raise ValueError("fields/meta.json: every grid needs integer n1 and n2")
     errors = []
+    nonnegative = lambda v: v >= 0
     for key, ok, what, integer in (("radii", _positive, "a positive number", False),
                                    ("boundary_values", _positive, "a positive number", False),
-                                   ("iterations", lambda v: v >= 0, "an integer >= 0", True)):
+                                   ("iterations", nonnegative, "an integer >= 0", True),
+                                   ("residual", nonnegative, "a number >= 0", False),
+                                   ("residual_floor", nonnegative, "a number >= 0", False)):
         for k, value in enumerate(meta[key]):
             _check_number(errors, f"fields/meta.json: {key}[{k}]", value, ok, what, integer)
+    for k, value in enumerate(meta["floor_limited"]):
+        if not isinstance(value, bool):
+            _err(errors, f"fields/meta.json: floor_limited[{k}]", "must be true or false")
     if errors:
         raise ValueError("; ".join(errors))
     metric = build_metric(cfg)
     stored = []
-    for k, (l, b, ginfo, iters) in enumerate(zip(*lists)):
+    for k, (l, b, ginfo, iters) in enumerate(zip(*lists[:4])):
         grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo.get("kind"))
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
         stored.append((grid, _read_field_csv(path, grid), b, iters))

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exhaustion import _MIN_OBS_RINGS
+from .exhaustion import _MIN_OBS_RINGS, _observation_rings
 from .grid import radial_derivative, theta_derivative_spectral
 # Unused here (charts come with field.hessian); kept for span tracers that wrap it.
 from .grid import chart_arrays  # noqa: F401
@@ -773,7 +773,7 @@ def build_embedding(field: AdmissibleField, l_obs, check_tol=1e-2):
     audit region is differenced with centered stencils only.
     """
     grid = field.u.grid
-    obs_rows = int(np.searchsorted(grid.q1, l_obs + 1e-12))
+    obs_rows = _observation_rings(grid, l_obs)
     if obs_rows < _MIN_OBS_RINGS:
         raise ObservationRegionError(
             f"observation region too small: l_obs = {l_obs:g} covers {obs_rows} "

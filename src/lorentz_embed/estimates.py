@@ -118,7 +118,9 @@ class EstimateReport:
 
 
 def max_neg_curvature_ball(metric, center, r0):
-    """Max of -K over the closed metric ball of radius r0 about a chart point."""
+    """Max of -K over the closed metric ball of radius r0 about a chart point,
+    as the metric answers it: on a conformal chart a closed-form upper bound,
+    on a warped chart the max over a dense sample of the ball's radial band."""
     return metric.ball_max_neg_curvature(center, r0)
 
 
@@ -392,13 +394,14 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     whose probe ball fits in the solved domain.  Each (node, r0) gets one
     ``ProbeBall``.  Only a ball that meets the smallness hypothesis gets the
     cutoff and second-order audits; one that fails it gets a passing
-    ``cutoff_hypothesis`` and a not-met ``second_order`` record.  The first
-    passes by rule with a negative margin, and its ``extra`` says so
-    (``by_rule``), so a search for the tightest record can skip it.  A node's
-    distance field is solved only if the hypothesis holds there for some
-    radius, and only as far as those audits read it.  A chart that never
-    reads theta (``chart.column``) is rotationally symmetric, so nodes on one
-    ring that need the same reach share one solved field, rolled along theta.
+    ``cutoff_hypothesis`` and a not-met ``second_order`` record.  Both pass
+    by rule (the first with a negative margin, the second with an infinite
+    one), and their ``extra`` says so (``by_rule``), so a search for the
+    tightest record can skip them.  A node's distance field is solved only
+    if the hypothesis holds there for some radius, and only as far as those
+    audits read it.  A chart that never reads theta (``chart.column``) is
+    rotationally symmetric, so nodes on one ring that need the same reach
+    share one solved field, rolled along theta.
     """
     report = EstimateReport(records=[*check_zero_order(field, slack=max(10.0 * tol, 1e-12)),
                                      *check_first_order(field, tol=tol),
@@ -436,7 +439,7 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                     locus="Hessian eigenvalue ceiling (hypothesis not met)",
                     bound=math.inf, observed=0.0, margin=math.inf, passed=True,
                     extra={"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
-                           "node": list(node)}))
+                           "node": list(node), "by_rule": True}))
                 continue
             for rec in build_cutoff(field, ball, dist):
                 report.add(replace(rec, id=f"{rec.id}_{ball.tag}",

@@ -42,6 +42,19 @@ _MIN_OBS_RINGS = 4
 _COLUMNS = 32
 
 
+def _observation_rings(grid, l_obs):
+    """Rings of ``grid`` below l_obs + 1e-12, the rows embed audits.  Ring k
+    sits at (k + 1/2) h1 as in ``grid.q1``, counted without forming q1: config
+    validation counts on grids of any size a config asks for."""
+    edge, h1 = l_obs + 1e-12, grid.h1
+    k = min(max(math.ceil(edge / h1 - 0.5), 0), grid.n1)
+    while k > 0 and (k - 0.5) * h1 >= edge:  # the division's rounding
+        k -= 1
+    while k < grid.n1 and (k + 0.5) * h1 < edge:
+        k += 1
+    return k
+
+
 class DivergenceError(RuntimeError):
     """Interior deltas increased across three consecutive steps."""
 

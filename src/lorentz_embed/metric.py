@@ -7,7 +7,8 @@ Two chart families are supported:
   solves the Jacobi equation ``f'' = -K f`` with ``f(0) = 0, f'(0) = 1``);
 * conformal disc charts ``g = psi(x, y) (dx^2 + dy^2)`` on a sub-disc of the
   unit disc, discretized in chart-polar coordinates: the perturbed Poincare
-  family, whose eps = 0 member is the Poincare disc with closed-form distances.
+  chart, a class of its three parameters (scale, domain radius, eps), whose
+  eps = 0 member is the Poincare disc with closed-form distances.
 
 Both families are orthogonal: ``metric_components`` returns the diagonal
 (g11, g22), which with the curvature and the Christoffel symbols is all a
@@ -16,15 +17,16 @@ evaluated on demand at grid nodes, so no interpolation error enters the
 estimate audits.  All metric objects are immutable after construction and
 safe to share between workers.
 Each family answers the audits' probe-ball geometry: ``center_distance``
-(of a chart radius; None without a closed form), ``ball_max_neg_curvature``,
-``log_curvature_bounds`` and ``distance_field`` (importing ``geodesics``).
+(of a chart radius; None without a closed form), ``ball_max_neg_curvature``
+(sampled on a warped chart's band, a closed-form upper bound on a conformal
+chart), ``log_curvature_bounds`` and ``distance_field`` (importing
+``geodesics``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,10 +51,6 @@ JACOBI_TOL = 1e-7
 _JACOBI_SPACING = 4e-3
 # radial samples of the band a probe ball meets on a warped chart
 BALL_SAMPLES = 4096
-# radial and angular samples of a conformal chart's disc
-DISC_SAMPLES = 160
-# rings of that sample evaluated at once
-_DISC_BLOCK = 16
 # RK4 steps of make_radial_from_curvature held as Python floats at once
 _RK4_BLOCK = 256
 
@@ -320,40 +318,42 @@ def jacobi_defect(m: WarpedPolarMetric) -> float:
 
 @dataclass(frozen=True)
 class ConformalDiscMetric:
-    """Conformal chart g = psi(x,y)(dx^2 + dy^2) on a sub-disc of radius < 1.
+    """The perturbed Poincare chart on the disc |p| <= domain_radius < 1:
+    g = psi (dx^2 + dy^2) with psi = (4/scale) e^{eps x} / (1 - r^2)^2, and
+    K = -lap(log psi)/(2 psi) = -scale e^{-eps x}, since eps x is harmonic.
 
-    ``psi_grad`` returns (psi_x, psi_y), read only by ``phi_grad``;
-    ``psi_log_laplacian`` is the flat Laplacian of log psi in closed form, so
-    the chart's curvature K = -lap(log psi)/(2 psi) needs no differencing.
-    Construction checks ``curvature`` against that identity on a dense
-    sample, to a relative 1e-8.  ``log_bounds`` is the chart-wide (c3, c4):
-    bounds on ``|grad log(-K)|`` and on the eigenvalues of ``Hess log(-K)``
-    over the whole disc (None when not certified).  Methods other than
-    ``phi_grad`` take chart-polar (rho, theta), the grids' coordinates.
+    ``psi_grad`` returns (psi_x, psi_y), read only by ``phi_grad``.
+    ``log_bounds`` is the chart-wide (c3, c4): bounds on ``|grad log(-K)|``
+    and on the eigenvalues of ``Hess log(-K)`` over the whole disc (None when
+    not certified).  Methods other than ``psi``, ``psi_grad``, ``curvature``
+    and ``phi_grad`` take chart-polar (rho, theta), the grids' coordinates.
     """
 
-    psi: Callable
-    psi_grad: Callable
-    psi_log_laplacian: Callable
-    curvature: Callable
+    scale: float
     domain_radius: float
+    eps: float
     bounds: CurvatureBounds | None = None
     log_bounds: tuple | None = None
     pair_distance: Callable | None = None    # closed-form d((x1,y1),(x2,y2)) if known
     center_distance: Callable | None = None  # closed-form d(0, chart radius rho)
 
     def __post_init__(self):
+        if self.scale <= 0.0:
+            raise ValueError(f"curvature scale must be positive, got {self.scale}")
         if not (0.0 < self.domain_radius < 1.0):
             raise ValueError("domain_radius must lie in (0, 1)")
-        x, y = _disc_points(self.domain_radius, 60)
-        k_stored = np.asarray(self.curvature(x, y), dtype=float)
-        k_conf = -np.asarray(self.psi_log_laplacian(x, y), dtype=float) / (
-            2.0 * np.asarray(self.psi(x, y), dtype=float))
-        err = np.max(np.abs(k_stored - k_conf) / np.maximum(1.0, np.abs(k_stored)))
-        if err > 1e-8:
-            raise ValueError(
-                f"stored curvature disagrees with -lap(log psi)/(2 psi) by {err:.3e}"
-            )
+
+    def psi(self, x, y):
+        return (4.0 / self.scale) * np.exp(self.eps * x) / (1.0 - x * x - y * y) ** 2
+
+    def psi_grad(self, x, y):
+        q = 1.0 - x * x - y * y
+        e = np.exp(self.eps * x)
+        bx, by = (16.0 / self.scale) * x / q**3, (16.0 / self.scale) * y / q**3
+        return (bx + self.eps * ((4.0 / self.scale) / q**2)) * e, by * e
+
+    def curvature(self, x, y):
+        return -self.scale * np.exp(-self.eps * np.asarray(x, dtype=float))
 
     def _xy(self, rho, theta):
         rho = np.asarray(rho, dtype=float)
@@ -391,18 +391,27 @@ class ConformalDiscMetric:
         x, y = self._xy(rho, theta)
         return np.asarray(self.curvature(x, y), dtype=float)
 
+    def _psi_min(self):
+        """Min of psi over the unit disc: psi(x*, 0), with x* = -eps/(2 + sqrt(4 + eps^2))
+        the root of eps (1 - x^2) + 4 x = 0 written without cancellation
+        (log psi is convex in x and increases with y^2)."""
+        x = -self.eps / (2.0 + math.sqrt(4.0 + self.eps * self.eps))
+        return float(self.psi(x, 0.0))
+
+    def _c2_of_radius(self, rho_ball):
+        """Max of -K over the chart disc of radius ``rho_ball`` (at most R)."""
+        return self.scale * math.exp(abs(self.eps) * min(rho_ball, self.domain_radius))
+
     def ball_max_neg_curvature(self, center, r0):
-        """Max of -K over B(center, r0) on the chart-disc sample, masked by the
-        *superset* |p - center| <= r0 / sqrt(min psi), or by the samples
-        nearest the centre when that is empty: a larger maximum only weakens
-        the audited bounds."""
-        rho_c, th_c = float(center[0]), float(center[1])
-        X, Y, psi_min = _chart_disc_sample(self)
-        gap = np.hypot(X - rho_c * math.cos(th_c), Y - rho_c * math.sin(th_c))
-        mask = gap <= r0 / math.sqrt(psi_min)
-        if not np.any(mask):
-            mask = gap <= 2.0 * self.domain_radius / DISC_SAMPLES
-        return float(np.max(-self.curvature(X[mask], Y[mask])))
+        """An upper bound of max -K over B(center, r0), in closed form.  The ball
+        lies in the chart disc |p - c| <= rho_m = r0 / sqrt(min psi) and in
+        |p| <= R, where -K = scale e^{-eps x} is at most scale exp(min(-eps x_c
+        + |eps| rho_m, |eps| R)); exactly ``scale`` at eps = 0."""
+        x_c = float(center[0]) * math.cos(float(center[1]))
+        slope = abs(self.eps)
+        rho_m = r0 / math.sqrt(self._psi_min())
+        return self.scale * math.exp(min(-self.eps * x_c + slope * rho_m,
+                                         slope * self.domain_radius))
 
     def log_curvature_bounds(self, center, r0):
         """The chart-wide c3 and c4, whatever the ball."""
@@ -416,26 +425,6 @@ class ConformalDiscMetric:
             return self.pair_distance(X[i, j], Y[i, j], X, Y)
         from .geodesics import distance_conformal
         return distance_conformal(self, (X[i, j], Y[i, j]), X, Y).reshape(grid.shape)
-
-
-def _disc_points(radius, n):
-    """Chart points (X, Y) of the n x n chart-polar sample of the disc of
-    ``radius``: rows at n radii from 0 to ``radius``, columns at n angles."""
-    rho = np.linspace(0.0, radius, n)[:, None]
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    return rho * np.cos(th), rho * np.sin(th)
-
-
-@lru_cache(maxsize=4)
-def _chart_disc_sample(metric):
-    """Read-only chart points (X, Y) of the DISC_SAMPLES^2 sample of a
-    conformal chart's disc, and min psi over them, _DISC_BLOCK rings at a
-    time.  Built once per metric."""
-    X, Y = _disc_points(metric.domain_radius, DISC_SAMPLES)
-    X.flags.writeable = Y.flags.writeable = False
-    psi_min = min(float(np.min(metric.psi(X[k:k + _DISC_BLOCK], Y[k:k + _DISC_BLOCK])))
-                  for k in range(0, DISC_SAMPLES, _DISC_BLOCK))
-    return X, Y, psi_min
 
 
 def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
@@ -457,40 +446,19 @@ def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
 
 
 def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> ConformalDiscMetric:
-    """Non-radial pinched perturbation of the Poincare chart.
-
-    psi = (4/scale) e^{eps x} / (1 - x^2 - y^2)^2 keeps lap(log psi) in
-    closed form (the added exponent is harmonic), giving K = -scale e^{-eps x}:
-    strictly negative, pinched, and genuinely angle-dependent for eps != 0.
-    """
-    if scale <= 0.0:
-        raise ValueError(f"curvature scale must be positive, got {scale}")
+    """The perturbed Poincare chart with its curvature bounds: strictly
+    negative, pinched, and genuinely angle-dependent for eps != 0."""
+    chart = ConformalDiscMetric(scale, domain_radius, eps)
     R = domain_radius
-
-    def psi(x, y):
-        return (4.0 / scale) * np.exp(eps * x) / (1.0 - x * x - y * y) ** 2
-
-    def psi_grad(x, y):
-        q = 1.0 - x * x - y * y
-        e = np.exp(eps * x)
-        bx, by = (16.0 / scale) * x / q**3, (16.0 / scale) * y / q**3
-        return (bx + eps * ((4.0 / scale) / q**2)) * e, by * e
-
-    def psi_log_laplacian(x, y):
-        return 8.0 / (1.0 - x * x - y * y) ** 2
-
-    def curvature(x, y):
-        return -scale * np.exp(-eps * np.asarray(x, dtype=float))
-
-    chart = ConformalDiscMetric(psi, psi_grad, psi_log_laplacian, curvature, R)
-    # |grad log(-K)|_g = eps / sqrt(psi); Hess log(-K) sampled densely below,
-    # on an 80 x 80 chart-polar sample taken 16 rings at a time
-    X, Y = _disc_points(R, 80)
-    c3 = c4 = -math.inf
+    # |grad log(-K)|_g = |eps| / sqrt(psi), largest where psi is least;
+    # Hess log(-K) sampled on an 80 x 80 chart-polar sample, 16 rings at a time
+    c3 = abs(eps) / math.sqrt(chart._psi_min())
+    rho = np.linspace(0.0, R, 80)[:, None]
+    th = np.linspace(0.0, 2.0 * math.pi, 80, endpoint=False)
+    c4 = -math.inf
     for k in range(0, 80, 16):
-        x, y = X[k:k + 16], Y[k:k + 16]
-        p = psi(x, y)
-        c3 = max(c3, float(np.max(abs(eps) / np.sqrt(p))))
+        x, y = rho[k:k + 16] * np.cos(th), rho[k:k + 16] * np.sin(th)
+        p = chart.psi(x, y)
         # Hess(w)_ab = eps Gamma^x_ab for w = -eps x; conformal symbols in
         # Cartesian coordinates are +-phi_x, +-phi_y
         phx, phy = chart.phi_grad(x, y)
@@ -502,5 +470,5 @@ def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> C
     return replace(chart, log_bounds=(c3, c4), bounds=CurvatureBounds(
         c1=scale * math.exp(-abs(eps) * R),
         c2=scale * math.exp(abs(eps) * R),
-        c2_of_radius=lambda rho_ball: scale * math.exp(abs(eps) * min(rho_ball, R)),
+        c2_of_radius=chart._c2_of_radius,
     ))

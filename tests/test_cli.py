@@ -272,11 +272,14 @@ class TestPipeline:
 
     @pytest.mark.parametrize("key, value", [
         ("radii", "3.0"), ("boundary_values", None), ("iterations", "4"),
-    ], ids=["string-radius", "null-boundary-value", "string-iterations"])
+        ("residual", "1e-11"), ("floor_limited", "false"),
+    ], ids=["string-radius", "null-boundary-value", "string-iterations", "string-residual",
+            "string-floor-limited"])
     def test_corrupt_meta_value_exit_2(self, tmp_path, capsys, key, value):
         # a string radius or a null boundary value ended in a TypeError
-        # traceback (exit 1), and a string iteration count was read; each
-        # now exits 2 with one line naming the entry
+        # traceback (exit 1), and a string iteration count, residual or
+        # floor_limited was read or ignored; each now exits 2 with one line
+        # naming the entry
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
         assert cmd_verify(str(out)) == 0
@@ -452,7 +455,8 @@ class TestPipeline:
 
     def test_verify_prints_passes_by_rule(self, tmp_path, capsys):
         # a record that passes because its hypothesis is not met said
-        # "pass (margin -1.1e-01)"; report.json keeps its margin
+        # "pass (margin -1.1e-01)", or "pass (margin inf)" for the second-order
+        # record beside it; report.json keeps their margins
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0
         capsys.readouterr()
@@ -460,11 +464,38 @@ class TestPipeline:
         lines = capsys.readouterr().out.splitlines()
         by_rule = [line for line in lines if ": pass by rule" in line]
         assert by_rule and all(line.endswith(" pass by rule (hypothesis not met)")
-                               and "cutoff_hypothesis_" in line for line in by_rule)
+                               for line in by_rule)
         assert all("(margin " in line for line in lines if line not in by_rule)
+        assert not any("margin inf" in line for line in lines)
         (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
         marked = [rec for rec in run["records"] if rec.get("extra", {}).get("by_rule")]
-        assert len(marked) == len(by_rule) and all(rec["margin"] < 0 for rec in marked)
+        not_met = [rec for rec in run["records"]
+                   if rec.get("extra", {}).get("hypothesis_met") is False]
+        assert marked == not_met and len(marked) == len(by_rule)
+        assert {rec["id"].split("_r0_")[0] for rec in marked} == {"cutoff_hypothesis",
+                                                                  "second_order"}
+        assert all(rec["margin"] < 0 or rec["margin"] == math.inf for rec in marked)
+
+    def test_tiny_chart_disc_ball_verifies(self, tmp_path, capsys):
+        # r0 = 0.001 about node (48, 22): no point of the old 160^2 chart-disc
+        # sample lay near enough, and verify ended in a ValueError traceback
+        cfg = base_config(metric={"family": "poincare_perturbed", "eps": 0.3},
+                          grid={"n_theta": 34, "n_r": 64}, exhaustion={"radii": [0.8]},
+                          audit={"r0_list": [0.001]})
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+        capsys.readouterr()
+        assert cmd_verify(str(out)) == 0
+        assert capsys.readouterr().err == ""
+        (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
+        lower = [rec for rec in run["records"] if rec["id"].startswith("lower_bound_")]
+        assert "lower_bound_r0_0.001_node_48_22" in [rec["id"] for rec in lower]
+        # each ball's bound on max -K is at least -K at its centre
+        grid, metric = PolarGrid(64, 34, 0.8, kind="disc"), make_poincare_perturbed(1.0, 0.9, 0.3)
+        for rec in lower:
+            i, j = rec["extra"]["node"]
+            assert rec["pass"]
+            assert rec["extra"]["ball_max_neg_K"] >= -metric.curvature_at(grid.q1[i], grid.q2[j])
 
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         # a missing run directory is reported in one line; taking its lock

@@ -356,8 +356,9 @@ class TestSuite:
                 r0 = rec.id.split("_r0_")[1].split("_node_")[0]
                 node = rec.extra["node"]
                 assert rec.id.endswith(f"_r0_{r0}_node_{node[0]}_{node[1]}")
-                # only the records that pass by rule say so
-                assert rec.extra.get("by_rule", False) is rec.id.startswith("cutoff_hypothesis_")
+                # only the records that pass by rule say so: those of a ball
+                # that fails the hypothesis
+                assert rec.extra.get("by_rule", False) is (rec.extra.get("hypothesis_met") is False)
 
 
 class TestDistanceOnDemand:
@@ -397,7 +398,7 @@ class TestDistanceOnDemand:
         assert second.id == "second_order_r0_1_node_0_0" and second.passed
         assert second.margin == math.inf
         assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
-                                "node": [0, 0]}
+                                "node": [0, 0], "by_rule": True}
         for audit in (build_cutoff, check_second_order):
             with pytest.raises(ValueError, match="hypothesis"):
                 audit(pinched_solve_64, ball, None)

@@ -40,6 +40,17 @@ class TestScheduleValidation:
         # radial spacing stays bounded as the ball grows
         assert sched.grids[1].h1 == pytest.approx(sched.grids[0].h1, rel=0.05)
 
+    def test_observation_rings_count_the_grid_rings(self):
+        # the closed-form count equals searchsorted on q1, on ring edges too
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            grid = PolarGrid(int(rng.integers(2, 200)), 8, float(rng.uniform(0.1, 9.0)))
+            k = int(rng.integers(0, grid.n1 + 2))
+            for l_obs in ((k + 0.5) * grid.h1 - 1e-12, (k + 0.5) * grid.h1,
+                          rng.uniform(0.0, 1.2 * grid.radius)):
+                assert (exhaustion._observation_rings(grid, l_obs)
+                        == int(np.searchsorted(grid.q1, l_obs + 1e-12))), (grid, l_obs)
+
 
 class TestBicubicSampling:
     def test_smooth_field_accuracy(self):

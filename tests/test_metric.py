@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,9 +18,7 @@ from lorentz_embed.metric import (
     make_radial_pinched,
 )
 from lorentz_embed.metric import _uniform_hermite
-from lorentz_embed import estimates, metric as metric_module
 from lorentz_embed.grid import PolarGrid, chart_arrays
-from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 
 
 def _zero(r):
@@ -301,16 +298,18 @@ class TestConformalCharts:
             assert np.allclose(m.curvature(x, 0.3 * x), -scale)
 
     def test_poincare_conformal_identity(self):
-        # construction re-checks K = -lap(log psi)/(2 psi); a corrupted
-        # curvature must be caught
-        m = make_poincare(1.0, 0.8)
-        with pytest.raises(ValueError, match="disagrees"):
-            make_poincare(1.0, 0.8).__class__(
-                psi=m.psi, psi_grad=m.psi_grad,
-                psi_log_laplacian=m.psi_log_laplacian,
-                curvature=lambda x, y: -2.0 * np.ones_like(np.asarray(x, float)),
-                domain_radius=0.8,
-            )
+        # K = -lap(log psi)/(2 psi), with lap(log psi) = 8/(1 - r^2)^2 since
+        # the added exponent eps x is harmonic, on a dense chart sample
+        rho = np.linspace(0.0, 0.95, 120)[:, None]
+        th = np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False)
+        x, y = rho * np.cos(th), rho * np.sin(th)
+        lap_log_psi = 8.0 / (1.0 - x * x - y * y) ** 2
+        for eps in (0.0, 0.15, 0.3, -0.5, 1.0):
+            for scale in (0.25, 1.0, 4.0):
+                m = make_poincare_perturbed(scale, 0.95, eps)
+                k = m.curvature(x, y)
+                err = np.abs(k + lap_log_psi / (2.0 * m.psi(x, y))) / np.maximum(1.0, np.abs(k))
+                assert err.max() <= 1e-8, (eps, scale)
 
     def test_poincare_psi_bounded(self):
         m = make_poincare(1.0, 0.7)
@@ -389,11 +388,6 @@ class TestPoincareIsPerturbedAtZero:
     def test_ball_max_is_exactly_the_scale(self, scale):
         m = make_poincare(scale, 0.9)
         assert m.ball_max_neg_curvature((0.4, 1.0), 0.5) == scale
-        # a ball so small that no sample meets the distance mask takes the
-        # samples nearest its centre
-        X, Y, psi_min = metric_module._chart_disc_sample(m)
-        gap = np.hypot(X - 0.4 * math.cos(1.0), Y - 0.4 * math.sin(1.0))
-        assert not np.any(gap <= 1e-9 / math.sqrt(psi_min))
         assert m.ball_max_neg_curvature((0.4, 1.0), 1e-9) == scale
 
 
@@ -425,35 +419,30 @@ class TestChartAnswers:
             pinched_metric.ball_max_neg_curvature((pinched_metric.r_max - 0.5, 0.0), 1.0)
 
 
-class TestChartDiscSample:
-    def test_disc_sample_cached_per_metric(self, monkeypatch):
-        # the chart-disc sample does not depend on the centre or the radius
-        for metric in (make_poincare(1.0, 0.9), make_poincare_perturbed(1.0, 0.9, 0.3)):
-            calls = [((0.2, 1.0), 0.5), ((0.6, 3.0), 1.5), ((0.0, 0.0), 1e-6)]
-            cached = [metric.ball_max_neg_curvature(c, r0) for c, r0 in calls]
-            monkeypatch.setattr(metric_module, "_chart_disc_sample",
-                                metric_module._chart_disc_sample.__wrapped__)
-            assert [metric.ball_max_neg_curvature(c, r0) for c, r0 in calls] == cached
-            monkeypatch.undo()
+class TestConformalBallMax:
+    """The conformal chart's closed-form ball maximum of -K is a bound."""
 
-    def test_disc_sample_built_once_per_metric(self, monkeypatch):
-        metric = make_poincare_perturbed(1.0, 0.9, 0.3)
-        disc = solve_dirichlet(DirichletProblem(metric, PolarGrid(24, 16, 0.7, kind="disc")))
-        calls = []
-        ball_max = estimates.max_neg_curvature_ball
-
-        def counted(metric, center, r0):
-            calls.append(r0)
-            return ball_max(metric, center, r0)
-
-        monkeypatch.setattr(estimates, "max_neg_curvature_ball", counted)
-        metric_module._chart_disc_sample.cache_clear()
-        kwargs = dict(probes=[(3, 0), (5, 4)], r0_list=(0.5, 1.0))
-        cached = estimates.run_estimate_suite(disc, **kwargs).to_json_dict()
-        info = metric_module._chart_disc_sample.cache_info()
-        assert len(calls) >= 6
-        assert (info.misses, info.hits) == (1, len(calls) - 1)
-        monkeypatch.setattr(metric_module, "_chart_disc_sample",
-                            metric_module._chart_disc_sample.__wrapped__)
-        uncached = estimates.run_estimate_suite(disc, **kwargs).to_json_dict()
-        assert json.dumps(cached) == json.dumps(uncached)
+    @pytest.mark.parametrize("eps", [0.3, 1.0, -0.5])
+    def test_closed_form_bounds_the_brute_force_max(self, eps):
+        # on random balls, at least the max of -K over a dense polar sample of
+        # the disc it names (|p - c| <= r0 / sqrt(min psi) within |p| <= R),
+        # and at most the chart-wide c2
+        R = 0.8
+        m = make_poincare_perturbed(1.0, R, eps)
+        # the disc holds the ball only if no point of the unit disc has a smaller psi
+        rho = np.linspace(0.0, 0.999, 1000)[:, None]
+        th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        sampled = m.psi(rho * np.cos(th), rho * np.sin(th)).min()
+        assert m._psi_min() <= sampled <= m._psi_min() * (1.0 + 1e-5)
+        rng = np.random.default_rng(7)
+        s = np.linspace(0.0, 1.0, 200)[:, None]
+        phi = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+        for _ in range(40):
+            rho_c, th_c, r0 = R * rng.random(), 2.0 * math.pi * rng.random(), 2.0 * rng.random()
+            closed = m.ball_max_neg_curvature((rho_c, th_c), r0)
+            rho_m = r0 / math.sqrt(m._psi_min())
+            x = rho_c * math.cos(th_c) + rho_m * s * np.cos(phi)
+            y = rho_c * math.sin(th_c) + rho_m * s * np.sin(phi)
+            inside = np.hypot(x, y) <= R
+            brute = float(np.max(-m.curvature(x[inside], y[inside])))
+            assert brute <= closed <= m.bounds.c2, (rho_c, th_c, r0)

@@ -106,6 +106,22 @@ def test_psi_grad_is_read_in_one_place():
     assert "psi_grad" in inspect.getsource(ConformalDiscMetric.phi_grad)
 
 
+def test_conformal_chart_is_its_parameters():
+    # the perturbed Poincare chart holds its three parameters and what its
+    # factories derive from them; psi, grad psi and K are methods, and the
+    # ball maximum of -K is a closed form, not a chart-disc sample
+    assert [f.name for f in dataclasses.fields(ConformalDiscMetric)] == [
+        "scale", "domain_radius", "eps", "bounds", "log_bounds", "pair_distance",
+        "center_distance"]
+    text = (SRC / "metric.py").read_text()
+    for name in ("_chart_disc_sample", "DISC_SAMPLES", "psi_log_laplacian", "lru_cache"):
+        assert name not in text, name
+    factory = next(node for node in ast.parse(text).body
+                   if getattr(node, "name", None) == "make_poincare_perturbed")
+    assert not [node for node in ast.walk(factory) if node is not factory and isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
 def test_chart_data_holds_what_the_metric_returns():
     # charts are orthogonal: the diagonal metric, the curvature and the six
     # Christoffel symbols, with nothing derived from them and no g12
