@@ -47,7 +47,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from . import __version__
-from .metric import make_hyperbolic, make_radial_pinched, make_poincare, make_poincare_perturbed
+from .metric import ConformalDiscMetric, make_hyperbolic, make_radial_pinched
 from .grid import HessianField, PolarGrid
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
@@ -98,13 +98,14 @@ _DEFAULTS = {
               "pullback_tol": 1e-2, "pinching_slack": 1e-6},
     "output": {},
 }
-# each family's kind of grid, its metric keys and the factory taking them in that order
+# each family's kind of grid, its metric keys and the metric callable taking
+# them in that order (poincare is the conformal chart at its default eps = 0)
 _FAMILIES = {
     "hyperbolic": ("polar", ("curvature_scale",), make_hyperbolic),
     "radial_pinched": ("polar", ("base", "amp", "r_max"), make_radial_pinched),
-    "poincare": ("disc", ("curvature_scale", "domain_radius"), make_poincare),
+    "poincare": ("disc", ("curvature_scale", "domain_radius"), ConformalDiscMetric),
     "poincare_perturbed": ("disc", ("curvature_scale", "domain_radius", "eps"),
-                           make_poincare_perturbed),
+                           ConformalDiscMetric),
 }
 # A geodesic ball's grid scales with its radius.  A chart disc is solved as
 # one ball on a fixed grid: it reads neither grid.nodes_per_unit nor the
@@ -540,11 +541,15 @@ def cmd_solve(config_path, out_dir, trace=False):
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
+    try:
+        metric = build_metric(cfg)
+    except ValueError as exc:  # a chart refusing values that each pass validation
+        print(f"config error: metric: {exc}", file=sys.stderr)
+        return 2
     with _locked_dir(out_dir):
         _remove_run_artifacts(out_dir)  # what an earlier run left would outlive this one
         _dump_json(cfg.raw, os.path.join(out_dir, "config.json"))
         _write_runmeta(out_dir)
-        metric = build_metric(cfg)
         # make_schedule takes the grid and exhaustion keys by name
         schedule = make_schedule(kind=_FAMILIES[cfg.metric["family"]][0], **cfg.grid,
                                  **cfg.exhaustion)
@@ -670,6 +675,8 @@ def cmd_verify(run_dir):
             rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
                                           c_cal=cfg.audit["c_cal"], tol=cfg.solver["tol"])
             reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
+            if missed := [r0 for r0 in r0_list if r0 not in rep.r0_audited]:
+                reports[-1]["r0_not_audited"] = missed  # no probe ball of them fits
             ok = ok and rep.mandatory_pass()
         out = os.path.join(run_dir, "verify")
         os.makedirs(out, exist_ok=True)
@@ -682,6 +689,9 @@ def cmd_verify(run_dir):
             else:
                 status = f"{'pass' if rec['pass'] else 'FAIL'} (margin {rec['margin']:.3e})"
             print(f"l={rep['ball_radius']:g} {rec['id']}: {status}")
+        if "r0_not_audited" in rep:
+            print(f"l={rep['ball_radius']:g} r0_not_audited: {rep['r0_not_audited']} "
+                  f"(no probe ball of these radii fits the solved domain)")
     return 0 if ok else 4
 
 

@@ -98,10 +98,10 @@ def _jsonable(v):
 
 @dataclass
 class EstimateReport:
-    records: list
+    """The records of one audit, and the radii some probe ball fit."""
 
-    def add(self, record):
-        self.records.append(record)
+    records: list
+    r0_audited: list = dataclass_field(default_factory=list)
 
     def mandatory_pass(self):
         return all(r.passed for r in self.records if r.id in MANDATORY_IDS)
@@ -143,11 +143,10 @@ def _core_radius(metric, cap, u_probe):
 
 
 def _probe_ball_fits(field, node, r0):
-    """Whether the solve domain covers the whole probe ball (triangle bound)."""
-    dist = field.metric.center_distance
-    if dist is None:
-        return True  # no distance formula: containment is the caller's duty
-    return float(dist(field.u.grid.q1[node[0]])) + r0 <= float(dist(field.ball_radius)) + 1e-12
+    """Whether the solve domain covers the whole probe ball: r0 is at most the
+    certified lower bound of the probe's distance to the rim."""
+    lower, _ = field.metric.rim_distance(field.u.grid.q1[node[0]], field.ball_radius)
+    return r0 <= float(lower) + 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,22 +199,20 @@ def probe_ball(field: AdmissibleField, node, r0) -> ProbeBall:
 def default_probes(field: AdmissibleField, r0_list):
     """Probe nodes on three rays, and the radii of ``r0_list`` to audit.
 
-    A radius is kept when r0 + 2 h1 is below the domain's geodesic radius
-    (always on a chart with no ``center_distance``).  The probes sit at 0.45,
-    0.6 and 0.75 of the chart radius l, or at max(l - r0 - 2 h1, h1) when the
-    smallest kept r0 would pass l.  On a chart disc that compares a chart
-    radius with a geodesic one and puts every probe on ring 1, an open defect
-    (CHANGES.md) left for Contain (ROADMAP item 3).
+    Rim distances are the lower bounds of ``rim_distance`` to the rim of the
+    solved domain, of chart radius l.  A radius is kept when r0 + 2 h1 is below
+    the center's.  The probes sit at 0.45, 0.6 and 0.75 of l, or, where the
+    smallest kept r0 passes the rim distance, on the innermost ring (ring 1 at
+    least) whose rim distance is at most r0 + 2 h1.
     """
-    grid, l, dist = field.u.grid, field.ball_radius, field.metric.center_distance
-    r0s = [r0 for r0 in r0_list if dist is None or r0 + 2 * grid.h1 < dist(l)]
+    grid, l, rim = field.u.grid, field.ball_radius, field.metric.rim_distance
+    r0s = [r0 for r0 in r0_list if r0 + 2 * grid.h1 < rim(0.0, l)[0]]
     r0 = min(r0s) if r0s else 0.0
+    inner = max(int(np.count_nonzero(rim(grid.q1, l)[0] > r0 + 2 * grid.h1)), 1)
     probes = []
     for frac, j in zip((0.45, 0.6, 0.75), (0, grid.n2 // 3, (2 * grid.n2) // 3)):
         r_target = frac * l
-        if r_target + r0 > l:
-            r_target = max(l - r0 - 2 * grid.h1, grid.h1)
-        i = int(np.clip(np.searchsorted(grid.q1, r_target), 0, grid.n1 - 1))
+        i = int(np.searchsorted(grid.q1, r_target)) if rim(r_target, l)[0] >= r0 else inner
         probes.append((i, j))
     return probes, r0s
 
@@ -237,9 +234,8 @@ def check_zero_order(field: AdmissibleField, boundary_value=None, slack=1e-9):
 def check_first_order(field: AdmissibleField, tol=1e-10):
     """Gradient ceiling 2/sqrt(c1) and the linear barrier above u.
 
-    The barrier b + (2/sqrt(c1)) (l - d(x0, .)) dominates u on domains that
-    are geodesic balls; on conformal charts it requires a center-distance
-    formula and is skipped (with a non-gating placeholder) when none exists.
+    The barrier b + (2/sqrt(c1)) D dominates u, D the upper bound of the
+    distance to the rim from ``rim_distance`` (l - d(x0, .) on a ball).
     """
     grid = field.u.grid
     metric = field.metric
@@ -250,15 +246,8 @@ def check_first_order(field: AdmissibleField, tol=1e-10):
     slack = GRAD_SLACK_CONST * h * h + 10.0 * tol
     records = [_record("gradient_bound", "gradient ceiling 2/sqrt(c1)",
                        bound, float(grad.max()), slack, grid_h=h)]
-    if metric.center_distance is None:
-        records.append(_record(
-            "gradient_barrier", "linear barrier above u (no center-distance formula)",
-            0.0, 0.0, skipped="chart provides no geodesic center distance"))
-        return records
-    dctr = metric.center_distance(grid.mesh()[0])
-    # total geodesic radius of the solve domain
-    l_geo = float(metric.center_distance(field.ball_radius))
-    xi = field.boundary_value + bound * (l_geo - dctr)
+    _, to_rim = metric.rim_distance(grid.mesh()[0], field.ball_radius)
+    xi = field.boundary_value + bound * to_rim
     overshoot = float((field.u.values - xi).max())
     # own rule: the margin is -overshoot, which reads -0.0 where u touches xi
     records.append(EstimateRecord(
@@ -391,7 +380,8 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
     ``probes`` are (i, j) node indices for the localized audits (cutoff and
     second-order ceiling); the lower-bound audit runs at the innermost node
     on the first ray and at every probe, for each radius in ``r0_list``
-    whose probe ball fits in the solved domain.  Each (node, r0) gets one
+    whose probe ball fits in the solved domain (``rim_distance``); those
+    radii are the report's ``r0_audited``.  Each (node, r0) gets one
     ``ProbeBall``.  Only a ball that meets the smallness hypothesis gets the
     cutoff and second-order audits; one that fails it gets a passing
     ``cutoff_hypothesis`` and a not-met ``second_order`` record.  Both pass
@@ -408,15 +398,11 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                                      admissibility_record(field)])
 
     grid = field.u.grid
-    anchors = [(0, 0)] + [tuple(p) for p in probes]
-    seen = set()
     solved = {}  # (ring, reach) -> (column, distance field) solved in this call
-    for node in anchors:
-        if node in seen:
-            continue
-        seen.add(node)
+    for node in dict.fromkeys([(0, 0)] + [tuple(p) for p in probes]):  # each node once
         balls = [probe_ball(field, node, r0) for r0 in r0_list
                  if _probe_ball_fits(field, node, r0)]
+        report.r0_audited.extend(b.r0 for b in balls if b.r0 not in report.r0_audited)
         reaches = [b.reach for b in balls if b.reach is not None]
         dist = None
         if reaches:
@@ -426,15 +412,15 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
             j0, dist = solved[key]
             dist = np.roll(dist, node[1] - j0, axis=1)
         for ball in balls:
-            report.add(check_lower_bound(field, ball))
+            report.records.append(check_lower_bound(field, ball))
             if ball.reach is None:  # own rule: the audits are skipped, so the records pass
-                report.add(EstimateRecord(
+                report.records.append(EstimateRecord(
                     id=f"cutoff_hypothesis_{ball.tag}",
                     locus="cutoff smallness hypothesis (not met; audit skipped)",
                     bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
                     passed=True, extra={"hypothesis_met": False, "node": list(node),
                                         "by_rule": True}))
-                report.add(EstimateRecord(
+                report.records.append(EstimateRecord(
                     id=f"second_order_{ball.tag}",
                     locus="Hessian eigenvalue ceiling (hypothesis not met)",
                     bound=math.inf, observed=0.0, margin=math.inf, passed=True,
@@ -442,7 +428,7 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
                            "node": list(node), "by_rule": True}))
                 continue
             for rec in build_cutoff(field, ball, dist):
-                report.add(replace(rec, id=f"{rec.id}_{ball.tag}",
-                                   extra={**rec.extra, "node": list(node)}))
-            report.add(check_second_order(field, ball, dist, c_cal=c_cal))
+                report.records.append(replace(rec, id=f"{rec.id}_{ball.tag}",
+                                              extra={**rec.extra, "node": list(node)}))
+            report.records.append(check_second_order(field, ball, dist, c_cal=c_cal))
     return report

@@ -43,9 +43,9 @@ bound greater than ``reach`` everywhere else.  On warped polar charts
 (``warped_distance_field``) ds^2 >= dr^2, so d >= |r - r_s|: only the rows
 with |r_i - r_s| <= reach are solved, and the other rows hold |r_i - r_s|.
 Callers that read d only on a ball (the localized audits in ``estimates``)
-pass its radius and skip the rest of the quadrature.  Conformal charts have
-no such cheap bound in chart coordinates and solve every node whatever
-``reach`` is, by their pair distance when they have one.
+pass its radius and skip the rest of the quadrature.  Conformal charts shoot
+(``distance_conformal``) only the nodes where their closed-form lower bound
+``pair_distance`` is <= ``reach``, and none at eps = 0, where it is exact.
 
 Conformal charts integrate the geodesic flow in Cartesian chart coordinates
 (the conformal Christoffel symbols are smooth across the chart origin) and

@@ -16,17 +16,17 @@ grid's chart data holds.  Charts are analytic: every metric quantity is
 evaluated on demand at grid nodes, so no interpolation error enters the
 estimate audits.  All metric objects are immutable after construction and
 safe to share between workers.
-Each family answers the audits' probe-ball geometry: ``center_distance``
-(of a chart radius; None without a closed form), ``ball_max_neg_curvature``
-(sampled on a warped chart's band, a closed-form upper bound on a conformal
-chart), ``log_curvature_bounds`` and ``distance_field`` (importing
-``geodesics``).
+Each family answers the audits' probe-ball geometry from its own fields:
+``rim_distance`` (certified bounds of the distance to a domain's rim),
+``ball_max_neg_curvature`` (sampled on a warped chart's band, a closed-form
+upper bound on a conformal chart), ``log_curvature_bounds`` and
+``distance_field`` (importing ``geodesics``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,8 +38,6 @@ __all__ = [
     "make_hyperbolic",
     "make_radial_from_curvature",
     "make_radial_pinched",
-    "make_poincare",
-    "make_poincare_perturbed",
     "jacobi_defect",
 ]
 
@@ -114,9 +112,9 @@ class WarpedPolarMetric:
     def curvature_at(self, r, theta=None):
         return np.asarray(self.curvature(np.asarray(r, dtype=float)), dtype=float)
 
-    def center_distance(self, r):
-        """The radial coordinate is geodesic distance from the center."""
-        return r
+    def rim_distance(self, r, radius):
+        """Distance from radius ``r`` to the rim of the ball of radius ``radius``, twice."""
+        return radius - r, radius - r
 
     def _band(self, center, r0, samples):
         """``samples`` radii on [max(0, r - r0), r + r0], the band B(center, r0) meets."""
@@ -320,28 +318,37 @@ def jacobi_defect(m: WarpedPolarMetric) -> float:
 class ConformalDiscMetric:
     """The perturbed Poincare chart on the disc |p| <= domain_radius < 1:
     g = psi (dx^2 + dy^2) with psi = (4/scale) e^{eps x} / (1 - r^2)^2, and
-    K = -lap(log psi)/(2 psi) = -scale e^{-eps x}, since eps x is harmonic.
-
-    ``psi_grad`` returns (psi_x, psi_y), read only by ``phi_grad``.
-    ``log_bounds`` is the chart-wide (c3, c4): bounds on ``|grad log(-K)|``
-    and on the eigenvalues of ``Hess log(-K)`` over the whole disc (None when
-    not certified).  Methods other than ``psi``, ``psi_grad``, ``curvature``
-    and ``phi_grad`` take chart-polar (rho, theta), the grids' coordinates.
+    K = -lap(log psi)/(2 psi) = -scale e^{-eps x}, since eps x is harmonic;
+    the Poincare disc at eps = 0.  Construction derives ``bounds`` and
+    ``log_bounds``, the chart-wide (c3, c4) bounding ``|grad log(-K)|`` and
+    the eigenvalues of ``Hess log(-K)``.  Methods other than ``psi``,
+    ``psi_grad`` (read only by ``phi_grad``), ``curvature``, ``phi_grad`` and
+    ``pair_distance`` take chart-polar (rho, theta), the grids' coordinates.
     """
 
     scale: float
     domain_radius: float
-    eps: float
-    bounds: CurvatureBounds | None = None
-    log_bounds: tuple | None = None
-    pair_distance: Callable | None = None    # closed-form d((x1,y1),(x2,y2)) if known
-    center_distance: Callable | None = None  # closed-form d(0, chart radius rho)
+    eps: float = 0.0
+    bounds: CurvatureBounds = field(init=False, repr=False, compare=False)
+    log_bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError(f"curvature scale must be positive, got {self.scale}")
-        if not (0.0 < self.domain_radius < 1.0):
-            raise ValueError("domain_radius must lie in (0, 1)")
+        if not (self.scale > 0.0 and 0.0 < self.domain_radius < 1.0):
+            raise ValueError(f"need scale > 0 and domain_radius in (0, 1), got "
+                             f"{self.scale} and {self.domain_radius}")
+        slope, R = abs(self.eps), self.domain_radius
+        try:  # math.exp raises past the float range; min psi may underflow to 0
+            c1, c2 = self.scale * math.exp(-slope * R), self._c2_of_radius(R)
+            # |grad log(-K)|_g = |eps| / sqrt(psi), largest where psi is least
+            c3, c4 = slope / math.sqrt(self._psi_min()), self._hess_log_max()
+            finite = 0.0 < c1 <= c2 < math.inf and c3 < math.inf and c4 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"scale {self.scale!r} and eps {self.eps!r} give curvature "
+                             f"constants c1..c4 that are not all positive finite floats")
+        object.__setattr__(self, "bounds", CurvatureBounds(c1, c2, self._c2_of_radius))
+        object.__setattr__(self, "log_bounds", (c3, c4))
 
     def psi(self, x, y):
         return (4.0 / self.scale) * np.exp(self.eps * x) / (1.0 - x * x - y * y) ** 2
@@ -398,9 +405,44 @@ class ConformalDiscMetric:
         x = -self.eps / (2.0 + math.sqrt(4.0 + self.eps * self.eps))
         return float(self.psi(x, 0.0))
 
+    def _hess_log_max(self):
+        """c4: the max of |eps| |grad phi| / psi, whose +- are the eigenvalues of
+        g^{-1} Hess log(-K), over BALL_SAMPLES rings.  On the ring of radius r,
+        with q = 1 - r^2, a = eps q / 2 and c = cos(theta), its square
+        (eps scale q / 4)^2 e^{-2 eps r c} (a^2 + 4 r^2 + 4 a r c) is log-concave
+        in c: largest at 1/(2 eps r) - (a^2 + 4 r^2)/(4 a r), clipped to [-1, 1]."""
+        r = np.linspace(0.0, self.domain_radius, BALL_SAMPLES + 1)
+        q = 1.0 - r * r
+        a, den = 0.5 * self.eps * q, 2.0 * self.eps * q * r
+        c = np.divide(q - a * a - 4.0 * r * r, den, out=np.zeros_like(r), where=den != 0.0)
+        c = np.clip(c, -1.0, 1.0)
+        # a^2 + 4 r^2 + 4 a r c as a sum of squares
+        grad = np.sqrt((a + 2.0 * r * c) ** 2 + 4.0 * r * r * (1.0 - c * c))
+        with np.errstate(over="ignore"):
+            return float(np.max(0.25 * abs(self.eps) * self.scale * q
+                                * np.exp(-self.eps * r * c) * grad))
+
     def _c2_of_radius(self, rho_ball):
         """Max of -K over the chart disc of radius ``rho_ball`` (at most R)."""
         return self.scale * math.exp(abs(self.eps) * min(rho_ball, self.domain_radius))
+
+    def rim_distance(self, rho, radius):
+        """(lower, upper) bounds of the distance from chart radius ``rho`` to the
+        rim |p| = ``radius``: e^{-+|eps| radius/2} times the Poincare one, since
+        a path to the rim stays in the disc until it meets it.  Exact at eps = 0."""
+        root = math.sqrt(self.scale)
+        gap = 2.0 * np.arctanh(radius) / root - 2.0 * np.arctanh(rho) / root
+        spread = math.exp(0.5 * abs(self.eps) * radius)
+        return gap / spread, gap * spread
+
+    def pair_distance(self, x1, y1, x2, y2):
+        """A lower bound of the distance between chart points: e^{-|eps|/2} times
+        the Poincare one, since e^{eps x} >= e^{-|eps|} on the unit disc."""
+        q1 = 1.0 - x1 * x1 - y1 * y1
+        q2 = 1.0 - x2 * x2 - y2 * y2
+        chord = (x1 - x2) ** 2 + (y1 - y2) ** 2
+        return (math.exp(-0.5 * abs(self.eps)) * np.arccosh(1.0 + 2.0 * chord / (q1 * q2))
+                / math.sqrt(self.scale))
 
     def ball_max_neg_curvature(self, center, r0):
         """An upper bound of max -K over B(center, r0), in closed form.  The ball
@@ -418,57 +460,14 @@ class ConformalDiscMetric:
         return self.log_bounds
 
     def distance_field(self, grid, node, reach=math.inf):
-        """Distances from a grid node to every node, whatever ``reach``."""
+        """Distances from a grid node, shot (``geodesics.distance_conformal``)
+        where ``pair_distance`` is at most ``reach`` and eps != 0, that bound
+        (exact at eps = 0) elsewhere."""
         i, j = node
         X, Y = self._xy(*grid.mesh())
-        if self.pair_distance is not None:
-            return self.pair_distance(X[i, j], Y[i, j], X, Y)
-        from .geodesics import distance_conformal
-        return distance_conformal(self, (X[i, j], Y[i, j]), X, Y).reshape(grid.shape)
-
-
-def make_poincare(scale: float, domain_radius: float) -> ConformalDiscMetric:
-    """Poincare disc chart with K = -scale: the perturbed chart at eps = 0,
-    psi = (4/scale)/(1 - x^2 - y^2)^2, with its closed-form distances."""
-    chart = make_poincare_perturbed(scale, domain_radius, 0.0)
-    root = math.sqrt(scale)
-
-    def pair_distance(x1, y1, x2, y2):
-        q1 = 1.0 - x1 * x1 - y1 * y1
-        q2 = 1.0 - x2 * x2 - y2 * y2
-        chord = (x1 - x2) ** 2 + (y1 - y2) ** 2
-        return np.arccosh(1.0 + 2.0 * chord / (q1 * q2)) / root
-
-    def center_distance(rho):
-        return 2.0 * np.arctanh(np.asarray(rho, dtype=float)) / root
-
-    return replace(chart, pair_distance=pair_distance, center_distance=center_distance)
-
-
-def make_poincare_perturbed(scale: float, domain_radius: float, eps: float) -> ConformalDiscMetric:
-    """The perturbed Poincare chart with its curvature bounds: strictly
-    negative, pinched, and genuinely angle-dependent for eps != 0."""
-    chart = ConformalDiscMetric(scale, domain_radius, eps)
-    R = domain_radius
-    # |grad log(-K)|_g = |eps| / sqrt(psi), largest where psi is least;
-    # Hess log(-K) sampled on an 80 x 80 chart-polar sample, 16 rings at a time
-    c3 = abs(eps) / math.sqrt(chart._psi_min())
-    rho = np.linspace(0.0, R, 80)[:, None]
-    th = np.linspace(0.0, 2.0 * math.pi, 80, endpoint=False)
-    c4 = -math.inf
-    for k in range(0, 80, 16):
-        x, y = rho[k:k + 16] * np.cos(th), rho[k:k + 16] * np.sin(th)
-        p = chart.psi(x, y)
-        # Hess(w)_ab = eps Gamma^x_ab for w = -eps x; conformal symbols in
-        # Cartesian coordinates are +-phi_x, +-phi_y
-        phx, phy = chart.phi_grad(x, y)
-        h_xx, h_xy, h_yy = eps * phx, eps * phy, -eps * phx
-        tr = (h_xx + h_yy) / p
-        det = (h_xx * h_yy - h_xy**2) / p**2
-        disc = np.sqrt(np.maximum((tr / 2.0) ** 2 - det, 0.0))
-        c4 = max(c4, float(np.max(np.abs(tr / 2.0) + disc)))
-    return replace(chart, log_bounds=(c3, c4), bounds=CurvatureBounds(
-        c1=scale * math.exp(-abs(eps) * R),
-        c2=scale * math.exp(abs(eps) * R),
-        c2_of_radius=chart._c2_of_radius,
-    ))
+        d = self.pair_distance(X[i, j], Y[i, j], X, Y)
+        near = (d <= reach) & (self.eps != 0.0)
+        if np.any(near):
+            from .geodesics import distance_conformal
+            d[near] = distance_conformal(self, (X[i, j], Y[i, j]), X[near], Y[near])
+        return d

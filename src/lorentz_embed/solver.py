@@ -424,8 +424,8 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
     Returns an AdmissibleField whose interior log-residual infinity norm is
     <= problem.tol, or at most its round-off floor when Newton stopped
     floor-limited (DirichletProblem).  Raises NonConvergenceError with the
-    trace when a step fails its checks, damping underflows, or the
-    iteration budget runs out.
+    trace when a step fails its checks, damping underflows, the iteration
+    budget runs out, or the converged field fails its certificate.
     """
     grid = problem.grid
     metric = problem.metric
@@ -449,8 +449,11 @@ def solve_dirichlet(problem: DirichletProblem) -> AdmissibleField:
             # a read-only view: a column broadcast along theta, or the block
             # path's own array
             values = np.broadcast_to(state.values, grid.shape)
-            return _finalize(ScalarField(grid, values), chart, metric, b, it, trace,
-                             res_norm, floor, floor_limited)
+            try:
+                return _finalize(ScalarField(grid, values), chart, metric, b, it, trace,
+                                 res_norm, floor, floor_limited)
+            except ValueError as exc:  # the audit-grade certificate, top ring included
+                raise NonConvergenceError(f"converged, but {exc}", trace) from exc
         rhs = np.zeros(state.values.shape)
         rhs[:-1] = -state.residual
         try:

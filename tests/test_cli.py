@@ -16,7 +16,7 @@ import lorentz_embed.cli as cli
 import lorentz_embed.metric as metric_module
 import lorentz_embed.solver as solver
 from lorentz_embed.grid import PolarGrid, ScalarField
-from lorentz_embed.metric import make_poincare_perturbed
+from lorentz_embed.metric import ConformalDiscMetric
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.cli import (
     RunConfig,
@@ -83,13 +83,16 @@ class TestValidation:
         assert not errors and cfg is not None
 
     def test_each_family_is_a_metric_factory(self):
-        # build_metric is one lookup: each family's factory is a metric.make_*
-        # that takes the family's metric keys, in order, as its arguments
+        # build_metric is one lookup: each family maps to a public callable of
+        # metric (a make_* factory or the chart class) whose leading parameters
+        # take the family's metric keys, in order, and whose others have defaults
         for family, (_, keys, make) in cli._FAMILIES.items():
-            assert make.__name__.startswith("make_"), family
+            assert not make.__name__.startswith("_"), family
             assert getattr(metric_module, make.__name__) is make, family
-            params = inspect.signature(make).parameters.values()
-            assert len([p for p in params if p.default is p.empty]) == len(keys), family
+            params = list(inspect.signature(make).parameters.values())
+            assert len(params) >= len(keys), family
+            assert all(p.default is not p.empty for p in params[len(keys):]), family
+        assert cli._FAMILIES["poincare"][2] is cli._FAMILIES["poincare_perturbed"][2]
 
     def test_negative_tolerance_names_field(self):
         _, errors = validate_config(base_config(solver={"tol": -1.0}))
@@ -491,7 +494,7 @@ class TestPipeline:
         lower = [rec for rec in run["records"] if rec["id"].startswith("lower_bound_")]
         assert "lower_bound_r0_0.001_node_48_22" in [rec["id"] for rec in lower]
         # each ball's bound on max -K is at least -K at its centre
-        grid, metric = PolarGrid(64, 34, 0.8, kind="disc"), make_poincare_perturbed(1.0, 0.9, 0.3)
+        grid, metric = PolarGrid(64, 34, 0.8, kind="disc"), ConformalDiscMetric(1.0, 0.9, 0.3)
         for rec in lower:
             i, j = rec["extra"]["node"]
             assert rec["pass"]
@@ -569,7 +572,7 @@ class TestPipeline:
         cfg_path = write_config(tmp_path, conformal_config(boundary_rule="midpoint"))
         out = tmp_path / "run"
         assert cmd_solve(cfg_path, str(out)) == 0
-        bounds = make_poincare_perturbed(1.0, 0.9, 0.3).bounds
+        bounds = ConformalDiscMetric(1.0, 0.9, 0.3).bounds
         standard = 1.0 / (2.0 * bounds.c2_of_radius(0.7))
         midpoint = 0.5 * (standard + 1.0 / (2.0 * bounds.c1))
         assert midpoint > standard + 1e-3
@@ -588,6 +591,48 @@ class TestPipeline:
         assert (out / "trace_failed.csv").exists()
         assert not (out / "trace_l000.csv").exists()
 
+    @pytest.mark.parametrize("eps", [800.0, -800.0, 1e6])
+    def test_chart_refusing_its_constants_exit_2(self, tmp_path, capsys, eps):
+        # each value passes validation, but the chart's c2 and c3 are not
+        # finite floats; solve builds the metric before it takes the lock, so
+        # it writes nothing (it ended in a ZeroDivisionError traceback)
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, conformal_config(eps=eps)), str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: metric: ") and err.count("\n") == 1
+        assert f"eps {eps!r}" in err
+        assert not out.exists()
+
+    def test_uncertified_converged_field_exit_3(self, tmp_path, capsys):
+        # at eps 20 Newton meets its residual on the interior, but the
+        # audit-grade top ring is not admissible (min eigenvalue -1.6e3): a
+        # non-convergence with its trace, not a ValueError traceback
+        cfg = conformal_config(eps=20.0, radii=(0.8,))
+        cfg["grid"] = {"n_theta": 64, "n_r": 64}
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver did not converge: ") and err.count("\n") == 1
+        assert "not admissible" in err
+        assert (out / "trace_failed.csv").exists()
+
+    def test_unfit_radius_is_reported(self, tmp_path, capsys):
+        # no ball of radius 3 fits the disc (its centre is at most 1.95 from
+        # the rim), so no record is about one, and the report says so
+        cfg = conformal_config(radii=(0.8,))
+        cfg["audit"] = {"r0_list": [1.0, 3.0]}
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+        capsys.readouterr()
+        assert cmd_verify(str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
+        assert run["r0_not_audited"] == [3.0]
+        assert not any("_r0_3_" in rec["id"] for rec in run["records"])
+        assert any("_r0_1_" in rec["id"] for rec in run["records"])
+        assert [line for line in lines if "r0_not_audited" in line] == [
+            "l=0.8 r0_not_audited: [3.0] (no probe ball of these radii fits the solved domain)"]
+
     def test_conformal_solve_routed_through_exhaustion(self, tmp_path):
         # the one-ball schedule gives the field of a direct disc solve
         out = tmp_path / "run"
@@ -595,7 +640,7 @@ class TestPipeline:
         u = np.loadtxt(out / "fields" / "u_000.csv", delimiter=",", skiprows=1,
                        usecols=2).reshape(24, 16)
         direct = solve_dirichlet(DirichletProblem(
-            make_poincare_perturbed(1.0, 0.9, 0.3), PolarGrid(24, 16, 0.7, kind="disc")))
+            ConformalDiscMetric(1.0, 0.9, 0.3), PolarGrid(24, 16, 0.7, kind="disc")))
         assert np.array_equal(u, direct.u.values)
 
     def test_main_subcommands(self, tmp_path):
@@ -619,9 +664,9 @@ class TestPipeline:
         assert cmd_verify(out) == 0
 
     def test_chart_disc_cutoff_audits(self, tmp_path):
-        # r0 = 1.5 passes verify's filter on a chart disc with no closed-form
-        # distance and meets the smallness hypothesis, so the cutoff and
-        # second-order audits run on shooting distances
+        # r0 = 1.5 passes verify's filter on a perturbed chart disc and meets
+        # the smallness hypothesis, so the cutoff and second-order audits run
+        # on shooting distances
         cfg = conformal_config(radii=(0.8,))
         cfg["grid"] = {"n_theta": 8, "n_r": 8}
         cfg["audit"] = {"r0_list": [1.5]}

@@ -7,7 +7,7 @@ import pytest
 from oracles import develop_whole, hyperboloid_point, write_obj_rows
 
 from lorentz_embed.cli import write_obj
-from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.embed import (
@@ -165,7 +165,7 @@ class TestDevelopingMap:
         if case == "pinched ball":
             gbar, dev = pinched_embedding_64[:2]
         else:
-            metric = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+            metric = ConformalDiscMetric(1.0, 0.9, eps=0.3)
             sol = solve_dirichlet(DirichletProblem(metric, PolarGrid(40, 48, 0.8, kind="disc")))
             gbar = conformal_metric(sol)
             dev = develop(gbar)
@@ -179,7 +179,7 @@ class TestDevelopingMap:
         # the angular propagators and the frames, (rows, n2, 3, 3) each, and
         # one block of rings in flight: 1.23 MB measured on this disc, where
         # the stacked stage generators took 5.85 MB
-        metric = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        metric = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         sol = solve_dirichlet(DirichletProblem(metric, PolarGrid(64, 64, 0.8, kind="disc")))
         gbar = conformal_metric(sol)
         tracemalloc.start()
@@ -275,8 +275,8 @@ class TestPerturbedConformal:
         # exercises the genuinely angle-dependent code paths: nonzero
         # off-diagonal coframe, nonzero radial connection coefficient,
         # conformal-chart distances in the localized audits
-        from lorentz_embed.metric import make_poincare_perturbed
-        metric = make_poincare_perturbed(1.0, 0.9, eps=0.2)
+        from lorentz_embed.metric import ConformalDiscMetric
+        metric = ConformalDiscMetric(1.0, 0.9, eps=0.2)
         grid = PolarGrid(48, 48, 0.7, kind="disc")
         sol = solve_dirichlet(DirichletProblem(metric, grid))
         osc = (sol.u.values.max(axis=1) - sol.u.values.min(axis=1)).max()

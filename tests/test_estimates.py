@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
+from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic
 from lorentz_embed.grid import (
     PolarGrid,
     ScalarField,
@@ -78,6 +79,19 @@ class TestFirstOrder:
     def test_barrier_dominates(self, pinched_solve_64):
         _, barrier = check_first_order(pinched_solve_64)
         assert barrier.passed
+
+    def test_disc_barrier_is_audited(self):
+        # the barrier reads the chart's upper rim distance, so a perturbed disc
+        # is audited too: a field whose datum is lowered by 0.1 overshoots its
+        # barrier by 0.1 on the rim, above the slack of 2 h^2 (h = h2)
+        disc = solve_dirichlet(DirichletProblem(ConformalDiscMetric(1.0, 0.9, 0.3),
+                                                PolarGrid(24, 48, 0.7, kind="disc")))
+        _, barrier = check_first_order(disc)
+        assert barrier.passed and barrier.extra == {}
+        low = replace(disc, boundary_value=disc.boundary_value - 0.1)
+        _, barrier = check_first_order(low)
+        assert not barrier.passed and barrier.slack < 0.05
+        assert barrier.observed == pytest.approx(0.1, rel=1e-9)
 
 
 class TestLowerBound:
@@ -257,11 +271,21 @@ class TestDefaultProbes:
                                                            [1.0])
 
     def test_disc_drops_a_radius_near_its_geodesic_radius(self):
-        metric = make_poincare(1.0, 0.9)
+        metric = ConformalDiscMetric(1.0, 0.9)
         disc = solve_dirichlet(DirichletProblem(metric, PolarGrid(16, 16, 0.8, kind="disc")))
-        h1, radius = disc.u.grid.h1, float(metric.center_distance(0.8))
+        # the rim distance of the chart's centre, exact at eps = 0
+        h1, radius = disc.u.grid.h1, float(metric.rim_distance(0.0, 0.8)[0])
         near, inside = radius - 1.5 * h1, radius - 2.5 * h1
         assert default_probes(disc, [1.0, near, inside])[1] == [1.0, inside]
+
+    def test_perturbed_disc_probes_hold_their_balls(self):
+        # the probes sit at 0.45 and 0.6 of the chart radius, and the third
+        # moves in until the certified rim distance holds r0; each ball fits
+        disc = solve_dirichlet(DirichletProblem(ConformalDiscMetric(1.0, 0.9, 0.3),
+                                                PolarGrid(64, 64, 0.8, kind="disc")))
+        assert default_probes(disc, [1.0]) == ([(29, 0), (38, 21), (38, 42)], [1.0])
+        for node in default_probes(disc, [1.0])[0]:
+            assert probe_ball(disc, node, 1.0).r0 == 1.0
 
 
 class TestSuite:
@@ -342,7 +366,7 @@ class TestSuite:
         g = pinched_solve_64.u.grid
         probe = (int(np.searchsorted(g.q1, 1.8)), 0)
         pinched = run_estimate_suite(pinched_solve_64, probes=[probe], r0_list=(0.5, 1.0))
-        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
+        disc = solve_dirichlet(DirichletProblem(ConformalDiscMetric(1.0, 0.9, 0.3),
                                                 PolarGrid(8, 8, 0.8, kind="disc")))
         perturbed = run_estimate_suite(disc, probes=[(3, 0)], r0_list=(1.0, 1.5))
         for rep in (pinched, perturbed):
@@ -452,7 +476,9 @@ class TestDistanceOnDemand:
     def test_chart_disc_takes_no_roll(self, monkeypatch):
         # a perturbed conformal chart is not rotationally symmetric: probes on
         # one ring with one reach each solve their own field.  The audits'
-        # values are not under test, so a chart-flat stand-in is returned
+        # values are not under test, so a chart-flat stand-in is returned.
+        # On this wide disc a ball of radius 2.5 about ring 1 fits, and its
+        # bound on max -K is the chart-wide one, so every reach is the same
         calls = []
 
         def counted(metric, grid, node, reach=math.inf):
@@ -462,10 +488,10 @@ class TestDistanceOnDemand:
             return np.hypot(X - X[node], Y - Y[node])
 
         monkeypatch.setattr(estimates, "distance_field", counted)
-        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
-                                                PolarGrid(8, 8, 0.8, kind="disc")))
-        probes = [(3, 0), (3, 2), (3, 4)]
-        run_estimate_suite(disc, probes=probes, r0_list=(4.0,))
+        disc = solve_dirichlet(DirichletProblem(ConformalDiscMetric(1.0, 0.99, 0.3),
+                                                PolarGrid(8, 8, 0.95, kind="disc")))
+        probes = [(1, 0), (1, 2), (1, 4)]
+        run_estimate_suite(disc, probes=probes, r0_list=(2.5,))
         assert [node for node, _ in calls] == [(0, 0)] + probes
         assert len({reach for _, reach in calls}) == 1
 
@@ -490,7 +516,7 @@ class TestRecordConvention:
             assert rec.margin == rec.bound - rec.observed
             assert rec.passed is (rec.extra["ratio"] <= 1.0)
             return "second_order"
-        if rec.id == "gradient_barrier" and "skipped" not in rec.extra:
+        if rec.id == "gradient_barrier":
             # -overshoot, so an exact fit is written as -0.0
             assert repr(rec.margin) == repr(-rec.observed)
             assert rec.passed is (rec.observed <= rec.slack)
@@ -505,7 +531,7 @@ class TestRecordConvention:
         g = pinched_solve_64.u.grid
         pinched = run_estimate_suite(pinched_solve_64, r0_list=(0.5, 1.0),
                                      probes=[(int(np.searchsorted(g.q1, 1.8)), 0)])
-        disc = solve_dirichlet(DirichletProblem(make_poincare_perturbed(1.0, 0.9, 0.3),
+        disc = solve_dirichlet(DirichletProblem(ConformalDiscMetric(1.0, 0.9, 0.3),
                                                 PolarGrid(24, 16, 0.7, kind="disc")))
         perturbed = run_estimate_suite(disc, r0_list=(1.0, 2.0))
         rules = {}
@@ -513,7 +539,7 @@ class TestRecordConvention:
             for rec in rep.records:
                 rules.setdefault(self._rule(rec), set()).add(rec.id.split("_r0_")[0])
         assert rules["record"] == {
-            "zero_order_lower", "zero_order_upper", "gradient_bound", "gradient_barrier",
+            "zero_order_lower", "zero_order_upper", "gradient_bound",
             "admissibility", "lower_bound", "cutoff_gradient", "cutoff_hessian"}
         assert rules["hypothesis_not_met"] == {"cutoff_hypothesis", "second_order"}
         assert rules["cutoff_range"] == {"cutoff_range"}

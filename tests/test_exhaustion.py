@@ -6,7 +6,7 @@ import pytest
 
 from oracles import knot_slopes_eye, not_a_knot_weights_eye, sample_bicubic_dense
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare_perturbed
+from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic
 from lorentz_embed import exhaustion
 from lorentz_embed.grid import PolarGrid, ScalarField
 from lorentz_embed.exhaustion import (
@@ -223,7 +223,7 @@ class TestModelExhaustion:
         monkeypatch.setattr(exhaustion, "sample_bicubic",
                             lambda *a: calls.append(1) or sample_bicubic(*a))
         sched = make_schedule((0.7,), l_obs=0.5, n_theta=16, n_r=24, kind="disc")
-        result = run_exhaustion(sched, make_poincare_perturbed(1.0, 0.9, eps=0.3))
+        result = run_exhaustion(sched, ConformalDiscMetric(1.0, 0.9, eps=0.3))
         assert calls == []
         assert result.limit_on_reference is None
         assert len(result.steps) == 1 and math.isnan(result.steps[0].delta)

@@ -8,7 +8,7 @@ import oracles
 from oracles import _illinois, distance_polar, hyperbolic_distance, poincare_distance
 from test_metric import flat_metric
 
-from lorentz_embed.metric import make_hyperbolic, make_poincare, make_poincare_perturbed
+from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed import geodesics
 from lorentz_embed.estimates import distance_field
@@ -399,16 +399,25 @@ class TestReach:
         assert np.array_equal(distance_field(pinched_metric, g, (4, 5), reach=math.inf),
                               distance_field(pinched_metric, g, (4, 5)))
 
-    def test_conformal_charts_ignore_reach(self):
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.15)
+    def test_conformal_charts_honour_reach(self):
+        # the nodes whose pair-distance bound is within reach are shot, with
+        # the bits of the full field; the others hold that bound, above reach
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.15)
         g = PolarGrid(4, 8, 0.5, kind="disc")
-        assert np.array_equal(distance_field(m, g, (1, 2), reach=0.0),
-                              distance_field(m, g, (1, 2)))
+        full = distance_field(m, g, (1, 2))
+        R, T = g.mesh()
+        X, Y = R * np.cos(T), R * np.sin(T)
+        for reach in (0.0, 0.6):
+            part = distance_field(m, g, (1, 2), reach=reach)
+            near = m.pair_distance(X[1, 2], Y[1, 2], X, Y) <= reach
+            assert np.any(near) and np.any(~near)
+            assert np.array_equal(part[near], full[near])
+            assert np.all(part[~near] > reach) and np.all(part[~near] <= full[~near])
 
 
 class TestConformalDistance:
     def test_shooting_matches_poincare_closed_form(self):
-        m = make_poincare(1.0, 0.9)
+        m = ConformalDiscMetric(1.0, 0.9)
         rng = np.random.default_rng(11)
         rho = 0.7 * np.sqrt(rng.random(25))
         th = 2 * math.pi * rng.random(25)
@@ -419,13 +428,13 @@ class TestConformalDistance:
         assert np.max(np.abs(d - d0)) <= 1e-8
 
     def test_scaled_chart(self):
-        m = make_poincare(4.0, 0.9)
+        m = ConformalDiscMetric(4.0, 0.9)
         d = distance_conformal(m, (0.2, 0.0), np.array([-0.3]), np.array([0.25]))
         d0 = poincare_distance(0.2, 0.0, -0.3, 0.25, scale=4.0)
         assert abs(float(d[0]) - float(d0)) <= 1e-8
 
     def test_perturbed_symmetry(self):
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.15)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.15)
         d_ab = distance_conformal(m, (0.3, 0.1), np.array([-0.2]), np.array([-0.35]))
         d_ba = distance_conformal(m, (-0.2, -0.35), np.array([0.3]), np.array([0.1]))
         assert abs(float(d_ab[0]) - float(d_ba[0])) <= 1e-8
@@ -433,7 +442,7 @@ class TestConformalDistance:
     def test_converged_targets_are_not_reshot(self, monkeypatch):
         # every target is shot until its own endpoint error meets tol, and
         # no further: the shots per target equal 2 per Newton step plus 1
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         X = np.array([0.3, 0.31, -0.5, 0.0, 0.2])
         Y = np.array([0.1, 0.1, 0.4, -0.6, 0.1])  # the last one is the source
         shots = []
@@ -453,7 +462,7 @@ class TestConformalDistance:
             assert d_one[0] == d[k]  # a target's iterates ignore the others
 
     def test_nonconvergence_reports_active_worst_error(self):
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         with pytest.raises(RuntimeError, match="worst endpoint error"):
             distance_conformal(m, (0.2, 0.1), np.array([-0.5]), np.array([0.4]),
                                max_newton=1)
@@ -469,7 +478,7 @@ class TestDispatch:
         assert d[3, 4] == pytest.approx(0.0, abs=1e-12)
 
     def test_poincare_uses_closed_form(self):
-        m = make_poincare(1.0, 0.9)
+        m = ConformalDiscMetric(1.0, 0.9)
         g = PolarGrid(8, 8, 0.6, kind="disc")
         d = distance_field(m, g, (2, 3))
         assert d.shape == g.shape

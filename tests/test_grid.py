@@ -9,12 +9,7 @@ from oracles import chart_arrays_full, write_field_csv_oneshot
 from test_metric import flat_metric
 
 from lorentz_embed import grid as grid_module
-from lorentz_embed.metric import (
-    WarpedPolarMetric,
-    make_hyperbolic,
-    make_poincare,
-    make_poincare_perturbed,
-)
+from lorentz_embed.metric import ConformalDiscMetric, WarpedPolarMetric, make_hyperbolic
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
 from lorentz_embed.grid import (
     GridTooCoarseError,
@@ -271,8 +266,8 @@ class TestOpenMesh:
             assert np.shares_memory(full, col), name
 
     @pytest.mark.parametrize("n1, n2", [(13, 16), (97, 192)])
-    @pytest.mark.parametrize("make", [lambda: make_poincare(1.0, 0.9),
-                                      lambda: make_poincare_perturbed(1.0, 0.9, eps=0.3)],
+    @pytest.mark.parametrize("make", [lambda: ConformalDiscMetric(1.0, 0.9),
+                                      lambda: ConformalDiscMetric(1.0, 0.9, eps=0.3)],
                              ids=["poincare", "perturbed"])
     def test_conformal_chart_is_full_width(self, make, n1, n2):
         metric = make()
@@ -302,7 +297,7 @@ class TestRingColumn:
             assert _same_bits(col, getattr(ch, name)[:, :1]), name
             assert getattr(ch, name).strides[1] == 0, name
         disc = PolarGrid(24, 16, 0.7, kind="disc")
-        assert chart_arrays(make_poincare_perturbed(1.0, 0.9, eps=0.3), disc).column is None
+        assert chart_arrays(ConformalDiscMetric(1.0, 0.9, eps=0.3), disc).column is None
 
     def test_column_matches_full_width(self, pinched_metric, pinched_solve_64):
         u = pinched_solve_64.u
@@ -336,7 +331,7 @@ class TestRingColumn:
 
     def test_disc_chart_takes_full_width(self):
         g = PolarGrid(24, 16, 0.7, kind="disc")
-        hess = hessian(np.full(g.shape, 0.5), g, make_poincare_perturbed(1.0, 0.9, eps=0.3))
+        hess = hessian(np.full(g.shape, 0.5), g, ConformalDiscMetric(1.0, 0.9, eps=0.3))
         assert hess.grad_sq.strides[1] != 0
 
     def test_pinched_solve_takes_hessians_at_width_1(self, pinched_metric, monkeypatch):

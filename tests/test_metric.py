@@ -8,17 +8,17 @@ from scipy.interpolate import CubicSpline
 from oracles import bump_curvature, pinched_curvature
 
 from lorentz_embed.metric import (
+    ConformalDiscMetric,
     CurvatureBounds,
     WarpedPolarMetric,
     jacobi_defect,
     make_hyperbolic,
-    make_poincare,
-    make_poincare_perturbed,
     make_radial_from_curvature,
     make_radial_pinched,
 )
 from lorentz_embed.metric import _uniform_hermite
 from lorentz_embed.grid import PolarGrid, chart_arrays
+from lorentz_embed.geodesics import distance_conformal
 
 
 def _zero(r):
@@ -293,7 +293,7 @@ class TestChristoffels:
 class TestConformalCharts:
     def test_poincare_curvature_constant(self):
         for scale in (0.25, 1.0, 4.0):
-            m = make_poincare(scale, 0.8)
+            m = ConformalDiscMetric(scale, 0.8)
             x = np.linspace(-0.5, 0.5, 9)
             assert np.allclose(m.curvature(x, 0.3 * x), -scale)
 
@@ -306,19 +306,19 @@ class TestConformalCharts:
         lap_log_psi = 8.0 / (1.0 - x * x - y * y) ** 2
         for eps in (0.0, 0.15, 0.3, -0.5, 1.0):
             for scale in (0.25, 1.0, 4.0):
-                m = make_poincare_perturbed(scale, 0.95, eps)
+                m = ConformalDiscMetric(scale, 0.95, eps)
                 k = m.curvature(x, y)
                 err = np.abs(k + lap_log_psi / (2.0 * m.psi(x, y))) / np.maximum(1.0, np.abs(k))
                 assert err.max() <= 1e-8, (eps, scale)
 
     def test_poincare_psi_bounded(self):
-        m = make_poincare(1.0, 0.7)
+        m = ConformalDiscMetric(1.0, 0.7)
         rho = np.linspace(0, 0.7, 100)
         p = m.psi(rho, np.zeros_like(rho))
         assert np.all(p >= 4.0 - 1e-12) and np.all(p <= 4.0 / (1 - 0.49) ** 2 + 1e-9)
 
     def test_perturbed_pinching(self):
-        m = make_poincare_perturbed(1.0, 0.8, eps=0.2)
+        m = ConformalDiscMetric(1.0, 0.8, eps=0.2)
         x = np.linspace(-0.8, 0.8, 31)
         y = np.zeros_like(x)
         K = m.curvature(x, y)
@@ -328,7 +328,7 @@ class TestConformalCharts:
         assert c3 > 0 and c4 > 0
 
     def test_perturbed_fd_curvature_identity(self):
-        m = make_poincare_perturbed(1.0, 0.8, eps=0.15)
+        m = ConformalDiscMetric(1.0, 0.8, eps=0.15)
         xs = np.array([0.1, -0.3, 0.2])
         ys = np.array([0.0, 0.2, -0.4])
         h = 1e-4
@@ -348,12 +348,12 @@ def _same_bits(a, b):
 
 
 class TestPoincareIsPerturbedAtZero:
-    """The Poincare chart is the perturbed chart at eps = 0, bit for bit,
-    plus its closed-form distances."""
+    """The Poincare chart is the perturbed chart at its default eps = 0, bit
+    for bit, where its distance bounds are the closed-form distances."""
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
     def test_same_chart_bits(self, scale):
-        m, p = make_poincare(scale, 0.9), make_poincare_perturbed(scale, 0.9, 0.0)
+        m, p = ConformalDiscMetric(scale, 0.9), ConformalDiscMetric(scale, 0.9, 0.0)
         grid = PolarGrid(24, 16, 0.85, kind="disc")
         rho, th = grid.mesh()
         x, y = rho * np.cos(th), rho * np.sin(th)
@@ -368,7 +368,12 @@ class TestPoincareIsPerturbedAtZero:
             assert (b.c1, b.c2) == (scale, scale)
             assert [b.c2_of_radius(r) for r in (0.1, 0.5, 2.0)] == [scale] * 3
         assert m.log_bounds == p.log_bounds == (0.0, 0.0)
-        assert p.pair_distance is None and p.center_distance is None
+        # exact distances: the rim bounds meet, and a distance field is the
+        # pair distance, shot nowhere
+        lower, upper = p.rim_distance(rho, 0.85)
+        assert _same_bits(lower, upper)
+        assert _same_bits(p.distance_field(grid, (5, 3)),
+                          p.pair_distance(x[5, 3], y[5, 3], x, y))
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
     def test_textbook_formulas(self, scale):
@@ -376,7 +381,7 @@ class TestPoincareIsPerturbedAtZero:
         rng = np.random.default_rng(0)
         rho, th = 0.9 * np.sqrt(rng.random(4096)), 2.0 * math.pi * rng.random(4096)
         x, y = rho * np.cos(th), rho * np.sin(th)
-        m = make_poincare(scale, 0.9)
+        m = ConformalDiscMetric(scale, 0.9)
         q = 1.0 - x * x - y * y
         assert _same_bits(m.psi(x, y), (4.0 / scale) / q**2)
         px, py = m.psi_grad(x, y)
@@ -386,7 +391,7 @@ class TestPoincareIsPerturbedAtZero:
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
     def test_ball_max_is_exactly_the_scale(self, scale):
-        m = make_poincare(scale, 0.9)
+        m = ConformalDiscMetric(scale, 0.9)
         assert m.ball_max_neg_curvature((0.4, 1.0), 0.5) == scale
         assert m.ball_max_neg_curvature((0.4, 1.0), 1e-9) == scale
 
@@ -395,22 +400,50 @@ class TestChartAnswers:
     """The geometry each chart family answers for the estimate audits."""
 
     @pytest.mark.parametrize("scale", [0.25, 1.0, 4.0])
-    def test_poincare_center_distance_is_the_pair_distance_from_0(self, scale):
-        # the probe-ball containment test reads the centre form
-        m = make_poincare(scale, 0.995)
-        rho = np.linspace(0.0, 0.99, 100)
+    def test_poincare_rim_distance_is_the_pair_distance_along_the_ray(self, scale):
+        # the probe-ball containment test reads the rim bounds; at eps = 0
+        # both are the distance to the rim point on the probe's ray
+        m = ConformalDiscMetric(scale, 0.995)
+        rho = np.linspace(0.0, 0.98, 100)
+        lower, upper = m.rim_distance(rho, 0.99)
+        assert np.array_equal(lower, upper)
         for theta in np.linspace(0.0, 2.0 * math.pi, 7):
-            pair = m.pair_distance(0.0, 0.0, rho * math.cos(theta), rho * math.sin(theta))
-            assert np.all(np.abs(m.center_distance(rho) - pair) <= 1e-12 * pair)
+            c, s = math.cos(theta), math.sin(theta)
+            pair = m.pair_distance(rho * c, rho * s, 0.99 * c, 0.99 * s)
+            assert np.all(np.abs(lower - pair) <= 1e-12 * pair)
 
-    def test_warped_center_distance_is_the_identity(self, pinched_metric):
+    def test_warped_rim_distance_is_the_radius_gap(self, pinched_metric):
         r = np.linspace(0.0, 4.0, 9)
         for m in (make_hyperbolic(1.0), pinched_metric):
-            assert m.center_distance(r) is r
-            assert m.center_distance(2.5) == 2.5
+            lower, upper = m.rim_distance(r, 4.0)
+            assert np.array_equal(lower, 4.0 - r) and np.array_equal(upper, 4.0 - r)
+            assert m.rim_distance(2.5, 4.0) == (1.5, 1.5)
+
+    @pytest.mark.parametrize("eps", [0.3, -0.5])
+    def test_conformal_rim_bounds_bracket_the_shooting_distance(self, eps):
+        # the least shooting distance from a source to 128 rim points lies
+        # between the rim bounds; the sources sit on rays through rim points.
+        # 96 RK4 steps leave an error near 1e-9, far inside the brackets
+        R = 0.8
+        m = ConformalDiscMetric(1.0, 0.9, eps)
+        th = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+        for rho, k in ((0.0, 0), (0.3, 16), (0.6, 0), (0.6, 64)):
+            source = (rho * math.cos(th[k]), rho * math.sin(th[k]))
+            least = float(distance_conformal(m, source, R * np.cos(th), R * np.sin(th),
+                                             n_steps=96).min())
+            lower, upper = m.rim_distance(rho, R)
+            assert lower <= least <= upper, (rho, k)
+
+    def test_pair_distance_bounds_the_shooting_distance(self):
+        m = ConformalDiscMetric(1.0, 0.9, 0.3)
+        rng = np.random.default_rng(3)
+        rho, th = 0.85 * np.sqrt(rng.random(40)), 2.0 * math.pi * rng.random(40)
+        x, y = rho * np.cos(th), rho * np.sin(th)
+        shot = distance_conformal(m, (0.4, -0.3), x, y, n_steps=96)
+        assert np.all(m.pair_distance(0.4, -0.3, x, y) <= shot)
 
     def test_conformal_log_curvature_bounds_are_chart_wide(self):
-        m = make_poincare_perturbed(1.0, 0.9, 0.3)
+        m = ConformalDiscMetric(1.0, 0.9, 0.3)
         assert m.log_curvature_bounds((0.3, 1.0), 0.5) == m.log_bounds
         assert m.log_curvature_bounds((0.7, 4.0), 0.1) == m.log_bounds
 
@@ -428,7 +461,7 @@ class TestConformalBallMax:
         # the disc it names (|p - c| <= r0 / sqrt(min psi) within |p| <= R),
         # and at most the chart-wide c2
         R = 0.8
-        m = make_poincare_perturbed(1.0, R, eps)
+        m = ConformalDiscMetric(1.0, R, eps)
         # the disc holds the ball only if no point of the unit disc has a smaller psi
         rho = np.linspace(0.0, 0.999, 1000)[:, None]
         th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -446,3 +479,39 @@ class TestConformalBallMax:
             inside = np.hypot(x, y) <= R
             brute = float(np.max(-m.curvature(x[inside], y[inside])))
             assert brute <= closed <= m.bounds.c2, (rho_c, th_c, r0)
+
+
+class TestConformalCertificate:
+    """The chart derives c1..c4 from its parameters, and refuses non-finite ones."""
+
+    # (scale, R, eps) and c4 as the 80 x 80 chart-polar sample of earlier
+    # versions read it
+    SAMPLED_C4 = [((1.0, 0.9, 0.3), 0.06392624354025293),
+                  ((1.0, 0.9, 1.0), 0.2971999917761769),
+                  ((1.0, 0.99, 0.3), 0.06392537459633305),
+                  ((4.0, 0.9, -0.5), 0.4630968750919507)]
+
+    @pytest.mark.parametrize("params, sampled", SAMPLED_C4)
+    def test_c4_closed_form_against_a_dense_sample(self, params, sampled):
+        # the largest eigenvalue |eps| |grad phi| / psi of g^{-1} Hess log(-K)
+        # on a 1200 x 1200 chart-polar sample; the sample's own error near the
+        # maximum is a few 1e-7, relative
+        m = ConformalDiscMetric(*params)
+        rho = np.linspace(0.0, params[1], 1200)[:, None]
+        th = np.linspace(0.0, 2.0 * math.pi, 1200, endpoint=False)
+        x, y = rho * np.cos(th), rho * np.sin(th)
+        phx, phy = m.phi_grad(x, y)
+        dense = float(np.max(abs(params[2]) * np.hypot(phx, phy) / m.psi(x, y)))
+        c4 = m.log_bounds[1]
+        assert abs(c4 - dense) <= 1e-6 * dense
+        assert c4 >= sampled
+
+    def test_c3_c4_vanish_at_eps_zero(self):
+        assert ConformalDiscMetric(2.0, 0.9).log_bounds == (0.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [800.0, -800.0, 1e6])
+    def test_constants_beyond_the_float_range_are_refused(self, eps):
+        # at eps 800 min psi underflows to 0 (c3 divided by it) and e^{|eps| R}
+        # overflows (c2)
+        with pytest.raises(ValueError, match="not all positive finite floats"):
+            ConformalDiscMetric(1.0, 0.9, eps)

@@ -14,12 +14,7 @@ from oracles import (
     splu_step,
 )
 
-from lorentz_embed.metric import (
-    make_hyperbolic,
-    make_poincare,
-    make_poincare_perturbed,
-    make_radial_from_curvature,
-)
+from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic, make_radial_from_curvature
 from lorentz_embed import solver
 from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.solver import (
@@ -50,7 +45,7 @@ class TestConstantModels:
         assert np.max(np.abs(sol.u.values - 1.0 / (2.0 * scale))) <= 1e-12
 
     def test_poincare_disc_constant(self):
-        m = make_poincare(1.0, 0.9)
+        m = ConformalDiscMetric(1.0, 0.9)
         p = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
         sol = solve_dirichlet(p)
         assert sol.iterations <= 2
@@ -327,7 +322,7 @@ class TestFourierStep:
         if case == "pinched":
             problem = DirichletProblem(pinched_metric, PolarGrid(64, 64, 3.0))
         else:
-            problem = DirichletProblem(make_poincare_perturbed(1.0, 0.9, eps=0.3),
+            problem = DirichletProblem(ConformalDiscMetric(1.0, 0.9, eps=0.3),
                                        PolarGrid(24, 16, 0.7, kind="disc"))
         calls = _count_steps(monkeypatch, ("_probe", "covariant_hessian"))
         sol = solve_dirichlet(problem)
@@ -340,7 +335,7 @@ class TestFourierStep:
         # off its Dirichlet value, not even by round-off; the non-radial
         # steps here are block steps
         calls = _count_steps(monkeypatch)
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         g = PolarGrid(24, 16, 0.7, kind="disc")
         b = 1.0 / (2.0 * m.bounds.c2_of_radius(g.radius))
         if rule == "midpoint":
@@ -360,7 +355,7 @@ class TestBlockStep:
     @staticmethod
     def _system(n1, n2, eps, seed=0):
         """A non-radial disc state and a random right side."""
-        m = make_poincare_perturbed(1.0, 0.9, eps=eps)
+        m = ConformalDiscMetric(1.0, 0.9, eps=eps)
         g = PolarGrid(n1, n2, 0.7, kind="disc")
         ch = chart_arrays(m, g)
         _, state = _state(m, g, angular=0.01)
@@ -421,7 +416,7 @@ class TestBlockStep:
         # a step that fails its backward-error check is not taken: Newton
         # stops with the check named and the trace so far
         monkeypatch.setattr(solver, "_BLOCK_BACKWARD_TOL", -1.0)
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         with pytest.raises(NonConvergenceError, match="backward error") as exc:
             solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert len(exc.value.trace) >= 1
@@ -436,14 +431,14 @@ class TestBlockStep:
 
     def test_non_radial_chart_makes_no_splu_call(self, monkeypatch):
         calls = _count_steps(monkeypatch)
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         sol = solve_dirichlet(DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc")))
         assert sol.iterations >= 1
         assert calls == {"_radial_step": 0, "_block_step": sol.iterations}
 
     def test_solve_matches_splu_path(self, monkeypatch):
         # the whole Newton solve, block steps against splu steps
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         problem = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
         fast = solve_dirichlet(problem)
         monkeypatch.setattr(solver, "_block_step", splu_step)
@@ -473,7 +468,7 @@ class TestRoundOffFloor:
     def test_fine_disc_converges_floor_limited(self):
         # the perturbed benchmark disc at 96^2: its residual stalls near
         # 3e-10, above tol, and used to run out of iterations there
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         problem = DirichletProblem(m, PolarGrid(96, 96, 0.8, kind="disc"))
         sol = solve_dirichlet(problem)
         assert sol.floor_limited
@@ -482,7 +477,7 @@ class TestRoundOffFloor:
         assert sol.iterations <= 8
 
     def test_benchmark_disc_stops_on_tol(self):
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         sol = solve_dirichlet(DirichletProblem(m, PolarGrid(64, 64, 0.8, kind="disc")))
         assert sol.iterations == 4 and not sol.floor_limited
         assert sol.residual <= 1e-10 < sol.residual_floor
@@ -501,7 +496,7 @@ class TestRoundOffFloor:
         # with every residual below the floor, only the progress test holds
         # Newton back: a solve that keeps cutting its residual 4-fold is the
         # same solve
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         problem = DirichletProblem(m, PolarGrid(24, 16, 0.7, kind="disc"))
         ref = solve_dirichlet(problem)
         res = [r for _, r, _, _ in ref.trace]
@@ -513,7 +508,7 @@ class TestRoundOffFloor:
 
     def test_stall_above_the_floor_fails(self, monkeypatch):
         monkeypatch.setattr(solver, "_residual_floor", lambda coefs, values: 0.0)
-        m = make_poincare_perturbed(1.0, 0.9, eps=0.3)
+        m = ConformalDiscMetric(1.0, 0.9, eps=0.3)
         problem = DirichletProblem(m, PolarGrid(96, 96, 0.8, kind="disc"), max_iter=8)
         with pytest.raises(NonConvergenceError, match="no convergence"):
             solve_dirichlet(problem)

@@ -107,19 +107,36 @@ def test_psi_grad_is_read_in_one_place():
 
 
 def test_conformal_chart_is_its_parameters():
-    # the perturbed Poincare chart holds its three parameters and what its
-    # factories derive from them; psi, grad psi and K are methods, and the
-    # ball maximum of -K is a closed form, not a chart-disc sample
-    assert [f.name for f in dataclasses.fields(ConformalDiscMetric)] == [
-        "scale", "domain_radius", "eps", "bounds", "log_bounds", "pair_distance",
-        "center_distance"]
+    # the perturbed Poincare chart is built from its three parameters alone,
+    # and derives its certificate itself: no factory, closure or optional
+    # distance callable; psi, grad psi and K are methods, and the ball maximum
+    # of -K is a closed form, not a chart-disc sample
+    assert [f.name for f in dataclasses.fields(ConformalDiscMetric) if f.init] == [
+        "scale", "domain_radius", "eps"]
     text = (SRC / "metric.py").read_text()
-    for name in ("_chart_disc_sample", "DISC_SAMPLES", "psi_log_laplacian", "lru_cache"):
+    for name in ("_chart_disc_sample", "DISC_SAMPLES", "psi_log_laplacian", "lru_cache",
+                 "replace("):
         assert name not in text, name
-    factory = next(node for node in ast.parse(text).body
-                   if getattr(node, "name", None) == "make_poincare_perturbed")
-    assert not [node for node in ast.walk(factory) if node is not factory and isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    chart = next(node for node in ast.parse(text).body
+                 if getattr(node, "name", None) == "ConformalDiscMetric")
+    assert not [node for node in ast.walk(chart) if isinstance(node, ast.Lambda)]
+
+
+def test_one_distance_contract():
+    # every chart answers rim_distance and distance_field from its own
+    # fields, so no module asks a chart whether it has a distance formula
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "center_distance" not in text and "make_poincare" not in text, path.name
+    for cls in (WarpedPolarMetric, ConformalDiscMetric):
+        assert callable(cls.rim_distance) and callable(cls.distance_field)
+    tree = ast.parse((SRC / "estimates.py").read_text())
+    tests = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+             and "metric" in {n.attr for n in ast.walk(node.left)
+                              if isinstance(n, ast.Attribute)}
+             | {n.id for n in ast.walk(node.left) if isinstance(n, ast.Name)}]
+    assert tests == [], [ast.unparse(node) for node in tests]
 
 
 def test_chart_data_holds_what_the_metric_returns():
