@@ -8,10 +8,13 @@ sits beside its reader, writes atomically (atomic_write) and formats its
 records with _write_records, save a polar field CSV constant along theta.
 The field reader checks a CSV's coordinates against its grid bit for bit,
 and solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
-fields/meta.json records how the exhaustion ended, a diverged one
-included.  A lock file holding the writer's PID guards each output
-directory against concurrent writers (solve, verify and embed alike); a
-lock whose PID names no running process is reclaimed.
+Each stage decides its own verdict and the commands write it:
+fields/meta.json records how run_exhaustion says the exhaustion ended (a
+diverged one included), verify prints each estimate record's own status
+line, and embed prints the failures its EmbeddingAudit names.  A lock
+file holding the writer's PID guards each output directory against
+concurrent writers (solve, verify and embed alike); a lock whose PID
+names no running process is reclaimed.
 
 Importing this module loads only what config handling and solve need
 (metric, grid, solver, exhaustion).  verify loads estimates (and geodesics
@@ -24,10 +27,11 @@ is the one place config defaults live; the sections of a RunConfig hold
 resolved values.
 
 Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
-3 solver non-convergence (trace still written), 4 embedding audit failure,
-5 output directory locked by another run, 6 the exhaustion stopped with its
-last delta above exhaustion.tol (every artifact still written; "all" still
-runs verify and embed, and returns 6 when both succeed).
+3 solver non-convergence (trace still written) or a diverged exhaustion
+(every artifact still written), 4 audit failure, 5 output directory locked
+by another run, 6 the exhaustion stopped with its last delta above
+exhaustion.tol (every artifact still written; "all" still runs verify and
+embed, and returns 6 when both succeed).
 """
 
 from __future__ import annotations
@@ -54,8 +58,7 @@ from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
 # Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
 from .solver import solve_dirichlet  # noqa: F401
-from .exhaustion import (_MIN_OBS_RINGS, _observation_rings, make_schedule,
-                         run_exhaustion, DivergenceError)
+from .exhaustion import _MIN_OBS_RINGS, _observation_rings, make_schedule, run_exhaustion
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -560,14 +563,14 @@ def cmd_solve(config_path, out_dir, trace=False):
             _write_trace(exc.trace, os.path.join(out_dir, "trace_failed.csv"))
             print(f"solver did not converge: {exc}", file=sys.stderr)
             return 3
-        except DivergenceError as exc:
-            # the partial run, marked diverged, stays readable by verify
-            _write_solution(out_dir, exc.fields, exc.steps, schedule.tol, trace, diverged=True)
-            print(f"exhaustion diverged: {exc}", file=sys.stderr)
+        # a diverged run is written too, and stays readable by verify
+        _write_solution(out_dir, result, trace)
+        if result.diverged:
+            print("exhaustion diverged: interior deltas increased across three "
+                  "consecutive steps", file=sys.stderr)
             return 3
-        meta = _write_solution(out_dir, result.fields, result.steps, schedule.tol, trace)
-        if meta["met_tol"] is False:
-            print(f"exhaustion stopped above its tol: last delta {meta['last_delta']:.3e} "
+        if result.met_tol is False:
+            print(f"exhaustion stopped above its tol: last delta {result.last_delta:.3e} "
                   f"> {schedule.tol:g}", file=sys.stderr)
             return 6
         return 0
@@ -578,19 +581,18 @@ _META_LISTS = ("radii", "boundary_values", "grids", "iterations", "residual",
                "residual_floor", "floor_limited")
 
 
-def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
-    """Write the fields, their meta.json and convergence.csv of a solve.
+def _write_solution(out_dir, result, trace):
+    """Write the fields, their meta.json and convergence.csv of an exhaustion.
 
-    meta.json, which is returned, records per ball the Newton iterations,
-    final residual, its round-off floor and whether Newton stopped on that
-    floor (solver.DirichletProblem), and how the exhaustion ended: the last
-    delta, whether it met ``tol`` (both null when no delta was taken,
-    as on a one-ball chart disc), and whether the deltas diverged.
+    meta.json records per ball the Newton iterations, final residual, its
+    round-off floor and whether Newton stopped on that floor
+    (solver.DirichletProblem), and how the exhaustion ended: its
+    ``last_delta``, ``met_tol`` and ``diverged``.
     """
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
     meta = {key: [] for key in _META_LISTS}
-    for k, fld in enumerate(fields):
+    for k, fld in enumerate(result.fields):
         write_field_csv(fld.u, os.path.join(fields_dir, f"u_{k:03d}.csv"))
         if trace:
             _write_trace(fld.trace, os.path.join(out_dir, f"trace_l{k:03d}.csv"))
@@ -602,13 +604,9 @@ def _write_solution(out_dir, fields, steps, tol, trace, diverged=False):
         meta["residual"].append(fld.residual)
         meta["residual_floor"].append(fld.residual_floor)
         meta["floor_limited"].append(fld.floor_limited)
-    deltas = [s.delta for s in steps if not math.isnan(s.delta)]
-    meta["last_delta"] = deltas[-1] if deltas else None
-    meta["met_tol"] = deltas[-1] <= tol if deltas else None
-    meta["diverged"] = diverged
+    meta.update(last_delta=result.last_delta, met_tol=result.met_tol, diverged=result.diverged)
     _dump_json(meta, os.path.join(fields_dir, "meta.json"))
-    _write_convergence(steps, os.path.join(out_dir, "convergence.csv"))
-    return meta
+    _write_convergence(result.steps, os.path.join(out_dir, "convergence.csv"))
 
 
 def _load_run(run_dir, last_only=False):
@@ -668,30 +666,25 @@ def cmd_verify(run_dir):
             print(f"verify: {exc}", file=sys.stderr)
             return 2
         r0_list = [float(r) for r in cfg.audit["r0_list"]]
-        reports = []
+        reports, lines = [], []
         ok = True
         for fld in fields:
             probes, fit_r0 = _cli.default_probes(fld, r0_list)
             rep = _cli.run_estimate_suite(fld, probes=probes, r0_list=fit_r0,
                                           c_cal=cfg.audit["c_cal"], tol=cfg.solver["tol"])
             reports.append({"ball_radius": fld.ball_radius, **rep.to_json_dict()})
+            lines += [f"l={fld.ball_radius:g} {rec.id}: {rec.status()}" for rec in rep.records]
             if missed := [r0 for r0 in r0_list if r0 not in rep.r0_audited]:
                 reports[-1]["r0_not_audited"] = missed  # no probe ball of them fits
+                lines.append(f"l={fld.ball_radius:g} r0_not_audited: {missed} "
+                             f"(no probe ball of these radii fits the solved domain)")
             ok = ok and rep.mandatory_pass()
         out = os.path.join(run_dir, "verify")
         os.makedirs(out, exist_ok=True)
         _dump_json({"runs": reports, "mandatory_pass": ok},
                    os.path.join(out, "report.json"))
-    for rep in reports:
-        for rec in rep["records"]:
-            if rec.get("extra", {}).get("by_rule"):
-                status = "pass by rule (hypothesis not met)"
-            else:
-                status = f"{'pass' if rec['pass'] else 'FAIL'} (margin {rec['margin']:.3e})"
-            print(f"l={rep['ball_radius']:g} {rec['id']}: {status}")
-        if "r0_not_audited" in rep:
-            print(f"l={rep['ball_radius']:g} r0_not_audited: {rep['r0_not_audited']} "
-                  f"(no probe ball of these radii fits the solved domain)")
+    for line in lines:
+        print(line)
     return 0 if ok else 4
 
 
@@ -717,11 +710,10 @@ def cmd_embed(run_dir):
             print("embed: mandatory estimates failed; refusing to embed", file=sys.stderr)
             return 2
 
-        audit_cfg = cfg.audit
         try:
             gbar, dev, emb, audit = _cli.build_embedding(
                 field, cfg.exhaustion["l_obs"],
-                check_tol=audit_cfg["curvature_check_tol"],
+                check_tol=cfg.audit["curvature_check_tol"],
             )
         except _cli.ObservationRegionError as exc:
             # validation vets config grids; meta.json may differ
@@ -743,21 +735,10 @@ def cmd_embed(run_dir):
         _cli.write_obj(mesh, os.path.join(out, "surface.obj"))
         _dump_json(payload, os.path.join(out, "audit.json"))
 
-    slack = audit_cfg["pinching_slack"]
-    failures = []
-    if audit.pullback_rel_err > audit_cfg["pullback_tol"]:
-        failures.append(
-            f"pullback error {audit.pullback_rel_err:.3e} at node "
-            f"{audit.worst_pullback_node} exceeds {audit_cfg['pullback_tol']:g}"
-        )
-    for name, margin in (("cone", audit.pinching_margin_cone),
-                         ("lower", audit.pinching_margin_lower),
-                         ("upper", audit.pinching_margin_upper)):
-        if margin < -slack:
-            failures.append(f"pinching margin ({name}) {margin:.3e} < -{slack:g}")
+    failures = audit.failures(cfg.audit["pullback_tol"], cfg.audit["pinching_slack"])
+    for message in failures:
+        print(f"embed audit: {message}", file=sys.stderr)
     if failures:
-        for f_msg in failures:
-            print(f"embed audit: {f_msg}", file=sys.stderr)
         return 4
     print(f"embed: mesh with {mesh.vertices.shape[0]} vertices, "
           f"pullback error {audit.pullback_rel_err:.3e}")

@@ -635,6 +635,19 @@ class EmbeddingAudit:
     def to_json_dict(self):
         return {**asdict(self), "worst_pullback_node": list(self.worst_pullback_node)}
 
+    def failures(self, pullback_tol, pinching_slack):
+        """A message for each gate the audit fails: a pullback error above
+        ``pullback_tol``, a pinching margin below ``-pinching_slack``."""
+        out = []
+        if self.pullback_rel_err > pullback_tol:
+            out.append(f"pullback error {self.pullback_rel_err:.3e} at node "
+                       f"{self.worst_pullback_node} exceeds {pullback_tol:g}")
+        for name in ("cone", "lower", "upper"):
+            margin = getattr(self, f"pinching_margin_{name}")
+            if margin < -pinching_slack:
+                out.append(f"pinching margin ({name}) {margin:.3e} < -{pinching_slack:g}")
+        return out
+
 
 def verify_embedding(emb: EmbeddingMap, audit_rows) -> EmbeddingAudit:
     """Extrinsic verification of an assembled embedding.

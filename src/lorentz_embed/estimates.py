@@ -3,9 +3,9 @@
 Each audit recomputes its bound from the metric data and compares against
 the solved field, reporting a margin (bound minus observed for upper
 bounds, observed minus bound for lower bounds) that passes when it is at
-least -slack, for a per-estimate slack (``_record``); the few records
-with another rule say so where they are built.  Records are recomputable
-from dumped fields alone.
+least -slack, for a per-estimate slack.  ``_record`` builds every record
+under that rule; a record whose hypothesis is not met passes by rule
+instead, and says so.  Records are recomputable from dumped fields alone.
 
 The unquantified constant appearing in the second-order eigenvalue bound
 is not computable from the theory; it is exposed as the calibration
@@ -16,7 +16,7 @@ than silently asserting an absolute inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -80,12 +80,26 @@ class EstimateRecord:
             d["extra"] = {k: _jsonable(v) for k, v in self.extra.items()}
         return d
 
+    def status(self):
+        """The verdict ``verify`` prints for the record."""
+        if self.extra.get("by_rule"):
+            return "pass by rule (hypothesis not met)"
+        return f"{'pass' if self.passed else 'FAIL'} (margin {self.margin:.3e})"
 
-def _record(id, locus, bound, observed, slack=0.0, lower=False, **extra):
+
+def _record(id, locus, bound, observed, slack=0.0, lower=False, margin=None,
+            by_rule=False, **extra):
     """A record under the module's convention: margin = bound - observed
-    (observed - bound for a ``lower`` bound), passing when margin >= -slack."""
-    margin = float(observed - bound if lower else bound - observed)
-    return EstimateRecord(id, locus, bound, observed, margin, margin >= -slack, slack, extra)
+    (observed - bound for a ``lower`` bound) unless given, passing when
+    margin >= -slack.  A record ``by_rule``, whose hypothesis is not met,
+    audits nothing: it passes, and its ``extra`` says so."""
+    if margin is None:
+        margin = observed - bound if lower else bound - observed
+    if by_rule:
+        extra["by_rule"] = True
+    margin = float(margin)
+    return EstimateRecord(id, locus, bound, observed, margin, by_rule or margin >= -slack,
+                          slack, extra)
 
 
 def _jsonable(v):
@@ -248,11 +262,8 @@ def check_first_order(field: AdmissibleField, tol=1e-10):
                        bound, float(grad.max()), slack, grid_h=h)]
     _, to_rim = metric.rim_distance(grid.mesh()[0], field.ball_radius)
     xi = field.boundary_value + bound * to_rim
-    overshoot = float((field.u.values - xi).max())
-    # own rule: the margin is -overshoot, which reads -0.0 where u touches xi
-    records.append(EstimateRecord(
-        id="gradient_barrier", locus="comparison with the linear barrier", bound=0.0,
-        observed=overshoot, margin=-overshoot, passed=overshoot <= slack, slack=slack))
+    records.append(_record("gradient_barrier", "comparison with the linear barrier",
+                           0.0, float((field.u.values - xi).max()), slack))
     return records
 
 
@@ -291,8 +302,8 @@ def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
     ii) |grad phi| <= 3/sqrt(c1);
     iii) Hess phi >= -(Hess u + g), checked at eigenvalue level.
 
-    Returns the three records.  The ball must meet the hypothesis
-    u(probe) < cap (``ball.reach`` set).
+    Returns the three records, each id ending in the ball's tag.  The ball
+    must meet the hypothesis u(probe) < cap (``ball.reach`` set).
     """
     if ball.reach is None:
         raise ValueError(f"ball about {ball.node} fails the hypothesis u(probe) < cap")
@@ -312,28 +323,27 @@ def build_cutoff(field: AdmissibleField, ball: ProbeBall, distance):
     core = d <= core_radius
     core_min = float(phi[core].min()) if np.any(core) else math.inf
     core_floor = 0.5 * (cap - u_probe)
-    # own rule: the margin is the least of the three range margins
-    range_margin = float(min(lo - 0.0, cap - hi, core_min - core_floor))
-    recs = [EstimateRecord(
-        id="cutoff_range", locus="cutoff value range and core floor", bound=cap,
-        observed=hi, margin=range_margin, passed=range_margin >= -slack_rng, slack=slack_rng,
-        extra={"support_min": lo, "core_min": core_min, "core_floor": core_floor,
-               "core_radius": core_radius, "support_nodes": int(support.sum()),
-               "core_nodes": int(core.sum())})]
+    node = list(ball.node)
+    # the margin is the least of the three range margins
+    recs = [_record(f"cutoff_range_{ball.tag}", "cutoff value range and core floor", cap, hi,
+                    slack_rng, margin=min(lo - 0.0, cap - hi, core_min - core_floor),
+                    support_min=lo, core_min=core_min, core_floor=core_floor,
+                    core_radius=core_radius, support_nodes=int(support.sum()),
+                    core_nodes=int(core.sum()), node=node)]
 
     ch = field.hessian.chart
     hess_phi = covariant_hessian(ScalarField(grid, phi), ch)
     grad_phi = np.sqrt(hess_phi.grad_sq)
     gbound = 3.0 / math.sqrt(c1)
-    recs.append(_record("cutoff_gradient", "cutoff gradient ceiling 3/sqrt(c1)",
-                        gbound, float(grad_phi[support].max()), slack_grad))
+    recs.append(_record(f"cutoff_gradient_{ball.tag}", "cutoff gradient ceiling 3/sqrt(c1)",
+                        gbound, float(grad_phi[support].max()), slack_grad, node=node))
 
     a11 = hess_phi.h11 + field.hessian.h11 + ch.g11
     a12 = hess_phi.h12 + field.hessian.h12
     a22 = hess_phi.h22 + field.hessian.h22 + ch.g22
     eig_min, _ = generalized_eig_range(a11, a12, a22, ch.g11, ch.g22)
-    recs.append(_record("cutoff_hessian", "Hess(phi) dominates -(Hess u + g)",
-                        0.0, float(eig_min[support].min()), slack_hess, lower=True))
+    recs.append(_record(f"cutoff_hessian_{ball.tag}", "Hess(phi) dominates -(Hess u + g)",
+                        0.0, float(eig_min[support].min()), slack_hess, lower=True, node=node))
     return recs
 
 
@@ -344,8 +354,9 @@ def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=
     to exp(c_cal c2') / (cap - u(probe)) * (1 + sqrt(c4) r0/sqrt(c2)
     + c2'(1 + r0/sqrt(c2) + c3 r0/sqrt(c2))), c2' the max of -K over B(r0 + 1).
     The calibration constant stands in for a constant the theory does not
-    quantify, so this record is reported as a ratio and is non-gating by
-    default.  ``distance`` and the ball are as in ``build_cutoff``.
+    quantify, so this record reports the ratio too and is non-gating.  It
+    passes when observed <= bound (the ratio at most 1), with no slack.
+    ``distance`` and the ball are as in ``build_cutoff``.
     """
     if ball.reach is None:
         raise ValueError(f"ball about {ball.node} fails the hypothesis u(probe) < cap")
@@ -361,16 +372,10 @@ def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=
     bound = (math.exp(c_cal * c2p) / (cap - u_probe)) * (
         1.0 + math.sqrt(c4) * r0 / s2 + c2p * (1.0 + r0 / s2 + c3 * r0 / s2)
     )
-    ratio = observed / bound
-    # own rule: passes on the ratio, with no slack
-    return EstimateRecord(
-        id=f"second_order_{ball.tag}", locus="Hessian eigenvalue ceiling on the core ball",
-        bound=bound, observed=observed, margin=bound - observed, passed=ratio <= 1.0,
-        extra={"ratio": ratio, "hypothesis_met": True, "cap": cap,
-               "u_probe": u_probe, "core_radius": core_radius,
-               "core_nodes": int(core.sum()),
-               "c2": c2, "c2_prime": c2p, "c3": c3, "c4": c4,
-               "c_cal": c_cal, "node": list(ball.node)})
+    return _record(f"second_order_{ball.tag}", "Hessian eigenvalue ceiling on the core ball",
+                   bound, observed, ratio=observed / bound, hypothesis_met=True, cap=cap,
+                   u_probe=u_probe, core_radius=core_radius, core_nodes=int(core.sum()),
+                   c2=c2, c2_prime=c2p, c3=c3, c4=c4, c_cal=c_cal, node=list(ball.node))
 
 
 def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
@@ -413,22 +418,17 @@ def run_estimate_suite(field: AdmissibleField, probes=(), r0_list=(1.0,),
             dist = np.roll(dist, node[1] - j0, axis=1)
         for ball in balls:
             report.records.append(check_lower_bound(field, ball))
-            if ball.reach is None:  # own rule: the audits are skipped, so the records pass
-                report.records.append(EstimateRecord(
-                    id=f"cutoff_hypothesis_{ball.tag}",
-                    locus="cutoff smallness hypothesis (not met; audit skipped)",
-                    bound=ball.cap, observed=ball.u_probe, margin=ball.cap - ball.u_probe,
-                    passed=True, extra={"hypothesis_met": False, "node": list(node),
-                                        "by_rule": True}))
-                report.records.append(EstimateRecord(
-                    id=f"second_order_{ball.tag}",
-                    locus="Hessian eigenvalue ceiling (hypothesis not met)",
-                    bound=math.inf, observed=0.0, margin=math.inf, passed=True,
-                    extra={"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
-                           "node": list(node), "by_rule": True}))
+            if ball.reach is None:  # the audits are skipped, so the records pass by rule
+                report.records.append(_record(
+                    f"cutoff_hypothesis_{ball.tag}",
+                    "cutoff smallness hypothesis (not met; audit skipped)",
+                    ball.cap, ball.u_probe, by_rule=True, hypothesis_met=False,
+                    node=list(node)))
+                report.records.append(_record(
+                    f"second_order_{ball.tag}", "Hessian eigenvalue ceiling (hypothesis not met)",
+                    math.inf, 0.0, by_rule=True, hypothesis_met=False, cap=ball.cap,
+                    u_probe=ball.u_probe, node=list(node)))
                 continue
-            for rec in build_cutoff(field, ball, dist):
-                report.records.append(replace(rec, id=f"{rec.id}_{ball.tag}",
-                                              extra={**rec.extra, "node": list(node)}))
+            report.records.extend(build_cutoff(field, ball, dist))
             report.records.append(check_second_order(field, ball, dist, c_cal=c_cal))
     return report

@@ -7,6 +7,9 @@ fixed 48 x 64 reference grid inside the smallest ball: the table of
 successive sups delta_k = max |u_{k+1} - u_k| must decrease after the
 first step, mirroring the uniform interior estimates that make the limit
 exist.  No convergence *rate* is asserted, only the observed deltas.
+The run ends when a delta meets the schedule tolerance, when the deltas
+increase across three consecutive steps (it diverged), or at the last
+ball; the result records which, with every ball solved until then.
 
 A schedule may also be a single conformal chart disc (grids of kind
 "disc"): one solve, so its table has one row and no delta, and nothing is
@@ -27,7 +30,6 @@ __all__ = [
     "ExhaustionSchedule",
     "ExhaustionStep",
     "ExhaustionResult",
-    "DivergenceError",
     "make_schedule",
     "run_exhaustion",
     "sample_bicubic",
@@ -53,15 +55,6 @@ def _observation_rings(grid, l_obs):
     while k < grid.n1 and (k + 0.5) * h1 < edge:
         k += 1
     return k
-
-
-class DivergenceError(RuntimeError):
-    """Interior deltas increased across three consecutive steps."""
-
-    def __init__(self, message, steps, fields):
-        super().__init__(message)
-        self.steps = steps
-        self.fields = fields
 
 
 @dataclass(frozen=True)
@@ -107,21 +100,25 @@ class ExhaustionStep:
     min_u: float
     max_u: float
     max_grad: float
-    iterations: int
 
 
 @dataclass
 class ExhaustionResult:
-    """The solved balls and their table.
+    """The solved balls, their table and how the run ended.
 
     limit_on_reference is the last field sampled on the reference grid
     (read-only on a radial ball), or None on a one-ball schedule.
+    ``last_delta`` is the last delta taken and ``met_tol`` whether it is
+    at most the schedule tolerance, both None when no delta was taken;
+    ``diverged`` says the deltas increased across three consecutive steps.
     """
 
     fields: list
     steps: list
     limit_on_reference: np.ndarray | None
-    converged: bool
+    last_delta: float | None
+    met_tol: bool | None
+    diverged: bool
     deltas_monotone: bool
 
 
@@ -206,11 +203,10 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
                    max_iter=30) -> ExhaustionResult:
     """Solve the schedule, each ball from its constant boundary datum.
 
-    Raises DivergenceError when the interior deltas increase across three
-    consecutive steps; otherwise returns the per-step table, every field
-    solved, and the last one's restriction to the reference grid (None on
-    a one-ball schedule).  Stops early once delta drops below the schedule
-    tolerance.
+    Returns the per-step table, every field solved, the last one's
+    restriction to the reference grid (None on a one-ball schedule) and
+    how the run ended.  Stops early once a delta drops below the schedule
+    tolerance, or once the deltas increase across three consecutive steps.
     """
     ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs, kind=schedule.grids[0].kind)
     sample = len(schedule.radii) > 1
@@ -228,26 +224,22 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
         delta = math.nan if prev_ref is None else float(np.abs(u_ref - prev_ref).max())
         steps.append(ExhaustionStep(l, delta, float(sol.u.values.min()),
                                     float(sol.u.values.max()),
-                                    float(np.sqrt(sol.hessian.grad_sq).max()), sol.iterations))
+                                    float(np.sqrt(sol.hessian.grad_sq).max())))
         fields.append(sol)
+        prev_ref = u_ref
         if not math.isnan(delta):
             increases = increases + 1 if deltas and delta > deltas[-1] else 0
-            if increases >= 3:
-                raise DivergenceError(
-                    "interior deltas increased across three consecutive steps",
-                    steps, fields,
-                )
             deltas.append(delta)
-        prev_ref = u_ref
-        if deltas and deltas[-1] <= schedule.tol:
-            break
+            if increases >= 3 or delta <= schedule.tol:
+                break
 
-    monotone = all(b <= a for a, b in zip(deltas, deltas[1:]))
-    converged = bool(deltas) and deltas[-1] <= schedule.tol
+    last = deltas[-1] if deltas else None
     return ExhaustionResult(
         fields=fields,
         steps=steps,
         limit_on_reference=prev_ref,
-        converged=converged,
-        deltas_monotone=monotone,
+        last_delta=last,
+        met_tol=None if last is None else last <= schedule.tol,
+        diverged=increases >= 3,
+        deltas_monotone=all(b <= a for a, b in zip(deltas, deltas[1:])),
     )

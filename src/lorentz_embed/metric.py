@@ -347,6 +347,11 @@ class ConformalDiscMetric:
         if not finite:
             raise ValueError(f"scale {self.scale!r} and eps {self.eps!r} give curvature "
                              f"constants c1..c4 that are not all positive finite floats")
+        # the charts' g11 g22 = psi^2 rho^2 is largest on the rim rho = R
+        rim = 4.0 / self.scale * math.exp(slope * R) / (1.0 - R * R) ** 2 * R
+        if rim * rim == math.inf:
+            raise ValueError(f"scale {self.scale!r}, domain_radius {R!r} and eps "
+                             f"{self.eps!r} give a psi^2 rho^2 beyond the float range")
         object.__setattr__(self, "bounds", CurvatureBounds(c1, c2, self._c2_of_radius))
         object.__setattr__(self, "log_bounds", (c3, c4))
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -591,11 +592,13 @@ class TestPipeline:
         assert (out / "trace_failed.csv").exists()
         assert not (out / "trace_l000.csv").exists()
 
-    @pytest.mark.parametrize("eps", [800.0, -800.0, 1e6])
+    @pytest.mark.parametrize("eps", [800.0, -800.0, 1e6, 450.0, 700.0, -700.0])
     def test_chart_refusing_its_constants_exit_2(self, tmp_path, capsys, eps):
         # each value passes validation, but the chart's c2 and c3 are not
-        # finite floats; solve builds the metric before it takes the lock, so
-        # it writes nothing (it ended in a ZeroDivisionError traceback)
+        # finite floats (|eps| 800 and beyond), or its psi^2 rho^2 on the rim
+        # is not (from |eps| 389.2); solve builds the metric before it takes
+        # the lock, so it writes nothing (it ended in a ZeroDivisionError
+        # traceback, or in numpy overflow warnings and exit 3)
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, conformal_config(eps=eps)), str(out)) == 2
         err = capsys.readouterr().err
@@ -765,8 +768,7 @@ class TestExhaustionEnd:
         real = cli.run_exhaustion
 
         def diverging(*args, **kwargs):
-            result = real(*args, **kwargs)
-            raise cli.DivergenceError("deltas increased", result.steps, result.fields)
+            return dataclasses.replace(real(*args, **kwargs), diverged=True)
 
         monkeypatch.setattr(cli, "run_exhaustion", diverging)
         out = tmp_path / "run"

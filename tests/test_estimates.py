@@ -150,7 +150,8 @@ class TestCutoff:
         records = build_cutoff(model_solve, ball, d)
         assert all(rec.passed for rec in records)
         ids = [rec.id for rec in records]
-        assert ids == ["cutoff_range", "cutoff_gradient", "cutoff_hessian"]
+        assert ids == [f"cutoff_{name}_{ball.tag}" for name in ("range", "gradient", "hessian")]
+        assert all(rec.extra["node"] == [0, 0] for rec in records)
 
     def test_model_small_radius_hypothesis_gate(self, model_solve):
         ball = probe_ball(model_solve, (0, 0), 1.0)
@@ -497,34 +498,31 @@ class TestDistanceOnDemand:
 
 
 class TestRecordConvention:
-    """Every record follows the module docstring's rule unless it has its own."""
+    """Every record passes when margin >= -slack, save one whose hypothesis
+    is not met, which passes by rule and says so."""
 
     @staticmethod
     def _rule(rec):
         """Check one record against its rule; return the rule's name."""
         if rec.extra.get("hypothesis_met") is False:
             assert rec.id.startswith(("cutoff_hypothesis_", "second_order_"))
-            assert rec.passed is True  # nothing audited
+            assert rec.passed is True and rec.extra["by_rule"] is True  # nothing audited
+            assert rec.status() == "pass by rule (hypothesis not met)"
             return "hypothesis_not_met"
+        assert "by_rule" not in rec.extra
+        assert rec.passed is (rec.margin >= -rec.slack)
+        assert rec.status() == f"{'pass' if rec.passed else 'FAIL'} (margin {rec.margin:.3e})"
         if rec.id.startswith("cutoff_range_"):
             x = rec.extra
             assert rec.margin == min(x["support_min"], rec.bound - rec.observed,
                                      x["core_min"] - x["core_floor"])
-            assert rec.passed is (rec.margin >= -rec.slack)
             return "cutoff_range"
         if rec.id.startswith("second_order_"):
-            assert rec.margin == rec.bound - rec.observed
-            assert rec.passed is (rec.extra["ratio"] <= 1.0)
-            return "second_order"
-        if rec.id == "gradient_barrier":
-            # -overshoot, so an exact fit is written as -0.0
-            assert repr(rec.margin) == repr(-rec.observed)
-            assert rec.passed is (rec.observed <= rec.slack)
-            return "gradient_barrier"
+            # no slack: passes exactly when the ratio is at most 1
+            assert rec.slack == 0.0 and rec.passed is (rec.extra["ratio"] <= 1.0)
         lower = rec.id.split("_r0_")[0] in (
             "zero_order_lower", "admissibility", "lower_bound", "cutoff_hessian")
         assert rec.margin == (rec.observed - rec.bound if lower else rec.bound - rec.observed)
-        assert rec.passed is (rec.margin >= -rec.slack)
         return "record"
 
     def test_margins_and_pass_flags_follow_the_convention(self, pinched_solve_64):
@@ -539,9 +537,9 @@ class TestRecordConvention:
             for rec in rep.records:
                 rules.setdefault(self._rule(rec), set()).add(rec.id.split("_r0_")[0])
         assert rules["record"] == {
-            "zero_order_lower", "zero_order_upper", "gradient_bound",
-            "admissibility", "lower_bound", "cutoff_gradient", "cutoff_hessian"}
+            "zero_order_lower", "zero_order_upper", "gradient_bound", "gradient_barrier",
+            "admissibility", "lower_bound", "cutoff_gradient", "cutoff_hessian",
+            "second_order"}
         assert rules["hypothesis_not_met"] == {"cutoff_hypothesis", "second_order"}
         assert rules["cutoff_range"] == {"cutoff_range"}
-        assert rules["second_order"] == {"second_order"}
-        assert rules["gradient_barrier"] == {"gradient_barrier"}
+        assert set(rules) == {"record", "hypothesis_not_met", "cutoff_range"}

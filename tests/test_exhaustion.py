@@ -208,7 +208,7 @@ class TestModelExhaustion:
         sched = make_schedule((2.0, 3.0, 4.0), l_obs=1.0, nodes_per_unit=12,
                               n_theta=32)
         result = run_exhaustion(sched, make_hyperbolic(1.0))
-        assert result.converged
+        assert result.met_tol is True and not result.diverged
         for fld in result.fields:
             # every ball starts from its constant datum, the exact solution
             assert np.all(fld.u.values == 0.5)
@@ -227,7 +227,8 @@ class TestModelExhaustion:
         assert calls == []
         assert result.limit_on_reference is None
         assert len(result.steps) == 1 and math.isnan(result.steps[0].delta)
-        assert not result.converged
+        assert result.last_delta is None and result.met_tol is None
+        assert not result.diverged
 
     def test_early_stop_on_tolerance(self):
         sched = make_schedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=12,
@@ -235,6 +236,20 @@ class TestModelExhaustion:
         result = run_exhaustion(sched, make_hyperbolic(1.0))
         # constant family converges after the second ball already
         assert len(result.steps) == 2
+        assert result.last_delta == result.steps[-1].delta <= 1e-5
+
+    def test_increasing_deltas_diverge(self):
+        # on a chart disc near its domain radius the deltas grow (1.3e-2,
+        # 1.9e-2, 2.4e-2, 2.8e-2): the third increase ends the run, which
+        # keeps every ball it solved
+        sched = make_schedule([0.5, 0.6, 0.7, 0.8, 0.9], 0.4, kind="disc", n_r=32,
+                              n_theta=32)
+        result = run_exhaustion(sched, ConformalDiscMetric(1.0, 0.95, 0.3))
+        deltas = [s.delta for s in result.steps[1:]]
+        assert result.diverged and len(result.fields) == len(result.steps) == 5
+        assert all(b > a for a, b in zip(deltas, deltas[1:]))
+        assert result.last_delta == deltas[-1] and result.met_tol is False
+        assert not result.deltas_monotone
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +275,7 @@ class TestPinchedExhaustion:
 
     def test_iteration_counts_stay_small(self, result):
         # each ball's Newton solve from the constant datum stays short
-        assert all(s.iterations <= 8 for s in result.steps)
+        assert all(f.iterations <= 8 for f in result.fields)
 
     def test_uniform_bounds_across_balls(self, result, pinched_metric):
         # the interior estimates hold with constants independent of the ball

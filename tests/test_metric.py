@@ -515,3 +515,14 @@ class TestConformalCertificate:
         # overflows (c2)
         with pytest.raises(ValueError, match="not all positive finite floats"):
             ConformalDiscMetric(1.0, 0.9, eps)
+
+    @pytest.mark.parametrize("eps", [389.3, 450.0, 700.0, -700.0])
+    def test_metric_beyond_the_float_range_is_refused(self, eps):
+        # c1..c4 are finite, but g11 g22 = psi^2 rho^2 on the rim R = 0.9,
+        # psi = 4 e^{|eps| R} / (1 - R^2)^2, overflows from |eps| near 389.2
+        with pytest.raises(ValueError, match=r"psi\^2 rho\^2 beyond the float range"):
+            ConformalDiscMetric(1.0, 0.9, eps)
+        edge = ConformalDiscMetric(1.0, 0.9, math.copysign(389.0, eps))
+        rho = np.array([0.9])
+        g11, g22 = edge.metric_components(rho, np.array([0.0 if eps > 0 else math.pi]))
+        assert np.isfinite(g11 * g22).all()

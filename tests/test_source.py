@@ -171,3 +171,26 @@ def test_only_cli_writes_artifacts():
               if path.name != "cli.py" and word in path.read_text()]
     assert naming == []
     assert "%.17g" in (SRC / "cli.py").read_text()
+
+
+def test_each_stage_owns_its_verdict():
+    # the exhaustion says how it ended, estimates builds and words every
+    # record under one rule, and the embedding audit names the gates it
+    # fails: cli writes those verdicts and decides none of them
+    cli_text = (SRC / "cli.py").read_text()
+    for name in ("by_rule", "isnan", "DivergenceError"):
+        assert name not in cli_text, name
+    gate_words = {"pullback_tol", "pinching_slack", "pullback_rel_err", "pinching_margin_cone",
+                  "pinching_margin_lower", "pinching_margin_upper"}
+    gates = [ast.unparse(node) for node in ast.walk(ast.parse(cli_text))
+             if isinstance(node, ast.Compare)
+             and gate_words & ({getattr(n, "value", None) for n in ast.walk(node)}
+                               | set(_loaded_names(node)))]
+    assert gates == []
+    calls = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EstimateRecord"]
+    record = next(node for node in ast.parse((SRC / "estimates.py").read_text()).body
+                  if getattr(node, "name", None) == "_record")
+    inside = range(record.lineno, record.end_lineno + 1)
+    assert calls and [c for c in calls if c[0] != "estimates.py" or c[1] not in inside] == []
