@@ -4,10 +4,10 @@ Runs are reproducible by construction: the canonical config is copied into
 the run directory, every artifact is written with fixed ordering and 17
 significant digits, and wall-clock data lives only in the isolated
 runmeta.json.  No other module does file I/O: each artifact format's writer
-sits beside its reader, writes atomically (atomic_write) and formats its
-records with _write_records, save a polar field CSV constant along theta.
-The field reader checks a CSV's coordinates against its grid bit for bit,
-and solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
+sits beside its reader and writes atomically (atomic_write).  A field CSV
+holds the grid's own coordinates, and its reader accepts only the bytes its
+writer would write for the values it parses (_ring_formats is the layout of
+both).  solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
 Each stage decides its own verdict and the commands write it:
 fields/meta.json records how run_exhaustion says the exhaustion ended (a
 diverged one included), verify prints each estimate record's own status
@@ -37,10 +37,12 @@ embed, and returns 6 when both succeed).
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import datetime
 import fnmatch
 import functools
+import gc
 import importlib
 import json
 import math
@@ -75,6 +77,10 @@ _STAGE_NAMES = {
     "export_graph": "embed",
 }
 _cli = sys.modules[__name__]
+# The interpreter's last garbage collections would walk every object of the
+# imported modules (about 25 ms per command); freezing them skips that work,
+# and the OS takes the memory back at exit.
+atexit.register(gc.freeze)
 
 
 def __getattr__(name):
@@ -145,6 +151,16 @@ _NUMBER_RULES = {
     **{f"audit.{key}": ("a positive number", _positive)
        for key in ("c_cal", "curvature_check_tol", "pullback_tol", "pinching_slack")},
 }
+
+
+# What a run may ask the machine to build.  The radial chart takes r_max /
+# 1e-3 RK4 samples (metric.make_radial_from_curvature), and its warp f grows
+# no faster than exp(sqrt(base + amp) r), so f^2 (g22) stays a finite float
+# while sqrt(base + amp) r_max <= _MAX_WARP_EXPONENT.  A grid may have 7
+# times the nodes of the largest in the tests and the benchmark, 192 x 192.
+_MAX_R_MAX = 100.0
+_MAX_WARP_EXPONENT = 350.0
+_MAX_GRID_NODES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -251,7 +267,7 @@ def validate_config(cfg: dict):
     if not errors:
         _derive_and_relate(errors, kind, sec)
     if not errors:
-        _check_observation_rings(errors, kind, sec["grid"], sec["exhaustion"])
+        _check_grids(errors, kind, sec["grid"], sec["exhaustion"])
     if errors:
         return None, errors
     return RunConfig(schema_version=1, raw=cfg, **sec), []
@@ -282,25 +298,34 @@ def _derive_and_relate(errors, kind, sec):
         _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
     if "r_max" not in metric:
         return
+    limit = min(_MAX_R_MAX, _MAX_WARP_EXPONENT / math.sqrt(metric["base"] + metric["amp"]))
     if metric["r_max"] is None:
         metric["r_max"] = max(radii) + max(sec["audit"]["r0_list"]) + 1.5
+        if metric["r_max"] > limit:
+            _err(errors, "metric.r_max", f"defaults to max(exhaustion.radii) + "
+                 f"max(audit.r0_list) + 1.5 = {metric['r_max']:g}, above {limit:g}")
     else:
         # the second-order audit samples K on the ball of radius r0 + 1 about
         # probes whose r0-ball fits in the solved ball: one unit past it
         floor = max(radii) + 1.0
-        _check_number(errors, "metric.r_max", metric["r_max"],
-                      lambda v: v >= floor, f"a number >= max(radii) + 1 = {floor:g}")
+        _check_number(errors, "metric.r_max", metric["r_max"], lambda v: floor <= v <= limit,
+                      f"a number >= max(radii) + 1 = {floor:g} and <= {limit:g}")
 
 
-def _check_observation_rings(errors, kind, grid, ex):
-    """Record an error unless l_obs covers _MIN_OBS_RINGS rings of the grid
-    of every ball, as embed counts them: the exhaustion may stop at any."""
+def _check_grids(errors, kind, grid, ex):
+    """Record an error unless the grid of every ball has at most
+    _MAX_GRID_NODES nodes, and l_obs covers _MIN_OBS_RINGS of its rings, as
+    embed counts them: the exhaustion may stop at any."""
     try:
         grids = make_schedule(kind=kind, **grid, **ex).grids
     except OverflowError:  # l * nodes_per_unit beyond the float range
         _err(errors, "grid.nodes_per_unit", "gives more radial nodes than a grid can hold")
         return
     for g in grids:
+        if g.n1 * g.n2 > _MAX_GRID_NODES:
+            _err(errors, "grid", f"the grid of radius {g.radius:g} has {g.n1} x {g.n2} nodes, "
+                 f"more than {_MAX_GRID_NODES}")
+            return
         if _observation_rings(g, ex["l_obs"]) < _MIN_OBS_RINGS:
             _err(errors, "exhaustion.l_obs",
                  f"{ex['l_obs']:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
@@ -452,61 +477,85 @@ def _read_json_object(run_dir, name, hint):
     return obj
 
 
-def _field_coordinates(grid):
-    """The header and the two coordinate columns, of the grid's shape, of a
-    field CSV: (r, theta) on polar grids, Cartesian chart (x, y) on discs."""
-    q1, q2 = grid.mesh()
-    if grid.kind == "disc":
-        return "x,y,value", q1 * np.cos(q2), q1 * np.sin(q2)
-    return "r,theta,value", q1, q2
+def _ring_formats(grid):
+    """Each ring's rows ``r,theta,value`` of a field CSV on ``grid``, with r
+    = grid.q1 (the chart radius on a disc) and the value left as ``%.17g``;
+    each theta is formatted once per grid and each r once per ring."""
+    tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
+    for r in grid.q1.tolist():
+        r_text = "%.17g" % r
+        yield r_text + r_text.join(tails)
+
+
+def _render_ring(ring_format, values):
+    """A ring's rows for its own values, or for one value formatted once."""
+    if len(values) == 1:
+        return ring_format.replace("%.17g", "%.17g" % values[0])
+    return ring_format % tuple(values)
 
 
 def write_field_csv(field, path):
-    """Dump a field as CSV, row-major in (i, j): _field_coordinates and the value.
-
-    A polar field constant along theta (``field.column``) is written a grid
-    row at a time, each theta formatted once per grid and each r and value
-    once per row; every other field as stacked records.
-    """
-    grid = field.grid
-    column = field.column if grid.kind == "polar" else None
+    """Dump a field as CSV (_ring_formats), one value per ring where it is
+    constant along theta (``field.column``)."""
+    rings = (field.values if field.column is None else field.column).tolist()
     with atomic_write(path) as fh:
-        if column is None:
-            header, c1, c2 = _field_coordinates(grid)
-            fh.write(header + "\n")
-            rows = np.stack([c1, c2, field.values], axis=-1).reshape(-1, 3)
-            _write_records(fh, "%.17g,%.17g,%.17g\n", rows)
-            return
         fh.write("r,theta,value\n")
-        # one ",theta,<value>" line tail per column; a row's r joins them
-        tails = [",%.17g,%%.17g\n" % t for t in grid.q2.tolist()]
-        for r, (value,) in zip(grid.q1.tolist(), column.tolist()):
-            r_text = "%.17g" % r
-            fh.write((r_text + r_text.join(tails)).replace("%.17g", "%.17g" % value))
+        for ring_format, values in zip(_ring_formats(field.grid), rings):
+            fh.write(_render_ring(ring_format, values))
 
 
 def _read_field_csv(path, grid):
-    """The values of a field CSV on ``grid``, once its coordinates are the
-    grid's bit for bit."""
+    """The values of a field CSV on ``grid``, accepted only as the bytes
+    write_field_csv writes for them: each ring's value column is parsed (one
+    value where all of the ring's are one string), rendered again and
+    compared with the file."""
     name = os.path.basename(path)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{name} missing")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{name}: corrupt CSV ({exc})")
-    if data.shape[0] != grid.n1 * grid.n2:
-        raise ValueError(f"{name}: expected {grid.n1 * grid.n2} rows, got {data.shape[0]}")
-    if data.shape[1] != 3:
-        raise ValueError(f"{name}: expected 3 columns, got {data.shape[1]}")
-    _, c1, c2 = _field_coordinates(grid)
-    coords = np.stack([c1, c2], axis=-1).reshape(-1, 2)
-    bad = np.flatnonzero(np.any(data[:, :2].view(np.uint64) != coords.view(np.uint64), axis=1))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"{name}: row {k + 1} has coordinates {tuple(data[k, :2].tolist())}, "
-                         f"not the grid's {tuple(coords[k].tolist())}")
-    return np.ascontiguousarray(data[:, 2]).reshape(grid.shape)
+    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
+        text = fh.read()
+    pos = text.find("\n") + 1
+    if text[:pos] != "r,theta,value\n":
+        raise ValueError(f"{name}: header {text[:pos]!r}, not 'r,theta,value\\n'")
+    rows = text.count("\n") - 1 + (not text.endswith("\n"))
+    if rows != grid.n1 * grid.n2:
+        raise ValueError(f"{name}: expected {grid.n1 * grid.n2} rows, got {rows}")
+    values, n = np.empty(grid.shape), grid.n2
+    for i, ring_format in enumerate(_ring_formats(grid)):
+        # the ring's rows span at most this much: a value has at most 24
+        # characters where its format has 5
+        rest = text[pos:pos + len(ring_format) + 19 * n]
+        cells = rest.replace("\n", ",", n).split(",", 3 * n)[2:3 * n:3]
+        try:
+            ring_values = list(map(float, cells[:1] if cells[:1] * n == cells else cells))
+            ring = _render_ring(ring_format, ring_values)
+        except (TypeError, ValueError):  # too few cells, or one that is not a number
+            ring = None
+        if ring is None or not text.startswith(ring, pos):
+            raise _first_bad_row(name, grid, text[pos:].split("\n", n), i)
+        values[i] = ring_values
+        pos += len(ring)
+    return values
+
+
+def _first_bad_row(name, grid, lines, i):
+    """The error naming the first of ``lines``, the rows of ring ``i``, that
+    write_field_csv would not write."""
+    for k, (line, theta) in enumerate(zip(lines, grid.q2.tolist()), i * grid.n2 + 1):
+        *coordinates, value = line.split(",")
+        node = ["%.17g" % grid.q1[i], "%.17g" % theta]
+        if len(coordinates) != 2:
+            return ValueError(f"{name}: expected 3 columns, got {len(coordinates) + 1} in row {k}")
+        if coordinates != node:
+            return ValueError(f"{name}: row {k} has coordinates ({', '.join(coordinates)}), "
+                              f"not the grid's ({', '.join(node)})")
+        try:
+            spelled = "%.17g" % float(value)
+        except ValueError:
+            spelled = "a number"
+        if value != spelled:
+            return ValueError(f"{name}: row {k} has value {value!r}, not {spelled}")
+    return ValueError(f"{name}: row {k} does not end in a newline")
 
 
 def _write_convergence(steps, path):

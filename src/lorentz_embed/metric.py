@@ -243,7 +243,7 @@ def make_radial_from_curvature(
         sample_radii=radii, sample_f=fs,
     )
     defect = jacobi_defect(metric)
-    if defect > JACOBI_TOL:
+    if not defect <= JACOBI_TOL:  # a NaN defect (f overflowed) fails too
         raise ValueError(
             f"Jacobi consistency defect {defect:.3e} exceeds tolerance {JACOBI_TOL:.1e}"
         )

@@ -438,19 +438,14 @@ def distance_polar(metric, source, r_t, th_t):
 
 
 def write_field_csv_oneshot(field, path):
-    """The field CSV as one ``%`` format over every node: the byte-level
-    reference for ``cli.write_field_csv``, which writes row by row."""
+    """The field CSV as one ``%`` format over every node, (r, theta) on every
+    grid: the byte-level reference for ``cli.write_field_csv``, which writes
+    ring by ring."""
     grid = field.grid
     q1, q2 = grid.mesh()
-    if grid.kind == "disc":
-        c1, c2 = q1 * np.cos(q2), q1 * np.sin(q2)
-        header = "x,y,value"
-    else:
-        c1, c2 = q1, q2
-        header = "r,theta,value"
-    rows = np.stack([c1, c2, field.values], axis=-1).ravel().tolist()
+    rows = np.stack([q1, q2, field.values], axis=-1).ravel().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+        fh.write("r,theta,value\n")
         fh.write(("%.17g,%.17g,%.17g\n" * (grid.n1 * grid.n2)) % tuple(rows))
 
 

@@ -165,6 +165,17 @@ class TestValidation:
         assert cfg is None
         assert any(e.startswith(f"{field}:") for e in errors), errors
 
+    def test_limits_admit_their_bounds(self):
+        # r_max 100 (1e5 RK4 samples) and a grid of 2^18 nodes are the largest
+        # a run may ask for; one step past either is refused
+        pinched = {"family": "radial_pinched", "base": 1.0, "amp": 1.0}
+        for r_max, grid, ok in ((100.0, {"n_theta": 64, "n_r": 4096}, True),
+                                (100.5, {"n_theta": 64, "n_r": 4096}, False),
+                                (100.0, {"n_theta": 66, "n_r": 4096}, False)):
+            cfg, errors = validate_config(base_config(metric={**pinched, "r_max": r_max},
+                                                      grid=grid))
+            assert (cfg is not None) == ok, errors
+
     def test_conformal_observation_radius_inside_disc(self):
         cfg = conformal_config(radii=[0.7], l_obs=0.7)
         assert validate_config(cfg) == (
@@ -236,6 +247,27 @@ class TestPipeline:
             audit={"r0_list": [1.0], "holonomy_tol": 1e-5}))
         assert cmd_solve(cfg_path, str(tmp_path / "run")) == 2
         assert "audit.holonomy_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, expect", [
+        ({"audit": {"r0_list": [1e9]}}, "metric.r_max: defaults to "),
+        ({"metric": {"r_max": 1e9}}, "metric.r_max: must be "),
+        ({"metric": {"r_max": 600.0}}, "metric.r_max: must be "),
+        ({"grid": {"n_theta": 64, "nodes_per_unit": 1e6}}, "grid: the grid of radius 2 has "),
+    ], ids=["derived-r-max", "r-max-1e9", "r-max-600", "nodes-per-unit-1e6"])
+    def test_config_beyond_what_is_built_exit_2(self, tmp_path, capsys, edit, expect):
+        # a derived or given r_max of 1e9 ended in a MemoryError traceback
+        # (7.28 TiB of RK4 samples), r_max 600 in numpy overflow warnings and
+        # exit 0 (f overflows past sqrt(base + amp) r = 709), and 1e6 nodes
+        # per unit wrote CSV until the disk was full; validation now refuses
+        # each before anything is built
+        cfg = base_config(metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0})
+        for section, values in edit.items():
+            cfg[section] = {**cfg[section], **values}
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {expect}") and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_embed_requires_verify(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -363,10 +395,11 @@ class TestPipeline:
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
         assert cmd_verify(str(out)) == 0
-        path = sorted((out / "fields").glob("u_*.csv"))[-1]
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        data[:, 2] = 4.0 - data[:, 0] ** 2
-        np.savetxt(path, data, delimiter=",", header="r,theta,value", comments="")
+        fields = cli._load_run(str(out))[2]
+        grid = fields[-1].u.grid
+        r, _ = grid.mesh()
+        cli.write_field_csv(ScalarField(grid, 4.0 - r ** 2),
+                            out / "fields" / f"u_{len(fields) - 1:03d}.csv")
         capsys.readouterr()
         assert cmd_embed(str(out)) == 2
         assert "not admissible" in capsys.readouterr().err
@@ -395,37 +428,55 @@ class TestPipeline:
             assert err == "embed: verify/report.json: mandatory_pass must be true or false\n"
         assert not (out / "embed").exists()
 
-    @pytest.mark.parametrize("case", ["other_grid", "extra_column"])
-    def test_field_coordinates_are_the_grid_s(self, tmp_path, capsys, case):
-        # the reader took only the value column, so coordinates of another
-        # grid, or a fourth column, verified and embedded with exit 0
+    @pytest.mark.parametrize("case", ["dropped_row", "extra_column", "other_grid", "respelled",
+                                      "comment_line", "crlf"])
+    def test_field_csv_is_read_only_as_written(self, tmp_path, capsys, case):
+        # the reader took the value column alone, so a respelled value, a
+        # "#" line or CRLF line endings verified and embedded with exit 0; a
+        # dropped row, a fourth column and another grid's coordinates were
+        # refused already.  Each now exits 2 with one line naming the file.
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
         assert cmd_verify(str(out)) == 0
         path = out / "fields" / "u_000.csv"
-        header, *rows = path.read_text().splitlines()
+        grid = cli._load_run(str(out))[2][0].u.grid
+        values = cli._read_field_csv(str(path), grid)
+        n = grid.n1 * grid.n2
         if case == "other_grid":
-            meta = json.loads((out / "fields" / "meta.json").read_text())["grids"][0]
-            other = PolarGrid(meta["n1"], meta["n2"], 2.5)
-            values = np.array([float(row.rsplit(",", 1)[1]) for row in rows])
-            cli.write_field_csv(ScalarField(other, values.reshape(other.shape)), path)
-            expect = "u_000.csv: row 1 has coordinates ("
-        else:
-            path.write_text("\n".join([header, *(row + ",0" for row in rows)]) + "\n")
-            expect = "u_000.csv: expected 3 columns, got 4"
+            cli.write_field_csv(ScalarField(dataclasses.replace(grid, radius=2.5), values), path)
+        elif case == "respelled":
+            values[0, 5] = 0.1
+            cli.write_field_csv(ScalarField(grid, values), path)
+        text = path.read_text()
+        text, expect = {
+            "dropped_row": (text[:text.rindex("\n", 0, -1) + 1],
+                            f"expected {n} rows, got {n - 1}"),
+            "extra_column": (text.replace("\n", ",0\n").replace(",0\n", "\n", 1),
+                             "expected 3 columns, got 4 in row 1"),
+            "other_grid": (text, "row 1 has coordinates ("),
+            "respelled": (text.replace(",0.10000000000000001\n", ",0.1\n"),
+                          "row 6 has value '0.1', not 0.10000000000000001"),
+            "comment_line": (text + "# edited\n", f"expected {n} rows, got {n + 1}"),
+            "crlf": (text.replace("\n", "\r\n"), "header 'r,theta,value\\r\\n'"),
+        }[case]
+        path.write_bytes(text.encode())
         for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
             capsys.readouterr()
             assert command(str(out)) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"{name}: {expect}") and err.count("\n") == 1, err
+            assert err.startswith(f"{name}: u_000.csv: {expect}") and err.count("\n") == 1, err
 
     def test_field_csv_round_trips_exactly(self, tmp_path):
-        # the reader's coordinate check holds for what the writer writes
+        # the reader accepts what the writer writes, bit for bit: a ring
+        # constant along theta, a general polar field and a disc with +-0
         rng = np.random.default_rng(5)
-        for grid in (PolarGrid(64, 64, 0.8, kind="disc"), PolarGrid(24, 32, 2.0),
-                     PolarGrid(7, 8, 1.5)):
-            values = rng.standard_normal(grid.shape)
-            values[0, ::2] = -0.0
+        ring_constant = np.repeat(rng.standard_normal((7, 1)), 8, axis=1)
+        ring_constant[0] = -0.0
+        disc = rng.standard_normal((64, 64))
+        disc[0, ::2], disc[0, 1::2] = -0.0, 0.0
+        for grid, values in ((PolarGrid(7, 8, 1.5), ring_constant),
+                             (PolarGrid(24, 32, 2.0), rng.standard_normal((24, 32))),
+                             (PolarGrid(64, 64, 0.8, kind="disc"), disc)):
             path = tmp_path / "u.csv"
             cli.write_field_csv(ScalarField(grid, values), path)
             back = cli._read_field_csv(str(path), grid)
@@ -823,14 +874,35 @@ class TestStartup:
     EMBED_UNUSED = ("lorentz_embed.estimates", "lorentz_embed.geodesics")
 
     @staticmethod
-    def _fresh(script):
-        """Run ``script`` in a fresh interpreter that finds this package."""
+    def _env():
+        """The environment of a fresh interpreter that finds this package."""
         src = str(Path(lorentz_embed.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+
+    def _fresh(self, script):
+        """Run ``script`` in a fresh interpreter that finds this package."""
+        done = subprocess.run([sys.executable, "-c", script], env=self._env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
+
+    def test_module_entry_point_writes_the_in_process_bytes(self, tmp_path):
+        # each command as users run it, in an interpreter of its own that
+        # ends through the exit hook, gives the in-process run's artifacts
+        cfg_path = write_config(tmp_path, base_config())
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        for args in (["solve", "--config", cfg_path], ["verify"], ["embed"]):
+            done = subprocess.run([sys.executable, "-m", "lorentz_embed.cli", *args,
+                                   "--out", str(fresh)], env=self._env(),
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert main([*args, "--out", str(here)]) == 0
+        written = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert written == sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+        assert len(written) == 9
+        for name in written:
+            if name.name != "runmeta.json":
+                assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
 
     def _assert_loads_no_scipy(self, tmp_path, cfg, solve_rc):
         # importing the CLI, and solve, verify and embed of the run, load

@@ -402,11 +402,16 @@ class TestFieldDump:
         assert r0 == pytest.approx(g.q1[0], rel=1e-16)
         assert v0 == r0
 
-    def test_disc_csv_uses_xy(self, tmp_path):
+    def test_disc_csv_uses_chart_radius(self, tmp_path):
+        # a disc's field CSV holds its grid's own coordinates, as a ball's
+        # does: r is the chart radius (it held Cartesian x, y)
         g = PolarGrid(4, 8, 0.8, kind="disc")
         path = tmp_path / "u.csv"
         write_field_csv(ScalarField(g, np.ones(g.shape)), path)
-        assert path.read_text().splitlines()[0] == "x,y,value"
+        header, first, *_, last = path.read_text().splitlines()
+        assert header == "r,theta,value"
+        assert first == "%.17g,0,1" % g.q1[0]
+        assert last == "%.17g,%.17g,1" % (g.q1[-1], g.q2[-1])
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         g = PolarGrid(4, 8, 1.0)

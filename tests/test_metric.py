@@ -102,6 +102,15 @@ class TestRadialFromCurvature:
     def test_jacobi_consistency(self, pinched_metric):
         assert jacobi_defect(pinched_metric) <= 1e-7
 
+    def test_overflowing_warp_is_refused(self):
+        # at K = -400 the warp f = sinh(20 r) / 20 overflows before r = 40, the
+        # Jacobi defect reads NaN, and a "defect > tol" gate let the chart
+        # build with f(39) = NaN
+        K, Kp, Kpp = constant_curvature(-400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="Jacobi consistency defect nan"):
+                make_radial_from_curvature(K, 40.0, Kp, Kpp)
+
     def test_fine_ode_step_builds(self):
         # the defect's second difference does not divide the round-off of f
         # by the square of a shrinking step: at ode_step 1e-4 it used to read
