@@ -11,10 +11,10 @@ both).  solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
 Each stage decides its own verdict and the commands write it:
 fields/meta.json records how run_exhaustion says the exhaustion ended (a
 diverged one included), verify prints each estimate record's own status
-line, and embed prints the failures its EmbeddingAudit names.  A lock
-file holding the writer's PID guards each output directory against
-concurrent writers (solve, verify and embed alike); a lock whose PID
-names no running process is reclaimed.
+line, and embed prints the failures its EmbeddingAudit names.  An
+exclusive flock on <out>/.lock, which the kernel releases when its holder
+exits however it exits, guards each output directory against concurrent
+writers (solve, verify and embed alike).
 
 Importing this module loads only what config handling and solve need
 (metric, grid, solver, exhaustion).  verify loads estimates (and geodesics
@@ -40,6 +40,7 @@ import argparse
 import atexit
 import contextlib
 import datetime
+import fcntl
 import fnmatch
 import functools
 import gc
@@ -154,13 +155,18 @@ _NUMBER_RULES = {
 
 
 # What a run may ask the machine to build.  The radial chart takes r_max /
-# 1e-3 RK4 samples (metric.make_radial_from_curvature), and its warp f grows
-# no faster than exp(sqrt(base + amp) r), so f^2 (g22) stays a finite float
-# while sqrt(base + amp) r_max <= _MAX_WARP_EXPONENT.  A grid may have 7
-# times the nodes of the largest in the tests and the benchmark, 192 x 192.
+# 1e-3 RK4 samples (metric.make_radial_from_curvature).  A geodesic ball's
+# warp f grows no faster than exp(rate r), rate sqrt(base + amp) or
+# sqrt(curvature_scale), so f^2 (g22) stays a finite float while rate times
+# the furthest radius the run reads is at most _MAX_WARP_EXPONENT.  A grid
+# may have 7 times the nodes of the largest in the tests and the benchmark,
+# 192 x 192.  A block Newton step, which radial runs fall back to, keeps
+# (n_r - 1) n_theta^2 doubles: 7.0e6 on that grid, 1.68e7 on 4096 rings of
+# 64 angles (2^18 nodes, the largest grid the tests admit).
 _MAX_R_MAX = 100.0
 _MAX_WARP_EXPONENT = 350.0
 _MAX_GRID_NODES = 2 ** 18
+_MAX_BLOCK_DOUBLES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -296,14 +302,22 @@ def _derive_and_relate(errors, kind, sec):
                  f"defaults to radii[0] - 1 = {ex['l_obs']:g}, which is not positive: set it")
     elif ex["l_obs"] > radii[0] - 1.0 + 1e-12:
         _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
-    if "r_max" not in metric:
+    if kind == "disc":
+        return
+    reach = max(radii) + max(sec["audit"]["r0_list"]) + 1.5
+    if "r_max" not in metric:  # hyperbolic: f = sinh(sqrt(c) r) / sqrt(c), read out to reach
+        limit = _MAX_WARP_EXPONENT / math.sqrt(metric["curvature_scale"])
+        if reach > limit:
+            _err(errors, "exhaustion.radii", f"max(exhaustion.radii) + max(audit.r0_list) "
+                 f"+ 1.5 = {reach:g}, above {_MAX_WARP_EXPONENT:g} / "
+                 f"sqrt(metric.curvature_scale) = {limit:g}")
         return
     limit = min(_MAX_R_MAX, _MAX_WARP_EXPONENT / math.sqrt(metric["base"] + metric["amp"]))
     if metric["r_max"] is None:
-        metric["r_max"] = max(radii) + max(sec["audit"]["r0_list"]) + 1.5
-        if metric["r_max"] > limit:
+        metric["r_max"] = reach
+        if reach > limit:
             _err(errors, "metric.r_max", f"defaults to max(exhaustion.radii) + "
-                 f"max(audit.r0_list) + 1.5 = {metric['r_max']:g}, above {limit:g}")
+                 f"max(audit.r0_list) + 1.5 = {reach:g}, above {limit:g}")
     else:
         # the second-order audit samples K on the ball of radius r0 + 1 about
         # probes whose r0-ball fits in the solved ball: one unit past it
@@ -314,8 +328,9 @@ def _derive_and_relate(errors, kind, sec):
 
 def _check_grids(errors, kind, grid, ex):
     """Record an error unless the grid of every ball has at most
-    _MAX_GRID_NODES nodes, and l_obs covers _MIN_OBS_RINGS of its rings, as
-    embed counts them: the exhaustion may stop at any."""
+    _MAX_GRID_NODES nodes, its block Newton step at most _MAX_BLOCK_DOUBLES
+    doubles, and l_obs covers _MIN_OBS_RINGS of its rings, as embed counts
+    them: the exhaustion may stop at any."""
     try:
         grids = make_schedule(kind=kind, **grid, **ex).grids
     except OverflowError:  # l * nodes_per_unit beyond the float range
@@ -325,6 +340,11 @@ def _check_grids(errors, kind, grid, ex):
         if g.n1 * g.n2 > _MAX_GRID_NODES:
             _err(errors, "grid", f"the grid of radius {g.radius:g} has {g.n1} x {g.n2} nodes, "
                  f"more than {_MAX_GRID_NODES}")
+            return
+        if (g.n1 - 1) * g.n2 ** 2 > _MAX_BLOCK_DOUBLES:
+            _err(errors, "grid.n_theta", f"{g.n2} angles on the {g.n1} rings of the grid of "
+                 f"radius {g.radius:g} give a block Newton step of (n_r - 1) n_theta^2 = "
+                 f"{(g.n1 - 1) * g.n2 ** 2} doubles, more than {_MAX_BLOCK_DOUBLES}")
             return
         if _observation_rings(g, ex["l_obs"]) < _MIN_OBS_RINGS:
             _err(errors, "exhaustion.l_obs",
@@ -366,47 +386,22 @@ def _exit_5_if_locked(cmd):
 
 @contextlib.contextmanager
 def _locked_dir(path):
+    """Hold an exclusive flock on ``<path>/.lock`` for the block.
+
+    The kernel releases it when the file is closed or its process dies, so
+    no lock goes stale.  Nothing is written into the file, and it stays:
+    removing it would let a second writer lock a new file while the first
+    holds the old one.
+    """
     os.makedirs(path, exist_ok=True)
     lock = os.path.join(path, ".lock")
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        fd = None
-        if _lock_is_stale(lock):
-            with contextlib.suppress(FileExistsError):
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        if fd is None:
+    with open(lock, "ab") as fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
             raise LockedError(
-                f"output directory {path} is locked by another run (remove {lock} if stale)"
-            )
-    try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+                f"output directory {path} is locked by another run (lock file {lock})") from None
         yield
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(lock)
-
-
-def _lock_is_stale(lock):
-    """Remove ``lock`` if the PID it holds names no running process.
-
-    A live PID, or an empty or unparseable lock, keeps the lock: a racing
-    writer may have created it and not yet written its PID.
-    """
-    try:
-        with open(lock, "r", encoding="utf-8") as fh:
-            pid = int(fh.read())
-        if pid > 0:  # 0 and negative PIDs name process groups
-            os.kill(pid, 0)
-        return False  # alive, or no PID
-    except ProcessLookupError:
-        print(f"removing stale lock {lock}: process {pid} is not running", file=sys.stderr)
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(lock)
-        return True
-    except (OSError, ValueError, OverflowError):  # unreadable, unparseable, not ours
-        return False
 
 
 # ---------------------------------------------------------------------------

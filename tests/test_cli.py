@@ -4,8 +4,10 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,26 @@ class TestValidation:
                                                       grid=grid))
             assert (cfg is not None) == ok, errors
 
+    def test_warp_and_block_limits_admit_their_bounds(self):
+        # a hyperbolic run reads its warp out to max(radii) + max(r0_list) +
+        # 1.5, which sqrt(curvature_scale) may take to 350; a block Newton
+        # step keeps (n_r - 1) n_theta^2 doubles, at most 2^24.  Validated
+        # only: n_theta 32768 on 8 rings (2^18 nodes, under the node cap)
+        # would need about 180 GB
+        for scale, radius, ok in ((1.0, 347.0, True), (1.0, 348.0, False),
+                                  (4.0, 172.0, True), (4.0, 173.0, False)):
+            cfg, errors = validate_config(base_config(
+                metric={"family": "hyperbolic", "curvature_scale": scale},
+                grid={"n_theta": 16, "n_r": 16},
+                exhaustion={"radii": [radius], "l_obs": 100.0}))
+            assert (cfg is not None) == ok, errors
+            assert ok or [e.split(":")[0] for e in errors] == ["exhaustion.radii"]
+        for n_theta, n_r, ok in ((512, 65, True), (512, 66, False), (32768, 8, False)):
+            cfg, errors = validate_config({**conformal_config(),
+                                           "grid": {"n_theta": n_theta, "n_r": n_r}})
+            assert (cfg is not None) == ok, errors
+            assert ok or [e.split(":")[0] for e in errors] == ["grid.n_theta"]
+
     def test_conformal_observation_radius_inside_disc(self):
         cfg = conformal_config(radii=[0.7], l_obs=0.7)
         assert validate_config(cfg) == (
@@ -267,6 +289,20 @@ class TestPipeline:
         assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {expect}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_hyperbolic_warp_beyond_float_exit_2(self, tmp_path, capsys):
+        # sinh(r) read out to 400 + 1 + 1.5 overflows: about a dozen numpy
+        # RuntimeWarnings, then a block step that was not finite and exit 3;
+        # validation now refuses the radii before anything is built
+        cfg = base_config(grid={"n_theta": 16, "n_r": 16},
+                          exhaustion={"radii": [400.0], "l_obs": 300.0})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: exhaustion.radii: ") and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_embed_requires_verify(self, tmp_path):
@@ -501,8 +537,8 @@ class TestPipeline:
         assert sorted(p.name for p in (out / "fields").iterdir()) == [
             "meta.json", "u_000.csv", "u_extra.txt"]
         assert sorted(p.name for p in out.iterdir()) == [
-            "config.json", "convergence.csv", "embed", "fields", "notes.txt", "runmeta.json",
-            "verify"]
+            ".lock", "config.json", "convergence.csv", "embed", "fields", "notes.txt",
+            "runmeta.json", "verify"]
         assert list((out / "verify").iterdir()) == list((out / "embed").iterdir()) == []
         capsys.readouterr()
         assert cmd_embed(str(out)) == 2
@@ -899,7 +935,7 @@ class TestStartup:
             assert main([*args, "--out", str(here)]) == 0
         written = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
         assert written == sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
-        assert len(written) == 9
+        assert len(written) == 10  # .lock among them, empty on both sides
         for name in written:
             if name.name != "runmeta.json":
                 assert (fresh / name).read_bytes() == (here / name).read_bytes(), name
@@ -1030,20 +1066,24 @@ class TestLocking:
         child.wait()
         return child.pid
 
-    def test_stale_lock_reclaimed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", ["exited", "live", "1", "", "not a pid", "0", "group"])
+    def test_leftover_lock_blocks_nothing(self, tmp_path, capsys, content):
+        # the kernel holds the lock, not the file: a .lock left by an exited
+        # run, or holding a live or reused PID, a process group id, nothing
+        # or no PID at all, blocks no command and gives no note
         out = tmp_path / "run"
         out.mkdir()
-        pid = self._exited_pid()
-        (out / ".lock").write_text(str(pid))
-        with _locked_dir(str(out)):
-            assert (out / ".lock").read_text() == str(os.getpid())
-        assert not (out / ".lock").exists()
-        err = capsys.readouterr().err
-        assert "stale lock" in err and str(pid) in err
+        content = {"exited": str(self._exited_pid()), "live": str(os.getpid()),
+                   "group": str(-self._exited_pid())}.get(content, content)
+        (out / ".lock").write_text(content)
+        capsys.readouterr()
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / ".lock").read_text() == content
 
     @pytest.mark.parametrize("command", ["solve", "verify", "embed"])
     def test_live_lock_exit_5(self, tmp_path, capsys, command):
-        # each command refuses a directory a live run holds, in one line
+        # each command refuses a directory another writer holds, in one line
         # naming the lock file, and writes nothing
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "run"
@@ -1052,28 +1092,24 @@ class TestLocking:
             assert cmd_solve(cfg_path, str(out)) == 0
         if command == "embed":
             assert cmd_verify(str(out)) == 0
-        before = sorted(out.rglob("*"))
-        lock = out / ".lock"
-        lock.write_text(str(os.getpid()))
-        capsys.readouterr()
         run = {"solve": lambda: cmd_solve(cfg_path, str(out)),
                "verify": lambda: cmd_verify(str(out)),
                "embed": lambda: cmd_embed(str(out))}[command]
-        assert run() == 5
+        capsys.readouterr()
+        with _locked_dir(str(out)):  # a second open file conflicts within one process
+            before = sorted((p, p.stat().st_mtime_ns) for p in out.rglob("*"))
+            assert run() == 5
         err = capsys.readouterr().err
         assert err.startswith(f"{command}: ") and err.count("\n") == 1
-        assert str(lock) in err and "Traceback" not in err
-        assert lock.read_text() == str(os.getpid())
-        lock.unlink()
-        assert sorted(out.rglob("*")) == before
+        assert str(out / ".lock") in err and "Traceback" not in err
+        assert sorted((p, p.stat().st_mtime_ns) for p in out.rglob("*")) == before
+        assert (out / ".lock").read_text() == ""
 
     @pytest.mark.parametrize("command", ["verify", "embed"])
     def test_lock_taken_before_the_run_is_read(self, tmp_path, capsys, monkeypatch,
                                                command):
         # a run that a live solve holds is not read: the lock comes first
         out = tmp_path / "run"
-        out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
         reads = []
 
         def spy(*args, **kwargs):
@@ -1082,23 +1118,35 @@ class TestLocking:
 
         monkeypatch.setattr(cli, "_load_run", spy)
         run = {"verify": cmd_verify, "embed": cmd_embed}[command]
-        assert run(str(out)) == 5
+        with _locked_dir(str(out)):
+            assert run(str(out)) == 5
         assert reads == []
         assert "locked" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ["live", "", "not a pid", "0", "group"])
-    def test_unproven_lock_blocks(self, tmp_path, capsys, content):
-        # a live writer, one that has not written its PID yet, or a process
-        # group id (no process group has the id of an exited child)
+    def test_killed_holder_frees_the_lock(self, tmp_path, capsys):
+        # a holder killed with SIGKILL runs no cleanup; the kernel drops its
+        # lock, so the next command runs
+        cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "run"
-        out.mkdir()
-        if content == "live":
-            content = str(os.getpid())
-        elif content == "group":
-            content = str(-self._exited_pid())
-        (out / ".lock").write_text(content)
-        with pytest.raises(RuntimeError, match="locked"):
-            with _locked_dir(str(out)):
-                pass
-        assert (out / ".lock").read_text() == content
-        assert "stale" not in capsys.readouterr().err
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from lorentz_embed.cli import _locked_dir\n"
+             f"with _locked_dir({str(out)!r}):\n"
+             "    print('locked', flush=True)\n"
+             "    sys.stdin.read()\n"],
+            env=TestStartup._env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert cmd_solve(cfg_path, str(out)) == 5
+            assert cmd_verify(str(out)) == 5
+            assert cmd_embed(str(out)) == 5
+            assert capsys.readouterr().err.count("locked by another run") == 3
+            holder.send_signal(signal.SIGKILL)
+            assert holder.wait(timeout=60) == -signal.SIGKILL
+            assert cmd_solve(cfg_path, str(out)) == 0
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdin.close()
+            holder.stdout.close()

@@ -194,3 +194,13 @@ def test_each_stage_owns_its_verdict():
                   if getattr(node, "name", None) == "_record")
     inside = range(record.lineno, record.end_lineno + 1)
     assert calls and [c for c in calls if c[0] != "estimates.py" or c[1] not in inside] == []
+
+
+def test_the_kernel_holds_the_run_lock():
+    # an flock dies with its holder: no lock file is probed for a live PID
+    # or created exclusively and reclaimed
+    naming = [f"{path.name} {word}" for path in sorted(SRC.glob("*.py"))
+              for word in ("os.kill", "O_EXCL")
+              if word in path.read_text()]
+    assert naming == []
+    assert "fcntl.flock" in (SRC / "cli.py").read_text()
