@@ -23,15 +23,18 @@ names of those stages used here are attributes of this module.
 
 Every chart is solved through exhaustion.run_exhaustion: a schedule of
 expanding geodesic balls, or a single conformal chart disc.  validate_config
-is the one place config defaults live; the sections of a RunConfig hold
-resolved values.
+is the one place config defaults live; a RunConfig holds resolved values and
+the one schedule every command reads (fields/meta.json's radii, grids and
+boundary_values must equal what it and the metric give).  JSON artifacts are
+strict JSON: a number that is not finite is written as null.
 
-Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts,
-3 solver non-convergence (trace still written) or a diverged exhaustion
-(every artifact still written), 4 audit failure, 5 output directory locked
-by another run, 6 the exhaustion stopped with its last delta above
-exhaustion.tol (every artifact still written; "all" still runs verify and
-embed, and returns 6 when both succeed).
+Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts (a
+meta.json at odds with config.json included), 3 solver non-convergence
+(trace still written) or a diverged exhaustion (every artifact still
+written), 4 audit failure (a non-finite audited number included), 5 output
+directory locked by another run, 6 the exhaustion stopped with its last
+delta above exhaustion.tol (every artifact still written; "all" still runs
+verify and embed, and returns 6 when both succeed).
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ import numpy as np
 
 from . import __version__
 from .metric import ConformalDiscMetric, make_hyperbolic, make_radial_pinched
-from .grid import HessianField, PolarGrid
+from .grid import HessianField
 # Unused here; kept because span tracers wrap lorentz_embed.cli.covariant_hessian.
 from .grid import covariant_hessian  # noqa: F401
 from .solver import NonConvergenceError, certify
 # Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
 from .solver import solve_dirichlet  # noqa: F401
-from .exhaustion import _MIN_OBS_RINGS, _observation_rings, make_schedule, run_exhaustion
+from .exhaustion import (_MIN_OBS_RINGS, _boundary_value, _observation_rings, ExhaustionSchedule,
+                         make_schedule, run_exhaustion)
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -73,7 +77,6 @@ _STAGE_NAMES = {
     "default_probes": "estimates",
     "run_estimate_suite": "estimates",
     "CurvatureCheckError": "embed",
-    "ObservationRegionError": "embed",
     "build_embedding": "embed",
     "export_graph": "embed",
 }
@@ -172,7 +175,7 @@ _MAX_BLOCK_DOUBLES = 2 ** 24
 @dataclass(frozen=True)
 class RunConfig:
     """Each section holds every key the run reads, resolved to its value;
-    ``raw`` is the config as given."""
+    ``schedule`` holds the run's balls and grids; ``raw`` is the config as given."""
 
     schema_version: int
     metric: dict
@@ -181,6 +184,7 @@ class RunConfig:
     solver: dict
     audit: dict
     output: dict
+    schedule: ExhaustionSchedule = dataclass_field(repr=False)
     raw: dict = dataclass_field(repr=False, default_factory=dict)
 
 
@@ -272,11 +276,10 @@ def validate_config(cfg: dict):
     _numbers(errors, "audit.r0_list", sec["audit"]["r0_list"], _positive, "positive number")
     if not errors:
         _derive_and_relate(errors, kind, sec)
-    if not errors:
-        _check_grids(errors, kind, sec["grid"], sec["exhaustion"])
+    schedule = None if errors else _check_grids(errors, kind, sec["grid"], sec["exhaustion"])
     if errors:
         return None, errors
-    return RunConfig(schema_version=1, raw=cfg, **sec), []
+    return RunConfig(schema_version=1, schedule=schedule, raw=cfg, **sec), []
 
 
 def _derive_and_relate(errors, kind, sec):
@@ -327,30 +330,32 @@ def _derive_and_relate(errors, kind, sec):
 
 
 def _check_grids(errors, kind, grid, ex):
-    """Record an error unless the grid of every ball has at most
-    _MAX_GRID_NODES nodes, its block Newton step at most _MAX_BLOCK_DOUBLES
-    doubles, and l_obs covers _MIN_OBS_RINGS of its rings, as embed counts
-    them: the exhaustion may stop at any."""
+    """The run's schedule (make_schedule takes the grid and exhaustion keys
+    by name), or None after recording an error: the grid of every ball has
+    at most _MAX_GRID_NODES nodes, its block Newton step at most
+    _MAX_BLOCK_DOUBLES doubles, and l_obs covers _MIN_OBS_RINGS of its
+    rings, as embed counts them: the exhaustion may stop at any."""
     try:
-        grids = make_schedule(kind=kind, **grid, **ex).grids
+        schedule = make_schedule(kind=kind, **grid, **ex)
     except OverflowError:  # l * nodes_per_unit beyond the float range
         _err(errors, "grid.nodes_per_unit", "gives more radial nodes than a grid can hold")
-        return
-    for g in grids:
+        return None
+    for g in schedule.grids:
         if g.n1 * g.n2 > _MAX_GRID_NODES:
             _err(errors, "grid", f"the grid of radius {g.radius:g} has {g.n1} x {g.n2} nodes, "
                  f"more than {_MAX_GRID_NODES}")
-            return
+            return None
         if (g.n1 - 1) * g.n2 ** 2 > _MAX_BLOCK_DOUBLES:
             _err(errors, "grid.n_theta", f"{g.n2} angles on the {g.n1} rings of the grid of "
                  f"radius {g.radius:g} give a block Newton step of (n_r - 1) n_theta^2 = "
                  f"{(g.n1 - 1) * g.n2 ** 2} doubles, more than {_MAX_BLOCK_DOUBLES}")
-            return
+            return None
         if _observation_rings(g, ex["l_obs"]) < _MIN_OBS_RINGS:
             _err(errors, "exhaustion.l_obs",
                  f"{ex['l_obs']:g} covers fewer than {_MIN_OBS_RINGS} rings of the grid "
                  f"of radius {g.radius:g} (ring spacing {g.h1:.4g})")
-            return
+            return None
+    return schedule
 
 
 def load_config(path):
@@ -453,7 +458,7 @@ def _remove_run_artifacts(out_dir):
 
 def _dump_json(obj, path):
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -597,11 +602,8 @@ def cmd_solve(config_path, out_dir, trace=False):
         _remove_run_artifacts(out_dir)  # what an earlier run left would outlive this one
         _dump_json(cfg.raw, os.path.join(out_dir, "config.json"))
         _write_runmeta(out_dir)
-        # make_schedule takes the grid and exhaustion keys by name
-        schedule = make_schedule(kind=_FAMILIES[cfg.metric["family"]][0], **cfg.grid,
-                                 **cfg.exhaustion)
         try:
-            result = run_exhaustion(schedule, metric, solver_tol=cfg.solver["tol"],
+            result = run_exhaustion(cfg.schedule, metric, solver_tol=cfg.solver["tol"],
                                     max_iter=cfg.solver["max_iter"])
         except NonConvergenceError as exc:
             _write_trace(exc.trace, os.path.join(out_dir, "trace_failed.csv"))
@@ -615,7 +617,7 @@ def cmd_solve(config_path, out_dir, trace=False):
             return 3
         if result.met_tol is False:
             print(f"exhaustion stopped above its tol: last delta {result.last_delta:.3e} "
-                  f"> {schedule.tol:g}", file=sys.stderr)
+                  f"> {cfg.schedule.tol:g}", file=sys.stderr)
             return 6
         return 0
 
@@ -654,10 +656,12 @@ def _write_solution(out_dir, result, trace):
 
 
 def _load_run(run_dir, last_only=False):
-    """Rebuild metric, grids, and admissible fields from run artifacts.
+    """Rebuild the metric and the admissible fields of a run.
 
-    Every stored field is read and shape-checked; with ``last_only`` only
-    the last one is certified and returned.
+    Each stored ball's grid comes from config.json's schedule and its
+    boundary value from the metric; fields/meta.json's radii, grids and
+    boundary_values must equal them.  Every stored field is read; with
+    ``last_only`` only the last one is certified and returned.
     """
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
@@ -670,27 +674,27 @@ def _load_run(run_dir, last_only=False):
     if not all(isinstance(v, list) and v and len(v) == len(lists[0]) for v in lists):
         raise ValueError(f"fields/meta.json: {', '.join(_META_LISTS[:-1])} and "
                          f"{_META_LISTS[-1]} must be non-empty lists of one length")
-    if not all(isinstance(g, dict) and all(type(g.get(n)) is int for n in ("n1", "n2"))
-               for g in meta["grids"]):
-        raise ValueError("fields/meta.json: every grid needs integer n1 and n2")
+    metric = build_metric(cfg)
+    schedule = cfg.schedule
+    radii, grids = schedule.radii[:len(lists[0])], schedule.grids[:len(lists[0])]
+    values = [float(_boundary_value(metric, l, schedule.boundary_rule)) for l in radii]
+    for key, given in (("radii", list(radii)), ("boundary_values", values),
+                       ("grids", [{"n1": g.n1, "n2": g.n2, "kind": g.kind} for g in grids])):
+        if meta[key] != given:
+            raise ValueError(f"fields/meta.json: {key} {meta[key]} is not config.json's {given}")
     errors = []
-    nonnegative = lambda v: v >= 0
-    for key, ok, what, integer in (("radii", _positive, "a positive number", False),
-                                   ("boundary_values", _positive, "a positive number", False),
-                                   ("iterations", nonnegative, "an integer >= 0", True),
-                                   ("residual", nonnegative, "a number >= 0", False),
-                                   ("residual_floor", nonnegative, "a number >= 0", False)):
+    for key in ("iterations", "residual", "residual_floor"):
         for k, value in enumerate(meta[key]):
-            _check_number(errors, f"fields/meta.json: {key}[{k}]", value, ok, what, integer)
+            _check_number(errors, f"fields/meta.json: {key}[{k}]", value, lambda v: v >= 0,
+                          f"{'an integer' if key == 'iterations' else 'a number'} >= 0",
+                          key == "iterations")
     for k, value in enumerate(meta["floor_limited"]):
         if not isinstance(value, bool):
             _err(errors, f"fields/meta.json: floor_limited[{k}]", "must be true or false")
     if errors:
         raise ValueError("; ".join(errors))
-    metric = build_metric(cfg)
     stored = []
-    for k, (l, b, ginfo, iters) in enumerate(zip(*lists[:4])):
-        grid = PolarGrid(ginfo["n1"], ginfo["n2"], l, kind=ginfo.get("kind"))
+    for k, (grid, b, iters) in enumerate(zip(grids, values, meta["iterations"])):
         path = os.path.join(run_dir, "fields", f"u_{k:03d}.csv")
         stored.append((grid, _read_field_csv(path, grid), b, iters))
     if last_only:
@@ -759,10 +763,6 @@ def cmd_embed(run_dir):
                 field, cfg.exhaustion["l_obs"],
                 check_tol=cfg.audit["curvature_check_tol"],
             )
-        except _cli.ObservationRegionError as exc:
-            # validation vets config grids; meta.json may differ
-            print(f"embed: exhaustion.l_obs: {exc}", file=sys.stderr)
-            return 2
         except _cli.CurvatureCheckError as exc:
             print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
             return 4

@@ -227,9 +227,10 @@ def conformal_metric(field: AdmissibleField, rows=None,
     gb11, gb12, gb22 = gb11[:rows], gb12[:rows], gb22[:rows]
     calc = _CartesianCalc(grid, rows)
     E, F, G = _polar_to_cartesian_metric(gb11, gb12, gb22, calc.r, calc.cos, calc.sin)
-    K = _brioschi_curvature(E, F, G, calc)
-    defect = float(np.abs(K + 1.0).max())
-    if defect > check_tol:
+    with np.errstate(all="ignore"):  # a NaN or inf K fails the check that follows
+        K = _brioschi_curvature(E, F, G, calc)
+        defect = float(np.abs(K + 1.0).max())
+    if not defect <= check_tol:
         raise CurvatureCheckError(
             f"rescaled metric is not hyperbolic to tolerance: max |K+1| = {defect:.3e}"
             f" > {check_tol:.1e}"
@@ -632,19 +633,25 @@ class EmbeddingAudit:
     audit_rows: int
     worst_pullback_node: tuple
 
+    def _not_finite(self):
+        return [k for k, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)]
+
     def to_json_dict(self):
-        return {**asdict(self), "worst_pullback_node": list(self.worst_pullback_node)}
+        """The audit as strict JSON holds it: a number that is not finite is null."""
+        return {**asdict(self), **dict.fromkeys(self._not_finite()),
+                "worst_pullback_node": list(self.worst_pullback_node)}
 
     def failures(self, pullback_tol, pinching_slack):
-        """A message for each gate the audit fails: a pullback error above
-        ``pullback_tol``, a pinching margin below ``-pinching_slack``."""
-        out = []
-        if self.pullback_rel_err > pullback_tol:
+        """A message for each gate the audit fails: an audited number that is
+        not finite, a pullback error that is not at most ``pullback_tol``, a
+        pinching margin that is not at least ``-pinching_slack``."""
+        out = [f"{k} is {getattr(self, k)}, not a finite number" for k in self._not_finite()]
+        if not self.pullback_rel_err <= pullback_tol:
             out.append(f"pullback error {self.pullback_rel_err:.3e} at node "
                        f"{self.worst_pullback_node} exceeds {pullback_tol:g}")
         for name in ("cone", "lower", "upper"):
             margin = getattr(self, f"pinching_margin_{name}")
-            if margin < -pinching_slack:
+            if not margin >= -pinching_slack:
                 out.append(f"pinching margin ({name}) {margin:.3e} < -{pinching_slack:g}")
         return out
 

@@ -67,18 +67,12 @@ class EstimateRecord:
     extra: dict = dataclass_field(default_factory=dict)
 
     def to_json_dict(self):
-        d = {
-            "id": self.id,
-            "locus": self.locus,
-            "bound": self.bound,
-            "observed": self.observed,
-            "margin": self.margin,
-            "pass": bool(self.passed),
-            "slack": self.slack,
-        }
+        """The record as strict JSON holds it: a number that is not finite is null."""
+        d = {"id": self.id, "locus": self.locus, "bound": self.bound, "observed": self.observed,
+             "margin": self.margin, "pass": bool(self.passed), "slack": self.slack}
         if self.extra:
-            d["extra"] = {k: _jsonable(v) for k, v in self.extra.items()}
-        return d
+            d["extra"] = {k: _finite_or_none(v) for k, v in self.extra.items()}
+        return {k: _finite_or_none(v) for k, v in d.items()}
 
     def status(self):
         """The verdict ``verify`` prints for the record."""
@@ -102,12 +96,8 @@ def _record(id, locus, bound, observed, slack=0.0, lower=False, margin=None,
                           slack, extra)
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
+def _finite_or_none(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 @dataclass

@@ -205,6 +205,20 @@ class TestValidation:
         out, errors = validate_config(conformal_config(radii=[0.7]))
         assert not errors and out.exhaustion["l_obs"] == 0.75 * 0.7
 
+    @pytest.mark.parametrize("radii, error", [
+        ([0.5, 0.7], "exhaustion.radii: conformal charts support a single solve radius"),
+        ([0.95], "exhaustion.radii: must not exceed metric.domain_radius"),
+    ], ids=["two-radii", "beyond-domain-radius"])
+    def test_chart_disc_radius_rules(self, radii, error):
+        assert validate_config(conformal_config(radii=radii)) == (None, [error])
+
+    def test_chart_disc_rings_default_to_64(self):
+        cfg = conformal_config()
+        del cfg["grid"]["n_r"]
+        out, errors = validate_config(cfg)
+        assert not errors and out.grid["n_r"] == 64
+        assert [(g.n1, g.n2, g.kind) for g in out.schedule.grids] == [(64, 16, "disc")]
+
     def test_smallest_radial_grid_accepted(self):
         # l_obs = 2 covers 4 rings (r = 0.23 .. 1.62) of the 7-node radius-3 grid
         cfg, errors = validate_config(base_config(
@@ -351,7 +365,7 @@ class TestPipeline:
         # a string radius or a null boundary value ended in a TypeError
         # traceback (exit 1), and a string iteration count, residual or
         # floor_limited was read or ignored; each now exits 2 with one line
-        # naming the entry
+        # naming the entry, or the list config.json gives where it has one
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
         assert cmd_verify(str(out)) == 0
@@ -359,11 +373,16 @@ class TestPipeline:
         meta = json.loads(path.read_text())
         meta[key][0] = value
         path.write_text(json.dumps(meta))
+        derived = key in ("radii", "boundary_values")
         for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
             capsys.readouterr()
             assert command(str(out)) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"{name}: fields/meta.json: {key}[0]: must be "), err
+            if derived:
+                assert err.startswith(f"{name}: fields/meta.json: {key} [{value!r}, "), err
+                assert " is not config.json's [" in err, err
+            else:
+                assert err.startswith(f"{name}: fields/meta.json: {key}[0]: must be "), err
             assert err.count("\n") == 1, err
 
     def test_unknown_grid_kind_exit_2(self, tmp_path, capsys):
@@ -380,6 +399,42 @@ class TestPipeline:
         assert "'annulus'" in capsys.readouterr().err
         assert cmd_embed(out) == 2
         assert "'annulus'" in capsys.readouterr().err
+
+    def test_config_edited_after_solve_exit_2(self, tmp_path, capsys):
+        # verify and embed take each ball's grid and boundary value from
+        # config.json: an amp edited after solve changes the boundary values
+        # fields/meta.json records, so neither command reads the run (verify
+        # exited 0 on it), and neither writes anything
+        cfg = base_config(metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+                          exhaustion={"radii": [2.0, 3.0], "l_obs": 1.0, "tol": 1e-3})
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+        assert cmd_verify(str(out)) == 0
+        cfg["metric"]["amp"] = 3.0
+        (out / "config.json").write_text(json.dumps(cfg))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
+            capsys.readouterr()
+            assert command(str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{name}: fields/meta.json: boundary_values ["), err
+            assert " is not config.json's [" in err and err.count("\n") == 1, err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_meta_with_more_balls_than_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cmd_solve(write_config(tmp_path, base_config()), str(out)) == 0
+        path = out / "fields" / "meta.json"
+        meta = json.loads(path.read_text())
+        for key in cli._META_LISTS:  # a third ball, the second again
+            meta[key].append(meta[key][-1])
+        path.write_text(json.dumps(meta))
+        (out / "fields" / "u_002.csv").write_bytes((out / "fields" / "u_001.csv").read_bytes())
+        for name, command in (("verify", cmd_verify), ("embed", cmd_embed)):
+            capsys.readouterr()
+            assert command(str(out)) == 2
+            assert capsys.readouterr().err == (f"{name}: fields/meta.json: radii [2.0, 3.0, 3.0] "
+                                               f"is not config.json's [2.0, 3.0]\n")
 
     def test_observation_radius_below_four_rings_exit_2(self, tmp_path, capsys):
         # only the rings at r = 0.23 and 0.69 of the radius-3 ball's 7 x 16
@@ -547,7 +602,8 @@ class TestPipeline:
     def test_verify_prints_passes_by_rule(self, tmp_path, capsys):
         # a record that passes because its hypothesis is not met said
         # "pass (margin -1.1e-01)", or "pass (margin inf)" for the second-order
-        # record beside it; report.json keeps their margins
+        # record beside it; report.json keeps their margins (an infinite one
+        # as null: the report is strict JSON)
         out = tmp_path / "run"
         assert cmd_solve(write_config(tmp_path, conformal_config()), str(out)) == 0
         capsys.readouterr()
@@ -565,7 +621,8 @@ class TestPipeline:
         assert marked == not_met and len(marked) == len(by_rule)
         assert {rec["id"].split("_r0_")[0] for rec in marked} == {"cutoff_hypothesis",
                                                                   "second_order"}
-        assert all(rec["margin"] < 0 or rec["margin"] == math.inf for rec in marked)
+        assert all(rec["margin"] is None or rec["margin"] < 0 for rec in marked)
+        assert any(rec["margin"] is None for rec in marked)
 
     def test_tiny_chart_disc_ball_verifies(self, tmp_path, capsys):
         # r0 = 0.001 about node (48, 22): no point of the old 160^2 chart-disc
@@ -631,6 +688,48 @@ class TestPipeline:
         assert line.startswith("embed audit: rescaled metric is not hyperbolic")
         assert cmd_embed(out) == 4
         assert capsys.readouterr().err == err
+
+    def test_failed_pullback_gate_exit_4(self, tmp_path, capsys):
+        # the mesh and the audit are written; the gate's failure is one line
+        cfg = base_config(audit={"r0_list": [1.0], "pullback_tol": 1e-12})
+        out = tmp_path / "run"
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("embed audit: pullback error ") and line.endswith(" exceeds 1e-12")
+        audit = json.loads((out / "embed" / "audit.json").read_text())
+        assert audit["pullback_rel_err"] > 1e-12
+        assert (out / "embed" / "surface.obj").stat().st_size > 0
+
+    def test_nan_curvature_fails_embed_exit_4(self, tmp_path, capsys):
+        # on this 16 x 16 grid of the radius-30 ball the rescaled metric's
+        # curvature, formed in Cartesian components, is NaN; embed passed its
+        # audits on it (exit 0 after a flood of numpy warnings) and wrote bare
+        # NaN into audit.json
+        cfg = base_config(grid={"n_theta": 16, "n_r": 16},
+                          exhaustion={"radii": [30.0], "l_obs": 24.0})
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmd_solve(write_config(tmp_path, cfg), str(out)) == 0
+            assert cmd_verify(str(out)) == 0
+            capsys.readouterr()
+            assert cmd_embed(str(out)) == 4
+        assert capsys.readouterr().err == (
+            "embed audit: rescaled metric is not hyperbolic to tolerance: max |K+1| = nan "
+            "> 1.0e-02 (audit.curvature_check_tol)\n")
+        assert not (out / "embed").exists()
+        for path in out.rglob("*.json"):
+            json.loads(path.read_text(), parse_constant=pytest.fail)
+
+    def test_all_returns_a_failed_solve_code(self, tmp_path, capsys):
+        cfg = base_config(metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+                          solver={"tol": 1e-10, "max_iter": 1},
+                          exhaustion={"radii": [3.0], "l_obs": 1.0})
+        out = tmp_path / "run"
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert (out / "trace_failed.csv").exists()
+        assert not (out / "verify").exists() and not (out / "embed").exists()
 
     def test_default_observation_radius_used_by_solve(self, tmp_path, monkeypatch):
         seen = []

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -262,6 +264,23 @@ class TestVerification:
         assert audit.gauss_residual <= 1e-2
         assert audit.codazzi_residual <= 1e-2
         assert np.isfinite(audit.a_norm_max)
+
+    def test_failures_name_each_failed_gate(self, model_embedding):
+        audit = model_embedding[3]
+        assert audit.failures(1e-2, 1e-6) == []
+        bad = dataclasses.replace(audit, pinching_margin_lower=-1e-3, codazzi_residual=math.nan)
+        assert bad.failures(1e-2, 1e-6) == ["codazzi_residual is nan, not a finite number",
+                                            "pinching margin (lower) -1.000e-03 < -1e-06"]
+        # a NaN fails each gate it reaches, where every comparison with it is false
+        nan = dataclasses.replace(audit, pullback_rel_err=math.nan, pinching_margin_cone=math.nan)
+        assert nan.failures(1e-2, 1e-6) == [
+            "pullback_rel_err is nan, not a finite number",
+            "pinching_margin_cone is nan, not a finite number",
+            f"pullback error nan at node {audit.worst_pullback_node} exceeds 0.01",
+            "pinching margin (cone) nan < -1e-06"]
+        payload = nan.to_json_dict()
+        assert payload["pullback_rel_err"] is None and payload["pinching_margin_cone"] is None
+        json.dumps(payload, allow_nan=False)
 
     def test_shape_form_stable_under_refinement(self, pinched_embedding_64,
                                                 pinched_embedding_128):

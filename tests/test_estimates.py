@@ -422,6 +422,7 @@ class TestDistanceOnDemand:
         assert hyp.extra == {"hypothesis_met": False, "node": [0, 0], "by_rule": True}
         assert second.id == "second_order_r0_1_node_0_0" and second.passed
         assert second.margin == math.inf
+        assert second.to_json_dict()["margin"] is None  # report.json is strict JSON
         assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
                                 "node": [0, 0], "by_rule": True}
         for audit in (build_cutoff, check_second_order):

@@ -204,3 +204,19 @@ def test_the_kernel_holds_the_run_lock():
               if word in path.read_text()]
     assert naming == []
     assert "fcntl.flock" in (SRC / "cli.py").read_text()
+
+
+def test_one_schedule_per_run():
+    # every grid a command reads is one of config.json's schedule, which
+    # validate_config builds once: cli constructs no PolarGrid, and only the
+    # validator's grid check calls make_schedule
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(name, []).append(func.name)
+    assert "PolarGrid" not in callers and "PolarGrid" not in set(_loaded_names(tree))
+    assert callers["make_schedule"] == ["_check_grids"]
