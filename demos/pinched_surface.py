@@ -13,7 +13,7 @@ import os
 import numpy as np
 
 from lorentz_embed.metric import make_radial_pinched
-from lorentz_embed.exhaustion import make_schedule, run_exhaustion
+from lorentz_embed.exhaustion import ExhaustionSchedule, run_exhaustion
 from lorentz_embed.estimates import run_estimate_suite
 from lorentz_embed.cli import write_obj
 from lorentz_embed.embed import build_embedding, export_graph
@@ -28,8 +28,8 @@ print(f"pinching constants: c1 = {b.c1:.4f}, c2 = {b.c2:.4f}; log-curvature "
       f"derivative bounds on the ball B((r, theta) = (2, 0), 1): c3 = {c3:.4f}, c4 = {c4:.4f}")
 
 # --- expanding-ball continuation -------------------------------------------
-schedule = make_schedule((2.0, 3.0, 4.0, 5.0, 6.0), l_obs=1.0,
-                         nodes_per_unit=16, n_theta=48, tol=1e-6)
+schedule = ExhaustionSchedule((2.0, 3.0, 4.0, 5.0, 6.0), l_obs=1.0,
+                              nodes_per_unit=16, n_theta=48, tol=1e-6)
 result = run_exhaustion(schedule, metric)
 print("\n  l    delta        u range                  max |grad u|")
 for s in result.steps:

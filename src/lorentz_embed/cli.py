@@ -24,7 +24,8 @@ names of those stages used here are attributes of this module.
 Every chart is solved through exhaustion.run_exhaustion: a schedule of
 expanding geodesic balls, or a single conformal chart disc.  validate_config
 is the one place config defaults live; a RunConfig holds resolved values and
-the one schedule every command reads (fields/meta.json's radii, grids and
+the one schedule every command reads, an ExhaustionSchedule of the grid and
+exhaustion sections (fields/meta.json's radii, grids and
 boundary_values must equal what it and the metric give).  JSON artifacts are
 strict JSON: a number that is not finite is written as null.
 
@@ -65,7 +66,7 @@ from .solver import NonConvergenceError, certify
 # Unused here; kept for span tracers that wrap lorentz_embed.cli.solve_dirichlet.
 from .solver import solve_dirichlet  # noqa: F401
 from .exhaustion import (_MIN_OBS_RINGS, _boundary_value, _observation_rings, ExhaustionSchedule,
-                         make_schedule, run_exhaustion)
+                         run_exhaustion)
 
 __all__ = ["RunConfig", "load_config", "cmd_solve", "cmd_verify", "cmd_embed", "main"]
 
@@ -177,13 +178,9 @@ class RunConfig:
     """Each section holds every key the run reads, resolved to its value;
     ``schedule`` holds the run's balls and grids; ``raw`` is the config as given."""
 
-    schema_version: int
     metric: dict
-    grid: dict
-    exhaustion: dict
     solver: dict
     audit: dict
-    output: dict
     schedule: ExhaustionSchedule = dataclass_field(repr=False)
     raw: dict = dataclass_field(repr=False, default_factory=dict)
 
@@ -258,7 +255,8 @@ def validate_config(cfg: dict):
 
     Never raises: every malformed value and every key the run would not
     read becomes an error naming its field.  The rules that relate fields
-    are checked once every field is valid on its own.
+    are checked once every field is valid on its own, the schedule's own
+    (ExhaustionSchedule) once the derived defaults are filled in.
     """
     if not isinstance(cfg, dict):
         return None, ["config: must be a JSON object"]
@@ -267,19 +265,14 @@ def validate_config(cfg: dict):
     _check_number(errors, "schema_version", cfg.get("schema_version"),
                   lambda v: v == 1, "1", integer=True)
     kind, sec = _resolve_sections(errors, cfg)
-    radii = _numbers(errors, "exhaustion.radii", sec["exhaustion"]["radii"], _positive,
-                     "positive number")
-    if radii and any(b <= a for a, b in zip(radii, radii[1:])):
-        _err(errors, "exhaustion.radii", "must be a strictly increasing positive list")
-    if sec["exhaustion"]["boundary_rule"] not in ("standard", "midpoint"):
-        _err(errors, "exhaustion.boundary_rule", "must be 'standard' or 'midpoint'")
+    _numbers(errors, "exhaustion.radii", sec["exhaustion"]["radii"], _positive, "positive number")
     _numbers(errors, "audit.r0_list", sec["audit"]["r0_list"], _positive, "positive number")
     if not errors:
         _derive_and_relate(errors, kind, sec)
     schedule = None if errors else _check_grids(errors, kind, sec["grid"], sec["exhaustion"])
     if errors:
         return None, errors
-    return RunConfig(schema_version=1, schedule=schedule, raw=cfg, **sec), []
+    return RunConfig(sec["metric"], sec["solver"], sec["audit"], schedule, cfg), []
 
 
 def _derive_and_relate(errors, kind, sec):
@@ -296,17 +289,12 @@ def _derive_and_relate(errors, kind, sec):
             grid["n_r"] = _DISC_N_R
         if ex["l_obs"] is None:
             ex["l_obs"] = 0.75 * radii[0]
-        elif ex["l_obs"] >= radii[0]:
-            _err(errors, "exhaustion.l_obs", "must be < radii[0] on a chart disc")
-    elif ex["l_obs"] is None:
+        return
+    if ex["l_obs"] is None:
         ex["l_obs"] = radii[0] - 1.0
         if ex["l_obs"] <= 0:
             _err(errors, "exhaustion.l_obs",
                  f"defaults to radii[0] - 1 = {ex['l_obs']:g}, which is not positive: set it")
-    elif ex["l_obs"] > radii[0] - 1.0 + 1e-12:
-        _err(errors, "exhaustion.l_obs", "must be <= radii[0] - 1")
-    if kind == "disc":
-        return
     reach = max(radii) + max(sec["audit"]["r0_list"]) + 1.5
     if "r_max" not in metric:  # hyperbolic: f = sinh(sqrt(c) r) / sqrt(c), read out to reach
         limit = _MAX_WARP_EXPONENT / math.sqrt(metric["curvature_scale"])
@@ -330,13 +318,16 @@ def _derive_and_relate(errors, kind, sec):
 
 
 def _check_grids(errors, kind, grid, ex):
-    """The run's schedule (make_schedule takes the grid and exhaustion keys
-    by name), or None after recording an error: the grid of every ball has
-    at most _MAX_GRID_NODES nodes, its block Newton step at most
-    _MAX_BLOCK_DOUBLES doubles, and l_obs covers _MIN_OBS_RINGS of its
-    rings, as embed counts them: the exhaustion may stop at any."""
+    """The run's schedule (whose rules name their keys), or None after
+    recording an error: the grid of every ball has at most _MAX_GRID_NODES
+    nodes, its block Newton step at most _MAX_BLOCK_DOUBLES doubles, and
+    l_obs covers _MIN_OBS_RINGS of its rings, as embed counts them: the
+    exhaustion may stop at any."""
     try:
-        schedule = make_schedule(kind=kind, **grid, **ex)
+        schedule = ExhaustionSchedule(kind=kind, **grid, **ex)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
     except OverflowError:  # l * nodes_per_unit beyond the float range
         _err(errors, "grid.nodes_per_unit", "gives more radial nodes than a grid can hold")
         return None
@@ -760,7 +751,7 @@ def cmd_embed(run_dir):
 
         try:
             gbar, dev, emb, audit = _cli.build_embedding(
-                field, cfg.exhaustion["l_obs"],
+                field, cfg.schedule.l_obs,
                 check_tol=cfg.audit["curvature_check_tol"],
             )
         except _cli.CurvatureCheckError as exc:

@@ -11,15 +11,16 @@ The run ends when a delta meets the schedule tolerance, when the deltas
 increase across three consecutive steps (it diverged), or at the last
 ball; the result records which, with every ball solved until then.
 
-A schedule may also be a single conformal chart disc (grids of kind
-"disc"): one solve, so its table has one row and no delta, and nothing is
-sampled on the reference grid.
+An ExhaustionSchedule takes the run config's grid and exhaustion keys,
+builds each ball's grid and checks its own rules.  A schedule may also be
+a single conformal chart disc (kind "disc"): one solve, so its table has
+one row and no delta, and nothing is sampled on the reference grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "ExhaustionSchedule",
     "ExhaustionStep",
     "ExhaustionResult",
-    "make_schedule",
     "run_exhaustion",
     "sample_bicubic",
 ]
@@ -45,52 +45,47 @@ _COLUMNS = 32
 
 
 def _observation_rings(grid, l_obs):
-    """Rings of ``grid`` below l_obs + 1e-12, the rows embed audits.  Ring k
-    sits at (k + 1/2) h1 as in ``grid.q1``, counted without forming q1: config
-    validation counts on grids of any size a config asks for."""
-    edge, h1 = l_obs + 1e-12, grid.h1
-    k = min(max(math.ceil(edge / h1 - 0.5), 0), grid.n1)
-    while k > 0 and (k - 0.5) * h1 >= edge:  # the division's rounding
-        k -= 1
-    while k < grid.n1 and (k + 0.5) * h1 < edge:
-        k += 1
-    return k
+    """Rings of ``grid`` below l_obs + 1e-12, the rows embed audits."""
+    return int(np.searchsorted(grid.q1, l_obs + 1e-12))
 
 
 @dataclass(frozen=True)
 class ExhaustionSchedule:
-    """Radii, per-radius grids, and the observation ball for convergence.
+    """Radii, the grid of each ball, and the observation ball for convergence.
 
-    On geodesic balls the observation radius stays at least one unit inside
-    the smallest ball so every solve controls it with room to spare; on a
-    chart disc, whose radius is below 1, it lies strictly inside the disc.
+    Grids keep the radial spacing 1/nodes_per_unit (at least 16 rings), or
+    have ``n_r`` rings, and ``n_theta`` angles.  The parameters are the run
+    config's grid and exhaustion keys, and each rule raises the line config
+    validation prints.  On geodesic balls the observation radius stays at
+    least one unit inside the smallest ball so every solve controls it with
+    room to spare; on a chart disc, whose radius is below 1, it lies
+    strictly inside the disc.
     """
 
     radii: tuple
-    grids: tuple
     l_obs: float
+    nodes_per_unit: float = 16
+    n_theta: int = 64
     tol: float = 1e-5
     boundary_rule: str = "standard"  # "standard" or "midpoint"
+    n_r: int | None = None
+    kind: str = "polar"  # of every grid: "polar" or "disc"
+    grids: tuple = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         radii = tuple(float(l) for l in self.radii)
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "grids", tuple(self.grids))
-        if len(radii) != len(self.grids) or not radii:
-            raise ValueError("radii and grids must align and be nonempty")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly increasing")
-        if self.grids[0].kind == "disc":
-            if not 0.0 < self.l_obs < radii[0]:
-                raise ValueError("observation radius on a chart disc must satisfy "
-                                 "0 < l_obs < radii[0]")
-        elif self.l_obs > radii[0] - 1.0 + 1e-12:
-            raise ValueError("observation radius must satisfy l_obs <= radii[0] - 1")
+        if not radii or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ValueError("exhaustion.radii: must be a strictly increasing positive list")
         if self.boundary_rule not in ("standard", "midpoint"):
-            raise ValueError(f"unknown boundary rule {self.boundary_rule!r}")
-        for l, g in zip(radii, self.grids):
-            if abs(g.radius - l) > 1e-12:
-                raise ValueError("grid ball radius does not match schedule radius")
+            raise ValueError("exhaustion.boundary_rule: must be 'standard' or 'midpoint'")
+        if self.kind != "disc" and self.l_obs > radii[0] - 1.0 + 1e-12:
+            raise ValueError("exhaustion.l_obs: must be <= radii[0] - 1")
+        if self.kind == "disc" and self.l_obs >= radii[0]:
+            raise ValueError("exhaustion.l_obs: must be < radii[0] on a chart disc")
+        object.__setattr__(self, "grids", tuple(
+            PolarGrid(self.n_r or max(math.ceil(l * self.nodes_per_unit), 16), self.n_theta,
+                      l, kind=self.kind) for l in radii))
 
 
 @dataclass(frozen=True)
@@ -120,21 +115,6 @@ class ExhaustionResult:
     met_tol: bool | None
     diverged: bool
     deltas_monotone: bool
-
-
-def make_schedule(radii, l_obs, nodes_per_unit=16, n_theta=64,
-                  tol=1e-5, boundary_rule="standard", n_r=None, kind="polar"):
-    """Grids scaled with the ball: radial spacing fixed, angular count even.
-
-    The angular count is held at ``n_theta`` by default (adequate whenever
-    the data are radial); pass a larger value to resolve genuinely angular
-    structure on large balls.  ``n_r`` fixes the radial count of every
-    grid instead.  The parameters carry the names of the run config's
-    grid and exhaustion keys.
-    """
-    grids = [PolarGrid(n_r or max(int(math.ceil(l * nodes_per_unit)), 16), n_theta,
-                       float(l), kind=kind) for l in radii]
-    return ExhaustionSchedule(tuple(radii), tuple(grids), l_obs, tol, boundary_rule)
 
 
 def _knot_slopes(Y):
@@ -208,7 +188,7 @@ def run_exhaustion(schedule: ExhaustionSchedule, metric, solver_tol=1e-10,
     how the run ended.  Stops early once a delta drops below the schedule
     tolerance, or once the deltas increase across three consecutive steps.
     """
-    ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs, kind=schedule.grids[0].kind)
+    ref = PolarGrid(*_REFERENCE_SHAPE, schedule.l_obs, kind=schedule.kind)
     sample = len(schedule.radii) > 1
     steps, fields = [], []
     prev_ref = None

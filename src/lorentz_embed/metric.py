@@ -428,8 +428,11 @@ class ConformalDiscMetric:
                                 * np.exp(-self.eps * r * c) * grad))
 
     def _c2_of_radius(self, rho_ball):
-        """Max of -K over the chart disc of radius ``rho_ball`` (at most R)."""
-        return self.scale * math.exp(abs(self.eps) * min(rho_ball, self.domain_radius))
+        """Max of -K over the chart disc of radius ``rho_ball``, at most R."""
+        if rho_ball > self.domain_radius:
+            raise ValueError(f"chart disc radius {rho_ball} exceeds domain_radius "
+                             f"{self.domain_radius}")
+        return self.scale * math.exp(abs(self.eps) * rho_ball)
 
     def rim_distance(self, rho, radius):
         """(lower, upper) bounds of the distance from chart radius ``rho`` to the

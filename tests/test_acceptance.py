@@ -15,7 +15,7 @@ import pytest
 from lorentz_embed.metric import make_hyperbolic
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
-from lorentz_embed.exhaustion import make_schedule, run_exhaustion
+from lorentz_embed.exhaustion import ExhaustionSchedule, run_exhaustion
 from lorentz_embed.estimates import (
     build_cutoff,
     check_first_order,
@@ -180,8 +180,8 @@ def test_criterion_09_uniqueness_proxy(pinched_metric):
     radii = (2.0, 3.0, 4.0, 5.0, 6.0)
     results = {}
     for rule in ("standard", "midpoint"):
-        sched = make_schedule(radii, l_obs=1.0, nodes_per_unit=16, n_theta=32,
-                              tol=1e-16, boundary_rule=rule)
+        sched = ExhaustionSchedule(radii, l_obs=1.0, nodes_per_unit=16, n_theta=32,
+                                   tol=1e-16, boundary_rule=rule)
         results[rule] = run_exhaustion(sched, pinched_metric)
     gap = float(np.max(np.abs(results["standard"].limit_on_reference
                               - results["midpoint"].limit_on_reference)))

@@ -203,7 +203,7 @@ class TestValidation:
         assert validate_config(cfg) == (
             None, ["exhaustion.l_obs: must be < radii[0] on a chart disc"])
         out, errors = validate_config(conformal_config(radii=[0.7]))
-        assert not errors and out.exhaustion["l_obs"] == 0.75 * 0.7
+        assert not errors and out.schedule.l_obs == 0.75 * 0.7
 
     @pytest.mark.parametrize("radii, error", [
         ([0.5, 0.7], "exhaustion.radii: conformal charts support a single solve radius"),
@@ -216,7 +216,7 @@ class TestValidation:
         cfg = conformal_config()
         del cfg["grid"]["n_r"]
         out, errors = validate_config(cfg)
-        assert not errors and out.grid["n_r"] == 64
+        assert not errors and out.schedule.n_r == 64
         assert [(g.n1, g.n2, g.kind) for g in out.schedule.grids] == [(64, 16, "disc")]
 
     def test_smallest_radial_grid_accepted(self):
@@ -742,7 +742,7 @@ class TestPipeline:
         monkeypatch.setattr(cli, "run_exhaustion", spy)
         cfg = base_config(exhaustion={"radii": [1.5, 2.5]})
         out, errors = validate_config(cfg)
-        assert not errors and out.exhaustion["l_obs"] == 0.5
+        assert not errors and out.schedule.l_obs == 0.5
         assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "run")) == 0
         assert seen == [0.5]
 

@@ -11,45 +11,61 @@ from lorentz_embed import exhaustion
 from lorentz_embed.grid import PolarGrid, ScalarField
 from lorentz_embed.exhaustion import (
     ExhaustionSchedule,
-    make_schedule,
     run_exhaustion,
     sample_bicubic,
 )
 
 
 class TestScheduleValidation:
+    # each rule raises the line config validation prints for it
     def test_observation_margin_enforced(self):
-        grids = (PolarGrid(32, 32, 2.0), PolarGrid(48, 32, 3.0))
-        with pytest.raises(ValueError, match="l_obs"):
-            ExhaustionSchedule((2.0, 3.0), grids, l_obs=1.5)
+        with pytest.raises(ValueError) as info:
+            ExhaustionSchedule((2.0, 3.0), l_obs=1.5)
+        assert str(info.value) == "exhaustion.l_obs: must be <= radii[0] - 1"
+        assert ExhaustionSchedule((2.0, 3.0), l_obs=1.0).l_obs == 1.0
 
     def test_radii_must_increase(self):
-        grids = (PolarGrid(32, 32, 2.0), PolarGrid(32, 32, 2.0))
-        with pytest.raises(ValueError, match="increasing"):
-            ExhaustionSchedule((2.0, 2.0), grids, l_obs=1.0)
+        for radii in ((2.0, 2.0), (3.0, 2.0), (), (0.0, 2.0)):
+            with pytest.raises(ValueError) as info:
+                ExhaustionSchedule(radii, l_obs=-1.0)
+            assert str(info.value) == ("exhaustion.radii: must be a strictly increasing "
+                                       "positive list"), radii
 
-    def test_grid_mismatch_detected(self):
-        grids = (PolarGrid(32, 32, 2.0), PolarGrid(48, 32, 3.5))
-        with pytest.raises(ValueError, match="match"):
-            ExhaustionSchedule((2.0, 3.0), grids, l_obs=1.0)
+    def test_boundary_rule_named(self):
+        with pytest.raises(ValueError) as info:
+            ExhaustionSchedule((2.0, 3.0), l_obs=1.0, boundary_rule="upper")
+        assert str(info.value) == "exhaustion.boundary_rule: must be 'standard' or 'midpoint'"
 
-    def test_make_schedule_scales_radially(self):
-        sched = make_schedule((2.0, 4.0), l_obs=1.0, nodes_per_unit=16)
+    def test_observation_radius_inside_chart_disc(self):
+        with pytest.raises(ValueError) as info:
+            ExhaustionSchedule((0.7,), l_obs=0.7, n_r=24, kind="disc")
+        assert str(info.value) == "exhaustion.l_obs: must be < radii[0] on a chart disc"
+        # a disc's radius is below 1, so the geodesic ball's margin does not apply
+        sched = ExhaustionSchedule((0.7,), l_obs=0.5, n_theta=16, n_r=24, kind="disc")
+        assert [(g.n1, g.n2, g.radius, g.kind) for g in sched.grids] == [(24, 16, 0.7, "disc")]
+
+    def test_schedule_scales_radially(self):
+        sched = ExhaustionSchedule((2.0, 4.0), l_obs=1.0, nodes_per_unit=16)
         assert sched.grids[0].n1 == 32
         assert sched.grids[1].n1 == 64
         # radial spacing stays bounded as the ball grows
         assert sched.grids[1].h1 == pytest.approx(sched.grids[0].h1, rel=0.05)
+        # at least 16 rings, or n_r rings on every ball
+        for sizing, rings in (({"nodes_per_unit": 4}, [16, 16]), ({"n_r": 20}, [20, 20])):
+            sched = ExhaustionSchedule((2.0, 3.0), l_obs=1.0, **sizing)
+            assert [g.n1 for g in sched.grids] == rings
 
     def test_observation_rings_count_the_grid_rings(self):
-        # the closed-form count equals searchsorted on q1, on ring edges too
+        # the count equals a brute-force count of the rings (k + 1/2) h1
+        # below l_obs + 1e-12, on ring edges too
         rng = np.random.default_rng(3)
         for _ in range(300):
             grid = PolarGrid(int(rng.integers(2, 200)), 8, float(rng.uniform(0.1, 9.0)))
             k = int(rng.integers(0, grid.n1 + 2))
             for l_obs in ((k + 0.5) * grid.h1 - 1e-12, (k + 0.5) * grid.h1,
                           rng.uniform(0.0, 1.2 * grid.radius)):
-                assert (exhaustion._observation_rings(grid, l_obs)
-                        == int(np.searchsorted(grid.q1, l_obs + 1e-12))), (grid, l_obs)
+                count = sum((i + 0.5) * grid.h1 < l_obs + 1e-12 for i in range(grid.n1))
+                assert exhaustion._observation_rings(grid, l_obs) == count, (grid, l_obs)
 
 
 class TestBicubicSampling:
@@ -205,8 +221,8 @@ class TestBicubicSampling:
 
 class TestModelExhaustion:
     def test_constant_solution_all_deltas_zero(self):
-        sched = make_schedule((2.0, 3.0, 4.0), l_obs=1.0, nodes_per_unit=12,
-                              n_theta=32)
+        sched = ExhaustionSchedule((2.0, 3.0, 4.0), l_obs=1.0, nodes_per_unit=12,
+                                   n_theta=32)
         result = run_exhaustion(sched, make_hyperbolic(1.0))
         assert result.met_tol is True and not result.diverged
         for fld in result.fields:
@@ -222,7 +238,7 @@ class TestModelExhaustion:
         calls = []
         monkeypatch.setattr(exhaustion, "sample_bicubic",
                             lambda *a: calls.append(1) or sample_bicubic(*a))
-        sched = make_schedule((0.7,), l_obs=0.5, n_theta=16, n_r=24, kind="disc")
+        sched = ExhaustionSchedule((0.7,), l_obs=0.5, n_theta=16, n_r=24, kind="disc")
         result = run_exhaustion(sched, ConformalDiscMetric(1.0, 0.9, eps=0.3))
         assert calls == []
         assert result.limit_on_reference is None
@@ -231,8 +247,8 @@ class TestModelExhaustion:
         assert not result.diverged
 
     def test_early_stop_on_tolerance(self):
-        sched = make_schedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=12,
-                              n_theta=32, tol=1e-5)
+        sched = ExhaustionSchedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=12,
+                                   n_theta=32, tol=1e-5)
         result = run_exhaustion(sched, make_hyperbolic(1.0))
         # constant family converges after the second ball already
         assert len(result.steps) == 2
@@ -242,8 +258,8 @@ class TestModelExhaustion:
         # on a chart disc near its domain radius the deltas grow (1.3e-2,
         # 1.9e-2, 2.4e-2, 2.8e-2): the third increase ends the run, which
         # keeps every ball it solved
-        sched = make_schedule([0.5, 0.6, 0.7, 0.8, 0.9], 0.4, kind="disc", n_r=32,
-                              n_theta=32)
+        sched = ExhaustionSchedule([0.5, 0.6, 0.7, 0.8, 0.9], 0.4, kind="disc", n_r=32,
+                                   n_theta=32)
         result = run_exhaustion(sched, ConformalDiscMetric(1.0, 0.95, 0.3))
         deltas = [s.delta for s in result.steps[1:]]
         assert result.diverged and len(result.fields) == len(result.steps) == 5
@@ -254,8 +270,8 @@ class TestModelExhaustion:
 
 @pytest.fixture(scope="module")
 def pinched_sequence(pinched_metric):
-    sched = make_schedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=16,
-                          n_theta=32, tol=1e-9)
+    sched = ExhaustionSchedule((2.0, 3.0, 4.0, 5.0), l_obs=1.0, nodes_per_unit=16,
+                               n_theta=32, tol=1e-9)
     return run_exhaustion(sched, pinched_metric)
 
 
@@ -294,8 +310,8 @@ class TestPinchedExhaustion:
         for radii in ((2.0, 3.0), (2.0, 3.0, 4.0, 5.0)):
             limits = {}
             for rule in ("standard", "midpoint"):
-                sched = make_schedule(radii, l_obs=1.0, nodes_per_unit=16,
-                                      n_theta=32, tol=1e-16, boundary_rule=rule)
+                sched = ExhaustionSchedule(radii, l_obs=1.0, nodes_per_unit=16,
+                                           n_theta=32, tol=1e-16, boundary_rule=rule)
                 limits[rule] = run_exhaustion(sched, pinched_metric).limit_on_reference
             gaps.append(float(np.max(np.abs(limits["standard"] - limits["midpoint"]))))
         assert gaps[1] <= 0.25 * gaps[0]

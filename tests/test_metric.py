@@ -19,6 +19,7 @@ from lorentz_embed.metric import (
 from lorentz_embed.metric import _uniform_hermite
 from lorentz_embed.grid import PolarGrid, chart_arrays
 from lorentz_embed.geodesics import distance_conformal
+from lorentz_embed.solver import DirichletProblem
 
 
 def _zero(r):
@@ -375,7 +376,7 @@ class TestPoincareIsPerturbedAtZero:
             assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
         for b in (m.bounds, p.bounds):
             assert (b.c1, b.c2) == (scale, scale)
-            assert [b.c2_of_radius(r) for r in (0.1, 0.5, 2.0)] == [scale] * 3
+            assert [b.c2_of_radius(r) for r in (0.1, 0.5, 0.9)] == [scale] * 3
         assert m.log_bounds == p.log_bounds == (0.0, 0.0)
         # exact distances: the rim bounds meet, and a distance field is the
         # pair distance, shot nowhere
@@ -459,6 +460,16 @@ class TestChartAnswers:
     def test_warped_ball_must_stay_in_the_chart(self, pinched_metric):
         with pytest.raises(ValueError, match="leaves the chart"):
             pinched_metric.ball_max_neg_curvature((pinched_metric.r_max - 0.5, 0.0), 1.0)
+
+    def test_conformal_disc_must_stay_in_the_domain(self):
+        # past domain_radius the maximum of -K is not known, so the chart
+        # refuses to give one, and a solve there has no default boundary value
+        m = ConformalDiscMetric(1.0, 0.9, 0.3)
+        assert m.bounds.c2_of_radius(0.9) == m.bounds.c2 == math.exp(0.3 * 0.9)
+        with pytest.raises(ValueError, match="exceeds domain_radius 0.9"):
+            m.bounds.c2_of_radius(0.95)
+        with pytest.raises(ValueError, match="exceeds domain_radius 0.9"):
+            DirichletProblem(m, PolarGrid(24, 16, 0.95, kind="disc"))
 
 
 class TestConformalBallMax:

@@ -208,15 +208,26 @@ def test_the_kernel_holds_the_run_lock():
 
 def test_one_schedule_per_run():
     # every grid a command reads is one of config.json's schedule, which
-    # validate_config builds once: cli constructs no PolarGrid, and only the
-    # validator's grid check calls make_schedule
-    tree = ast.parse((SRC / "cli.py").read_text())
-    callers = {}
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    callers.setdefault(name, []).append(func.name)
-    assert "PolarGrid" not in callers and "PolarGrid" not in set(_loaded_names(tree))
-    assert callers["make_schedule"] == ["_check_grids"]
+    # validate_config builds once: cli constructs no PolarGrid, only the
+    # validator's grid check constructs an ExhaustionSchedule, and each of
+    # the schedule's rules is written once, in the schedule
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+
+    def called(node):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+    cli_calls = {called(node) for node in ast.walk(trees["cli.py"])
+                 if isinstance(node, ast.Call)}
+    assert "PolarGrid" not in cli_calls and "PolarGrid" not in set(_loaded_names(trees["cli.py"]))
+    constructs = [node for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and called(node) == "ExhaustionSchedule"]
+    check_grids = next(node for node in trees["cli.py"].body
+                       if getattr(node, "name", None) == "_check_grids")
+    assert len(constructs) == 1 and constructs[0] in set(ast.walk(check_grids))
+    texts = {name: (SRC / name).read_text() for name in trees}
+    assert [name for name, text in texts.items() if "make_schedule" in text] == []
+    rules = ("must be a strictly increasing positive list", "must be 'standard' or 'midpoint'",
+             "must be <= radii[0] - 1", "must be < radii[0] on a chart disc")
+    assert [(name, rule) for name, text in texts.items() for rule in rules if rule in text] \
+        == [("exhaustion.py", rule) for rule in rules]
