@@ -1,41 +1,25 @@
 """Configuration-driven front end: solve -> verify -> embed -> export.
 
-Runs are reproducible by construction: the canonical config is copied into
-the run directory, every artifact is written with fixed ordering and 17
-significant digits, and wall-clock data lives only in the isolated
-runmeta.json.  No other module does file I/O: each artifact format's writer
-sits beside its reader and writes atomically (atomic_write).  A field CSV
-holds the grid's own coordinates, and its reader accepts only the bytes its
-writer would write for the values it parses (_ring_formats is the layout of
-both).  solve first removes what an earlier run wrote (_RUN_ARTIFACTS).
+No other module does file I/O: each artifact format's writer sits beside
+its reader and writes atomically (atomic_write).  A field CSV holds the
+grid's own coordinates, and its reader accepts only the bytes its writer
+would write for the values it parses (_ring_formats is the layout of both).
 Each stage decides its own verdict and the commands write it:
 fields/meta.json records how run_exhaustion says the exhaustion ended (a
 diverged one included), verify prints each estimate record's own status
-line, and embed prints the failures its EmbeddingAudit names.  An
-exclusive flock on <out>/.lock, which the kernel releases when its holder
-exits however it exits, guards each output directory against concurrent
-writers (solve, verify and embed alike).
+line, and embed prints the failures its EmbeddingAudit names.
 
 Importing this module loads only what config handling and solve need
 (metric, grid, solver, exhaustion).  verify loads estimates (and geodesics
 only to solve a distance field), and embed loads embed, on first call; the
 names of those stages used here are attributes of this module.
 
-Every chart is solved through exhaustion.run_exhaustion: a schedule of
-expanding geodesic balls, or a single conformal chart disc.  validate_config
-is the one place config defaults live; a RunConfig holds resolved values and
-the one schedule every command reads, an ExhaustionSchedule of the grid and
-exhaustion sections (fields/meta.json's radii, grids and
-boundary_values must equal what it and the metric give).  JSON artifacts are
-strict JSON: a number that is not finite is written as null.
+validate_config is the one place config defaults live; a RunConfig holds
+resolved values and the one schedule every command reads, an
+ExhaustionSchedule of the grid and exhaustion sections (fields/meta.json's
+radii, grids and boundary_values must equal what it and the metric give).
 
-Exit codes: 0 success, 2 invalid config or missing/corrupt artifacts (a
-meta.json at odds with config.json included), 3 solver non-convergence
-(trace still written) or a diverged exhaustion (every artifact still
-written), 4 audit failure (a non-finite audited number included), 5 output
-directory locked by another run, 6 the exhaustion stopped with its last
-delta above exhaustion.tol (every artifact still written; "all" still runs
-verify and embed, and returns 6 when both succeed).
+Config keys, exit codes and run artifacts: the tables of README.md's CLI section.
 """
 
 from __future__ import annotations
@@ -53,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -366,16 +350,20 @@ class LockedError(RuntimeError):
     """Another run holds the output directory's lock."""
 
 
+class NotADirError(RuntimeError):
+    """The output path cannot be a directory: it, or a path above it, is a file."""
+
+
 def _exit_5_if_locked(cmd):
-    """Make a command report a held lock in one line and exit 5."""
+    """Report in one line a held lock (exit 5) or an output path that is no directory (2)."""
 
     @functools.wraps(cmd)
     def run(*args, **kwargs):
         try:
             return cmd(*args, **kwargs)
-        except LockedError as exc:
+        except (LockedError, NotADirError) as exc:
             print(f"{cmd.__name__.removeprefix('cmd_')}: {exc}", file=sys.stderr)
-            return 5
+            return 5 if isinstance(exc, LockedError) else 2
 
     return run
 
@@ -389,14 +377,17 @@ def _locked_dir(path):
     removing it would let a second writer lock a new file while the first
     holds the old one.
     """
-    os.makedirs(path, exist_ok=True)
-    lock = os.path.join(path, ".lock")
-    with open(lock, "ab") as fh:
+    try:
+        os.makedirs(path, exist_ok=True)
+        fh = open(os.path.join(path, ".lock"), "ab")
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise NotADirError(f"output directory {path} cannot be made ({exc.strerror})") from None
+    with fh:
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            raise LockedError(
-                f"output directory {path} is locked by another run (lock file {lock})") from None
+            raise LockedError(f"output directory {path} is locked by another run "
+                              f"(lock file {fh.name})") from None
         yield
 
 
@@ -447,9 +438,18 @@ def _remove_run_artifacts(out_dir):
                 os.remove(path)
 
 
+def _strict(obj):
+    """``obj`` as strict JSON holds it: every float that is not finite is None."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _dump_json(obj, path):
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1, allow_nan=False)
+        json.dump(_strict(obj), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -757,7 +757,7 @@ def cmd_embed(run_dir):
         except _cli.CurvatureCheckError as exc:
             print(f"embed audit: {exc} (audit.curvature_check_tol)", file=sys.stderr)
             return 4
-        payload = audit.to_json_dict()
+        payload = asdict(audit)
         payload["curvature_defect"] = gbar.max_defect
         # the mesh and the audit are all that is written: the arrays of the
         # field, the rescaled metric and the embedding go as soon as the mesh

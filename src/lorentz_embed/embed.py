@@ -636,11 +636,6 @@ class EmbeddingAudit:
     def _not_finite(self):
         return [k for k, v in asdict(self).items() if isinstance(v, float) and not math.isfinite(v)]
 
-    def to_json_dict(self):
-        """The audit as strict JSON holds it: a number that is not finite is null."""
-        return {**asdict(self), **dict.fromkeys(self._not_finite()),
-                "worst_pullback_node": list(self.worst_pullback_node)}
-
     def failures(self, pullback_tol, pinching_slack):
         """A message for each gate the audit fails: an audited number that is
         not finite, a pullback error that is not at most ``pullback_tol``, a

@@ -67,12 +67,11 @@ class EstimateRecord:
     extra: dict = dataclass_field(default_factory=dict)
 
     def to_json_dict(self):
-        """The record as strict JSON holds it: a number that is not finite is null."""
         d = {"id": self.id, "locus": self.locus, "bound": self.bound, "observed": self.observed,
              "margin": self.margin, "pass": bool(self.passed), "slack": self.slack}
         if self.extra:
-            d["extra"] = {k: _finite_or_none(v) for k, v in self.extra.items()}
-        return {k: _finite_or_none(v) for k, v in d.items()}
+            d["extra"] = dict(self.extra)
+        return d
 
     def status(self):
         """The verdict ``verify`` prints for the record."""
@@ -94,10 +93,6 @@ def _record(id, locus, bound, observed, slack=0.0, lower=False, margin=None,
     margin = float(margin)
     return EstimateRecord(id, locus, bound, observed, margin, by_rule or margin >= -slack,
                           slack, extra)
-
-
-def _finite_or_none(v):
-    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 @dataclass
@@ -359,7 +354,11 @@ def check_second_order(field: AdmissibleField, ball: ProbeBall, distance, c_cal=
     core = distance <= core_radius
     observed = float(field.hessian.eig_max[core].max())
     s2 = math.sqrt(c2)
-    bound = (math.exp(c_cal * c2p) / (cap - u_probe)) * (
+    try:
+        growth = math.exp(c_cal * c2p)
+    except OverflowError:  # past the float range the ceiling bounds nothing: +inf
+        growth = math.inf
+    bound = (growth / (cap - u_probe)) * (
         1.0 + math.sqrt(c4) * r0 / s2 + c2p * (1.0 + r0 / s2 + c3 * r0 / s2)
     )
     return _record(f"second_order_{ball.tag}", "Hessian eigenvalue ceiling on the core ball",

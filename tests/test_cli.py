@@ -624,6 +624,22 @@ class TestPipeline:
         assert all(rec["margin"] is None or rec["margin"] < 0 for rec in marked)
         assert any(rec["margin"] is None for rec in marked)
 
+    def test_growth_past_the_float_range_verifies(self, tmp_path, capsys):
+        # c_cal 1000 made exp(c_cal c2') overflow, and verify ended in an
+        # OverflowError traceback; the ceiling is +inf, written as null
+        cfg = base_config(metric={"family": "radial_pinched", "base": 1.0, "amp": 1.0},
+                          grid={"n_theta": 16, "nodes_per_unit": 8},
+                          exhaustion={"radii": [3.0], "l_obs": 1.0},
+                          audit={"r0_list": [1.0], "c_cal": 1000.0})
+        out = tmp_path / "run"
+        assert main(["all", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        (run,) = json.loads((out / "verify" / "report.json").read_text())["runs"]
+        met = [rec for rec in run["records"]
+               if rec["id"].startswith("second_order") and rec["extra"]["hypothesis_met"]]
+        assert met and all(rec["pass"] and rec["bound"] is None and rec["margin"] is None
+                           and rec["extra"]["ratio"] == 0.0 for rec in met)
+
     def test_tiny_chart_disc_ball_verifies(self, tmp_path, capsys):
         # r0 = 0.001 about node (48, 22): no point of the old 160^2 chart-disc
         # sample lay near enough, and verify ended in a ValueError traceback
@@ -1203,6 +1219,21 @@ class TestLocking:
         assert str(out / ".lock") in err and "Traceback" not in err
         assert sorted((p, p.stat().st_mtime_ns) for p in out.rglob("*")) == before
         assert (out / ".lock").read_text() == ""
+
+    @pytest.mark.parametrize("command", ["solve", "all"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys, command, under):
+        # a file at --out, or above it, made os.makedirs raise (FileExistsError,
+        # NotADirectoryError) and the command exit 1 with a traceback
+        cfg_path = write_config(tmp_path, base_config())
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / "file" / "run" if under else tmp_path / "file"
+        before = sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*"))
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"solve: output directory {out} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted((p, p.stat().st_mtime_ns) for p in tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("command", ["verify", "embed"])
     def test_lock_taken_before_the_run_is_read(self, tmp_path, capsys, monkeypatch,

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import develop_whole, hyperboloid_point, write_obj_rows
 
-from lorentz_embed.cli import write_obj
+from lorentz_embed.cli import _dump_json, write_obj
 from lorentz_embed.metric import ConformalDiscMetric, make_hyperbolic
 from lorentz_embed.grid import PolarGrid
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
@@ -265,7 +265,7 @@ class TestVerification:
         assert audit.codazzi_residual <= 1e-2
         assert np.isfinite(audit.a_norm_max)
 
-    def test_failures_name_each_failed_gate(self, model_embedding):
+    def test_failures_name_each_failed_gate(self, model_embedding, tmp_path):
         audit = model_embedding[3]
         assert audit.failures(1e-2, 1e-6) == []
         bad = dataclasses.replace(audit, pinching_margin_lower=-1e-3, codazzi_residual=math.nan)
@@ -278,9 +278,11 @@ class TestVerification:
             "pinching_margin_cone is nan, not a finite number",
             f"pullback error nan at node {audit.worst_pullback_node} exceeds 0.01",
             "pinching margin (cone) nan < -1e-06"]
-        payload = nan.to_json_dict()
+        path = tmp_path / "audit.json"  # audit.json is strict JSON: a NaN is written as null
+        _dump_json(dataclasses.asdict(nan), str(path))
+        payload = json.loads(path.read_text())
         assert payload["pullback_rel_err"] is None and payload["pinching_margin_cone"] is None
-        json.dumps(payload, allow_nan=False)
+        assert payload["worst_pullback_node"] == list(audit.worst_pullback_node)
 
     def test_shape_form_stable_under_refinement(self, pinched_embedding_64,
                                                 pinched_embedding_128):

@@ -14,6 +14,7 @@ from lorentz_embed.grid import (
     generalized_eig_range,
 )
 from lorentz_embed.solver import DirichletProblem, solve_dirichlet
+from lorentz_embed.cli import _dump_json
 from lorentz_embed import estimates
 from lorentz_embed.geodesics import warped_distance_field
 from lorentz_embed.estimates import (
@@ -244,6 +245,15 @@ class TestSecondOrder:
             max_neg_curvature_ball(pinched_metric, ball.center, 2.0), rel=1e-12)
         assert k["c3"] >= 0 and k["c4"] >= 0
 
+    def test_growth_past_the_float_range_bounds_nothing(self, pinched_solve_l4):
+        # exp(c_cal c2') overflowed from c_cal about 370 on the README config, and
+        # verify ended in an OverflowError traceback; the bound is now +inf
+        g = pinched_solve_l4.u.grid
+        ball, d = ball_and_distance(pinched_solve_l4, (int(np.searchsorted(g.q1, 1.5)), 0), 1.0)
+        rec = check_second_order(pinched_solve_l4, ball, d, c_cal=1000.0)
+        assert rec.bound == rec.margin == math.inf and rec.passed
+        assert rec.extra["ratio"] == 0.0 and rec.extra["c_cal"] == 1000.0
+
     @pytest.mark.parametrize("pair", [(-0.1, 0.0), (0.0, -0.1)])
     def test_negative_log_curvature_bounds_rejected(self, pinched_solve_l4, pair,
                                                     monkeypatch):
@@ -410,7 +420,8 @@ class TestDistanceOnDemand:
         assert calls and all(reach < pinched_solve_64.ball_radius for _, reach in calls)
         assert any(r["id"].startswith("cutoff_hessian") for r in fast["records"])
 
-    def test_failed_hypothesis_solves_no_distance(self, pinched_solve_64, monkeypatch):
+    def test_failed_hypothesis_solves_no_distance(self, pinched_solve_64, monkeypatch,
+                                                  tmp_path):
         calls = self._count_calls(monkeypatch)
         rep = run_estimate_suite(pinched_solve_64, probes=[(0, 0)])
         ball = probe_ball(pinched_solve_64, (0, 0), 1.0)
@@ -422,7 +433,9 @@ class TestDistanceOnDemand:
         assert hyp.extra == {"hypothesis_met": False, "node": [0, 0], "by_rule": True}
         assert second.id == "second_order_r0_1_node_0_0" and second.passed
         assert second.margin == math.inf
-        assert second.to_json_dict()["margin"] is None  # report.json is strict JSON
+        path = tmp_path / "second.json"  # report.json is strict JSON: an infinite margin is null
+        _dump_json(second.to_json_dict(), str(path))
+        assert json.loads(path.read_text())["margin"] is None
         assert second.extra == {"hypothesis_met": False, "cap": ball.cap, "u_probe": ball.u_probe,
                                 "node": [0, 0], "by_rule": True}
         for audit in (build_cutoff, check_second_order):
